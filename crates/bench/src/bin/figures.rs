@@ -10,6 +10,7 @@
 //! <https://ui.perfetto.dev>), and prints a utilization report.
 
 use vta_bench::figures as f;
+use vta_bench::{out, outln};
 use vta_workloads::Scale;
 
 fn main() {
@@ -58,9 +59,9 @@ fn main() {
 
     let print = |t: &vta_bench::Table| {
         if csv {
-            println!("{}", t.to_csv());
+            outln!("{}", t.to_csv());
         } else {
-            println!("{}", t.render());
+            outln!("{}", t.render());
         }
     };
 
@@ -83,8 +84,8 @@ fn main() {
                 print(&f::fig10(&ms));
             }
         }
-        "11" => println!("{}", f::fig11()),
-        "cpi" => println!("{}", f::cpi_analysis()),
+        "11" => outln!("{}", f::fig11()),
+        "cpi" => outln!("{}", f::cpi_analysis()),
         "headline" => print(&f::headline(scale)),
         "all" => {
             print(&f::headline(scale));
@@ -97,8 +98,8 @@ fn main() {
             let ms = f::fig9_measurements(scale);
             print(&f::fig9(&ms));
             print(&f::fig10(&ms));
-            println!("{}", f::fig11());
-            println!("{}", f::cpi_analysis());
+            outln!("{}", f::fig11());
+            outln!("{}", f::cpi_analysis());
         }
         _ => usage(),
     }
@@ -112,14 +113,14 @@ fn run_trace(bench: &str, scale: Scale, path: &str) {
         trace_benchmark(bench, scale, VirtualArchConfig::paper_default(), 1 << 18);
     let json = chrome_trace_json(&tracer);
     std::fs::write(path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!(
+    outln!(
         "{bench}: {} cycles, {} trace events ({} dropped) -> {path}",
         report.cycles,
         tracer.len(),
         tracer.dropped()
     );
-    println!("open the file at https://ui.perfetto.dev\n");
-    print!("{}", utilization_report(&tracer, report.cycles));
+    outln!("open the file at https://ui.perfetto.dev\n");
+    out!("{}", utilization_report(&tracer, report.cycles));
 }
 
 fn usage() -> ! {

@@ -1,99 +1,79 @@
 //! Measures host simulator throughput on the Figure 5 sweep at
-//! `Scale::Test` and maintains the `BENCH_dispatch.json` and
-//! `BENCH_parallel.json` trajectory artifacts.
+//! `Scale::Test` and maintains the `BENCH_*.json` trajectory artifacts.
 //!
 //! ```text
-//! cargo run --release -p vta-bench --bin perf                  # print only
-//! cargo run --release -p vta-bench --bin perf -- --threads 4   # parallel sweep
-//! cargo run --release -p vta-bench --bin perf -- --write       # refresh dispatch JSON
-//! cargo run --release -p vta-bench --bin perf -- --scaling     # refresh parallel JSON
+//! cargo run --release -p vta-bench --bin perf                  # fig5 probe + fingerprints
+//! cargo run --release -p vta-bench --bin perf -- --threads 4   # sweep on 4 host threads
 //! cargo run --release -p vta-bench --bin perf -- --check       # verify determinism
+//! cargo run --release -p vta-bench --bin perf -- --scaling     # sweep at 1/2/4/8 threads
 //! cargo run --release -p vta-bench --bin perf -- --metrics     # windowed time series
-//! cargo run --release -p vta-bench --bin perf -- --superblock  # refresh superblock A/B JSON
-//! cargo run --release -p vta-bench --bin perf -- --fabric-scaling  # 2 fabric workers beat 1?
+//! cargo run --release -p vta-bench --bin perf -- --superblock  # superblock A/B matrix
 //! cargo run --release -p vta-bench --bin perf -- --profile     # host wall-time breakdown
 //! ```
 //!
-//! `--profile [--bench B] [--scale test|small|large] [--threads N]
-//! [--fabric-workers M] [--manager-shards S]` runs one benchmark
-//! (default: crafty at `Scale::Large`) with the host wall-clock span
-//! profiler AND the cycle tracer enabled, prints the per-thread
-//! top-phases table plus the manager-duty breakdown (deterministic
-//! `manager.*` cycle counters) and the per-shard manager attribution,
-//! and writes `BENCH_profile.json` and a merged two-clock
-//! Perfetto timeline `profile_B_trace.json` (simulated-cycle tracks as
-//! process 1, host wall tracks as process 2). Combined forms:
-//! `--profile --check` reruns the determinism check with profiling
-//! enabled inside every fingerprinted system — its stdout must be
-//! byte-identical to a plain `--check` (ci.sh diffs it); `--profile
-//! --overhead` measures the profiler's own cost on the fingerprint
-//! benchmarks and fails if the median run is >5% slower than with
-//! profiling off.
+//! Every mode only prints unless told otherwise: `--write` makes the
+//! mode refresh its artifact (`BENCH_dispatch.json` for the plain probe,
+//! `BENCH_parallel.json` for `--scaling`, `BENCH_superblock.json` for
+//! `--superblock`, `BENCH_profile.json` + `profile_B_trace.json` for
+//! `--profile`, `metrics_B.{csv,json}` + `metrics_B_trace.json` for
+//! `--metrics`), and `--metrics --bless` rewrites the metrics golden.
+//!
+//! `--threads N` is the sweep's fan-out: how many `(benchmark, config)`
+//! cells run at once (`vta_bench::sweep_threads`). One simulated machine
+//! always runs on one host thread.
+//!
+//! `--check` recomputes the `paper_default` fingerprints and compares
+//! them against the checked-in `BENCH_dispatch.json`, runs the fig5
+//! sweep on `--threads` host threads and prints one digest over every
+//! cell's simulated numbers, and validates `BENCH_parallel.json` for
+//! internal consistency — nothing is rewritten, and any drift exits
+//! nonzero. The `--check` stdout is identical for every `--threads`
+//! value, so ci.sh diffs it across sweep widths to enforce determinism.
+//!
+//! `--scaling` runs the fig5 sweep at 1/2/4/8 threads, verifying the
+//! sweep digest is identical at each width, and prints the trajectory.
 //!
 //! `--superblock` runs the region-formation A/B matrix (gzip/mcf/crafty/
 //! interp × both opt levels × off/static/recorded superblock modes),
 //! asserts guest-instruction retirement reconciles across the modes,
-//! re-derives the paper-default fingerprints at 1/4/nproc host threads
-//! to attest thread-count invariance, and writes
-//! `BENCH_superblock.json`. `--superblock --check` runs only the cell
-//! matrix and the retirement reconciliation — no fingerprints, no
-//! `Scale::Large` highlights, nothing written — as a fast CI gate.
+//! checks the paper-default fingerprints against `BENCH_dispatch.json`,
+//! and measures the `Scale::Large` wall highlights. `--superblock
+//! --check` runs only the cell matrix and the retirement reconciliation
+//! as a fast CI gate.
 //!
-//! `--metrics [--bench B] [--interval N] [--threads N]` runs one
-//! benchmark at `Scale::Test` with the windowed metrics layer on and
-//! writes the series as `metrics_B.csv` / `metrics_B.json` plus a
-//! Chrome-trace file `metrics_B_trace.json` whose counter tracks open
-//! directly in Perfetto; the phase report and (when `--threads > 1`)
-//! the host worker-pool counters go to stdout. `--metrics --check`
-//! instead re-derives the committed `BENCH_metrics_vpr.csv` golden
-//! (vpr, serial, fixed interval) and diffs byte-for-byte — regenerate
-//! with `--metrics --bless` when a simulated-behavior change is
-//! intentional.
+//! `--metrics [--bench B] [--interval N]` runs one benchmark at
+//! `Scale::Test` with the windowed metrics layer on and prints the phase
+//! report; the exported counter tracks open directly in Perfetto.
+//! `--metrics --check` instead re-derives the committed
+//! `BENCH_metrics_vpr.csv` golden (vpr, fixed interval) and diffs
+//! byte-for-byte — regenerate with `--metrics --bless` when a
+//! simulated-behavior change is intentional.
 //!
-//! `--threads N` sets both the sweep's host-thread fan-out and the
-//! in-`System` worker-pool width used for the fingerprint runs, so a
-//! `--check` at `--threads 4` genuinely exercises the parallel
-//! translation path end to end. `--fabric-workers N` likewise sets the
-//! epoch-parallel fabric partition count inside each fingerprinted
-//! `System` (the `VTA_FABRIC_WORKERS` env var reaches every other mode,
-//! including the metrics golden and the superblock matrix).
-//! `--manager-shards S` (or `VTA_MANAGER_SHARDS`) sets the manager
-//! service-shard count: per-partition duty attribution over one shared
-//! service ring, so simulated behavior is bit-identical at every count
-//! and only the per-shard report changes.
-//!
-//! With `--check`, the fingerprints are recomputed and compared against
-//! the checked-in `BENCH_dispatch.json`, and `BENCH_parallel.json` is
-//! validated for internal consistency — nothing is rewritten, and any
-//! drift exits nonzero. Crucially the `--check` stdout is identical for
-//! every `--threads`, `--fabric-workers`, and `--manager-shards` value,
-//! so CI can diff the output across all three axes to enforce the
-//! determinism invariant.
-//!
-//! With `--scaling`, the fig5 sweep runs at 1/2/4/8 threads (verifying
-//! fingerprints at each width), the `Scale::Large` highlight pair runs
-//! at 1/2/nproc fabric workers (verifying fingerprints at each count),
-//! and the measured trajectories are written to `BENCH_parallel.json`.
-//!
-//! `--fabric-scaling` is the core-count-gated CI gate: on a multi-core
-//! host the `Scale::Large` highlight pair at 2 fabric workers must beat
-//! 1 on wall clock; on a single-core host the stage reports itself
-//! skipped (epoch-parallelism cannot beat serial without physical
-//! cores) and exits 0.
+//! `--profile [--bench B] [--scale test|small|large]` runs one benchmark
+//! (default: crafty at `Scale::Large`) with the host wall-clock span
+//! profiler AND the cycle tracer enabled, and prints the top-phases
+//! table plus the manager-duty breakdown (deterministic `manager.*`
+//! cycle counters); the exported timeline merges both clocks
+//! (simulated-cycle tracks as process 1, host wall tracks as process
+//! 2). `--profile --check` reruns the determinism check with profiling
+//! enabled inside every fingerprinted system — its stdout must be
+//! byte-identical to a plain `--check` (ci.sh diffs it); `--profile
+//! --overhead` measures the profiler's own cost on the fingerprint
+//! benchmarks and fails if the fastest run is >5% slower than with
+//! profiling off.
 
 use vta_bench::metrics::{metrics_benchmark, phase_summary, series_csv, series_json};
 use vta_bench::perf::{
-    cycle_fingerprint, cycle_fingerprint_profiled, cycle_fingerprint_with_pool,
-    fabric_highlight_wall, host_pools_summary, parse_fingerprints, render_json,
+    cycle_fingerprint, cycle_fingerprint_profiled, parse_fingerprints, render_json,
     render_parallel_json, render_superblock_json, run_fig5_probe, superblock_cells,
-    superblock_highlights, superblock_reconciles, validate_parallel, FabricPoint, Fingerprint,
+    superblock_highlights, superblock_reconciles, sweep_digest, validate_parallel, Fingerprint,
     ParallelPoint, SweepPerf,
 };
 use vta_bench::profile::{
-    manager_report, profile_benchmark, profile_overhead, render_profile_json, shard_report,
-    top_phases_report,
+    manager_report, profile_benchmark, profile_overhead, render_profile_json, top_phases_report,
 };
 use vta_bench::trace::{chrome_trace_json_two_clock, chrome_trace_json_with_metrics};
+use vta_bench::{out, outln};
 use vta_dbt::VirtualArchConfig;
 use vta_sim::{MetricsConfig, Tracer};
 use vta_workloads::Scale;
@@ -131,82 +111,90 @@ fn threads_arg() -> usize {
         .unwrap_or(1)
 }
 
-fn fabric_workers_arg() -> usize {
-    arg_value("--fabric-workers")
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
+fn flag(name: &str) -> bool {
+    std::env::args().any(|a| a == name)
 }
 
-/// `--manager-shards N`, falling back to `VTA_MANAGER_SHARDS` (the env
-/// route reaches modes without explicit plumbing), else 1.
-fn manager_shards_arg() -> usize {
-    arg_value("--manager-shards")
-        .and_then(|v| v.parse::<usize>().ok())
-        .or_else(|| {
-            std::env::var("VTA_MANAGER_SHARDS")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-        })
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
+/// Writes the artifacts of a `--write` run, or says what was skipped.
+fn write_artifacts(write: bool, files: &[(String, String)]) {
+    if !write {
+        let paths: Vec<&str> = files.iter().map(|(p, _)| p.as_str()).collect();
+        outln!("(print only: --write refreshes {})", paths.join(", "));
+        return;
+    }
+    for (path, content) in files {
+        std::fs::write(path, content).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        outln!("wrote {path}");
+    }
 }
 
-/// Recomputes the fingerprints (with `threads` host threads,
-/// `fabric_workers` fabric partitions, and `manager_shards` manager
-/// service shards inside each fingerprinted `System`) and diffs them
-/// against the checked-in JSON; also validates `BENCH_parallel.json`.
-/// Returns the process exit code.
-///
-/// Everything printed to stdout here is independent of `threads`,
-/// `fabric_workers`, `manager_shards`, AND `profiled`: ci.sh diffs
-/// this output across the whole matrix and across profiling on/off.
-fn check(threads: usize, fabric_workers: usize, manager_shards: usize, profiled: bool) -> i32 {
-    let json = match std::fs::read_to_string("BENCH_dispatch.json") {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("--check: cannot read BENCH_dispatch.json: {e}");
-            return 2;
-        }
-    };
-    let expected = match parse_fingerprints(&json) {
-        Ok(fp) => fp,
-        Err(e) => {
-            eprintln!("--check: cannot parse BENCH_dispatch.json: {e}");
-            return 2;
-        }
-    };
-    let actual = if profiled {
-        cycle_fingerprint_profiled(threads, fabric_workers, manager_shards)
-    } else {
-        cycle_fingerprint(threads, fabric_workers, manager_shards)
-    };
+/// The `(benchmark, cycles)` fingerprints frozen in `BENCH_dispatch.json`.
+fn frozen_fingerprints() -> Result<Vec<(String, u64)>, String> {
+    let json = std::fs::read_to_string("BENCH_dispatch.json")
+        .map_err(|e| format!("cannot read BENCH_dispatch.json: {e}"))?;
+    parse_fingerprints(&json).map_err(|e| format!("cannot parse BENCH_dispatch.json: {e}"))
+}
+
+/// Prints one `ok` line per fingerprint that matches `expected`;
+/// returns whether any drifted or is missing.
+fn fingerprints_drifted(mode: &str, actual: &[Fingerprint], expected: &[(String, u64)]) -> bool {
     let mut bad = false;
-    for fp in &actual {
+    for fp in actual {
         match expected.iter().find(|(n, _)| n == fp.name) {
             Some((_, want)) if *want == fp.cycles => {
-                println!("--check: {}: {} ok", fp.name, fp.cycles);
+                outln!("{mode}: {}: {} ok", fp.name, fp.cycles);
             }
             Some((_, want)) => {
                 eprintln!(
-                    "--check: {}: cycles drifted: expected {want}, got {}",
+                    "{mode}: {}: cycles drifted: expected {want}, got {}",
                     fp.name, fp.cycles
                 );
                 bad = true;
             }
             None => {
-                eprintln!("--check: {}: missing from BENCH_dispatch.json", fp.name);
+                eprintln!("{mode}: {}: missing from BENCH_dispatch.json", fp.name);
                 bad = true;
             }
         }
-        // Not compared against the dispatch file (older files predate
-        // it); printed so ci.sh can diff the FULL stats state across
-        // thread counts, not just total cycles.
-        println!("--check: {}: stats_fp {:016x}", fp.name, fp.stats_fp);
     }
+    bad
+}
+
+/// Recomputes the fingerprints and diffs them against the checked-in
+/// JSON, digests the fig5 sweep run on `threads` host threads, and
+/// validates `BENCH_parallel.json`. Returns the process exit code.
+///
+/// Everything printed to stdout here is independent of `threads` AND
+/// `profiled`: ci.sh diffs this output across sweep widths and across
+/// profiling on/off.
+fn check(threads: usize, profiled: bool) -> i32 {
+    let expected = match frozen_fingerprints() {
+        Ok(fp) => fp,
+        Err(e) => {
+            eprintln!("--check: {e}");
+            return 2;
+        }
+    };
+    let actual = if profiled {
+        cycle_fingerprint_profiled()
+    } else {
+        cycle_fingerprint()
+    };
+    let mut bad = fingerprints_drifted("--check", &actual, &expected);
+    // Not compared against the dispatch file (older files predate it);
+    // printed so ci.sh diffs the FULL stats state, not just cycles.
+    for fp in &actual {
+        outln!("--check: {}: stats_fp {:016x}", fp.name, fp.stats_fp);
+    }
+    let (_, ms) = run_fig5_probe("check", threads);
+    outln!(
+        "--check: fig5 sweep: {} cells, digest {:016x}",
+        ms.len(),
+        sweep_digest(&ms)
+    );
     match std::fs::read_to_string("BENCH_parallel.json") {
         Ok(pjson) => match validate_parallel(&pjson) {
-            Ok(()) => println!("--check: BENCH_parallel.json ok"),
+            Ok(()) => outln!("--check: BENCH_parallel.json ok"),
             Err(e) => {
                 eprintln!("--check: BENCH_parallel.json invalid: {e}");
                 bad = true;
@@ -220,7 +208,7 @@ fn check(threads: usize, fabric_workers: usize, manager_shards: usize, profiled:
     if bad {
         eprintln!(
             "--check: simulated behavior or artifacts drifted; if intentional, refresh \
-             with `perf -- --write` / `perf -- --scaling` and explain the change"
+             with `perf -- --write` / `perf -- --scaling --write` and explain the change"
         );
         1
     } else {
@@ -228,33 +216,26 @@ fn check(threads: usize, fabric_workers: usize, manager_shards: usize, profiled:
     }
 }
 
-/// Runs the fig5 sweep at 1/2/4/8 threads and the `Scale::Large`
-/// highlight pair at 1/2/nproc fabric workers, verifying the
-/// fingerprints are identical at every point on both axes, and writes
-/// `BENCH_parallel.json`.
-fn scaling() -> i32 {
+/// Runs the fig5 sweep at 1/2/4/8 threads, verifying every cell's
+/// simulated numbers are identical at each width, and prints the
+/// trajectory (`BENCH_parallel.json` with `--write`).
+fn scaling(write: bool) -> i32 {
     let mut points: Vec<ParallelPoint> = Vec::new();
-    let mut base_fp: Option<Vec<Fingerprint>> = None;
-    let mut base_wall = 0.0f64;
+    let mut base: Option<(u64, f64)> = None;
     for threads in [1usize, 2, 4, 8] {
-        let (perf, _) = run_fig5_probe(&format!("{threads} threads"), threads);
-        let fp = cycle_fingerprint(threads, 1, 1);
-        match &base_fp {
-            None => base_fp = Some(fp),
-            Some(base) => {
-                if *base != fp {
-                    eprintln!("--scaling: fingerprints diverged at {threads} threads");
-                    return 1;
-                }
-            }
-        }
-        if threads == 1 {
-            base_wall = perf.wall_seconds;
+        let (perf, ms) = run_fig5_probe(&format!("{threads} threads"), threads);
+        let digest = sweep_digest(&ms);
+        let (base_digest, base_wall) = *base.get_or_insert((digest, perf.wall_seconds));
+        if digest != base_digest {
+            eprintln!("--scaling: simulated results diverged at {threads} threads");
+            return 1;
         }
         let speedup = base_wall / perf.wall_seconds.max(1e-9);
-        println!(
+        outln!(
             "--scaling: {threads} threads: wall {:.3}s, cpu {:.3}s, speedup {:.2}x",
-            perf.wall_seconds, perf.cpu_seconds, speedup
+            perf.wall_seconds,
+            perf.cpu_seconds,
+            speedup
         );
         points.push(ParallelPoint {
             threads,
@@ -266,112 +247,34 @@ fn scaling() -> i32 {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let mut fabric_widths = vec![1usize, 2, cores];
-    fabric_widths.sort_unstable();
-    fabric_widths.dedup();
-    let mut fabric_points: Vec<FabricPoint> = Vec::new();
-    let mut fabric_base = 0.0f64;
-    for &workers in &fabric_widths {
-        let fp = cycle_fingerprint(1, workers, 1);
-        if *base_fp.as_ref().expect("thread sweep ran first") != fp {
-            eprintln!("--scaling: fingerprints diverged at {workers} fabric workers");
-            return 1;
-        }
-        let wall = fabric_highlight_wall(workers);
-        if workers == 1 {
-            fabric_base = wall;
-        }
-        let speedup = fabric_base / wall.max(1e-9);
-        println!(
-            "--scaling: {workers} fabric workers: large highlights wall {wall:.3}s, \
-             speedup {speedup:.2}x"
-        );
-        fabric_points.push(FabricPoint {
-            workers,
-            wall_seconds: wall,
-            speedup_wall: speedup,
-        });
-    }
     let host = format!("{cores}-core host (speedup bounded by physical cores)");
-    let json = render_parallel_json(&host, &points, &fabric_points, true);
-    std::fs::write("BENCH_parallel.json", &json).expect("write BENCH_parallel.json");
-    println!("wrote BENCH_parallel.json");
+    let json = render_parallel_json(&host, &points, true);
+    write_artifacts(write, &[("BENCH_parallel.json".to_string(), json)]);
     0
 }
 
-/// `--fabric-scaling`: the core-count-gated wall-clock gate. On a
-/// multi-core host, 2 fabric workers must beat 1 on the `Scale::Large`
-/// highlight pair; on a single-core host the gate cannot be meaningful
-/// (the epoch workers would time-slice one core), so it reports itself
-/// skipped and passes. Returns the process exit code.
-fn fabric_scaling() -> i32 {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    if cores < 2 {
-        println!(
-            "--fabric-scaling: skipped: single-core host (epoch-parallel workers would \
-             time-slice one core; no wall-clock win is possible)"
-        );
-        return 0;
-    }
-    let wall1 = fabric_highlight_wall(1);
-    let wall2 = fabric_highlight_wall(2);
-    println!(
-        "--fabric-scaling: large highlights wall {wall1:.3}s @ 1 fabric worker, \
-         {wall2:.3}s @ 2 ({:.2}x)",
-        wall1 / wall2.max(1e-9)
-    );
-    if wall2 < wall1 {
-        println!("--fabric-scaling: PASS: 2 fabric workers beat 1 on a {cores}-core host");
-        0
-    } else {
-        eprintln!(
-            "--fabric-scaling: FAIL: 2 fabric workers ({wall2:.3}s) did not beat 1 \
-             ({wall1:.3}s) on a {cores}-core host"
-        );
-        1
-    }
-}
-
-/// `--superblock` mode: attest fingerprint thread-count invariance,
-/// run the region-formation A/B matrix, assert retirement reconciles
-/// across modes, and write `BENCH_superblock.json`. With `check_only`
-/// the matrix + reconciliation run alone (fast CI gate, no write).
-/// Returns the process exit code.
-fn superblock_mode(check_only: bool) -> i32 {
+/// `--superblock` mode: check the fingerprints against the frozen
+/// ones, run the region-formation A/B matrix, assert retirement
+/// reconciles across modes, and measure the `Scale::Large` highlights
+/// (`BENCH_superblock.json` with `--write`). With `check_only` the
+/// matrix + reconciliation run alone (fast CI gate). Returns the
+/// process exit code.
+fn superblock_mode(check_only: bool, write: bool) -> i32 {
     if !check_only {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let mut widths = vec![1usize, 4, cores];
-        widths.dedup();
-        let base = cycle_fingerprint(1, 1, 1);
-        for &w in &widths[1..] {
-            let fp = cycle_fingerprint(w, 1, 1);
-            if fp != base {
-                eprintln!("--superblock: fingerprints diverged at {w} host threads");
-                return 1;
+        let expected = match frozen_fingerprints() {
+            Ok(fp) => fp,
+            Err(e) => {
+                eprintln!("--superblock: {e}");
+                return 2;
             }
-        }
-        println!(
-            "--superblock: fingerprints identical at {:?} host threads",
-            widths
-        );
-        if cycle_fingerprint(1, 2, 1) != base {
-            eprintln!("--superblock: fingerprints diverged at 2 fabric workers");
+        };
+        if fingerprints_drifted("--superblock", &cycle_fingerprint(), &expected) {
             return 1;
         }
-        println!("--superblock: fingerprints identical at [1, 2] fabric workers");
-        if cycle_fingerprint(1, 1, 2) != base {
-            eprintln!("--superblock: fingerprints diverged at 2 manager shards");
-            return 1;
-        }
-        println!("--superblock: fingerprints identical at [1, 2] manager shards");
     }
     let cells = superblock_cells();
     for c in &cells {
-        println!(
+        outln!(
             "--superblock: {:>7} opt={:<4} mode={:<8} cycles {:>12} block-exits/kinsn {:>8.3} \
              inline_hit {:>8} recorded {:>4} wall {:.3}s",
             c.bench,
@@ -388,13 +291,13 @@ fn superblock_mode(check_only: bool) -> i32 {
         eprintln!("--superblock: guest retirement does not reconcile: {e}");
         return 1;
     }
-    println!("--superblock: guest_insns identical across off/static/recorded per bench x opt");
+    outln!("--superblock: guest_insns identical across off/static/recorded per bench x opt");
     if check_only {
         return 0;
     }
     let highlights = superblock_highlights();
     for h in &highlights {
-        println!(
+        outln!(
             "--superblock: large {:>7} cycles {:>12} / {:>12} / {:>12} block-exits/kinsn \
              {:>8.3} / {:>8.3} / {:>8.3} wall {:.3}s / {:.3}s / {:.3}s (off/static/recorded)",
             h.bench,
@@ -410,17 +313,16 @@ fn superblock_mode(check_only: bool) -> i32 {
         );
     }
     let json = render_superblock_json(&cells, &highlights, true);
-    std::fs::write("BENCH_superblock.json", &json).expect("write BENCH_superblock.json");
-    println!("wrote BENCH_superblock.json");
+    write_artifacts(write, &[("BENCH_superblock.json".to_string(), json)]);
     0
 }
 
 /// `--profile` mode: run one benchmark with the host wall profiler and
 /// the cycle tracer both on, print the two breakdowns (host wall
-/// phases per thread; manager duties in simulated cycles), and write
+/// phases; manager duties in simulated cycles); with `--write` also
 /// the trajectory JSON plus the merged two-clock Perfetto timeline.
 /// Returns the process exit code.
-fn profile_mode(threads: usize, fabric_workers: usize, manager_shards: usize) -> i32 {
+fn profile_mode(write: bool) -> i32 {
     let bench = arg_value("--bench").unwrap_or_else(|| "crafty".to_string());
     let scale = match arg_value("--scale").as_deref() {
         None | Some("large") => Scale::Large,
@@ -431,43 +333,27 @@ fn profile_mode(threads: usize, fabric_workers: usize, manager_shards: usize) ->
             return 2;
         }
     };
-    let run = profile_benchmark(
-        &bench,
-        scale,
-        threads,
-        fabric_workers,
-        manager_shards,
-        1 << 16,
-    );
-    println!(
-        "--profile: {} @ Scale::{:?}, {} host thread{}, {} fabric worker{}, {} manager \
-         shard{}: {} cycles, {} guest insns, wall {:.3}s",
+    let run = profile_benchmark(&bench, scale, 1 << 16);
+    outln!(
+        "--profile: {} @ Scale::{:?}: {} cycles, {} guest insns, wall {:.3}s",
         run.bench,
         scale,
-        threads,
-        if threads == 1 { "" } else { "s" },
-        fabric_workers,
-        if fabric_workers == 1 { "" } else { "s" },
-        run.manager_shards,
-        if run.manager_shards == 1 { "" } else { "s" },
         run.cycles,
         run.guest_insns,
         run.wall_seconds
     );
-    print!("{}", top_phases_report(&run.profile));
-    print!("{}", manager_report(&run.manager));
-    print!("{}", shard_report(&run.shards, run.cycles));
-    let trace_path = format!("profile_{bench}_trace.json");
-    for (path, content) in [
-        ("BENCH_profile.json".to_string(), render_profile_json(&run)),
-        (
-            trace_path,
-            chrome_trace_json_two_clock(&run.tracer, None, Some(&run.profile)),
-        ),
-    ] {
-        std::fs::write(&path, content).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("wrote {path}");
-    }
+    out!("{}", top_phases_report(&run.profile));
+    out!("{}", manager_report(&run.manager));
+    write_artifacts(
+        write,
+        &[
+            ("BENCH_profile.json".to_string(), render_profile_json(&run)),
+            (
+                format!("profile_{bench}_trace.json"),
+                chrome_trace_json_two_clock(&run.tracer, None, Some(&run.profile)),
+            ),
+        ],
+    );
     0
 }
 
@@ -478,7 +364,7 @@ fn profile_mode(threads: usize, fabric_workers: usize, manager_shards: usize) ->
 fn overhead_mode() -> i32 {
     let (off, on) = profile_overhead(9);
     let ratio = on / off.max(1e-9);
-    println!(
+    outln!(
         "--profile --overhead: fingerprint benches min wall {off:.3}s off, {on:.3}s on \
          ({ratio:.3}x)"
     );
@@ -489,22 +375,20 @@ fn overhead_mode() -> i32 {
         );
         1
     } else {
-        println!("--profile --overhead: ok (within the 5% budget)");
+        outln!("--profile --overhead: ok (within the 5% budget)");
         0
     }
 }
 
 /// The committed metrics golden: benchmark, interval, and file name.
-/// Serial on purpose — host-pool gauges are only registered when a
-/// worker pool spawns, so the serial column set is host-independent.
 const METRICS_GOLDEN: (&str, u64, &str) = ("vpr", 50_000, "BENCH_metrics_vpr.csv");
 
 /// `--metrics` mode: run one benchmark with windowed sampling on and
-/// export/inspect the series. Returns the process exit code.
-fn metrics_mode(threads: usize) -> i32 {
-    let check = std::env::args().any(|a| a == "--check");
-    let bless = std::env::args().any(|a| a == "--bless");
-    if check || bless {
+/// inspect the series (exported with `--write`). Returns the process
+/// exit code.
+fn metrics_mode(write: bool) -> i32 {
+    let bless = flag("--bless");
+    if flag("--check") || bless {
         return metrics_check(bless);
     }
     let bench = arg_value("--bench").unwrap_or_else(|| "vpr".to_string());
@@ -516,12 +400,11 @@ fn metrics_mode(threads: usize) -> i32 {
         interval,
         ..MetricsConfig::default()
     };
-    let (report, m, host) = metrics_benchmark(
+    let (report, m) = metrics_benchmark(
         &bench,
         Scale::Test,
         VirtualArchConfig::paper_default(),
         mcfg,
-        threads,
     );
     if !m.is_enabled() {
         eprintln!("--metrics: built without the `metrics` feature; nothing recorded");
@@ -531,31 +414,31 @@ fn metrics_mode(threads: usize) -> i32 {
         eprintln!("--metrics: series does not reconcile with Stats: {e}");
         return 1;
     }
-    println!(
+    outln!(
         "--metrics: {bench} @ Scale::Test, interval {interval}: {} windows reconcile with \
          end-of-run stats exactly",
         m.len()
     );
-    print!("{}", phase_summary(&m, &report, host.as_ref()));
-    for (path, content) in [
-        (format!("metrics_{bench}.csv"), series_csv(&m)),
-        (format!("metrics_{bench}.json"), series_json(&m)),
-        (
-            format!("metrics_{bench}_trace.json"),
-            chrome_trace_json_with_metrics(&Tracer::disabled(), Some(&m)),
-        ),
-    ] {
-        std::fs::write(&path, content).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("wrote {path}");
-    }
+    out!("{}", phase_summary(&m, &report));
+    write_artifacts(
+        write,
+        &[
+            (format!("metrics_{bench}.csv"), series_csv(&m)),
+            (format!("metrics_{bench}.json"), series_json(&m)),
+            (
+                format!("metrics_{bench}_trace.json"),
+                chrome_trace_json_with_metrics(&Tracer::disabled(), Some(&m)),
+            ),
+        ],
+    );
     0
 }
 
 /// `--metrics --check` / `--bless`: re-derive the golden series CSV
-/// (always serial at the fixed interval) and diff or rewrite it.
+/// (at the fixed interval) and diff or rewrite it.
 fn metrics_check(bless: bool) -> i32 {
     let (bench, interval, path) = METRICS_GOLDEN;
-    let (report, m, _) = metrics_benchmark(
+    let (report, m) = metrics_benchmark(
         bench,
         Scale::Test,
         VirtualArchConfig::paper_default(),
@@ -563,10 +446,9 @@ fn metrics_check(bless: bool) -> i32 {
             interval,
             ..MetricsConfig::default()
         },
-        1,
     );
     if !m.is_enabled() {
-        println!("--metrics --check: `metrics` feature off; golden not applicable, skipping");
+        outln!("--metrics --check: `metrics` feature off; golden not applicable, skipping");
         return 0;
     }
     if let Err(e) = m.reconcile_stats(&report.stats) {
@@ -576,7 +458,7 @@ fn metrics_check(bless: bool) -> i32 {
     let csv = series_csv(&m);
     if bless {
         std::fs::write(path, &csv).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("wrote {path} ({} windows)", m.len());
+        outln!("wrote {path} ({} windows)", m.len());
         return 0;
     }
     let golden = match std::fs::read_to_string(path) {
@@ -587,7 +469,7 @@ fn metrics_check(bless: bool) -> i32 {
         }
     };
     if golden == csv {
-        println!(
+        outln!(
             "--metrics --check: {bench} series matches {path} ({} windows)",
             m.len()
         );
@@ -616,37 +498,34 @@ fn metrics_check(bless: bool) -> i32 {
 
 fn main() {
     let threads = threads_arg();
-    let fabric_workers = fabric_workers_arg();
-    let manager_shards = manager_shards_arg();
-    if std::env::args().any(|a| a == "--metrics") {
-        std::process::exit(metrics_mode(threads));
-    }
-    if std::env::args().any(|a| a == "--superblock") {
-        let check_only = std::env::args().any(|a| a == "--check");
-        std::process::exit(superblock_mode(check_only));
-    }
-    if std::env::args().any(|a| a == "--fabric-scaling") {
-        std::process::exit(fabric_scaling());
-    }
-    let profiled = std::env::args().any(|a| a == "--profile");
-    if profiled && std::env::args().any(|a| a == "--overhead") {
-        std::process::exit(overhead_mode());
-    }
-    if std::env::args().any(|a| a == "--check") {
-        std::process::exit(check(threads, fabric_workers, manager_shards, profiled));
-    }
-    if profiled {
-        std::process::exit(profile_mode(threads, fabric_workers, manager_shards));
-    }
-    if std::env::args().any(|a| a == "--scaling") {
-        std::process::exit(scaling());
-    }
-    let write = std::env::args().any(|a| a == "--write");
+    let write = flag("--write");
+    let profiled = flag("--profile");
+    let code = if flag("--metrics") {
+        metrics_mode(write)
+    } else if flag("--superblock") {
+        superblock_mode(flag("--check"), write)
+    } else if profiled && flag("--overhead") {
+        overhead_mode()
+    } else if flag("--check") {
+        check(threads, profiled)
+    } else if profiled {
+        profile_mode(write)
+    } else if flag("--scaling") {
+        scaling(write)
+    } else {
+        probe(threads, write)
+    };
+    std::process::exit(code);
+}
+
+/// The plain probe: one timed fig5 sweep on `threads` host threads plus
+/// the fingerprints (`BENCH_dispatch.json` with `--write`).
+fn probe(threads: usize, write: bool) -> i32 {
     let (after, _) = run_fig5_probe(
         "after: interned stats + arena dispatch + D$ fast path + shared translations",
         threads,
     );
-    println!(
+    outln!(
         "fig5 sweep @ Scale::Test ({} host thread{}): wall {:.3}s, serial {:.3}s, {:.1}M guest insns/s, {:.1}M sim cycles/s",
         threads,
         if threads == 1 { "" } else { "s" },
@@ -655,21 +534,12 @@ fn main() {
         after.guest_insns_per_sec() / 1e6,
         after.sim_cycles_per_sec() / 1e6
     );
-    let (fp, pool, fabric) = cycle_fingerprint_with_pool(threads, fabric_workers, manager_shards);
+    let fp = cycle_fingerprint();
     for f in &fp {
-        println!("paper_default cycles {}: {}", f.name, f.cycles);
-        println!("paper_default stats_fp {}: {:016x}", f.name, f.stats_fp);
+        outln!("paper_default cycles {}: {}", f.name, f.cycles);
+        outln!("paper_default stats_fp {}: {:016x}", f.name, f.stats_fp);
     }
-    // Host-side pool counters (threads / fabric workers > 1 only) as
-    // one unified section. Informational: they depend on host
-    // scheduling, so they are never part of --check.
-    print!(
-        "{}",
-        host_pools_summary(threads, fabric_workers, pool.as_ref(), fabric.as_ref())
-    );
-    if write {
-        let json = render_json(&pre_opt_baseline(), &after, &fp);
-        std::fs::write("BENCH_dispatch.json", &json).expect("write BENCH_dispatch.json");
-        println!("wrote BENCH_dispatch.json");
-    }
+    let json = render_json(&pre_opt_baseline(), &after, &fp);
+    write_artifacts(write, &[("BENCH_dispatch.json".to_string(), json)]);
+    0
 }

@@ -32,6 +32,35 @@ use vta_x86::GuestImage;
 
 pub use table::Table;
 
+/// `print!` for the CLI binaries: a reader that closes the pipe early
+/// (`perf | head -1`) ends the process quietly with status 0, where
+/// `print!` would panic on the `EPIPE`.
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => { $crate::write_stdout(format_args!($($arg)*)) };
+}
+
+/// `println!` counterpart of [`out!`].
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => { $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
+/// Implementation of [`out!`] / [`outln!`].
+///
+/// # Panics
+///
+/// Panics on any stdout error other than a closed pipe, like `print!`.
+pub fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
 /// Instruction budget for experiment runs (workloads terminate long
 /// before this; the cap only guards against regressions).
 pub const RUN_BUDGET: u64 = 2_000_000_000;
@@ -297,7 +326,12 @@ mod tests {
         for (s, b) in serial.iter().zip(&bounded) {
             assert_eq!(s.bench, b.bench, "canonical job order");
             assert_eq!(s.report.cycles, b.report.cycles, "{}", s.bench);
-            assert_eq!(s.report.stats, b.report.stats, "{}", s.bench);
+            assert_eq!(
+                s.report.stats.first_difference(&b.report.stats),
+                None,
+                "{}",
+                s.bench
+            );
         }
     }
 

@@ -11,21 +11,19 @@
 //!   interval), so CI diffs it against a committed golden.
 //! - [`series_json`] — the same series as a JSON document, for tooling.
 //! - [`phase_summary`] — a plain-text phase report: warm-up vs
-//!   steady-state CPI, peak queue depth, morph activity and lag, and the
-//!   host worker-pool counters when a pool ran.
+//!   steady-state CPI, peak queue depth, morph activity and lag.
 //!
 //! Like the trace exporters, everything is hand-rolled: the workspace has
 //! a zero-external-dependency policy.
 
 use std::fmt::Write as _;
 
-use vta_dbt::{HostPerf, RunReport, System, VirtualArchConfig};
+use vta_dbt::{RunReport, System, VirtualArchConfig};
 use vta_sim::{Ctr, GaugeId, Metrics, MetricsConfig, Window};
 use vta_workloads::Scale;
 
-/// Runs `bench` at `scale` under `cfg` with windowed metrics enabled,
-/// on `threads` host threads; returns the run report, the sealed series,
-/// and the worker-pool counters (when `threads > 1`).
+/// Runs `bench` at `scale` under `cfg` with windowed metrics enabled;
+/// returns the run report and the sealed series.
 ///
 /// # Panics
 ///
@@ -35,18 +33,15 @@ pub fn metrics_benchmark(
     scale: Scale,
     cfg: VirtualArchConfig,
     mcfg: MetricsConfig,
-    threads: usize,
-) -> (RunReport, Metrics, Option<HostPerf>) {
+) -> (RunReport, Metrics) {
     let w =
         vta_workloads::by_name(bench, scale).unwrap_or_else(|| panic!("unknown benchmark {bench}"));
     let mut system = System::new(cfg, &w.image);
-    system.set_host_threads(threads);
     system.enable_metrics(mcfg);
     let report = system
         .run(crate::RUN_BUDGET)
         .unwrap_or_else(|e| panic!("{bench}: {e}"));
-    let host = system.host_perf();
-    (report, system.take_metrics(), host)
+    (report, system.take_metrics())
 }
 
 /// D-cache miss rate over a window: data accesses NOT served by the L1
@@ -197,10 +192,9 @@ fn fmt_cpi(c: Option<f64>) -> String {
 /// translations (translation is front-loaded: once the code cache holds
 /// the working set, commits stop); everything after is steady state. The
 /// report compares the two phases' CPI, shows the peak speculation-queue
-/// depth and translator occupancy span, summarizes morph activity with
-/// the decision lag recorded by the manager, and appends the host
-/// worker-pool counters when a pool ran.
-pub fn phase_summary(m: &Metrics, report: &RunReport, host: Option<&HostPerf>) -> String {
+/// depth and translator occupancy span, and summarizes morph activity
+/// with the decision lag recorded by the manager.
+pub fn phase_summary(m: &Metrics, report: &RunReport) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -295,15 +289,6 @@ pub fn phase_summary(m: &Metrics, report: &RunReport, host: Option<&HostPerf>) -
             lags.len()
         );
     }
-
-    if let Some(h) = host {
-        let _ = writeln!(
-            out,
-            "  host pool  : {} submitted, {} translated ({} failed), {} hits / {} stale / {} misses, \
-             {} steals, {} discarded",
-            h.submitted, h.translated, h.failed, h.hits, h.stale, h.misses, h.steals, h.discarded
-        );
-    }
     out
 }
 
@@ -380,20 +365,13 @@ mod tests {
     #[test]
     fn phase_report_splits_warmup_from_steady() {
         let m = sample_metrics();
-        let r = phase_summary(&m, &sample_report(), None);
+        let r = phase_summary(&m, &sample_report());
         // All 9 commits land in window 1, so warm-up is exactly window 1.
         assert!(r.contains("warm-up    : cycles 0..100"), "{r}");
         assert!(r.contains("steady     : cycles 100..180"), "{r}");
         assert!(r.contains("peak depth 4"), "{r}");
         assert!(r.contains("1 reconfigurations"), "{r}");
         assert!(r.contains("lag mean 40 max 40"), "{r}");
-        assert!(!r.contains("host pool"), "no pool counters supplied");
-        let h = HostPerf {
-            submitted: 7,
-            ..Default::default()
-        };
-        let r = phase_summary(&m, &sample_report(), Some(&h));
-        assert!(r.contains("host pool  : 7 submitted"), "{r}");
     }
 
     #[test]
@@ -402,7 +380,7 @@ mod tests {
         let csv = series_csv(&m);
         assert!(csv.starts_with("start,end"));
         crate::json_lint::check(&series_json(&m)).expect("valid JSON");
-        let r = phase_summary(&m, &sample_report(), None);
+        let r = phase_summary(&m, &sample_report());
         assert!(r.contains("Phase report"));
     }
 }

@@ -462,14 +462,14 @@ mod tests {
         let profile = ProfileReport {
             wall_nanos: 5_000_000,
             threads: vec![ThreadProfile {
-                name: "host.worker0".to_string(),
+                name: "run".to_string(),
                 phases: vec![PhaseTotal {
-                    phase: "host.translate",
+                    phase: "run.translate",
                     nanos: 1_500,
                     count: 1,
                 }],
                 events: vec![ProfEvent {
-                    phase: "host.translate",
+                    phase: "run.translate",
                     start_nanos: 2_500,
                     dur_nanos: 1_500,
                 }],
@@ -480,7 +480,7 @@ mod tests {
         crate::json_lint::check(&s).expect("valid JSON");
         assert!(s.contains("host wall clock"), "{s}");
         assert!(s.contains("simulated fabric"), "{s}");
-        assert!(s.contains("\"name\":\"host.worker0\""), "{s}");
+        assert!(s.contains("\"name\":\"run\""), "{s}");
         // 2500ns start, 1500ns duration → 2.500µs / 1.500µs.
         assert!(s.contains("\"ts\":2.500,\"dur\":1.500"), "{s}");
         // Host tracks live in their own process (pid 2).

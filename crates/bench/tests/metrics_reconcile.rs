@@ -1,96 +1,59 @@
 //! The windowed-series self-check, as a property over the whole suite:
 //! for every benchmark, the per-interval series must sum (counters) and
 //! weighted-average (derived rates) back to the end-of-run `Stats`
-//! totals exactly — at 1 host thread and at 4, where the worker pool
-//! races ahead of the simulated clock.
-//!
-//! Window contents are simulated-side only, so the series itself must
-//! also be bit-identical across host thread counts.
+//! totals exactly.
 
 #![cfg(feature = "metrics")]
 
 use vta_bench::metrics::metrics_benchmark;
 use vta_dbt::VirtualArchConfig;
-use vta_sim::{Ctr, Metrics, MetricsConfig, Window};
+use vta_sim::{Ctr, MetricsConfig, Window};
 use vta_workloads::Scale;
 
 const INTERVAL: u64 = 25_000;
 
-fn run(bench: &str, threads: usize) -> (u64, u64, vta_sim::Stats, Metrics) {
-    let (report, m, _) = metrics_benchmark(
-        bench,
-        Scale::Test,
-        VirtualArchConfig::paper_default(),
-        MetricsConfig {
-            interval: INTERVAL,
-            ..MetricsConfig::default()
-        },
-        threads,
-    );
-    (report.cycles, report.guest_insns, report.stats, m)
-}
-
 #[test]
-fn every_benchmark_series_reconciles_at_1_and_4_threads() {
+fn every_benchmark_series_reconciles() {
     for name in vta_workloads::NAMES {
-        let (cycles, insns, stats, serial) = run(name, 1);
-        let (pcycles, pinsns, pstats, parallel) = run(name, 4);
+        let (report, m) = metrics_benchmark(
+            name,
+            Scale::Test,
+            VirtualArchConfig::paper_default(),
+            MetricsConfig {
+                interval: INTERVAL,
+                ..MetricsConfig::default()
+            },
+        );
+        let (cycles, insns) = (report.cycles, report.guest_insns);
 
-        // The run itself is host-thread invariant (PR 3's invariant).
-        assert_eq!(cycles, pcycles, "{}: cycles differ across threads", name);
-        assert_eq!(insns, pinsns, "{}: insns differ across threads", name);
-        assert_eq!(stats, pstats, "{}: stats differ across threads", name);
+        // Counter sums telescope to the totals for EVERY counter.
+        m.reconcile_stats(&report.stats)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
 
-        for (label, m) in [("serial", &serial), ("parallel", &parallel)] {
-            // Counter sums telescope to the totals for EVERY counter.
-            m.reconcile_stats(&stats)
-                .unwrap_or_else(|e| panic!("{}/{label}: {e}", name));
+        // The two headline sums, spelled out: cycles and insns.
+        let wsum = |c: Ctr| -> u64 {
+            m.windows().fold(m.dropped_totals()[c as usize], |acc, w| {
+                acc.wrapping_add(w.delta(c))
+            })
+        };
+        assert_eq!(wsum(Ctr::Cycles), cycles, "{name}");
+        assert_eq!(wsum(Ctr::GuestInsns), insns, "{name}");
 
-            // The two headline sums, spelled out: cycles and insns.
-            let wsum = |c: Ctr| -> u64 {
-                m.windows().fold(m.dropped_totals()[c as usize], |acc, w| {
-                    acc.wrapping_add(w.delta(c))
-                })
-            };
-            assert_eq!(wsum(Ctr::Cycles), cycles, "{}/{label}", name);
-            assert_eq!(wsum(Ctr::GuestInsns), insns, "{}/{label}", name);
+        // The weighted average of per-window CPI (weights = retired
+        // instructions) is exactly the end-of-run CPI.
+        let weighted: f64 = m
+            .windows()
+            .filter_map(|w: &Window| w.cpi().map(|c| c * w.delta(Ctr::GuestInsns) as f64))
+            .sum();
+        let end_cpi = cycles as f64 / insns as f64;
+        let avg = weighted / insns as f64;
+        assert!(
+            (avg - end_cpi).abs() < 1e-9 * end_cpi,
+            "{name}: weighted window CPI {avg} vs end-of-run {end_cpi}"
+        );
 
-            // The weighted average of per-window CPI (weights = retired
-            // instructions) is exactly the end-of-run CPI.
-            let weighted: f64 = m
-                .windows()
-                .filter_map(|w: &Window| w.cpi().map(|c| c * w.delta(Ctr::GuestInsns) as f64))
-                .sum();
-            let end_cpi = cycles as f64 / insns as f64;
-            let avg = weighted / insns as f64;
-            assert!(
-                (avg - end_cpi).abs() < 1e-9 * end_cpi,
-                "{}/{label}: weighted window CPI {avg} vs end-of-run {end_cpi}",
-                name
-            );
-
-            // The final window closes exactly at the end of the run.
-            let last = m.windows().last().expect("at least one window");
-            assert_eq!(last.end, cycles, "{}/{label}", name);
-        }
-
-        // The simulated series is identical at both widths: same
-        // windows, same counter deltas, same gauge samples for the
-        // simulated gauges (host-pool gauges only exist at 4 threads,
-        // appended after the shared prefix).
-        let sw: Vec<&Window> = serial.windows().collect();
-        let pw: Vec<&Window> = parallel.windows().collect();
-        assert_eq!(sw.len(), pw.len(), "{}: window counts differ", name);
-        let shared = serial.gauge_count();
-        for (a, b) in sw.iter().zip(&pw) {
-            assert_eq!((a.start, a.end), (b.start, b.end), "{}", name);
-            assert_eq!(a.ctrs, b.ctrs, "{}: counter deltas differ", name);
-            assert_eq!(
-                &a.gauges[..shared.min(a.gauges.len())],
-                &b.gauges[..shared.min(b.gauges.len())],
-                "{}: simulated gauges differ across threads",
-                name
-            );
-        }
+        // The final window closes exactly at the end of the run.
+        let last = m.windows().last().expect("at least one window");
+        assert_eq!(last.end, cycles, "{name}");
     }
 }

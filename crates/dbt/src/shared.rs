@@ -43,9 +43,8 @@ struct Entry {
 ///
 /// Entries are `Arc`ed so a consult holds the map lock only for the
 /// probe; the byte re-validation against the caller's live memory runs
-/// outside it. With host worker threads (see [`crate::host`]) many
-/// systems hammer this memo concurrently, and validation is the long
-/// part of a consult.
+/// outside it. Sweep cells on other host threads consult this memo
+/// concurrently, and validation is the long part of a consult.
 pub struct SharedTranslations {
     opt: OptLevel,
     limits: RegionLimits,

@@ -12,9 +12,7 @@
 //! translations strictly min-keyed by `(done_at, slave index)` — the
 //! simulated completion cycle with the tile id as tie-break. Every
 //! consumer (manager commit, stats, trace) observes completions in this
-//! one total order, which is what makes the simulation deterministic
-//! regardless of how the *host* work behind each block was produced
-//! (serially, or ahead of time on worker threads — see [`crate::host`]).
+//! one total order, which is what makes the simulation deterministic.
 
 use std::sync::Arc;
 
@@ -201,26 +199,6 @@ impl SlavePool {
                 c.cancelled = true;
             }
         }
-    }
-
-    /// Per-partition view of the pool's load: `(busy_cycles, completed)`
-    /// summed over the slaves each shard owns. `owner` maps a slave's
-    /// tile to its shard index (out-of-range indices are clamped to the
-    /// last shard so a stale closure cannot panic the report path).
-    /// Host-side reporting only — never feeds back into timing.
-    pub fn partition_load<F: Fn(TileId) -> usize>(
-        &self,
-        shards: usize,
-        owner: F,
-    ) -> Vec<(u64, u64)> {
-        let n = shards.max(1);
-        let mut load = vec![(0u64, 0u64); n];
-        for s in &self.slaves {
-            let i = owner(s.tile).min(n - 1);
-            load[i].0 += s.busy_cycles;
-            load[i].1 += s.completed;
-        }
-        load
     }
 
     /// The slave currently translating `addr`, if any.

@@ -7,9 +7,7 @@
 //! enter at low priority ("the code inside of the function has a higher
 //! probability of being needed than the return location").
 
-use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::collections::{HashMap, VecDeque};
 
 /// Depth used for return-predictor entries.
 pub const RETURN_DEPTH: u8 = 4;
@@ -140,178 +138,6 @@ impl SpecQueues {
                 }
             }
         }
-    }
-}
-
-// ---- sharded concurrent variant (host worker threads) ----------------
-
-/// A concurrent, sharded, work-stealing priority queue feeding *host*
-/// translation workers (the parallel mirror of [`SpecQueues`], which
-/// stays single-threaded inside the simulated manager).
-///
-/// Entries are `(addr, depth)`; each accepted push is stamped with a
-/// global sequence number. The live entry for an address is the
-/// lexicographic minimum of every `(depth, seq)` pushed for it — a
-/// commutative, order-independent merge, so the queue's final contents
-/// (and its canonical drain order, `(depth, seq)` ascending) depend only
-/// on the *set* of stamped pushes, never on which thread won a race.
-/// Superseded entries become tombstones that pops skip, exactly like
-/// [`SpecQueues`]'s promotion generations.
-///
-/// Two pop flavors:
-/// - [`ShardedSpecQueue::pop_worker`] — a worker drains its own shard
-///   first and then steals from the others round-robin; cheap, and the
-///   per-shard order still respects `(depth, seq)`.
-/// - [`ShardedSpecQueue::pop_canonical`] — the global `(depth, seq)`
-///   minimum across all shards; used by single-consumer drains and by
-///   the contention tests' serial oracle comparison.
-#[derive(Debug)]
-pub struct ShardedSpecQueue {
-    shards: Vec<Mutex<Shard>>,
-    next_seq: AtomicU64,
-    /// Successful [`ShardedSpecQueue::pop_worker`] pops that came from a
-    /// shard other than the worker's own (work stealing).
-    steals: AtomicU64,
-}
-
-#[derive(Debug, Default)]
-struct Shard {
-    /// Min-heap on `(depth, seq, addr)`; may hold stale tombstones.
-    heap: BinaryHeap<std::cmp::Reverse<(u8, u64, u32)>>,
-    /// The live `(depth, seq)` of every pending address in this shard.
-    live: HashMap<u32, (u8, u64)>,
-}
-
-impl Shard {
-    /// Pops this shard's live minimum, discarding tombstones.
-    fn pop(&mut self) -> Option<(u32, u8)> {
-        while let Some(std::cmp::Reverse((depth, seq, addr))) = self.heap.pop() {
-            if self.live.get(&addr) == Some(&(depth, seq)) {
-                self.live.remove(&addr);
-                return Some((addr, depth));
-            }
-        }
-        None
-    }
-
-    /// This shard's live minimum key without removing it.
-    fn peek(&mut self) -> Option<(u8, u64, u32)> {
-        while let Some(&std::cmp::Reverse((depth, seq, addr))) = self.heap.peek() {
-            if self.live.get(&addr) == Some(&(depth, seq)) {
-                return Some((depth, seq, addr));
-            }
-            self.heap.pop();
-        }
-        None
-    }
-}
-
-impl ShardedSpecQueue {
-    /// Creates a queue with `shards` shards (clamped to at least one).
-    pub fn new(shards: usize) -> ShardedSpecQueue {
-        ShardedSpecQueue {
-            shards: (0..shards.max(1))
-                .map(|_| Mutex::new(Shard::default()))
-                .collect(),
-            next_seq: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-        }
-    }
-
-    fn shard_of(&self, addr: u32) -> usize {
-        // Multiplicative hash: speculative frontiers are address-clustered
-        // and plain modulo would pile neighbors into one shard.
-        (addr.wrapping_mul(0x9E37_79B1) >> 16) as usize % self.shards.len()
-    }
-
-    /// Enqueues `addr` at `depth`, returning the stamped sequence number.
-    ///
-    /// If the address is already pending, the entry with the smaller
-    /// `(depth, seq)` key wins regardless of arrival order.
-    pub fn push(&self, addr: u32, depth: u8) -> u64 {
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self.shards[self.shard_of(addr)]
-            .lock()
-            .expect("queue poisoned");
-        let replace = match shard.live.get(&addr) {
-            Some(&(d, s)) => (depth, seq) < (d, s),
-            None => true,
-        };
-        if replace {
-            shard.live.insert(addr, (depth, seq));
-            shard.heap.push(std::cmp::Reverse((depth, seq, addr)));
-        }
-        seq
-    }
-
-    /// Pops from `worker`'s own shard, stealing round-robin on empty.
-    pub fn pop_worker(&self, worker: usize) -> Option<(u32, u8)> {
-        let n = self.shards.len();
-        for k in 0..n {
-            let got = self.shards[(worker + k) % n]
-                .lock()
-                .expect("queue poisoned")
-                .pop();
-            if got.is_some() {
-                if k > 0 {
-                    self.steals.fetch_add(1, Ordering::Relaxed);
-                }
-                return got;
-            }
-        }
-        None
-    }
-
-    /// Cross-shard steals observed so far (see [`ShardedSpecQueue::pop_worker`]).
-    ///
-    /// A host-side occupancy observation, not simulated state: the value
-    /// depends on worker scheduling and must never feed back into
-    /// simulated time or `Stats`.
-    pub fn steals(&self) -> u64 {
-        self.steals.load(Ordering::Relaxed)
-    }
-
-    /// Pops the global `(depth, seq)` minimum across all shards.
-    ///
-    /// Deterministic for a single consumer: given the same set of stamped
-    /// pushes, repeated canonical pops drain in exactly the order a serial
-    /// [`SpecQueues`]-style oracle fed those pushes in seq order would.
-    pub fn pop_canonical(&self) -> Option<(u32, u8)> {
-        let best = self
-            .shards
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.lock().expect("queue poisoned").peek().map(|k| (k, i)))
-            .min()?;
-        self.shards[best.1].lock().expect("queue poisoned").pop()
-    }
-
-    /// Total live entries across shards.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("queue poisoned").live.len())
-            .sum()
-    }
-
-    /// Whether nothing is pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Live entries per shard, in shard order (a point-in-time gauge for
-    /// the metrics layer; like [`ShardedSpecQueue::len`] it takes each
-    /// shard lock in turn).
-    pub fn shard_lens(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("queue poisoned").live.len())
-            .collect()
     }
 }
 
@@ -520,52 +346,5 @@ mod tests {
             assert_eq!(Some(got), model.pop(), "drain");
         }
         assert_eq!(model.pop(), None);
-    }
-
-    #[test]
-    fn sharded_canonical_order_is_depth_then_seq() {
-        let q = ShardedSpecQueue::new(4);
-        q.push(0x30, 3);
-        q.push(0x10, 1);
-        q.push(0x00, 0);
-        q.push(0x11, 1);
-        assert_eq!(q.pop_canonical(), Some((0x00, 0)));
-        assert_eq!(q.pop_canonical(), Some((0x10, 1)));
-        assert_eq!(q.pop_canonical(), Some((0x11, 1)));
-        assert_eq!(q.pop_canonical(), Some((0x30, 3)));
-        assert_eq!(q.pop_canonical(), None);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn sharded_min_key_wins_regardless_of_order() {
-        // Shallower depth supersedes (promotion)...
-        let q = ShardedSpecQueue::new(2);
-        q.push(0x10, 3);
-        q.push(0x10, 1);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop_canonical(), Some((0x10, 1)));
-        assert_eq!(q.pop_canonical(), None);
-        // ...and at equal depth the earlier stamp wins even if the later
-        // one was applied first (order-independent merge).
-        let q = ShardedSpecQueue::new(2);
-        q.push(0x20, 2); // seq 0
-        q.push(0x20, 2); // seq 1: dropped, (2,0) < (2,1)
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop_canonical(), Some((0x20, 2)));
-    }
-
-    #[test]
-    fn sharded_worker_pop_steals_and_drains_all() {
-        let q = ShardedSpecQueue::new(3);
-        for a in 0..32u32 {
-            q.push(a * 64, (a % 5) as u8);
-        }
-        let mut seen = std::collections::HashSet::new();
-        while let Some((addr, _)) = q.pop_worker(1) {
-            assert!(seen.insert(addr), "popped {addr:#x} twice");
-        }
-        assert_eq!(seen.len(), 32, "stealing must reach every shard");
-        assert!(q.is_empty());
     }
 }

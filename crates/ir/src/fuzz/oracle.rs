@@ -26,8 +26,7 @@
 //!
 //! Same-block self-modifying code is also skipped, and detected
 //! *precisely* rather than guessed at: every block is translated through
-//! a [`RecordingSource`] (the same machinery the parallel host
-//! translator revalidates with), and every store the block performs is
+//! a [`RecordingSource`], and every store the block performs is
 //! checked against that recorded read footprint by *address*
 //! ([`ReadSet::covers`](crate::translate::ReadSet::covers)). A hit means
 //! the block's own stores overwrote bytes its translation had read,

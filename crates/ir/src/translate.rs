@@ -2,14 +2,13 @@
 //!
 //! The whole pipeline is a *pure* function of the bytes it fetches through
 //! [`CodeSource`]: no globals, no randomness, no iteration over unordered
-//! containers. That purity is what lets host worker threads run the
-//! translator ahead of the simulation (see `vta-dbt`'s host-parallel
-//! translation): a block produced on another thread against a memory
-//! snapshot is bit-identical to one produced inline, *provided every byte
-//! the translation read still holds the same value*. [`RecordingSource`]
-//! captures that read footprint and [`ReadSet::verify`] re-checks it, so
-//! reuse is sound even when the optimizer scans guest bytes far beyond
-//! the translated block (the dead-flags pass follows successors).
+//! containers. That purity is what makes a translation reusable: a block
+//! produced earlier, or by another sweep cell, is bit-identical to one
+//! produced now, *provided every byte the translation read still holds
+//! the same value*. [`RecordingSource`] captures that read footprint and
+//! [`ReadSet::verify`] re-checks it, so reuse is sound even when the
+//! optimizer scans guest bytes far beyond the translated block (the
+//! dead-flags pass follows successors).
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -310,8 +309,8 @@ fn finish_region<S: CodeSource + ?Sized>(
         Ok(code) => code,
         // A merged region can exceed the host temp pool even when each
         // member fits alone. Deterministic fallback — identical whether
-        // the translation runs inline, on a host worker, or in the fuzz
-        // oracle — keeps host-parallel reuse bit-exact.
+        // the translation runs in the system or in the fuzz oracle —
+        // keeps memoized reuse bit-exact.
         Err(CodegenError::RegisterPressure { .. }) if ranges.len() > 1 => {
             return translate_region(src, region.guest_addr, opt, &RegionLimits::single());
         }
@@ -682,7 +681,7 @@ mod tests {
     use vta_x86::decode::SliceSource;
     use vta_x86::{Asm, Reg::*};
 
-    /// `TBlock` and `ReadSet` cross host threads in the parallel DBT.
+    /// `TBlock`s cross host threads through the sweep's shared memo.
     #[test]
     fn translation_artifacts_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}

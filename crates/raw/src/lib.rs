@@ -36,7 +36,6 @@
 pub mod cache;
 pub mod dram;
 pub mod exec;
-pub mod fabric;
 pub mod grid;
 pub mod isa;
 pub mod net;

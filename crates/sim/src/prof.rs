@@ -5,8 +5,8 @@
 //! those cycles, in wall-clock nanoseconds. The two domains never mix:
 //! nothing recorded here may feed [`crate::Stats`], metrics windows, or
 //! any fingerprinted output, because host wall time depends on the host
-//! scheduler and would break the bit-identical-across-thread-counts
-//! invariant the whole workspace is built on.
+//! scheduler and would break the bit-identical determinism the whole
+//! workspace is built on.
 //!
 //! Design constraints, in the same spirit as [`crate::trace`]:
 //!

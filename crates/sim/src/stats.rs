@@ -414,10 +414,9 @@ impl Stats {
     /// A deterministic 64-bit digest of every counter and histogram.
     ///
     /// FNV-1a over the name-ordered counter list plus each histogram's
-    /// `(name, count, sum, max)` — stable across processes and host
-    /// thread counts, so two runs fingerprint equal iff their observable
-    /// stats are equal. The determinism CI stage compares this digest
-    /// across `--threads` settings.
+    /// `(name, count, sum, max)` — stable across processes, so two runs
+    /// fingerprint equal iff their observable stats are equal. The
+    /// determinism CI stage compares this digest across sweep widths.
     pub fn fingerprint(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -443,9 +442,8 @@ impl Stats {
 
     /// The first counter or histogram whose value differs from
     /// `other`, as a human-readable description — `None` when the two
-    /// registries are equal. Oracle-comparison tests (e.g. the
-    /// epoch-parallel fabric stress test) use this to report *which*
-    /// counter diverged instead of dumping two full registries.
+    /// registries are equal. Oracle-comparison tests use this to report
+    /// *which* counter diverged instead of dumping two full registries.
     pub fn first_difference(&self, other: &Stats) -> Option<String> {
         let mine: Vec<(&str, u64)> = self.iter().collect();
         let theirs: Vec<(&str, u64)> = other.iter().collect();
