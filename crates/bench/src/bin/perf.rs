@@ -1,37 +1,33 @@
-//! Measures host simulator throughput on the Figure 5 sweep at
-//! `Scale::Test` and maintains the `BENCH_*.json` trajectory artifacts.
+//! The simulated-result gate: recomputes the frozen fingerprints and
+//! maintains the `BENCH_*` artifacts. Host speed is not measured here —
+//! `bash benchmark/run.sh` is the one instrument that times the host.
 //!
 //! ```text
-//! cargo run --release -p vta-bench --bin perf                  # fig5 probe + fingerprints
-//! cargo run --release -p vta-bench --bin perf -- --threads 4   # sweep on 4 host threads
+//! cargo run --release -p vta-bench --bin perf                  # print the fingerprints
 //! cargo run --release -p vta-bench --bin perf -- --check       # verify determinism
-//! cargo run --release -p vta-bench --bin perf -- --scaling     # sweep at 1/2/4/8 threads
+//! cargo run --release -p vta-bench --bin perf -- --check --threads 4   # sweep on 4 host threads
 //! cargo run --release -p vta-bench --bin perf -- --metrics     # windowed time series
 //! cargo run --release -p vta-bench --bin perf -- --superblock  # superblock A/B matrix
 //! cargo run --release -p vta-bench --bin perf -- --profile     # host wall-time breakdown
 //! ```
 //!
 //! Every mode only prints unless told otherwise: `--write` makes the
-//! mode refresh its artifact (`BENCH_dispatch.json` for the plain probe,
-//! `BENCH_parallel.json` for `--scaling`, `BENCH_superblock.json` for
-//! `--superblock`, `BENCH_profile.json` + `profile_B_trace.json` for
+//! mode refresh its artifact (`BENCH_dispatch.json` for the plain
+//! fingerprints, `BENCH_superblock.json` for `--superblock`,
+//! `BENCH_profile.json` + `profile_B_trace.json` for
 //! `--profile`, `metrics_B.{csv,json}` + `metrics_B_trace.json` for
 //! `--metrics`), and `--metrics --bless` rewrites the metrics golden.
 //!
-//! `--threads N` is the sweep's fan-out: how many `(benchmark, config)`
-//! cells run at once (`vta_bench::sweep_threads`). One simulated machine
-//! always runs on one host thread.
-//!
-//! `--check` recomputes the `paper_default` fingerprints and compares
-//! them against the checked-in `BENCH_dispatch.json`, runs the fig5
-//! sweep on `--threads` host threads and prints one digest over every
-//! cell's simulated numbers, and validates `BENCH_parallel.json` for
-//! internal consistency — nothing is rewritten, and any drift exits
-//! nonzero. The `--check` stdout is identical for every `--threads`
-//! value, so ci.sh diffs it across sweep widths to enforce determinism.
-//!
-//! `--scaling` runs the fig5 sweep at 1/2/4/8 threads, verifying the
-//! sweep digest is identical at each width, and prints the trajectory.
+//! `--check` recomputes the `paper_default` fingerprints (cycles and
+//! stats digest) and compares them against the checked-in
+//! `BENCH_dispatch.json`, then runs the fig5 sweep on `--threads` host
+//! threads and prints one digest over every cell's simulated numbers —
+//! nothing is rewritten, and any drift exits nonzero. `--threads N` is
+//! the sweep's fan-out: how many `(benchmark, config)` cells run at once
+//! (`vta_bench::sweep_threads`); one simulated machine always runs on
+//! one host thread. The `--check` stdout is identical for every
+//! `--threads` value, so ci.sh diffs it across sweep widths to enforce
+//! determinism.
 //!
 //! `--superblock` runs the region-formation A/B matrix (gzip/mcf/crafty/
 //! interp × both opt levels × off/static/recorded superblock modes),
@@ -55,19 +51,15 @@
 //! table plus the manager-duty breakdown (deterministic `manager.*`
 //! cycle counters); the exported timeline merges both clocks
 //! (simulated-cycle tracks as process 1, host wall tracks as process
-//! 2). `--profile --check` reruns the determinism check with profiling
-//! enabled inside every fingerprinted system — its stdout must be
-//! byte-identical to a plain `--check` (ci.sh diffs it); `--profile
-//! --overhead` measures the profiler's own cost on the fingerprint
-//! benchmarks and fails if the fastest run is >5% slower than with
-//! profiling off.
+//! 2). `--profile --overhead` measures the profiler's own cost on the
+//! fingerprint benchmarks and fails if the fastest run is >5% slower
+//! than with profiling off.
 
+use vta_bench::figures::fig5_configs;
 use vta_bench::metrics::{metrics_benchmark, phase_summary, series_csv, series_json};
 use vta_bench::perf::{
-    cycle_fingerprint, cycle_fingerprint_profiled, parse_fingerprints, render_json,
-    render_parallel_json, render_superblock_json, run_fig5_probe, superblock_cells,
-    superblock_highlights, superblock_reconciles, sweep_digest, validate_parallel, Fingerprint,
-    ParallelPoint, SweepPerf,
+    cycle_fingerprint, parse_fingerprints, render_json, render_superblock_json, superblock_cells,
+    superblock_highlights, superblock_reconciles, sweep_digest, Fingerprint,
 };
 use vta_bench::profile::{
     manager_report, profile_benchmark, profile_overhead, render_profile_json, top_phases_report,
@@ -77,21 +69,6 @@ use vta_bench::{out, outln};
 use vta_dbt::VirtualArchConfig;
 use vta_sim::{MetricsConfig, Tracer};
 use vta_workloads::Scale;
-
-/// The Figure 5 `Scale::Test` sweep measured on the pre-optimization
-/// tree (string-keyed stats, HashMap block dispatch, no D$ fast path).
-/// Frozen here so the speedup denominator survives the tree it measured;
-/// best-of-three on the PR-1 development host, so the claimed speedup is
-/// conservative.
-fn pre_opt_baseline() -> SweepPerf {
-    SweepPerf {
-        label: "before: string-keyed stats + HashMap dispatch".to_string(),
-        wall_seconds: 1.897,
-        cpu_seconds: 1.562,
-        guest_insns: 2_553_792,
-        sim_cycles: 321_345_742,
-    }
-}
 
 /// Value of a `--flag N` argument, if present.
 fn arg_value(flag: &str) -> Option<String> {
@@ -128,26 +105,32 @@ fn write_artifacts(write: bool, files: &[(String, String)]) {
     }
 }
 
-/// The `(benchmark, cycles)` fingerprints frozen in `BENCH_dispatch.json`.
-fn frozen_fingerprints() -> Result<Vec<(String, u64)>, String> {
+/// The fingerprints frozen in `BENCH_dispatch.json`.
+fn frozen_fingerprints() -> Result<Vec<Fingerprint>, String> {
     let json = std::fs::read_to_string("BENCH_dispatch.json")
         .map_err(|e| format!("cannot read BENCH_dispatch.json: {e}"))?;
     parse_fingerprints(&json).map_err(|e| format!("cannot parse BENCH_dispatch.json: {e}"))
 }
 
-/// Prints one `ok` line per fingerprint that matches `expected`;
-/// returns whether any drifted or is missing.
-fn fingerprints_drifted(mode: &str, actual: &[Fingerprint], expected: &[(String, u64)]) -> bool {
+/// Prints one `ok` line per fingerprint whose cycles and stats digest
+/// both match `expected`; returns whether any drifted or is missing.
+fn fingerprints_drifted(mode: &str, actual: &[Fingerprint], expected: &[Fingerprint]) -> bool {
     let mut bad = false;
     for fp in actual {
-        match expected.iter().find(|(n, _)| n == fp.name) {
-            Some((_, want)) if *want == fp.cycles => {
-                outln!("{mode}: {}: {} ok", fp.name, fp.cycles);
+        match expected.iter().find(|want| want.name == fp.name) {
+            Some(want) if want == fp => {
+                outln!(
+                    "{mode}: {}: {} stats_fp {:016x} ok",
+                    fp.name,
+                    fp.cycles,
+                    fp.stats_fp
+                );
             }
-            Some((_, want)) => {
+            Some(want) => {
                 eprintln!(
-                    "{mode}: {}: cycles drifted: expected {want}, got {}",
-                    fp.name, fp.cycles
+                    "{mode}: {}: drifted: expected cycles {} stats_fp {:016x}, got cycles {} \
+                     stats_fp {:016x}",
+                    fp.name, want.cycles, want.stats_fp, fp.cycles, fp.stats_fp
                 );
                 bad = true;
             }
@@ -161,13 +144,12 @@ fn fingerprints_drifted(mode: &str, actual: &[Fingerprint], expected: &[(String,
 }
 
 /// Recomputes the fingerprints and diffs them against the checked-in
-/// JSON, digests the fig5 sweep run on `threads` host threads, and
-/// validates `BENCH_parallel.json`. Returns the process exit code.
+/// JSON, then digests the fig5 sweep run on `threads` host threads.
+/// Returns the process exit code.
 ///
-/// Everything printed to stdout here is independent of `threads` AND
-/// `profiled`: ci.sh diffs this output across sweep widths and across
-/// profiling on/off.
-fn check(threads: usize, profiled: bool) -> i32 {
+/// Everything printed to stdout here is independent of `threads`: ci.sh
+/// diffs this output across sweep widths.
+fn check(threads: usize) -> i32 {
     let expected = match frozen_fingerprints() {
         Ok(fp) => fp,
         Err(e) => {
@@ -175,82 +157,22 @@ fn check(threads: usize, profiled: bool) -> i32 {
             return 2;
         }
     };
-    let actual = if profiled {
-        cycle_fingerprint_profiled()
-    } else {
-        cycle_fingerprint()
-    };
-    let mut bad = fingerprints_drifted("--check", &actual, &expected);
-    // Not compared against the dispatch file (older files predate it);
-    // printed so ci.sh diffs the FULL stats state, not just cycles.
-    for fp in &actual {
-        outln!("--check: {}: stats_fp {:016x}", fp.name, fp.stats_fp);
-    }
-    let (_, ms) = run_fig5_probe("check", threads);
+    let bad = fingerprints_drifted("--check", &cycle_fingerprint(), &expected);
+    let ms = vta_bench::sweep_threads(Scale::Test, &fig5_configs(), threads);
     outln!(
         "--check: fig5 sweep: {} cells, digest {:016x}",
         ms.len(),
         sweep_digest(&ms)
     );
-    match std::fs::read_to_string("BENCH_parallel.json") {
-        Ok(pjson) => match validate_parallel(&pjson) {
-            Ok(()) => outln!("--check: BENCH_parallel.json ok"),
-            Err(e) => {
-                eprintln!("--check: BENCH_parallel.json invalid: {e}");
-                bad = true;
-            }
-        },
-        Err(e) => {
-            eprintln!("--check: cannot read BENCH_parallel.json: {e}");
-            bad = true;
-        }
-    }
     if bad {
         eprintln!(
-            "--check: simulated behavior or artifacts drifted; if intentional, refresh \
-             with `perf -- --write` / `perf -- --scaling --write` and explain the change"
+            "--check: simulated behavior drifted; if intentional, refresh with \
+             `perf -- --write` and explain the change"
         );
         1
     } else {
         0
     }
-}
-
-/// Runs the fig5 sweep at 1/2/4/8 threads, verifying every cell's
-/// simulated numbers are identical at each width, and prints the
-/// trajectory (`BENCH_parallel.json` with `--write`).
-fn scaling(write: bool) -> i32 {
-    let mut points: Vec<ParallelPoint> = Vec::new();
-    let mut base: Option<(u64, f64)> = None;
-    for threads in [1usize, 2, 4, 8] {
-        let (perf, ms) = run_fig5_probe(&format!("{threads} threads"), threads);
-        let digest = sweep_digest(&ms);
-        let (base_digest, base_wall) = *base.get_or_insert((digest, perf.wall_seconds));
-        if digest != base_digest {
-            eprintln!("--scaling: simulated results diverged at {threads} threads");
-            return 1;
-        }
-        let speedup = base_wall / perf.wall_seconds.max(1e-9);
-        outln!(
-            "--scaling: {threads} threads: wall {:.3}s, cpu {:.3}s, speedup {:.2}x",
-            perf.wall_seconds,
-            perf.cpu_seconds,
-            speedup
-        );
-        points.push(ParallelPoint {
-            threads,
-            wall_seconds: perf.wall_seconds,
-            cpu_seconds: perf.cpu_seconds,
-            speedup_wall: speedup,
-        });
-    }
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let host = format!("{cores}-core host (speedup bounded by physical cores)");
-    let json = render_parallel_json(&host, &points, true);
-    write_artifacts(write, &[("BENCH_parallel.json".to_string(), json)]);
-    0
 }
 
 /// `--superblock` mode: check the fingerprints against the frozen
@@ -406,10 +328,6 @@ fn metrics_mode(write: bool) -> i32 {
         VirtualArchConfig::paper_default(),
         mcfg,
     );
-    if !m.is_enabled() {
-        eprintln!("--metrics: built without the `metrics` feature; nothing recorded");
-        return 2;
-    }
     if let Err(e) = m.reconcile_stats(&report.stats) {
         eprintln!("--metrics: series does not reconcile with Stats: {e}");
         return 1;
@@ -447,10 +365,6 @@ fn metrics_check(bless: bool) -> i32 {
             ..MetricsConfig::default()
         },
     );
-    if !m.is_enabled() {
-        outln!("--metrics --check: `metrics` feature off; golden not applicable, skipping");
-        return 0;
-    }
     if let Err(e) = m.reconcile_stats(&report.stats) {
         eprintln!("--metrics --check: series does not reconcile with Stats: {e}");
         return 1;
@@ -507,39 +421,26 @@ fn main() {
     } else if profiled && flag("--overhead") {
         overhead_mode()
     } else if flag("--check") {
-        check(threads, profiled)
+        check(threads)
     } else if profiled {
         profile_mode(write)
-    } else if flag("--scaling") {
-        scaling(write)
     } else {
-        probe(threads, write)
+        fingerprints_mode(write)
     };
     std::process::exit(code);
 }
 
-/// The plain probe: one timed fig5 sweep on `threads` host threads plus
-/// the fingerprints (`BENCH_dispatch.json` with `--write`).
-fn probe(threads: usize, write: bool) -> i32 {
-    let (after, _) = run_fig5_probe(
-        "after: interned stats + arena dispatch + D$ fast path + shared translations",
-        threads,
-    );
-    outln!(
-        "fig5 sweep @ Scale::Test ({} host thread{}): wall {:.3}s, serial {:.3}s, {:.1}M guest insns/s, {:.1}M sim cycles/s",
-        threads,
-        if threads == 1 { "" } else { "s" },
-        after.wall_seconds,
-        after.cpu_seconds,
-        after.guest_insns_per_sec() / 1e6,
-        after.sim_cycles_per_sec() / 1e6
-    );
+/// Plain `perf`: print the `paper_default` fingerprints
+/// (`BENCH_dispatch.json` with `--write`).
+fn fingerprints_mode(write: bool) -> i32 {
     let fp = cycle_fingerprint();
     for f in &fp {
         outln!("paper_default cycles {}: {}", f.name, f.cycles);
         outln!("paper_default stats_fp {}: {:016x}", f.name, f.stats_fp);
     }
-    let json = render_json(&pre_opt_baseline(), &after, &fp);
-    write_artifacts(write, &[("BENCH_dispatch.json".to_string(), json)]);
+    write_artifacts(
+        write,
+        &[("BENCH_dispatch.json".to_string(), render_json(&fp))],
+    );
     0
 }

@@ -295,10 +295,8 @@ pub fn phase_summary(m: &Metrics, report: &RunReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "metrics")]
     use vta_sim::Cycle;
 
-    #[cfg(feature = "metrics")]
     fn sample_metrics() -> Metrics {
         let mut m = Metrics::new(MetricsConfig {
             interval: 100,
@@ -333,7 +331,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "metrics")]
     #[test]
     fn csv_has_header_plus_one_row_per_window() {
         let m = sample_metrics();
@@ -350,7 +347,6 @@ mod tests {
         assert!(lines[1].ends_with(",2.000000,,0.250000"), "{}", lines[1]);
     }
 
-    #[cfg(feature = "metrics")]
     #[test]
     fn json_series_is_well_formed() {
         let m = sample_metrics();
@@ -361,7 +357,6 @@ mod tests {
         assert!(!s.contains("chain.taken"), "zero deltas stay sparse");
     }
 
-    #[cfg(feature = "metrics")]
     #[test]
     fn phase_report_splits_warmup_from_steady() {
         let m = sample_metrics();

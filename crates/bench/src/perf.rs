@@ -1,14 +1,15 @@
-//! Host-performance trajectory for the simulator itself.
+//! The simulated-result gate: frozen signatures of what the tree
+//! simulates, and the digests `perf --check` compares them with.
 //!
-//! The paper's whole evaluation is regenerated by sweeping benchmarks ×
-//! configurations through `System::run`, so host wall-clock throughput is
-//! the binding constraint on how far workloads can scale. This module
-//! measures the canonical probe — the Figure 5 sweep at `Scale::Test` —
-//! and records it as `BENCH_dispatch.json` so each PR has a trajectory to
-//! beat. It also owns the superblock A/B matrix
-//! ([`superblock_cells`] → `BENCH_superblock.json`): the same benchmarks
-//! with region formation toggled at both opt levels, recording the
-//! dispatch-exit counters superblocks exist to reduce.
+//! [`cycle_fingerprint`] is each fingerprint benchmark's cycles and stats
+//! digest under `paper_default`, frozen in `BENCH_dispatch.json`;
+//! [`sweep_digest`] folds every cell of a sweep into one number so the
+//! Figure 5 sweep can be compared across host thread counts. Host speed
+//! is not measured here — `benchmark/run.sh` owns that. This module also
+//! owns the superblock A/B matrix ([`superblock_cells`] →
+//! `BENCH_superblock.json`): the same benchmarks with region formation
+//! toggled at both opt levels, recording the dispatch-exit counters
+//! superblocks exist to reduce.
 //!
 //! The JSON is written with a tiny hand-rolled emitter: the workspace has
 //! a zero-external-dependency policy (see the root `Cargo.toml`), so no
@@ -20,76 +21,13 @@ use std::time::Instant;
 use vta_dbt::{System, VirtualArchConfig};
 use vta_workloads::Scale;
 
-use crate::figures::fig5_configs;
 use crate::Measurement;
-
-/// One measured pass over the Figure 5 sweep at `Scale::Test`.
-#[derive(Debug, Clone)]
-pub struct SweepPerf {
-    /// Tree/state label (`"before"`, `"after"`, a commit description...).
-    pub label: String,
-    /// Wall-clock seconds for the whole sweep (all cells, parallel).
-    pub wall_seconds: f64,
-    /// Sum of per-cell **wall** seconds — the sweep's serial work,
-    /// thread-count neutral. The name is historical (it predates the
-    /// host profiler and is baked into the `BENCH_dispatch.json` /
-    /// `BENCH_parallel.json` schema): this is NOT OS CPU time and is
-    /// not comparable to the profiler's per-thread wall breakdown in
-    /// `BENCH_profile.json`. Prefer [`SweepPerf::serial_seconds`] in
-    /// new code.
-    pub cpu_seconds: f64,
-    /// Total guest instructions retired across all cells.
-    pub guest_insns: u64,
-    /// Total simulated cycles across all cells.
-    pub sim_cycles: u64,
-}
-
-impl SweepPerf {
-    /// The honestly-named accessor for `cpu_seconds`: summed per-cell
-    /// wall seconds (serial work), kept under its historical field
-    /// name only for JSON-schema stability.
-    pub fn serial_seconds(&self) -> f64 {
-        self.cpu_seconds
-    }
-
-    /// Guest instructions simulated per serial host second.
-    pub fn guest_insns_per_sec(&self) -> f64 {
-        self.guest_insns as f64 / self.cpu_seconds.max(1e-9)
-    }
-
-    /// Simulated cycles per serial host second.
-    pub fn sim_cycles_per_sec(&self) -> f64 {
-        self.sim_cycles as f64 / self.cpu_seconds.max(1e-9)
-    }
-}
-
-/// Runs the Figure 5 sweep at `Scale::Test` once — one
-/// [`crate::sweep_threads`] call on at most `threads` host threads —
-/// and aggregates it.
-///
-/// Every simulated number in the returned measurements is identical at
-/// every thread count; only `wall_seconds` changes. `threads == 1` runs
-/// the cells strictly serially, so the numbers are comparable across
-/// trees even on oversubscribed or single-core hosts.
-pub fn run_fig5_probe(label: &str, threads: usize) -> (SweepPerf, Vec<Measurement>) {
-    let started = Instant::now();
-    let ms = crate::sweep_threads(Scale::Test, &fig5_configs(), threads);
-    let wall_seconds = started.elapsed().as_secs_f64();
-    let perf = SweepPerf {
-        label: label.to_string(),
-        wall_seconds,
-        cpu_seconds: ms.iter().map(|m| m.wall_seconds).sum(),
-        guest_insns: ms.iter().map(|m| m.report.guest_insns).sum(),
-        sim_cycles: ms.iter().map(|m| m.report.cycles).sum(),
-    };
-    (perf, ms)
-}
 
 /// One benchmark's frozen determinism signature under `paper_default`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fingerprint {
     /// Benchmark name (`gzip`, ...).
-    pub name: &'static str,
+    pub name: String,
     /// Total simulated cycles.
     pub cycles: u64,
     /// [`Stats::fingerprint`](vta_sim::Stats::fingerprint) of the run's
@@ -101,18 +39,6 @@ pub struct Fingerprint {
 /// optimizations: each benchmark's cycles and stats digest under
 /// `paper_default` at `Scale::Test`.
 pub fn cycle_fingerprint() -> Vec<Fingerprint> {
-    fingerprint_runs(false)
-}
-
-/// [`cycle_fingerprint`] with host wall-clock profiling enabled inside
-/// every fingerprinted [`System`] (the profiles themselves are
-/// discarded). Exists so `--profile --check` can prove profiling does
-/// not move a single fingerprinted bit.
-pub fn cycle_fingerprint_profiled() -> Vec<Fingerprint> {
-    fingerprint_runs(true)
-}
-
-fn fingerprint_runs(profiled: bool) -> Vec<Fingerprint> {
     // interp rides along beyond the paper's trio: its computed-goto
     // dispatch drives the indirect-target inline cache, so fingerprint
     // drift there catches cache-state nondeterminism the others can't.
@@ -120,13 +46,11 @@ fn fingerprint_runs(profiled: bool) -> Vec<Fingerprint> {
         .into_iter()
         .map(|name| {
             let w = vta_workloads::by_name(name, Scale::Test).expect("benchmark exists");
-            let mut sys = System::new(VirtualArchConfig::paper_default(), &w.image);
-            if profiled {
-                sys.enable_profiling(vta_sim::ProfConfig::default());
-            }
-            let report = sys.run(crate::RUN_BUDGET).expect("benchmark runs");
+            let report = System::new(VirtualArchConfig::paper_default(), &w.image)
+                .run(crate::RUN_BUDGET)
+                .expect("benchmark runs");
             Fingerprint {
-                name,
+                name: name.to_string(),
                 cycles: report.cycles,
                 stats_fp: report.stats.fingerprint(),
             }
@@ -158,113 +82,21 @@ pub fn sweep_digest(ms: &[Measurement]) -> u64 {
     h.finish()
 }
 
-fn emit_perf(out: &mut String, indent: &str, p: &SweepPerf) {
-    let _ = writeln!(out, "{indent}{{");
-    let _ = writeln!(out, "{indent}  \"label\": \"{}\",", p.label);
-    let _ = writeln!(out, "{indent}  \"wall_seconds\": {:.3},", p.wall_seconds);
-    let _ = writeln!(out, "{indent}  \"cpu_seconds\": {:.3},", p.cpu_seconds);
-    let _ = writeln!(out, "{indent}  \"guest_insns\": {},", p.guest_insns);
-    let _ = writeln!(out, "{indent}  \"sim_cycles\": {},", p.sim_cycles);
-    let _ = writeln!(
-        out,
-        "{indent}  \"guest_insns_per_sec\": {:.0},",
-        p.guest_insns_per_sec()
-    );
-    let _ = writeln!(
-        out,
-        "{indent}  \"sim_cycles_per_sec\": {:.0}",
-        p.sim_cycles_per_sec()
-    );
-    let _ = write!(out, "{indent}}}");
-}
-
-/// Renders the before/after trajectory as a JSON document.
-pub fn render_json(before: &SweepPerf, after: &SweepPerf, fingerprint: &[Fingerprint]) -> String {
+/// Renders the frozen fingerprints as `BENCH_dispatch.json`.
+pub fn render_json(fingerprint: &[Fingerprint]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"experiment\": \"fig5_sweep\",");
     let _ = writeln!(out, "  \"scale\": \"test\",");
-    let _ = writeln!(out, "  \"configs\": {},", fig5_configs().len());
-    let _ = writeln!(out, "  \"before\":");
-    emit_perf(&mut out, "  ", before);
-    let _ = writeln!(out, ",");
-    let _ = writeln!(out, "  \"after\":");
-    emit_perf(&mut out, "  ", after);
-    let _ = writeln!(out, ",");
-    let _ = writeln!(
-        out,
-        "  \"speedup_cpu\": {:.2},",
-        before.cpu_seconds / after.cpu_seconds.max(1e-9)
-    );
-    let _ = writeln!(
-        out,
-        "  \"speedup_wall\": {:.2},",
-        before.wall_seconds / after.wall_seconds.max(1e-9)
-    );
-    let _ = writeln!(out, "  \"paper_default_cycles\": {{");
-    for (i, fp) in fingerprint.iter().enumerate() {
-        let comma = if i + 1 == fingerprint.len() { "" } else { "," };
-        let _ = writeln!(out, "    \"{}\": {}{comma}", fp.name, fp.cycles);
-    }
-    let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"paper_default_stats_fp\": {{");
-    for (i, fp) in fingerprint.iter().enumerate() {
-        let comma = if i + 1 == fingerprint.len() { "" } else { "," };
-        let _ = writeln!(out, "    \"{}\": {}{comma}", fp.name, fp.stats_fp);
-    }
-    let _ = writeln!(out, "  }}");
-    let _ = writeln!(out, "}}");
-    out
-}
-
-/// One thread-count sample of the scaling experiment
-/// (`BENCH_parallel.json`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParallelPoint {
-    /// Host threads the fig5 sweep ran with.
-    pub threads: usize,
-    /// Wall-clock seconds for the whole sweep.
-    pub wall_seconds: f64,
-    /// Sum of per-cell **wall** seconds (total host work; inflation
-    /// over the 1-thread value is contention/oversubscription
-    /// overhead). Historical name kept for the `BENCH_parallel.json`
-    /// schema — see [`SweepPerf::cpu_seconds`]; not OS CPU time.
-    pub cpu_seconds: f64,
-    /// `wall(1 thread) / wall(this)`.
-    pub speedup_wall: f64,
-}
-
-/// Renders the scaling experiment as `BENCH_parallel.json`.
-///
-/// `host` describes the machine the numbers were measured on (core
-/// count matters: speedup is bounded by physical parallelism);
-/// `fingerprints_unchanged` asserts that every sweep width reproduced
-/// identical simulated results — the writer must have verified it.
-pub fn render_parallel_json(
-    host: &str,
-    points: &[ParallelPoint],
-    fingerprints_unchanged: bool,
-) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"experiment\": \"fig5_sweep_parallel\",");
-    let _ = writeln!(out, "  \"scale\": \"test\",");
-    let _ = writeln!(out, "  \"host\": \"{host}\",");
-    let _ = writeln!(
-        out,
-        "  \"fingerprints_unchanged\": {fingerprints_unchanged},"
-    );
-    let _ = writeln!(out, "  \"points\": [");
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 == points.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{ \"threads\": {}, \"wall_seconds\": {:.3}, \"cpu_seconds\": {:.3}, \
-             \"speedup_wall\": {:.2} }}{comma}",
-            p.threads, p.wall_seconds, p.cpu_seconds, p.speedup_wall
-        );
-    }
-    let _ = writeln!(out, "  ]");
+    let section = |out: &mut String, key: &str, value: fn(&Fingerprint) -> u64, end: &str| {
+        let _ = writeln!(out, "  \"{key}\": {{");
+        for (i, fp) in fingerprint.iter().enumerate() {
+            let comma = if i + 1 == fingerprint.len() { "" } else { "," };
+            let _ = writeln!(out, "    \"{}\": {}{comma}", fp.name, value(fp));
+        }
+        let _ = writeln!(out, "  }}{end}");
+    };
+    section(&mut out, "paper_default_cycles", |fp| fp.cycles, ",");
+    section(&mut out, "paper_default_stats_fp", |fp| fp.stats_fp, "");
     let _ = writeln!(out, "}}");
     out
 }
@@ -648,103 +480,14 @@ pub fn render_superblock_json(
     out
 }
 
-/// Reads one `"key": <number>` field out of a flat JSON object body.
-fn num_field(obj: &str, key: &str) -> Result<f64, String> {
-    let pat = format!("\"{key}\":");
-    let at = obj.find(&pat).ok_or_else(|| format!("missing {key:?}"))?;
-    let rest = obj[at + pat.len()..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end]
-        .parse::<f64>()
-        .map_err(|e| format!("bad number for {key:?}: {e}"))
-}
-
-/// Extracts the scaling points from a `BENCH_parallel.json` document.
-///
-/// # Errors
-///
-/// Returns a message if the `points` array is missing or malformed.
-pub fn parse_parallel(json: &str) -> Result<Vec<ParallelPoint>, String> {
-    let key = "\"points\"";
-    let start = json.find(key).ok_or_else(|| format!("{key} not found"))?;
-    let rest = &json[start + key.len()..];
-    let open = rest.find('[').ok_or("no '[' after points")?;
-    let close = rest[open..].find(']').ok_or("no closing ']'")? + open;
-    let body = &rest[open + 1..close];
-    let mut out = Vec::new();
-    for obj in body.split('}') {
-        let obj = obj.trim().trim_start_matches(',').trim();
-        if obj.is_empty() {
-            continue;
-        }
-        out.push(ParallelPoint {
-            threads: num_field(obj, "threads")? as usize,
-            wall_seconds: num_field(obj, "wall_seconds")?,
-            cpu_seconds: num_field(obj, "cpu_seconds")?,
-            speedup_wall: num_field(obj, "speedup_wall")?,
-        });
-    }
-    if out.is_empty() {
-        return Err("empty points array".to_string());
-    }
-    Ok(out)
-}
-
-/// Validates a `BENCH_parallel.json` document's internal consistency
-/// (shape, required thread counts, positive times, speedups that match
-/// their own wall-clock numbers, and the fingerprint attestation).
-///
-/// Deliberately does NOT compare against re-measured times: wall-clock
-/// is host-dependent, so CI validates the artifact, not the machine.
-///
-/// # Errors
-///
-/// Returns a description of the first inconsistency found.
-pub fn validate_parallel(json: &str) -> Result<(), String> {
-    if !json.contains("\"fingerprints_unchanged\": true") {
-        return Err("fingerprints_unchanged is not attested true".into());
-    }
-    let points = parse_parallel(json)?;
-    for want in [1usize, 2, 4, 8] {
-        if !points.iter().any(|p| p.threads == want) {
-            return Err(format!("missing point for {want} threads"));
-        }
-    }
-    let base = points
-        .iter()
-        .find(|p| p.threads == 1)
-        .expect("checked above");
-    for p in &points {
-        if p.wall_seconds <= 0.0 || p.cpu_seconds <= 0.0 {
-            return Err(format!("non-positive time at {} threads", p.threads));
-        }
-        let derived = base.wall_seconds / p.wall_seconds;
-        // The file rounds to 2 decimals; allow that plus slack.
-        if (derived - p.speedup_wall).abs() > 0.02 * derived.max(1.0) + 0.01 {
-            return Err(format!(
-                "speedup_wall at {} threads is {:.2} but wall ratio is {derived:.2}",
-                p.threads, p.speedup_wall
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Extracts the `(benchmark, cycles)` pairs from the
-/// `"paper_default_cycles"` section of a `BENCH_dispatch.json` document.
-///
-/// String-search based (no serde); tolerant of surrounding content but
-/// strict about the section's own shape.
-///
-/// # Errors
-///
-/// Returns a message if the section is missing or malformed.
-pub fn parse_fingerprints(json: &str) -> Result<Vec<(String, u64)>, String> {
-    let key = "\"paper_default_cycles\"";
-    let start = json.find(key).ok_or_else(|| format!("{key} not found"))?;
-    let rest = &json[start + key.len()..];
+/// Extracts the `(benchmark, value)` pairs of one flat `"key": { ... }`
+/// section of a `BENCH_dispatch.json` document.
+fn parse_section(json: &str, key: &str) -> Result<Vec<(String, u64)>, String> {
+    let quoted = format!("\"{key}\"");
+    let start = json
+        .find(&quoted)
+        .ok_or_else(|| format!("{quoted} not found"))?;
+    let rest = &json[start + quoted.len()..];
     let open = rest.find('{').ok_or("no '{' after key")?;
     let close = rest[open..].find('}').ok_or("no closing '}'")? + open;
     let body = &rest[open + 1..close];
@@ -754,29 +497,63 @@ pub fn parse_fingerprints(json: &str) -> Result<Vec<(String, u64)>, String> {
         if entry.is_empty() {
             continue;
         }
-        let (name, cycles) = entry
+        let (name, value) = entry
             .split_once(':')
             .ok_or_else(|| format!("bad entry {entry:?}"))?;
         let name = name.trim().trim_matches('"');
-        let cycles: u64 = cycles
+        let value: u64 = value
             .trim()
             .parse()
-            .map_err(|e| format!("bad cycle count in {entry:?}: {e}"))?;
-        out.push((name.to_string(), cycles));
+            .map_err(|e| format!("bad number in {entry:?}: {e}"))?;
+        out.push((name.to_string(), value));
     }
     if out.is_empty() {
-        return Err("empty paper_default_cycles section".to_string());
+        return Err(format!("empty {key} section"));
     }
     Ok(out)
+}
+
+/// Reads the frozen fingerprints back out of a `BENCH_dispatch.json`
+/// document: the `"paper_default_cycles"` and `"paper_default_stats_fp"`
+/// sections, which must name the same benchmarks in the same order.
+///
+/// String-search based (no serde); tolerant of surrounding content but
+/// strict about the sections' own shape.
+///
+/// # Errors
+///
+/// Returns a message if either section is missing or malformed, or if
+/// the two disagree on the benchmarks they cover.
+pub fn parse_fingerprints(json: &str) -> Result<Vec<Fingerprint>, String> {
+    let cycles = parse_section(json, "paper_default_cycles")?;
+    let stats_fp = parse_section(json, "paper_default_stats_fp")?;
+    if !cycles
+        .iter()
+        .map(|(n, _)| n)
+        .eq(stats_fp.iter().map(|(n, _)| n))
+    {
+        return Err(
+            "paper_default_cycles and paper_default_stats_fp name different benchmarks".into(),
+        );
+    }
+    Ok(cycles
+        .into_iter()
+        .zip(stats_fp)
+        .map(|((name, cycles), (_, stats_fp))| Fingerprint {
+            name,
+            cycles,
+            stats_fp,
+        })
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn fp(name: &'static str, cycles: u64) -> Fingerprint {
+    fn fp(name: &str, cycles: u64) -> Fingerprint {
         Fingerprint {
-            name,
+            name: name.to_string(),
             cycles,
             stats_fp: cycles.wrapping_mul(31),
         }
@@ -784,81 +561,24 @@ mod tests {
 
     #[test]
     fn parses_fingerprints_back_out() {
-        let p = SweepPerf {
-            label: "x".into(),
-            wall_seconds: 1.0,
-            cpu_seconds: 2.0,
-            guest_insns: 10,
-            sim_cycles: 20,
-        };
-        let s = render_json(&p, &p, &[fp("gzip", 123), fp("mcf", 456)]);
-        assert_eq!(
-            parse_fingerprints(&s).unwrap(),
-            vec![("gzip".to_string(), 123), ("mcf".to_string(), 456)]
-        );
+        let fps = [fp("gzip", 123), fp("mcf", 456)];
+        let s = render_json(&fps);
+        assert_eq!(parse_fingerprints(&s).unwrap(), fps);
         assert!(parse_fingerprints("{}").is_err());
+        // A file without its stats_fp section is not a complete golden.
+        let cycles_only = &s[..s.find("\"paper_default_stats_fp\"").unwrap()];
+        assert!(parse_fingerprints(cycles_only).is_err());
+        let renamed = s.replacen("\"mcf\": 456", "\"vpr\": 456", 1);
+        assert!(parse_fingerprints(&renamed).is_err(), "sections disagree");
     }
 
     #[test]
     fn json_shape_is_sane() {
-        let p = SweepPerf {
-            label: "x".into(),
-            wall_seconds: 1.0,
-            cpu_seconds: 2.0,
-            guest_insns: 10,
-            sim_cycles: 20,
-        };
-        let s = render_json(&p, &p, &[fp("gzip", 123)]);
-        assert!(s.contains("\"speedup_cpu\": 1.00"));
+        let s = render_json(&[fp("gzip", 123)]);
+        crate::json_lint::check(&s).expect("valid JSON");
         assert!(s.contains("\"gzip\": 123"));
         assert!(s.contains("\"paper_default_stats_fp\""));
         assert!(s.starts_with('{') && s.trim_end().ends_with('}'));
-    }
-
-    #[test]
-    fn parallel_json_round_trips_and_validates() {
-        let points = vec![
-            ParallelPoint {
-                threads: 1,
-                wall_seconds: 8.0,
-                cpu_seconds: 7.9,
-                speedup_wall: 1.0,
-            },
-            ParallelPoint {
-                threads: 2,
-                wall_seconds: 4.2,
-                cpu_seconds: 8.0,
-                speedup_wall: 8.0 / 4.2,
-            },
-            ParallelPoint {
-                threads: 4,
-                wall_seconds: 2.4,
-                cpu_seconds: 8.4,
-                speedup_wall: 8.0 / 2.4,
-            },
-            ParallelPoint {
-                threads: 8,
-                wall_seconds: 2.2,
-                cpu_seconds: 8.9,
-                speedup_wall: 8.0 / 2.2,
-            },
-        ];
-        let s = render_parallel_json("test host, 8 cores", &points, true);
-        crate::json_lint::check(&s).expect("valid JSON");
-        let parsed = parse_parallel(&s).expect("parses");
-        assert_eq!(parsed.len(), 4);
-        assert_eq!(parsed[0].threads, 1);
-        assert!((parsed[2].wall_seconds - 2.4).abs() < 1e-9);
-        validate_parallel(&s).expect("internally consistent");
-        // Tampered speedup must be caught.
-        let bad = s.replace("\"speedup_wall\": 3.33", "\"speedup_wall\": 9.99");
-        assert!(validate_parallel(&bad).is_err());
-        // Missing attestation must be caught.
-        let bad = s.replace(
-            "\"fingerprints_unchanged\": true",
-            "\"fingerprints_unchanged\": false",
-        );
-        assert!(validate_parallel(&bad).is_err());
     }
 
     fn sb_cell(
@@ -941,18 +661,5 @@ mod tests {
         cells[2].guest_insns = 1001;
         let err = superblock_reconciles(&cells).expect_err("drift must be caught");
         assert!(err.contains("recorded"), "{err}");
-    }
-
-    #[test]
-    fn throughput_derivations() {
-        let p = SweepPerf {
-            label: "x".into(),
-            wall_seconds: 1.0,
-            cpu_seconds: 2.0,
-            guest_insns: 10,
-            sim_cycles: 30,
-        };
-        assert!((p.guest_insns_per_sec() - 5.0).abs() < 1e-9);
-        assert!((p.sim_cycles_per_sec() - 15.0).abs() < 1e-9);
     }
 }

@@ -1,9 +1,9 @@
 //! Host wall-time profiling harness: the consumer side of
 //! [`vta_sim::Profiler`], the simulator's second clock domain.
 //!
-//! The [`crate::perf`] module tracks *aggregate* host throughput (wall
-//! seconds for whole sweeps); this module answers *where the wall time
-//! goes*: it runs one benchmark with span profiling enabled, renders a
+//! The repo benchmark (`benchmark/run.sh`) measures *aggregate* host
+//! speed; this module answers *where the wall time goes* inside one
+//! run: it runs one benchmark with span profiling enabled, renders a
 //! top-phases breakdown, attributes the simulated-side
 //! manager's busy cycles to its four duties, and emits the
 //! `BENCH_profile.json` trajectory artifact.
@@ -157,10 +157,7 @@ pub fn profile_benchmark(bench: &str, scale: Scale, trace_capacity: usize) -> Pr
 pub fn top_phases_report(p: &ProfileReport) -> String {
     let mut out = String::new();
     if p.threads.is_empty() {
-        let _ = writeln!(
-            out,
-            "host wall profile: no samples (profiling disabled or `prof` feature off)"
-        );
+        let _ = writeln!(out, "host wall profile: no samples (profiling disabled)");
         return out;
     }
     let wall = p.wall_nanos.max(1) as f64;
@@ -424,8 +421,8 @@ mod tests {
     }
 
     // A real (tiny) profiled run: deterministic fields must match an
-    // unprofiled run exactly, and with the feature on the report must
-    // actually contain the run-loop thread.
+    // unprofiled run exactly, and the report must actually contain the
+    // run-loop thread.
     #[test]
     fn profiled_run_matches_unprofiled_simulation() {
         let r = profile_benchmark("gzip", Scale::Test, 1024);
@@ -439,13 +436,9 @@ mod tests {
             ManagerActivity::from_stats(&report.stats, report.cycles),
             "manager attribution is deterministic"
         );
-        if cfg!(feature = "prof") {
-            assert!(
-                r.profile.threads.iter().any(|t| t.name == "run"),
-                "run-loop thread profile missing"
-            );
-        } else {
-            assert!(r.profile.threads.is_empty());
-        }
+        assert!(
+            r.profile.threads.iter().any(|t| t.name == "run"),
+            "run-loop thread profile missing"
+        );
     }
 }

@@ -387,10 +387,8 @@ pub fn utilization_report(tracer: &Tracer, total_cycles: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "trace")]
     use vta_sim::Cycle;
 
-    #[cfg(feature = "trace")]
     fn sample_tracer() -> Tracer {
         let mut tr = Tracer::new(TraceConfig { capacity: 64 });
         let a = tr.track("tile(0,0) exec");
@@ -409,8 +407,6 @@ mod tests {
         tr
     }
 
-    // Event-content assertions only hold when the tracer records.
-    #[cfg(feature = "trace")]
     #[test]
     fn chrome_json_is_well_formed() {
         let s = chrome_trace_json(&sample_tracer());
@@ -430,7 +426,6 @@ mod tests {
         assert!(r.contains("Utilization"));
     }
 
-    #[cfg(feature = "metrics")]
     #[test]
     fn metrics_merge_adds_counter_tracks() {
         use vta_sim::{Ctr, Metrics, MetricsConfig};
@@ -493,7 +488,6 @@ mod tests {
         assert_eq!(empty, bare);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn report_mentions_busy_tracks_and_links() {
         let r = utilization_report(&sample_tracer(), 100);

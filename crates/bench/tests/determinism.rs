@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use vta_bench::RUN_BUDGET;
 use vta_dbt::{SharedTranslations, System, VirtualArchConfig};
-use vta_sim::{MetricsConfig, TraceConfig};
+use vta_sim::{MetricsConfig, ProfConfig, TraceConfig};
 use vta_workloads::Scale;
 
 /// The tracer is an observer: running with tracing enabled must not
@@ -27,19 +27,14 @@ fn tracing_does_not_change_a_single_cycle() {
     assert_eq!(plain.output, traced.output);
     assert_eq!(plain.stats, traced.stats, "all counters identical");
     let tracer = traced_sys.take_tracer();
-    // Without the `trace` feature the Tracer is a no-op shell; the
-    // cycle/stats equalities above are the test's substance either way.
-    if cfg!(feature = "trace") {
-        assert!(tracer.is_enabled() && !tracer.is_empty(), "trace captured");
-        assert!(tracer.events().count() > 0);
-    }
+    assert!(tracer.is_enabled() && !tracer.is_empty(), "trace captured");
+    assert!(tracer.events().count() > 0);
 }
 
 /// The metrics recorder is the same kind of observer as the tracer:
 /// windowed sampling must not change a single simulated number relative
 /// to running without it — at any sampling interval. Mirrors
-/// [`tracing_does_not_change_a_single_cycle`]; holds in both feature
-/// configurations (with `metrics` off the recorder is a no-op shell).
+/// [`tracing_does_not_change_a_single_cycle`].
 #[test]
 fn metrics_do_not_change_a_single_cycle() {
     let w = vta_workloads::by_name("gzip", Scale::Test).expect("gzip exists");
@@ -63,36 +58,56 @@ fn metrics_do_not_change_a_single_cycle() {
             "stats digest identical with metrics on"
         );
         let m = sys.take_metrics();
-        if cfg!(feature = "metrics") {
-            assert!(m.is_enabled() && !m.is_empty(), "series captured");
-            m.reconcile_stats(&sampled.stats)
-                .expect("windowed sums telescope to the run totals");
-        } else {
-            assert!(m.is_empty());
-        }
+        assert!(m.is_enabled() && !m.is_empty(), "series captured");
+        m.reconcile_stats(&sampled.stats)
+            .expect("windowed sums telescope to the run totals");
     }
 }
 
-/// The frozen `paper_default` cycle fingerprints in `BENCH_dispatch.json`
-/// must match what the tree actually simulates. This is the regression
-/// net for the whole observability subsystem (and any other change):
-/// simulated behavior cannot drift silently.
+/// All three observers at once — what the benchmark ledger's traced mode
+/// and `perf --profile` actually run — on every fingerprint guest:
+/// nothing simulated may move, and each recorder must have recorded.
+#[test]
+fn all_observers_on_do_not_change_a_single_cycle() {
+    for name in ["gzip", "mcf", "crafty", "interp"] {
+        let w = vta_workloads::by_name(name, Scale::Test).expect("benchmark exists");
+        let plain = System::new(VirtualArchConfig::paper_default(), &w.image)
+            .run(RUN_BUDGET)
+            .expect("benchmark runs");
+        let mut sys = System::new(VirtualArchConfig::paper_default(), &w.image);
+        sys.enable_tracing(TraceConfig::default());
+        sys.enable_metrics(MetricsConfig::default());
+        sys.enable_profiling(ProfConfig::default());
+        let observed = sys.run(RUN_BUDGET).expect("benchmark runs");
+        assert_eq!(plain.cycles, observed.cycles, "{name}: cycles");
+        assert_eq!(plain.guest_insns, observed.guest_insns, "{name}: insns");
+        assert_eq!(plain.output, observed.output, "{name}: output");
+        assert_eq!(plain.stats, observed.stats, "{name}: all counters");
+        assert!(!sys.take_tracer().is_empty(), "{name}: trace captured");
+        assert!(!sys.take_metrics().is_empty(), "{name}: series captured");
+        let profile = sys.take_profile();
+        assert!(
+            profile.threads.iter().any(|t| !t.phases.is_empty()),
+            "{name}: host phases captured"
+        );
+    }
+}
+
+/// The frozen `paper_default` fingerprints in `BENCH_dispatch.json` —
+/// cycles and stats digest — must match what the tree actually
+/// simulates. This is the regression net for the whole observability
+/// subsystem (and any other change): simulated behavior cannot drift
+/// silently.
 #[test]
 fn fingerprints_match_checked_in_json() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_dispatch.json");
     let json = std::fs::read_to_string(path).expect("BENCH_dispatch.json exists");
     let expected = vta_bench::perf::parse_fingerprints(&json).expect("parseable fingerprints");
-    for fp in &vta_bench::perf::cycle_fingerprint() {
-        let want = expected
-            .iter()
-            .find(|(n, _)| n == fp.name)
-            .unwrap_or_else(|| panic!("{} missing from BENCH_dispatch.json", fp.name));
-        assert_eq!(
-            fp.cycles, want.1,
-            "{}: simulated cycles drifted from the checked-in fingerprint",
-            fp.name
-        );
-    }
+    assert_eq!(
+        vta_bench::perf::cycle_fingerprint(),
+        expected,
+        "simulated cycles or stats drifted from the checked-in fingerprints"
+    );
 }
 
 #[test]

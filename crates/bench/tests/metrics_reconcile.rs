@@ -3,8 +3,6 @@
 //! weighted-average (derived rates) back to the end-of-run `Stats`
 //! totals exactly.
 
-#![cfg(feature = "metrics")]
-
 use vta_bench::metrics::metrics_benchmark;
 use vta_dbt::VirtualArchConfig;
 use vta_sim::{Ctr, MetricsConfig, Window};

@@ -94,9 +94,6 @@ fn traced_run(image: &GuestImage) -> (Tracer, u64) {
 #[test]
 fn l15_miss_forwards_from_the_bank_tile() {
     let (tracer, _) = traced_run(&lookup_heavy_image());
-    if !tracer.is_enabled() {
-        return; // `trace` feature off: nothing recordable to check
-    }
     let net: Vec<(u64, Coord, Coord)> = tracer
         .events()
         .filter_map(|e| match *e {
@@ -135,9 +132,6 @@ fn l15_miss_forwards_from_the_bank_tile() {
 #[test]
 fn manager_service_spans_never_overlap() {
     let (tracer, invalidations) = traced_run(&smc_image());
-    if !tracer.is_enabled() {
-        return; // `trace` feature off
-    }
     assert!(invalidations >= 1, "workload must actually fire SMC");
     let manager_track = tracer
         .tracks()

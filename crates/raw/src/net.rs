@@ -260,7 +260,6 @@ mod tests {
         assert_eq!(net.recv(dst, probe + 100), None, "and no ghost follows");
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn send_traced_records_message() {
         let mut net: Network<u8> = Network::new(4, 4);

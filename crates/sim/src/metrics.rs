@@ -17,8 +17,7 @@
 //!    a simulator could branch on is returned, so a run with metrics on is
 //!    bit-identical to a run with metrics off.
 //! 2. **Disabled metrics cost (almost) nothing.** A disabled recorder is
-//!    one branch per call; with the `metrics` cargo feature off the struct
-//!    is zero-sized and every method compiles to an empty body.
+//!    one branch per call.
 //! 3. **The series is self-checking.** Window deltas telescope: the sum of
 //!    all retained deltas plus [`Metrics::dropped_totals`] equals the final
 //!    counter snapshot exactly ([`Metrics::reconcile`]). Deltas use
@@ -47,19 +46,15 @@
 //! snap[Ctr::Cycles as usize] = 130;
 //! snap[Ctr::GuestInsns as usize] = 65;
 //! m.sample(Cycle(130), &snap, &[7]);
-//! if cfg!(feature = "metrics") {
-//!     assert!(m.due(Cycle(230)));
-//!     let w = m.windows().next().expect("one window closed");
-//!     assert_eq!((w.start, w.end), (0, 100));
-//!     assert_eq!(w.delta(Ctr::GuestInsns), 65);
-//!     assert_eq!(w.gauge(depth), Some(7));
-//! }
+//! assert!(m.due(Cycle(230)));
+//! let w = m.windows().next().expect("one window closed");
+//! assert_eq!((w.start, w.end), (0, 100));
+//! assert_eq!(w.delta(Ctr::GuestInsns), 65);
+//! assert_eq!(w.gauge(depth), Some(7));
 //! ```
 
 use crate::{Ctr, Cycle, Stats};
-#[cfg(feature = "metrics")]
 use std::collections::BTreeMap;
-#[cfg(feature = "metrics")]
 use std::collections::VecDeque;
 
 /// Configuration for a [`Metrics`] recorder.
@@ -153,7 +148,6 @@ pub struct MetricEvent {
     pub value: u64,
 }
 
-#[cfg(feature = "metrics")]
 #[derive(Debug)]
 struct MBuf {
     interval: u64,
@@ -177,7 +171,6 @@ struct MBuf {
     finished: bool,
 }
 
-#[cfg(feature = "metrics")]
 impl MBuf {
     fn new(cfg: MetricsConfig) -> Self {
         let interval = cfg.interval.max(1);
@@ -232,30 +225,17 @@ impl MBuf {
 /// [module docs](self) for the design constraints.
 ///
 /// Obtain one with [`Metrics::new`] (recording) or [`Metrics::disabled`]
-/// (every call is a cheap no-op). With the `metrics` cargo feature off,
-/// both are zero-sized no-ops.
+/// (every call is a cheap no-op).
 #[derive(Debug, Default)]
 pub struct Metrics {
-    #[cfg(feature = "metrics")]
     buf: Option<Box<MBuf>>,
 }
 
 impl Metrics {
     /// A recording metrics layer sampling every `cfg.interval` cycles.
-    ///
-    /// With the `metrics` cargo feature off this is the same as
-    /// [`Metrics::disabled`].
     pub fn new(cfg: MetricsConfig) -> Self {
-        #[cfg(feature = "metrics")]
-        {
-            Metrics {
-                buf: Some(Box::new(MBuf::new(cfg))),
-            }
-        }
-        #[cfg(not(feature = "metrics"))]
-        {
-            let _ = cfg;
-            Metrics {}
+        Metrics {
+            buf: Some(Box::new(MBuf::new(cfg))),
         }
     }
 
@@ -266,26 +246,12 @@ impl Metrics {
 
     /// True when windows are actually being recorded.
     pub fn is_enabled(&self) -> bool {
-        #[cfg(feature = "metrics")]
-        {
-            self.buf.is_some()
-        }
-        #[cfg(not(feature = "metrics"))]
-        {
-            false
-        }
+        self.buf.is_some()
     }
 
     /// The sampling interval in cycles (0 when disabled).
     pub fn interval(&self) -> u64 {
-        #[cfg(feature = "metrics")]
-        {
-            self.buf.as_deref().map_or(0, |b| b.interval)
-        }
-        #[cfg(not(feature = "metrics"))]
-        {
-            0
-        }
+        self.buf.as_deref().map_or(0, |b| b.interval)
     }
 
     /// Registers (or looks up) the gauge named `name` and returns its id.
@@ -295,7 +261,6 @@ impl Metrics {
     /// known when they close. On a disabled recorder this returns
     /// `GaugeId::default()`.
     pub fn gauge(&mut self, name: &str) -> GaugeId {
-        #[cfg(feature = "metrics")]
         if let Some(b) = self.buf.as_deref_mut() {
             if let Some(&id) = b.by_name.get(name) {
                 return id;
@@ -305,38 +270,22 @@ impl Metrics {
             b.by_name.insert(name.to_string(), id);
             return id;
         }
-        #[cfg(not(feature = "metrics"))]
-        let _ = name;
         GaugeId::default()
     }
 
     /// All registered gauges as `(id, name)`, in registration order.
     pub fn gauges(&self) -> impl Iterator<Item = (GaugeId, &str)> {
-        #[cfg(feature = "metrics")]
-        {
-            self.buf.as_deref().into_iter().flat_map(|b| {
-                b.gauges
-                    .iter()
-                    .enumerate()
-                    .map(|(i, n)| (GaugeId(i as u16), n.as_str()))
-            })
-        }
-        #[cfg(not(feature = "metrics"))]
-        {
-            std::iter::empty()
-        }
+        self.buf.as_deref().into_iter().flat_map(|b| {
+            b.gauges
+                .iter()
+                .enumerate()
+                .map(|(i, n)| (GaugeId(i as u16), n.as_str()))
+        })
     }
 
     /// Number of registered gauges.
     pub fn gauge_count(&self) -> usize {
-        #[cfg(feature = "metrics")]
-        {
-            self.buf.as_deref().map_or(0, |b| b.gauges.len())
-        }
-        #[cfg(not(feature = "metrics"))]
-        {
-            0
-        }
+        self.buf.as_deref().map_or(0, |b| b.gauges.len())
     }
 
     /// True when at least one grid boundary at or before `now` has not been
@@ -345,17 +294,9 @@ impl Metrics {
     /// simulator's hot path pays one branch.
     #[inline]
     pub fn due(&self, now: Cycle) -> bool {
-        #[cfg(feature = "metrics")]
-        {
-            self.buf
-                .as_deref()
-                .is_some_and(|b| !b.finished && now.0 >= b.next_due)
-        }
-        #[cfg(not(feature = "metrics"))]
-        {
-            let _ = now;
-            false
-        }
+        self.buf
+            .as_deref()
+            .is_some_and(|b| !b.finished && now.0 >= b.next_due)
     }
 
     /// Closes the window whose grid boundary passed at or before `now`.
@@ -367,7 +308,6 @@ impl Metrics {
     /// them is closed — same anti-drift grid arithmetic as the morph
     /// manager. No-op unless [`Metrics::due`].
     pub fn sample(&mut self, now: Cycle, ctrs: &[u64; Ctr::COUNT], gauges: &[u64]) {
-        #[cfg(feature = "metrics")]
         if let Some(b) = self.buf.as_deref_mut() {
             if b.finished || now.0 < b.next_due {
                 return;
@@ -377,8 +317,6 @@ impl Metrics {
             b.next_due = end + b.interval;
             b.close(end, ctrs, gauges);
         }
-        #[cfg(not(feature = "metrics"))]
-        let _ = (now, ctrs, gauges);
     }
 
     /// Closes the final (usually partial, off-grid) window at end of run
@@ -386,7 +324,6 @@ impl Metrics {
     /// The windowed sums now telescope to `ctrs` exactly
     /// ([`Metrics::reconcile`]).
     pub fn finish(&mut self, now: Cycle, ctrs: &[u64; Ctr::COUNT], gauges: &[u64]) {
-        #[cfg(feature = "metrics")]
         if let Some(b) = self.buf.as_deref_mut() {
             if b.finished {
                 return;
@@ -396,20 +333,11 @@ impl Metrics {
             }
             b.finished = true;
         }
-        #[cfg(not(feature = "metrics"))]
-        let _ = (now, ctrs, gauges);
     }
 
     /// True once [`Metrics::finish`] sealed the series.
     pub fn is_finished(&self) -> bool {
-        #[cfg(feature = "metrics")]
-        {
-            self.buf.as_deref().is_some_and(|b| b.finished)
-        }
-        #[cfg(not(feature = "metrics"))]
-        {
-            false
-        }
+        self.buf.as_deref().is_some_and(|b| b.finished)
     }
 
     /// Records a point-in-time annotation at its exact cycle (bounded by
@@ -417,7 +345,6 @@ impl Metrics {
     /// [`Metrics::events_dropped`]).
     #[inline]
     pub fn event(&mut self, ts: Cycle, name: &'static str, value: u64) {
-        #[cfg(feature = "metrics")]
         if let Some(b) = self.buf.as_deref_mut() {
             if b.finished {
                 return;
@@ -432,35 +359,19 @@ impl Metrics {
                 b.events_dropped += 1;
             }
         }
-        #[cfg(not(feature = "metrics"))]
-        let _ = (ts, name, value);
     }
 
     /// The retained windows, oldest first.
     pub fn windows(&self) -> impl Iterator<Item = &Window> {
-        #[cfg(feature = "metrics")]
-        {
-            self.buf
-                .as_deref()
-                .into_iter()
-                .flat_map(|b| b.windows.iter())
-        }
-        #[cfg(not(feature = "metrics"))]
-        {
-            std::iter::empty()
-        }
+        self.buf
+            .as_deref()
+            .into_iter()
+            .flat_map(|b| b.windows.iter())
     }
 
     /// Number of retained windows.
     pub fn len(&self) -> usize {
-        #[cfg(feature = "metrics")]
-        {
-            self.buf.as_deref().map_or(0, |b| b.windows.len())
-        }
-        #[cfg(not(feature = "metrics"))]
-        {
-            0
-        }
+        self.buf.as_deref().map_or(0, |b| b.windows.len())
     }
 
     /// True when no windows have been closed (always true when disabled).
@@ -470,105 +381,61 @@ impl Metrics {
 
     /// Windows evicted from the ring since creation.
     pub fn dropped(&self) -> u64 {
-        #[cfg(feature = "metrics")]
-        {
-            self.buf.as_deref().map_or(0, |b| b.dropped)
-        }
-        #[cfg(not(feature = "metrics"))]
-        {
-            0
-        }
+        self.buf.as_deref().map_or(0, |b| b.dropped)
     }
 
     /// Accumulated counter deltas of evicted windows (all zero when
     /// nothing was dropped), so `dropped_totals + Σ retained = final`.
     pub fn dropped_totals(&self) -> [u64; Ctr::COUNT] {
-        #[cfg(feature = "metrics")]
-        {
-            self.buf
-                .as_deref()
-                .map_or([0; Ctr::COUNT], |b| b.dropped_ctrs)
-        }
-        #[cfg(not(feature = "metrics"))]
-        {
-            [0; Ctr::COUNT]
-        }
+        self.buf
+            .as_deref()
+            .map_or([0; Ctr::COUNT], |b| b.dropped_ctrs)
     }
 
     /// Recorded annotations, in emission (cycle) order.
     pub fn events(&self) -> impl Iterator<Item = &MetricEvent> {
-        #[cfg(feature = "metrics")]
-        {
-            self.buf
-                .as_deref()
-                .into_iter()
-                .flat_map(|b| b.events.iter())
-        }
-        #[cfg(not(feature = "metrics"))]
-        {
-            std::iter::empty()
-        }
+        self.buf
+            .as_deref()
+            .into_iter()
+            .flat_map(|b| b.events.iter())
     }
 
     /// Annotations lost to the event cap.
     pub fn events_dropped(&self) -> u64 {
-        #[cfg(feature = "metrics")]
-        {
-            self.buf.as_deref().map_or(0, |b| b.events_dropped)
-        }
-        #[cfg(not(feature = "metrics"))]
-        {
-            0
-        }
+        self.buf.as_deref().map_or(0, |b| b.events_dropped)
     }
 
     /// The series' own view of counter `c`'s run total: dropped deltas
     /// plus every retained window's delta (wrapping).
     pub fn total(&self, c: Ctr) -> u64 {
-        #[cfg(feature = "metrics")]
-        {
-            self.buf.as_deref().map_or(0, |b| {
-                let i = c as usize;
-                b.windows
-                    .iter()
-                    .fold(b.dropped_ctrs[i], |acc, w| acc.wrapping_add(w.ctrs[i]))
-            })
-        }
-        #[cfg(not(feature = "metrics"))]
-        {
-            let _ = c;
-            0
-        }
+        self.buf.as_deref().map_or(0, |b| {
+            let i = c as usize;
+            b.windows
+                .iter()
+                .fold(b.dropped_ctrs[i], |acc, w| acc.wrapping_add(w.ctrs[i]))
+        })
     }
 
     /// The self-check invariant: every counter's windowed sum (plus the
     /// dropped-window base) must equal the caller's end-of-run total.
     /// Vacuously `Ok` when disabled. Call after [`Metrics::finish`].
     pub fn reconcile(&self, totals: &[u64; Ctr::COUNT]) -> Result<(), String> {
-        #[cfg(feature = "metrics")]
-        {
-            if self.buf.is_none() {
-                return Ok(());
-            }
-            for &c in Ctr::ALL.iter() {
-                let got = self.total(c);
-                let want = totals[c as usize];
-                if got != want {
-                    return Err(format!(
-                        "windowed sum of `{}` is {} but the run total is {}",
-                        c.name(),
-                        got,
-                        want
-                    ));
-                }
-            }
-            Ok(())
+        if self.buf.is_none() {
+            return Ok(());
         }
-        #[cfg(not(feature = "metrics"))]
-        {
-            let _ = totals;
-            Ok(())
+        for &c in Ctr::ALL.iter() {
+            let got = self.total(c);
+            let want = totals[c as usize];
+            if got != want {
+                return Err(format!(
+                    "windowed sum of `{}` is {} but the run total is {}",
+                    c.name(),
+                    got,
+                    want
+                ));
+            }
         }
+        Ok(())
     }
 
     /// [`Metrics::reconcile`] against an end-of-run [`Stats`]: every
@@ -582,7 +449,7 @@ impl Metrics {
     }
 }
 
-#[cfg(all(test, feature = "metrics"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -17,8 +17,7 @@
 //! 2. **Profiling never changes simulated behavior.** Instrumented code
 //!    only reads the host clock; it never branches on what was read.
 //! 3. **Disabled profiling costs (almost) nothing.** A disabled handle
-//!    is one branch per call; with the `prof` cargo feature off every
-//!    type here is zero-sized and every method compiles to nothing.
+//!    is one branch per call.
 //!
 //! Spans nest: [`ThreadProf::enter`]/[`ThreadProf::exit`] maintain a
 //! stack, and phase totals are **exclusive** (self) time — a parent's
@@ -39,17 +38,11 @@
 //! t.exit();
 //! drop(t); // flushes the thread's profile
 //! let report = p.report();
-//! if cfg!(feature = "prof") {
-//!     assert_eq!(report.threads.len(), 1);
-//!     assert_eq!(report.threads[0].name, "worker0");
-//! } else {
-//!     assert!(report.threads.is_empty());
-//! }
+//! assert_eq!(report.threads.len(), 1);
+//! assert_eq!(report.threads[0].name, "worker0");
 //! ```
 
-#[cfg(feature = "prof")]
 use std::sync::{Arc, Mutex};
-#[cfg(feature = "prof")]
 use std::time::Instant;
 
 /// Configuration for a [`Profiler`].
@@ -132,7 +125,6 @@ pub struct ProfileReport {
     pub threads: Vec<ThreadProfile>,
 }
 
-#[cfg(feature = "prof")]
 #[derive(Debug)]
 struct Shared {
     epoch: Instant,
@@ -145,35 +137,22 @@ struct Shared {
 ///
 /// Obtain one with [`Profiler::new`] (recording) or
 /// [`Profiler::disabled`]; hand each thread a [`ThreadProf`] via
-/// [`Profiler::thread`]. With the `prof` cargo feature off, both are
-/// zero-sized no-ops.
+/// [`Profiler::thread`].
 #[derive(Debug, Clone, Default)]
 pub struct Profiler {
-    #[cfg(feature = "prof")]
     shared: Option<Arc<Shared>>,
 }
 
 impl Profiler {
     /// A recording profiler; its creation instant is the timeline's
     /// time zero.
-    ///
-    /// With the `prof` cargo feature off this is the same as
-    /// [`Profiler::disabled`].
     pub fn new(cfg: ProfConfig) -> Self {
-        #[cfg(feature = "prof")]
-        {
-            Profiler {
-                shared: Some(Arc::new(Shared {
-                    epoch: Instant::now(),
-                    cfg,
-                    profiles: Mutex::new(Vec::new()),
-                })),
-            }
-        }
-        #[cfg(not(feature = "prof"))]
-        {
-            let _ = cfg;
-            Profiler {}
+        Profiler {
+            shared: Some(Arc::new(Shared {
+                epoch: Instant::now(),
+                cfg,
+                profiles: Mutex::new(Vec::new()),
+            })),
         }
     }
 
@@ -184,14 +163,7 @@ impl Profiler {
 
     /// True when spans are actually being recorded.
     pub fn is_enabled(&self) -> bool {
-        #[cfg(feature = "prof")]
-        {
-            self.shared.is_some()
-        }
-        #[cfg(not(feature = "prof"))]
-        {
-            false
-        }
+        self.shared.is_some()
     }
 
     /// A per-thread recorder named `name`. The recorder flushes its
@@ -199,25 +171,17 @@ impl Profiler {
     /// recording thread (worker exit, pool join) is the only
     /// synchronization point.
     pub fn thread(&self, name: &str) -> ThreadProf {
-        #[cfg(feature = "prof")]
-        {
-            ThreadProf {
-                inner: self.shared.as_ref().map(|s| {
-                    Box::new(ThreadInner {
-                        shared: Arc::clone(s),
-                        name: name.to_string(),
-                        stack: Vec::with_capacity(8),
-                        totals: Vec::new(),
-                        events: Vec::new(),
-                        dropped: 0,
-                    })
-                }),
-            }
-        }
-        #[cfg(not(feature = "prof"))]
-        {
-            let _ = name;
-            ThreadProf {}
+        ThreadProf {
+            inner: self.shared.as_ref().map(|s| {
+                Box::new(ThreadInner {
+                    shared: Arc::clone(s),
+                    name: name.to_string(),
+                    stack: Vec::with_capacity(8),
+                    totals: Vec::new(),
+                    events: Vec::new(),
+                    dropped: 0,
+                })
+            }),
         }
     }
 
@@ -226,26 +190,18 @@ impl Profiler {
     /// them first). Threads are sorted by name so the report is stable
     /// regardless of flush order.
     pub fn report(&self) -> ProfileReport {
-        #[cfg(feature = "prof")]
-        {
-            let Some(s) = self.shared.as_ref() else {
-                return ProfileReport::default();
-            };
-            let mut threads = s.profiles.lock().expect("profiler poisoned").clone();
-            threads.sort_by(|a, b| a.name.cmp(&b.name));
-            ProfileReport {
-                wall_nanos: s.epoch.elapsed().as_nanos() as u64,
-                threads,
-            }
-        }
-        #[cfg(not(feature = "prof"))]
-        {
-            ProfileReport::default()
+        let Some(s) = self.shared.as_ref() else {
+            return ProfileReport::default();
+        };
+        let mut threads = s.profiles.lock().expect("profiler poisoned").clone();
+        threads.sort_by(|a, b| a.name.cmp(&b.name));
+        ProfileReport {
+            wall_nanos: s.epoch.elapsed().as_nanos() as u64,
+            threads,
         }
     }
 }
 
-#[cfg(feature = "prof")]
 #[derive(Debug)]
 struct Frame {
     phase: &'static str,
@@ -254,7 +210,6 @@ struct Frame {
     child_nanos: u64,
 }
 
-#[cfg(feature = "prof")]
 #[derive(Debug)]
 struct ThreadInner {
     shared: Arc<Shared>,
@@ -267,7 +222,6 @@ struct ThreadInner {
     dropped: u64,
 }
 
-#[cfg(feature = "prof")]
 impl ThreadInner {
     /// Closes the innermost open frame; see [`ThreadProf::exit`].
     fn close_top(&mut self) {
@@ -303,12 +257,9 @@ impl ThreadInner {
 /// Per-thread span recorder; obtained from [`Profiler::thread`], owned
 /// by exactly one thread, flushed on drop.
 ///
-/// Calls on a disabled recorder are one branch each; with the `prof`
-/// feature off the type is zero-sized and the methods compile to
-/// nothing.
+/// Calls on a disabled recorder are one branch each.
 #[derive(Debug, Default)]
 pub struct ThreadProf {
-    #[cfg(feature = "prof")]
     inner: Option<Box<ThreadInner>>,
 }
 
@@ -321,21 +272,13 @@ impl ThreadProf {
 
     /// True when spans are actually being recorded.
     pub fn is_enabled(&self) -> bool {
-        #[cfg(feature = "prof")]
-        {
-            self.inner.is_some()
-        }
-        #[cfg(not(feature = "prof"))]
-        {
-            false
-        }
+        self.inner.is_some()
     }
 
     /// Opens a span for `phase`, nested inside the current span if one
     /// is open. Must be balanced by [`ThreadProf::exit`].
     #[inline]
     pub fn enter(&mut self, phase: &'static str) {
-        #[cfg(feature = "prof")]
         if let Some(t) = self.inner.as_deref_mut() {
             t.stack.push(Frame {
                 phase,
@@ -343,8 +286,6 @@ impl ThreadProf {
                 child_nanos: 0,
             });
         }
-        #[cfg(not(feature = "prof"))]
-        let _ = phase;
     }
 
     /// Closes the innermost open span, attributing its exclusive time
@@ -352,14 +293,12 @@ impl ThreadProf {
     /// accounting. No-op if nothing is open.
     #[inline]
     pub fn exit(&mut self) {
-        #[cfg(feature = "prof")]
         if let Some(t) = self.inner.as_deref_mut() {
             t.close_top();
         }
     }
 }
 
-#[cfg(feature = "prof")]
 impl Drop for ThreadProf {
     fn drop(&mut self) {
         let Some(mut t) = self.inner.take() else {
@@ -394,7 +333,7 @@ impl Drop for ThreadProf {
     }
 }
 
-#[cfg(all(test, feature = "prof"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
