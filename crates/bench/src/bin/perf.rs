@@ -19,9 +19,10 @@
 //! `--metrics`), and `--metrics --bless` rewrites the metrics golden.
 //!
 //! `--check` recomputes the `paper_default` fingerprints (cycles and
-//! stats digest) and compares them against the checked-in
-//! `BENCH_dispatch.json`, then runs the fig5 sweep on `--threads` host
-//! threads and prints one digest over every cell's simulated numbers —
+//! stats digest), then runs the four figure sweeps (fig4, fig5, fig8,
+//! fig9: 16 configs × 11 guests) on `--threads` host threads and folds
+//! each into one digest over every cell's simulated numbers, and
+//! compares all of it against the checked-in `BENCH_dispatch.json` —
 //! nothing is rewritten, and any drift exits nonzero. `--threads N` is
 //! the sweep's fan-out: how many `(benchmark, config)` cells run at once
 //! (`vta_bench::sweep_threads`); one simulated machine always runs on
@@ -55,11 +56,11 @@
 //! fingerprint benchmarks and fails if the fastest run is >5% slower
 //! than with profiling off.
 
-use vta_bench::figures::fig5_configs;
 use vta_bench::metrics::{metrics_benchmark, phase_summary, series_csv, series_json};
 use vta_bench::perf::{
-    cycle_fingerprint, parse_fingerprints, render_json, render_superblock_json, superblock_cells,
-    superblock_highlights, superblock_reconciles, sweep_digest, Fingerprint,
+    cycle_fingerprint, figure_sweep_digests, parse_figure_digests, parse_fingerprints, render_json,
+    render_superblock_json, superblock_cells, superblock_highlights, superblock_reconciles,
+    Fingerprint,
 };
 use vta_bench::profile::{
     manager_report, profile_benchmark, profile_overhead, render_profile_json, top_phases_report,
@@ -105,11 +106,19 @@ fn write_artifacts(write: bool, files: &[(String, String)]) {
     }
 }
 
-/// The fingerprints frozen in `BENCH_dispatch.json`.
-fn frozen_fingerprints() -> Result<Vec<Fingerprint>, String> {
+/// What `BENCH_dispatch.json` freezes: the fingerprints and the figure
+/// sweep digests.
+type Frozen = (Vec<Fingerprint>, Vec<(String, u64)>);
+
+/// Reads the checked-in `BENCH_dispatch.json`.
+fn frozen() -> Result<Frozen, String> {
     let json = std::fs::read_to_string("BENCH_dispatch.json")
         .map_err(|e| format!("cannot read BENCH_dispatch.json: {e}"))?;
-    parse_fingerprints(&json).map_err(|e| format!("cannot parse BENCH_dispatch.json: {e}"))
+    let parse_err = |e| format!("cannot parse BENCH_dispatch.json: {e}");
+    Ok((
+        parse_fingerprints(&json).map_err(parse_err)?,
+        parse_figure_digests(&json).map_err(parse_err)?,
+    ))
 }
 
 /// Prints one `ok` line per fingerprint whose cycles and stats digest
@@ -143,27 +152,32 @@ fn fingerprints_drifted(mode: &str, actual: &[Fingerprint], expected: &[Fingerpr
     bad
 }
 
-/// Recomputes the fingerprints and diffs them against the checked-in
-/// JSON, then digests the fig5 sweep run on `threads` host threads.
-/// Returns the process exit code.
+/// Recomputes the fingerprints and the four figure sweep digests (the
+/// sweeps run on `threads` host threads) and diffs both against the
+/// checked-in JSON. Returns the process exit code.
 ///
 /// Everything printed to stdout here is independent of `threads`: ci.sh
 /// diffs this output across sweep widths.
 fn check(threads: usize) -> i32 {
-    let expected = match frozen_fingerprints() {
-        Ok(fp) => fp,
+    let (expected, expected_figures) = match frozen() {
+        Ok(frozen) => frozen,
         Err(e) => {
             eprintln!("--check: {e}");
             return 2;
         }
     };
-    let bad = fingerprints_drifted("--check", &cycle_fingerprint(), &expected);
-    let ms = vta_bench::sweep_threads(Scale::Test, &fig5_configs(), threads);
-    outln!(
-        "--check: fig5 sweep: {} cells, digest {:016x}",
-        ms.len(),
-        sweep_digest(&ms)
-    );
+    let mut bad = fingerprints_drifted("--check", &cycle_fingerprint(), &expected);
+    for (name, digest) in figure_sweep_digests(threads) {
+        match expected_figures.iter().find(|(n, _)| *n == name) {
+            Some(&(_, want)) if want == digest => {
+                outln!("--check: {name} sweep: digest {digest:016x} ok");
+            }
+            want => {
+                eprintln!("--check: {name} sweep: drifted: expected {want:x?}, got {digest:016x}");
+                bad = true;
+            }
+        }
+    }
     if bad {
         eprintln!(
             "--check: simulated behavior drifted; if intentional, refresh with \
@@ -183,8 +197,8 @@ fn check(threads: usize) -> i32 {
 /// process exit code.
 fn superblock_mode(check_only: bool, write: bool) -> i32 {
     if !check_only {
-        let expected = match frozen_fingerprints() {
-            Ok(fp) => fp,
+        let expected = match frozen() {
+            Ok((fp, _)) => fp,
             Err(e) => {
                 eprintln!("--superblock: {e}");
                 return 2;
@@ -425,22 +439,29 @@ fn main() {
     } else if profiled {
         profile_mode(write)
     } else {
-        fingerprints_mode(write)
+        fingerprints_mode(threads, write)
     };
     std::process::exit(code);
 }
 
-/// Plain `perf`: print the `paper_default` fingerprints
-/// (`BENCH_dispatch.json` with `--write`).
-fn fingerprints_mode(write: bool) -> i32 {
+/// Plain `perf`: print the `paper_default` fingerprints and the figure
+/// sweep digests (`BENCH_dispatch.json` with `--write`).
+fn fingerprints_mode(threads: usize, write: bool) -> i32 {
     let fp = cycle_fingerprint();
     for f in &fp {
         outln!("paper_default cycles {}: {}", f.name, f.cycles);
         outln!("paper_default stats_fp {}: {:016x}", f.name, f.stats_fp);
     }
+    let figures = figure_sweep_digests(threads);
+    for (name, digest) in &figures {
+        outln!("{name} sweep: digest {digest:016x}");
+    }
     write_artifacts(
         write,
-        &[("BENCH_dispatch.json".to_string(), render_json(&fp))],
+        &[(
+            "BENCH_dispatch.json".to_string(),
+            render_json(&fp, &figures),
+        )],
     );
     0
 }

@@ -11,9 +11,9 @@ fn labels(cfgs: &[(String, VirtualArchConfig)]) -> Vec<String> {
     cfgs.iter().map(|(l, _)| l.clone()).collect()
 }
 
-/// Figure 4: slowdown under three L1.5 code-cache configurations.
-pub fn fig4(scale: Scale) -> Table {
-    let configs = vec![
+/// The Figure 4 configuration set: 0, 1 and 2 L1.5 code-cache banks.
+pub fn fig4_configs() -> Vec<(String, VirtualArchConfig)> {
+    vec![
         ("no-L1.5".to_string(), VirtualArchConfig::with_l15_banks(0)),
         (
             "64K-1bank".to_string(),
@@ -23,16 +23,25 @@ pub fn fig4(scale: Scale) -> Table {
             "128K-2bank".to_string(),
             VirtualArchConfig::with_l15_banks(2),
         ),
-    ];
-    let ms = sweep(scale, &configs);
+    ]
+}
+
+/// A slowdown table of `configs` swept over every benchmark.
+fn slowdown_table(title: &str, scale: Scale, configs: &[(String, VirtualArchConfig)]) -> Table {
     Table::from_measurements(
-        "Figure 4: Comparison of L1.5 Code Cache Sizes",
+        title,
         "slowdown vs Pentium III (lower is better)",
-        &labels(&configs),
-        &ms,
+        &labels(configs),
+        &sweep(scale, configs),
         Format::Fixed1,
         Measurement::slowdown,
     )
+}
+
+/// Figure 4: slowdown under three L1.5 code-cache configurations.
+pub fn fig4(scale: Scale) -> Table {
+    let title = "Figure 4: Comparison of L1.5 Code Cache Sizes";
+    slowdown_table(title, scale, &fig4_configs())
 }
 
 /// The Figure 5 configuration set (also reused by Figures 6 and 7).
@@ -91,25 +100,22 @@ pub fn fig7(ms: &[Measurement]) -> Table {
     )
 }
 
+/// The Figure 8 configuration set: the morphing configuration without
+/// and with code optimization.
+pub fn fig8_configs() -> Vec<(String, VirtualArchConfig)> {
+    let mut no_opt = VirtualArchConfig::morphing(15);
+    no_opt.opt = OptLevel::None;
+    vec![
+        ("no-opt".to_string(), no_opt),
+        ("opt".to_string(), VirtualArchConfig::morphing(15)),
+    ]
+}
+
 /// Figure 8: with vs without code optimization (dynamic 6→9 config in
 /// the paper; we use the same morphing configuration).
 pub fn fig8(scale: Scale) -> Table {
-    let mut no_opt = VirtualArchConfig::morphing(15);
-    no_opt.opt = OptLevel::None;
-    let with_opt = VirtualArchConfig::morphing(15);
-    let configs = vec![
-        ("no-opt".to_string(), no_opt),
-        ("opt".to_string(), with_opt),
-    ];
-    let ms = sweep(scale, &configs);
-    Table::from_measurements(
-        "Figure 8: No Code Optimization versus Code Optimization",
-        "slowdown vs Pentium III (lower is better)",
-        &labels(&configs),
-        &ms,
-        Format::Fixed1,
-        Measurement::slowdown,
-    )
+    let title = "Figure 8: No Code Optimization versus Code Optimization";
+    slowdown_table(title, scale, &fig8_configs())
 }
 
 /// The Figure 9 configuration set.

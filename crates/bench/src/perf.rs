@@ -2,9 +2,10 @@
 //! simulates, and the digests `perf --check` compares them with.
 //!
 //! [`cycle_fingerprint`] is each fingerprint benchmark's cycles and stats
-//! digest under `paper_default`, frozen in `BENCH_dispatch.json`;
-//! [`sweep_digest`] folds every cell of a sweep into one number so the
-//! Figure 5 sweep can be compared across host thread counts. Host speed
+//! digest under `paper_default`; [`figure_sweep_digests`] folds every
+//! cell of the four figure sweeps (Figures 4, 5, 8 and 9: the bank
+//! poles, both opt levels, every morph threshold) into one number per
+//! figure. Both are frozen in `BENCH_dispatch.json`. Host speed
 //! is not measured here — `benchmark/run.sh` owns that. This module also
 //! owns the superblock A/B matrix ([`superblock_cells`] →
 //! `BENCH_superblock.json`): the same benchmarks with region formation
@@ -62,42 +63,76 @@ pub fn cycle_fingerprint() -> Vec<Fingerprint> {
 /// benchmark, configuration, cycles, retired instructions and stats
 /// fingerprint, in cell order. Equal for every `threads` value handed
 /// to [`crate::sweep_threads`] — cells are independent deterministic
-/// simulations placed by job index — which is what `perf --check`
-/// prints for ci.sh to diff across sweep widths. Comparable between
-/// runs of one build only (`DefaultHasher` is not a stable format).
+/// simulations placed by job index. FNV-1a, like
+/// [`Stats::fingerprint`](vta_sim::Stats::fingerprint), so the value is
+/// stable across builds and can be frozen in a file.
 pub fn sweep_digest(ms: &[Measurement]) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h = OFFSET;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(PRIME);
+        }
+    };
     for m in ms {
         let r = &m.report;
-        (
-            &m.bench,
-            &m.config,
-            r.cycles,
-            r.guest_insns,
-            r.stats.fingerprint(),
-        )
-            .hash(&mut h);
+        eat(m.bench.as_bytes());
+        eat(&[0]);
+        eat(m.config.as_bytes());
+        eat(&[0]);
+        eat(&r.cycles.to_le_bytes());
+        eat(&r.guest_insns.to_le_bytes());
+        eat(&r.stats.fingerprint().to_le_bytes());
     }
-    h.finish()
+    h
 }
 
-/// Renders the frozen fingerprints as `BENCH_dispatch.json`.
-pub fn render_json(fingerprint: &[Fingerprint]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"scale\": \"test\",");
-    let section = |out: &mut String, key: &str, value: fn(&Fingerprint) -> u64, end: &str| {
-        let _ = writeln!(out, "  \"{key}\": {{");
-        for (i, fp) in fingerprint.iter().enumerate() {
-            let comma = if i + 1 == fingerprint.len() { "" } else { "," };
-            let _ = writeln!(out, "    \"{}\": {}{comma}", fp.name, value(fp));
-        }
-        let _ = writeln!(out, "  }}{end}");
+/// Runs the four figure configuration sets — `fig4` (0/1/2 L1.5 banks),
+/// `fig5` (translator counts), `fig8` (morphing at both opt levels) and
+/// `fig9` (static splits and morph thresholds 15/0/5) — over every
+/// benchmark at `Scale::Test` on `threads` host threads and folds each
+/// to its [`sweep_digest`]. Together with [`cycle_fingerprint`] this is
+/// the exact oracle for the simulated machine: the only frozen values
+/// that cover the bank poles, `OptLevel::None` and morphing runs.
+pub fn figure_sweep_digests(threads: usize) -> Vec<(String, u64)> {
+    use crate::figures::{fig4_configs, fig5_configs, fig8_configs, fig9_configs};
+    [
+        ("fig4", fig4_configs()),
+        ("fig5", fig5_configs()),
+        ("fig8", fig8_configs()),
+        ("fig9", fig9_configs()),
+    ]
+    .into_iter()
+    .map(|(name, configs)| {
+        let ms = crate::sweep_threads(Scale::Test, &configs, threads);
+        (name.to_string(), sweep_digest(&ms))
+    })
+    .collect()
+}
+
+/// Renders the frozen fingerprints and figure digests as
+/// `BENCH_dispatch.json`.
+pub fn render_json(fingerprint: &[Fingerprint], figures: &[(String, u64)]) -> String {
+    let per_fp = |value: fn(&Fingerprint) -> u64| {
+        let rows = fingerprint.iter().map(|fp| (fp.name.clone(), value(fp)));
+        rows.collect::<Vec<_>>()
     };
-    section(&mut out, "paper_default_cycles", |fp| fp.cycles, ",");
-    section(&mut out, "paper_default_stats_fp", |fp| fp.stats_fp, "");
-    let _ = writeln!(out, "}}");
+    let sections = [
+        ("paper_default_cycles", per_fp(|fp| fp.cycles)),
+        ("paper_default_stats_fp", per_fp(|fp| fp.stats_fp)),
+        ("figure_sweep_digests", figures.to_vec()),
+    ];
+    let mut out = String::from("{\n  \"scale\": \"test\"");
+    for (key, rows) in sections {
+        let rows: Vec<String> = rows
+            .iter()
+            .map(|(name, value)| format!("    \"{name}\": {value}"))
+            .collect();
+        let _ = write!(out, ",\n  \"{key}\": {{\n{}\n  }}", rows.join(",\n"));
+    }
+    out.push_str("\n}\n");
     out
 }
 
@@ -547,6 +582,16 @@ pub fn parse_fingerprints(json: &str) -> Result<Vec<Fingerprint>, String> {
         .collect())
 }
 
+/// Reads the frozen `"figure_sweep_digests"` section of a
+/// `BENCH_dispatch.json` document as `(figure, digest)` pairs.
+///
+/// # Errors
+///
+/// Returns a message if the section is missing or malformed.
+pub fn parse_figure_digests(json: &str) -> Result<Vec<(String, u64)>, String> {
+    parse_section(json, "figure_sweep_digests")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -562,8 +607,11 @@ mod tests {
     #[test]
     fn parses_fingerprints_back_out() {
         let fps = [fp("gzip", 123), fp("mcf", 456)];
-        let s = render_json(&fps);
+        let figs = [("fig4".to_string(), u64::MAX)];
+        let s = render_json(&fps, &figs);
         assert_eq!(parse_fingerprints(&s).unwrap(), fps);
+        assert_eq!(parse_figure_digests(&s).unwrap(), figs);
+        assert!(parse_figure_digests("{}").is_err());
         assert!(parse_fingerprints("{}").is_err());
         // A file without its stats_fp section is not a complete golden.
         let cycles_only = &s[..s.find("\"paper_default_stats_fp\"").unwrap()];
@@ -574,7 +622,7 @@ mod tests {
 
     #[test]
     fn json_shape_is_sane() {
-        let s = render_json(&[fp("gzip", 123)]);
+        let s = render_json(&[fp("gzip", 123)], &[]);
         crate::json_lint::check(&s).expect("valid JSON");
         assert!(s.contains("\"gzip\": 123"));
         assert!(s.contains("\"paper_default_stats_fp\""));

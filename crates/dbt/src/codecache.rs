@@ -15,11 +15,21 @@
 //! - **L2**: the manager tile's map of every translation, stored in
 //!   off-chip DRAM (105 MB in the paper) — plus in-flight bookkeeping for
 //!   the speculative translation pipeline.
+//!
+//! [`CodeHierarchy`] is the execution tile's side of the figure: L1 and
+//! the L1.5 bank tiles, the one fetch path that walks them down to the
+//! manager, and the one loop that drops an address from all of them.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use vta_ir::TBlock;
+use vta_raw::{net, TileId};
+use vta_sim::{Ctr, Cycle};
+
+use crate::config::VirtualArchConfig;
+use crate::manager::{Manager, Outside};
+use crate::system::SystemError;
 
 /// A generational handle into the L1 arena.
 ///
@@ -534,14 +544,178 @@ impl L2Code {
         }
     }
 
-    /// All committed guest addresses (used by SMC page invalidation).
-    pub fn addrs(&self) -> impl Iterator<Item = u32> + '_ {
-        self.blocks.keys().copied()
-    }
-
     /// Bytes committed.
     pub fn used_bytes(&self) -> u64 {
         self.used
+    }
+}
+
+/// One L1.5 bank tile: where it sits, what it holds, and when its
+/// software loop is next free.
+#[derive(Debug, Clone)]
+struct BankTile {
+    tile: TileId,
+    bank: L15Bank,
+    next_free: Cycle,
+}
+
+/// The code caches on the execution tile's side of the manager: its own
+/// L1 instruction memory and the L1.5 bank tiles next to it.
+#[derive(Debug, Clone)]
+pub(crate) struct CodeHierarchy {
+    exec: TileId,
+    l1: L1Code,
+    banks: Vec<BankTile>,
+}
+
+impl CodeHierarchy {
+    /// The empty hierarchy of `cfg`'s virtual architecture.
+    pub(crate) fn new(cfg: &VirtualArchConfig) -> CodeHierarchy {
+        CodeHierarchy {
+            exec: cfg.placement.exec,
+            l1: L1Code::new(cfg.l1_code_bytes),
+            banks: cfg
+                .placement
+                .l15_banks
+                .iter()
+                .map(|&tile| BankTile {
+                    tile,
+                    bank: L15Bank::new(cfg.l15_bank_bytes),
+                    next_free: Cycle::ZERO,
+                })
+                .collect(),
+        }
+    }
+
+    /// The L1.5 bank serving `pc`, or `None` when no banks exist (the
+    /// modulus by the bank count can never divide by zero).
+    pub(crate) fn l15_index(&self, pc: u32) -> Option<usize> {
+        (!self.banks.is_empty()).then(|| (pc as usize >> 2) % self.banks.len())
+    }
+
+    /// Obtains the translated block for `pc` from cycle `now`, charging
+    /// the lookup costs of whichever level supplies it: L1, the L1.5
+    /// bank serving `pc`, or the manager (which demand-translates on an
+    /// L2 miss). The block ends up resident in L1 — unless it is larger
+    /// than the whole cache — and in its L1.5 bank. Returns the block,
+    /// its L1 handle, and the cycle the execution tile can run it.
+    pub(crate) fn fetch(
+        &mut self,
+        pc: u32,
+        mut now: Cycle,
+        manager: &mut Manager,
+        out: &mut Outside<'_>,
+    ) -> Result<(Arc<TBlock>, Option<BlockHandle>, Cycle), SystemError> {
+        if let Some(h) = self.l1.lookup(pc) {
+            out.stats.bump_ctr(Ctr::L1CodeHit);
+            let b = Arc::clone(self.l1.handle_block(h).expect("fresh handle"));
+            return Ok((b, Some(h), now));
+        }
+        out.stats.bump_ctr(Ctr::L1CodeMiss);
+
+        let bank = self.l15_index(pc);
+        let (exec, mgr) = (self.exec, manager.tile());
+        let arrival = if let Some(idx) = bank {
+            let b = &mut self.banks[idx];
+            let tile = b.tile;
+            now += net::message(out.tracer, now, exec, tile, 1);
+            now = now.max(b.next_free);
+            let service = out.timing.l15_service;
+            out.tracer
+                .span(now, service, out.tracks.tile(tile), "l15.lookup");
+            now += service;
+            b.next_free = now;
+            if let Some(block) = b.bank.get(pc) {
+                out.stats.bump_ctr(Ctr::L15Hit);
+                now += net::message(out.tracer, now, tile, exec, block.code.len() as u32);
+                now = self.install_l1(&block, now, out);
+                return Ok((block, self.l1.lookup(pc), now));
+            }
+            out.stats.bump_ctr(Ctr::L15Miss);
+            // A request that missed in an L1.5 bank is *forwarded* from
+            // the bank tile — the wire is charged from the bank, not
+            // teleported back to the execution tile — and the bank
+            // simultaneously sends the execution tile a one-word miss
+            // notification so the dispatch loop knows to wait on the
+            // manager. Both legs leave the bank at the same cycle, so
+            // the request's effective latency is their max.
+            let forward = net::message(out.tracer, now, tile, mgr, 1);
+            let notify = net::message(out.tracer, now, tile, exec, 1);
+            now + forward.max(notify)
+        } else {
+            now + net::message(out.tracer, now, exec, mgr, 1)
+        };
+
+        let fetched = manager.lookup(pc, arrival, out)?;
+        for addr in fetched.swapped {
+            self.invalidate(addr);
+        }
+        let block = fetched.block;
+        now = fetched.at;
+        now += net::message(out.tracer, now, mgr, exec, block.code.len() as u32);
+        if let Some(idx) = bank {
+            self.banks[idx].bank.insert(Arc::clone(&block));
+        }
+        now = self.install_l1(&block, now, out);
+        Ok((block, self.l1.lookup(pc), now))
+    }
+
+    /// Relocates `block` into L1 instruction memory from cycle `now`
+    /// (copy plus chain re-patching, plus the flush if it did not fit);
+    /// returns the cycle it is in place.
+    fn install_l1(&mut self, block: &Arc<TBlock>, mut now: Cycle, out: &mut Outside<'_>) -> Cycle {
+        let words = block.code.len() as u64;
+        now += 30 + words * out.timing.l1code_copy_per_word;
+        if self.l1.insert(Arc::clone(block)) {
+            now += out.timing.l1code_flush;
+            out.tracer
+                .instant(now, out.tracks.exec, "l1code.flush", words);
+        }
+        now
+    }
+
+    /// Drops the translation of `addr` from L1 and every L1.5 bank; an
+    /// outstanding handle or chained edge to it fails its generation
+    /// check. With the manager dropping its own L2 entry this is how a
+    /// translation is revoked: region swap, demotion, SMC alike.
+    pub(crate) fn invalidate(&mut self, addr: u32) {
+        self.l1.invalidate(addr);
+        for b in &mut self.banks {
+            b.bank.invalidate(addr);
+        }
+    }
+
+    /// See [`L1Code::purge_indirect_targets`].
+    pub(crate) fn purge_indirect_targets(&mut self, page: u32) {
+        self.l1.purge_indirect_targets(page);
+    }
+
+    /// The L1 code cache, to read (handles, inline caches, flush count).
+    #[inline]
+    pub(crate) fn l1(&self) -> &L1Code {
+        &self.l1
+    }
+
+    /// The L1-resident block a direct exit of `from`'s block to `target`
+    /// chains to: the patched branch if the edge is cached, else an L1
+    /// lookup whose hit patches it.
+    #[inline]
+    pub(crate) fn chain(&mut self, from: Option<BlockHandle>, target: u32) -> Option<BlockHandle> {
+        if let Some(next) = from.and_then(|h| self.l1.cached_succ(h, target)) {
+            return Some(next);
+        }
+        let next = self.l1.lookup(target);
+        if let (Some(h), Some(next)) = (from, next) {
+            self.l1.cache_succ(h, target, next);
+        }
+        next
+    }
+
+    /// Patches `target` into `from`'s inline cache if it is L1-resident.
+    pub(crate) fn learn_indirect(&mut self, from: Option<BlockHandle>, target: u32) {
+        if let (Some(h), Some(next)) = (from, self.l1.lookup(target)) {
+            self.l1.cache_indirect(h, target, next);
+        }
     }
 }
 
@@ -787,5 +961,49 @@ mod tests {
         l2.invalidate(0x1000);
         assert!(l2.get(0x1000).is_none());
         assert_eq!(l2.used_bytes(), 0);
+    }
+
+    #[test]
+    fn hierarchy_invalidate_leaves_no_level_holding_the_block() {
+        use crate::manager::tests::{World, BASE};
+        use vta_x86::{Asm, GuestImage, Reg};
+        let cfg = VirtualArchConfig::paper_default();
+        let mut a = Asm::new(BASE);
+        let next = a.label();
+        a.add_ri(Reg::EAX, 1);
+        a.jmp(next);
+        a.bind(next);
+        let second = a.cur_addr();
+        a.exit_with_eax();
+        let mut w = World::new(&cfg, &GuestImage::from_code(a.finish()));
+        let mut manager = Manager::new(&cfg);
+        let mut code = CodeHierarchy::new(&cfg);
+        let mut fetch = |code: &mut CodeHierarchy, w: &mut World, pc, now| {
+            let fetched = code.fetch(pc, now, &mut manager, &mut w.outside());
+            let (_, handle, now) = fetched.expect("translates");
+            (handle.expect("in L1"), now)
+        };
+        let (first_h, t0) = fetch(&mut code, &mut w, BASE, Cycle(0));
+        let (second_h, t1) = fetch(&mut code, &mut w, second, t0);
+        assert_eq!(code.chain(Some(first_h), second), Some(second_h));
+        let idx = code.l15_index(second).expect("two banks");
+        assert!(code.banks[idx].bank.get(second).is_some(), "in L1.5");
+
+        code.invalidate(second);
+        let live = |code: &CodeHierarchy, h| code.l1().handle_block(h).is_some();
+        assert!(!live(&code, second_h), "generation check fails");
+        assert_eq!(code.chain(Some(first_h), second), None, "stale edge");
+        assert!(!code.l1.contains(second));
+        assert!(code.banks.iter_mut().all(|b| b.bank.get(second).is_none()));
+        assert!(live(&code, first_h), "other blocks untouched");
+
+        // The manager still holds it: the refetch is served from L2
+        // without a retranslation, and reinstalls both levels.
+        let committed = w.stats.get("translate.committed");
+        let (h, t2) = fetch(&mut code, &mut w, second, t1);
+        assert!(t2 > t1, "the walk to the manager is charged");
+        assert!(live(&code, h) && code.banks[idx].bank.get(second).is_some());
+        assert_eq!(w.stats.get("translate.committed"), committed);
+        assert_eq!(w.stats.get("l1code.miss"), 3);
     }
 }

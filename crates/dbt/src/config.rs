@@ -175,9 +175,6 @@ pub struct VirtualArchConfig {
     pub l2_bank_bytes: u32,
     /// Dynamic reconfiguration, if enabled.
     pub morph: Option<MorphConfig>,
-    /// Reserve one slave for demand misses (paper's §4.3 suggestion —
-    /// an extension; off reproduces the paper's numbers).
-    pub reserve_demand_slave: bool,
 }
 
 impl VirtualArchConfig {
@@ -198,7 +195,6 @@ impl VirtualArchConfig {
             l2_code_bytes: 105 * 1024 * 1024,
             l2_bank_bytes: 32 * 1024,
             morph: None,
-            reserve_demand_slave: false,
         }
     }
 

@@ -9,7 +9,8 @@
 //!   resident blocks), L1 data cache ([`system`]);
 //! - **banked L1.5 code cache tiles** ([`codecache`]);
 //! - **manager / L2 code cache tile** — the 105 MB code cache in DRAM plus
-//!   the speculative-translation work queues ([`codecache`], [`specq`]);
+//!   the speculative-translation work queues, behind one service ring
+//!   (`manager`, [`codecache`], [`specq`]);
 //! - **translation slave tiles** — run `vta-ir` off the critical path,
 //!   speculatively walking the guest control-flow graph ([`slave`]);
 //! - **MMU/TLB tile and L2 data-cache bank tiles** — the spatially
@@ -44,8 +45,10 @@
 
 pub mod codecache;
 pub mod config;
+mod manager;
 pub mod memsys;
 pub mod morph;
+mod regions;
 pub mod shared;
 pub mod slave;
 pub mod specq;

@@ -1,0 +1,742 @@
+//! The manager tile (Figure 3): the L2 code cache, the speculative work
+//! queues, and the translation slaves it feeds.
+//!
+//! Everything the tile does occupies one software loop, modelled as a
+//! *service ring*: a request is served from `max(arrival, next free
+//! cycle)` and the end of its window becomes the next free cycle, so no
+//! two windows overlap. Demand lookups, commits, slave assignments and
+//! SMC walks all go through [`Manager::reserve`], the only code that
+//! touches the ring — which makes the manager a genuine queueing
+//! bottleneck when many slaves commit while the execution tile waits on
+//! a lookup (the congestion the paper blames for vpr/gcc/crafty, §4.3).
+//!
+//! Translation slaves live on their own timelines; [`Manager::drain`]
+//! catches up on their completions whenever the execution tile
+//! interacts with the manager: translation proceeds in the background
+//! while the execution tile runs already-translated code.
+
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
+
+use vta_ir::mir::Term;
+use vta_ir::{
+    translate_region, translate_region_along, OptLevel, RegionLimits, RegionShape, TBlock,
+    TranslateError,
+};
+use vta_raw::{net, Dram, TileId};
+use vta_sim::{Ctr, Cycle, Stats, ThreadProf, Tracer, TrackId};
+use vta_x86::GuestMem;
+
+use crate::codecache::L2Code;
+use crate::config::VirtualArchConfig;
+use crate::regions::Regions;
+use crate::shared::SharedTranslations;
+use crate::slave::{InFlight, SlavePool};
+use crate::specq::{SpecQueues, RETURN_DEPTH};
+use crate::system::SystemError;
+use crate::timing::Timing;
+
+/// Trace track ids: one per grid tile (indexed by
+/// `TileId::index(width)`) plus the execution tile's, the DRAM channel,
+/// the queue-depth counter and the morph decisions. All default while
+/// tracing is disabled.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Tracks {
+    pub width: u8,
+    pub tiles: Vec<TrackId>,
+    pub exec: TrackId,
+    pub dram: TrackId,
+    pub qdepth: TrackId,
+    pub morph: TrackId,
+}
+
+impl Tracks {
+    /// Trace track of `tile` (default id when tracing is disabled).
+    pub(crate) fn tile(&self, tile: TileId) -> TrackId {
+        let id = self.tiles.get(tile.index(self.width));
+        id.copied().unwrap_or_default()
+    }
+}
+
+/// What a tile's work touches outside the tile, borrowed for one call:
+/// guest memory, the DRAM channel, the region records, the cost table,
+/// and the run's observers (`prof` is the run loop's host-profile
+/// recorder).
+pub(crate) struct Outside<'a> {
+    pub mem: &'a GuestMem,
+    pub dram: &'a mut Dram,
+    pub regions: &'a mut Regions,
+    pub timing: &'a Timing,
+    pub stats: &'a mut Stats,
+    pub tracer: &'a mut Tracer,
+    pub tracks: &'a Tracks,
+    pub prof: &'a mut ThreadProf,
+}
+
+/// What the manager tile's cycles go to. Attribution is purely
+/// simulated arithmetic, identical with profiling on or off.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Duty {
+    /// Serving a demand lookup ("network service").
+    Lookup,
+    /// Walking the metadata for an SMC invalidation (network service).
+    SmcWalk,
+    /// Committing a slave's finished block.
+    Commit,
+    /// Handing a slave its next job.
+    Assign,
+    /// A lookup stalled on its DRAM-resident metadata: the ring is
+    /// occupied but waiting, not working.
+    DramWait,
+    /// Reconfiguring a tile's role. Never reserved: the execution tile
+    /// is charged the cycles directly.
+    Morph,
+}
+
+impl Outside<'_> {
+    /// A traced access of `words` words to the DRAM channel at `at`;
+    /// returns its completion cycle.
+    fn dram_access(&mut self, at: Cycle, words: u32, what: &'static str) -> Cycle {
+        self.dram
+            .access_traced(at, words, self.tracer, self.tracks.dram, what)
+    }
+}
+
+impl Duty {
+    /// The `Stats` counter the duty's cycles go to, and the name of its
+    /// window on the manager's trace track.
+    fn names(self) -> (&'static str, &'static str) {
+        match self {
+            Duty::Lookup => ("manager.service_cycles", "l2.lookup"),
+            Duty::SmcWalk => ("manager.service_cycles", "smc.walk"),
+            Duty::Commit => ("manager.commit_cycles", "commit"),
+            Duty::Assign => ("manager.assign_cycles", "assign"),
+            Duty::DramWait => ("manager.dram_wait_cycles", "dram.wait"),
+            Duty::Morph => ("manager.morph_cycles", "morph"),
+        }
+    }
+
+    /// Attributes `cycles` of manager time to this duty.
+    pub(crate) fn attribute(self, stats: &mut Stats, cycles: u64) {
+        stats.add(self.names().0, cycles);
+    }
+}
+
+/// What [`Manager::lookup`] hands the code-cache hierarchy: the block,
+/// the cycle its image is out of the DRAM-resident L2, and the
+/// addresses whose single a region commit replaced meanwhile (the
+/// caller drops them from L1 / L1.5).
+pub(crate) struct Fetched {
+    pub block: Arc<TBlock>,
+    pub at: Cycle,
+    pub swapped: Vec<u32>,
+}
+
+/// The manager / L2 code cache tile and the slave tiles it drives.
+pub(crate) struct Manager {
+    tile: TileId,
+    opt: OptLevel,
+    limits: RegionLimits,
+    speculation: bool,
+    /// The service ring: the next cycle the software loop is free.
+    next_free: Cycle,
+    l2: L2Code,
+    queues: SpecQueues,
+    pool: SlavePool,
+    /// Addresses whose translation failed (speculation into data):
+    /// never retried speculatively, retried on demand.
+    failed: HashSet<u32>,
+    /// Page → entry addresses of the translations covering it: SMC
+    /// detection (a store into a key is a store into code) and
+    /// invalidation.
+    pages: HashMap<u32, Vec<u32>>,
+    /// Optional cross-system translation memo (sweeps).
+    shared: Option<Arc<SharedTranslations>>,
+}
+
+impl Manager {
+    /// The manager of `cfg`'s virtual architecture, everything empty.
+    pub(crate) fn new(cfg: &VirtualArchConfig) -> Manager {
+        Manager {
+            tile: cfg.placement.manager,
+            opt: cfg.opt,
+            limits: cfg.region_limits(),
+            speculation: cfg.speculation,
+            next_free: Cycle::ZERO,
+            l2: L2Code::new(cfg.l2_code_bytes),
+            queues: SpecQueues::new(cfg.max_spec_depth),
+            pool: SlavePool::new(&cfg.placement.slaves),
+            failed: HashSet::new(),
+            pages: HashMap::new(),
+            shared: None,
+        }
+    }
+
+    /// Grid position of the manager tile.
+    pub(crate) fn tile(&self) -> TileId {
+        self.tile
+    }
+
+    /// Attaches a cross-system translation memo; refused if its opt
+    /// level or region limits differ from this manager's.
+    pub(crate) fn attach_shared(&mut self, shared: Arc<SharedTranslations>) {
+        if shared.opt() == self.opt && shared.limits() == self.limits {
+            self.shared = Some(shared);
+        }
+    }
+
+    /// Whether any committed translation covers `page`.
+    #[inline]
+    pub(crate) fn holds_code(&self, page: u32) -> bool {
+        self.pages.contains_key(&page)
+    }
+
+    /// The work queues, to read.
+    pub(crate) fn queues(&self) -> &SpecQueues {
+        &self.queues
+    }
+
+    /// The slave pool, to read.
+    pub(crate) fn slaves(&self) -> &SlavePool {
+        &self.pool
+    }
+
+    /// Queues the region build a promotion or a finished recording
+    /// owes, at high speculative priority.
+    pub(crate) fn queue_region_build(&mut self, root: u32) {
+        self.queues.push(root, 1);
+    }
+
+    /// Drops the L2 translation of `addr` (region demotion).
+    pub(crate) fn forget(&mut self, addr: u32) {
+        self.l2.invalidate(addr);
+    }
+
+    /// Morphing: `tile` joins the pool, busy reloading its software
+    /// role until `ready`.
+    pub(crate) fn add_slave(&mut self, tile: TileId, ready: Cycle) {
+        self.pool.grow(tile);
+        let n = self.pool.len();
+        self.pool.slave_mut(n - 1).current = Some(InFlight {
+            addr: RELOADING,
+            done_at: ready,
+            shape: RegionShape::Single,
+            cancelled: false,
+            block: None,
+        });
+    }
+
+    /// Morphing: retires one slave; the tile freed and when (see
+    /// [`SlavePool::shrink`]).
+    pub(crate) fn retire_slave(&mut self, now: Cycle) -> Option<(TileId, Cycle)> {
+        self.pool.shrink(now)
+    }
+
+    // ---- the service ring --------------------------------------------------
+
+    /// The ring rule: a request that arrived at `arrival` keeps the loop
+    /// busy for `busy` cycles from `max(arrival, next_free)`; the end of
+    /// the window is stored back (and returned), its cycles attributed
+    /// to `duty`, and the window emitted as a span on the manager's
+    /// track. A lookup's window also covers its wait on the
+    /// DRAM-resident metadata, counted apart from the fixed service time
+    /// so the manager's busy share is honest.
+    fn reserve(&mut self, arrival: Cycle, duty: Duty, busy: u64, out: &mut Outside<'_>) -> Cycle {
+        let start = arrival.max(self.next_free);
+        let mut end = start + busy;
+        duty.attribute(out.stats, busy);
+        if duty == Duty::Lookup {
+            let worked = end;
+            end = out.dram_access(worked, 2, "l2meta").max(worked);
+            Duty::DramWait.attribute(out.stats, end.saturating_since(worked));
+        }
+        self.next_free = end;
+        let track = out.tracks.tile(self.tile);
+        out.tracer
+            .span(start, end.saturating_since(start), track, duty.names().1);
+        end
+    }
+
+    // ---- demand path -------------------------------------------------------
+
+    /// Serves the execution tile's request for the translation of `pc`,
+    /// arriving at `arrival`: catches up on slave completions, reserves
+    /// the ring for the lookup, demand-translates on an L2 miss, and
+    /// reads the block image out of DRAM.
+    pub(crate) fn lookup(
+        &mut self,
+        pc: u32,
+        arrival: Cycle,
+        out: &mut Outside<'_>,
+    ) -> Result<Fetched, SystemError> {
+        let mut swapped = self.drain(arrival, out);
+        let mut now = self.reserve(arrival, Duty::Lookup, out.timing.manager_service, out);
+        out.stats.bump_ctr(Ctr::L2CodeAccess);
+        if self.l2.get(pc).is_none() {
+            out.stats.bump_ctr(Ctr::L2CodeMiss);
+            let ready = self.demand_translate(pc, now, &mut swapped, out)?;
+            let waited = ready.saturating_since(now);
+            now = now.max(ready);
+            out.stats.record("demand.wait_cycles", waited);
+            out.tracer
+                .instant(now, out.tracks.exec, "demand.wait", waited);
+        }
+        let block = Arc::clone(self.l2.get(pc).expect("demand translation committed"));
+        // Fetch the block image from DRAM through the manager.
+        let words = block.code.len() as u32;
+        now = out.dram_access(now, words, "l2code.read").max(now);
+        Ok(Fetched {
+            block,
+            at: now,
+            swapped,
+        })
+    }
+
+    /// Demand-translates `pc` from cycle `now`, waiting on the slave
+    /// pipeline; returns the cycle the block is committed at the
+    /// manager. There is no preemption: the request queues at depth 0
+    /// and waits for a slave to come free.
+    fn demand_translate(
+        &mut self,
+        pc: u32,
+        now: Cycle,
+        swapped: &mut Vec<u32>,
+        out: &mut Outside<'_>,
+    ) -> Result<Cycle, SystemError> {
+        if !self.l2.known(pc) {
+            self.queues.push(pc, 0);
+        }
+        let mut t = now;
+        self.assign_idle(t, out);
+        loop {
+            if self.l2.get(pc).is_some() {
+                return Ok(t);
+            }
+            match self.pool.earliest_done() {
+                Some(done) if !self.failed.contains(&pc) => {
+                    t = t.max(done);
+                    swapped.extend(self.drain(t, out));
+                }
+                // Nothing in flight and nothing committed (the pool is
+                // empty or the queue lost the entry), or speculation
+                // once failed on this address — the guest may have
+                // written valid code there since. Translate inline; a
+                // failure now is the guest's.
+                _ => {
+                    let shape = out.regions.shape_for(pc);
+                    let block = self
+                        .translate(pc, &shape, out)
+                        .map_err(|error| SystemError::Translate { addr: pc, error })?;
+                    self.failed.remove(&pc);
+                    t += block.translate_cycles;
+                    swapped.extend(self.install(block, &shape, out));
+                    return Ok(t);
+                }
+            }
+        }
+    }
+
+    /// Translates `pc` at the configured opt level under `shape` — a
+    /// single basic block, the statically predicted region, or a region
+    /// along a recorded path — consulting and feeding the shared memo
+    /// when one is attached. The memo validates the live guest bytes
+    /// and is keyed by the full shape (a recorded shape carries its
+    /// path), so a hit is byte-for-byte what a fresh translation would
+    /// produce.
+    pub(crate) fn translate(
+        &self,
+        pc: u32,
+        shape: &RegionShape,
+        out: &mut Outside<'_>,
+    ) -> Result<Arc<TBlock>, TranslateError> {
+        // Host profile phase: translation work on the run thread (memo
+        // consult plus the inline build on a miss). Reading the host
+        // clock never changes simulated state.
+        out.prof.enter("run.translate");
+        let (mem, memo) = (out.mem, self.shared.as_ref());
+        let build = || {
+            let b = Arc::new(match shape {
+                RegionShape::Recorded(path) => {
+                    translate_region_along(mem, pc, self.opt, &self.limits, path)?
+                }
+                RegionShape::Static => translate_region(mem, pc, self.opt, &self.limits)?,
+                RegionShape::Single => {
+                    translate_region(mem, pc, self.opt, &RegionLimits::single())?
+                }
+            });
+            if let Some(memo) = memo {
+                memo.publish(mem, &b, shape);
+            }
+            Ok(b)
+        };
+        let r = memo
+            .and_then(|m| m.consult(mem, pc, shape))
+            .map_or_else(build, Ok);
+        out.prof.exit();
+        r
+    }
+
+    // ---- slave pipeline ----------------------------------------------------
+
+    /// Commits every slave completion due by `now`, in the canonical
+    /// `(done_at, slave)` order, and keeps the slaves fed. Returns the
+    /// addresses whose resident single a region commit replaced, for
+    /// the caller to drop from L1 / L1.5.
+    pub(crate) fn drain(&mut self, now: Cycle, out: &mut Outside<'_>) -> Vec<u32> {
+        let mut swapped = Vec::new();
+        // Host profile phase: one span per drain *burst*, not per
+        // commit — only entered when a commit actually pops, so the
+        // empty per-block call never reads the host clock, and a
+        // 10-commit burst costs two reads instead of twenty.
+        let mut in_span = false;
+        while let Some((slave, inflight)) = self.pool.pop_done(now) {
+            if !in_span {
+                out.prof.enter("run.commit");
+                in_span = true;
+            }
+            swapped.extend(self.finish(slave, inflight, out));
+        }
+        if in_span {
+            out.prof.exit();
+        }
+        self.assign_idle(now, out);
+        swapped
+    }
+
+    /// Takes `slave`'s finished work: commits the block (or notes the
+    /// failure) and hands the slave its next job.
+    fn finish(&mut self, slave: usize, inflight: InFlight, out: &mut Outside<'_>) -> Option<u32> {
+        let (addr, done) = (inflight.addr, inflight.done_at);
+        let mut swapped = None;
+        if addr == RELOADING {
+            // A morphed-in tile finished loading its role.
+        } else if inflight.cancelled || inflight.shape != out.regions.shape_for(addr) {
+            // The translation went stale in flight: an SMC store may
+            // have overwritten its source bytes, a promotion or a fresh
+            // recording changed the wanted shape, or a demotion revoked
+            // it. Drop the block; re-queue the region build if one is
+            // still owed, otherwise demand re-queues on next miss.
+            self.l2.clear_in_flight(addr);
+            if out.regions.build_owed(addr) {
+                self.queues.push(addr, 1);
+            }
+        } else if let Some(block) = inflight.block {
+            // Committing occupies the manager tile: speculative traffic
+            // competes with demand lookups for the shared resource.
+            let words = block.code.len() as u32;
+            self.reserve(done, Duty::Commit, 40 + u64::from(words) / 2, out);
+            // Writing the block into the DRAM-resident L2 code cache
+            // shares the channel with demand fetches.
+            out.dram_access(done, words, "l2code.write");
+            out.stats
+                .record("translate.block_host_bytes", block.host_bytes() as u64);
+            out.stats
+                .record("translate.block_guest_insns", block.guest_insns as u64);
+            swapped = self.install(block, &inflight.shape, out);
+        } else {
+            self.failed.insert(addr);
+            out.regions.build_settled(addr);
+        }
+        self.next_job(slave, done, out);
+        swapped
+    }
+
+    /// Makes a finished translation visible: registers its pages for
+    /// SMC detection and commits it to L2. A region settling an owed
+    /// build replaces a live single: its L2 copy is dropped here and its
+    /// address returned for the caller to drop from L1 / L1.5, so the
+    /// next fetch (or a chained L1 handle, via its generation check)
+    /// picks up the superblock.
+    pub(crate) fn install(
+        &mut self,
+        block: Arc<TBlock>,
+        shape: &RegionShape,
+        out: &mut Outside<'_>,
+    ) -> Option<u32> {
+        let addr = block.guest_addr;
+        let swapped = (shape.is_region() && out.regions.build_settled(addr)).then(|| {
+            if matches!(shape, RegionShape::Recorded(_)) {
+                out.stats.bump_ctr(Ctr::SuperblockRecorded);
+            }
+            self.l2.invalidate(addr);
+            addr
+        });
+        // Revocation is region-granular: every member range registers
+        // against the region's entry address, so a store into any
+        // member — including the interior of a superblock — revokes the
+        // whole translation.
+        for &(start, len) in &block.ranges {
+            for page in start / 4096..=(start + len.max(1) - 1) / 4096 {
+                let addrs = self.pages.entry(page).or_default();
+                if !addrs.contains(&addr) {
+                    addrs.push(addr);
+                }
+            }
+        }
+        out.stats.bump_ctr(Ctr::TranslateCommitted);
+        self.l2.commit(block);
+        swapped
+    }
+
+    /// Starts idle slaves on queued work at time `now`; true if any.
+    pub(crate) fn assign_idle(&mut self, now: Cycle, out: &mut Outside<'_>) -> bool {
+        let mut any = false;
+        while !self.queues.is_empty() {
+            let Some(slave) = self.pool.idle_slave() else {
+                break;
+            };
+            any |= self.next_job(slave, now, out);
+        }
+        any
+    }
+
+    /// The job loop: pops queue entries until one is not settled work
+    /// and starts `slave` on it at `at`. False if the queue ran dry.
+    fn next_job(&mut self, slave: usize, at: Cycle, out: &mut Outside<'_>) -> bool {
+        while let Some((addr, depth)) = self.queues.pop() {
+            // A known address is settled — except when a region build
+            // is owed and nobody is building it: the resident single
+            // keeps running, but the region is still owed. (A build
+            // cancelled mid-flight by an SMC invalidation is re-queued
+            // exactly once; dropping that entry because the single is
+            // resident would leave the build owed forever.)
+            let settled = self.failed.contains(&addr)
+                || (self.l2.known(addr)
+                    && !(out.regions.build_owed(addr) && self.l2.in_flight_on(addr).is_none()));
+            if !settled {
+                self.start(slave, addr, depth, at, out);
+                return true;
+            }
+        }
+        false
+    }
+
+    fn start(&mut self, slave: usize, addr: u32, depth: u8, at: Cycle, out: &mut Outside<'_>) {
+        // Handing out work occupies the manager's software loop.
+        self.reserve(at, Duty::Assign, 30, out);
+        let tile = self.pool.slave(slave).tile;
+        let shape = out.regions.shape_for(addr);
+        let block = self.translate(addr, &shape, out).ok();
+        let (cycles, words) = match &block {
+            Some(b) => (b.translate_cycles, b.code.len() as u32),
+            // Failed translations still burn decode time.
+            None => (200, 0),
+        };
+        out.tracer
+            .span(at, cycles, out.tracks.tile(tile), "translate");
+        let wire = net::message(out.tracer, at + cycles, tile, self.tile, words.max(1));
+        let s = self.pool.slave_mut(slave);
+        s.busy_cycles += cycles;
+        s.current = Some(InFlight {
+            addr,
+            done_at: at + cycles + wire,
+            shape,
+            cancelled: false,
+            block: block.clone(),
+        });
+        self.l2.mark_in_flight(addr, slave);
+        // Successors are visible as soon as the slave has decoded the
+        // block — the translator "runs ahead translating the program"
+        // (§2.1) rather than waiting for its own commit.
+        if let (true, Some(b)) = (self.speculation, block) {
+            self.enqueue_successors(&b, depth);
+        }
+    }
+
+    /// Pushes a finished block's likely successors (§2.1's speculative
+    /// parallel translation, with static backward-taken prediction and
+    /// the return predictor).
+    fn enqueue_successors(&mut self, block: &TBlock, depth: u8) {
+        let d1 = depth.saturating_add(1);
+        let d2 = depth.saturating_add(2);
+        match block.term {
+            Term::Goto(t) => self.push_spec(t, d1),
+            Term::CondGoto { taken, fall, .. } => {
+                if taken <= block.guest_addr {
+                    // Backward branch: predict taken (loop).
+                    self.push_spec(taken, d1);
+                    self.push_spec(fall, d2);
+                } else {
+                    self.push_spec(fall, d1);
+                    self.push_spec(taken, d2);
+                }
+            }
+            Term::Sys(next) => self.push_spec(next, d1),
+            Term::Indirect(_) | Term::Trap(_) | Term::Halt => {}
+        }
+        if block.is_call {
+            // Return predictor: the address after the call (the end of the
+            // region's *last* member), low priority.
+            self.push_spec(block.end_addr(), RETURN_DEPTH);
+        }
+    }
+
+    fn push_spec(&mut self, addr: u32, depth: u8) {
+        if !self.l2.known(addr) && !self.failed.contains(&addr) {
+            self.queues.push(addr, depth);
+        }
+    }
+
+    // ---- self-modifying code -----------------------------------------------
+
+    /// A store hit translated code on `page`: forgets the page, drops
+    /// every translation covering it from L2 and returns their entry
+    /// addresses for the caller to drop from L1 / L1.5 (`None` if the
+    /// page holds no code any more). In-flight slave translations may
+    /// derive from the overwritten bytes (their functional result is
+    /// computed at assign time): cancel them all — SMC is rare, and
+    /// re-queueing is always safe.
+    pub(crate) fn revoke_page(&mut self, page: u32) -> Option<Vec<u32>> {
+        let addrs = self.pages.remove(&page)?;
+        for &addr in &addrs {
+            self.l2.invalidate(addr);
+        }
+        self.pool.cancel_in_flight();
+        Some(addrs)
+    }
+
+    /// The invalidation walk of an SMC request arriving at `arrival`;
+    /// returns the cycle it ends. It occupies the service loop like any
+    /// other request: it queues behind an in-progress commit or lookup,
+    /// and no commit can be booked into the window it was charged for.
+    pub(crate) fn smc_walk(&mut self, arrival: Cycle, out: &mut Outside<'_>) -> Cycle {
+        self.reserve(arrival, Duty::SmcWalk, out.timing.manager_service, out)
+    }
+}
+
+/// `InFlight::addr` of a morphed-in slave still loading its role: it
+/// occupies the slave until `done_at` and commits nothing.
+const RELOADING: u32 = u32::MAX;
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use vta_sim::{TraceConfig, TraceEvent};
+    use vta_x86::{Asm, Cond, GuestImage, Reg};
+
+    pub(crate) const BASE: u32 = 0x0800_0000;
+
+    /// White-box access for tests outside this module.
+    impl Manager {
+        pub(crate) fn pool(&mut self) -> &mut SlavePool {
+            &mut self.pool
+        }
+
+        pub(crate) fn l2(&self) -> &L2Code {
+            &self.l2
+        }
+    }
+
+    /// Everything an [`Outside`] borrows, owned — so a tile can be
+    /// driven without a `System`. Tracing is on, with the manager tile
+    /// on a track of its own.
+    pub(crate) struct World {
+        pub mem: GuestMem,
+        pub dram: Dram,
+        pub regions: Regions,
+        pub timing: Timing,
+        pub stats: Stats,
+        pub tracer: Tracer,
+        pub tracks: Tracks,
+        pub prof: ThreadProf,
+    }
+
+    impl World {
+        pub(crate) fn new(cfg: &VirtualArchConfig, image: &GuestImage) -> World {
+            let timing = Timing::default();
+            let mut tracer = Tracer::new(TraceConfig { capacity: 1 << 16 });
+            let mut tracks = Tracks {
+                width: cfg.width,
+                tiles: vec![tracer.track("other"); cfg.width as usize * cfg.height as usize],
+                dram: tracer.track("dram"),
+                ..Tracks::default()
+            };
+            tracks.tiles[cfg.placement.manager.index(cfg.width)] = tracer.track("manager");
+            World {
+                mem: image.build_mem(),
+                dram: Dram::new(timing.dram_latency, timing.dram_word),
+                regions: Regions::new(cfg.region_limits(), cfg.record_paths),
+                timing,
+                stats: Stats::new(),
+                tracer,
+                tracks,
+                prof: ThreadProf::disabled(),
+            }
+        }
+
+        pub(crate) fn outside(&mut self) -> Outside<'_> {
+            Outside {
+                mem: &self.mem,
+                dram: &mut self.dram,
+                regions: &mut self.regions,
+                timing: &self.timing,
+                stats: &mut self.stats,
+                tracer: &mut self.tracer,
+                tracks: &self.tracks,
+                prof: &mut self.prof,
+            }
+        }
+    }
+
+    #[test]
+    fn ring_windows_never_overlap_and_every_cycle_has_one_duty() {
+        let cfg = VirtualArchConfig::paper_default();
+        // A chain of small blocks: the speculation burst keeps every
+        // slave busy, so commits and assigns are in progress while the
+        // next demand lookup and the SMC walk arrive.
+        let mut a = Asm::new(BASE);
+        let mut blocks = Vec::new();
+        for i in 0..40 {
+            blocks.push(a.cur_addr());
+            a.add_ri(Reg::EAX, i);
+            a.test_ri(Reg::EAX, 1);
+            let next = a.label();
+            a.jcc(Cond::Ne, next);
+            a.bind(next);
+        }
+        a.exit_with_eax();
+        let mut w = World::new(&cfg, &GuestImage::from_code(a.finish()));
+        let mut m = Manager::new(&cfg);
+        let mut now = m.smc_walk(Cycle(1), &mut w.outside());
+        for pc in [blocks[0], blocks[7], blocks[30], blocks[0]] {
+            m.drain(now + 1, &mut w.outside());
+            let fetched = m.lookup(pc, now + 2, &mut w.outside());
+            now = fetched.expect("translates").at;
+        }
+        m.drain(Cycle(10_000_000), &mut w.outside());
+
+        let track = w.tracks.tile(cfg.placement.manager);
+        let mut spans: Vec<(u64, u64, &str)> = w
+            .tracer
+            .events()
+            .filter_map(|e| match *e {
+                TraceEvent::Span {
+                    ts,
+                    dur,
+                    track: t,
+                    name,
+                } if t == track => Some((ts, dur, name)),
+                _ => None,
+            })
+            .collect();
+        for duty in ["l2.lookup", "smc.walk", "commit", "assign"] {
+            assert!(spans.iter().any(|s| s.2 == duty), "no {duty} window");
+        }
+        spans.sort_unstable();
+        for pair in spans.windows(2) {
+            let ((a_ts, a_dur, a), (b_ts, _, b)) = (pair[0], pair[1]);
+            assert!(
+                a_ts + a_dur <= b_ts,
+                "{a}@{a_ts}+{a_dur} overlaps {b}@{b_ts}"
+            );
+        }
+        // Every reserved cycle is attributed to exactly one duty: the
+        // windows' total length is the sum of the duty counters.
+        let reserved: u64 = spans.iter().map(|s| s.1).sum();
+        let attributed: u64 = ["service", "dram_wait", "commit", "assign"]
+            .iter()
+            .map(|d| w.stats.get(&format!("manager.{d}_cycles")))
+            .sum();
+        assert_eq!(reserved, attributed);
+    }
+}

@@ -8,7 +8,7 @@
 //! requests, so memory-intensive phases queue — and removing bank tiles
 //! (morphing them into translators) genuinely shrinks L2 capacity.
 
-use vta_raw::{Cache, CacheConfig, Dram, TileId};
+use vta_raw::{net, Cache, CacheConfig, Dram, TileId};
 use vta_sim::{Cycle, Tracer, TrackId};
 
 use crate::timing::Timing;
@@ -155,15 +155,7 @@ impl MemSys {
     ) -> (u64, MemLevel) {
         // Request travels to the MMU tile.
         let mut when = now + t.l1d_hit;
-        tracer.net_msg(
-            when,
-            net_latency(exec, mmu, 1),
-            exec.into(),
-            mmu.into(),
-            1,
-            exec.hops_to(mmu) as u8,
-        );
-        when += net_latency(exec, mmu, 1);
+        when += net::message(tracer, when, exec, mmu, 1);
         when = when.max(self.mmu_next_free);
         let mmu_start = when;
         when += t.mmu_service;
@@ -188,7 +180,7 @@ impl MemSys {
         let (stall, level) = if self.banks.is_empty() {
             // No cache tiles: straight to DRAM.
             let done = dram.access_traced(when, t.line_words, tracer, self.trk_dram, "mem.fill")
-                + net_latency_raw(mmu, exec, t.line_words);
+                + net::cost(mmu, exec, t.line_words);
             self.counts[2] += 1;
             (done - now, MemLevel::Dram)
         } else {
@@ -199,15 +191,7 @@ impl MemSys {
             let idx = (line as usize) % self.banks.len();
             let local = (line / self.banks.len() as u64) << 5;
             let bank_tile = self.banks[idx].tile;
-            tracer.net_msg(
-                when,
-                net_latency(mmu, bank_tile, 1),
-                mmu.into(),
-                bank_tile.into(),
-                1,
-                mmu.hops_to(bank_tile) as u8,
-            );
-            let mut when = when + net_latency(mmu, bank_tile, 1);
+            let mut when = when + net::message(tracer, when, mmu, bank_tile, 1);
             when = when.max(self.banks[idx].next_free);
             let bank_start = when;
             when += t.bank_service;
@@ -229,15 +213,7 @@ impl MemSys {
             self.banks[idx].next_free = when;
             let track = self.banks[idx].track;
             tracer.span(bank_start, when.saturating_since(bank_start), track, "bank");
-            tracer.net_msg(
-                when,
-                net_latency_raw(bank_tile, exec, t.line_words),
-                bank_tile.into(),
-                exec.into(),
-                t.line_words,
-                bank_tile.hops_to(exec) as u8,
-            );
-            let done = when + net_latency_raw(bank_tile, exec, t.line_words);
+            let done = when + net::message(tracer, when, bank_tile, exec, t.line_words);
             (done - now, level)
         };
 
@@ -251,120 +227,64 @@ impl MemSys {
     }
 }
 
-/// One-way network latency: inject + hops + payload + eject.
-fn net_latency(from: TileId, to: TileId, words: u32) -> u64 {
-    net_latency_raw(from, to, words)
-}
-
-fn net_latency_raw(from: TileId, to: TileId, words: u32) -> u64 {
-    vta_raw::net::INJECT_COST
-        + from.hops_to(to) as u64 * vta_raw::net::HOP_COST
-        + words as u64
-        + vta_raw::net::EJECT_COST
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sys() -> (MemSys, Dram, Timing, TileId, TileId) {
-        let t = Timing::default();
-        let m = MemSys::new(&[TileId::new(2, 2), TileId::new(3, 1)], 32 * 1024);
-        let dram = Dram::new(t.dram_latency, t.dram_word);
-        (m, dram, t, TileId::new(1, 1), TileId::new(2, 1))
+    /// A memory system with its DRAM channel and cost table; exec at
+    /// (1,1), MMU at (2,1), untraced.
+    struct Rig {
+        m: MemSys,
+        d: Dram,
+        t: Timing,
+    }
+
+    impl Rig {
+        fn access(&mut self, now: u64, addr: u32, write: bool) -> (u64, MemLevel) {
+            let (now, exec, mmu) = (Cycle(now), TileId::new(1, 1), TileId::new(2, 1));
+            let (d, t, tracer) = (&mut self.d, &self.t, &mut Tracer::disabled());
+            self.m.access(now, addr, write, exec, mmu, d, t, tracer)
+        }
+    }
+
+    fn sys_with(banks: &[TileId]) -> Rig {
+        let (m, t) = (MemSys::new(banks, 32 * 1024), Timing::default());
+        let d = Dram::new(t.dram_latency, t.dram_word);
+        Rig { m, d, t }
+    }
+
+    fn sys() -> Rig {
+        sys_with(&[TileId::new(2, 2), TileId::new(3, 1)])
     }
 
     #[test]
     fn l1_hit_costs_software_translation() {
-        let (mut m, mut d, t, exec, mmu) = sys();
+        let mut r = sys();
         // Prime.
-        m.access(
-            Cycle(0),
-            0x1000,
-            false,
-            exec,
-            mmu,
-            &mut d,
-            &t,
-            &mut Tracer::disabled(),
-        );
-        let (stall, level) = m.access(
-            Cycle(500),
-            0x1000,
-            false,
-            exec,
-            mmu,
-            &mut d,
-            &t,
-            &mut Tracer::disabled(),
-        );
+        r.access(0, 0x1000, false);
+        let (stall, level) = r.access(500, 0x1000, false);
         assert_eq!(level, MemLevel::L1);
-        assert_eq!(stall, t.l1d_hit, "Figure 11: L1 hit occupancy 4");
+        assert_eq!(stall, r.t.l1d_hit, "Figure 11: L1 hit occupancy 4");
     }
 
     #[test]
     fn first_touch_goes_to_dram() {
-        let (mut m, mut d, t, exec, mmu) = sys();
-        let (stall, level) = m.access(
-            Cycle(0),
-            0x4000,
-            false,
-            exec,
-            mmu,
-            &mut d,
-            &t,
-            &mut Tracer::disabled(),
-        );
+        let mut r = sys();
+        let (stall, level) = r.access(0, 0x4000, false);
         assert_eq!(level, MemLevel::Dram);
         assert!(stall > 100, "cold miss ≈ 151 cycles, got {stall}");
     }
 
     #[test]
     fn l2_hit_after_l1_eviction() {
-        let (mut m, mut d, t, exec, mmu) = sys();
+        let mut r = sys();
         // Fill the same L1 set with three conflicting lines (2-way L1,
         // 512 sets × 32B → stride 16 KiB).
-        m.access(
-            Cycle(0),
-            0x0_0000,
-            false,
-            exec,
-            mmu,
-            &mut d,
-            &t,
-            &mut Tracer::disabled(),
-        );
-        m.access(
-            Cycle(1000),
-            0x0_4000,
-            false,
-            exec,
-            mmu,
-            &mut d,
-            &t,
-            &mut Tracer::disabled(),
-        );
-        m.access(
-            Cycle(2000),
-            0x0_8000,
-            false,
-            exec,
-            mmu,
-            &mut d,
-            &t,
-            &mut Tracer::disabled(),
-        );
+        r.access(0, 0x0_0000, false);
+        r.access(1000, 0x0_4000, false);
+        r.access(2000, 0x0_8000, false);
         // First line is now out of L1 but still in its L2 bank.
-        let (stall, level) = m.access(
-            Cycle(9000),
-            0x0_0000,
-            false,
-            exec,
-            mmu,
-            &mut d,
-            &t,
-            &mut Tracer::disabled(),
-        );
+        let (stall, level) = r.access(9000, 0x0_0000, false);
         assert_eq!(level, MemLevel::L2);
         assert!(
             (60..=110).contains(&stall),
@@ -374,103 +294,36 @@ mod tests {
 
     #[test]
     fn bank_contention_queues() {
-        let (mut m, mut d, t, exec, mmu) = sys();
+        let mut r = sys();
         // Two cold misses to the same bank at the same cycle.
-        let (s1, _) = m.access(
-            Cycle(0),
-            0x0_0000,
-            false,
-            exec,
-            mmu,
-            &mut d,
-            &t,
-            &mut Tracer::disabled(),
-        );
-        let (s2, _) = m.access(
-            Cycle(0),
-            0x1_0000,
-            false,
-            exec,
-            mmu,
-            &mut d,
-            &t,
-            &mut Tracer::disabled(),
-        );
+        let (s1, _) = r.access(0, 0x0_0000, false);
+        let (s2, _) = r.access(0, 0x1_0000, false);
         assert!(s2 > s1, "second request queues at MMU/bank: {s1} vs {s2}");
     }
 
     #[test]
     fn removing_banks_loses_capacity() {
-        let (mut m, mut d, t, exec, mmu) = sys();
-        m.access(
-            Cycle(0),
-            0x2_0000,
-            true,
-            exec,
-            mmu,
-            &mut d,
-            &t,
-            &mut Tracer::disabled(),
-        );
-        let removed = m.remove_bank().expect("bank present");
-        assert_eq!(m.banks.len(), 1);
-        let _ = removed;
+        let mut r = sys();
+        r.access(0, 0x2_0000, true);
+        r.m.remove_bank().expect("bank present");
+        assert_eq!(r.m.banks.len(), 1);
         // With one bank gone the address re-homes and must refill.
-        let (_, level) = m.access(
-            Cycle(50_000),
-            0x2_0040,
-            false,
-            exec,
-            mmu,
-            &mut d,
-            &t,
-            &mut Tracer::disabled(),
-        );
+        let (_, level) = r.access(50_000, 0x2_0040, false);
         assert_eq!(level, MemLevel::Dram);
     }
 
     #[test]
     fn tlb_miss_charged_once_per_page() {
-        let (mut m, mut d, t, exec, mmu) = sys();
-        m.access(
-            Cycle(0),
-            0x9_0000,
-            false,
-            exec,
-            mmu,
-            &mut d,
-            &t,
-            &mut Tracer::disabled(),
-        );
-        let before = m.stats()[3];
-        m.access(
-            Cycle(5000),
-            0x9_0100,
-            false,
-            exec,
-            mmu,
-            &mut d,
-            &t,
-            &mut Tracer::disabled(),
-        );
-        assert_eq!(m.stats()[3], before, "same page: no second TLB miss");
+        let mut r = sys();
+        r.access(0, 0x9_0000, false);
+        let before = r.m.stats()[3];
+        r.access(5000, 0x9_0100, false);
+        assert_eq!(r.m.stats()[3], before, "same page: no second TLB miss");
     }
 
     #[test]
     fn zero_banks_straight_to_dram() {
-        let t = Timing::default();
-        let mut m = MemSys::new(&[], 32 * 1024);
-        let mut d = Dram::new(t.dram_latency, t.dram_word);
-        let (_, level) = m.access(
-            Cycle(0),
-            0x1234,
-            false,
-            TileId::new(1, 1),
-            TileId::new(2, 1),
-            &mut d,
-            &t,
-            &mut Tracer::disabled(),
-        );
+        let (_, level) = sys_with(&[]).access(0, 0x1234, false);
         assert_eq!(level, MemLevel::Dram);
     }
 }

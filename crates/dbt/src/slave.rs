@@ -5,8 +5,6 @@
 //! preemption**: a demand miss that arrives while every slave is busy
 //! waits for the first slave to finish — the paper identifies exactly
 //! this as the reason vpr/gcc/crafty run slower with speculation (§4.3).
-//! The optional reserved demand slave implements the fix the paper
-//! proposes.
 //!
 //! **Canonical commit order.** [`SlavePool::pop_done`] releases finished
 //! translations strictly min-keyed by `(done_at, slave index)` — the
@@ -25,8 +23,6 @@ use vta_sim::Cycle;
 pub struct InFlight {
     /// Guest address being translated.
     pub addr: u32,
-    /// Speculation depth it was popped at.
-    pub depth: u8,
     /// Cycle at which the finished block reaches the manager.
     pub done_at: Cycle,
     /// The shape the block was translated under: single block, static
@@ -95,20 +91,9 @@ impl SlavePool {
         self.slaves.is_empty()
     }
 
-    /// Index of an idle slave, if any (lowest index first, so demand
-    /// reservations can pin slave 0).
-    pub fn idle_slave(&self, skip_reserved: usize) -> Option<usize> {
-        self.slaves
-            .iter()
-            .enumerate()
-            .skip(skip_reserved)
-            .find(|(_, s)| s.is_idle())
-            .map(|(i, _)| i)
-    }
-
-    /// Index of the reserved slave if it is idle.
-    pub fn reserved_idle(&self) -> Option<usize> {
-        self.slaves.first().and_then(|s| s.is_idle().then_some(0))
+    /// Index of an idle slave, if any (lowest index first).
+    pub fn idle_slave(&self) -> Option<usize> {
+        self.slaves.iter().position(Slave::is_idle)
     }
 
     /// Mutable access to a slave.
@@ -122,12 +107,9 @@ impl SlavePool {
     }
 
     /// Earliest completion among busy slaves.
-    pub fn earliest_done(&self) -> Option<(usize, Cycle)> {
-        self.slaves
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.current.as_ref().map(|c| (i, c.done_at)))
-            .min_by_key(|&(i, c)| (c, i))
+    pub fn earliest_done(&self) -> Option<Cycle> {
+        let busy = self.slaves.iter().filter_map(|s| s.current.as_ref());
+        busy.map(|c| c.done_at).min()
     }
 
     /// Completions ready at or before `now`, in the canonical commit
@@ -159,24 +141,20 @@ impl SlavePool {
         if self.slaves.len() <= 1 {
             return None;
         }
-        // Prefer retiring an idle slave (from the back: keep slave 0 as
-        // the demand-reserved slot stable).
+        // Prefer retiring an idle slave, from the back.
         if let Some(i) = self.slaves.iter().rposition(Slave::is_idle) {
             let s = self.slaves.remove(i);
             return Some((s.tile, now));
         }
-        let (i, done) = self
+        let (i, free_at) = self
             .slaves
             .iter()
             .enumerate()
             .map(|(i, s)| (i, s.current.as_ref().expect("all busy").done_at))
             .max_by_key(|&(_, c)| c)?;
-        let _ = done;
-        let s = self.slaves.remove(i);
-        let free_at = s.current.as_ref().expect("busy").done_at;
         // The in-flight work is abandoned (it will be re-requested if
         // actually needed).
-        Some((s.tile, free_at))
+        Some((self.slaves.remove(i).tile, free_at))
     }
 
     /// Sum of per-slave busy cycles.
@@ -220,7 +198,6 @@ mod tests {
     fn flight(addr: u32, done: u64) -> InFlight {
         InFlight {
             addr,
-            depth: 0,
             done_at: Cycle(done),
             shape: RegionShape::Single,
             cancelled: false,
@@ -229,12 +206,14 @@ mod tests {
     }
 
     #[test]
-    fn idle_selection_skips_reserved() {
+    fn idle_selection_is_lowest_index_first() {
         let mut pool = SlavePool::new(&[t(0), t(1), t(2)]);
-        assert_eq!(pool.idle_slave(0), Some(0));
-        assert_eq!(pool.idle_slave(1), Some(1));
-        pool.slave_mut(1).current = Some(flight(0x10, 100));
-        assert_eq!(pool.idle_slave(1), Some(2));
+        assert_eq!(pool.idle_slave(), Some(0));
+        pool.slave_mut(0).current = Some(flight(0x10, 100));
+        pool.slave_mut(1).current = Some(flight(0x14, 100));
+        assert_eq!(pool.idle_slave(), Some(2));
+        pool.slave_mut(2).current = Some(flight(0x18, 100));
+        assert_eq!(pool.idle_slave(), None);
     }
 
     #[test]
@@ -242,7 +221,7 @@ mod tests {
         let mut pool = SlavePool::new(&[t(0), t(1)]);
         pool.slave_mut(0).current = Some(flight(0xA, 200));
         pool.slave_mut(1).current = Some(flight(0xB, 100));
-        assert_eq!(pool.earliest_done(), Some((1, Cycle(100))));
+        assert_eq!(pool.earliest_done(), Some(Cycle(100)));
         assert!(pool.pop_done(Cycle(99)).is_none());
         let (i, f) = pool.pop_done(Cycle(300)).expect("ready");
         assert_eq!((i, f.addr), (1, 0xB));

@@ -28,9 +28,7 @@ pub struct SpecQueues {
     /// The live `(depth, generation)` of every pending address.
     live: HashMap<u32, (u8, u64)>,
     next_gen: u64,
-    max_depth: u8,
     pushes: u64,
-    promotions: u64,
 }
 
 impl SpecQueues {
@@ -40,9 +38,7 @@ impl SpecQueues {
             queues: vec![VecDeque::new(); max_depth as usize + 1],
             live: HashMap::new(),
             next_gen: 0,
-            max_depth,
             pushes: 0,
-            promotions: 0,
         }
     }
 
@@ -53,15 +49,13 @@ impl SpecQueues {
     /// accepted* addresses — duplicates and promotions do not increment it
     /// (a promotion is the same pending request changing priority, not new
     /// work; this is what feeds the `spec.pushes` run counter).
-    /// Promotions are counted separately by [`SpecQueues::promotions`].
     pub fn push(&mut self, addr: u32, depth: u8) {
-        let depth = depth.min(self.max_depth);
+        let depth = depth.min((self.queues.len() - 1) as u8);
         if let Some(&(cur_depth, _)) = self.live.get(&addr) {
             if depth < cur_depth {
                 self.next_gen += 1;
                 self.live.insert(addr, (depth, self.next_gen));
                 self.queues[depth as usize].push_back((addr, self.next_gen));
-                self.promotions += 1;
             }
             return;
         }
@@ -72,7 +66,7 @@ impl SpecQueues {
     }
 
     /// Pops the highest-priority pending address, skipping tombstones left
-    /// behind by promotions and removals.
+    /// behind by promotions.
     pub fn pop(&mut self) -> Option<(u32, u8)> {
         for d in 0..self.queues.len() {
             while let Some((addr, gen)) = self.queues[d].pop_front() {
@@ -85,12 +79,6 @@ impl SpecQueues {
         None
     }
 
-    /// Removes a specific address (e.g. it was translated on demand); its
-    /// queue entry becomes a tombstone.
-    pub fn remove(&mut self, addr: u32) {
-        self.live.remove(&addr);
-    }
-
     /// Total pending entries (the morph manager's reconfiguration metric).
     pub fn len(&self) -> usize {
         self.live.len()
@@ -101,20 +89,10 @@ impl SpecQueues {
         self.live.is_empty()
     }
 
-    /// Whether `addr` is pending.
-    pub fn contains(&self, addr: u32) -> bool {
-        self.live.contains_key(&addr)
-    }
-
     /// Distinct addresses accepted (promotions and duplicates excluded;
     /// see [`SpecQueues::push`]).
     pub fn pushes(&self) -> u64 {
         self.pushes
-    }
-
-    /// Pending addresses re-pushed at a shallower depth.
-    pub fn promotions(&self) -> u64 {
-        self.promotions
     }
 
     /// Live entries per speculation depth, index 0..=max_depth (a
@@ -125,19 +103,6 @@ impl SpecQueues {
             lens[depth as usize] += 1;
         }
         lens
-    }
-
-    /// Drops all speculative work (used when morphing shrinks the pool).
-    pub fn clear_speculative(&mut self, keep_depth: u8) {
-        for d in (keep_depth as usize + 1)..self.queues.len() {
-            while let Some((addr, gen)) = self.queues[d].pop_front() {
-                // Only the live entry kills the address: a tombstone here
-                // may shadow a promoted copy in a shallower queue.
-                if self.live.get(&addr) == Some(&(d as u8, gen)) {
-                    self.live.remove(&addr);
-                }
-            }
-        }
     }
 }
 
@@ -182,28 +147,9 @@ mod tests {
         let mut q = SpecQueues::new(2);
         q.push(0x10, 7);
         assert_eq!(q.pop(), Some((0x10, 2)));
-    }
-
-    #[test]
-    fn remove_specific() {
-        let mut q = SpecQueues::new(2);
-        q.push(0x10, 1);
-        q.push(0x20, 1);
-        q.remove(0x10);
-        assert_eq!(q.len(), 1);
-        assert!(!q.contains(0x10));
-        assert_eq!(q.pop(), Some((0x20, 1)));
-    }
-
-    #[test]
-    fn clear_speculative_keeps_demand() {
-        let mut q = SpecQueues::new(4);
-        q.push(0x00, 0);
-        q.push(0x10, 2);
-        q.push(0x20, 4);
-        q.clear_speculative(0);
-        assert_eq!(q.len(), 1);
-        assert!(q.contains(0x00));
+        let mut deepest = SpecQueues::new(u8::MAX);
+        deepest.push(0x10, u8::MAX);
+        assert_eq!(deepest.pop(), Some((0x10, u8::MAX)));
     }
 
     #[test]
@@ -214,7 +160,6 @@ mod tests {
         q.push(0x10, 1); // promotion
         q.push(0x20, 0);
         assert_eq!(q.pushes(), 2, "only newly accepted addresses count");
-        assert_eq!(q.promotions(), 1);
         // Re-pushing after a pop is a new acceptance.
         assert_eq!(q.pop(), Some((0x20, 0)));
         q.push(0x20, 2);
@@ -262,30 +207,6 @@ mod tests {
         q.push(0x10, 2); // fresh entry behind 0x30, at the tombstone depth
         assert_eq!(q.pop(), Some((0x30, 2)), "FIFO within a depth");
         assert_eq!(q.pop(), Some((0x10, 2)));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn remove_leaves_tombstone_invisible_to_pop() {
-        let mut q = SpecQueues::new(2);
-        q.push(0x10, 1);
-        q.push(0x20, 1);
-        q.remove(0x10);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((0x20, 1)));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn clear_speculative_spares_promoted_copies() {
-        let mut q = SpecQueues::new(4);
-        q.push(0x10, 3);
-        q.push(0x10, 0); // promoted out of the speculative range
-        q.push(0x20, 3);
-        q.clear_speculative(1);
-        assert!(q.contains(0x10), "promoted copy lives at depth 0");
-        assert!(!q.contains(0x20));
-        assert_eq!(q.pop(), Some((0x10, 0)));
         assert_eq!(q.pop(), None);
     }
 

@@ -1,36 +1,32 @@
 //! The whole virtual machine: tile roles wired together and run.
 //!
-//! The runtime-execution tile drives simulated time. Translation slaves
-//! live on their own timelines; the manager "catches up" their
-//! completions whenever the execution tile interacts with it, which keeps
-//! the simulation fast, deterministic, and faithful to the overlap the
-//! paper exploits: translation proceeds in the background while the
-//! execution tile runs already-translated code.
+//! The runtime-execution tile drives simulated time: [`System::run`] is
+//! its dispatch loop. Every other tile keeps its own state and its own
+//! clock and is reached through one seam — the code-cache hierarchy
+//! ([`crate::codecache`]) for a block to run, the manager
+//! ([`crate::manager`]) behind it, the region records
+//! ([`crate::regions`]) once per block exit, the memory system
+//! ([`crate::memsys`]) for every guest load and store.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use vta_ir::mir::Term;
-use vta_ir::{
-    apply_helper, translate_region, translate_region_along, RegionLimits, RegionShape, TBlock,
-    TranslateError,
-};
+use vta_ir::{apply_helper, TBlock, TranslateError};
 use vta_raw::exec::{run_block, BlockExit, CoreState, DataPort, Fault};
 use vta_raw::isa::{HelperKind, MemOp, RReg};
-use vta_raw::{Dram, TileId};
+use vta_raw::{net, Dram, TileId};
 use vta_sim::{
     Ctr, Cycle, GaugeId, Metrics, MetricsConfig, ProfConfig, ProfileReport, Profiler, Stats,
-    ThreadProf, TraceConfig, Tracer, TrackId,
+    ThreadProf, TraceConfig, Tracer,
 };
 use vta_x86::{GuestImage, GuestMem, SysState, SyscallResult};
 
-use crate::codecache::{BlockHandle, L15Bank, L1Code, L2Code};
+use crate::codecache::{BlockHandle, CodeHierarchy};
 use crate::config::VirtualArchConfig;
+use crate::manager::{Duty, Manager, Outside, Tracks};
 use crate::memsys::MemSys;
 use crate::morph::{MorphAction, MorphManager};
+use crate::regions::Regions;
 use crate::shared::SharedTranslations;
-use crate::slave::{InFlight, SlavePool};
-use crate::specq::{SpecQueues, RETURN_DEPTH};
 use crate::timing::Timing;
 
 /// Host register holding guest `EAX` (fixed mapping).
@@ -102,7 +98,9 @@ impl std::fmt::Display for SystemError {
 
 impl std::error::Error for SystemError {}
 
-/// The executing virtual machine.
+/// The executing virtual machine: the runtime-execution tile — its
+/// dispatch loop, syscall proxying, chaining — wired to the other tiles
+/// of Figure 3, each of which owns its own state.
 pub struct System {
     cfg: VirtualArchConfig,
     timing: Timing,
@@ -111,70 +109,26 @@ pub struct System {
     sys: SysState,
     state: CoreState,
     pc: u32,
-    l1: L1Code,
     /// Arena handle for the block at `pc`, when the previous block
     /// chained straight to it (no L1 lookup needed on the fast path).
     cur_handle: Option<BlockHandle>,
-    l15: Vec<L15Bank>,
-    l15_next_free: Vec<Cycle>,
-    l2code: L2Code,
-    queues: SpecQueues,
-    pool: SlavePool,
+    guest_insns: u64,
+    /// L1 code cache and the L1.5 bank tiles.
+    code: CodeHierarchy,
+    /// The manager / L2 code cache tile and its translation slaves.
+    manager: Manager,
+    /// Superblock region roots and the path recorder.
+    regions: Regions,
+    /// MMU tile and L2 data bank tiles.
     memsys: MemSys,
     dram: Dram,
-    /// The manager tile's service ring: the next cycle its software
-    /// loop is free. Demand lookups, commits, assignments and SMC walks
-    /// each reserve it from `max(arrival, manager_next_free)` and store
-    /// the end of their window back, so no two overlap.
-    manager_next_free: Cycle,
     morph: Option<MorphManager>,
     stats: Stats,
-    guest_insns: u64,
-    /// Pages containing translated guest code (SMC detection).
-    code_pages: HashSet<u32>,
-    /// Map page → translated block addresses (for invalidation).
-    page_blocks: HashMap<u32, Vec<u32>>,
-    /// Addresses whose translation failed (speculation into data).
-    failed: HashSet<u32>,
-    /// Addresses promoted to superblock-region translation: loop-backedge
-    /// targets and capped-region continuations observed at dispatch. All
-    /// other translations stay single-block, so regions cover only the
-    /// measured hot path. The trigger is architectural (which branches
-    /// executed), never host timing, so promotion is deterministic.
-    promoted: HashSet<u32>,
-    /// Promoted addresses whose region translation has not committed
-    /// yet. The resident single-block translation keeps executing while
-    /// the region forms in the background; the commit swaps it in.
-    region_pending: HashSet<u32>,
-    /// Completed path recordings, keyed by region root: the successor
-    /// the recording pass observed at each block exit, in execution
-    /// order. The list *is* the root's region shape — it keys the
-    /// shared memo and drives `translate_region_along`.
-    recorded: HashMap<u32, Arc<[u32]>>,
-    /// The at-most-one active recording pass (see `record_step`). One
-    /// at a time because a recording is a run of *consecutive* block
-    /// exits; interleaving two would split both.
-    recorder: Option<Recording>,
-    /// Promoted roots waiting for the recorder: recording starts the
-    /// next time execution enters one of them single-block.
-    armed: Vec<u32>,
-    /// Per-root entry / first-junction-exit counters driving demotion
-    /// of regions whose recorded path stopped holding.
-    exit_stats: HashMap<u32, RegionExitStats>,
-    /// Roots that have spent their one re-recording.
-    re_recorded: HashSet<u32>,
-    /// Roots demoted back to single-block translation for good.
-    pinned: HashSet<u32>,
-    /// Optional cross-system translation memo (sweeps).
-    shared: Option<Arc<SharedTranslations>>,
     /// Cycle-accurate event recorder (disabled unless
     /// [`System::enable_tracing`] is called; recording never changes
     /// simulated time).
     tracer: Tracer,
-    /// Synthetic trace tracks (DRAM channel, queue-depth counter, morph).
-    trk: Trk,
-    /// Trace track per grid tile, indexed by `TileId::index(width)`.
-    tile_tracks: Vec<TrackId>,
+    tracks: Tracks,
     /// Windowed metrics recorder (disabled unless
     /// [`System::enable_metrics`] is called; sampling never changes
     /// simulated time).
@@ -204,34 +158,6 @@ struct Gauges {
     l2_banks: GaugeId,
 }
 
-/// One recording pass in progress: the promoted root it started at and
-/// the successors observed so far.
-#[derive(Debug, Clone)]
-struct Recording {
-    root: u32,
-    path: Vec<u32>,
-}
-
-/// How a recorded region's entries have been leaving it.
-#[derive(Debug, Clone, Copy, Default)]
-struct RegionExitStats {
-    /// Times the region was entered.
-    entries: u64,
-    /// Times it exited at the *first* junction (no member boundary
-    /// crossed) — the signature of a recorded path that no longer holds
-    /// at all.
-    first_exits: u64,
-}
-
-/// Track ids for the non-tile trace timelines.
-#[derive(Debug, Clone, Copy, Default)]
-struct Trk {
-    exec: TrackId,
-    dram: TrackId,
-    qdepth: TrackId,
-    morph: TrackId,
-}
-
 impl System {
     /// Boots `image` under the given virtual architecture.
     pub fn new(cfg: VirtualArchConfig, image: &GuestImage) -> System {
@@ -245,12 +171,6 @@ impl System {
         sys.set_input(image.input.clone());
         let mut state = CoreState::new();
         state.set(R_ESP, image.initial_esp());
-        let l15 = cfg
-            .placement
-            .l15_banks
-            .iter()
-            .map(|_| L15Bank::new(cfg.l15_bank_bytes))
-            .collect::<Vec<_>>();
         let min_banks = 1;
         let max_banks = cfg.placement.l2_banks.len();
         System {
@@ -259,36 +179,19 @@ impl System {
             sys,
             state,
             pc: image.entry,
-            l1: L1Code::new(cfg.l1_code_bytes),
             cur_handle: None,
-            l15_next_free: vec![Cycle::ZERO; l15.len()],
-            l15,
-            l2code: L2Code::new(cfg.l2_code_bytes),
-            queues: SpecQueues::new(cfg.max_spec_depth),
-            pool: SlavePool::new(&cfg.placement.slaves),
+            guest_insns: 0,
+            code: CodeHierarchy::new(&cfg),
+            manager: Manager::new(&cfg),
+            regions: Regions::new(cfg.region_limits(), cfg.record_paths),
             memsys: MemSys::new(&cfg.placement.l2_banks, cfg.l2_bank_bytes),
             dram: Dram::new(timing.dram_latency, timing.dram_word),
-            manager_next_free: Cycle::ZERO,
             morph: cfg
                 .morph
                 .map(|m| MorphManager::new(m, min_banks, max_banks.max(min_banks))),
             stats: Stats::new(),
-            guest_insns: 0,
-            code_pages: HashSet::new(),
-            page_blocks: HashMap::new(),
-            failed: HashSet::new(),
-            promoted: HashSet::new(),
-            region_pending: HashSet::new(),
-            recorded: HashMap::new(),
-            recorder: None,
-            armed: Vec::new(),
-            exit_stats: HashMap::new(),
-            re_recorded: HashSet::new(),
-            pinned: HashSet::new(),
-            shared: None,
             tracer: Tracer::disabled(),
-            trk: Trk::default(),
-            tile_tracks: Vec::new(),
+            tracks: Tracks::default(),
             metrics: Metrics::disabled(),
             gauges: Gauges::default(),
             profiler: Profiler::disabled(),
@@ -306,45 +209,40 @@ impl System {
     /// simulated cycle counts are bit-identical with it on or off.
     pub fn enable_tracing(&mut self, tcfg: TraceConfig) {
         self.tracer = Tracer::new(tcfg);
-        let p = self.cfg.placement.clone();
-        let n = self.cfg.width as usize * self.cfg.height as usize;
+        let p = &self.cfg.placement;
+        let width = self.cfg.width;
+        let n = width as usize * self.cfg.height as usize;
         let mut roles: Vec<Option<&'static str>> = vec![None; n];
-        let set = |roles: &mut Vec<Option<&'static str>>, t: TileId, role: &'static str| {
-            let slot = &mut roles[t.index(self.cfg.width)];
-            if slot.is_none() {
-                *slot = Some(role);
-            }
+        let mut set = |t: TileId, role: &'static str| {
+            roles[t.index(width)].get_or_insert(role);
         };
-        set(&mut roles, p.exec, "exec");
-        set(&mut roles, p.mmu, "mmu");
-        set(&mut roles, p.manager, "manager");
-        set(&mut roles, p.syscall, "syscall");
-        for &t in &p.l15_banks {
-            set(&mut roles, t, "l15");
-        }
-        for bank in &self.memsys.banks {
-            set(&mut roles, bank.tile, "l2bank");
-        }
-        for i in 0..self.pool.len() {
-            set(&mut roles, self.pool.slave(i).tile, "slave");
-        }
-        self.tile_tracks = TileId::all(self.cfg.width, self.cfg.height)
+        set(p.exec, "exec");
+        set(p.mmu, "mmu");
+        set(p.manager, "manager");
+        set(p.syscall, "syscall");
+        p.l15_banks.iter().for_each(|&t| set(t, "l15"));
+        self.memsys.banks.iter().for_each(|b| set(b.tile, "l2bank"));
+        let slaves = self.manager.slaves();
+        (0..slaves.len()).for_each(|i| set(slaves.slave(i).tile, "slave"));
+        let tiles = TileId::all(width, self.cfg.height)
             .map(|t| {
-                let role = roles[t.index(self.cfg.width)].unwrap_or("idle");
+                let role = roles[t.index(width)].unwrap_or("idle");
                 self.tracer.track(&format!("tile({},{}) {role}", t.x, t.y))
             })
             .collect();
-        self.trk = Trk {
-            exec: self.ttrack(p.exec),
+        self.tracks = Tracks {
+            width,
+            tiles,
             dram: self.tracer.track("dram"),
             qdepth: self.tracer.track("specq.depth"),
             morph: self.tracer.track("morph"),
+            ..Tracks::default()
         };
-        self.memsys.trk_mmu = self.ttrack(p.mmu);
-        self.memsys.trk_dram = self.trk.dram;
-        for i in 0..self.memsys.banks.len() {
-            self.memsys.banks[i].track =
-                self.tile_tracks[self.memsys.banks[i].tile.index(self.cfg.width)];
+        self.tracks.exec = self.tracks.tile(p.exec);
+        self.memsys.trk_mmu = self.tracks.tile(p.mmu);
+        self.memsys.trk_dram = self.tracks.dram;
+        for bank in &mut self.memsys.banks {
+            bank.track = self.tracks.tile(bank.tile);
         }
     }
 
@@ -423,59 +321,58 @@ impl System {
         report
     }
 
-    /// A full interned-counter snapshot at the current simulated time,
-    /// mirroring the end-of-run `set_ctr` block in [`System::run`]: the
-    /// bump-maintained counters read straight out of `stats`, while the
-    /// set-at-end ones are computed live so mid-run windows see exactly
-    /// the values `finish` will reconcile against.
-    fn metrics_snapshot(&self) -> [u64; Ctr::COUNT] {
-        let mut s = [0u64; Ctr::COUNT];
-        for &c in Ctr::ALL.iter() {
-            s[c as usize] = self.stats.get_ctr(c);
-        }
-        s[Ctr::Cycles as usize] = self.now.as_u64();
-        s[Ctr::GuestInsns as usize] = self.guest_insns;
+    /// The counters their owners keep (set, not bumped), as of now. The
+    /// end of [`System::run`] stores exactly these and mid-run metrics
+    /// windows read them live, so the windowed sums telescope to them.
+    fn owned_counters(&self) -> impl Iterator<Item = (Ctr, u64)> {
         let mem = self.memsys.stats();
-        s[Ctr::MemL1Hit as usize] = mem[0];
-        s[Ctr::MemL2Hit as usize] = mem[1];
-        s[Ctr::MemDram as usize] = mem[2];
-        s[Ctr::MemTlbMiss as usize] = mem[3];
-        s[Ctr::L1CodeFlushes as usize] = self.l1.flushes();
-        s[Ctr::TranslateBlocks as usize] = self.pool.total_completed();
-        s[Ctr::TranslateBusyCycles as usize] = self.pool.total_busy();
-        s[Ctr::SpecPushes as usize] = self.queues.pushes();
-        if let Some(m) = &self.morph {
-            s[Ctr::MorphReconfigs as usize] = m.reconfigs;
-        }
-        s
+        let slaves = self.manager.slaves();
+        [
+            (Ctr::Cycles, self.now.as_u64()),
+            (Ctr::GuestInsns, self.guest_insns),
+            (Ctr::MemL1Hit, mem[0]),
+            (Ctr::MemL2Hit, mem[1]),
+            (Ctr::MemDram, mem[2]),
+            (Ctr::MemTlbMiss, mem[3]),
+            (Ctr::L1CodeFlushes, self.code.l1().flushes()),
+            (Ctr::TranslateBlocks, slaves.total_completed()),
+            (Ctr::TranslateBusyCycles, slaves.total_busy()),
+            (Ctr::SpecPushes, self.manager.queues().pushes()),
+        ]
+        .into_iter()
+        .chain(
+            self.morph
+                .as_ref()
+                .map(|m| (Ctr::MorphReconfigs, m.reconfigs)),
+        )
     }
 
-    /// One sample per registered gauge, placed by gauge id.
-    fn gauge_sample(&self) -> Vec<u64> {
-        let mut v = vec![0u64; self.metrics.gauge_count()];
-        if v.is_empty() {
-            return v;
+    /// Hands the metrics recorder a full interned-counter snapshot (the
+    /// bumped counters out of `stats`, the owned ones live) and a sample
+    /// per gauge: closes the windows due, or with `last` the final one.
+    fn sample_metrics(&mut self, last: bool) {
+        let mut snap = [0u64; Ctr::COUNT];
+        for &c in Ctr::ALL.iter() {
+            snap[c as usize] = self.stats.get_ctr(c);
         }
-        v[self.gauges.specq.0 as usize] = self.queues.len() as u64;
-        for (g, len) in self
-            .gauges
-            .specq_depths
-            .iter()
-            .zip(self.queues.depth_lens())
-        {
-            v[g.0 as usize] = len as u64;
+        for (c, v) in self.owned_counters() {
+            snap[c as usize] = v;
         }
-        v[self.gauges.translators.0 as usize] = self.pool.len() as u64;
-        v[self.gauges.l2_banks.0 as usize] = self.memsys.banks.len() as u64;
-        v
-    }
-
-    /// Trace track of `tile` (default id when tracing is disabled).
-    fn ttrack(&self, tile: TileId) -> TrackId {
-        self.tile_tracks
-            .get(tile.index(self.cfg.width))
-            .copied()
-            .unwrap_or_default()
+        let mut gauges = vec![0u64; self.metrics.gauge_count()];
+        if !gauges.is_empty() {
+            let (g, queues) = (&self.gauges, self.manager.queues());
+            gauges[g.specq.0 as usize] = queues.len() as u64;
+            for (id, len) in g.specq_depths.iter().zip(queues.depth_lens()) {
+                gauges[id.0 as usize] = len as u64;
+            }
+            gauges[g.translators.0 as usize] = self.manager.slaves().len() as u64;
+            gauges[g.l2_banks.0 as usize] = self.memsys.banks.len() as u64;
+        }
+        if last {
+            self.metrics.finish(self.now, &snap, &gauges);
+        } else {
+            self.metrics.sample(self.now, &snap, &gauges);
+        }
     }
 
     /// Attaches a cross-system translation memo (see
@@ -483,197 +380,24 @@ impl System {
     /// limits differ from this system's. Purely a host-side accelerator:
     /// simulated cycle counts are identical with or without it.
     pub fn attach_shared(&mut self, shared: Arc<SharedTranslations>) {
-        if shared.opt() == self.cfg.opt && shared.limits() == self.cfg.region_limits() {
-            self.shared = Some(shared);
-        }
+        self.manager.attach_shared(shared);
     }
 
-    /// The translation shape for `pc`: a recorded-path region once a
-    /// recording has completed for a promoted address, the statically
-    /// predicted region when path recording is off, and a single basic
-    /// block otherwise — including while a recording is still in
-    /// progress, and for roots demoted back to single.
-    fn shape_for(&self, pc: u32) -> RegionShape {
-        if self.cfg.region_limits().max_blocks > 1
-            && self.promoted.contains(&pc)
-            && !self.pinned.contains(&pc)
-        {
-            if self.cfg.record_paths {
-                match self.recorded.get(&pc) {
-                    Some(path) => RegionShape::Recorded(Arc::clone(path)),
-                    None => RegionShape::Single,
-                }
-            } else {
-                RegionShape::Static
-            }
-        } else {
-            RegionShape::Single
-        }
-    }
-
-    /// Promotes `pc` to region shape: future translations root a
-    /// superblock there. The resident single-block translation stays
-    /// live — the execution tile never stalls on a promotion. Under
-    /// path recording the promotion first arms a recording pass; the
-    /// region build is queued when the recording completes. Otherwise
-    /// the statically predicted region is queued right away, at high
-    /// speculative priority; its commit swaps out the single at every
-    /// cache level. SMC revocation leaves the promotion in place, so
-    /// post-invalidation demand retranslation is region-shaped again.
-    fn promote(&mut self, pc: u32) {
-        self.promoted.insert(pc);
-        self.stats.bump_ctr(Ctr::SuperblockPromotions);
-        if self.cfg.record_paths {
-            self.armed.push(pc);
-        } else {
-            self.region_pending.insert(pc);
-            self.queues.push(pc, 1);
-        }
-    }
-
-    /// One step of the active recording pass: logs the successor the
-    /// block that just executed actually took. The recording finishes
-    /// at the loop-closing backedge (the successor is the root), at an
-    /// unknowable continuation (syscall / halt / fault), at the region
-    /// formation cap, or when a resident superblock runs — its exit is
-    /// a region exit, not a single-block junction, so the path has a
-    /// gap there.
-    fn record_step(&mut self, block: &TBlock, exit: BlockExit) {
-        let max_blocks = self.cfg.region_limits().max_blocks;
-        let rec = self.recorder.as_mut().expect("recording active");
-        let done = if block.ranges.len() > 1 {
-            true
-        } else {
-            match exit.successor() {
-                Some(t) if t != rec.root => {
-                    rec.path.push(t);
-                    rec.path.len() as u32 >= max_blocks
-                }
-                _ => true,
-            }
+    /// The other tiles, each with what it may touch of the rest of the
+    /// machine for one call.
+    #[inline]
+    fn tiles(&mut self) -> (&mut CodeHierarchy, &mut Manager, Outside<'_>) {
+        let out = Outside {
+            mem: &self.mem,
+            dram: &mut self.dram,
+            regions: &mut self.regions,
+            timing: &self.timing,
+            stats: &mut self.stats,
+            tracer: &mut self.tracer,
+            tracks: &self.tracks,
+            prof: &mut self.prof_thread,
         };
-        if done {
-            self.finish_recording();
-        }
-    }
-
-    /// Completes the active recording. A non-empty path becomes the
-    /// root's region shape and the region build is queued; an empty one
-    /// (the root halts, syscalls, or immediately loops onto itself)
-    /// pins the root single-block — there is nothing to form along.
-    fn finish_recording(&mut self) {
-        let rec = self.recorder.take().expect("recording active");
-        if rec.path.is_empty() {
-            self.pinned.insert(rec.root);
-            return;
-        }
-        self.recorded.insert(rec.root, Arc::from(rec.path));
-        self.region_pending.insert(rec.root);
-        self.queues.push(rec.root, 1);
-    }
-
-    /// Counts an entry into a recorded region. Both counters are halved
-    /// once 128 entries accumulate, so the demotion rate tracks a
-    /// sliding window of roughly the last 64–128 entries — a region
-    /// that served a long phase well must still demote promptly when
-    /// the program moves on and its path stops holding.
-    fn note_region_entry(&mut self, root: u32) {
-        let e = self.exit_stats.entry(root).or_default();
-        e.entries += 1;
-        if e.entries >= 128 {
-            e.entries /= 2;
-            e.first_exits /= 2;
-        }
-    }
-
-    /// Notes a recorded region leaving through its *first* junction —
-    /// before any member boundary was crossed. A path whose very first
-    /// step stops holding makes the region pure overhead (a region
-    /// built toward the historically-hottest target instead of the
-    /// recorded one measured ~99% here on call-heavy code), so a root
-    /// whose first-junction-exit rate crosses 3/4 over at least 64
-    /// entries is demoted. Occasional side exits *deeper* in the
-    /// region — a data-dependent branch taking its cold arm now and
-    /// then — never demote: the entry fee was already amortized by the
-    /// members that did retire.
-    fn note_first_junction_exit(&mut self, root: u32) {
-        let e = self.exit_stats.entry(root).or_default();
-        e.first_exits += 1;
-        if e.entries >= 64 && e.first_exits * 4 > e.entries * 3 {
-            self.demote_region(root);
-        }
-    }
-
-    /// Demotes the recorded region rooted at `root`: tears it down at
-    /// every cache level (demand retranslation sees the root
-    /// single-block while no recording is stored) and discards the
-    /// recording. The first demotion re-arms the recorder for one more
-    /// pass — the program may simply have moved to a new phase; a
-    /// second demotion pins the root single-block for good.
-    fn demote_region(&mut self, root: u32) {
-        self.l1.invalidate(root);
-        for bank in &mut self.l15 {
-            bank.invalidate(root);
-        }
-        self.l2code.invalidate(root);
-        self.recorded.remove(&root);
-        self.exit_stats.remove(&root);
-        self.region_pending.remove(&root);
-        if self.re_recorded.insert(root) {
-            self.stats.bump_ctr(Ctr::SuperblockReRecorded);
-            self.armed.push(root);
-        } else {
-            self.pinned.insert(root);
-            self.stats.bump_ctr(Ctr::SuperblockDemoted);
-        }
-    }
-
-    /// Translates `pc` at the configured opt level under `shape` — a
-    /// single basic block, the statically predicted region, or a region
-    /// along a recorded path — consulting and feeding the shared memo
-    /// when one is attached. The memo validates the live guest bytes
-    /// and is keyed by the full shape (a recorded shape carries its
-    /// path), so a hit is byte-for-byte what a fresh translation would
-    /// produce.
-    fn translate_at(
-        &mut self,
-        pc: u32,
-        shape: &RegionShape,
-    ) -> Result<Arc<TBlock>, TranslateError> {
-        // Host profile phase: translation work on the run thread (memo
-        // consult plus the inline build on a miss).
-        // Reading the host clock never changes simulated state.
-        self.prof_thread.enter("run.translate");
-        let r = self.translate_at_inner(pc, shape);
-        self.prof_thread.exit();
-        r
-    }
-
-    fn translate_at_inner(
-        &mut self,
-        pc: u32,
-        shape: &RegionShape,
-    ) -> Result<Arc<TBlock>, TranslateError> {
-        let limits = if shape.is_region() {
-            self.cfg.region_limits()
-        } else {
-            RegionLimits::single()
-        };
-        if let Some(sh) = &self.shared {
-            if let Some(b) = sh.consult(&self.mem, pc, shape) {
-                return Ok(b);
-            }
-        }
-        let b = Arc::new(match shape {
-            RegionShape::Recorded(path) => {
-                translate_region_along(&self.mem, pc, self.cfg.opt, &limits, path)?
-            }
-            _ => translate_region(&self.mem, pc, self.cfg.opt, &limits)?,
-        });
-        if let Some(sh) = &self.shared {
-            sh.publish(&self.mem, &b, shape);
-        }
-        Ok(b)
+        (&mut self.code, &mut self.manager, out)
     }
 
     /// Runs the guest until exit/halt/fault or `max_guest_insns`.
@@ -695,50 +419,44 @@ impl System {
             // the arena handle — no address-table probe. A stale handle
             // (flush/SMC since) fails its generation check and falls
             // back to the full fetch path.
-            let (block, handle) = match self.cur_handle.take() {
-                Some(h) => match self.l1.handle_block(h) {
-                    Some(b) => {
-                        self.stats.bump_ctr(Ctr::L1CodeHit);
-                        (Arc::clone(b), Some(h))
-                    }
-                    None => self.fetch_block(pc)?,
-                },
+            let chained = self
+                .cur_handle
+                .take()
+                .and_then(|h| Some((Arc::clone(self.code.l1().handle_block(h)?), Some(h))));
+            let (block, handle) = match chained {
+                Some(hit) => {
+                    self.stats.bump_ctr(Ctr::L1CodeHit);
+                    hit
+                }
                 None => self.fetch_block(pc)?,
             };
 
             // Execute the block on the execution tile.
             let mut smc = Vec::new();
-            let block_start = self.now;
-            let outcome = {
-                let mut port = ExecPort {
-                    mem: &mut self.mem,
-                    memsys: &mut self.memsys,
-                    dram: &mut self.dram,
-                    timing: &self.timing,
-                    exec: self.cfg.placement.exec,
-                    mmu: self.cfg.placement.mmu,
-                    now: self.now,
-                    code_pages: &self.code_pages,
-                    smc: &mut smc,
-                    tracer: &mut self.tracer,
-                };
-                run_block(&mut self.state, &block.code, &mut port, 50_000_000)
+            let mut port = ExecPort {
+                mem: &mut self.mem,
+                memsys: &mut self.memsys,
+                dram: &mut self.dram,
+                timing: &self.timing,
+                exec: self.cfg.placement.exec,
+                mmu: self.cfg.placement.mmu,
+                now: self.now,
+                manager: &self.manager,
+                smc: &mut smc,
+                tracer: &mut self.tracer,
             };
-            self.now += outcome.cycles;
+            let outcome = run_block(&mut self.state, &block.code, &mut port, 50_000_000);
             self.tracer
-                .span(block_start, outcome.cycles, self.trk.exec, "block");
+                .span(self.now, outcome.cycles, self.tracks.exec, "block");
+            self.now += outcome.cycles;
             // Retired guest instructions: a side exit (or firing SMC
             // guard) after `g` crossed member boundaries retired only
             // members 0..=g; a full run retired the whole region.
-            let retired = if block.ranges.len() <= 1 {
+            let g = outcome.guards_passed as usize;
+            let retired = if g + 1 >= block.member_insns.len() {
                 block.guest_insns as u64
             } else {
-                let g = outcome.guards_passed as usize;
-                if g + 1 >= block.member_insns.len() {
-                    block.guest_insns as u64
-                } else {
-                    block.member_insns[..=g].iter().map(|&n| n as u64).sum()
-                }
+                block.member_insns[..=g].iter().map(|&n| n as u64).sum()
             };
             self.guest_insns += retired;
             self.stats.add_ctr(Ctr::HostInsns, outcome.insns);
@@ -748,14 +466,6 @@ impl System {
             if block.ranges.len() > 1 {
                 self.stats.bump_ctr(Ctr::SuperblockEntries);
             }
-            // Demotion accounting: count every entry into a region built
-            // from a recording; its first-junction exits are noted in
-            // the exit arms below.
-            let recorded_root =
-                block.ranges.len() > 1 && self.recorded.contains_key(&block.guest_addr);
-            if recorded_root {
-                self.note_region_entry(block.guest_addr);
-            }
 
             // Self-modifying-code invalidation.
             let smc_fired = !smc.is_empty();
@@ -763,74 +473,31 @@ impl System {
                 self.invalidate_page(page);
             }
 
-            // Runtime path recording: while a promoted root awaits its
-            // region, one recording pass logs the actually-taken
-            // successor at every block exit, starting the next time
-            // execution enters the root as a single block. Both the
-            // arming and every logged step depend only on architectural
-            // events, so recordings — and the regions formed from them —
-            // are deterministic.
-            if self.recorder.is_some() {
-                self.record_step(&block, outcome.exit);
-            } else if !self.armed.is_empty() && block.ranges.len() == 1 {
-                if let Some(i) = self.armed.iter().position(|&a| a == block.guest_addr) {
-                    let root = self.armed.remove(i);
-                    self.recorder = Some(Recording {
-                        root,
-                        path: Vec::new(),
-                    });
-                    self.record_step(&block, outcome.exit);
-                }
+            // Region bookkeeping: entry/exit health, path recording,
+            // promotion of the exit's target.
+            let verdict = self.regions.block_exited(
+                &block,
+                outcome.exit,
+                outcome.guards_passed,
+                retired,
+                smc_fired,
+                &mut self.stats,
+            );
+            if let Some(root) = verdict.build {
+                self.manager.queue_region_build(root);
+            }
+            if let Some(root) = verdict.demoted {
+                self.code.invalidate(root);
+                self.manager.forget(root);
             }
 
             match outcome.exit {
                 BlockExit::Goto(t) => {
-                    // A direct exit that is not one of the terminator's
-                    // static targets left a superblock early: through a
-                    // side exit, or through an SMC boundary guard.
-                    if block.ranges.len() > 1 && !block.term.known_succs().contains(&t) {
-                        if smc_fired {
-                            self.stats.bump_ctr(Ctr::SuperblockSmcExits);
-                        } else {
-                            self.stats.bump_ctr(Ctr::SuperblockSideExits);
-                            if recorded_root && outcome.guards_passed == 0 {
-                                self.note_first_junction_exit(block.guest_addr);
-                            }
-                        }
-                    }
-                    // Region promotion. A backward direct exit marks `t`
-                    // as a loop head; a full run off the end of a capped
-                    // region marks its forward continuation, so long loop
-                    // bodies partition into back-to-back traces. Both
-                    // triggers depend only on which branches the guest
-                    // executed — never on host timing — so the resident
-                    // shape is deterministic.
-                    let limits = self.cfg.region_limits();
-                    if limits.max_blocks > 1 && !self.promoted.contains(&t) {
-                        let backedge = t < block.guest_addr;
-                        let full_run = retired == block.guest_insns as u64;
-                        let capped = block.ranges.len() as u32 >= limits.max_blocks
-                            || block.guest_insns + 4 > limits.max_insns;
-                        let continuation = block.ranges.len() > 1
-                            && full_run
-                            && capped
-                            && block.term.known_succs().contains(&t);
-                        if backedge || continuation {
-                            self.promote(t);
-                        }
-                    }
-                    let succ = handle.and_then(|h| self.l1.cached_succ(h, t)).or_else(|| {
-                        let nh = self.l1.lookup(t);
-                        if let (Some(h), Some(nh)) = (handle, nh) {
-                            self.l1.cache_succ(h, t, nh);
-                        }
-                        nh
-                    });
-                    if let Some(nh) = succ {
+                    if let Some(next) = self.code.chain(handle, t) {
                         // Chained: patched direct branch inside L1 I-mem.
                         self.now += self.timing.chain;
                         self.stats.bump_ctr(Ctr::ChainTaken);
-                        self.cur_handle = Some(nh);
+                        self.cur_handle = Some(next);
                     } else {
                         self.now += self.timing.dispatch_miss;
                         self.stats.bump_ctr(Ctr::DispatchDirectMiss);
@@ -838,42 +505,17 @@ impl System {
                     self.pc = t;
                 }
                 BlockExit::Indirect(t) => {
-                    // A mid-region indirect guard that missed its
-                    // recorded target left the superblock early, exactly
-                    // like a side exit (a full run ending at an indirect
-                    // terminator has retired every member).
-                    if block.ranges.len() > 1 && retired < block.guest_insns as u64 {
-                        self.stats.bump_ctr(Ctr::SuperblockSideExits);
-                        if recorded_root && outcome.guards_passed == 0 {
-                            self.note_first_junction_exit(block.guest_addr);
-                        }
-                    }
-                    // An indirect backedge — a `ret` bouncing back to a
-                    // stable call site is the common shape — marks its
-                    // target hot, exactly like a direct backedge. Only
-                    // under path recording: the static through-path
-                    // predictor cannot see across an indirect, while a
-                    // recording crosses it under an inline target guard.
-                    if self.cfg.record_paths
-                        && self.cfg.region_limits().max_blocks > 1
-                        && t < block.guest_addr
-                        && !self.promoted.contains(&t)
-                    {
-                        self.promote(t);
-                    }
                     // Inline target-prediction cache (the paper's return
                     // predictor generalized): a compare patched next to
                     // the indirect site, checked before dispatch.
-                    if let Some(nh) = handle.and_then(|h| self.l1.cached_indirect(h, t)) {
+                    if let Some(next) = handle.and_then(|h| self.code.l1().cached_indirect(h, t)) {
                         self.now += self.timing.inline_cache_hit;
                         self.stats.bump_ctr(Ctr::DispatchInlineHit);
-                        self.cur_handle = Some(nh);
+                        self.cur_handle = Some(next);
                     } else {
                         self.now += self.timing.dispatch_indirect;
                         self.stats.bump_ctr(Ctr::DispatchIndirect);
-                        if let (Some(h), Some(nh)) = (handle, self.l1.lookup(t)) {
-                            self.l1.cache_indirect(h, t, nh);
-                        }
+                        self.code.learn_indirect(handle, t);
                     }
                     self.pc = t;
                 }
@@ -890,42 +532,27 @@ impl System {
             }
 
             self.catch_up(self.now);
-            self.tracer
-                .counter(self.now, self.trk.qdepth, self.queues.len() as u64);
+            self.tracer.counter(
+                self.now,
+                self.tracks.qdepth,
+                self.manager.queues().len() as u64,
+            );
             // Windowed sampling: one branch when metrics are off. The
             // grid boundary may have passed mid-block; `sample` closes
             // the window at the boundary cycle regardless of how late
             // this check runs (see `vta_sim::metrics`).
             if self.metrics.due(self.now) {
-                let snap = self.metrics_snapshot();
-                let gauges = self.gauge_sample();
-                self.metrics.sample(self.now, &snap, &gauges);
+                self.sample_metrics(false);
             }
         };
 
-        self.stats.set_ctr(Ctr::Cycles, self.now.as_u64());
-        self.stats.set_ctr(Ctr::GuestInsns, self.guest_insns);
-        let mem = self.memsys.stats();
-        self.stats.set_ctr(Ctr::MemL1Hit, mem[0]);
-        self.stats.set_ctr(Ctr::MemL2Hit, mem[1]);
-        self.stats.set_ctr(Ctr::MemDram, mem[2]);
-        self.stats.set_ctr(Ctr::MemTlbMiss, mem[3]);
-        self.stats.set_ctr(Ctr::L1CodeFlushes, self.l1.flushes());
-        self.stats
-            .set_ctr(Ctr::TranslateBlocks, self.pool.total_completed());
-        self.stats
-            .set_ctr(Ctr::TranslateBusyCycles, self.pool.total_busy());
-        self.stats.set_ctr(Ctr::SpecPushes, self.queues.pushes());
-        if let Some(m) = &self.morph {
-            self.stats.set_ctr(Ctr::MorphReconfigs, m.reconfigs);
+        for (c, v) in self.owned_counters() {
+            self.stats.set_ctr(c, v);
         }
-
         // Close the final (off-grid) window and seal the series; the
         // windowed sums now telescope to the totals set just above.
         if self.metrics.is_enabled() {
-            let snap = self.metrics_snapshot();
-            let gauges = self.gauge_sample();
-            self.metrics.finish(self.now, &snap, &gauges);
+            self.sample_metrics(true);
         }
 
         Ok(RunReport {
@@ -943,535 +570,44 @@ impl System {
         self.now.as_u64()
     }
 
-    // ---- code fetch path -------------------------------------------------
-
-    /// Obtains the translated block for `pc`, charging the lookup costs of
-    /// whichever code-cache level supplies it.
+    /// Obtains the translated block for `pc` through the code-cache
+    /// hierarchy, charging the costs of whichever level supplies it.
     fn fetch_block(&mut self, pc: u32) -> Result<(Arc<TBlock>, Option<BlockHandle>), SystemError> {
+        let now = self.now;
+        let (code, manager, mut out) = self.tiles();
         // Host profile phase: the dispatch slow path (an L1 code miss
         // walking L1.5 / the L2 manager, possibly demand-translating).
         // The chained fast path in run() is deliberately uninstrumented:
         // a per-block clock read would not fit the profiling budget.
-        self.prof_thread.enter("run.dispatch");
-        let r = self.fetch_block_inner(pc);
-        self.prof_thread.exit();
-        r
+        out.prof.enter("run.dispatch");
+        let fetched = code.fetch(pc, now, manager, &mut out);
+        out.prof.exit();
+        let (block, handle, now) = fetched?;
+        self.now = now;
+        Ok((block, handle))
     }
 
-    fn fetch_block_inner(
-        &mut self,
-        pc: u32,
-    ) -> Result<(Arc<TBlock>, Option<BlockHandle>), SystemError> {
-        if let Some(h) = self.l1.lookup(pc) {
-            self.stats.bump_ctr(Ctr::L1CodeHit);
-            let b = Arc::clone(self.l1.handle_block(h).expect("fresh handle"));
-            return Ok((b, Some(h)));
-        }
-        self.stats.bump_ctr(Ctr::L1CodeMiss);
-
-        // L1.5 banks.
-        let mut missed_bank: Option<TileId> = None;
-        if let Some(idx) = self.l15_index(pc) {
-            let bank_tile = self.cfg.placement.l15_banks[idx];
-            let wire = self.net_t(self.cfg.placement.exec, bank_tile, 1);
-            self.now += wire;
-            self.now = self.now.max(self.l15_next_free[idx]);
-            let svc_start = self.now;
-            self.now += self.timing.l15_service;
-            self.l15_next_free[idx] = self.now;
-            self.tracer.span(
-                svc_start,
-                self.timing.l15_service,
-                self.ttrack(bank_tile),
-                "l15.lookup",
-            );
-            if let Some(b) = self.l15[idx].get(pc) {
-                self.stats.bump_ctr(Ctr::L15Hit);
-                let wire = self.net_t(bank_tile, self.cfg.placement.exec, b.code.len() as u32);
-                self.now += wire;
-                self.install_l1(&b);
-                let h = self.l1.lookup(pc);
-                return Ok((b, h));
-            }
-            self.stats.bump_ctr(Ctr::L15Miss);
-            missed_bank = Some(bank_tile);
-        }
-
-        // L2 manager. A request that missed in an L1.5 bank is
-        // *forwarded* from the bank tile — the wire is charged from the
-        // bank, not teleported back to the execution tile — and the
-        // bank simultaneously sends the execution tile a one-word miss
-        // notification so the dispatch loop knows to wait on the
-        // manager. Both legs leave the bank at the same cycle, so the
-        // request's effective latency is their max.
-        let manager = self.cfg.placement.manager;
-        match missed_bank {
-            Some(bank_tile) => {
-                let forward = self.net_t(bank_tile, manager, 1);
-                let notify = self.net_t(bank_tile, self.cfg.placement.exec, 1);
-                self.now += forward.max(notify);
-            }
-            None => {
-                let wire = self.net_t(self.cfg.placement.exec, manager, 1);
-                self.now += wire;
-            }
-        }
-        self.catch_up(self.now);
-        let svc_start = self.now.max(self.manager_next_free);
-        let svc_end = svc_start + self.timing.manager_service;
-        // The manager looks its metadata up in DRAM-resident
-        // structures. The stall past the fixed service time is a DRAM
-        // wait — occupied-but-waiting, not work — and is counted apart
-        // from service so the manager's busy share is honest.
-        self.now = self
-            .dram
-            .access_traced(svc_end, 2, &mut self.tracer, self.trk.dram, "l2meta")
-            .max(svc_end);
-        self.manager_next_free = self.now;
-        let svc = self.timing.manager_service;
-        let dram_wait = self.now.saturating_since(svc_end);
-        self.tracer.span(
-            svc_start,
-            self.now.saturating_since(svc_start),
-            self.ttrack(manager),
-            "l2.lookup",
-        );
-        // Manager activity attribution: demand lookups are the
-        // "network service" share of the manager tile's occupancy.
-        // Purely simulated arithmetic, identical with profiling on or
-        // off.
-        self.stats.add("manager.service_cycles", svc);
-        self.stats.add("manager.dram_wait_cycles", dram_wait);
-        self.stats.bump_ctr(Ctr::L2CodeAccess);
-
-        let block = if let Some(b) = self.l2code.get(pc) {
-            Arc::clone(b)
-        } else {
-            self.stats.bump_ctr(Ctr::L2CodeMiss);
-            let waited_from = self.now;
-            let ready_at = self.demand_translate(pc)?;
-            self.now = self.now.max(ready_at);
-            let waited = self.now.saturating_since(waited_from);
-            self.stats.record("demand.wait_cycles", waited);
-            self.tracer
-                .instant(self.now, self.trk.exec, "demand.wait", waited);
-            self.l2code
-                .get(pc)
-                .map(Arc::clone)
-                .expect("demand translation committed")
-        };
-
-        // Fetch the block image from DRAM through the manager.
-        let words = block.code.len() as u32;
-        self.now = self
-            .dram
-            .access_traced(
-                self.now,
-                words,
-                &mut self.tracer,
-                self.trk.dram,
-                "l2code.read",
-            )
-            .max(self.now);
-        let wire = self.net_t(manager, self.cfg.placement.exec, words);
-        self.now += wire;
-
-        // Install into L1.5 (if present) and L1.
-        if let Some(idx) = self.l15_index(pc) {
-            self.l15[idx].insert(Arc::clone(&block));
-        }
-        self.install_l1(&block);
-        let h = self.l1.lookup(pc);
-        Ok((block, h))
-    }
-
-    /// The L1.5 bank serving `pc`, or `None` when no banks exist. Every
-    /// bank-index computation funnels through here: the modulus by the
-    /// live bank count can never divide by zero, and clamping to the
-    /// placement list keeps the tile lookup in bounds even if a future
-    /// morph step resizes the bank vector away from its boot-time
-    /// placement (today only the L2-bank/slave split morphs, but this
-    /// pole costs nothing to guard).
-    fn l15_index(&self, pc: u32) -> Option<usize> {
-        let n = self.l15.len().min(self.cfg.placement.l15_banks.len());
-        if n == 0 {
-            return None;
-        }
-        Some((pc as usize >> 2) % n)
-    }
-
-    fn install_l1(&mut self, block: &Arc<TBlock>) {
-        // Relocate the block into I-mem: copy plus chain re-patching.
-        let words = block.code.len() as u64;
-        self.now += 30 + words * self.timing.l1code_copy_per_word;
-        if self.l1.insert(Arc::clone(block)) {
-            self.now += self.timing.l1code_flush;
-            self.tracer
-                .instant(self.now, self.trk.exec, "l1code.flush", words);
-        }
-    }
-
-    /// Demand-translates `pc`, waiting on the slave pipeline; returns the
-    /// cycle the block is committed at the manager.
-    fn demand_translate(&mut self, pc: u32) -> Result<Cycle, SystemError> {
-        if !self.l2code.known(pc) {
-            self.queues.push(pc, 0);
-        }
-        let mut t = self.now;
-        loop {
-            self.assign_idle(t);
-            if self.l2code.get(pc).is_some() {
-                return Ok(t);
-            }
-            if self.failed.contains(&pc) {
-                // Re-translate on the spot to surface the error.
-                let err = translate_region(&self.mem, pc, self.cfg.opt, &RegionLimits::single())
-                    .expect_err("known-failed address");
-                return Err(SystemError::Translate {
-                    addr: pc,
-                    error: err,
-                });
-            }
-            match self.pool.earliest_done() {
-                Some((_, done)) => {
-                    t = t.max(done);
-                    self.commit_ready(t);
-                }
-                None => {
-                    // Nothing in flight and nothing committed: the pool is
-                    // empty or the queue lost the entry; translate inline.
-                    let shape = self.shape_for(pc);
-                    match self.translate_at(pc, &shape) {
-                        Ok(b) => {
-                            t += b.translate_cycles;
-                            // A demand-built region settles the pending
-                            // promotion exactly like a slave commit would
-                            // — leaving it set would make every later
-                            // assignment rebuild the region forever.
-                            if shape.is_region()
-                                && self.region_pending.remove(&pc)
-                                && matches!(shape, RegionShape::Recorded(_))
-                            {
-                                self.stats.bump_ctr(Ctr::SuperblockRecorded);
-                            }
-                            self.record_block(&b);
-                            self.l2code.commit(b);
-                            return Ok(t);
-                        }
-                        Err(error) => return Err(SystemError::Translate { addr: pc, error }),
-                    }
-                }
-            }
-        }
-    }
-
-    // ---- manager / slave pipeline -----------------------------------------
-
-    /// Commits every slave completion due by `now` and keeps slaves fed.
+    /// Lets the manager commit every slave completion due by `now` and
+    /// feed its slaves; drops the singles its region commits replaced.
     fn catch_up(&mut self, now: Cycle) {
-        loop {
-            let mut progressed = false;
-            // Host profile phase: one span per drain *burst*, not per
-            // commit — only entered when a commit actually pops, so the
-            // empty per-block catch_up call never reads the host clock,
-            // and a 10-commit burst costs two reads instead of twenty.
-            let mut in_span = false;
-            while let Some((i, inflight)) = self.pool.pop_done(now) {
-                progressed = true;
-                if !in_span {
-                    self.prof_thread.enter("run.commit");
-                    in_span = true;
-                }
-                self.finish(i, inflight);
-            }
-            if in_span {
-                self.prof_thread.exit();
-            }
-            if self.assign_idle(now) {
-                progressed = true;
-            }
-            if !progressed {
-                break;
-            }
+        let (code, manager, mut out) = self.tiles();
+        for addr in manager.drain(now, &mut out) {
+            code.invalidate(addr);
         }
     }
-
-    /// Commits completions due by `now` (used while blocked on demand).
-    fn commit_ready(&mut self, now: Cycle) {
-        let mut in_span = false;
-        while let Some((i, inflight)) = self.pool.pop_done(now) {
-            if !in_span {
-                self.prof_thread.enter("run.commit");
-                in_span = true;
-            }
-            self.finish(i, inflight);
-        }
-        if in_span {
-            self.prof_thread.exit();
-        }
-        self.assign_idle(now);
-    }
-
-    fn finish(&mut self, slave_idx: usize, inflight: InFlight) {
-        let done = inflight.done_at;
-        if inflight.addr != u32::MAX
-            && (inflight.cancelled || inflight.shape != self.shape_for(inflight.addr))
-        {
-            // The translation went stale in flight: an SMC store may
-            // have overwritten its source bytes, a promotion or a fresh
-            // recording changed the wanted shape, or a demotion revoked
-            // it. Drop the block; re-queue the region build if one is
-            // still owed, otherwise demand re-queues on next miss.
-            self.l2code.clear_in_flight(inflight.addr);
-            if self.region_pending.contains(&inflight.addr) {
-                self.queues.push(inflight.addr, 1);
-            }
-            self.assign_one(slave_idx, done);
-            return;
-        }
-        if let Some(block) = inflight.block {
-            // Committing occupies the manager tile: speculative traffic
-            // competes with demand lookups for the shared resource — the
-            // congestion the paper blames for vpr/gcc/crafty (§4.3).
-            let commit_cost = 40 + block.code.len() as u64 / 2;
-            let commit_start = done.max(self.manager_next_free);
-            self.manager_next_free = commit_start + commit_cost;
-            self.stats.add("manager.commit_cycles", commit_cost);
-            self.tracer.span(
-                commit_start,
-                commit_cost,
-                self.ttrack(self.cfg.placement.manager),
-                "commit",
-            );
-            // Writing the block into the DRAM-resident L2 code cache
-            // shares the channel with demand fetches.
-            self.dram.access_traced(
-                done,
-                block.code.len() as u32,
-                &mut self.tracer,
-                self.trk.dram,
-                "l2code.write",
-            );
-            self.stats
-                .record("translate.block_host_bytes", block.host_bytes() as u64);
-            self.stats
-                .record("translate.block_guest_insns", block.guest_insns as u64);
-            if inflight.shape.is_region() && self.region_pending.remove(&inflight.addr) {
-                if matches!(inflight.shape, RegionShape::Recorded(_)) {
-                    self.stats.bump_ctr(Ctr::SuperblockRecorded);
-                }
-                // The region replaces a live single-block translation:
-                // drop the stale copies at every level so the next
-                // fetch — or a chained L1 handle, via its generation
-                // check — picks up the superblock.
-                self.l1.invalidate(inflight.addr);
-                for bank in &mut self.l15 {
-                    bank.invalidate(inflight.addr);
-                }
-                self.l2code.invalidate(inflight.addr);
-            }
-            self.record_block(&block);
-            self.l2code.commit(block);
-        } else if inflight.addr != u32::MAX {
-            self.failed.insert(inflight.addr);
-            self.region_pending.remove(&inflight.addr);
-        }
-        // Keep this slave busy.
-        self.assign_one(slave_idx, done);
-    }
-
-    /// Registers a committed block's pages for SMC detection. Revocation
-    /// is region-granular: every member range registers against the
-    /// region's entry address, so a store into any member — including the
-    /// interior of a superblock — revokes the whole translation.
-    fn record_block(&mut self, block: &Arc<TBlock>) {
-        for &(addr, len) in &block.ranges {
-            let first = addr / 4096;
-            let last = (addr + len.max(1) - 1) / 4096;
-            for page in first..=last {
-                self.code_pages.insert(page);
-                let addrs = self.page_blocks.entry(page).or_default();
-                if !addrs.contains(&block.guest_addr) {
-                    addrs.push(block.guest_addr);
-                }
-            }
-        }
-        self.stats.bump_ctr(Ctr::TranslateCommitted);
-    }
-
-    /// Pushes a finished block's likely successors (§2.1's speculative
-    /// parallel translation, with static backward-taken prediction and
-    /// the return predictor).
-    fn enqueue_successors(&mut self, block: &TBlock, depth: u8) {
-        let d1 = depth.saturating_add(1);
-        let d2 = depth.saturating_add(2);
-        match block.term {
-            Term::Goto(t) => self.push_spec(t, d1),
-            Term::CondGoto { taken, fall, .. } => {
-                if taken <= block.guest_addr {
-                    // Backward branch: predict taken (loop).
-                    self.push_spec(taken, d1);
-                    self.push_spec(fall, d2);
-                } else {
-                    self.push_spec(fall, d1);
-                    self.push_spec(taken, d2);
-                }
-            }
-            Term::Sys(next) => self.push_spec(next, d1),
-            Term::Indirect(_) | Term::Trap(_) | Term::Halt => {}
-        }
-        if block.is_call {
-            // Return predictor: the address after the call (the end of the
-            // region's *last* member), low priority.
-            self.push_spec(block.end_addr(), RETURN_DEPTH);
-        }
-    }
-
-    fn push_spec(&mut self, addr: u32, depth: u8) {
-        if !self.l2code.known(addr) && !self.failed.contains(&addr) {
-            self.queues.push(addr, depth);
-        }
-    }
-
-    /// Starts idle slaves on queued work at time `now`; true if any.
-    fn assign_idle(&mut self, now: Cycle) -> bool {
-        let mut any = false;
-        loop {
-            if self.queues.is_empty() {
-                break;
-            }
-            let skip = usize::from(self.cfg.reserve_demand_slave && self.pool.len() > 1);
-            let Some(i) = self.pool.idle_slave(skip) else {
-                // Try the reserved slave for demand (depth 0) work.
-                if skip == 1 {
-                    // Peek: only depth-0 entries may use the reserved slave.
-                    // SpecQueues has no peek; pop and re-push if deeper.
-                    if let Some(ri) = self.pool.reserved_idle() {
-                        if let Some((addr, depth)) = self.queues.pop() {
-                            if depth == 0 {
-                                self.start_translation(ri, addr, depth, now);
-                                any = true;
-                                continue;
-                            }
-                            self.queues.push(addr, depth);
-                        }
-                    }
-                }
-                break;
-            };
-            let Some((addr, depth)) = self.queues.pop() else {
-                break;
-            };
-            if self.settled(addr) {
-                continue;
-            }
-            self.start_translation(i, addr, depth, now);
-            any = true;
-        }
-        any
-    }
-
-    /// Whether a popped queue entry is already-settled work the
-    /// assigning slave should skip. A known address is settled — except
-    /// when a promotion is pending and nobody is building the region:
-    /// the resident single keeps running, but the region is still owed.
-    /// Every assignment path must apply the same exception: a region
-    /// build cancelled mid-flight by an SMC invalidation is re-queued
-    /// exactly once, and whichever path pops that entry while the
-    /// single is already resident would otherwise drop it — leaving the
-    /// address pending forever.
-    fn settled(&self, addr: u32) -> bool {
-        if self.failed.contains(&addr) {
-            return true;
-        }
-        self.l2code.known(addr)
-            && !(self.region_pending.contains(&addr) && self.l2code.in_flight_on(addr).is_none())
-    }
-
-    fn assign_one(&mut self, slave_idx: usize, at: Cycle) {
-        // Respect the demand reservation: slave 0 only takes depth 0.
-        loop {
-            let Some((addr, depth)) = self.queues.pop() else {
-                return;
-            };
-            if self.settled(addr) {
-                continue;
-            }
-            if self.cfg.reserve_demand_slave && slave_idx == 0 && depth != 0 && self.pool.len() > 1
-            {
-                self.queues.push(addr, depth);
-                return;
-            }
-            self.start_translation(slave_idx, addr, depth, at);
-            return;
-        }
-    }
-
-    fn start_translation(&mut self, slave_idx: usize, addr: u32, depth: u8, at: Cycle) {
-        // Handing out work occupies the manager's software loop.
-        let assign_start = at.max(self.manager_next_free);
-        self.manager_next_free = assign_start + 30;
-        self.stats.add("manager.assign_cycles", 30);
-        let tile = self.pool.slave(slave_idx).tile;
-        let manager = self.cfg.placement.manager;
-        self.tracer
-            .span(assign_start, 30, self.ttrack(manager), "assign");
-        let shape = self.shape_for(addr);
-        let result = self.translate_at(addr, &shape).ok();
-        let (cycles, words) = match &result {
-            Some(b) => (b.translate_cycles, b.code.len() as u32),
-            // Failed translations still burn decode time.
-            None => (200, 0),
-        };
-        let wire = net_cost(tile, manager, words.max(1));
-        let done_at = at + cycles + wire;
-        self.tracer.span(at, cycles, self.ttrack(tile), "translate");
-        self.tracer.net_msg(
-            at + cycles,
-            wire,
-            tile.into(),
-            manager.into(),
-            words.max(1),
-            tile.hops_to(manager) as u8,
-        );
-        let slave = self.pool.slave_mut(slave_idx);
-        slave.busy_cycles += cycles;
-        slave.current = Some(InFlight {
-            addr,
-            depth,
-            done_at,
-            shape,
-            cancelled: false,
-            block: result.clone(),
-        });
-        self.l2code.mark_in_flight(addr, slave_idx);
-        // Successors are visible as soon as the slave has decoded the
-        // block — the translator "runs ahead translating the program"
-        // (§2.1) rather than waiting for its own commit.
-        if self.cfg.speculation {
-            if let Some(block) = result {
-                self.enqueue_successors(&block, depth);
-            }
-        }
-    }
-
-    // ---- syscalls, morphing, SMC ------------------------------------------
 
     /// Proxies a syscall to the syscall tile; returns `Some(code)` on exit.
     fn do_syscall(&mut self) -> Option<u32> {
         let (exec, sysc) = (self.cfg.placement.exec, self.cfg.placement.syscall);
-        let wire = self.net_t(exec, sysc, 4);
-        self.now += wire;
-        let svc_start = self.now;
-        self.now += self.timing.syscall_service;
+        self.now += net::message(&mut self.tracer, self.now, exec, sysc, 4);
         self.tracer.span(
-            svc_start,
+            self.now,
             self.timing.syscall_service,
-            self.ttrack(sysc),
+            self.tracks.tile(sysc),
             "syscall",
         );
-        let wire = self.net_t(sysc, exec, 1);
-        self.now += wire;
+        self.now += self.timing.syscall_service;
+        self.now += net::message(&mut self.tracer, self.now, sysc, exec, 1);
 
         let nr = self.state.get(R_EAX);
         let args = [
@@ -1490,9 +626,9 @@ impl System {
     }
 
     fn maybe_morph(&mut self) {
-        let qlen = self.queues.len();
+        let qlen = self.manager.queues().len();
         let nbanks = self.memsys.banks.len();
-        let (trk_morph, trk_dram) = (self.trk.morph, self.trk.dram);
+        let (trk_morph, trk_dram) = (self.tracks.morph, self.tracks.dram);
         let Some(m) = &mut self.morph else { return };
         let action = m.decide(self.now, qlen, nbanks, &mut self.tracer, trk_morph);
         let lag = m.last_lag();
@@ -1521,42 +657,33 @@ impl System {
                         "morph.writeback",
                     );
                     let charged = self.timing.reconfig_per_dirty_line * dirty as u64 / 8 + 50;
-                    self.stats.add("manager.morph_cycles", charged);
+                    Duty::Morph.attribute(&mut self.stats, charged);
                     self.now += charged;
                     self.tracer.instant(
                         self.now,
-                        self.ttrack(tile),
+                        self.tracks.tile(tile),
                         "role.translator",
                         dirty as u64,
                     );
-                    self.pool.grow(tile);
-                    let ready = self.now + self.timing.reconfig;
-                    let n = self.pool.len();
-                    self.pool.slave_mut(n - 1).current = Some(InFlight {
-                        addr: u32::MAX,
-                        depth: 0,
-                        done_at: ready,
-                        shape: RegionShape::Single,
-                        cancelled: false,
-                        block: None,
-                    });
+                    self.manager
+                        .add_slave(tile, self.now + self.timing.reconfig);
                     self.stats.bump_ctr(Ctr::MorphToTranslator);
                 }
                 self.prof_thread.exit();
             }
             Some(MorphAction::TranslatorToCache) => {
                 self.prof_thread.enter("run.morph");
-                if let Some((tile, free_at)) = self.pool.shrink(self.now) {
+                if let Some((tile, free_at)) = self.manager.retire_slave(self.now) {
                     self.tracer
                         .instant(self.now, trk_morph, "role: slave->l2bank", qlen as u64);
                     self.metrics.event(self.now, "morph.to_cache", lag);
                     self.stats.record("morph.lag_cycles", lag);
                     self.memsys.add_bank(tile, self.cfg.l2_bank_bytes);
-                    let track = self.ttrack(tile);
+                    let track = self.tracks.tile(tile);
                     let bank = self.memsys.banks.last_mut().expect("just added");
                     bank.next_free = free_at + self.timing.reconfig;
                     bank.track = track;
-                    self.stats.add("manager.morph_cycles", 50);
+                    Duty::Morph.attribute(&mut self.stats, 50);
                     self.now += 50;
                     self.tracer.instant(self.now, track, "role.cache", 0);
                     self.stats.bump_ctr(Ctr::MorphToCache);
@@ -1567,75 +694,30 @@ impl System {
         }
     }
 
+    /// The guest stored into translated code on `page`: revokes every
+    /// translation covering it at every cache level, and charges the
+    /// round trip to the manager whose walk does it.
     fn invalidate_page(&mut self, page: u32) {
-        let Some(addrs) = self.page_blocks.remove(&page) else {
+        let Some(addrs) = self.manager.revoke_page(page) else {
             return;
         };
         self.stats.bump_ctr(Ctr::SmcInvalidations);
         for addr in addrs {
-            self.l1.invalidate(addr);
-            for bank in &mut self.l15 {
-                bank.invalidate(addr);
-            }
-            self.l2code.invalidate(addr);
+            self.code.invalidate(addr);
         }
         // Flush inline target-prediction entries pointing into the
         // page: the patched compares hold raw guest addresses, and a
         // stale one surviving into re-translated code would dispatch
         // into the revoked translation.
-        self.l1.purge_indirect_targets(page);
-        self.code_pages.remove(&page);
-        // In-flight slave translations may derive from the overwritten
-        // bytes (their functional result is computed at assign time):
-        // cancel them all — SMC is rare, and re-queueing is always safe.
-        self.pool.cancel_in_flight();
+        self.code.purge_indirect_targets(page);
         self.tracer
-            .instant(self.now, self.trk.exec, "smc.invalidate", page as u64);
-        // The invalidation round-trips to the manager, and the walk
-        // occupies the manager's service loop like any other request:
-        // it reserves the service ring, so it queues behind an
-        // in-progress commit or lookup and — the bug this fixes — a
-        // background commit can no longer be booked into the same
-        // window the walk was already charged for.
-        let (exec, manager) = (self.cfg.placement.exec, self.cfg.placement.manager);
-        let wire_there = self.net_t(exec, manager, 1);
-        let walk_start = (self.now + wire_there).max(self.manager_next_free);
-        let walk_end = walk_start + self.timing.manager_service;
-        self.manager_next_free = walk_end;
-        self.tracer.span(
-            walk_start,
-            self.timing.manager_service,
-            self.ttrack(manager),
-            "smc.walk",
-        );
-        self.stats
-            .add("manager.service_cycles", self.timing.manager_service);
-        self.now = walk_end;
-        let wire_back = self.net_t(manager, exec, 1);
-        self.now += wire_back;
+            .instant(self.now, self.tracks.exec, "smc.invalidate", page as u64);
+        let (exec, mgr) = (self.cfg.placement.exec, self.cfg.placement.manager);
+        let arrival = self.now + net::message(&mut self.tracer, self.now, exec, mgr, 1);
+        let (_, manager, mut out) = self.tiles();
+        self.now = manager.smc_walk(arrival, &mut out);
+        self.now += net::message(&mut self.tracer, self.now, mgr, exec, 1);
     }
-
-    /// Network cost of one message, recorded in the trace at `self.now`.
-    fn net_t(&mut self, from: TileId, to: TileId, words: u32) -> u64 {
-        let cost = net_cost(from, to, words);
-        self.tracer.net_msg(
-            self.now,
-            cost,
-            from.into(),
-            to.into(),
-            words,
-            from.hops_to(to) as u8,
-        );
-        cost
-    }
-}
-
-/// One-way message cost: inject + hops + payload + eject.
-fn net_cost(from: TileId, to: TileId, words: u32) -> u64 {
-    vta_raw::net::INJECT_COST
-        + from.hops_to(to) as u64 * vta_raw::net::HOP_COST
-        + words as u64
-        + vta_raw::net::EJECT_COST
 }
 
 /// The execution tile's memory port during one block.
@@ -1647,9 +729,27 @@ struct ExecPort<'a> {
     exec: TileId,
     mmu: TileId,
     now: Cycle,
-    code_pages: &'a HashSet<u32>,
+    manager: &'a Manager,
     smc: &'a mut Vec<u32>,
     tracer: &'a mut Tracer,
+}
+
+impl ExecPort<'_> {
+    #[inline(always)]
+    fn access(&mut self, addr: u32, write: bool) -> u64 {
+        let (stall, _level) = self.memsys.access(
+            self.now,
+            addr,
+            write,
+            self.exec,
+            self.mmu,
+            self.dram,
+            self.timing,
+            self.tracer,
+        );
+        self.now += stall + 1;
+        stall
+    }
 }
 
 impl DataPort for ExecPort<'_> {
@@ -1658,40 +758,25 @@ impl DataPort for ExecPort<'_> {
             .mem
             .read_sized(addr, op.bytes())
             .map_err(|e| Fault::Unmapped { addr: e.addr })?;
-        let (stall, _level) = self.memsys.access(
-            self.now,
-            addr,
-            false,
-            self.exec,
-            self.mmu,
-            self.dram,
-            self.timing,
-            self.tracer,
-        );
-        self.now += stall + 1;
-        Ok((value, stall))
+        Ok((value, self.access(addr, false)))
     }
 
     fn store(&mut self, addr: u32, value: u32, op: MemOp) -> Result<u64, Fault> {
         self.mem
             .write_sized(addr, value, op.bytes())
             .map_err(|e| Fault::Unmapped { addr: e.addr })?;
-        let page = addr / 4096;
-        if self.code_pages.contains(&page) {
-            self.smc.push(page);
+        // A store is SMC if any byte of it lands in a page holding
+        // translated code: its first byte's page, or — when it
+        // straddles a page edge — its last byte's.
+        let first = addr / 4096;
+        let last = addr.wrapping_add(op.bytes() - 1) / 4096;
+        if self.manager.holds_code(first) {
+            self.smc.push(first);
         }
-        let (stall, _level) = self.memsys.access(
-            self.now,
-            addr,
-            true,
-            self.exec,
-            self.mmu,
-            self.dram,
-            self.timing,
-            self.tracer,
-        );
-        self.now += stall + 1;
-        Ok(stall)
+        if last != first && self.manager.holds_code(last) {
+            self.smc.push(last);
+        }
+        Ok(self.access(addr, true))
     }
 
     fn helper(&mut self, kind: HelperKind, state: &mut CoreState) -> Result<(), Fault> {
@@ -1709,6 +794,7 @@ impl DataPort for ExecPort<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vta_ir::RegionShape;
     use vta_x86::{Asm, Cond, Reg};
 
     const BASE: u32 = 0x0800_0000;
@@ -1717,6 +803,16 @@ mod tests {
         let mut asm = Asm::new(BASE);
         f(&mut asm);
         GuestImage::from_code(asm.finish()).with_bss(0x0900_0000, 0x4000)
+    }
+
+    /// The reference interpreter's exit code and retired-instruction
+    /// count for `img`.
+    fn reference(img: &GuestImage) -> (u32, u64) {
+        let mut cpu = vta_x86::Cpu::new(img);
+        match cpu.run(10_000_000).expect("reference runs") {
+            vta_x86::StopReason::Exit(code) => (code, cpu.insn_count),
+            other => panic!("reference stopped with {other:?}"),
+        }
     }
 
     fn loop_program(iters: u32) -> GuestImage {
@@ -1869,11 +965,7 @@ mod tests {
             a.exit_with_eax();
         });
         // Reference semantics.
-        let mut cpu = vta_x86::Cpu::new(&img);
-        let want = match cpu.run(1_000_000).unwrap() {
-            vta_x86::StopReason::Exit(c) => c,
-            other => panic!("reference stopped with {other:?}"),
-        };
+        let (want, _) = reference(&img);
         let mut sys = System::new(VirtualArchConfig::paper_default(), &img);
         let report = sys.run(1_000_000).expect("runs");
         assert_eq!(report.exit_code, Some(want));
@@ -1904,17 +996,13 @@ mod tests {
             a.jcc(Cond::Ne, outer);
             a.exit_with_eax();
         });
-        let mut cpu = vta_x86::Cpu::new(&img);
-        let want = match cpu.run(10_000_000).unwrap() {
-            vta_x86::StopReason::Exit(c) => c,
-            other => panic!("reference stopped with {other:?}"),
-        };
+        let (want, ref_insns) = reference(&img);
         assert_eq!(want, 1000 * 11 + 1000 * 99);
 
         let mut sys = System::new(VirtualArchConfig::paper_default(), &img);
         let report = sys.run(10_000_000).expect("runs");
         assert_eq!(report.exit_code, Some(want), "stale handle executed");
-        assert_eq!(report.guest_insns, cpu.insn_count, "retired count");
+        assert_eq!(report.guest_insns, ref_insns, "retired count");
         assert!(report.stats.get("smc.invalidations") >= 1);
         assert!(
             report.stats.get("chain.taken") > 1500,
@@ -1986,11 +1074,7 @@ mod tests {
             a.exit_with_eax();
         });
         assert_eq!(site, BASE + 0x40);
-        let mut cpu = vta_x86::Cpu::new(&img);
-        let want = match cpu.run(1_000_000).unwrap() {
-            vta_x86::StopReason::Exit(c) => c,
-            other => panic!("reference stopped with {other:?}"),
-        };
+        let (want, _) = reference(&img);
         assert_eq!(want, 99, "reference sees the patched immediate");
         let mut sys = System::new(VirtualArchConfig::paper_default(), &img);
         let report = sys.run(1_000_000).expect("runs");
@@ -2051,16 +1135,12 @@ mod tests {
             a.jmp(y_end);
         });
         assert_eq!(site, BASE + 0x1000);
-        let mut cpu = vta_x86::Cpu::new(&img);
-        let want = match cpu.run(1_000_000).unwrap() {
-            vta_x86::StopReason::Exit(c) => c,
-            other => panic!("reference stopped with {other:?}"),
-        };
+        let (want, ref_insns) = reference(&img);
         assert_eq!(want, 11 + (passes - 1) * u32::from(patch));
         let mut sys = System::new(VirtualArchConfig::paper_default(), &img);
         let report = sys.run(1_000_000).expect("runs");
         assert_eq!(report.exit_code, Some(want), "interior patch ignored");
-        assert_eq!(report.guest_insns, cpu.insn_count, "retired count");
+        assert_eq!(report.guest_insns, ref_insns, "retired count");
         assert!(report.stats.get("smc.invalidations") >= 1);
     }
 
@@ -2290,26 +1370,28 @@ mod tests {
         let mut sys = System::new(cfg, &img);
         let top = BASE + 10;
         // Seed the resident single-block translation, as demand would.
-        let single = sys
-            .translate_at(top, &RegionShape::Single)
+        let (_, manager, mut out) = sys.tiles();
+        let single = manager
+            .translate(top, &RegionShape::Single, &mut out)
             .expect("translates");
-        sys.record_block(&single);
-        sys.l2code.commit(single);
+        manager.install(single, &RegionShape::Single, &mut out);
         // Promote: the region build is queued and a slave picks it up.
-        sys.promote(top);
-        assert!(sys.region_pending.contains(&top));
-        assert!(sys.assign_idle(Cycle(0)), "region build starts");
-        assert!(sys.pool.translating(top).is_some());
+        let owed = out.regions.promote(top, out.stats).expect("static build");
+        manager.queue_region_build(owed);
+        assert!(out.regions.build_owed(top));
+        let started = manager.assign_idle(Cycle(0), &mut out);
+        assert!(started, "region build starts");
+        assert!(manager.pool().translating(top).is_some());
         // SMC cancels every in-flight translation; the commit path must
         // re-queue the owed region, and the next assignment must not
         // drop it just because the single is resident.
-        sys.pool.cancel_in_flight();
+        manager.pool().cancel_in_flight();
         sys.catch_up(Cycle(1_000_000));
         assert!(
-            !sys.region_pending.contains(&top),
+            !sys.regions.build_owed(top),
             "cancelled region build left the promotion pending forever"
         );
-        let resident = sys.l2code.get(top).expect("resident");
+        let resident = sys.manager.l2().get(top).expect("resident");
         assert!(resident.ranges.len() > 1, "region rebuilt after cancel");
     }
 
@@ -2320,7 +1402,7 @@ mod tests {
         // whole run must route L1 misses straight to the manager.
         let img = loop_program(50);
         let mut sys = System::new(VirtualArchConfig::with_l15_banks(0), &img);
-        assert_eq!(sys.l15_index(BASE), None, "no bank to index");
+        assert_eq!(sys.code.l15_index(BASE), None, "no bank to index");
         let report = sys.run(1_000_000).expect("runs");
         assert_eq!(report.exit_code, Some((1..=50).sum::<u32>()));
         assert_eq!(
@@ -2462,9 +1544,7 @@ mod tests {
         let mut sys = System::new(VirtualArchConfig::paper_default(), &img);
         let report = sys.run(10_000_000).expect("runs");
         assert_eq!(report.exit_code, Some(1_500 + 3_000 + 1_500));
-        let mut cpu = vta_x86::Cpu::new(&img);
-        cpu.run(10_000_000).expect("reference runs");
-        assert_eq!(report.guest_insns, cpu.insn_count, "retired count");
+        assert_eq!(report.guest_insns, reference(&img).1, "retired count");
         assert!(
             report.stats.get("superblock.recorded") >= 2,
             "initial recording plus the re-recording: {:?}",
@@ -2531,5 +1611,71 @@ mod tests {
             with < without,
             "L1.5 banks must help big working sets: with={with} without={without}"
         );
+    }
+
+    #[test]
+    fn store_straddling_into_a_code_page_is_smc() {
+        // The loop head sits at a page boundary; the guest patches its
+        // immediate with a 4-byte store that *starts* two bytes below,
+        // in a data page: only its last two bytes land in code.
+        let mut a = Asm::new(BASE);
+        let done = a.label();
+        let top = a.here();
+        a.mov_ri(Reg::EBX, 11); // BB 0B 00 00 00 -> BB 63 00 00 00
+        a.mov_rr(Reg::EAX, Reg::EBX);
+        a.dec_r(Reg::ECX);
+        a.jcc(Cond::E, done);
+        a.mov_mi(vta_x86::MemRef::abs(BASE - 2), 0x63BB_0000);
+        a.jmp(top);
+        a.bind(done);
+        a.exit_with_eax();
+        let entry = a.cur_addr();
+        a.mov_ri(Reg::ECX, 2);
+        a.jmp(top);
+        let img = GuestImage::from_code(a.finish())
+            .with_bss(BASE - 0x1000, 0x1000)
+            .with_entry(entry);
+        assert_eq!(reference(&img).0, 99);
+        let mut sys = System::new(VirtualArchConfig::paper_default(), &img);
+        let report = sys.run(1_000).expect("runs");
+        assert_eq!(report.exit_code, Some(99), "straddling store missed");
+        assert!(report.stats.get("smc.invalidations") >= 1);
+    }
+
+    #[test]
+    fn failed_speculation_does_not_poison_later_valid_code() {
+        // Speculation reaches `BUF` through the direct jump while it
+        // holds undecodable bytes and fails. The first pass then writes
+        // real code there; the second jumps to it.
+        const BUF: u32 = 0x0900_0000;
+        let patch = {
+            let mut p = Asm::new(BUF);
+            p.mov_ri(Reg::EAX, 7);
+            p.exit_with_eax();
+            p.finish().code
+        };
+        let mut a = Asm::new(BASE);
+        a.mov_ri(Reg::ESI, 2);
+        let top = a.here();
+        let go = a.label();
+        a.dec_r(Reg::ESI);
+        a.jcc(Cond::E, go);
+        for (i, &b) in patch.iter().enumerate() {
+            a.mov_mi8(vta_x86::MemRef::abs(BUF + i as u32), b);
+        }
+        a.jmp(top);
+        a.bind(go);
+        let rel = BUF.wrapping_sub(a.cur_addr() + 5);
+        a.raw(&[0xE9]);
+        a.raw(&rel.to_le_bytes());
+        let img = GuestImage::from_code(a.finish()).with_data(BUF, vec![0xD8; 64]);
+        assert_eq!(reference(&img).0, 7);
+        let mut sys = System::new(VirtualArchConfig::paper_default(), &img);
+        let report = sys.run(1_000).expect("retranslates on demand");
+        assert_eq!(report.exit_code, Some(7));
+        // One slave job more than slave commits: the failure on BUF.
+        let commits = report.stats.histogram("translate.block_host_bytes");
+        let commits = commits.map_or(0, |h| h.count());
+        assert!(report.stats.get("translate.blocks") > commits);
     }
 }

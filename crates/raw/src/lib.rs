@@ -10,25 +10,10 @@
 //!
 //! This crate provides the mechanical pieces the DBT system in `vta-dbt`
 //! assembles: the [`TileId`] grid geometry ([`grid`]), the host instruction
-//! set [`RInsn`] ([`isa`]), a set-associative [`Cache`] model, a
-//! dimension-ordered dynamic [`Network`] with per-hop wire delay, a
-//! [`Dram`] controller model, and the translated-block executor
+//! set [`RInsn`] ([`isa`]), a set-associative [`Cache`] model, the
+//! dynamic network's per-message cost with per-hop wire delay ([`net`]),
+//! a [`Dram`] controller model, and the translated-block executor
 //! ([`exec::run_block`]).
-//!
-//! # Examples
-//!
-//! ```
-//! use vta_raw::{grid::TileId, net::Network};
-//! use vta_sim::Cycle;
-//!
-//! let mut net: Network<&str> = Network::new(4, 4);
-//! let from = TileId::new(0, 0);
-//! let to = TileId::new(3, 2);
-//! assert_eq!(from.hops_to(to), 5);
-//! let arrival = net.send(Cycle(100), from, to, 2, "request");
-//! assert!(arrival > Cycle(100));
-//! assert_eq!(net.recv(to, arrival), Some("request"));
-//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,4 +30,3 @@ pub use dram::Dram;
 pub use exec::{run_block, BlockExit, CoreState, DataPort, Fault};
 pub use grid::TileId;
 pub use isa::{AluIOp, AluOp, BrCond, BranchTarget, HelperKind, MemOp, RInsn, RReg, ShiftOp};
-pub use net::Network;

@@ -2,31 +2,19 @@
 //!
 //! Shared infrastructure used by every simulated component in this
 //! workspace: a [`Cycle`] clock newtype, a deterministic [`Rng`]
-//! (xoshiro256\*\*), an ordered [`EventQueue`] for future completions, and a
-//! [`Stats`] registry of named counters and histograms.
+//! (xoshiro256\*\*), a [`Stats`] registry of named counters and
+//! histograms, and the three observers ([`Tracer`], [`Metrics`],
+//! [`Profiler`]).
 //!
-//! The simulators built on top of this crate are *cycle-driven*: components
-//! are ticked under a global clock and charge work in whole cycles. The
-//! event queue exists for sparse future events (DRAM completions, morphing
-//! timers) so components do not need to poll.
-//!
-//! # Examples
-//!
-//! ```
-//! use vta_sim::{Cycle, EventQueue};
-//!
-//! let mut q = EventQueue::new();
-//! q.schedule(Cycle(10), "dram refill");
-//! q.schedule(Cycle(3), "tlb fill");
-//! assert_eq!(q.pop_ready(Cycle(5)), Some("tlb fill"));
-//! assert_eq!(q.pop_ready(Cycle(5)), None);
-//! ```
+//! The simulators built on top of this crate charge work in whole cycles
+//! on per-component timelines: each serially reusable resource keeps the
+//! cycle it is next free, and a request is served from
+//! `max(arrival, next_free)`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cycle;
-mod event;
 pub mod metrics;
 pub mod prof;
 mod rng;
@@ -34,7 +22,6 @@ mod stats;
 pub mod trace;
 
 pub use cycle::Cycle;
-pub use event::EventQueue;
 pub use metrics::{GaugeId, MetricEvent, Metrics, MetricsConfig, Window};
 pub use prof::{
     PhaseTotal, ProfConfig, ProfEvent, ProfileReport, Profiler, ThreadProf, ThreadProfile,

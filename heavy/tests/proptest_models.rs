@@ -1,11 +1,11 @@
 // Property suite: requires the `proptest` feature (external dependency).
 #![cfg(feature = "proptest")]
 
-//! Property tests on the hardware models: cache invariants, network
-//! ordering and timing monotonicity, DRAM serialization.
+//! Property tests on the hardware models: cache invariants and DRAM
+//! serialization.
 
 use proptest::prelude::*;
-use vta_raw::{Cache, CacheConfig, Dram, Network, TileId};
+use vta_raw::{Cache, CacheConfig, Dram};
 use vta_sim::Cycle;
 
 fn geometry() -> impl Strategy<Value = CacheConfig> {
@@ -70,40 +70,6 @@ proptest! {
         prop_assert!(dirty <= cfg.size_bytes / cfg.line_bytes);
         // After flush, everything misses.
         prop_assert!(!c.access(addrs[0].0 as u64, false).is_hit());
-    }
-
-    /// Network arrivals are strictly monotone per (src, dst) pair and never
-    /// precede the physical minimum latency.
-    #[test]
-    fn network_ordering_and_latency(
-        sends in proptest::collection::vec((0u8..4, 0u8..4, 0u8..4, 0u8..4, 1u32..8, 0u64..1000), 1..100)
-    ) {
-        let mut net: Network<u32> = Network::new(4, 4);
-        let mut last: std::collections::HashMap<(TileId, TileId), Cycle> = std::collections::HashMap::new();
-        let mut now = Cycle::ZERO;
-        for (i, &(sx, sy, dx, dy, words, dt)) in sends.iter().enumerate() {
-            now += dt;
-            let from = TileId::new(sx, sy);
-            let to = TileId::new(dx, dy);
-            let arrival = net.send(now, from, to, words, i as u32);
-            let min = from.hops_to(to) as u64 + words as u64 + 2;
-            prop_assert!(arrival - now >= min, "below physical latency");
-            if let Some(&prev) = last.get(&(from, to)) {
-                prop_assert!(arrival > prev, "per-pair ordering violated");
-            }
-            last.insert((from, to), arrival);
-        }
-        // Every message is eventually deliverable.
-        let total: usize = sends.len();
-        let mut got = 0;
-        for y in 0..4 {
-            for x in 0..4 {
-                while net.recv(TileId::new(x, y), Cycle(u64::MAX / 2)).is_some() {
-                    got += 1;
-                }
-            }
-        }
-        prop_assert_eq!(got, total);
     }
 
     /// The DRAM channel never completes two transfers overlapping.

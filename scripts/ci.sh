@@ -13,10 +13,12 @@
 #   clippy
 #   build release
 #   test (debug-for-tests)
-#   determinism: perf --check with the fig5 sweep on 1 and on 4 host
-#     threads; every fingerprint (cycles and stats digest) must match
-#     BENCH_dispatch.json, and the sweep digest AND the full --check
-#     stdout must be identical at both widths
+#   determinism: perf --check with the four figure sweeps (fig4, fig5,
+#     fig8, fig9: 16 configs x 11 guests, morphing and the L1.5 bank
+#     poles included) on 1 and on 4 host threads; every fingerprint
+#     (cycles and stats digest) AND every frozen figure digest must
+#     match BENCH_dispatch.json, and the full --check stdout must be
+#     identical at both widths
 #   metrics: perf --metrics --check — the windowed series for the vpr
 #     benchmark must match the committed BENCH_metrics_vpr.csv golden
 #     byte-for-byte (regenerate with --metrics --bless when a simulated
@@ -90,9 +92,10 @@ run_stage "test" \
     cargo test -q --workspace
 
 # Determinism stage: simulated cycles and stats must match the frozen
-# fingerprints in BENCH_dispatch.json bit-for-bit, and the --check
-# output itself — which digests every cell of the fig5 sweep — must not
-# depend on how many host threads the sweep fans out over.
+# fingerprints in BENCH_dispatch.json bit-for-bit, each figure sweep
+# (fig4/5/8/9) must fold to its frozen digest there, and the --check
+# output itself must not depend on how many host threads the sweeps fan
+# out over.
 determinism_stage() {
     # No `trap ... RETURN` here: a RETURN trap set inside a function
     # stays installed for every later function return in the script
@@ -103,15 +106,19 @@ determinism_stage() {
     out_dir="$(mktemp -d)"
     for t in 1 4; do
         echo "ci:    perf --check --threads $t"
-        cargo run --release -q -p vta-bench --bin perf -- --check --threads "$t" \
-            > "$out_dir/check-$t.txt"
+        if ! cargo run --release -q -p vta-bench --bin perf -- --check --threads "$t" \
+            > "$out_dir/check-$t.txt"; then
+            echo "ci: FAIL: a fingerprint or a frozen figure digest (fig4/5/8/9) drifted" >&2
+            echo "ci:       from BENCH_dispatch.json at --threads $t; stdout kept in $out_dir" >&2
+            return 1
+        fi
     done
     if ! diff "$out_dir/check-1.txt" "$out_dir/check-4.txt" >&2; then
         echo "ci: FAIL: perf --check output differs between --threads 1 and 4" >&2
         echo "ci:       outputs kept in $out_dir" >&2
         return 1
     fi
-    echo "ci:    fingerprints, sweep digest and full stdout identical at threads {1,4}"
+    echo "ci:    fingerprints and frozen figure digests match; stdout identical at threads {1,4}"
     rm -rf "$out_dir"
 }
 run_stage "determinism (sweep threads 1 vs 4)" \
