@@ -3,7 +3,8 @@
 //! Regenerates every figure and table of the paper's evaluation (§4) from
 //! the simulated system. Each `figN` function returns a [`Table`] whose
 //! rows are the eleven benchmarks and whose columns are the paper's
-//! machine configurations; the `figures` binary prints them.
+//! machine configurations; `vta figures` prints them. The `vta` binary
+//! (`src/bin/vta.rs`) is the one CLI over everything in this crate.
 //!
 //! Runs are embarrassingly parallel (each `(benchmark, config)` pair is
 //! an independent simulation), so sweeps fan out across host threads with
@@ -32,8 +33,8 @@ use vta_x86::GuestImage;
 
 pub use table::Table;
 
-/// `print!` for the CLI binaries: a reader that closes the pipe early
-/// (`perf | head -1`) ends the process quietly with status 0, where
+/// `print!` for the CLI: a reader that closes the pipe early
+/// (`vta diag | head -1`) ends the process quietly with status 0, where
 /// `print!` would panic on the `EPIPE`.
 #[macro_export]
 macro_rules! out {
@@ -76,7 +77,10 @@ pub struct Measurement {
     pub report: RunReport,
     /// Modelled Pentium III cycles for the same program.
     pub piii_cycles: u64,
-    /// Host wall-clock seconds spent inside `System::run` for this cell.
+    /// Host wall-clock seconds [`measure_cell`] spent building and running
+    /// the system. Nothing in this workspace reads it: it is the number
+    /// `benchmark/`, the one instrument that times the host, takes per
+    /// sweep cell.
     pub wall_seconds: f64,
 }
 
@@ -98,24 +102,6 @@ impl Measurement {
             0.0
         } else {
             self.report.stats.get("l2code.miss") as f64 / acc as f64
-        }
-    }
-
-    /// Host simulation throughput in guest instructions per wall second.
-    pub fn guest_insns_per_sec(&self) -> f64 {
-        if self.wall_seconds > 0.0 {
-            self.report.guest_insns as f64 / self.wall_seconds
-        } else {
-            0.0
-        }
-    }
-
-    /// Host simulation throughput in simulated cycles per wall second.
-    pub fn sim_cycles_per_sec(&self) -> f64 {
-        if self.wall_seconds > 0.0 {
-            self.report.cycles as f64 / self.wall_seconds
-        } else {
-            0.0
         }
     }
 }

@@ -19,7 +19,7 @@
 use std::fmt::Write as _;
 
 use vta_dbt::{RunReport, System, VirtualArchConfig};
-use vta_sim::{Ctr, Metrics, ProfileReport, TraceConfig, TraceEvent, Tracer};
+use vta_sim::{Ctr, Metrics, TraceConfig, TraceEvent, Tracer};
 use vta_workloads::Scale;
 
 /// Runs `bench` at `scale` under `cfg` with tracing enabled; returns the
@@ -64,31 +64,12 @@ fn json_escape(out: &mut String, s: &str) {
 /// Perfetto's time axis reads directly in simulated cycles. Each tracer
 /// track becomes a named thread; network messages live on a synthetic
 /// `network` thread with source/destination/hops/words as arguments.
-pub fn chrome_trace_json(tracer: &Tracer) -> String {
-    chrome_trace_json_with_metrics(tracer, None)
-}
-
-/// Like [`chrome_trace_json`], optionally merging a windowed metrics
-/// series into the export as Perfetto **counter tracks** (`"ph":"C"`):
-/// per-window guest-instruction throughput and CPI, every registered
-/// gauge, and the series' point annotations as instants on a synthetic
-/// `metrics` thread.
-pub fn chrome_trace_json_with_metrics(tracer: &Tracer, metrics: Option<&Metrics>) -> String {
-    chrome_trace_json_two_clock(tracer, metrics, None)
-}
-
-/// The full two-clock-domain export: simulated-cycle tracks (process 1,
-/// where `ts` reads in cycles) merged with the host wall-clock profile
-/// (process 2, where `ts` reads in real microseconds). Perfetto shows
-/// both processes on one timeline; the `process_name` metadata labels
-/// which clock each group of tracks is on. The host tracks carry the
-/// profiler's **inclusive** timeline spans, so nested phases render as
-/// nested slices.
-pub fn chrome_trace_json_two_clock(
-    tracer: &Tracer,
-    metrics: Option<&Metrics>,
-    profile: Option<&ProfileReport>,
-) -> String {
+///
+/// An enabled `metrics` series is merged in as Perfetto **counter
+/// tracks** (`"ph":"C"`): per-window guest-instruction throughput and
+/// CPI, every registered gauge, and the series' point annotations as
+/// instants on a synthetic `metrics` thread. A disabled one adds nothing.
+pub fn chrome_trace_json(tracer: &Tracer, metrics: &Metrics) -> String {
     let mut out = String::from("[\n");
     let pid = 1u32;
     let mut first = true;
@@ -205,7 +186,7 @@ pub fn chrome_trace_json_two_clock(
     }
 
     // Windowed-metrics counter tracks: one "C" sample per window close.
-    if let Some(m) = metrics.filter(|m| m.is_enabled()) {
+    if metrics.is_enabled() {
         let met_tid = net_tid + 1;
         push(
             &mut out,
@@ -224,7 +205,7 @@ pub fn chrome_trace_json_two_clock(
             );
             push(out, first, &l);
         };
-        for w in m.windows() {
+        for w in metrics.windows() {
             counter(
                 &mut out,
                 &mut first,
@@ -241,7 +222,7 @@ pub fn chrome_trace_json_two_clock(
                     &format!("{cpi:.3}"),
                 );
             }
-            for (id, name) in m.gauges() {
+            for (id, name) in metrics.gauges() {
                 if let Some(v) = w.gauge(id) {
                     counter(
                         &mut out,
@@ -253,7 +234,7 @@ pub fn chrome_trace_json_two_clock(
                 }
             }
         }
-        for e in m.events() {
+        for e in metrics.events() {
             let mut l = String::from("  {\"name\":\"");
             json_escape(&mut l, e.name);
             let _ = write!(
@@ -266,49 +247,6 @@ pub fn chrome_trace_json_two_clock(
         }
     }
 
-    // Host wall-clock tracks: a second process so the two clock
-    // domains stay visually separate while sharing one timeline.
-    if let Some(p) = profile.filter(|p| !p.threads.is_empty()) {
-        let host_pid = pid + 1;
-        push(
-            &mut out,
-            &mut first,
-            &format!(
-                "  {{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-                 \"args\":{{\"name\":\"simulated fabric (ts = cycles)\"}}}}"
-            ),
-        );
-        push(
-            &mut out,
-            &mut first,
-            &format!(
-                "  {{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{host_pid},\"tid\":0,\
-                 \"args\":{{\"name\":\"host wall clock (ts = real \\u00b5s)\"}}}}"
-            ),
-        );
-        for (i, t) in p.threads.iter().enumerate() {
-            let tid = i as u32 + 1;
-            let mut line = format!(
-                "  {{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{host_pid},\"tid\":{tid},\
-                 \"args\":{{\"name\":\""
-            );
-            json_escape(&mut line, &t.name);
-            line.push_str("\"}}");
-            push(&mut out, &mut first, &line);
-            for ev in &t.events {
-                let mut l = String::from("  {\"name\":\"");
-                json_escape(&mut l, ev.phase);
-                let _ = write!(
-                    l,
-                    "\",\"ph\":\"X\",\"pid\":{host_pid},\"tid\":{tid},\"ts\":{:.3},\
-                     \"dur\":{:.3}}}",
-                    ev.start_nanos as f64 / 1e3,
-                    (ev.dur_nanos as f64 / 1e3).max(0.001)
-                );
-                push(&mut out, &mut first, &l);
-            }
-        }
-    }
     out.push_str("\n]\n");
     out
 }
@@ -409,7 +347,7 @@ mod tests {
 
     #[test]
     fn chrome_json_is_well_formed() {
-        let s = chrome_trace_json(&sample_tracer());
+        let s = chrome_trace_json(&sample_tracer(), &Metrics::disabled());
         crate::json_lint::check(&s).expect("valid JSON");
         assert!(s.contains("\"ph\":\"X\""));
         assert!(s.contains("\"ph\":\"C\""));
@@ -420,7 +358,7 @@ mod tests {
 
     #[test]
     fn disabled_tracer_exports_empty_but_valid() {
-        let s = chrome_trace_json(&Tracer::disabled());
+        let s = chrome_trace_json(&Tracer::disabled(), &Metrics::disabled());
         crate::json_lint::check(&s).expect("valid JSON");
         let r = utilization_report(&Tracer::disabled(), 100);
         assert!(r.contains("Utilization"));
@@ -428,7 +366,7 @@ mod tests {
 
     #[test]
     fn metrics_merge_adds_counter_tracks() {
-        use vta_sim::{Ctr, Metrics, MetricsConfig};
+        use vta_sim::MetricsConfig;
         let mut m = Metrics::new(MetricsConfig {
             interval: 50,
             max_windows: 8,
@@ -440,52 +378,13 @@ mod tests {
         m.sample(vta_sim::Cycle(50), &snap, &[3]);
         m.event(vta_sim::Cycle(60), "morph.to_translator", 40);
         m.finish(vta_sim::Cycle(70), &snap, &[1]);
-        let s = chrome_trace_json_with_metrics(&Tracer::disabled(), Some(&m));
+        let s = chrome_trace_json(&Tracer::disabled(), &m);
         crate::json_lint::check(&s).expect("valid JSON");
         assert!(s.contains("\"name\":\"metric.cpi\""));
         assert!(s.contains("\"name\":\"gauge.specq.len\""));
         assert!(s.contains("\"name\":\"morph.to_translator\""));
         assert!(s.contains("\"args\":{\"name\":\"metrics\"}"));
-        // A disabled series adds nothing.
-        let bare = chrome_trace_json_with_metrics(&Tracer::disabled(), Some(&Metrics::disabled()));
-        assert_eq!(bare, chrome_trace_json(&Tracer::disabled()));
-    }
-
-    #[test]
-    fn two_clock_merge_adds_host_process() {
-        use vta_sim::{PhaseTotal, ProfEvent, ProfileReport, ThreadProfile};
-        let profile = ProfileReport {
-            wall_nanos: 5_000_000,
-            threads: vec![ThreadProfile {
-                name: "run".to_string(),
-                phases: vec![PhaseTotal {
-                    phase: "run.translate",
-                    nanos: 1_500,
-                    count: 1,
-                }],
-                events: vec![ProfEvent {
-                    phase: "run.translate",
-                    start_nanos: 2_500,
-                    dur_nanos: 1_500,
-                }],
-                dropped: 0,
-            }],
-        };
-        let s = chrome_trace_json_two_clock(&Tracer::disabled(), None, Some(&profile));
-        crate::json_lint::check(&s).expect("valid JSON");
-        assert!(s.contains("host wall clock"), "{s}");
-        assert!(s.contains("simulated fabric"), "{s}");
-        assert!(s.contains("\"name\":\"run\""), "{s}");
-        // 2500ns start, 1500ns duration → 2.500µs / 1.500µs.
-        assert!(s.contains("\"ts\":2.500,\"dur\":1.500"), "{s}");
-        // Host tracks live in their own process (pid 2).
-        assert!(s.contains("\"pid\":2,\"tid\":1"), "{s}");
-        // An empty profile changes nothing.
-        let bare = chrome_trace_json_two_clock(&Tracer::disabled(), None, None);
-        assert_eq!(bare, chrome_trace_json(&Tracer::disabled()));
-        let empty =
-            chrome_trace_json_two_clock(&Tracer::disabled(), None, Some(&ProfileReport::default()));
-        assert_eq!(empty, bare);
+        assert!(!chrome_trace_json(&Tracer::disabled(), &Metrics::disabled()).contains("metric"));
     }
 
     #[test]

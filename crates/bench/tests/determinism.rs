@@ -65,7 +65,7 @@ fn metrics_do_not_change_a_single_cycle() {
 }
 
 /// All three observers at once — what the benchmark ledger's traced mode
-/// and `perf --profile` actually run — on every fingerprint guest:
+/// runs — on every fingerprint guest:
 /// nothing simulated may move, and each recorder must have recorded.
 #[test]
 fn all_observers_on_do_not_change_a_single_cycle() {

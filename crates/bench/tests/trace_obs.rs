@@ -8,6 +8,7 @@
 use vta_bench::json_lint;
 use vta_bench::trace::{chrome_trace_json, trace_benchmark, utilization_report};
 use vta_dbt::VirtualArchConfig;
+use vta_sim::Metrics;
 use vta_workloads::Scale;
 
 /// Busy cycles per service-tile role, from a traced run.
@@ -56,7 +57,7 @@ fn traced_run_exports_valid_chrome_json() {
         VirtualArchConfig::paper_default(),
         1 << 16,
     );
-    let json = chrome_trace_json(&tracer);
+    let json = chrome_trace_json(&tracer, &Metrics::disabled());
     json_lint::check(&json).expect("exporter emits syntactically valid JSON");
     assert!(json.contains("\"thread_name\""), "track metadata present");
     assert!(json.contains("exec"), "exec tile track named");

@@ -85,9 +85,7 @@ pub struct L1Code {
     table: Vec<(u32, u32)>,
     /// Live entries plus tombstones (bounds the probe length).
     occupied: usize,
-    len: usize,
     flushes: u64,
-    inserts: u64,
 }
 
 #[inline]
@@ -107,9 +105,7 @@ impl L1Code {
             free_slots: Vec::new(),
             table: vec![(EMPTY, 0); 64],
             occupied: 0,
-            len: 0,
             flushes: 0,
-            inserts: 0,
         }
     }
 
@@ -254,7 +250,6 @@ impl L1Code {
             flushed = true;
         }
         self.used += bytes;
-        self.inserts += 1;
         let addr = block.guest_addr;
         // Overwrite an existing mapping by retiring its slot; stale
         // handles to the old block fail their generation check.
@@ -322,7 +317,6 @@ impl L1Code {
         }
         self.table.fill((EMPTY, 0));
         self.occupied = 0;
-        self.len = 0;
         self.used = 0;
         self.flushes += 1;
     }
@@ -370,7 +364,6 @@ impl L1Code {
                     self.occupied += 1;
                 }
                 self.table[i] = (addr, slot);
-                self.len += 1;
                 return;
             }
             debug_assert_ne!(key, addr, "caller removes the old mapping first");
@@ -385,7 +378,6 @@ impl L1Code {
             let (key, _) = self.table[i];
             if key == addr {
                 self.table[i] = (TOMB, 0);
-                self.len -= 1;
                 return;
             }
             if key == EMPTY {
@@ -398,7 +390,6 @@ impl L1Code {
     fn rehash(&mut self, new_len: usize) {
         let old = std::mem::replace(&mut self.table, vec![(EMPTY, 0); new_len]);
         self.occupied = 0;
-        self.len = 0;
         for (key, slot) in old {
             if key != EMPTY && key != TOMB {
                 self.table_insert(key, slot);
@@ -419,8 +410,7 @@ impl L1Code {
 pub struct L15Bank {
     capacity: u32,
     used: u32,
-    blocks: HashMap<u32, (Arc<TBlock>, u64)>,
-    tick: u64,
+    blocks: HashMap<u32, Arc<TBlock>>,
 }
 
 impl L15Bank {
@@ -430,14 +420,12 @@ impl L15Bank {
             capacity,
             used: 0,
             blocks: HashMap::new(),
-            tick: 0,
         }
     }
 
     /// Looks up a block.
     pub fn get(&mut self, guest_addr: u32) -> Option<Arc<TBlock>> {
-        self.tick += 1;
-        self.blocks.get(&guest_addr).map(|(b, _)| Arc::clone(b))
+        self.blocks.get(&guest_addr).cloned()
     }
 
     /// Fixed per-address retention priority (lower sticks harder).
@@ -452,9 +440,8 @@ impl L15Bank {
         if bytes > self.capacity {
             return;
         }
-        self.tick += 1;
         self.used += bytes;
-        self.blocks.insert(block.guest_addr, (block, self.tick));
+        self.blocks.insert(block.guest_addr, block);
         while self.used > self.capacity {
             let victim = self
                 .blocks
@@ -462,14 +449,14 @@ impl L15Bank {
                 .max_by_key(|&&a| Self::retention(a))
                 .copied()
                 .expect("cache non-empty when over capacity");
-            let (b, _) = self.blocks.remove(&victim).expect("victim present");
+            let b = self.blocks.remove(&victim).expect("victim present");
             self.used -= b.host_bytes();
         }
     }
 
     /// Drops one translation.
     pub fn invalidate(&mut self, guest_addr: u32) {
-        if let Some((b, _)) = self.blocks.remove(&guest_addr) {
+        if let Some(b) = self.blocks.remove(&guest_addr) {
             self.used -= b.host_bytes();
         }
     }

@@ -24,7 +24,7 @@ use vta_ir::{
     TranslateError,
 };
 use vta_raw::{net, Dram, TileId};
-use vta_sim::{Ctr, Cycle, Stats, ThreadProf, Tracer, TrackId};
+use vta_sim::{Ctr, Cycle, Profiler, Stats, Tracer, TrackId};
 use vta_x86::GuestMem;
 
 use crate::codecache::L2Code;
@@ -70,7 +70,7 @@ pub(crate) struct Outside<'a> {
     pub stats: &'a mut Stats,
     pub tracer: &'a mut Tracer,
     pub tracks: &'a Tracks,
-    pub prof: &'a mut ThreadProf,
+    pub prof: &'a mut Profiler,
 }
 
 /// What the manager tile's cycles go to. Attribution is purely
@@ -638,7 +638,7 @@ pub(crate) mod tests {
         pub stats: Stats,
         pub tracer: Tracer,
         pub tracks: Tracks,
-        pub prof: ThreadProf,
+        pub prof: Profiler,
     }
 
     impl World {
@@ -660,7 +660,7 @@ pub(crate) mod tests {
                 stats: Stats::new(),
                 tracer,
                 tracks,
-                prof: ThreadProf::disabled(),
+                prof: Profiler::disabled(),
             }
         }
 

@@ -16,7 +16,7 @@ use vta_raw::isa::{HelperKind, MemOp, RReg};
 use vta_raw::{net, Dram, TileId};
 use vta_sim::{
     Ctr, Cycle, GaugeId, Metrics, MetricsConfig, ProfConfig, ProfileReport, Profiler, Stats,
-    ThreadProf, TraceConfig, Tracer,
+    TraceConfig, Tracer,
 };
 use vta_x86::{GuestImage, GuestMem, SysState, SyscallResult};
 
@@ -135,13 +135,11 @@ pub struct System {
     metrics: Metrics,
     /// Gauge ids for the metrics series columns.
     gauges: Gauges,
-    /// Host wall-clock profiling session (disabled unless
+    /// Host wall-clock span recorder (disabled unless
     /// [`System::enable_profiling`] is called). The *second* clock
     /// domain: host-side only, never folded into [`RunReport::stats`],
     /// the metrics series, or any fingerprinted output.
     profiler: Profiler,
-    /// The run loop's span recorder (the `"run"` thread in the profile).
-    prof_thread: ThreadProf,
 }
 
 /// Gauge ids registered with the metrics recorder at
@@ -195,7 +193,6 @@ impl System {
             metrics: Metrics::disabled(),
             gauges: Gauges::default(),
             profiler: Profiler::disabled(),
-            prof_thread: ThreadProf::disabled(),
             timing,
             cfg,
         }
@@ -246,12 +243,6 @@ impl System {
         }
     }
 
-    /// The trace recorder (empty and disabled unless
-    /// [`System::enable_tracing`] was called).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
     /// Takes the trace recorder out of the system (for export after a
     /// run), leaving a disabled one behind.
     pub fn take_tracer(&mut self) -> Tracer {
@@ -300,25 +291,13 @@ impl System {
     /// only reads the host clock and never branches on what it read,
     /// so simulated cycles, [`Stats`], metrics series, and trace
     /// events are bit-identical with profiling on or off.
-    pub fn enable_profiling(&mut self, pcfg: ProfConfig) {
-        self.profiler = Profiler::new(pcfg);
-        self.prof_thread = self.profiler.thread("run");
+    pub fn enable_profiling(&mut self, _pcfg: ProfConfig) {
+        self.profiler = Profiler::new();
     }
 
-    /// The profiling session handle (disabled unless
-    /// [`System::enable_profiling`] was called).
-    pub fn profiler(&self) -> &Profiler {
-        &self.profiler
-    }
-
-    /// Finishes the profiling session and collects the profile, leaving
-    /// a disabled profiler behind. The run loop's recorder is flushed
-    /// first so the report covers it.
+    /// Collects the profile, leaving a disabled profiler behind.
     pub fn take_profile(&mut self) -> ProfileReport {
-        self.prof_thread = Default::default(); // replaced value flushes on drop
-        let report = self.profiler.report();
-        self.profiler = Profiler::disabled();
-        report
+        std::mem::take(&mut self.profiler).report()
     }
 
     /// The counters their owners keep (set, not bumped), as of now. The
@@ -395,7 +374,7 @@ impl System {
             stats: &mut self.stats,
             tracer: &mut self.tracer,
             tracks: &self.tracks,
-            prof: &mut self.prof_thread,
+            prof: &mut self.profiler,
         };
         (&mut self.code, &mut self.manager, out)
     }
@@ -565,11 +544,6 @@ impl System {
         })
     }
 
-    /// Convenience: current cycle count.
-    pub fn cycles(&self) -> u64 {
-        self.now.as_u64()
-    }
-
     /// Obtains the translated block for `pc` through the code-cache
     /// hierarchy, charging the costs of whichever level supplies it.
     fn fetch_block(&mut self, pc: u32) -> Result<(Arc<TBlock>, Option<BlockHandle>), SystemError> {
@@ -637,7 +611,7 @@ impl System {
                 // Host profile phase: only an *applied* morph action
                 // reads the host clock; the per-block decide() poll
                 // above never does.
-                self.prof_thread.enter("run.morph");
+                self.profiler.enter("run.morph");
                 if let Some((tile, dirty)) = self.memsys.remove_bank() {
                     // Explicit role-change event at the switch point:
                     // old role -> new role, with the queue depth that
@@ -669,10 +643,10 @@ impl System {
                         .add_slave(tile, self.now + self.timing.reconfig);
                     self.stats.bump_ctr(Ctr::MorphToTranslator);
                 }
-                self.prof_thread.exit();
+                self.profiler.exit();
             }
             Some(MorphAction::TranslatorToCache) => {
-                self.prof_thread.enter("run.morph");
+                self.profiler.enter("run.morph");
                 if let Some((tile, free_at)) = self.manager.retire_slave(self.now) {
                     self.tracer
                         .instant(self.now, trk_morph, "role: slave->l2bank", qlen as u64);
@@ -688,7 +662,7 @@ impl System {
                     self.tracer.instant(self.now, track, "role.cache", 0);
                     self.stats.bump_ctr(Ctr::MorphToCache);
                 }
-                self.prof_thread.exit();
+                self.profiler.exit();
             }
             None => {}
         }

@@ -13,8 +13,8 @@
 //!
 //! Everything is deterministic: the only randomness source is the in-tree
 //! [`vta_sim::Rng`], seeded explicitly, so the same seed always yields the
-//! same case stream and the same verdicts. The `fuzz` binary in
-//! `vta-bench` drives large sweeps; `crates/ir/tests/fuzz_corpus.rs`
+//! same case stream and the same verdicts. `vta fuzz` (the
+//! `vta-bench` CLI) drives large sweeps; `crates/ir/tests/fuzz_corpus.rs`
 //! replays the committed corpus as a tier-1 test; `heavy/` adds proptest
 //! variants on top of the same oracle.
 

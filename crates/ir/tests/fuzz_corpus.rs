@@ -9,7 +9,7 @@
 //!   divergence;
 //! * the case stream really is a pure function of its seed.
 //!
-//! The `fuzz` binary in vta-bench runs the big sweeps; `heavy/` holds
+//! `vta fuzz` (the vta-bench CLI) runs the big sweeps; `heavy/` holds
 //! the proptest variants.
 
 use vta_ir::fuzz::{corpus, gen::CaseStream, run_case, Case, Verdict};

@@ -23,9 +23,7 @@ pub mod trace;
 
 pub use cycle::Cycle;
 pub use metrics::{GaugeId, MetricEvent, Metrics, MetricsConfig, Window};
-pub use prof::{
-    PhaseTotal, ProfConfig, ProfEvent, ProfileReport, Profiler, ThreadProf, ThreadProfile,
-};
+pub use prof::{PhaseTotal, ProfConfig, ProfileReport, Profiler, ThreadProfile};
 pub use rng::Rng;
 pub use stats::{Ctr, Histogram, Stats};
 pub use trace::{Coord, LinkStats, TraceConfig, TraceEvent, Tracer, TrackId};

@@ -13,7 +13,7 @@
 //! counter track. Timestamps are simulated cycles (shown as µs).
 
 use vta::dbt::{System, VirtualArchConfig};
-use vta::sim::TraceConfig;
+use vta::sim::{Metrics, TraceConfig};
 use vta::workloads::Scale;
 
 fn main() {
@@ -47,7 +47,7 @@ fn main() {
         );
     }
 
-    let json = vta_bench::trace::chrome_trace_json(&tracer);
+    let json = vta_bench::trace::chrome_trace_json(&tracer, &Metrics::disabled());
     std::fs::write("trace.json", json).expect("write trace.json");
     println!("wrote trace.json — open it at https://ui.perfetto.dev");
 }

@@ -3,12 +3,12 @@
 
 //! Property variants of the differential fuzzer (`vta_ir::fuzz`).
 //!
-//! The in-tree `fuzz` binary sweeps fixed seeds; these properties let
+//! The in-tree `vta fuzz` subcommand sweeps fixed seeds; these properties let
 //! proptest drive the same three-way oracle from arbitrary seeds and
 //! arbitrary raw byte programs, with shrinking on failure. The oracle's
 //! own minimizer is still the better reducer for generated streams
 //! (layout-preserving NOP-out), so a failure here is best replayed
-//! through `cargo run -p vta-bench --bin fuzz -- --seed <seed>`.
+//! through `target/release/vta fuzz --seed <seed>`.
 
 use proptest::prelude::*;
 use vta_ir::fuzz::{gen::CaseStream, run_case, Case, Verdict};

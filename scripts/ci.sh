@@ -4,32 +4,32 @@
 # dependencies by policy (root Cargo.toml); the excluded `heavy/`
 # package holds the proptest suites and is built on request only.
 #
-# There is one build of the workspace (no cargo features), so the gate
-# is a list of stages with per-stage timing (human summary at the end,
-# machine-readable in ci-timings.json):
+# There is one build of the workspace (no cargo features) and one CLI
+# binary (target/release/vta, which the build stage produces and every
+# later stage invokes), so the gate is a list of 10 stages with
+# per-stage timing (human summary at the end, machine-readable in
+# ci-timings.json):
 #
 #   fmt
-#   no-env: no library crate reads the process environment
+#   no-env: no library crate reads the process environment, and nothing
+#     under crates/*/src reads the host clock except the profiler
+#     (crates/sim/src/prof.rs) and measure_cell (crates/bench/src/lib.rs)
 #   clippy
 #   build release
 #   test (debug-for-tests)
-#   determinism: perf --check with the four figure sweeps (fig4, fig5,
+#   determinism: vta check with the four figure sweeps (fig4, fig5,
 #     fig8, fig9: 16 configs x 11 guests, morphing and the L1.5 bank
 #     poles included) on 1 and on 4 host threads; every fingerprint
 #     (cycles and stats digest) AND every frozen figure digest must
-#     match BENCH_dispatch.json, and the full --check stdout must be
-#     identical at both widths
-#   metrics: perf --metrics --check — the windowed series for the vpr
+#     match BENCH_dispatch.json, every cell must match the reference
+#     interpreter, and the full stdout must be identical at both widths
+#   metrics: vta metrics --check — the windowed series for the vpr
 #     benchmark must match the committed BENCH_metrics_vpr.csv golden
-#     byte-for-byte (regenerate with --metrics --bless when a simulated
-#     behavior change is intentional)
-#   superblock: perf --superblock --check — guest instruction
-#     retirement must be identical across off/static/recorded region
-#     modes for every benchmark × opt cell
-#   profile overhead: the host wall-time profiler's own wall cost on
-#     the fingerprint benches must stay under 5% (perf --profile
-#     --overhead, min-of-N); that no observer moves a simulated number
-#     is a unit test (crates/bench/tests/determinism.rs)
+#     byte-for-byte (regenerate with vta metrics --bless when a
+#     simulated behavior change is intentional)
+#   superblock: vta superblock --check — every benchmark × opt ×
+#     off/static/recorded cell must reproduce the reference
+#     interpreter's exit code, retired count and output
 #   fuzz: differential fuzzing — the committed corpus replays clean and
 #     fixed-seed generated batches find no divergence
 #   benchmark: the repo benchmark (benchmark/, BENCHMARK.json) still
@@ -75,11 +75,15 @@ run_stage "fmt" \
     cargo fmt --all --check
 
 # A simulated machine is a pure function of (image, config): only the
-# CLI binaries may read the process environment, never a library crate.
+# CLI binary may read the process environment, never a library crate,
+# and only the host profiler and measure_cell (whose wall_seconds
+# benchmark/ reads) may read the host clock.
 no_env_stage() {
-    ! grep -rn 'env::var' crates/*/src --include=*.rs | grep -v '^crates/bench/src/bin/'
+    ! grep -rn 'env::var' crates/*/src --include=*.rs | grep -v '^crates/bench/src/bin/' &&
+        ! grep -rn 'Instant::now' crates/*/src --include=*.rs |
+        grep -v -e '^crates/sim/src/prof.rs:' -e '^crates/bench/src/lib.rs:'
 }
-run_stage "no-env (library crates)" \
+run_stage "no-env, no-clock (library crates)" \
     no_env_stage
 
 run_stage "clippy" \
@@ -87,13 +91,14 @@ run_stage "clippy" \
 
 run_stage "build release" \
     cargo build --release --workspace
+VTA=target/release/vta
 
 run_stage "test" \
     cargo test -q --workspace
 
 # Determinism stage: simulated cycles and stats must match the frozen
 # fingerprints in BENCH_dispatch.json bit-for-bit, each figure sweep
-# (fig4/5/8/9) must fold to its frozen digest there, and the --check
+# (fig4/5/8/9) must fold to its frozen digest there, and the check
 # output itself must not depend on how many host threads the sweeps fan
 # out over.
 determinism_stage() {
@@ -105,16 +110,15 @@ determinism_stage() {
     local out_dir t
     out_dir="$(mktemp -d)"
     for t in 1 4; do
-        echo "ci:    perf --check --threads $t"
-        if ! cargo run --release -q -p vta-bench --bin perf -- --check --threads "$t" \
-            > "$out_dir/check-$t.txt"; then
+        echo "ci:    vta check --threads $t"
+        if ! "$VTA" check --threads "$t" > "$out_dir/check-$t.txt"; then
             echo "ci: FAIL: a fingerprint or a frozen figure digest (fig4/5/8/9) drifted" >&2
             echo "ci:       from BENCH_dispatch.json at --threads $t; stdout kept in $out_dir" >&2
             return 1
         fi
     done
     if ! diff "$out_dir/check-1.txt" "$out_dir/check-4.txt" >&2; then
-        echo "ci: FAIL: perf --check output differs between --threads 1 and 4" >&2
+        echo "ci: FAIL: vta check output differs between --threads 1 and 4" >&2
         echo "ci:       outputs kept in $out_dir" >&2
         return 1
     fi
@@ -126,30 +130,15 @@ run_stage "determinism (sweep threads 1 vs 4)" \
 
 # Metrics stage: the windowed time series is a pure function of
 # (image, config, interval) — diff it against the committed golden.
-run_stage "metrics (perf --metrics --check)" \
-    cargo run --release -q -p vta-bench --bin perf -- --metrics --check
+run_stage "metrics (vta metrics --check)" \
+    "$VTA" metrics --check
 
 # Superblock stage: region formation (static or recorded) must never
-# change WHAT executes, only how it is grouped — guest instruction
-# retirement must be identical across off/static/recorded for every
-# benchmark × opt-level cell at Scale::Test.
-run_stage "superblock retirement (perf --superblock --check)" \
-    cargo run --release -q -p vta-bench --bin perf -- --superblock --check
-
-# Profile stage: the profiler's own cost is gated — min-of-N
-# interleaved wall on the fingerprint benches must stay within 5% (one
-# retry — the assertion measures the instrumentation, not a noisy
-# neighbor).
-profile_stage() {
-    if ! cargo run --release -q -p vta-bench --bin perf -- --profile --overhead \
-        | sed 's/^/ci:    /'; then
-        echo "ci:    overhead gate failed once; retrying (guards against a noisy host)"
-        cargo run --release -q -p vta-bench --bin perf -- --profile --overhead \
-            | sed 's/^/ci:    /'
-    fi
-}
-run_stage "profile (overhead)" \
-    profile_stage
+# change WHAT executes, only how it is grouped — every benchmark ×
+# opt-level × off/static/recorded cell at Scale::Test must reproduce the
+# reference interpreter's exit code, retired count and output.
+run_stage "superblock (vta superblock --check)" \
+    "$VTA" superblock --check
 
 # Fuzz stage: differential fuzzing of the x86 front end. Two parts,
 # both deterministic and offline: (1) every committed minimized
@@ -160,14 +149,10 @@ run_stage "profile (overhead)" \
 # host; the binary exits nonzero (printing a ready-to-commit corpus
 # file) on any divergence.
 fuzz_stage() {
-    cargo run --release -q -p vta-bench --bin fuzz -- \
-        --corpus crates/ir/tests/corpus
-    cargo run --release -q -p vta-bench --bin fuzz -- \
-        --cases 4000 --seed 0x5EED
-    cargo run --release -q -p vta-bench --bin fuzz -- \
-        --cases 3000 --seed 0xB10C
-    cargo run --release -q -p vta-bench --bin fuzz -- \
-        --cases 3000 --seed 3
+    "$VTA" fuzz --corpus crates/ir/tests/corpus
+    "$VTA" fuzz --cases 4000 --seed 0x5EED
+    "$VTA" fuzz --cases 3000 --seed 0xB10C
+    "$VTA" fuzz --cases 3000 --seed 3
 }
 run_stage "fuzz (fixed-seed smoke)" \
     fuzz_stage
@@ -176,6 +161,9 @@ run_stage "fuzz (fixed-seed smoke)" \
 # (own workspace root, own target directory) that links the crates'
 # observer and harness APIs, so this is where a change that breaks what
 # the benchmark uses of the program shows up before the driver sees it.
+# The profiler's own cost is the ledger's sim.prof_on_ratio (run.sh
+# --traced); that no observer moves a simulated number is a unit test
+# (crates/bench/tests/determinism.rs).
 # Each workload prints one JSON result line; every one must say its
 # outputs were correct and no operation failed.
 benchmark_stage() {

@@ -3,80 +3,51 @@
 //! the reference interpreter — across several virtual architecture
 //! configurations.
 
-use vta::dbt::{StopCause, System, VirtualArchConfig};
-use vta::workloads::{all, Scale};
-use vta::x86::{Cpu, StopReason};
+use vta::dbt::{System, VirtualArchConfig};
+use vta::ir::OptLevel;
+use vta::workloads::{by_name, Scale, NAMES};
+use vta_bench::perf::Reference;
 
-fn reference_exit(image: &vta::x86::GuestImage) -> (u32, u64, Vec<u8>) {
-    let mut cpu = Cpu::new(image);
-    match cpu.run(500_000_000).expect("reference faulted") {
-        StopReason::Exit(c) => (c, cpu.insn_count, cpu.sys.output),
-        other => panic!("reference stopped with {other:?}"),
-    }
-}
-
-#[test]
-fn all_benchmarks_match_reference_on_default_config() {
-    for w in all(Scale::Test) {
-        let (want_code, want_insns, want_out) = reference_exit(&w.image);
-        let mut sys = System::new(VirtualArchConfig::paper_default(), &w.image);
-        let report = sys
+/// Runs each guest on the reference interpreter and under `cfg`: exit
+/// code, retired-instruction count and syscall output must all agree —
+/// the same check `vta check` applies to every cell it digests.
+fn matches_reference(cfg: VirtualArchConfig, guests: &[&str]) {
+    for name in guests {
+        let w = by_name(name, Scale::Test).expect("bundled workload");
+        let report = System::new(cfg.clone(), &w.image)
             .run(600_000_000)
-            .unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        assert_eq!(report.stop, StopCause::Exit, "{}", w.name);
-        assert_eq!(report.exit_code, Some(want_code), "{}: exit code", w.name);
-        assert_eq!(report.guest_insns, want_insns, "{}: retired count", w.name);
-        assert_eq!(report.output, want_out, "{}: syscall output", w.name);
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        Reference::of(&w.image).require(name, &report);
     }
 }
 
-#[test]
-fn conservative_single_translator_matches() {
-    for w in all(Scale::Test).into_iter().take(4) {
-        let (want_code, _, _) = reference_exit(&w.image);
-        let mut sys = System::new(VirtualArchConfig::with_translators(1, false), &w.image);
-        let report = sys.run(600_000_000).expect(w.name);
-        assert_eq!(report.exit_code, Some(want_code), "{}", w.name);
-    }
+/// The table: one test per configuration, each over its guests.
+macro_rules! differential {
+    ($($test:ident: $cfg:expr, $guests:expr;)*) => {$(
+        #[test]
+        fn $test() {
+            matches_reference($cfg, $guests);
+        }
+    )*};
 }
 
-#[test]
-fn no_l15_banks_matches() {
-    for w in all(Scale::Test).into_iter().take(3) {
-        let (want_code, _, _) = reference_exit(&w.image);
-        let mut sys = System::new(VirtualArchConfig::with_l15_banks(0), &w.image);
-        let report = sys.run(600_000_000).expect(w.name);
-        assert_eq!(report.exit_code, Some(want_code), "{}", w.name);
-    }
-}
-
-#[test]
-fn morphing_config_matches() {
-    for name in ["gzip", "gcc", "mcf"] {
-        let w = vta::workloads::by_name(name, Scale::Test).unwrap();
-        let (want_code, _, _) = reference_exit(&w.image);
-        let mut sys = System::new(VirtualArchConfig::morphing(0), &w.image);
-        let report = sys.run(600_000_000).expect(w.name);
-        assert_eq!(report.exit_code, Some(want_code), "{}", w.name);
-    }
-}
-
-#[test]
-fn unoptimized_translation_matches() {
-    let mut cfg = VirtualArchConfig::paper_default();
-    cfg.opt = vta::ir::OptLevel::None;
-    for name in ["gzip", "gap", "perlbmk"] {
-        let w = vta::workloads::by_name(name, Scale::Test).unwrap();
-        let (want_code, _, _) = reference_exit(&w.image);
-        let mut sys = System::new(cfg.clone(), &w.image);
-        let report = sys.run(600_000_000).expect(w.name);
-        assert_eq!(report.exit_code, Some(want_code), "{}", w.name);
-    }
+differential! {
+    all_benchmarks_match_reference_on_default_config:
+        VirtualArchConfig::paper_default(), &NAMES;
+    conservative_single_translator_matches:
+        VirtualArchConfig::with_translators(1, false), &NAMES[..4];
+    no_l15_banks_matches:
+        VirtualArchConfig::with_l15_banks(0), &NAMES[..3];
+    morphing_config_matches:
+        VirtualArchConfig::morphing(0), &["gzip", "gcc", "mcf"];
+    unoptimized_translation_matches:
+        VirtualArchConfig { opt: OptLevel::None, ..VirtualArchConfig::paper_default() },
+        &["gzip", "gap", "perlbmk"];
 }
 
 #[test]
 fn cycle_counts_are_deterministic_per_config() {
-    let w = vta::workloads::by_name("parser", Scale::Test).unwrap();
+    let w = by_name("parser", Scale::Test).unwrap();
     let run = || {
         let mut sys = System::new(VirtualArchConfig::paper_default(), &w.image);
         sys.run(600_000_000).expect("runs").cycles
