@@ -103,14 +103,15 @@ pub fn manager_report(m: &ManagerActivity) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vta_sim::Ctr;
 
     fn sample() -> ManagerActivity {
         let mut stats = Stats::new();
-        stats.add("manager.assign_cycles", 300);
-        stats.add("manager.commit_cycles", 200);
-        stats.add("manager.service_cycles", 400);
-        stats.add("manager.morph_cycles", 100);
-        stats.add("manager.dram_wait_cycles", 50);
+        stats.add_ctr(Ctr::ManagerAssignCycles, 300);
+        stats.add_ctr(Ctr::ManagerCommitCycles, 200);
+        stats.add_ctr(Ctr::ManagerServiceCycles, 400);
+        stats.add_ctr(Ctr::ManagerMorphCycles, 100);
+        stats.add_ctr(Ctr::ManagerDramWaitCycles, 50);
         ManagerActivity::from_stats(&stats, 10_000)
     }
 

@@ -739,6 +739,22 @@ mod tests {
         assert_eq!(l1.used_bytes(), 40);
     }
 
+    /// Whatever fits is resident right after its insert, and the byte
+    /// account never exceeds capacity — across however many flushes.
+    #[test]
+    fn l1_random_inserts_stay_within_capacity() {
+        let mut rng = vta_sim::Rng::seeded(0x11C0);
+        for _ in 0..256 {
+            let mut l1 = L1Code::new(4096);
+            for _ in 0..rng.range(1, 99) {
+                let addr = rng.next_u32();
+                l1.insert(block(addr, rng.range(1, 199) as usize));
+                assert!(l1.used_bytes() <= 4096, "over capacity");
+                assert!(l1.contains(addr), "inserted block resident");
+            }
+        }
+    }
+
     #[test]
     fn l1_oversize_block_not_cached() {
         let mut l1 = L1Code::new(100);
@@ -918,6 +934,31 @@ mod tests {
         }
         for &a in &resident {
             assert!(bank2.get(a).is_some());
+        }
+    }
+
+    /// Retention is a function of the insert sequence alone: two banks
+    /// fed identically end with the same resident set.
+    #[test]
+    fn l15_random_inserts_retain_deterministically() {
+        let mut rng = vta_sim::Rng::seeded(0x15BA);
+        for _ in 0..256 {
+            let inserts: Vec<(u32, usize)> = (0..rng.range(1, 79))
+                .map(|_| (rng.next_u32(), rng.range(1, 79) as usize))
+                .collect();
+            let residents = || {
+                let mut bank = L15Bank::new(2048);
+                for &(addr, insns) in &inserts {
+                    bank.insert(block(addr, insns));
+                }
+                inserts
+                    .iter()
+                    .map(|&(addr, _)| bank.get(addr).is_some())
+                    .collect::<Vec<bool>>()
+            };
+            let first = residents();
+            assert!(first.contains(&true), "something is retained");
+            assert_eq!(first, residents());
         }
     }
 

@@ -103,22 +103,28 @@ impl Outside<'_> {
 }
 
 impl Duty {
-    /// The `Stats` counter the duty's cycles go to, and the name of its
-    /// window on the manager's trace track.
-    fn names(self) -> (&'static str, &'static str) {
+    /// The name of the duty's window on the manager's trace track.
+    fn span_name(self) -> &'static str {
         match self {
-            Duty::Lookup => ("manager.service_cycles", "l2.lookup"),
-            Duty::SmcWalk => ("manager.service_cycles", "smc.walk"),
-            Duty::Commit => ("manager.commit_cycles", "commit"),
-            Duty::Assign => ("manager.assign_cycles", "assign"),
-            Duty::DramWait => ("manager.dram_wait_cycles", "dram.wait"),
-            Duty::Morph => ("manager.morph_cycles", "morph"),
+            Duty::Lookup => "l2.lookup",
+            Duty::SmcWalk => "smc.walk",
+            Duty::Commit => "commit",
+            Duty::Assign => "assign",
+            Duty::DramWait => "dram.wait",
+            Duty::Morph => "morph",
         }
     }
 
     /// Attributes `cycles` of manager time to this duty.
     pub(crate) fn attribute(self, stats: &mut Stats, cycles: u64) {
-        stats.add(self.names().0, cycles);
+        let counter = match self {
+            Duty::Lookup | Duty::SmcWalk => Ctr::ManagerServiceCycles,
+            Duty::Commit => Ctr::ManagerCommitCycles,
+            Duty::Assign => Ctr::ManagerAssignCycles,
+            Duty::DramWait => Ctr::ManagerDramWaitCycles,
+            Duty::Morph => Ctr::ManagerMorphCycles,
+        };
+        stats.add_ctr(counter, cycles);
     }
 }
 
@@ -253,7 +259,7 @@ impl Manager {
         self.next_free = end;
         let track = out.tracks.tile(self.tile);
         out.tracer
-            .span(start, end.saturating_since(start), track, duty.names().1);
+            .span(start, end.saturating_since(start), track, duty.span_name());
         end
     }
 

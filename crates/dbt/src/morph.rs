@@ -188,6 +188,35 @@ mod tests {
         assert_eq!(decide(&mut m, 6000, 0, 4), None, "max banks reached");
     }
 
+    /// On any sample stream, consecutive decisions are at least the
+    /// hysteresis apart and never leave the bank budget.
+    #[test]
+    fn random_samples_respect_hysteresis_and_bank_budget() {
+        let mut rng = vta_sim::Rng::seeded(0x3027);
+        let mut both_ways = [false; 2];
+        for _ in 0..256 {
+            let mut m = mgr(5);
+            let (mut now, mut banks) = (0u64, 4usize);
+            let mut last_reconfig = None;
+            for _ in 0..rng.range(1, 199) {
+                now += rng.below(2000);
+                let Some(action) = decide(&mut m, now, rng.below(40) as usize, banks) else {
+                    continue;
+                };
+                if let Some(prev) = last_reconfig.replace(now) {
+                    assert!(now - prev >= 5000, "hysteresis violated");
+                }
+                match action {
+                    MorphAction::CacheToTranslator => banks -= 1,
+                    MorphAction::TranslatorToCache => banks += 1,
+                }
+                assert!((1..=4).contains(&banks), "bank budget violated");
+                both_ways[usize::from(action == MorphAction::TranslatorToCache)] = true;
+            }
+        }
+        assert_eq!(both_ways, [true; 2], "the streams morph in both directions");
+    }
+
     #[test]
     fn threshold_zero_morphs_on_any_queue() {
         let mut m = mgr(0);

@@ -179,6 +179,46 @@ mod tests {
         assert_eq!(q.depth_lens().iter().sum::<usize>(), q.len());
     }
 
+    /// Whatever is pushed pops in non-decreasing depth order, each
+    /// address exactly once.
+    #[test]
+    fn random_pushes_pop_by_priority_once_each() {
+        let mut rng = vta_sim::Rng::seeded(0x5BEC);
+        for _ in 0..256 {
+            let mut q = SpecQueues::new(5);
+            let mut pending = std::collections::HashSet::new();
+            for _ in 0..rng.range(1, 99) {
+                // A small address space, so duplicates and promotions occur.
+                let addr = rng.below(64) as u32 * 4;
+                q.push(addr, rng.below(8) as u8);
+                pending.insert(addr);
+            }
+            assert_eq!(q.len(), pending.len());
+            let mut last_depth = 0;
+            while let Some((addr, depth)) = q.pop() {
+                assert!(depth >= last_depth, "priority inversion");
+                last_depth = depth;
+                assert!(pending.remove(&addr), "{addr:#x} popped twice");
+            }
+            assert!(pending.is_empty() && q.is_empty());
+        }
+    }
+
+    /// A re-pushed address pops once, at the shallower of its two
+    /// (clamped) depths: promotion never deepens. Exhaustive.
+    #[test]
+    fn repush_pops_at_the_shallower_depth() {
+        for d1 in 0..8u8 {
+            for d2 in 0..8u8 {
+                let mut q = SpecQueues::new(5);
+                q.push(0x10, d1);
+                q.push(0x10, d2);
+                assert_eq!(q.pop(), Some((0x10, d1.min(d2).min(5))), "{d1} then {d2}");
+                assert!(q.is_empty());
+            }
+        }
+    }
+
     /// A promoted address must pop exactly once, at its promoted depth,
     /// and the tombstone left in the deeper queue must be invisible.
     #[test]

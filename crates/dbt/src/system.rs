@@ -10,15 +10,17 @@
 
 use std::sync::Arc;
 
-use vta_ir::{apply_helper, TBlock, TranslateError};
+use vta_ir::codegen::SYS_RESUME_REG;
+use vta_ir::helper::R_ESP;
+use vta_ir::{apply_helper, proxy_syscall, TBlock, TranslateError};
 use vta_raw::exec::{run_block, BlockExit, CoreState, DataPort, Fault};
-use vta_raw::isa::{HelperKind, MemOp, RReg};
+use vta_raw::isa::{HelperKind, MemOp};
 use vta_raw::{net, Dram, TileId};
 use vta_sim::{
     Ctr, Cycle, GaugeId, Metrics, MetricsConfig, ProfConfig, ProfileReport, Profiler, Stats,
     TraceConfig, Tracer,
 };
-use vta_x86::{GuestImage, GuestMem, SysState, SyscallResult};
+use vta_x86::{GuestImage, GuestMem, SysState};
 
 use crate::codecache::{BlockHandle, CodeHierarchy};
 use crate::config::VirtualArchConfig;
@@ -28,13 +30,6 @@ use crate::morph::{MorphAction, MorphManager};
 use crate::regions::Regions;
 use crate::shared::SharedTranslations;
 use crate::timing::Timing;
-
-/// Host register holding guest `EAX` (fixed mapping).
-const R_EAX: RReg = RReg(1);
-/// Host register holding guest `ESP`.
-const R_ESP: RReg = RReg(5);
-/// Register carrying the resume address across a syscall.
-const R_RESUME: RReg = RReg(26);
 
 /// Why the run stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -583,20 +578,11 @@ impl System {
         self.now += self.timing.syscall_service;
         self.now += net::message(&mut self.tracer, self.now, sysc, exec, 1);
 
-        let nr = self.state.get(R_EAX);
-        let args = [
-            self.state.get(RReg(4)), // EBX
-            self.state.get(RReg(2)), // ECX
-            self.state.get(RReg(3)), // EDX
-        ];
-        match self.sys.dispatch(&mut self.mem, nr, args) {
-            SyscallResult::Continue(ret) => {
-                self.state.set(R_EAX, ret);
-                self.pc = self.state.get(R_RESUME);
-                None
-            }
-            SyscallResult::Exit(code) => Some(code),
+        let exit = proxy_syscall(&mut self.state, &mut self.sys, &mut self.mem);
+        if exit.is_none() {
+            self.pc = self.state.get(SYS_RESUME_REG);
         }
+        exit
     }
 
     fn maybe_morph(&mut self) {

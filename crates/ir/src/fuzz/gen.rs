@@ -31,7 +31,10 @@
 //!   data-dependent junctions plus a `call`/`ret` pair, the shape the
 //!   oracle's recorded-path run turns into `translate_region_along`
 //!   regions (exercises recorded-shape formation and its guard side
-//!   exits).
+//!   exits);
+//! * [`wide_arith`] — the one-operand `EDX:EAX` forms (`mul`, `imul`,
+//!   `idiv`) no other family emits. Driven by a tier-1 seeded loop, not
+//!   by [`CaseStream`], whose rotation stays comparable across PRs.
 //!
 //! All generators draw exclusively from the caller's [`Rng`], so a fixed
 //! seed reproduces the identical stream of [`Case`]s on every run.
@@ -741,7 +744,42 @@ pub fn recorded_path(rng: &mut Rng) -> Case {
     }
 }
 
-/// A deterministic stream of cases drawn from every generator.
+/// Straight-line one-operand widening multiplies and signed divides,
+/// with a `setcc` after every step. Most divides sign-extend the
+/// dividend first (`cdq`, so the quotient fits); one in eight divides
+/// whatever `EDX:EAX` the stream left, so quotient overflow is compared
+/// too.
+pub fn wide_arith(rng: &mut Rng) -> Case {
+    let mut asm = Asm::new(CODE_BASE);
+    seed_regs(&mut asm, rng);
+
+    let n_ops = 4 + rng.below(16) as usize;
+    for _ in 0..n_ops {
+        let a = GP[rng.below(6) as usize];
+        match rng.below(3) {
+            0 => asm.mul_r(a),
+            1 => asm.imul_r(a),
+            _ => {
+                if !rng.chance(1, 8) {
+                    asm.cdq();
+                }
+                asm.or_ri(Reg::ECX, 1);
+                asm.idiv_r(Reg::ECX);
+            }
+        }
+        asm.setcc(Cond::ALL[rng.below(16) as usize], rng.below(4) as u8);
+    }
+    flag_epilogue(&mut asm);
+    asm.hlt();
+    Case {
+        name: String::from("wide_arith"),
+        code: asm.finish().code,
+        input: Vec::new(),
+    }
+}
+
+/// A deterministic stream of cases drawn from every generator family
+/// in the rotation (all but [`wide_arith`]).
 ///
 /// Iterating yields `linear`, `branchy`, `flag_stress`, `memory`,
 /// `raw_bytes`, `smc`, `syscalls`, `superblock`, `indirect_chain`,

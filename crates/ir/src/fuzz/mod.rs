@@ -15,15 +15,17 @@
 //! [`vta_sim::Rng`], seeded explicitly, so the same seed always yields the
 //! same case stream and the same verdicts. `vta fuzz` (the
 //! `vta-bench` CLI) drives large sweeps; `crates/ir/tests/fuzz_corpus.rs`
-//! replays the committed corpus as a tier-1 test; `heavy/` adds proptest
-//! variants on top of the same oracle.
+//! replays the committed corpus as a tier-1 test and holds the seeded
+//! loops over what the case stream does not draw;
+//! `crates/ir/tests/differential.rs` feeds hand-written programs to the
+//! same oracle through [`run_image`].
 
 pub mod corpus;
 pub mod gen;
 pub mod minimize;
 pub mod oracle;
 
-pub use oracle::{run_case, Channel, Divergence, FaultKind, Outcome, Verdict};
+pub use oracle::{run_case, run_image, Channel, Divergence, FaultKind, Outcome, Verdict};
 
 use vta_x86::{GuestImage, Program};
 

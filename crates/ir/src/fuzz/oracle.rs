@@ -38,34 +38,41 @@
 //! compared: the oracle retranslates every block on entry, so patches
 //! landed by *earlier* blocks are always seen.
 //!
-//! Translation uses [`translate_region`] under
-//! [`RegionLimits::for_opt`], so `OptLevel::Full` runs exercise the same
-//! superblock regions the DBT executes. A third translated run
-//! ([`run_translated_recorded`]) replays the DBT's runtime path
-//! recording protocol — single-block execution arms and records loop
-//! roots, then [`translate_region_along`] builds regions along the
-//! recorded paths — so recorded-shape regions (including the ones whose
-//! guards side-exit mid-region) are differentially checked too. Stores into a *later, not yet
-//! executed* member of the current region are back in contract: the
-//! `SmcGuard` at each member boundary exits to the next member's entry
-//! before any stale byte runs, and the oracle retranslates from there
-//! against the patched bytes. Only when the dirtied bytes belong to an
-//! already-decoded portion — the entry member itself, a member the exit
-//! does not precede, or footprint bytes outside every member range (the
-//! successor flag-liveness scan) — is the case out of contract.
+//! There is one functional DBT loop, `run_translated`, over one
+//! functional [`DataPort`] and the translated side's one syscall layer
+//! ([`proxy_syscall`]); the three translated runs differ only in the
+//! shape the block at `pc` is translated under. Two use
+//! [`translate_region`] under [`RegionLimits::for_opt`], so
+//! `OptLevel::Full` exercises the same superblock regions the DBT
+//! executes. The third replays the DBT's runtime path recording
+//! protocol — single-block execution arms and records loop roots, then
+//! [`translate_region_along`] builds regions along the recorded paths —
+//! so recorded-shape regions (including the ones whose guards side-exit
+//! mid-region) are differentially checked too. [`run_image`] judges any
+//! [`GuestImage`]; [`run_case`] is `run_image` of a fuzz [`Case`].
+//!
+//! Stores into a *later, not yet executed* member of the current
+//! region are back in contract: the `SmcGuard` at each member boundary
+//! exits to the next member's entry before any stale byte runs, and the
+//! oracle retranslates from there against the patched bytes. Only when
+//! the dirtied bytes belong to an already-decoded portion — the entry
+//! member itself, a member the exit does not precede, or footprint bytes
+//! outside every member range (the successor flag-liveness scan) — is
+//! the case out of contract.
 
 use std::collections::{HashMap, HashSet};
 
-use crate::apply_helper;
+use crate::codegen::{guest_host_reg, SYS_RESUME_REG};
 use crate::fuzz::Case;
+use crate::helper::{apply_helper, proxy_syscall, R_ESP};
 use crate::translate::{
     translate_region, translate_region_along, OptLevel, RecordingSource, RegionLimits,
     TranslateError,
 };
 use crate::TBlock;
 use vta_raw::exec::{run_block, BlockExit, CoreState, DataPort, Fault};
-use vta_raw::isa::{HelperKind, MemOp, RReg};
-use vta_x86::{Cpu, CpuError, GuestMem, StopReason, SysState, SyscallResult, PAGE_SIZE};
+use vta_raw::isa::{HelperKind, MemOp};
+use vta_x86::{Cpu, CpuError, GuestImage, GuestMem, StopReason, SysState, PAGE_SIZE};
 
 /// Instruction budget for the reference interpreter.
 const REF_INSN_LIMIT: u64 = 2_000_000;
@@ -227,10 +234,9 @@ fn fault_kind(f: Fault) -> Outcome {
     }
 }
 
-/// Runs a case on the reference interpreter.
-fn run_reference(case: &Case) -> RunResult {
-    let image = case.image();
-    let mut cpu = Cpu::new(&image);
+/// Runs an image on the reference interpreter.
+fn run_reference(image: &GuestImage) -> RunResult {
+    let mut cpu = Cpu::new(image);
     let outcome = match cpu.run(REF_INSN_LIMIT) {
         Ok(StopReason::Exit(c)) => Outcome::Exit(c),
         Ok(StopReason::Halt) => Outcome::Halt,
@@ -250,20 +256,102 @@ fn run_reference(case: &Case) -> RunResult {
     }
 }
 
-/// Runs a case through translate + execute at one optimization level.
+/// Which translation shapes a translated run executes.
+#[derive(Clone, Copy)]
+enum Shapes {
+    /// Every block through [`translate_region`] at this level under
+    /// [`RegionLimits::for_opt`]: single blocks at `None`, statically
+    /// predicted superblocks at `Full`.
+    Static(OptLevel),
+    /// The DBT's runtime path recording: single blocks at
+    /// [`OptLevel::None`] (the recording pass observes architectural
+    /// successors only) until a [`PathRecorder`] has closed a path for a
+    /// loop root, then a [`translate_region_along`] region at
+    /// [`OptLevel::Full`] there. Wherever the recorded path stops
+    /// holding, the region's guards must side-exit to precisely the
+    /// address single-block execution would have reached.
+    Recorded,
+}
+
+/// The protocol the DBT's promotion trigger drives, without its
+/// hotness counters: backedge targets are armed, the next pass through
+/// an armed address records the successors actually taken, and the
+/// recording closes at the loop-closing backedge or the member cap.
+#[derive(Default)]
+struct PathRecorder {
+    /// Closed recordings: loop root to its successor list.
+    paths: HashMap<u32, Vec<u32>>,
+    /// Backedge targets whose next entry starts a recording.
+    armed: HashSet<u32>,
+    /// The recording in progress: its root and the successors so far.
+    open: Option<(u32, Vec<u32>)>,
+}
+
+impl PathRecorder {
+    /// Consulted before translating the block at `pc`: the closed path
+    /// to form its region along, if there is one. Entering a recorded
+    /// region tears down any recording in progress, exactly like the
+    /// DBT; entering an armed address starts one.
+    fn path_at(&mut self, pc: u32) -> Option<&[u32]> {
+        let path = self.paths.get(&pc);
+        if path.is_some() {
+            self.open = None;
+        } else if self.armed.remove(&pc) && self.open.is_none() {
+            self.open = Some((pc, Vec::new()));
+        }
+        path.map(Vec::as_slice)
+    }
+
+    /// Consulted after the translation at `from` left through a
+    /// `Goto`/`Indirect` exit to `to`. Only single-block steps are
+    /// recorded; an exit from a recorded region is not one.
+    fn note_exit(&mut self, from: u32, to: u32) {
+        if self.paths.contains_key(&from) {
+            return;
+        }
+        if let Some((root, path)) = &mut self.open {
+            let closes_loop = to == *root;
+            if !closes_loop {
+                path.push(to);
+            }
+            let cap = RegionLimits::default().max_blocks as usize;
+            if closes_loop || path.len() + 1 >= cap {
+                let (root, path) = self.open.take().expect("a recording is open");
+                if !path.is_empty() {
+                    self.paths.insert(root, path);
+                }
+            }
+        }
+        if to <= from && !self.paths.contains_key(&to) {
+            self.armed.insert(to);
+        }
+    }
+
+    /// Consulted at a syscall, where the DBT ends a recording.
+    fn at_syscall(&mut self) {
+        self.open = None;
+    }
+}
+
+/// Runs an image through translate + execute: the one functional DBT
+/// loop, whose only varying part is the shape the block at `pc` is
+/// translated under.
 ///
 /// Blocks are re-translated on every entry (no translation cache): the
 /// oracle must stay coherent with self-modifying code, and divergence
 /// hunting values correctness over speed.
-fn run_translated(case: &Case, opt: OptLevel) -> RunResult {
-    let image = case.image();
+fn run_translated(image: &GuestImage, shapes: Shapes) -> RunResult {
     let mut mem = image.build_mem();
     let mut sys = SysState::new(image.brk_base);
     sys.set_input(image.input.clone());
 
+    let (opt, mut recorder) = match shapes {
+        Shapes::Static(opt) => (opt, None),
+        Shapes::Recorded => (OptLevel::None, Some(PathRecorder::default())),
+    };
     let limits = RegionLimits::for_opt(opt);
     let mut state = CoreState::new();
-    state.set(RReg(5), image.initial_esp()); // ESP
+    state.set(R_ESP, image.initial_esp());
     let mut pc = image.entry;
     let mut blocks = 0u32;
 
@@ -273,7 +361,13 @@ fn run_translated(case: &Case, opt: OptLevel) -> RunResult {
             break Outcome::Limit;
         }
         let rec = RecordingSource::new(&mem);
-        let block = match translate_region(&rec, pc, opt, &limits) {
+        let translated = match recorder.as_mut().and_then(|r| r.path_at(pc)) {
+            Some(path) => {
+                translate_region_along(&rec, pc, OptLevel::Full, &RegionLimits::default(), path)
+            }
+            None => translate_region(&rec, pc, opt, &limits),
+        };
+        let block = match translated {
             Ok(b) => b,
             Err(TranslateError::Decode(_)) => break Outcome::Fault(FaultKind::Undecodable),
             // Capacity, not semantics (e.g. register-pressure spill):
@@ -287,47 +381,33 @@ fn run_translated(case: &Case, opt: OptLevel) -> RunResult {
             dirty: Vec::new(),
         };
         let out = run_block(&mut state, &block.code, &mut port, BLOCK_FUEL);
-        // Stores that hit the translation's read footprint ran the risk
-        // of stale code. They stay *in* contract only when the region's
-        // SmcGuard machinery provably exited before any dirtied byte
-        // could execute: the exit resumes at a later member's entry and
-        // every dirty byte lies at or past that resume point inside the
-        // region's member ranges. Anything else — a dirty byte in code
-        // the exit does not precede, or in footprint bytes outside every
-        // member (the successor liveness scan) — is stale execution the
-        // reference never saw, and the case is skipped, not compared.
         if stale_execution(&block, &out.exit, &port.dirty) {
             break Outcome::OutOfContract;
         }
         match out.exit {
-            BlockExit::Goto(t) | BlockExit::Indirect(t) => pc = t,
+            BlockExit::Goto(t) | BlockExit::Indirect(t) => {
+                if let Some(r) = &mut recorder {
+                    r.note_exit(pc, t);
+                }
+                pc = t;
+            }
             BlockExit::Halt => break Outcome::Halt,
             BlockExit::Fault(f) => break fault_kind(f),
             BlockExit::Sys => {
-                let nr = state.get(RReg(1)); // EAX
-                let args = [
-                    state.get(RReg(4)), // EBX
-                    state.get(RReg(2)), // ECX
-                    state.get(RReg(3)), // EDX
-                ];
-                match sys.dispatch(&mut mem, nr, args) {
-                    SyscallResult::Continue(ret) => {
-                        state.set(RReg(1), ret);
-                        pc = state.get(RReg(26));
-                    }
-                    SyscallResult::Exit(code) => break Outcome::Exit(code),
+                if let Some(r) = &mut recorder {
+                    r.at_syscall();
+                }
+                match proxy_syscall(&mut state, &mut sys, &mut mem) {
+                    Some(code) => break Outcome::Exit(code),
+                    None => pc = state.get(SYS_RESUME_REG),
                 }
             }
         }
     };
 
-    let mut regs = [0u32; 8];
-    for (i, r) in regs.iter_mut().enumerate() {
-        *r = state.get(RReg(i as u8 + 1));
-    }
     RunResult {
         outcome,
-        regs,
+        regs: std::array::from_fn(|i| state.get(guest_host_reg(i as u32))),
         mem,
         output: sys.output,
     }
@@ -363,148 +443,13 @@ fn stale_execution(block: &TBlock, exit: &BlockExit, dirty: &[u32]) -> bool {
     !resumes_before_dirty
 }
 
-/// One single-block step while a recording may be active: extends the
-/// recorded path with the actually-taken successor, closes it at the
-/// loop-closing backedge or the member cap, and arms backedge targets
-/// so a future pass through them starts a recording — the same
-/// protocol the DBT's promotion trigger drives.
-fn note_step(
-    paths: &mut HashMap<u32, Vec<u32>>,
-    armed: &mut HashSet<u32>,
-    recorder: &mut Option<(u32, Vec<u32>)>,
-    from: u32,
-    to: u32,
-    limits: &RegionLimits,
-) {
-    if let Some((root, path)) = recorder {
-        if to == *root {
-            // Loop closed: the region is root plus the recorded path.
-            let (root, path) = recorder.take().expect("recording");
-            if !path.is_empty() {
-                paths.insert(root, path);
-            }
-        } else {
-            path.push(to);
-            if path.len() + 1 >= limits.max_blocks as usize {
-                let (root, path) = recorder.take().expect("recording");
-                paths.insert(root, path);
-            }
-        }
-    }
-    if to <= from && !paths.contains_key(&to) {
-        armed.insert(to);
-    }
-}
-
-/// Runs a case the way the DBT runs it with runtime path recording on:
-/// single-block execution everywhere (at [`OptLevel::None`] — the
-/// recording pass observes architectural successors only), backedge
-/// targets armed for recording, and — once a path is recorded — a
-/// [`translate_region_along`] region at [`OptLevel::Full`] for each
-/// recorded root. This is the oracle's coverage of recorded-path
-/// region formation: wherever the recorded path stops holding, the
-/// region's guards must side-exit to precisely the address single-block
-/// execution would have reached.
-fn run_translated_recorded(case: &Case) -> RunResult {
-    let image = case.image();
-    let mut mem = image.build_mem();
-    let mut sys = SysState::new(image.brk_base);
-    sys.set_input(image.input.clone());
-
-    let full = RegionLimits::for_opt(OptLevel::Full);
-    let single = RegionLimits::single();
-    let mut state = CoreState::new();
-    state.set(RReg(5), image.initial_esp()); // ESP
-    let mut pc = image.entry;
-    let mut blocks = 0u32;
-
-    let mut paths: HashMap<u32, Vec<u32>> = HashMap::new();
-    let mut armed: HashSet<u32> = HashSet::new();
-    let mut recorder: Option<(u32, Vec<u32>)> = None;
-
-    let outcome = loop {
-        blocks += 1;
-        if blocks > BLOCK_BUDGET {
-            break Outcome::Limit;
-        }
-        let along = paths.get(&pc).cloned();
-        if along.is_some() {
-            // Entering a resident recorded region tears down any
-            // recording in progress, exactly like the DBT.
-            recorder = None;
-        } else if armed.remove(&pc) && recorder.is_none() {
-            recorder = Some((pc, Vec::new()));
-        }
-        let rec = RecordingSource::new(&mem);
-        let translated = match &along {
-            Some(path) => translate_region_along(&rec, pc, OptLevel::Full, &full, path),
-            None => translate_region(&rec, pc, OptLevel::None, &single),
-        };
-        let block = match translated {
-            Ok(b) => b,
-            Err(TranslateError::Decode(_)) => break Outcome::Fault(FaultKind::Undecodable),
-            Err(TranslateError::Codegen(_)) => break Outcome::Limit,
-        };
-        let reads = rec.into_read_set();
-        let mut port = OraclePort {
-            mem: &mut mem,
-            reads: &reads,
-            dirty: Vec::new(),
-        };
-        let out = run_block(&mut state, &block.code, &mut port, BLOCK_FUEL);
-        if stale_execution(&block, &out.exit, &port.dirty) {
-            break Outcome::OutOfContract;
-        }
-        match out.exit {
-            BlockExit::Goto(t) | BlockExit::Indirect(t) => {
-                if along.is_none() {
-                    note_step(
-                        &mut paths,
-                        &mut armed,
-                        &mut recorder,
-                        block.guest_addr,
-                        t,
-                        &full,
-                    );
-                }
-                pc = t;
-            }
-            BlockExit::Halt => break Outcome::Halt,
-            BlockExit::Fault(f) => break fault_kind(f),
-            BlockExit::Sys => {
-                // The DBT ends a recording at syscalls.
-                recorder = None;
-                let nr = state.get(RReg(1)); // EAX
-                let args = [
-                    state.get(RReg(4)), // EBX
-                    state.get(RReg(2)), // ECX
-                    state.get(RReg(3)), // EDX
-                ];
-                match sys.dispatch(&mut mem, nr, args) {
-                    SyscallResult::Continue(ret) => {
-                        state.set(RReg(1), ret);
-                        pc = state.get(RReg(26));
-                    }
-                    SyscallResult::Exit(code) => break Outcome::Exit(code),
-                }
-            }
-        }
-    };
-
-    let mut regs = [0u32; 8];
-    for (i, r) in regs.iter_mut().enumerate() {
-        *r = state.get(RReg(i as u8 + 1));
-    }
-    RunResult {
-        outcome,
-        regs,
-        mem,
-        output: sys.output,
-    }
-}
-
 /// Byte-compares every mapped page of two guest memories.
 fn mem_diff(a: &GuestMem, b: &GuestMem) -> Option<String> {
+    // Page-wise equality first: naming the differing byte below probes
+    // the page table once per byte, which is the whole cost of a case.
+    if a == b {
+        return None;
+    }
     let pa = a.mapped_pages();
     let pb = b.mapped_pages();
     if pa != pb {
@@ -531,7 +476,7 @@ fn mem_diff(a: &GuestMem, b: &GuestMem) -> Option<String> {
 }
 
 /// Compares one translated run against the reference run.
-fn compare(opt: OptLevel, reference: &RunResult, dbt: &RunResult) -> Verdict {
+fn compare(shapes: Shapes, reference: &RunResult, dbt: &RunResult) -> Verdict {
     // A limit on either side makes the case incomparable.
     if reference.outcome == Outcome::Limit || dbt.outcome == Outcome::Limit {
         return Verdict::Skip("resource limit");
@@ -540,11 +485,16 @@ fn compare(opt: OptLevel, reference: &RunResult, dbt: &RunResult) -> Verdict {
     if dbt.outcome == Outcome::OutOfContract {
         return Verdict::Skip("same-block SMC");
     }
-    let diverge = |channel, detail| {
+    // The recorded-path run reports under the level of its regions.
+    let (opt, tag) = match shapes {
+        Shapes::Static(opt) => (opt, ""),
+        Shapes::Recorded => (OptLevel::Full, "recorded-path run: "),
+    };
+    let diverge = |channel, detail: String| {
         Verdict::Diverge(Divergence {
             opt,
             channel,
-            detail,
+            detail: format!("{tag}{detail}"),
         })
     };
     if reference.outcome != dbt.outcome {
@@ -580,29 +530,29 @@ fn compare(opt: OptLevel, reference: &RunResult, dbt: &RunResult) -> Verdict {
     Verdict::Pass
 }
 
-/// Runs one case through the full differential oracle.
+/// Runs one guest image through the full differential oracle.
 ///
 /// Returns the first non-[`Pass`](Verdict::Pass) verdict across the two
 /// optimization levels ([`OptLevel::None`] first) and the recorded-path
-/// run (last).
-pub fn run_case(case: &Case) -> Verdict {
-    let reference = run_reference(case);
-    for opt in [OptLevel::None, OptLevel::Full] {
-        let dbt = run_translated(case, opt);
-        match compare(opt, &reference, &dbt) {
+/// run (last; reported under `OptLevel::Full` with a `recorded-path`
+/// tag in the detail).
+pub fn run_image(image: &GuestImage) -> Verdict {
+    let reference = run_reference(image);
+    for shapes in [
+        Shapes::Static(OptLevel::None),
+        Shapes::Static(OptLevel::Full),
+        Shapes::Recorded,
+    ] {
+        let dbt = run_translated(image, shapes);
+        match compare(shapes, &reference, &dbt) {
             Verdict::Pass => {}
             other => return other,
         }
     }
-    // Third translated run: recorded-path regions, the shape the DBT's
-    // runtime path recording builds (reported under `OptLevel::Full`
-    // with a `recorded-path` tag in the detail).
-    let dbt = run_translated_recorded(case);
-    match compare(OptLevel::Full, &reference, &dbt) {
-        Verdict::Diverge(mut d) => {
-            d.detail = format!("recorded-path run: {}", d.detail);
-            Verdict::Diverge(d)
-        }
-        other => other,
-    }
+    Verdict::Pass
+}
+
+/// Runs one fuzz case through the full differential oracle.
+pub fn run_case(case: &Case) -> Verdict {
+    run_image(&case.image())
 }

@@ -4,7 +4,9 @@
 //! flag-exact shifts/rotates (see [`vta_raw::HelperKind`]). This module is
 //! the one implementation both the DBT system and the translator's own
 //! tests use, and it delegates to [`vta_x86::flags`] so helper behaviour
-//! is equal to the reference interpreter *by construction*.
+//! is equal to the reference interpreter *by construction*. The
+//! translated side's syscall proxy ([`proxy_syscall`]) lives here for the
+//! same reason: one implementation over the same fixed register mapping.
 //!
 //! # Register ABI
 //!
@@ -19,12 +21,18 @@
 use vta_raw::exec::{CoreState, Fault};
 use vta_raw::isa::{HelperKind, RReg, ShiftOp};
 use vta_x86::flags::{self, Flags};
-use vta_x86::Size;
+use vta_x86::{GuestMem, Size, SysState, SyscallResult};
 
 /// Host register holding guest `EAX`.
 pub const R_EAX: RReg = RReg(1);
+/// Host register holding guest `ECX`.
+pub const R_ECX: RReg = RReg(2);
 /// Host register holding guest `EDX`.
 pub const R_EDX: RReg = RReg(3);
+/// Host register holding guest `EBX`.
+pub const R_EBX: RReg = RReg(4);
+/// Host register holding guest `ESP`.
+pub const R_ESP: RReg = RReg(5);
 /// Host register holding the packed guest EFLAGS.
 pub const R_FLAGS: RReg = RReg(9);
 /// First scratch register of the helper ABI.
@@ -171,6 +179,29 @@ pub fn apply_helper(kind: HelperKind, state: &mut CoreState) -> Result<(), Fault
 fn set_low16(state: &mut CoreState, r: RReg, v: u32) {
     let old = state.get(r);
     state.set(r, (old & 0xFFFF_0000) | (v & 0xFFFF));
+}
+
+/// Proxies the `int 0x80` a translated block just stopped at
+/// ([`BlockExit::Sys`](vta_raw::exec::BlockExit::Sys)) to the guest's OS
+/// state, in the Linux i386 convention: call number in `EAX`, arguments
+/// in `EBX`, `ECX`, `EDX`, result back in `EAX`.
+///
+/// Returns `Some(code)` when the guest exited. On `None` the guest
+/// resumes at the address the block left in
+/// [`SYS_RESUME_REG`](crate::codegen::SYS_RESUME_REG). This is the one
+/// syscall layer of the translated side — the DBT system and the fuzz
+/// oracle both call it — so the marshalling cannot drift from
+/// [`vta_x86::Cpu`]'s, which feeds the same [`SysState::dispatch`].
+pub fn proxy_syscall(state: &mut CoreState, sys: &mut SysState, mem: &mut GuestMem) -> Option<u32> {
+    let nr = state.get(R_EAX);
+    let args = [state.get(R_EBX), state.get(R_ECX), state.get(R_EDX)];
+    match sys.dispatch(mem, nr, args) {
+        SyscallResult::Continue(ret) => {
+            state.set(R_EAX, ret);
+            None
+        }
+        SyscallResult::Exit(code) => Some(code),
+    }
 }
 
 #[cfg(test)]

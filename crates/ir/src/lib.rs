@@ -42,7 +42,7 @@ pub mod mir;
 pub mod opt;
 mod translate;
 
-pub use helper::apply_helper;
+pub use helper::{apply_helper, proxy_syscall};
 pub use mir::{FlagSet, MBlock, MInsn, Term, VReg, Val};
 pub use translate::{
     translate_block, translate_region, translate_region_along, OptLevel, ReadSet, RecordingSource,

@@ -258,7 +258,7 @@ pub fn translate_region<S: CodeSource + ?Sized>(
     opt: OptLevel,
     limits: &RegionLimits,
 ) -> Result<TBlock, TranslateError> {
-    let formed = form_region(src, addr, limits)?;
+    let formed = form_region(src, addr, limits, None)?;
     finish_region(src, opt, formed)
 }
 
@@ -290,7 +290,7 @@ pub fn translate_region_along<S: CodeSource + ?Sized>(
     limits: &RegionLimits,
     path: &[u32],
 ) -> Result<TBlock, TranslateError> {
-    let formed = form_region_along(src, addr, limits, path)?;
+    let formed = form_region(src, addr, limits, Some(path))?;
     finish_region(src, opt, formed)
 }
 
@@ -338,137 +338,103 @@ fn pages_of(addr: u32, len: u32) -> impl Iterator<Item = u32> {
 /// `(addr, len)` list, and the per-member guest instruction counts.
 type FormedRegion = (MBlock, Vec<(u32, u32)>, Vec<u32>);
 
-/// Lowers the entry block at `addr` and extends it along the predicted
-/// path into a merged [`MBlock`], returning the member `(addr, len)` list.
+/// What the junction into the next member carries besides its
+/// [`MInsn::Boundary`] guard.
+enum Junction {
+    /// Unconditional: the boundary guard alone.
+    Plain,
+    /// Conditional: a side exit for the arm not followed.
+    Side(Cond, u32),
+    /// Indirect: a guard comparing the computed target register against
+    /// the recorded successor.
+    Guard(VReg),
+}
+
+/// The static predictor's next member after a block ending in `term`:
+/// fall-through, or the paper's backward-taken/forward-not-taken rule.
+/// `ranges` is the member list so far, last entry the current member.
+fn predicted(term: &Term, ranges: &[(u32, u32)]) -> Option<(u32, Junction)> {
+    match *term {
+        Term::Goto(t) => Some((t, Junction::Plain)),
+        Term::CondGoto { cond, taken, fall } => {
+            let member_addr = ranges.last().expect("nonempty").0;
+            let closes_loop = taken <= member_addr && ranges.iter().any(|&(a, _)| a == taken);
+            Some(if closes_loop {
+                // Backward branch into this region: the trace's own
+                // loop closing. Predict taken; the re-entry check in
+                // `form_region` then ends the region at the backedge.
+                (taken, Junction::Side(cond.negate(), fall))
+            } else {
+                // Forward branch, or a backward branch *leaving* the
+                // region (e.g. a rarely-taken guard into earlier
+                // cold code): predict not taken, side-exit to the
+                // taken arm. Following backward edges out of the
+                // trace is how cold-guard regions end up side-
+                // exiting on nearly every entry.
+                (fall, Junction::Side(cond, taken))
+            })
+        }
+        // Indirect, syscall, trap and halt all end the region.
+        _ => None,
+    }
+}
+
+/// Validates the recorded successor `next` against the decoded
+/// terminator. A mismatch is not an error: recordings can have gaps
+/// (e.g. an already-resident superblock ran several blocks between two
+/// recorded exits), and the region simply ends at the gap.
+fn recorded(term: &Term, next: u32) -> Option<(u32, Junction)> {
+    match *term {
+        Term::Goto(t) => (next == t).then_some((t, Junction::Plain)),
+        Term::CondGoto { cond, taken, fall } => {
+            if next == taken {
+                Some((taken, Junction::Side(cond.negate(), fall)))
+            } else if next == fall {
+                Some((fall, Junction::Side(cond, taken)))
+            } else {
+                None
+            }
+        }
+        // The whole point of recording: the observed target of an
+        // indirect terminator extends the region through it.
+        Term::Indirect(r) => Some((next, Junction::Guard(r))),
+        // Syscall, trap and halt still end the region.
+        _ => None,
+    }
+}
+
+/// Lowers the entry block at `addr` and extends it member by member into
+/// a merged [`MBlock`]: along the recorded successor `path` (one entry
+/// per junction) when there is one, along the static prediction
+/// otherwise. See [`translate_region`] and [`translate_region_along`]
+/// for the stop rules.
 fn form_region<S: CodeSource + ?Sized>(
     src: &S,
     addr: u32,
     limits: &RegionLimits,
+    path: Option<&[u32]>,
 ) -> Result<FormedRegion, TranslateError> {
     let mut region = lower_block(src, addr, MAX_BLOCK_INSNS)?;
     let mut ranges = vec![(region.guest_addr, region.guest_len)];
     let mut member_insns = vec![region.guest_insns];
     let mut pages: Vec<u32> = pages_of(region.guest_addr, region.guest_len).collect();
+    let mut path = path.map(|p| p.iter().copied());
     while (ranges.len() as u32) < limits.max_blocks && region.guest_insns < limits.max_insns {
-        // The predicted successor, and the side exit for the other arm.
-        let member_addr = ranges.last().expect("nonempty").0;
-        let (next, side) = match region.term {
-            Term::Goto(t) => (t, None),
-            Term::CondGoto { cond, taken, fall } => {
-                let closes_loop = taken <= member_addr && ranges.iter().any(|&(a, _)| a == taken);
-                if closes_loop {
-                    // Backward branch into this region: the trace's own
-                    // loop closing. Predict taken; the re-entry check
-                    // below then ends the region at the backedge.
-                    (taken, Some((cond.negate(), fall)))
-                } else {
-                    // Forward branch, or a backward branch *leaving* the
-                    // region (e.g. a rarely-taken guard into earlier
-                    // cold code): predict not taken, side-exit to the
-                    // taken arm. Following backward edges out of the
-                    // trace is how cold-guard regions end up side-
-                    // exiting on nearly every entry.
-                    (fall, Some((cond, taken)))
-                }
-            }
-            // Indirect, syscall, trap and halt all end the region.
-            _ => break,
+        let chosen = match &mut path {
+            Some(path) => path.next().and_then(|next| recorded(&region.term, next)),
+            None => predicted(&region.term, &ranges),
+        };
+        let Some((next, junction)) = chosen else {
+            break;
         };
         // Never re-enter a member: loops close through dispatch (which
-        // chains back to the region entry), not by unrolling.
+        // chains back to the region entry), not by unrolling — a
+        // recording ends at the loop-closing backedge for the same reason.
         if ranges.iter().any(|&(a, _)| a == next) {
             break;
         }
-        // A decode failure on the predicted path is not an error — the
+        // A decode failure on the chosen path is not an error — the
         // region just stops before it.
-        let Ok(member) = lower_block(src, next, MAX_BLOCK_INSNS) else {
-            break;
-        };
-        if region.guest_insns + member.guest_insns > limits.max_insns {
-            break;
-        }
-        let mut new_pages = pages.clone();
-        for p in pages_of(member.guest_addr, member.guest_len) {
-            if !new_pages.contains(&p) {
-                new_pages.push(p);
-            }
-        }
-        if new_pages.len() as u32 > limits.max_pages {
-            break;
-        }
-        pages = new_pages;
-        if let Some((cond, target)) = side {
-            region.insns.push(MInsn::SideExit { cond, target });
-        }
-        region.insns.push(MInsn::Boundary { resume: next });
-        ranges.push((member.guest_addr, member.guest_len));
-        member_insns.push(member.guest_insns);
-        append_member(&mut region, member);
-    }
-    Ok((region, ranges, member_insns))
-}
-
-/// Lowers the entry block at `addr` and extends it along the *recorded*
-/// successor path `path` (one entry per junction) into a merged
-/// [`MBlock`]. See [`translate_region_along`] for the stop rules.
-fn form_region_along<S: CodeSource + ?Sized>(
-    src: &S,
-    addr: u32,
-    limits: &RegionLimits,
-    path: &[u32],
-) -> Result<FormedRegion, TranslateError> {
-    /// What the junction into the next member carries.
-    enum Junction {
-        /// Unconditional: the boundary guard alone.
-        Plain,
-        /// Conditional: a side exit for the arm the recording did not take.
-        Side(Cond, u32),
-        /// Indirect: a guard comparing the computed target register
-        /// against the recorded successor.
-        Guard(VReg),
-    }
-
-    let mut region = lower_block(src, addr, MAX_BLOCK_INSNS)?;
-    let mut ranges = vec![(region.guest_addr, region.guest_len)];
-    let mut member_insns = vec![region.guest_insns];
-    let mut pages: Vec<u32> = pages_of(region.guest_addr, region.guest_len).collect();
-    let mut recorded = path.iter().copied();
-    while (ranges.len() as u32) < limits.max_blocks && region.guest_insns < limits.max_insns {
-        let Some(next) = recorded.next() else {
-            break;
-        };
-        // Validate the recorded successor against the decoded terminator.
-        // A mismatch is not an error: recordings can have gaps (e.g. an
-        // already-resident superblock ran several blocks between two
-        // recorded exits), and the region simply ends at the gap.
-        let (next, junction) = match region.term {
-            Term::Goto(t) => {
-                if next != t {
-                    break;
-                }
-                (t, Junction::Plain)
-            }
-            Term::CondGoto { cond, taken, fall } => {
-                if next == taken {
-                    (taken, Junction::Side(cond.negate(), fall))
-                } else if next == fall {
-                    (fall, Junction::Side(cond, taken))
-                } else {
-                    break;
-                }
-            }
-            // The whole point of recording: the observed target of an
-            // indirect terminator extends the region through it.
-            Term::Indirect(r) => (next, Junction::Guard(r)),
-            // Syscall, trap and halt still end the region.
-            _ => break,
-        };
-        // Never re-enter a member: the recording ends at the loop-closing
-        // backedge and loops close through dispatch, exactly as in
-        // statically-predicted formation.
-        if ranges.iter().any(|&(a, _)| a == next) {
-            break;
-        }
         let Ok(member) = lower_block(src, next, MAX_BLOCK_INSNS) else {
             break;
         };

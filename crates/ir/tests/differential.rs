@@ -1,128 +1,17 @@
 //! Differential testing: translated host code vs the reference interpreter.
 //!
-//! A minimal functional DBT (no timing) runs guest images block-by-block
-//! through `translate_block` + `run_block`; every architectural outcome —
-//! registers, exit codes, syscall output — must match `vta_x86::Cpu`
-//! exactly, at both optimization levels.
+//! Hand-written guest programs, one per front-end feature, each judged by
+//! the fuzz oracle ([`vta_ir::fuzz::run_image`]): stop reason, registers,
+//! guest memory and syscall output must match `vta_x86::Cpu` exactly, at
+//! both optimization levels and under recorded-path regions. A `Skip`
+//! fails: every program here is small enough to be comparable.
 
-use std::collections::HashMap;
-
-use vta_ir::{apply_helper, translate_block, OptLevel};
-use vta_raw::exec::{run_block, BlockExit, CoreState, DataPort, Fault};
-use vta_raw::isa::{HelperKind, MemOp, RReg};
+use vta_ir::fuzz::{gen, run_case, run_image, Verdict, CODE_BASE as BASE, DATA_BASE as DATA};
 use vta_sim::Rng;
-use vta_x86::{
-    Asm, Cond, Cpu, GuestImage, GuestMem, Reg, Size, StopReason, SysState, SyscallResult,
-};
+use vta_x86::{Asm, Cond, GuestImage, Reg, Size};
 
-const BASE: u32 = 0x0800_0000;
-const DATA: u32 = 0x0900_0000;
-
-struct SimplePort<'a> {
-    mem: &'a mut GuestMem,
-}
-
-impl DataPort for SimplePort<'_> {
-    fn load(&mut self, addr: u32, op: MemOp) -> Result<(u32, u64), Fault> {
-        self.mem
-            .read_sized(addr, op.bytes())
-            .map(|v| (v, 0))
-            .map_err(|e| Fault::Unmapped { addr: e.addr })
-    }
-
-    fn store(&mut self, addr: u32, value: u32, op: MemOp) -> Result<u64, Fault> {
-        self.mem
-            .write_sized(addr, value, op.bytes())
-            .map(|_| 0)
-            .map_err(|e| Fault::Unmapped { addr: e.addr })
-    }
-
-    fn helper(&mut self, kind: HelperKind, state: &mut CoreState) -> Result<(), Fault> {
-        apply_helper(kind, state)
-    }
-}
-
-#[derive(Debug, PartialEq, Eq)]
-enum DbtStop {
-    Exit(u32),
-    Halt,
-    Fault,
-}
-
-/// Runs a guest image through the functional translated-code path.
-fn run_translated(image: &GuestImage, opt: OptLevel) -> (DbtStop, [u32; 8], Vec<u8>) {
-    let mut mem = image.build_mem();
-    let mut sys = SysState::new(image.brk_base);
-    sys.set_input(image.input.clone());
-
-    let mut state = CoreState::new();
-    state.set(RReg(5), image.initial_esp()); // ESP
-    let mut cache: HashMap<(u32, bool), Vec<vta_raw::RInsn>> = HashMap::new();
-    let mut pc = image.entry;
-
-    let stop = loop {
-        let key = (pc, opt == OptLevel::Full);
-        if let std::collections::hash_map::Entry::Vacant(e) = cache.entry(key) {
-            let block = match translate_block(&mem, pc, opt) {
-                Ok(b) => b,
-                Err(_) => break DbtStop::Fault,
-            };
-            e.insert(block.code);
-        }
-        let code = cache.get(&key).expect("just inserted").clone();
-        let mut port = SimplePort { mem: &mut mem };
-        let out = run_block(&mut state, &code, &mut port, 10_000_000);
-        match out.exit {
-            BlockExit::Goto(t) | BlockExit::Indirect(t) => pc = t,
-            BlockExit::Halt => break DbtStop::Halt,
-            BlockExit::Fault(_) => break DbtStop::Fault,
-            BlockExit::Sys => {
-                let nr = state.get(RReg(1)); // EAX
-                let args = [
-                    state.get(RReg(4)), // EBX
-                    state.get(RReg(2)), // ECX
-                    state.get(RReg(3)), // EDX
-                ];
-                match sys.dispatch(&mut mem, nr, args) {
-                    SyscallResult::Continue(ret) => {
-                        state.set(RReg(1), ret);
-                        pc = state.get(RReg(26));
-                    }
-                    SyscallResult::Exit(code) => break DbtStop::Exit(code),
-                }
-            }
-        }
-    };
-
-    let mut regs = [0u32; 8];
-    for (i, r) in regs.iter_mut().enumerate() {
-        *r = state.get(RReg(i as u8 + 1));
-    }
-    (stop, regs, sys.output)
-}
-
-/// Runs the same image on the reference interpreter.
-fn run_reference(image: &GuestImage) -> (DbtStop, [u32; 8], Vec<u8>) {
-    let mut cpu = Cpu::new(image);
-    let stop = match cpu.run(50_000_000) {
-        Ok(StopReason::Exit(c)) => DbtStop::Exit(c),
-        Ok(StopReason::Halt) => DbtStop::Halt,
-        Ok(StopReason::InsnLimit) => panic!("reference ran out of budget"),
-        Err(_) => DbtStop::Fault,
-    };
-    (stop, cpu.regs, cpu.sys.output)
-}
-
-fn check(image: &GuestImage, label: &str) {
-    let (ref_stop, ref_regs, ref_out) = run_reference(image);
-    for opt in [OptLevel::None, OptLevel::Full] {
-        let (stop, regs, out) = run_translated(image, opt);
-        assert_eq!(stop, ref_stop, "{label} ({opt:?}): stop reason");
-        assert_eq!(out, ref_out, "{label} ({opt:?}): syscall output");
-        if stop != DbtStop::Fault {
-            assert_eq!(regs, ref_regs, "{label} ({opt:?}): final registers");
-        }
-    }
+fn check(image: &GuestImage) {
+    assert_eq!(run_image(image), Verdict::Pass);
 }
 
 fn image(f: impl FnOnce(&mut Asm)) -> GuestImage {
@@ -133,155 +22,134 @@ fn image(f: impl FnOnce(&mut Asm)) -> GuestImage {
 
 #[test]
 fn arithmetic_loop() {
-    check(
-        &image(|a| {
-            a.mov_ri(Reg::ECX, 1000);
-            a.mov_ri(Reg::EAX, 0);
-            let top = a.here();
-            a.add_rr(Reg::EAX, Reg::ECX);
-            a.dec_r(Reg::ECX);
-            a.jcc(Cond::Ne, top);
-            a.hlt();
-        }),
-        "arithmetic_loop",
-    );
+    check(&image(|a| {
+        a.mov_ri(Reg::ECX, 1000);
+        a.mov_ri(Reg::EAX, 0);
+        let top = a.here();
+        a.add_rr(Reg::EAX, Reg::ECX);
+        a.dec_r(Reg::ECX);
+        a.jcc(Cond::Ne, top);
+        a.hlt();
+    }));
 }
 
 #[test]
 fn call_ret_and_stack() {
-    check(
-        &image(|a| {
-            let f = a.label();
-            a.mov_ri(Reg::EAX, 3);
-            a.push_r(Reg::EAX);
-            a.call(f);
-            a.pop_r(Reg::ECX);
-            a.add_rr(Reg::EAX, Reg::ECX);
-            a.hlt();
-            a.bind(f);
-            a.imul_rri(Reg::EAX, Reg::EAX, 111);
-            a.ret();
-        }),
-        "call_ret",
-    );
+    check(&image(|a| {
+        let f = a.label();
+        a.mov_ri(Reg::EAX, 3);
+        a.push_r(Reg::EAX);
+        a.call(f);
+        a.pop_r(Reg::ECX);
+        a.add_rr(Reg::EAX, Reg::ECX);
+        a.hlt();
+        a.bind(f);
+        a.imul_rri(Reg::EAX, Reg::EAX, 111);
+        a.ret();
+    }));
 }
 
 #[test]
 fn memory_matrix_walk() {
-    check(
-        &image(|a| {
-            a.mov_ri(Reg::EBX, DATA);
-            a.mov_ri(Reg::ECX, 64);
-            let top = a.here();
-            // [ebx + ecx*4] = ecx * 3
-            a.lea(
-                Reg::EAX,
-                vta_x86::MemRef::base_index(Reg::ECX, Reg::ECX, 2, 0),
-            );
-            a.mov_mr(
-                vta_x86::MemRef::base_index(Reg::EBX, Reg::ECX, 4, 0),
-                Reg::EAX,
-            );
-            a.dec_r(Reg::ECX);
-            a.jcc(Cond::Ne, top);
-            // Sum them back.
-            a.mov_ri(Reg::ECX, 64);
-            a.mov_ri(Reg::EDX, 0);
-            let top2 = a.here();
-            a.add_rm(
-                Reg::EDX,
-                vta_x86::MemRef::base_index(Reg::EBX, Reg::ECX, 4, 0),
-            );
-            a.dec_r(Reg::ECX);
-            a.jcc(Cond::Ne, top2);
-            a.mov_rr(Reg::EAX, Reg::EDX);
-            a.hlt();
-        }),
-        "memory_matrix_walk",
-    );
+    check(&image(|a| {
+        a.mov_ri(Reg::EBX, DATA);
+        a.mov_ri(Reg::ECX, 64);
+        let top = a.here();
+        // [ebx + ecx*4] = ecx * 3
+        a.lea(
+            Reg::EAX,
+            vta_x86::MemRef::base_index(Reg::ECX, Reg::ECX, 2, 0),
+        );
+        a.mov_mr(
+            vta_x86::MemRef::base_index(Reg::EBX, Reg::ECX, 4, 0),
+            Reg::EAX,
+        );
+        a.dec_r(Reg::ECX);
+        a.jcc(Cond::Ne, top);
+        // Sum them back.
+        a.mov_ri(Reg::ECX, 64);
+        a.mov_ri(Reg::EDX, 0);
+        let top2 = a.here();
+        a.add_rm(
+            Reg::EDX,
+            vta_x86::MemRef::base_index(Reg::EBX, Reg::ECX, 4, 0),
+        );
+        a.dec_r(Reg::ECX);
+        a.jcc(Cond::Ne, top2);
+        a.mov_rr(Reg::EAX, Reg::EDX);
+        a.hlt();
+    }));
 }
 
 #[test]
 fn division_and_widening_mul() {
-    check(
-        &image(|a| {
-            a.mov_ri(Reg::EAX, 0x1234_5678);
-            a.mov_ri(Reg::ECX, 0x9ABC);
-            a.mul_r(Reg::ECX); // EDX:EAX wide product
-            a.mov_ri(Reg::ECX, 77);
-            a.div_r(Reg::ECX);
-            a.mov_rr(Reg::EBX, Reg::EDX);
-            a.mov_ri(Reg::EAX, (-100_000i32) as u32);
-            a.cdq();
-            a.mov_ri(Reg::ECX, 333);
-            a.idiv_r(Reg::ECX);
-            a.hlt();
-        }),
-        "div_mul",
-    );
+    check(&image(|a| {
+        a.mov_ri(Reg::EAX, 0x1234_5678);
+        a.mov_ri(Reg::ECX, 0x9ABC);
+        a.mul_r(Reg::ECX); // EDX:EAX wide product
+        a.mov_ri(Reg::ECX, 77);
+        a.div_r(Reg::ECX);
+        a.mov_rr(Reg::EBX, Reg::EDX);
+        a.mov_ri(Reg::EAX, (-100_000i32) as u32);
+        a.cdq();
+        a.mov_ri(Reg::ECX, 333);
+        a.idiv_r(Reg::ECX);
+        a.hlt();
+    }));
 }
 
 #[test]
 fn flags_consumed_across_blocks() {
-    check(
-        &image(|a| {
-            // Flags set in one block, consumed after a direct jump.
-            a.mov_ri(Reg::EAX, 5);
-            a.cmp_ri(Reg::EAX, 9);
-            let l = a.label();
-            a.jmp(l);
-            a.bind(l);
-            a.setcc(Cond::L, 0); // AL = (5 < 9)
-            a.setcc(Cond::B, 1); // CL = (5 <u 9)
-            a.setcc(Cond::O, 2); // DL
-            a.setcc(Cond::P, 3); // BL
-            a.adc_ri(Reg::ESI, 7); // consumes CF
-            a.hlt();
-        }),
-        "flags_cross_block",
-    );
+    check(&image(|a| {
+        // Flags set in one block, consumed after a direct jump.
+        a.mov_ri(Reg::EAX, 5);
+        a.cmp_ri(Reg::EAX, 9);
+        let l = a.label();
+        a.jmp(l);
+        a.bind(l);
+        a.setcc(Cond::L, 0); // AL = (5 < 9)
+        a.setcc(Cond::B, 1); // CL = (5 <u 9)
+        a.setcc(Cond::O, 2); // DL
+        a.setcc(Cond::P, 3); // BL
+        a.adc_ri(Reg::ESI, 7); // consumes CF
+        a.hlt();
+    }));
 }
 
 #[test]
 fn string_ops() {
-    check(
-        &image(|a| {
-            a.cld();
-            // Fill 32 dwords with a pattern.
-            a.mov_ri(Reg::EDI, DATA);
-            a.mov_ri(Reg::EAX, 0xA5A5_0101);
-            a.mov_ri(Reg::ECX, 32);
-            a.rep_stos(Size::Dword);
-            // Copy them.
-            a.mov_ri(Reg::ESI, DATA);
-            a.mov_ri(Reg::EDI, DATA + 0x200);
-            a.mov_ri(Reg::ECX, 32);
-            a.rep_movs(Size::Dword);
-            // Load one back.
-            a.mov_ri(Reg::ESI, DATA + 0x200 + 12);
-            a.lods(Size::Dword);
-            a.hlt();
-        }),
-        "string_ops",
-    );
+    check(&image(|a| {
+        a.cld();
+        // Fill 32 dwords with a pattern.
+        a.mov_ri(Reg::EDI, DATA);
+        a.mov_ri(Reg::EAX, 0xA5A5_0101);
+        a.mov_ri(Reg::ECX, 32);
+        a.rep_stos(Size::Dword);
+        // Copy them.
+        a.mov_ri(Reg::ESI, DATA);
+        a.mov_ri(Reg::EDI, DATA + 0x200);
+        a.mov_ri(Reg::ECX, 32);
+        a.rep_movs(Size::Dword);
+        // Load one back.
+        a.mov_ri(Reg::ESI, DATA + 0x200 + 12);
+        a.lods(Size::Dword);
+        a.hlt();
+    }));
 }
 
 #[test]
 fn repne_scas_finds_byte() {
-    check(
-        &image(|a| {
-            a.cld();
-            // Memory is zero; store a sentinel at DATA+37.
-            a.mov_mi8(vta_x86::MemRef::abs(DATA + 37), 0x7F);
-            a.mov_ri(Reg::EDI, DATA);
-            a.mov_ri(Reg::EAX, 0x7F);
-            a.mov_ri(Reg::ECX, 100);
-            a.raw(&[0xF2, 0xAE]); // repne scasb
-            a.setcc(Cond::E, 2); // DL = found?
-            a.hlt();
-        }),
-        "repne_scas",
-    );
+    check(&image(|a| {
+        a.cld();
+        // Memory is zero; store a sentinel at DATA+37.
+        a.mov_mi8(vta_x86::MemRef::abs(DATA + 37), 0x7F);
+        a.mov_ri(Reg::EDI, DATA);
+        a.mov_ri(Reg::EAX, 0x7F);
+        a.mov_ri(Reg::ECX, 100);
+        a.raw(&[0xF2, 0xAE]); // repne scasb
+        a.setcc(Cond::E, 2); // DL = found?
+        a.hlt();
+    }));
 }
 
 #[test]
@@ -313,225 +181,92 @@ fn jump_table_dispatch() {
         table.extend_from_slice(&c.to_le_bytes());
     }
     let img = GuestImage::from_code(asm.finish()).with_data(DATA, table);
-    check(&img, "jump_table");
+    check(&img);
 }
 
 #[test]
 fn syscall_write_and_exit() {
-    check(
-        &image(|a| {
-            a.mov_ri(Reg::EAX, 4);
-            a.mov_ri(Reg::EBX, 1);
-            a.mov_ri(Reg::ECX, DATA);
-            a.mov_mi(vta_x86::MemRef::abs(DATA), u32::from_le_bytes(*b"pong"));
-            a.mov_ri(Reg::EDX, 4);
-            a.int_(0x80);
-            a.mov_ri(Reg::EAX, 55);
-            a.exit_with_eax();
-        }),
-        "syscall_write",
-    );
+    check(&image(|a| {
+        a.mov_ri(Reg::EAX, 4);
+        a.mov_ri(Reg::EBX, 1);
+        a.mov_ri(Reg::ECX, DATA);
+        a.mov_mi(vta_x86::MemRef::abs(DATA), u32::from_le_bytes(*b"pong"));
+        a.mov_ri(Reg::EDX, 4);
+        a.int_(0x80);
+        a.mov_ri(Reg::EAX, 55);
+        a.exit_with_eax();
+    }));
 }
 
 #[test]
 fn high_and_word_registers() {
-    check(
-        &image(|a| {
-            a.mov_ri(Reg::EAX, 0x1122_3344);
-            a.mov_ri8(4, 0xAB); // AH
-            a.mov_ri8(0, 0xCD); // AL
-            a.raw(&[0x66, 0xBB, 0x77, 0x66]); // mov bx, 0x6677
-            a.mov_ri(Reg::ECX, 0);
-            a.movzx(Reg::ECX, Reg::EAX, Size::Byte); // ECX = AL
-            a.movsx(Reg::EDX, Reg::EAX, Size::Byte); // EDX = sext(AL)
-            a.hlt();
-        }),
-        "subregisters",
-    );
+    check(&image(|a| {
+        a.mov_ri(Reg::EAX, 0x1122_3344);
+        a.mov_ri8(4, 0xAB); // AH
+        a.mov_ri8(0, 0xCD); // AL
+        a.raw(&[0x66, 0xBB, 0x77, 0x66]); // mov bx, 0x6677
+        a.mov_ri(Reg::ECX, 0);
+        a.movzx(Reg::ECX, Reg::EAX, Size::Byte); // ECX = AL
+        a.movsx(Reg::EDX, Reg::EAX, Size::Byte); // EDX = sext(AL)
+        a.hlt();
+    }));
 }
 
 #[test]
 fn cmov_and_setcc_matrix() {
-    check(
-        &image(|a| {
-            a.mov_ri(Reg::EAX, 10);
-            a.mov_ri(Reg::EBX, 20);
-            a.cmp_rr(Reg::EAX, Reg::EBX);
-            a.cmovcc(Cond::L, Reg::ESI, Reg::EBX);
-            a.cmovcc(Cond::G, Reg::EDI, Reg::EBX);
-            a.setcc(Cond::Le, 2);
-            a.hlt();
-        }),
-        "cmov_setcc",
-    );
+    check(&image(|a| {
+        a.mov_ri(Reg::EAX, 10);
+        a.mov_ri(Reg::EBX, 20);
+        a.cmp_rr(Reg::EAX, Reg::EBX);
+        a.cmovcc(Cond::L, Reg::ESI, Reg::EBX);
+        a.cmovcc(Cond::G, Reg::EDI, Reg::EBX);
+        a.setcc(Cond::Le, 2);
+        a.hlt();
+    }));
 }
 
 #[test]
 fn divide_fault_matches() {
-    check(
-        &image(|a| {
-            a.mov_ri(Reg::EAX, 1);
-            a.mov_ri(Reg::EDX, 0);
-            a.mov_ri(Reg::ECX, 0);
-            a.div_r(Reg::ECX);
-            a.hlt();
-        }),
-        "div_fault",
-    );
+    check(&image(|a| {
+        a.mov_ri(Reg::EAX, 1);
+        a.mov_ri(Reg::EDX, 0);
+        a.mov_ri(Reg::ECX, 0);
+        a.div_r(Reg::ECX);
+        a.hlt();
+    }));
 }
 
-// ---------------------------------------------------------------------
-// Randomized differential testing.
-// ---------------------------------------------------------------------
-
-/// Emits a random flag-producing/consuming straight-line program.
-fn random_program(rng: &mut Rng) -> GuestImage {
-    use Reg::*;
-    let regs = [EAX, ECX, EDX, EBX, ESI, EDI];
-    let mut asm = Asm::new(BASE);
-
-    // Random initial values.
-    for r in regs {
-        asm.mov_ri(r, rng.next_u32());
-    }
-    asm.mov_ri(EBP, DATA);
-
-    let n_ops = 10 + rng.below(30) as usize;
-    for _ in 0..n_ops {
-        let a = regs[rng.below(6) as usize];
-        let b = regs[rng.below(6) as usize];
-        let imm = rng.next_u32() as i32;
-        match rng.below(30) {
-            0 => asm.add_rr(a, b),
-            1 => asm.sub_rr(a, b),
-            2 => asm.and_rr(a, b),
-            3 => asm.or_rr(a, b),
-            4 => asm.xor_rr(a, b),
-            5 => asm.cmp_rr(a, b),
-            6 => asm.test_rr(a, b),
-            7 => asm.add_ri(a, imm),
-            8 => asm.sub_ri(a, imm & 0xFFF),
-            9 => asm.adc_rr(a, b),
-            10 => asm.sbb_ri(a, imm),
-            11 => asm.inc_r(a),
-            12 => asm.dec_r(a),
-            13 => asm.neg_r(a),
-            14 => asm.not_r(a),
-            15 => asm.imul_rr(a, b),
-            16 => asm.shl_ri(a, (rng.below(32)) as u8),
-            17 => asm.shr_ri(a, (rng.below(32)) as u8),
-            18 => asm.sar_ri(a, (rng.below(32)) as u8),
-            19 => asm.rol_ri(a, (rng.below(32)) as u8),
-            20 => asm.ror_ri(a, (rng.below(32)) as u8),
-            21 => {
-                // Shift by CL.
-                asm.shl_rcl(a);
-            }
-            22 => asm.setcc(Cond::ALL[rng.below(16) as usize], rng.below(4) as u8),
-            23 => asm.cmovcc(Cond::ALL[rng.below(16) as usize], a, b),
-            24 => {
-                // Store then load via EBP.
-                let off = (rng.below(64) * 4) as i32;
-                asm.mov_mr(vta_x86::MemRef::base_disp(EBP, off), a);
-                asm.mov_rm(b, vta_x86::MemRef::base_disp(EBP, off));
-            }
-            25 => {
-                // Guarded divide: nonzero divisor, clear EDX.
-                asm.mov_ri(EDX, 0);
-                asm.or_ri(ECX, 1);
-                asm.div_r(ECX);
-            }
-            26 => {
-                asm.cdq();
-            }
-            27 => asm.movzx(a, b, Size::Byte),
-            28 => asm.movsx(a, b, Size::Word),
-            29 => {
-                // Balanced push/pop.
-                asm.push_r(a);
-                asm.pop_r(b);
-            }
-            _ => unreachable!(),
-        }
-        // Occasionally consume flags so they stay live and tested.
-        if rng.chance(1, 3) {
-            asm.setcc(Cond::ALL[rng.below(16) as usize], rng.below(4) as u8);
-        }
-    }
-    // Consume every condition at the end so all flags are observable.
-    for (i, c) in [Cond::B, Cond::E, Cond::S, Cond::O, Cond::P]
-        .iter()
-        .enumerate()
-    {
-        asm.setcc(*c, (i % 4) as u8);
-        asm.push_r(Reg::EAX);
-        asm.pop_r(Reg::EAX);
-    }
-    asm.hlt();
-    GuestImage::from_code(asm.finish()).with_bss(DATA, 0x1000)
-}
-
+/// Seeded straight-line and branchy programs from the fuzz generators.
 #[test]
-fn random_differential_sweep() {
+fn generated_programs_match() {
     let mut rng = Rng::seeded(0xD1FF);
     for i in 0..300 {
-        let img = random_program(&mut rng);
-        check(&img, &format!("random[{i}]"));
+        let case = gen::linear(&mut rng);
+        assert_eq!(run_case(&case), Verdict::Pass, "linear[{i}]");
     }
-}
-
-#[test]
-fn random_branchy_programs() {
-    // Short loops with data-dependent branches.
     let mut rng = Rng::seeded(0xB4A7C4);
     for i in 0..100 {
-        let seed = rng.next_u32();
-        let img = image(|a| {
-            use Reg::*;
-            a.mov_ri(EAX, 0);
-            a.mov_ri(EBX, seed);
-            a.mov_ri(ECX, 50 + (seed & 0x3F));
-            let top = a.here();
-            // xorshift-ish mixing
-            a.mov_rr(EDX, EBX);
-            a.shl_ri(EDX, 13);
-            a.xor_rr(EBX, EDX);
-            a.mov_rr(EDX, EBX);
-            a.shr_ri(EDX, 17);
-            a.xor_rr(EBX, EDX);
-            a.add_rr(EAX, EBX);
-            a.test_ri(EBX, 1);
-            let skip = a.label();
-            a.jcc(Cond::E, skip);
-            a.add_ri(EAX, 0x1111);
-            a.bind(skip);
-            a.dec_r(ECX);
-            a.jcc(Cond::Ne, top);
-            a.hlt();
-        });
-        check(&img, &format!("branchy[{i}]"));
+        let case = gen::branchy(&mut rng);
+        assert_eq!(run_case(&case), Verdict::Pass, "branchy[{i}]");
     }
 }
 
 #[test]
 fn word_and_byte_alu_differential() {
-    check(
-        &image(|a| {
-            a.mov_ri(Reg::EAX, 0xAABB_CCDD);
-            a.mov_ri(Reg::EBX, 0x1122_3344);
-            // 16-bit adds/compares via the 0x66 prefix.
-            a.raw(&[0x66, 0x01, 0xD8]); // add ax, bx
-            a.raw(&[0x66, 0x39, 0xC3]); // cmp bx, ax
-            a.setcc(Cond::B, 2);
-            // Byte ALU incl. high-byte registers.
-            a.raw(&[0x00, 0xE0]); // add al, ah
-            a.raw(&[0x28, 0xFB]); // sub bl, bh
-            a.raw(&[0x66, 0xC1, 0xE0, 0x05]); // shl ax, 5
-            a.setcc(Cond::O, 1);
-            a.hlt();
-        }),
-        "word_byte_alu",
-    );
+    check(&image(|a| {
+        a.mov_ri(Reg::EAX, 0xAABB_CCDD);
+        a.mov_ri(Reg::EBX, 0x1122_3344);
+        // 16-bit adds/compares via the 0x66 prefix.
+        a.raw(&[0x66, 0x01, 0xD8]); // add ax, bx
+        a.raw(&[0x66, 0x39, 0xC3]); // cmp bx, ax
+        a.setcc(Cond::B, 2);
+        // Byte ALU incl. high-byte registers.
+        a.raw(&[0x00, 0xE0]); // add al, ah
+        a.raw(&[0x28, 0xFB]); // sub bl, bh
+        a.raw(&[0x66, 0xC1, 0xE0, 0x05]); // shl ax, 5
+        a.setcc(Cond::O, 1);
+        a.hlt();
+    }));
 }
 
 #[test]
@@ -566,5 +301,5 @@ fn syscalls_brk_read_time_differential() {
         a.exit_with_eax();
     })
     .with_input(b"hello678trailing".to_vec());
-    check(&img, "syscalls");
+    check(&img);
 }

@@ -260,6 +260,48 @@ mod tests {
         assert_eq!(c.stats(), (1, 2));
     }
 
+    /// A random address stream over a random small geometry: every
+    /// access leaves its line resident, resident lines never exceed the
+    /// capacity, and a flush writes back no more than was written or
+    /// fits, and invalidates.
+    #[test]
+    fn random_streams_fill_stay_within_capacity_and_flush() {
+        let mut rng = vta_sim::Rng::seeded(0xCAC4E);
+        for _ in 0..256 {
+            let (line_bytes, ways) = (16 << rng.below(3), 1 << rng.below(3));
+            let cfg = CacheConfig {
+                size_bytes: line_bytes * ways * (2 << rng.below(5)),
+                line_bytes,
+                ways,
+            };
+            let addrs: Vec<u64> = (0..rng.range(1, 299))
+                .map(|_| u64::from(rng.next_u32()))
+                .collect();
+            let mut c = Cache::new(cfg);
+            let mut writes = 0;
+            for &a in &addrs {
+                let write = rng.chance(1, 2);
+                writes += u32::from(write);
+                c.access(a, write);
+                assert!(c.probe(a), "just-filled line must be resident");
+                assert!(c.access(a, false).is_hit());
+            }
+            let (hits, misses) = c.stats();
+            assert_eq!(hits + misses, addrs.len() as u64 * 2);
+            // Resident lines, counted by probing every line touched.
+            let line = u64::from(line_bytes);
+            let mut lines: Vec<u64> = addrs.iter().map(|&a| a / line).collect();
+            lines.sort_unstable();
+            lines.dedup();
+            let resident = lines.iter().filter(|&&l| c.probe(l * line)).count() as u32;
+            assert!(resident * line_bytes <= cfg.size_bytes, "over capacity");
+            let dirty = c.flush();
+            assert!(dirty <= writes, "cannot flush more dirty lines than writes");
+            assert!(dirty <= resident, "cannot flush more than was resident");
+            assert!(!c.access(addrs[0], false).is_hit(), "flush invalidates");
+        }
+    }
+
     #[test]
     fn raw_l1d_geometry() {
         let c = Cache::new(CacheConfig::RAW_L1D);

@@ -113,6 +113,35 @@ mod tests {
         assert_eq!(late, Cycle(1068));
     }
 
+    /// On any request stream the channel serializes: every access pays
+    /// at least the latency, completions never go backwards, and no two
+    /// transfer windows overlap.
+    #[test]
+    fn random_requests_serialize() {
+        let mut rng = vta_sim::Rng::seeded(0xD2A3);
+        for _ in 0..256 {
+            let mut d = Dram::new(60, 1);
+            let (mut now, mut prev_done, mut busy) = (Cycle::ZERO, Cycle::ZERO, 0);
+            let requests = rng.range(1, 99);
+            for _ in 0..requests {
+                now += rng.below(500);
+                let words = rng.range(1, 31);
+                let done = d.access(now, words as u32);
+                assert!(done >= now + 60 + words, "latency and transfer floor");
+                // The transfer occupies the `words` cycles ending one
+                // latency before completion: it starts after the
+                // previous transfer ended.
+                assert!(
+                    done.as_u64() - words >= prev_done.as_u64(),
+                    "transfers overlap"
+                );
+                prev_done = done;
+                busy += words;
+            }
+            assert_eq!((d.accesses(), d.busy_cycles()), (requests, busy));
+        }
+    }
+
     #[test]
     fn counters() {
         let mut d = Dram::new(10, 2);

@@ -1,17 +1,17 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// The interned counters every simulated component bumps on its hot path.
+/// The interned counters every simulated component bumps.
 ///
 /// The execution loop increments several counters per simulated basic
-/// block, so the well-known names are interned: each variant indexes a
+/// block, so every counter name is interned: each variant indexes a
 /// flat `[u64; N]` array inside [`Stats`] and an increment is a single
-/// array add. The string-keyed [`Stats`] API still accepts these names
-/// (they resolve to the same slots) plus arbitrary ad-hoc names, which
-/// land in a fallback map off the hot path.
+/// array add. Counters are written through a `Ctr` only; the
+/// string-keyed [`Stats`] API reads the same slots by name.
 ///
-/// Variants are declared in ascending name order so that iteration can
-/// merge them with the fallback map without sorting.
+/// Variants are declared in ascending name order — the order of
+/// [`Ctr::ALL`], so `ALL[i] as usize == i` — and iteration is therefore
+/// name-ordered without sorting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum Ctr {
@@ -49,6 +49,20 @@ pub enum Ctr {
     L2CodeAccess,
     /// `l2code.miss` — L2 code-cache misses (demand translations).
     L2CodeMiss,
+    /// `manager.assign_cycles` — manager-tile cycles handing slaves jobs.
+    ManagerAssignCycles,
+    /// `manager.commit_cycles` — manager-tile cycles committing finished
+    /// translations.
+    ManagerCommitCycles,
+    /// `manager.dram_wait_cycles` — manager-tile cycles a lookup held
+    /// the ring while waiting on its DRAM-resident metadata.
+    ManagerDramWaitCycles,
+    /// `manager.morph_cycles` — cycles charged for reconfiguring a
+    /// tile's role.
+    ManagerMorphCycles,
+    /// `manager.service_cycles` — manager-tile cycles serving demand
+    /// lookups and SMC walks ("network service").
+    ManagerServiceCycles,
     /// `mem.dram` — data accesses served by DRAM.
     MemDram,
     /// `mem.l1_hit` — data accesses served by the L1 D-cache.
@@ -75,15 +89,15 @@ pub enum Ctr {
     /// `superblock.promotions` — addresses promoted to region translation
     /// (a loop backedge or a capped region's continuation got hot).
     SuperblockPromotions,
-    /// `superblock.side_exits` — region exits through a side exit
-    /// (mispredicted internal branch) rather than the region terminator.
-    SuperblockSideExits,
     /// `superblock.re_recorded` — regions whose recorded path stopped
     /// holding and entered a second (final) recording pass.
     SuperblockReRecorded,
     /// `superblock.recorded` — regions formed along a runtime-recorded
     /// path (as opposed to the static prediction).
     SuperblockRecorded,
+    /// `superblock.side_exits` — region exits through a side exit
+    /// (mispredicted internal branch) rather than the region terminator.
+    SuperblockSideExits,
     /// `superblock.smc_exits` — region exits forced by a self-modifying
     /// store observed at a member boundary guard.
     SuperblockSmcExits,
@@ -99,7 +113,7 @@ pub enum Ctr {
 
 impl Ctr {
     /// Number of interned counters (the size of the flat array).
-    pub const COUNT: usize = 36;
+    pub const COUNT: usize = 41;
 
     /// Every interned counter, in ascending name order.
     pub const ALL: [Ctr; Ctr::COUNT] = [
@@ -119,6 +133,11 @@ impl Ctr {
         Ctr::L1CodeMiss,
         Ctr::L2CodeAccess,
         Ctr::L2CodeMiss,
+        Ctr::ManagerAssignCycles,
+        Ctr::ManagerCommitCycles,
+        Ctr::ManagerDramWaitCycles,
+        Ctr::ManagerMorphCycles,
+        Ctr::ManagerServiceCycles,
         Ctr::MemDram,
         Ctr::MemL1Hit,
         Ctr::MemL2Hit,
@@ -160,6 +179,11 @@ impl Ctr {
             Ctr::L1CodeMiss => "l1code.miss",
             Ctr::L2CodeAccess => "l2code.access",
             Ctr::L2CodeMiss => "l2code.miss",
+            Ctr::ManagerAssignCycles => "manager.assign_cycles",
+            Ctr::ManagerCommitCycles => "manager.commit_cycles",
+            Ctr::ManagerDramWaitCycles => "manager.dram_wait_cycles",
+            Ctr::ManagerMorphCycles => "manager.morph_cycles",
+            Ctr::ManagerServiceCycles => "manager.service_cycles",
             Ctr::MemDram => "mem.dram",
             Ctr::MemL1Hit => "mem.l1_hit",
             Ctr::MemL2Hit => "mem.l2_hit",
@@ -183,48 +207,12 @@ impl Ctr {
         }
     }
 
-    /// Resolves a string name to its interned counter, if it is one of
-    /// the well-known names.
+    /// Resolves a string name to its interned counter, if it is one.
     pub fn from_name(name: &str) -> Option<Ctr> {
-        Some(match name {
-            "chain.taken" => Ctr::ChainTaken,
-            "cycles" => Ctr::Cycles,
-            "dispatch.direct_miss" => Ctr::DispatchDirectMiss,
-            "dispatch.indirect" => Ctr::DispatchIndirect,
-            "dispatch.inline_hit" => Ctr::DispatchInlineHit,
-            "exec.blocks" => Ctr::ExecBlocks,
-            "exec.stall_cycles" => Ctr::ExecStallCycles,
-            "guest_insns" => Ctr::GuestInsns,
-            "host_insns" => Ctr::HostInsns,
-            "l15.hit" => Ctr::L15Hit,
-            "l15.miss" => Ctr::L15Miss,
-            "l1code.flushes" => Ctr::L1CodeFlushes,
-            "l1code.hit" => Ctr::L1CodeHit,
-            "l1code.miss" => Ctr::L1CodeMiss,
-            "l2code.access" => Ctr::L2CodeAccess,
-            "l2code.miss" => Ctr::L2CodeMiss,
-            "mem.dram" => Ctr::MemDram,
-            "mem.l1_hit" => Ctr::MemL1Hit,
-            "mem.l2_hit" => Ctr::MemL2Hit,
-            "mem.tlb_miss" => Ctr::MemTlbMiss,
-            "morph.reconfigs" => Ctr::MorphReconfigs,
-            "morph.to_cache" => Ctr::MorphToCache,
-            "morph.to_translator" => Ctr::MorphToTranslator,
-            "smc.invalidations" => Ctr::SmcInvalidations,
-            "spec.pushes" => Ctr::SpecPushes,
-            "superblock.demoted" => Ctr::SuperblockDemoted,
-            "superblock.entries" => Ctr::SuperblockEntries,
-            "superblock.promotions" => Ctr::SuperblockPromotions,
-            "superblock.re_recorded" => Ctr::SuperblockReRecorded,
-            "superblock.recorded" => Ctr::SuperblockRecorded,
-            "superblock.side_exits" => Ctr::SuperblockSideExits,
-            "superblock.smc_exits" => Ctr::SuperblockSmcExits,
-            "syscalls" => Ctr::Syscalls,
-            "translate.blocks" => Ctr::TranslateBlocks,
-            "translate.busy_cycles" => Ctr::TranslateBusyCycles,
-            "translate.committed" => Ctr::TranslateCommitted,
-            _ => return None,
-        })
+        Ctr::ALL
+            .binary_search_by(|c| c.name().cmp(name))
+            .ok()
+            .map(|i| Ctr::ALL[i])
     }
 }
 
@@ -235,11 +223,10 @@ impl Ctr {
 /// counters here and the benchmark harness reads them back by name at the
 /// end of a run. Names are dotted paths like `"l2code.miss"`.
 ///
-/// The well-known counters (see [`Ctr`]) live in a flat array and are
-/// bumped with [`Stats::bump_ctr`]/[`Stats::add_ctr`] — a single indexed
-/// add, suitable for per-block hot paths. The string-keyed API resolves
-/// well-known names to the same slots and falls back to a `BTreeMap` for
-/// ad-hoc names, so both views always agree.
+/// Counters (see [`Ctr`]) live in a flat array and are written with
+/// [`Stats::bump_ctr`]/[`Stats::add_ctr`]/[`Stats::set_ctr`] — a single
+/// indexed store, suitable for per-block hot paths. The string-keyed
+/// readers resolve a name to the same slot, so both views always agree.
 ///
 /// # Examples
 ///
@@ -247,7 +234,7 @@ impl Ctr {
 /// use vta_sim::{Ctr, Stats};
 ///
 /// let mut stats = Stats::new();
-/// stats.add("l2code.access", 3);
+/// stats.add_ctr(Ctr::L2CodeAccess, 3);
 /// stats.bump_ctr(Ctr::L2CodeAccess);
 /// assert_eq!(stats.get("l2code.access"), 4);
 /// assert_eq!(stats.get_ctr(Ctr::L2CodeAccess), 4);
@@ -257,11 +244,9 @@ impl Ctr {
 pub struct Stats {
     /// Interned counter slots, indexed by `Ctr as usize`.
     fixed: [u64; Ctr::COUNT],
-    /// Interned counters explicitly `set` to zero: they read the same as
-    /// untouched ones but are still listed by `iter`/`Display`.
+    /// Counters explicitly set to zero: they read the same as untouched
+    /// ones but are still listed by `iter`/`Display`.
     zeroed: [bool; Ctr::COUNT],
-    /// Ad-hoc counters with names outside the interned set.
-    other: BTreeMap<String, u64>,
     histograms: BTreeMap<String, Histogram>,
 }
 
@@ -270,7 +255,6 @@ impl Default for Stats {
         Stats {
             fixed: [0; Ctr::COUNT],
             zeroed: [false; Ctr::COUNT],
-            other: BTreeMap::new(),
             histograms: BTreeMap::new(),
         }
     }
@@ -281,13 +265,12 @@ impl PartialEq for Stats {
         // A counter `set` to zero and an untouched one hold the same
         // value; they differ only in visibility. Compare visibility of
         // the zero-valued slots rather than the raw flags so that e.g.
-        // `set(c, 0); add(c, 1)` equals a plain `add(c, 1)`.
+        // `set_ctr(c, 0); add_ctr(c, 1)` equals a plain `add_ctr(c, 1)`.
         self.fixed == o.fixed
             && Ctr::ALL.iter().all(|&c| {
                 let i = c as usize;
                 (self.zeroed[i] && self.fixed[i] == 0) == (o.zeroed[i] && o.fixed[i] == 0)
             })
-            && self.other == o.other
             && self.histograms == o.histograms
     }
 }
@@ -330,44 +313,9 @@ impl Stats {
         self.fixed[c as usize] != 0 || self.zeroed[c as usize]
     }
 
-    /// Adds `n` to the counter `name`, creating it at zero if absent.
-    pub fn add(&mut self, name: &str, n: u64) {
-        if n == 0 {
-            return;
-        }
-        match Ctr::from_name(name) {
-            Some(c) => self.add_ctr(c, n),
-            None => {
-                if let Some(v) = self.other.get_mut(name) {
-                    *v += n;
-                } else {
-                    self.other.insert(name.to_owned(), n);
-                }
-            }
-        }
-    }
-
-    /// Increments the counter `name` by one.
-    pub fn bump(&mut self, name: &str) {
-        self.add(name, 1);
-    }
-
     /// Reads a counter; unknown names read as zero.
     pub fn get(&self, name: &str) -> u64 {
-        match Ctr::from_name(name) {
-            Some(c) => self.get_ctr(c),
-            None => self.other.get(name).copied().unwrap_or(0),
-        }
-    }
-
-    /// Sets a counter to an absolute value (for gauges like queue depth).
-    pub fn set(&mut self, name: &str, value: u64) {
-        match Ctr::from_name(name) {
-            Some(c) => self.set_ctr(c, value),
-            None => {
-                self.other.insert(name.to_owned(), value);
-            }
-        }
+        Ctr::from_name(name).map_or(0, |c| self.get_ctr(c))
     }
 
     /// Records `value` into the histogram `name`.
@@ -391,24 +339,10 @@ impl Stats {
 
     /// Iterates over all touched counters in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        // Both sources are already name-ordered; merge them.
-        let mut fixed = Ctr::ALL
+        Ctr::ALL
             .iter()
             .filter(|&&c| self.fixed_present(c))
             .map(|&c| (c.name(), self.fixed[c as usize]))
-            .peekable();
-        let mut other = self.other.iter().map(|(k, v)| (k.as_str(), *v)).peekable();
-        std::iter::from_fn(move || match (fixed.peek(), other.peek()) {
-            (Some(&(fk, _)), Some(&(ok, _))) => {
-                if fk < ok {
-                    fixed.next()
-                } else {
-                    other.next()
-                }
-            }
-            (Some(_), None) => fixed.next(),
-            (None, _) => other.next(),
-        })
     }
 
     /// A deterministic 64-bit digest of every counter and histogram.
@@ -490,9 +424,6 @@ impl Stats {
         }
         for (a, b) in self.zeroed.iter_mut().zip(other.zeroed.iter()) {
             *a |= b;
-        }
-        for (k, v) in &other.other {
-            *self.other.entry(k.clone()).or_insert(0) += v;
         }
         for (k, h) in &other.histograms {
             self.histograms.entry(k.clone()).or_default().merge(h);
@@ -627,9 +558,9 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let mut s = Stats::new();
-        s.bump("a");
-        s.add("a", 4);
-        assert_eq!(s.get("a"), 5);
+        s.bump_ctr(Ctr::Syscalls);
+        s.add_ctr(Ctr::Syscalls, 4);
+        assert_eq!(s.get("syscalls"), 5);
     }
 
     #[test]
@@ -640,57 +571,37 @@ mod tests {
     #[test]
     fn ratio_handles_zero_denominator() {
         let mut s = Stats::new();
-        s.add("n", 10);
-        assert_eq!(s.ratio("n", "d"), None);
-        s.add("d", 4);
-        assert_eq!(s.ratio("n", "d"), Some(2.5));
+        s.add_ctr(Ctr::L15Hit, 10);
+        assert_eq!(s.ratio("l15.hit", "l15.miss"), None);
+        s.add_ctr(Ctr::L15Miss, 4);
+        assert_eq!(s.ratio("l15.hit", "l15.miss"), Some(2.5));
     }
 
     #[test]
     fn merge_sums_counters() {
         let mut a = Stats::new();
-        a.add("x", 1);
-        let mut b = Stats::new();
-        b.add("x", 2);
-        b.add("y", 3);
-        a.merge(&b);
-        assert_eq!(a.get("x"), 3);
-        assert_eq!(a.get("y"), 3);
-    }
-
-    #[test]
-    fn merge_sums_interned_counters() {
-        let mut a = Stats::new();
         a.bump_ctr(Ctr::ChainTaken);
         let mut b = Stats::new();
-        b.add("chain.taken", 2);
+        b.add_ctr(Ctr::ChainTaken, 2);
+        b.add_ctr(Ctr::SpecPushes, 3);
         a.merge(&b);
         assert_eq!(a.get_ctr(Ctr::ChainTaken), 3);
+        assert_eq!(a.get("spec.pushes"), 3);
     }
 
     #[test]
     fn set_overwrites() {
         let mut s = Stats::new();
-        s.add("gauge", 5);
-        s.set("gauge", 2);
-        assert_eq!(s.get("gauge"), 2);
-    }
-
-    #[test]
-    fn interned_and_string_views_agree() {
-        let mut s = Stats::new();
-        s.bump_ctr(Ctr::L2CodeAccess);
-        s.add("l2code.access", 2);
-        assert_eq!(s.get("l2code.access"), 3);
-        assert_eq!(s.get_ctr(Ctr::L2CodeAccess), 3);
-        s.set("cycles", 10);
-        assert_eq!(s.get_ctr(Ctr::Cycles), 10);
+        s.add_ctr(Ctr::Cycles, 5);
+        s.set_ctr(Ctr::Cycles, 2);
+        assert_eq!(s.get("cycles"), 2);
     }
 
     #[test]
     fn ctr_names_roundtrip_and_are_sorted() {
         let mut prev: Option<&str> = None;
-        for c in Ctr::ALL {
+        for (i, c) in Ctr::ALL.into_iter().enumerate() {
+            assert_eq!(c as usize, i, "{c:?} is declared out of `ALL` order");
             assert_eq!(Ctr::from_name(c.name()), Some(c));
             if let Some(p) = prev {
                 assert!(p < c.name(), "{p} !< {}", c.name());
@@ -703,7 +614,7 @@ mod tests {
     #[test]
     fn set_zero_is_listed_untouched_is_not() {
         let mut s = Stats::new();
-        s.set("cycles", 0);
+        s.set_ctr(Ctr::Cycles, 0);
         let listed: Vec<&str> = s.iter().map(|(k, _)| k).collect();
         assert_eq!(listed, ["cycles"]);
         assert!(!Stats::new().iter().any(|(k, _)| k == "cycles"));
@@ -735,22 +646,22 @@ mod tests {
     #[test]
     fn stats_display_lists_counters() {
         let mut s = Stats::new();
-        s.add("k", 1);
+        s.add_ctr(Ctr::HostInsns, 7);
         s.bump_ctr(Ctr::Syscalls);
-        let text = s.to_string();
-        assert!(text.contains("k = 1"));
-        assert!(text.contains("syscalls = 1"));
+        assert_eq!(s.to_string(), "host_insns = 7\nsyscalls = 1\n");
     }
 
     #[test]
     fn iter_in_name_order() {
         let mut s = Stats::new();
-        s.add("b", 1);
-        s.add("a", 1);
-        s.bump_ctr(Ctr::Cycles);
         s.bump_ctr(Ctr::TranslateCommitted);
+        s.bump_ctr(Ctr::ManagerServiceCycles);
+        s.bump_ctr(Ctr::Cycles);
         let names: Vec<&str> = s.iter().map(|(k, _)| k).collect();
-        assert_eq!(names, ["a", "b", "cycles", "translate.committed"]);
+        assert_eq!(
+            names,
+            ["cycles", "manager.service_cycles", "translate.committed"]
+        );
     }
 
     #[test]
@@ -774,15 +685,14 @@ mod tests {
         assert_eq!(zeros.percentile(0.99), 0);
     }
 
-    /// Property-style check (in-tree RNG, no external proptest): merging
+    /// Property-style check (seeded in-tree RNG): merging
     /// two registries built from disjoint event streams must equal one
     /// registry that replayed both streams, for any interleaving of
-    /// additive events. `set` is deliberately excluded — it is an
-    /// overwrite, not an event — except for the `set(_, 0)` presence case
-    /// checked separately below.
+    /// additive events. `set_ctr` is deliberately excluded — it is an
+    /// overwrite, not an event — except for the `set_ctr(_, 0)` presence
+    /// case checked separately below.
     #[test]
     fn merge_agrees_with_replaying_events() {
-        let names = ["a.x", "b.y", "cycles", "l2code.access", "spec.pushes"];
         let hists = ["lat.dram", "depth.q"];
         let mut rng = crate::Rng::seeded(0xDECAF);
         for trial in 0..50 {
@@ -792,22 +702,16 @@ mod tests {
             for _ in 0..rng.range(1, 60) {
                 let pick_left = rng.chance(1, 2);
                 let target = if pick_left { &mut left } else { &mut right };
-                match rng.below(4) {
+                let c = Ctr::ALL[rng.below(Ctr::COUNT as u64) as usize];
+                match rng.below(3) {
                     0 => {
-                        let n = names[rng.below(names.len() as u64) as usize];
-                        target.bump(n);
-                        replay.bump(n);
-                    }
-                    1 => {
-                        let n = names[rng.below(names.len() as u64) as usize];
-                        let v = rng.below(1000);
-                        target.add(n, v);
-                        replay.add(n, v);
-                    }
-                    2 => {
-                        let c = Ctr::ALL[rng.below(Ctr::COUNT as u64) as usize];
                         target.bump_ctr(c);
                         replay.bump_ctr(c);
+                    }
+                    1 => {
+                        let v = rng.below(1000);
+                        target.add_ctr(c, v);
+                        replay.add_ctr(c, v);
                     }
                     _ => {
                         let h = hists[rng.below(hists.len() as u64) as usize];
@@ -829,7 +733,7 @@ mod tests {
         // A counter set to 0 on either side must still be listed after the
         // merge, and summing into it must behave like a plain counter.
         let mut a = Stats::new();
-        a.set("cycles", 0);
+        a.set_ctr(Ctr::Cycles, 0);
         let b = Stats::new();
         let mut merged = a.clone();
         merged.merge(&b);
@@ -839,38 +743,38 @@ mod tests {
         assert!(c.iter().any(|(k, _)| k == "cycles"), "rhs zero is kept");
         // Zero + value merges to the value, and equals a never-zeroed peer.
         let mut d = Stats::new();
-        d.add("cycles", 7);
+        d.add_ctr(Ctr::Cycles, 7);
         c.merge(&d);
         assert_eq!(c.get("cycles"), 7);
         let mut plain = Stats::new();
-        plain.add("cycles", 7);
+        plain.add_ctr(Ctr::Cycles, 7);
         assert_eq!(c, plain);
     }
 
     #[test]
     fn equality_ignores_how_counters_were_written() {
         let mut a = Stats::new();
-        a.set("cycles", 0);
-        a.add("cycles", 1);
+        a.set_ctr(Ctr::Cycles, 0);
+        a.add_ctr(Ctr::Cycles, 1);
         let mut b = Stats::new();
         b.bump_ctr(Ctr::Cycles);
         assert_eq!(a, b);
         let mut c = Stats::new();
-        c.set("cycles", 0);
+        c.set_ctr(Ctr::Cycles, 0);
         assert_ne!(c, Stats::new(), "a visible zero counter is observable");
     }
 
     #[test]
     fn fingerprint_tracks_observable_state() {
         let mut a = Stats::new();
-        a.add("cycles", 10);
+        a.add_ctr(Ctr::Cycles, 10);
         a.bump_ctr(Ctr::L2CodeAccess);
         a.record("lat", 3);
         a.record("lat", 9);
         let mut b = Stats::new();
         b.record("lat", 3);
         b.bump_ctr(Ctr::L2CodeAccess);
-        b.add("cycles", 10);
+        b.add_ctr(Ctr::Cycles, 10);
         b.record("lat", 9);
         assert_eq!(a, b);
         assert_eq!(
@@ -878,7 +782,7 @@ mod tests {
             b.fingerprint(),
             "order of writes is invisible"
         );
-        b.add("cycles", 1);
+        b.add_ctr(Ctr::Cycles, 1);
         assert_ne!(a.fingerprint(), b.fingerprint(), "a changed counter shows");
         let mut c = a.clone();
         c.record("lat", 9);
@@ -890,8 +794,8 @@ mod tests {
     fn first_difference_none_when_equal() {
         assert_eq!(Stats::new().first_difference(&Stats::new()), None);
         let mut a = Stats::new();
-        a.add("cycles", 10);
-        a.add("a.x", 3);
+        a.add_ctr(Ctr::Cycles, 10);
+        a.add_ctr(Ctr::ChainTaken, 3);
         a.record("lat", 7);
         let b = a.clone();
         assert_eq!(a.first_difference(&b), None);
@@ -901,16 +805,16 @@ mod tests {
     #[test]
     fn first_difference_names_the_divergent_counter() {
         let mut a = Stats::new();
-        a.add("cycles", 10);
+        a.add_ctr(Ctr::Cycles, 10);
         let mut b = Stats::new();
-        b.add("cycles", 12);
+        b.add_ctr(Ctr::Cycles, 12);
         assert_eq!(
             a.first_difference(&b),
             Some("counter cycles: 10 vs 12".to_string())
         );
         // A counter only one side touched reports presence, not a value.
         let mut c = a.clone();
-        c.add("spec.pushes", 1);
+        c.add_ctr(Ctr::SpecPushes, 1);
         assert_eq!(
             a.first_difference(&c),
             Some("counter spec.pushes: present on one side only".to_string())
@@ -926,23 +830,23 @@ mod tests {
         // Several divergences: the report must name the first in the
         // registry's canonical (name) order, regardless of write order.
         let mut a = Stats::new();
-        a.add("z.last", 1);
-        a.add("b.mid", 2);
+        a.add_ctr(Ctr::TranslateCommitted, 1);
+        a.add_ctr(Ctr::ChainTaken, 2);
         a.bump_ctr(Ctr::Cycles);
         let mut b = Stats::new();
-        b.add("z.last", 9);
-        b.add("b.mid", 9);
-        b.add("cycles", 9);
+        b.add_ctr(Ctr::TranslateCommitted, 9);
+        b.add_ctr(Ctr::ChainTaken, 9);
+        b.add_ctr(Ctr::Cycles, 9);
         assert_eq!(
             a.first_difference(&b),
-            Some("counter b.mid: 2 vs 9".to_string())
+            Some("counter chain.taken: 2 vs 9".to_string())
         );
         // Counters compare before histograms even when a histogram also
         // differs.
         a.record("lat", 1);
         assert_eq!(
             a.first_difference(&b),
-            Some("counter b.mid: 2 vs 9".to_string())
+            Some("counter chain.taken: 2 vs 9".to_string())
         );
     }
 

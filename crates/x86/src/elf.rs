@@ -120,10 +120,22 @@ pub fn load(bytes: &[u8]) -> Result<GuestImage, ElfError> {
         }
         let p_offset = u32le(bytes, p + 4, "p_offset")? as usize;
         let p_vaddr = u32le(bytes, p + 8, "p_vaddr")?;
-        let p_filesz = u32le(bytes, p + 16, "p_filesz")? as usize;
+        let p_filesz = u32le(bytes, p + 16, "p_filesz")?;
         let p_memsz = u32le(bytes, p + 20, "p_memsz")?;
+        // Everything below adds sizes to `p_vaddr` in 32 bits: a segment
+        // is `[p_vaddr, p_vaddr + p_memsz)`, its file bytes a prefix.
+        if p_filesz > p_memsz {
+            return Err(ElfError::Unsupported {
+                what: "p_filesz > p_memsz",
+            });
+        }
+        if p_vaddr.checked_add(p_memsz).is_none() {
+            return Err(ElfError::Unsupported {
+                what: "segment wraps the 32-bit address space",
+            });
+        }
         let data = bytes
-            .get(p_offset..p_offset + p_filesz)
+            .get(p_offset..p_offset + p_filesz as usize)
             .ok_or(ElfError::Truncated {
                 what: "segment data",
             })?
@@ -268,6 +280,41 @@ mod tests {
         let image = load(&e).expect("loads");
         let mut cpu = Cpu::new(&image);
         assert_eq!(cpu.run(1000).unwrap(), StopReason::Exit(0));
+    }
+
+    #[test]
+    fn rejects_segments_whose_arithmetic_overflows() {
+        const E_ENTRY: usize = 24;
+        const P_VADDR: usize = 52 + 8;
+        const P_FILESZ: usize = 52 + 16;
+        const P_MEMSZ: usize = 52 + 20;
+        let patched = |fields: &[(usize, u32)]| {
+            let mut e = write_minimal_exec(0x0804_8000, &[0x90; 0x20], 0x0804_8000);
+            for &(off, v) in fields {
+                e[off..off + 4].copy_from_slice(&v.to_le_bytes());
+            }
+            e
+        };
+        let rows = [
+            // Entry and segment at the top of the address space: `p_vaddr
+            // + p_filesz` overflowed while looking for the code segment.
+            (
+                "wraps",
+                patched(&[(E_ENTRY, 0xFFFF_FFF0), (P_VADDR, 0xFFFF_FFF0)]),
+            ),
+            // A bss tail reaching past 4 GiB overflowed in `build_mem`.
+            ("bss past 4 GiB", patched(&[(P_MEMSZ, 0xFFFF_FFFF)])),
+            // More file bytes than the segment has memory for.
+            ("filesz > memsz", patched(&[(P_MEMSZ, 1)])),
+        ];
+        assert_eq!(rows[0].1[P_FILESZ], 0x20);
+        for (what, e) in rows {
+            let got = load(&e).map(|image| image.bss);
+            assert!(
+                matches!(got, Err(ElfError::Unsupported { .. })),
+                "{what}: {got:?}"
+            );
+        }
     }
 
     #[test]

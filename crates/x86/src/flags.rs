@@ -382,6 +382,20 @@ pub fn cond_holds(c: Cond, f: Flags) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vta_sim::Rng;
+
+    /// Cases per seeded loop below; each checks the operation against
+    /// wide (64-bit) arithmetic on random operands at a random width.
+    const CASES: usize = 2000;
+
+    fn random_size(rng: &mut Rng) -> Size {
+        [Size::Byte, Size::Word, Size::Dword][rng.below(3) as usize]
+    }
+
+    /// `v` sign-extended from `size` to 64 bits.
+    fn signed(size: Size, v: u32) -> i64 {
+        i64::from(size.sign_extend(v) as i32)
+    }
 
     #[test]
     fn add_carry_and_overflow() {
@@ -397,6 +411,18 @@ mod tests {
         let r = add(&mut f, Size::Byte, 0x7F, 1);
         assert_eq!(r, 0x80);
         assert!(f.of() && f.sf() && !f.cf());
+
+        let mut rng = Rng::seeded(0xADD);
+        for _ in 0..CASES {
+            let size = random_size(&mut rng);
+            let (a, b) = (rng.next_u32() & size.mask(), rng.next_u32() & size.mask());
+            let r = add(&mut f, size, a, b);
+            assert_eq!(r, a.wrapping_add(b) & size.mask());
+            assert_eq!(f.cf(), u64::from(a) + u64::from(b) > u64::from(size.mask()));
+            assert_eq!(f.zf(), r == 0);
+            assert_eq!(f.sf(), r & size.sign_bit() != 0);
+            assert_eq!(f.of(), signed(size, a) + signed(size, b) != signed(size, r));
+        }
     }
 
     #[test]
@@ -409,6 +435,16 @@ mod tests {
         let r = sub(&mut f, Size::Dword, 0x8000_0000, 1);
         assert_eq!(r, 0x7FFF_FFFF);
         assert!(f.of());
+
+        let mut rng = Rng::seeded(0x5B);
+        for _ in 0..CASES {
+            let size = random_size(&mut rng);
+            let (a, b) = (rng.next_u32() & size.mask(), rng.next_u32() & size.mask());
+            let r = sub(&mut f, size, a, b);
+            assert_eq!(r, a.wrapping_sub(b) & size.mask());
+            assert_eq!(f.cf(), a < b);
+            assert_eq!(f.of(), signed(size, a) - signed(size, b) != signed(size, r));
+        }
     }
 
     #[test]
@@ -427,6 +463,18 @@ mod tests {
         let lo = sub(&mut f, Size::Dword, 0, 1);
         let hi = sbb(&mut f, Size::Dword, 0, 0);
         assert_eq!(((hi as u64) << 32) | lo as u64, u64::MAX);
+
+        let mut rng = Rng::seeded(0xADC);
+        for _ in 0..CASES {
+            let (a, b) = (rng.next_u64(), rng.next_u64());
+            let (a_hi, b_hi) = ((a >> 32) as u32, (b >> 32) as u32);
+            let lo = add(&mut f, Size::Dword, a as u32, b as u32);
+            let hi = adc(&mut f, Size::Dword, a_hi, b_hi);
+            assert_eq!(((hi as u64) << 32) | lo as u64, a.wrapping_add(b));
+            let lo = sub(&mut f, Size::Dword, a as u32, b as u32);
+            let hi = sbb(&mut f, Size::Dword, a_hi, b_hi);
+            assert_eq!(((hi as u64) << 32) | lo as u64, a.wrapping_sub(b));
+        }
     }
 
     #[test]
@@ -472,6 +520,14 @@ mod tests {
         assert!(!parity_even(0x01));
         // Only the low byte counts.
         assert!(parity_even(0xFF00));
+
+        let mut rng = Rng::seeded(0x9A2);
+        let mut f = Flags::default();
+        for _ in 0..CASES {
+            let v = logic(&mut f, random_size(&mut rng), rng.next_u32());
+            assert_eq!(f.pf(), (v as u8).count_ones().is_multiple_of(2));
+            assert!(!f.cf() && !f.of());
+        }
     }
 
     #[test]
@@ -484,6 +540,18 @@ mod tests {
         f.set_cf(false);
         shl(&mut f, Size::Dword, 0xFFFF_FFFF, 0);
         assert!(!f.cf());
+        // ... bit for bit, for every shift and rotate at every width.
+        let mut rng = Rng::seeded(0x5410);
+        for _ in 0..CASES {
+            let size = random_size(&mut rng);
+            let a = rng.next_u32() & size.mask();
+            let bits = rng.next_u32() & 0xFFF;
+            for op in [shl, shr, sar, rol, ror] {
+                let mut f = Flags(bits);
+                assert_eq!(op(&mut f, size, a, 0), a);
+                assert_eq!(f.0, bits);
+            }
+        }
     }
 
     #[test]
@@ -615,6 +683,17 @@ mod tests {
         let r = ror(&mut f, Size::Byte, 0x01, 1);
         assert_eq!(r, 0x80);
         assert!(f.cf());
+
+        // Rotates keep the multiset of bits and invert each other.
+        let mut rng = Rng::seeded(0x207);
+        for _ in 0..CASES {
+            let size = random_size(&mut rng);
+            let a = rng.next_u32() & size.mask();
+            let count = rng.below(32) as u32;
+            let r = rol(&mut f, size, a, count);
+            assert_eq!(r.count_ones(), a.count_ones());
+            assert_eq!(ror(&mut f, size, r, count), a);
+        }
     }
 
     #[test]
@@ -631,6 +710,27 @@ mod tests {
 
         let (_, _) = imul(&mut f, Size::Dword, 0x4000_0000, 4);
         assert!(f.of());
+
+        let mut rng = Rng::seeded(0x3A1);
+        for _ in 0..CASES {
+            let size = random_size(&mut rng);
+            let (a, b) = (rng.next_u32() & size.mask(), rng.next_u32() & size.mask());
+            let (lo, hi) = mul(&mut f, size, a, b);
+            let wide = u64::from(a) * u64::from(b);
+            assert_eq!(lo, wide as u32 & size.mask());
+            assert_eq!(hi, (wide >> size.bits()) as u32 & size.mask());
+            assert_eq!(f.cf(), hi != 0);
+
+            let (lo, hi) = imul(&mut f, size, a, b);
+            let wide = signed(size, a) * signed(size, b);
+            assert_eq!(lo, wide as u32 & size.mask());
+            assert_eq!(hi, (wide >> size.bits()) as u32 & size.mask());
+            assert_eq!(
+                f.of(),
+                wide != signed(size, lo),
+                "OF iff the product does not fit"
+            );
+        }
     }
 
     #[test]
@@ -644,6 +744,34 @@ mod tests {
         assert!(!cond_holds(Cond::G, f));
         sub(&mut f, Size::Dword, 2, 2);
         assert!(cond_holds(Cond::E, f) && cond_holds(Cond::Be, f) && cond_holds(Cond::Ge, f));
+
+        let mut rng = Rng::seeded(0xC0D);
+        for _ in 0..CASES {
+            // After a `cmp`, the conditions are the native comparisons.
+            let (a, b) = (rng.next_u32(), rng.next_u32());
+            sub(&mut f, Size::Dword, a, b);
+            let (sa, sb) = (a as i32, b as i32);
+            for (cond, holds) in [
+                (Cond::L, sa < sb),
+                (Cond::Le, sa <= sb),
+                (Cond::G, sa > sb),
+                (Cond::Ge, sa >= sb),
+                (Cond::B, a < b),
+                (Cond::A, a > b),
+                (Cond::E, a == b),
+            ] {
+                assert_eq!(
+                    cond_holds(cond, f),
+                    holds,
+                    "{cond:?} after cmp {a:#x}, {b:#x}"
+                );
+            }
+            // On any flags word, every condition negates its pair.
+            let f = Flags(rng.next_u32() & 0xFFF);
+            for cond in Cond::ALL {
+                assert_eq!(cond_holds(cond, f), !cond_holds(cond.negate(), f));
+            }
+        }
     }
 
     #[test]

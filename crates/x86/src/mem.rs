@@ -24,7 +24,7 @@ const PAGE_MASK: u32 = PAGE_SIZE - 1;
 /// assert_eq!(mem.read_u32(0x1ffc), Ok(0xdead_beef));
 /// assert!(mem.read_u8(0x3000).is_err());
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GuestMem {
     pages: HashMap<u32, Box<[u8; PAGE_SIZE as usize]>>,
 }

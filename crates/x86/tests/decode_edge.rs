@@ -1,14 +1,20 @@
-//! Table-driven decoder tests for ModRM/SIB edge cases.
+//! Decoder and loader edge cases: tables, then seeded loops.
 //!
-//! These encodings are where IA-32's addressing-mode escape hatches
+//! The tables cover where IA-32's addressing-mode escape hatches
 //! live — EBP loses its base role at `mod == 0`, ESP in the `rm` field
-//! means "SIB follows", index 4 means "no index" — and they are exactly
+//! means "SIB follows", index 4 means "no index" — exactly
 //! the shapes raw-byte differential fuzzing leans on. Each table row
 //! decodes a hand-assembled byte string and checks the full decoded
 //! form (op, size, operands, length).
+//!
+//! The seeded loops (`vta_sim::Rng`, fixed seeds) hold the two
+//! boundaries guest bytes cross: whatever the assembler emits decodes
+//! back to the same operands, and nothing a guest can supply — byte
+//! soup to the decoder, a mutated ELF to the loader — panics.
 
-use vta_x86::decode::{decode, DecodeError, SliceSource};
-use vta_x86::{Insn, MemRef, Op, Operand, Reg, Size};
+use vta_sim::Rng;
+use vta_x86::decode::{decode, DecodeError, SliceSource, MAX_INSN_LEN};
+use vta_x86::{elf, Asm, Cond, Insn, MemRef, Op, Operand, Reg, Size};
 
 const BASE: u32 = 0x0800_0000;
 
@@ -168,4 +174,185 @@ fn lea_requires_memory_operand() {
             disp: 0x10
         }
     );
+}
+
+/// One ALU row of the assembler: the decoded op and its four emitters.
+type AluRow = (
+    Op,
+    fn(&mut Asm, Reg, Reg),
+    fn(&mut Asm, Reg, i32),
+    fn(&mut Asm, Reg, MemRef),
+    fn(&mut Asm, MemRef, Reg),
+);
+
+const ALU: [AluRow; 8] = [
+    (Op::Add, Asm::add_rr, Asm::add_ri, Asm::add_rm, Asm::add_mr),
+    (Op::Or, Asm::or_rr, Asm::or_ri, Asm::or_rm, Asm::or_mr),
+    (Op::Adc, Asm::adc_rr, Asm::adc_ri, Asm::adc_rm, Asm::adc_mr),
+    (Op::Sbb, Asm::sbb_rr, Asm::sbb_ri, Asm::sbb_rm, Asm::sbb_mr),
+    (Op::And, Asm::and_rr, Asm::and_ri, Asm::and_rm, Asm::and_mr),
+    (Op::Sub, Asm::sub_rr, Asm::sub_ri, Asm::sub_rm, Asm::sub_mr),
+    (Op::Xor, Asm::xor_rr, Asm::xor_ri, Asm::xor_rm, Asm::xor_mr),
+    (Op::Cmp, Asm::cmp_rr, Asm::cmp_ri, Asm::cmp_rm, Asm::cmp_mr),
+];
+
+fn random_reg(rng: &mut Rng) -> Reg {
+    Reg::ALL[rng.below(8) as usize]
+}
+
+/// Any encodable memory operand (ESP cannot be an index register).
+fn random_memref(rng: &mut Rng) -> MemRef {
+    let base = rng.chance(1, 2).then(|| random_reg(rng));
+    let index = rng
+        .chance(1, 2)
+        .then(|| (random_reg(rng), 1u8 << rng.below(4)))
+        .filter(|&(r, _)| r != Reg::ESP);
+    let disp = match rng.below(3) {
+        0 => 0,
+        1 => rng.next_u32() as i8 as i32,
+        _ => rng.next_u32() as i32,
+    };
+    MemRef { base, index, disp }
+}
+
+/// What one emitted instruction must decode back to.
+type Check = Box<dyn Fn(&Insn)>;
+
+fn operands(op: Op, dst: Operand, src: Operand) -> Check {
+    Box::new(move |i| assert_eq!((i.op, i.dst, i.src), (op, Some(dst), Some(src)), "{i:?}"))
+}
+
+fn conditional(op: Op, cond: Cond) -> Check {
+    Box::new(move |i| assert_eq!((i.op, i.cond), (op, Some(cond)), "{i:?}"))
+}
+
+/// Length only: immediates sign-extend per encoding form, and the
+/// operand-carrying rows already cover the ModRM paths.
+fn any() -> Check {
+    Box::new(|_| {})
+}
+
+/// Whatever the assembler emits, the decoder reads back: instruction
+/// lengths tile the stream exactly and op, condition and operands
+/// survive the round trip.
+#[test]
+fn assembled_sequences_decode_back() {
+    use Operand::{Imm, Mem, Reg as R};
+    let mut rng = Rng::seeded(0xA53B);
+    for _ in 0..256 {
+        let mut asm = Asm::new(BASE);
+        let mut checks: Vec<Check> = Vec::new();
+        for _ in 0..rng.range(1, 39) {
+            let (r, r2) = (random_reg(&mut rng), random_reg(&mut rng));
+            let m = random_memref(&mut rng);
+            let imm = rng.next_u32();
+            let (op, rr, ri, rm, mr) = ALU[rng.below(8) as usize];
+            let cond = Cond::ALL[rng.below(16) as usize];
+            match rng.below(10) {
+                0 => {
+                    asm.mov_ri(r, imm);
+                    checks.push(operands(Op::Mov, R(r), Imm(i64::from(imm))));
+                }
+                1 => {
+                    rr(&mut asm, r, r2);
+                    checks.push(operands(op, R(r), R(r2)));
+                }
+                2 => {
+                    ri(&mut asm, r, imm as i32);
+                    checks.push(any());
+                }
+                3 => {
+                    rm(&mut asm, r, m);
+                    checks.push(operands(op, R(r), Mem(m)));
+                }
+                4 => {
+                    mr(&mut asm, m, r);
+                    checks.push(operands(op, Mem(m), R(r)));
+                }
+                5 => {
+                    let shift = [
+                        Asm::shl_ri,
+                        Asm::shr_ri,
+                        Asm::sar_ri,
+                        Asm::rol_ri,
+                        Asm::ror_ri,
+                    ][rng.below(5) as usize];
+                    shift(&mut asm, r, rng.below(32) as u8);
+                    checks.push(any());
+                }
+                6 => {
+                    let here = asm.here();
+                    asm.jcc(cond, here);
+                    checks.push(Box::new(move |i| {
+                        conditional(Op::Jcc, cond)(i);
+                        assert_eq!(i.target(), Some(i.addr), "self-loop target");
+                    }));
+                }
+                7 => {
+                    asm.push_r(r);
+                    asm.pop_r(r);
+                    checks.extend([any(), any()]);
+                }
+                8 => {
+                    asm.lea(r, m);
+                    checks.push(operands(Op::Lea, R(r), Mem(m)));
+                }
+                _ => {
+                    asm.setcc(cond, rng.below(4) as u8);
+                    checks.push(conditional(Op::Setcc, cond));
+                }
+            }
+        }
+        let prog = asm.finish();
+        let src = SliceSource::new(prog.base, &prog.code);
+        let mut pc = prog.base;
+        for check in checks {
+            let insn = decode(&src, pc).expect("self-emitted code must decode");
+            check(&insn);
+            pc = insn.next_addr();
+        }
+        assert_eq!(
+            pc,
+            prog.base + prog.code.len() as u32,
+            "decoded lengths must exactly tile the stream"
+        );
+    }
+}
+
+/// Arbitrary bytes decode to an instruction within the ISA's length
+/// limit or to a structured error — never a panic.
+#[test]
+fn byte_soup_never_panics_the_decoder() {
+    let mut rng = Rng::seeded(0x50FA);
+    for _ in 0..4096 {
+        let bytes: Vec<u8> = (0..rng.below(64)).map(|_| rng.next_u32() as u8).collect();
+        if let Ok(insn) = decode_one(&bytes) {
+            assert!(u32::from(insn.len) <= MAX_INSN_LEN, "{bytes:02x?}");
+        }
+    }
+}
+
+/// One- and two-byte mutations of a valid executable load or fail with
+/// an `ElfError` — never a panic — and what loads can be mapped.
+#[test]
+fn mutated_elf_never_panics_the_loader() {
+    let valid = elf::write_minimal_exec(BASE, &[0x90; 32], BASE);
+    let mut rng = Rng::seeded(0xE1F);
+    for _ in 0..2000 {
+        let mut bytes = valid.clone();
+        for _ in 0..rng.range(1, 2) {
+            let at = rng.below(bytes.len() as u64) as usize;
+            bytes[at] = rng.next_u32() as u8;
+        }
+        let Ok(image) = elf::load(&bytes) else {
+            continue;
+        };
+        // A mutated `p_memsz` can legitimately ask for gigabytes of bss;
+        // that is the guest's right, not this test's to allocate. (Code
+        // and data are file bytes, so they cannot be large.)
+        let bss: u64 = image.bss.iter().map(|&(_, len)| u64::from(len)).sum();
+        if bss < 16 << 20 {
+            image.build_mem();
+        }
+    }
 }

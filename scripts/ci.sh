@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate (see ROADMAP.md): everything here must pass offline — no
-# network, no registry. The default workspace has zero external
-# dependencies by policy (root Cargo.toml); the excluded `heavy/`
-# package holds the proptest suites and is built on request only.
+# network, no registry. Zero external dependencies are declared anywhere
+# by policy (root Cargo.toml), and the no-env stage holds the repo to it.
 #
 # There is one build of the workspace (no cargo features) and one CLI
 # binary (target/release/vta, which the build stage produces and every
@@ -13,7 +12,9 @@
 #   fmt
 #   no-env: no library crate reads the process environment, and nothing
 #     under crates/*/src reads the host clock except the profiler
-#     (crates/sim/src/prof.rs) and measure_cell (crates/bench/src/lib.rs)
+#     (crates/sim/src/prof.rs) and measure_cell (crates/bench/src/lib.rs);
+#     one package tree, all of it built here: no manifest declares cargo
+#     features and neither lockfile names a registry source
 #   clippy
 #   build release
 #   test (debug-for-tests)
@@ -77,11 +78,18 @@ run_stage "fmt" \
 # A simulated machine is a pure function of (image, config): only the
 # CLI binary may read the process environment, never a library crate,
 # and only the host profiler and measure_cell (whose wall_seconds
-# benchmark/ reads) may read the host clock.
+# benchmark/ reads) may read the host clock. And every test in the repo
+# is one this script builds and runs: no package excluded from the
+# workspace for needing a registry, no feature-gated code, no external
+# dependency in either lockfile.
 no_env_stage() {
     ! grep -rn 'env::var' crates/*/src --include=*.rs | grep -v '^crates/bench/src/bin/' &&
         ! grep -rn 'Instant::now' crates/*/src --include=*.rs |
-        grep -v -e '^crates/sim/src/prof.rs:' -e '^crates/bench/src/lib.rs:'
+        grep -v -e '^crates/sim/src/prof.rs:' -e '^crates/bench/src/lib.rs:' &&
+        ! ls -d heavy 2>/dev/null &&
+        ! grep -n '^exclude' Cargo.toml &&
+        ! grep -n '^\[features\]' Cargo.toml crates/*/Cargo.toml benchmark/Cargo.toml &&
+        ! grep -n 'source = ' Cargo.lock benchmark/Cargo.lock
 }
 run_stage "no-env, no-clock (library crates)" \
     no_env_stage
