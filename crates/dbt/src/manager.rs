@@ -156,6 +156,10 @@ pub(crate) struct Manager {
     /// detection (a store into a key is a store into code) and
     /// invalidation.
     pages: HashMap<u32, Vec<u32>>,
+    /// One bit per guest page, set exactly while `pages` has the key:
+    /// what the execution tile tests on every store. Grown to the
+    /// highest code page seen (4 KiB for code at `0x0800_0000`).
+    code_pages: Vec<u64>,
     /// Optional cross-system translation memo (sweeps).
     shared: Option<Arc<SharedTranslations>>,
 }
@@ -174,6 +178,7 @@ impl Manager {
             pool: SlavePool::new(&cfg.placement.slaves),
             failed: HashSet::new(),
             pages: HashMap::new(),
+            code_pages: Vec::new(),
             shared: None,
         }
     }
@@ -194,7 +199,9 @@ impl Manager {
     /// Whether any committed translation covers `page`.
     #[inline]
     pub(crate) fn holds_code(&self, page: u32) -> bool {
-        self.pages.contains_key(&page)
+        self.code_pages
+            .get(page as usize / 64)
+            .is_some_and(|word| word >> (page % 64) & 1 != 0)
     }
 
     /// The work queues, to read.
@@ -477,6 +484,11 @@ impl Manager {
                 if !addrs.contains(&addr) {
                     addrs.push(addr);
                 }
+                let word = page as usize / 64;
+                if word >= self.code_pages.len() {
+                    self.code_pages.resize(word + 1, 0);
+                }
+                self.code_pages[word] |= 1 << (page % 64);
             }
         }
         out.stats.bump_ctr(Ctr::TranslateCommitted);
@@ -594,6 +606,7 @@ impl Manager {
     /// re-queueing is always safe.
     pub(crate) fn revoke_page(&mut self, page: u32) -> Option<Vec<u32>> {
         let addrs = self.pages.remove(&page)?;
+        self.code_pages[page as usize / 64] &= !(1 << (page % 64));
         for &addr in &addrs {
             self.l2.invalidate(addr);
         }
@@ -744,5 +757,70 @@ pub(crate) mod tests {
             .map(|d| w.stats.get(&format!("manager.{d}_cycles")))
             .sum();
         assert_eq!(reserved, attributed);
+    }
+
+    #[test]
+    fn code_page_bits_agree_with_the_page_map() {
+        // The execution tile asks `holds_code` on every store; the
+        // manager answers from a bitset kept beside `pages`. Whatever
+        // is installed and revoked, in whatever order, the bit is the
+        // map's key set — on every page touched and on its neighbours.
+        let cfg = VirtualArchConfig::paper_default();
+        let mut a = Asm::new(BASE);
+        a.exit_with_eax();
+        let image = GuestImage::from_code(a.finish());
+        // Pages around the code base, the bottom pages and a few far
+        // above both (the bitset grows to the highest seen).
+        const CODE: u32 = BASE / 4096;
+        const HIGH: u32 = 0xF_FFE0;
+        fn page(rng: &mut vta_sim::Rng) -> u32 {
+            match rng.below(8) {
+                0 => rng.below(3) as u32,
+                1 => HIGH + rng.below(16) as u32,
+                _ => CODE + rng.below(6) as u32,
+            }
+        }
+        let watched = (0..4).chain(CODE - 1..CODE + 8).chain(HIGH - 1..HIGH + 18);
+        let mut rng = vta_sim::Rng::seeded(0x5AC0DE);
+        for stream in 0..256 {
+            let mut w = World::new(&cfg, &image);
+            let mut m = Manager::new(&cfg);
+            for _ in 0..rng.range(1, 40) {
+                if rng.chance(2, 3) {
+                    // One to three members ending just below or just
+                    // past a page edge, some of zero length.
+                    let ranges: Vec<(u32, u32)> = (0..rng.range(1, 3))
+                        .map(|_| {
+                            let len = [0, 3, 40][rng.below(3) as usize];
+                            ((page(&mut rng) + 1) * 4096 - rng.range(1, 20) as u32, len)
+                        })
+                        .collect();
+                    let block = Arc::new(TBlock {
+                        guest_addr: ranges[0].0,
+                        guest_len: ranges[0].1,
+                        guest_insns: ranges.len() as u32,
+                        code: Vec::new(),
+                        translate_cycles: 100,
+                        term: Term::Halt,
+                        is_call: false,
+                        member_insns: vec![1; ranges.len()],
+                        ranges,
+                    });
+                    m.install(block, &RegionShape::Single, &mut w.outside());
+                } else {
+                    let page = page(&mut rng);
+                    let held = m.holds_code(page);
+                    assert_eq!(m.revoke_page(page).is_some(), held);
+                }
+                for p in watched.clone() {
+                    assert_eq!(
+                        m.holds_code(p),
+                        m.pages.contains_key(&p),
+                        "stream {stream}: page {p:#x}"
+                    );
+                }
+            }
+            assert!(m.pages.keys().all(|p| watched.clone().any(|q| q == *p)));
+        }
     }
 }

@@ -29,14 +29,31 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use vta_ir::{OptLevel, RegionLimits, RegionShape, TBlock};
-use vta_x86::GuestMem;
+use vta_x86::{GuestMem, PAGE_SIZE};
 
 struct Entry {
-    /// The guest code bytes of each member range the translation was
-    /// derived from (one entry per `TBlock::ranges` element — a
-    /// superblock is only reusable while *every* member's bytes match).
-    range_bytes: Vec<(u32, Vec<u8>)>,
+    /// The guest code bytes the translation was derived from: those of
+    /// each `block.ranges` element, concatenated in order (a superblock
+    /// is only reusable while *every* member's bytes match).
+    bytes: Vec<u8>,
     block: Arc<TBlock>,
+}
+
+/// The mapped bytes of `[addr, addr + len)` as borrowed slices, one per
+/// page touched; `None` where a page is unmapped.
+fn page_slices(mem: &GuestMem, addr: u32, len: u32) -> impl Iterator<Item = Option<&[u8]>> {
+    let (mut addr, mut left) = (addr, len);
+    std::iter::from_fn(move || {
+        if left == 0 {
+            return None;
+        }
+        let off = addr % PAGE_SIZE;
+        let n = left.min(PAGE_SIZE - off);
+        let page = mem.page(addr / PAGE_SIZE);
+        addr = addr.wrapping_add(n);
+        left -= n;
+        Some(page.map(|p| &p[off as usize..(off + n) as usize]))
+    })
 }
 
 /// A translation memo shared by every sweep cell running one binary.
@@ -95,10 +112,15 @@ impl SharedTranslations {
     ) -> Option<Arc<TBlock>> {
         // Probe under the lock, validate outside it.
         let e = Arc::clone(self.inner.lock().ok()?.get(&(addr, shape.clone()))?);
-        for (a, bytes) in &e.range_bytes {
-            let live = mem.read_bytes(*a, bytes.len() as u32).ok()?;
-            if &live != bytes {
-                return None;
+        let mut want = e.bytes.as_slice();
+        for &(a, len) in &e.block.ranges {
+            for live in page_slices(mem, a, len) {
+                let live = live?;
+                let (head, rest) = want.split_at(live.len());
+                if live != head {
+                    return None;
+                }
+                want = rest;
             }
         }
         Some(Arc::clone(&e.block))
@@ -106,15 +128,17 @@ impl SharedTranslations {
 
     /// Publishes a freshly translated block (first writer wins).
     pub(crate) fn publish(&self, mem: &GuestMem, block: &Arc<TBlock>, shape: &RegionShape) {
-        let mut range_bytes = Vec::with_capacity(block.ranges.len());
+        let mut bytes = Vec::new();
         for &(addr, len) in &block.ranges {
-            let Ok(bytes) = mem.read_bytes(addr, len) else {
-                return;
-            };
-            range_bytes.push((addr, bytes));
+            for live in page_slices(mem, addr, len) {
+                let Some(live) = live else {
+                    return;
+                };
+                bytes.extend_from_slice(live);
+            }
         }
         let entry = Arc::new(Entry {
-            range_bytes,
+            bytes,
             block: Arc::clone(block),
         });
         if let Ok(mut inner) = self.inner.lock() {

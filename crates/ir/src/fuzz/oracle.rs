@@ -445,8 +445,8 @@ fn stale_execution(block: &TBlock, exit: &BlockExit, dirty: &[u32]) -> bool {
 
 /// Byte-compares every mapped page of two guest memories.
 fn mem_diff(a: &GuestMem, b: &GuestMem) -> Option<String> {
-    // Page-wise equality first: naming the differing byte below probes
-    // the page table once per byte, which is the whole cost of a case.
+    // Equal memories are the common case; the rest only names where
+    // two unequal ones differ.
     if a == b {
         return None;
     }
@@ -460,13 +460,12 @@ fn mem_diff(a: &GuestMem, b: &GuestMem) -> Option<String> {
         ));
     }
     for page in pa {
-        let base = page * PAGE_SIZE;
-        let ba = a.read_bytes(base, PAGE_SIZE).expect("page is mapped");
-        let bb = b.read_bytes(base, PAGE_SIZE).expect("page is mapped");
-        if let Some(off) = (0..ba.len()).find(|&i| ba[i] != bb[i]) {
+        let ba = a.page(page).expect("page is mapped");
+        let bb = b.page(page).expect("page is mapped");
+        if let Some(off) = ba.iter().zip(bb).position(|(x, y)| x != y) {
             return Some(format!(
                 "byte at {:#010x}: ref {:#04x} vs dbt {:#04x}",
-                base + off as u32,
+                page * PAGE_SIZE + off as u32,
                 ba[off],
                 bb[off]
             ));

@@ -94,6 +94,9 @@ impl GuestImage {
     }
 
     /// Builds the initial guest address space: code, data, bss, stack.
+    /// A zero-length segment maps nothing, and a segment reaching past
+    /// 2^32 is cut off at the top of the address space (see
+    /// [`GuestMem::load_bytes`]).
     pub fn build_mem(&self) -> GuestMem {
         let mut mem = GuestMem::new();
         mem.load_bytes(self.code_base, &self.code);
@@ -101,7 +104,7 @@ impl GuestImage {
             mem.load_bytes(*addr, bytes);
         }
         for &(addr, len) in &self.bss {
-            mem.map_zeroed(addr, addr + len);
+            mem.map_span(addr, len.into());
         }
         mem.map_zeroed(self.stack_top - self.stack_size, self.stack_top);
         mem

@@ -1,17 +1,39 @@
-//! Sparse, paged guest memory.
+//! Sparse, paged guest memory: a two-level flat page table.
+//!
+//! The paper's memory system starts at an MMU/TLB tile that walks a page
+//! table for every guest access; this is the host-side stand-in for that
+//! table, shaped the way a hardware walker's is. The top 10 bits of a
+//! guest address index a directory, the next 10 a page inside it, the low
+//! 12 a byte inside the page, so any access that stays inside one page is
+//! two indexed loads and a slice access — no hashing anywhere. Directories
+//! (8 KiB of pointers each) are allocated when their first page is mapped;
+//! a typical guest (code, data, bss, heap, stack) touches five or six.
+//!
+//! Multi-byte accesses take the in-page path whenever they do not cross
+//! a page edge and fall back to a byte-at-a-time loop only when they do,
+//! which keeps two behaviours exact: the address an [`UnmappedAccess`]
+//! names is the first unmapped *byte*, and a straddling write whose
+//! second page is unmapped has already written its first page's bytes.
 
-use std::collections::HashMap;
+use std::fmt;
 
 /// Guest page size in bytes (4 KiB, as the paper's MMU tile translates).
 pub const PAGE_SIZE: u32 = 4096;
 const PAGE_MASK: u32 = PAGE_SIZE - 1;
+/// Entries per table level: 1024 directories of 1024 pages cover 2^32.
+const FANOUT: usize = 1024;
 
-/// A sparse 32-bit guest address space backed by 4 KiB pages.
+type Page = [u8; PAGE_SIZE as usize];
+type Directory = [Option<Box<Page>>; FANOUT];
+
+/// A sparse 32-bit guest address space backed by 4 KiB pages, held in a
+/// two-level table (directory, then page) indexed by address bits.
 ///
 /// Accesses to unmapped pages are errors rather than silently reading
 /// zero — the reference interpreter uses this to catch wild guest accesses,
 /// and the DBT's software MMU uses the same page map to build its page
-/// tables.
+/// tables. Two memories are equal when they map the same pages with the
+/// same contents, however they were built.
 ///
 /// # Examples
 ///
@@ -24,9 +46,39 @@ const PAGE_MASK: u32 = PAGE_SIZE - 1;
 /// assert_eq!(mem.read_u32(0x1ffc), Ok(0xdead_beef));
 /// assert!(mem.read_u8(0x3000).is_err());
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct GuestMem {
-    pages: HashMap<u32, Box<[u8; PAGE_SIZE as usize]>>,
+    dirs: Box<[Option<Box<Directory>>; FANOUT]>,
+}
+
+impl Default for GuestMem {
+    fn default() -> Self {
+        GuestMem {
+            dirs: Box::new([const { None }; FANOUT]),
+        }
+    }
+}
+
+impl PartialEq for GuestMem {
+    fn eq(&self, other: &Self) -> bool {
+        self.pages().eq(other.pages())
+    }
+}
+
+impl Eq for GuestMem {}
+
+impl fmt::Debug for GuestMem {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Pages<'a>(&'a GuestMem);
+        impl fmt::Debug for Pages<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map().entries(self.0.pages()).finish()
+            }
+        }
+        f.debug_struct("GuestMem")
+            .field("pages", &Pages(self))
+            .finish()
+    }
 }
 
 /// An access to an address whose page is not mapped.
@@ -36,8 +88,8 @@ pub struct UnmappedAccess {
     pub addr: u32,
 }
 
-impl std::fmt::Display for UnmappedAccess {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for UnmappedAccess {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "access to unmapped guest address {:#010x}", self.addr)
     }
 }
@@ -50,28 +102,65 @@ impl GuestMem {
         GuestMem::default()
     }
 
-    /// Maps the page range covering `[start, end)` with zeroed pages.
-    /// Already-mapped pages are left untouched.
-    pub fn map_zeroed(&mut self, start: u32, end: u32) {
-        let first = start / PAGE_SIZE;
-        let last = end.saturating_sub(1) / PAGE_SIZE;
-        for page in first..=last {
-            self.pages
-                .entry(page)
-                .or_insert_with(|| Box::new([0; PAGE_SIZE as usize]));
+    /// The contents of page number `page_no` (address / [`PAGE_SIZE`]),
+    /// or `None` if it is not mapped.
+    #[inline]
+    pub fn page(&self, page_no: u32) -> Option<&[u8; PAGE_SIZE as usize]> {
+        let dir = self.dirs.get(page_no as usize / FANOUT)?.as_deref()?;
+        dir[page_no as usize % FANOUT].as_deref()
+    }
+
+    #[inline]
+    fn page_mut(&mut self, page_no: u32) -> Option<&mut Page> {
+        let dir = self
+            .dirs
+            .get_mut(page_no as usize / FANOUT)?
+            .as_deref_mut()?;
+        dir[page_no as usize % FANOUT].as_deref_mut()
+    }
+
+    /// Every mapped page with its number, in ascending order.
+    fn pages(&self) -> impl Iterator<Item = (u32, &Page)> {
+        self.dirs.iter().enumerate().flat_map(|(d, dir)| {
+            dir.iter()
+                .flat_map(|dir| dir.iter())
+                .enumerate()
+                .filter_map(move |(p, page)| Some(((d * FANOUT + p) as u32, page.as_deref()?)))
+        })
+    }
+
+    /// Maps, zeroed, the pages covering `len` bytes from `addr`, leaving
+    /// already-mapped ones untouched. The address space ends at 2^32: a
+    /// span reaching past it is cut off there, never wrapped to 0.
+    pub(crate) fn map_span(&mut self, addr: u32, len: u64) {
+        let Some(last) = len.checked_sub(1) else {
+            return;
+        };
+        let last = u64::from(addr)
+            .saturating_add(last)
+            .min(u64::from(u32::MAX)) as u32;
+        for page_no in (addr / PAGE_SIZE) as usize..=(last / PAGE_SIZE) as usize {
+            let dir = self.dirs[page_no / FANOUT]
+                .get_or_insert_with(|| Box::new([const { None }; FANOUT]));
+            dir[page_no % FANOUT].get_or_insert_with(|| Box::new([0; PAGE_SIZE as usize]));
         }
+    }
+
+    /// Maps the page range covering `[start, end)` with zeroed pages.
+    /// Already-mapped pages are left untouched; an empty range
+    /// (`start >= end`) maps nothing.
+    pub fn map_zeroed(&mut self, start: u32, end: u32) {
+        self.map_span(start, u64::from(end.saturating_sub(start)));
     }
 
     /// Whether the page containing `addr` is mapped.
     pub fn is_mapped(&self, addr: u32) -> bool {
-        self.pages.contains_key(&(addr / PAGE_SIZE))
+        self.page(addr / PAGE_SIZE).is_some()
     }
 
     /// Page numbers of all mapped pages, sorted.
     pub fn mapped_pages(&self) -> Vec<u32> {
-        let mut v: Vec<u32> = self.pages.keys().copied().collect();
-        v.sort_unstable();
-        v
+        self.pages().map(|(page_no, _)| page_no).collect()
     }
 
     /// Reads one byte.
@@ -79,9 +168,9 @@ impl GuestMem {
     /// # Errors
     ///
     /// Returns [`UnmappedAccess`] if the page is not mapped.
+    #[inline]
     pub fn read_u8(&self, addr: u32) -> Result<u8, UnmappedAccess> {
-        self.pages
-            .get(&(addr / PAGE_SIZE))
+        self.page(addr / PAGE_SIZE)
             .map(|p| p[(addr & PAGE_MASK) as usize])
             .ok_or(UnmappedAccess { addr })
     }
@@ -91,11 +180,51 @@ impl GuestMem {
     /// # Errors
     ///
     /// Returns [`UnmappedAccess`] if the page is not mapped.
+    #[inline]
     pub fn write_u8(&mut self, addr: u32, v: u8) -> Result<(), UnmappedAccess> {
-        self.pages
-            .get_mut(&(addr / PAGE_SIZE))
+        self.page_mut(addr / PAGE_SIZE)
             .map(|p| p[(addr & PAGE_MASK) as usize] = v)
             .ok_or(UnmappedAccess { addr })
+    }
+
+    /// Reads `N` bytes: one page lookup when they sit inside one page,
+    /// byte by byte (wrapping at 2^32) when they straddle an edge.
+    #[inline]
+    fn read_array<const N: usize>(&self, addr: u32) -> Result<[u8; N], UnmappedAccess> {
+        let off = (addr & PAGE_MASK) as usize;
+        let mut out = [0; N];
+        if off + N <= PAGE_SIZE as usize {
+            let page = self.page(addr / PAGE_SIZE).ok_or(UnmappedAccess { addr })?;
+            out.copy_from_slice(&page[off..off + N]);
+        } else {
+            for (i, b) in out.iter_mut().enumerate() {
+                *b = self.read_u8(addr.wrapping_add(i as u32))?;
+            }
+        }
+        Ok(out)
+    }
+
+    /// Writes `N` bytes, as [`read_array`](Self::read_array) reads them:
+    /// a straddling write faults at its first unmapped byte with the
+    /// bytes before it already written.
+    #[inline]
+    fn write_array<const N: usize>(
+        &mut self,
+        addr: u32,
+        bytes: [u8; N],
+    ) -> Result<(), UnmappedAccess> {
+        let off = (addr & PAGE_MASK) as usize;
+        if off + N <= PAGE_SIZE as usize {
+            let page = self
+                .page_mut(addr / PAGE_SIZE)
+                .ok_or(UnmappedAccess { addr })?;
+            page[off..off + N].copy_from_slice(&bytes);
+        } else {
+            for (i, b) in bytes.into_iter().enumerate() {
+                self.write_u8(addr.wrapping_add(i as u32), b)?;
+            }
+        }
+        Ok(())
     }
 
     /// Reads a little-endian 16-bit value (may straddle pages).
@@ -103,11 +232,9 @@ impl GuestMem {
     /// # Errors
     ///
     /// Returns [`UnmappedAccess`] on the first unmapped byte.
+    #[inline]
     pub fn read_u16(&self, addr: u32) -> Result<u16, UnmappedAccess> {
-        Ok(u16::from_le_bytes([
-            self.read_u8(addr)?,
-            self.read_u8(addr.wrapping_add(1))?,
-        ]))
+        self.read_array(addr).map(u16::from_le_bytes)
     }
 
     /// Reads a little-endian 32-bit value (may straddle pages).
@@ -115,13 +242,9 @@ impl GuestMem {
     /// # Errors
     ///
     /// Returns [`UnmappedAccess`] on the first unmapped byte.
+    #[inline]
     pub fn read_u32(&self, addr: u32) -> Result<u32, UnmappedAccess> {
-        Ok(u32::from_le_bytes([
-            self.read_u8(addr)?,
-            self.read_u8(addr.wrapping_add(1))?,
-            self.read_u8(addr.wrapping_add(2))?,
-            self.read_u8(addr.wrapping_add(3))?,
-        ]))
+        self.read_array(addr).map(u32::from_le_bytes)
     }
 
     /// Writes a little-endian 16-bit value.
@@ -129,11 +252,9 @@ impl GuestMem {
     /// # Errors
     ///
     /// Returns [`UnmappedAccess`] on the first unmapped byte.
+    #[inline]
     pub fn write_u16(&mut self, addr: u32, v: u16) -> Result<(), UnmappedAccess> {
-        for (i, b) in v.to_le_bytes().into_iter().enumerate() {
-            self.write_u8(addr.wrapping_add(i as u32), b)?;
-        }
-        Ok(())
+        self.write_array(addr, v.to_le_bytes())
     }
 
     /// Writes a little-endian 32-bit value.
@@ -141,11 +262,9 @@ impl GuestMem {
     /// # Errors
     ///
     /// Returns [`UnmappedAccess`] on the first unmapped byte.
+    #[inline]
     pub fn write_u32(&mut self, addr: u32, v: u32) -> Result<(), UnmappedAccess> {
-        for (i, b) in v.to_le_bytes().into_iter().enumerate() {
-            self.write_u8(addr.wrapping_add(i as u32), b)?;
-        }
-        Ok(())
+        self.write_array(addr, v.to_le_bytes())
     }
 
     /// Reads a value of `size` bytes (1, 2 or 4), zero-extended.
@@ -185,23 +304,58 @@ impl GuestMem {
     }
 
     /// Copies a byte slice into guest memory, mapping pages as needed.
+    /// The address space ends at 2^32: a slice reaching exactly that far
+    /// is loaded whole, and the part of one that would run past it is
+    /// dropped rather than wrapped to address 0.
     pub fn load_bytes(&mut self, addr: u32, bytes: &[u8]) {
-        self.map_zeroed(addr, addr + bytes.len() as u32);
-        for (i, &b) in bytes.iter().enumerate() {
-            self.write_u8(addr + i as u32, b)
-                .expect("just mapped this range");
-        }
+        let room = (1u64 << 32) - u64::from(addr);
+        let bytes = &bytes[..bytes.len().min(usize::try_from(room).unwrap_or(usize::MAX))];
+        self.map_span(addr, bytes.len() as u64);
+        self.write_bytes(addr, bytes)
+            .expect("just mapped this range");
     }
 
-    /// Reads `len` bytes starting at `addr`.
+    /// Copies `bytes` over already-mapped memory at `addr` a page at a
+    /// time, wrapping at 2^32.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`UnmappedAccess`] on the first unmapped byte; the bytes
+    /// before it have been written.
+    pub(crate) fn write_bytes(&mut self, addr: u32, bytes: &[u8]) -> Result<(), UnmappedAccess> {
+        let (mut addr, mut rest) = (addr, bytes);
+        while !rest.is_empty() {
+            let off = (addr & PAGE_MASK) as usize;
+            let (chunk, tail) = rest.split_at(rest.len().min(PAGE_SIZE as usize - off));
+            let page = self
+                .page_mut(addr / PAGE_SIZE)
+                .ok_or(UnmappedAccess { addr })?;
+            page[off..off + chunk.len()].copy_from_slice(chunk);
+            addr = addr.wrapping_add(chunk.len() as u32);
+            rest = tail;
+        }
+        Ok(())
+    }
+
+    /// Reads `len` bytes starting at `addr` (wrapping at 2^32), a page
+    /// at a time. Nothing is reserved up front: `len` may come from the
+    /// guest.
     ///
     /// # Errors
     ///
     /// Returns [`UnmappedAccess`] on the first unmapped byte.
     pub fn read_bytes(&self, addr: u32, len: u32) -> Result<Vec<u8>, UnmappedAccess> {
-        (0..len)
-            .map(|i| self.read_u8(addr.wrapping_add(i)))
-            .collect()
+        let (mut addr, mut left) = (addr, len);
+        let mut out = Vec::new();
+        while left > 0 {
+            let off = addr & PAGE_MASK;
+            let n = left.min(PAGE_SIZE - off);
+            let page = self.page(addr / PAGE_SIZE).ok_or(UnmappedAccess { addr })?;
+            out.extend_from_slice(&page[off as usize..(off + n) as usize]);
+            addr = addr.wrapping_add(n);
+            left -= n;
+        }
+        Ok(out)
     }
 }
 

@@ -115,11 +115,10 @@ impl SysState {
                 }
                 let avail = self.input.len() - self.input_pos;
                 let n = (len as usize).min(avail);
-                for i in 0..n {
-                    let b = self.input[self.input_pos + i];
-                    if mem.write_u8(buf.wrapping_add(i as u32), b).is_err() {
-                        return SyscallResult::Continue((-14i32) as u32); // -EFAULT
-                    }
+                let bytes = &self.input[self.input_pos..self.input_pos + n];
+                if mem.write_bytes(buf, bytes).is_err() {
+                    // The bytes before the unmapped page stay written.
+                    return SyscallResult::Continue((-14i32) as u32); // -EFAULT
                 }
                 self.input_pos += n;
                 SyscallResult::Continue(n as u32)

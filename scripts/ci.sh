@@ -14,7 +14,9 @@
 #     under crates/*/src reads the host clock except the profiler
 #     (crates/sim/src/prof.rs) and measure_cell (crates/bench/src/lib.rs);
 #     one package tree, all of it built here: no manifest declares cargo
-#     features and neither lockfile names a registry source
+#     features and neither lockfile names a registry source; guest memory
+#     (crates/x86/src/mem.rs, under every layer) stays a flat page table,
+#     no HashMap on any guest access
 #   clippy
 #   build release
 #   test (debug-for-tests)
@@ -81,7 +83,8 @@ run_stage "fmt" \
 # benchmark/ reads) may read the host clock. And every test in the repo
 # is one this script builds and runs: no package excluded from the
 # workspace for needing a registry, no feature-gated code, no external
-# dependency in either lockfile.
+# dependency in either lockfile. Guest memory sits under every layer, so
+# a guest access stays indexed loads: no hash map in its page table.
 no_env_stage() {
     ! grep -rn 'env::var' crates/*/src --include=*.rs | grep -v '^crates/bench/src/bin/' &&
         ! grep -rn 'Instant::now' crates/*/src --include=*.rs |
@@ -89,7 +92,8 @@ no_env_stage() {
         ! ls -d heavy 2>/dev/null &&
         ! grep -n '^exclude' Cargo.toml &&
         ! grep -n '^\[features\]' Cargo.toml crates/*/Cargo.toml benchmark/Cargo.toml &&
-        ! grep -n 'source = ' Cargo.lock benchmark/Cargo.lock
+        ! grep -n 'source = ' Cargo.lock benchmark/Cargo.lock &&
+        ! grep -n 'HashMap' crates/x86/src/mem.rs
 }
 run_stage "no-env, no-clock (library crates)" \
     no_env_stage
