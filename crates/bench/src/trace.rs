@@ -123,20 +123,6 @@ pub fn chrome_trace_json(tracer: &Tracer, metrics: &Metrics) -> String {
                 );
                 l
             }
-            TraceEvent::SpanBegin { ts, track, name } => {
-                let mut l = String::from("  {\"name\":\"");
-                json_escape(&mut l, name);
-                let _ = write!(
-                    l,
-                    "\",\"ph\":\"B\",\"pid\":{pid},\"tid\":{},\"ts\":{ts}}}",
-                    track.0 as u32 + 1
-                );
-                l
-            }
-            TraceEvent::SpanEnd { ts, track } => format!(
-                "  {{\"ph\":\"E\",\"pid\":{pid},\"tid\":{},\"ts\":{ts}}}",
-                track.0 as u32 + 1
-            ),
             TraceEvent::Instant {
                 ts,
                 track,

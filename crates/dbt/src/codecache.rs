@@ -220,16 +220,6 @@ impl L1Code {
         slot.itc[idx] = Some((target, succ));
     }
 
-    /// Looks up a resident translation.
-    pub fn get(&self, guest_addr: u32) -> Option<&Arc<TBlock>> {
-        self.lookup(guest_addr).map(|h| {
-            self.slots[h.slot as usize]
-                .block
-                .as_ref()
-                .expect("live slot")
-        })
-    }
-
     /// Whether a translation for `guest_addr` is resident (chainable).
     #[inline]
     pub fn contains(&self, guest_addr: u32) -> bool {
@@ -722,6 +712,7 @@ mod tests {
             is_call: false,
             ranges: vec![(addr, 4)],
             member_insns: vec![1],
+            footprint: vta_ir::Footprint::default(),
         })
     }
 

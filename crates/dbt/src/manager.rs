@@ -152,9 +152,9 @@ pub(crate) struct Manager {
     /// Addresses whose translation failed (speculation into data):
     /// never retried speculatively, retried on demand.
     failed: HashSet<u32>,
-    /// Page → entry addresses of the translations covering it: SMC
-    /// detection (a store into a key is a store into code) and
-    /// invalidation.
+    /// Page → entry addresses of the translations whose footprint
+    /// touches it: SMC detection (a store into a key may be a store into
+    /// bytes a translation was made from) and invalidation.
     pages: HashMap<u32, Vec<u32>>,
     /// One bit per guest page, set exactly while `pages` has the key:
     /// what the execution tile tests on every store. Grown to the
@@ -196,7 +196,7 @@ impl Manager {
         }
     }
 
-    /// Whether any committed translation covers `page`.
+    /// Whether any committed translation read bytes on `page`.
     #[inline]
     pub(crate) fn holds_code(&self, page: u32) -> bool {
         self.code_pages
@@ -454,9 +454,9 @@ impl Manager {
         swapped
     }
 
-    /// Makes a finished translation visible: registers its pages for
-    /// SMC detection and commits it to L2. A region settling an owed
-    /// build replaces a live single: its L2 copy is dropped here and its
+    /// Makes a finished translation visible: registers its footprint's
+    /// pages for SMC detection and commits it to L2. A region settling an
+    /// owed build replaces a live single: its L2 copy is dropped here and its
     /// address returned for the caller to drop from L1 / L1.5, so the
     /// next fetch (or a chained L1 handle, via its generation check)
     /// picks up the superblock.
@@ -474,22 +474,20 @@ impl Manager {
             self.l2.invalidate(addr);
             addr
         });
-        // Revocation is region-granular: every member range registers
-        // against the region's entry address, so a store into any
-        // member — including the interior of a superblock — revokes the
-        // whole translation.
-        for &(start, len) in &block.ranges {
-            for page in start / 4096..=(start + len.max(1) - 1) / 4096 {
-                let addrs = self.pages.entry(page).or_default();
-                if !addrs.contains(&addr) {
-                    addrs.push(addr);
-                }
-                let word = page as usize / 64;
-                if word >= self.code_pages.len() {
-                    self.code_pages.resize(word + 1, 0);
-                }
-                self.code_pages[word] |= 1 << (page % 64);
+        // Revocation is translation-granular: every page of the
+        // footprint registers against the entry address, so a store into
+        // any member — including the interior of a superblock — or into
+        // successor code the flag scan read revokes the whole translation.
+        for page in block.footprint.pages() {
+            let addrs = self.pages.entry(page).or_default();
+            if !addrs.contains(&addr) {
+                addrs.push(addr);
             }
+            let word = page as usize / 64;
+            if word >= self.code_pages.len() {
+                self.code_pages.resize(word + 1, 0);
+            }
+            self.code_pages[word] |= 1 << (page % 64);
         }
         out.stats.bump_ctr(Ctr::TranslateCommitted);
         self.l2.commit(block);
@@ -764,7 +762,9 @@ pub(crate) mod tests {
         // The execution tile asks `holds_code` on every store; the
         // manager answers from a bitset kept beside `pages`. Whatever
         // is installed and revoked, in whatever order, the bit is the
-        // map's key set — on every page touched and on its neighbours.
+        // map's key set, and that is the pages of the live footprints —
+        // which reach pages no member range does — on every page
+        // touched and on its neighbours.
         let cfg = VirtualArchConfig::paper_default();
         let mut a = Asm::new(BASE);
         a.exit_with_eax();
@@ -780,21 +780,32 @@ pub(crate) mod tests {
                 _ => CODE + rng.below(6) as u32,
             }
         }
+        // One to three spans ending just below or just past a page
+        // edge, some of zero length.
+        fn spans(rng: &mut vta_sim::Rng) -> Vec<(u32, u32)> {
+            (0..rng.range(1, 3))
+                .map(|_| {
+                    let len = [0, 3, 40][rng.below(3) as usize];
+                    ((page(rng) + 1) * 4096 - rng.range(1, 20) as u32, len)
+                })
+                .collect()
+        }
         let watched = (0..4).chain(CODE - 1..CODE + 8).chain(HIGH - 1..HIGH + 18);
         let mut rng = vta_sim::Rng::seeded(0x5AC0DE);
         for stream in 0..256 {
             let mut w = World::new(&cfg, &image);
             let mut m = Manager::new(&cfg);
+            let mut model = std::collections::BTreeSet::new();
             for _ in 0..rng.range(1, 40) {
                 if rng.chance(2, 3) {
-                    // One to three members ending just below or just
-                    // past a page edge, some of zero length.
-                    let ranges: Vec<(u32, u32)> = (0..rng.range(1, 3))
-                        .map(|_| {
-                            let len = [0, 3, 40][rng.below(3) as usize];
-                            ((page(&mut rng) + 1) * 4096 - rng.range(1, 20) as u32, len)
-                        })
-                        .collect();
+                    // The members, and what the translator read past
+                    // them: the footprint holds both.
+                    let ranges = spans(&mut rng);
+                    let read: Vec<(u32, u32)> =
+                        ranges.iter().copied().chain(spans(&mut rng)).collect();
+                    for &(start, len) in read.iter().filter(|s| s.1 > 0) {
+                        model.extend(start / 4096..=(start + len - 1) / 4096);
+                    }
                     let block = Arc::new(TBlock {
                         guest_addr: ranges[0].0,
                         guest_len: ranges[0].1,
@@ -805,17 +816,18 @@ pub(crate) mod tests {
                         is_call: false,
                         member_insns: vec![1; ranges.len()],
                         ranges,
+                        footprint: vta_ir::Footprint::new(read),
                     });
                     m.install(block, &RegionShape::Single, &mut w.outside());
                 } else {
                     let page = page(&mut rng);
-                    let held = m.holds_code(page);
-                    assert_eq!(m.revoke_page(page).is_some(), held);
+                    assert_eq!(m.revoke_page(page).is_some(), model.remove(&page));
                 }
                 for p in watched.clone() {
+                    let want = model.contains(&p);
                     assert_eq!(
-                        m.holds_code(p),
-                        m.pages.contains_key(&p),
+                        (m.holds_code(p), m.pages.contains_key(&p)),
+                        (want, want),
                         "stream {stream}: page {p:#x}"
                     );
                 }

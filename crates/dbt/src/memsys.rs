@@ -179,8 +179,8 @@ impl MemSys {
         // MMU forwards to the owning bank (interleaved by line address).
         let (stall, level) = if self.banks.is_empty() {
             // No cache tiles: straight to DRAM.
-            let done = dram.access_traced(when, t.line_words, tracer, self.trk_dram, "mem.fill")
-                + net::cost(mmu, exec, t.line_words);
+            let filled = dram.access_traced(when, t.line_words, tracer, self.trk_dram, "mem.fill");
+            let done = filled + net::message(tracer, filled, mmu, exec, t.line_words);
             self.counts[2] += 1;
             (done - now, MemLevel::Dram)
         } else {
@@ -231,8 +231,11 @@ impl MemSys {
 mod tests {
     use super::*;
 
+    const EXEC: TileId = TileId { x: 1, y: 1 };
+    const MMU: TileId = TileId { x: 2, y: 1 };
+
     /// A memory system with its DRAM channel and cost table; exec at
-    /// (1,1), MMU at (2,1), untraced.
+    /// (1,1), MMU at (2,1), untraced unless asked.
     struct Rig {
         m: MemSys,
         d: Dram,
@@ -241,9 +244,19 @@ mod tests {
 
     impl Rig {
         fn access(&mut self, now: u64, addr: u32, write: bool) -> (u64, MemLevel) {
-            let (now, exec, mmu) = (Cycle(now), TileId::new(1, 1), TileId::new(2, 1));
-            let (d, t, tracer) = (&mut self.d, &self.t, &mut Tracer::disabled());
-            self.m.access(now, addr, write, exec, mmu, d, t, tracer)
+            self.access_traced(now, addr, write, &mut Tracer::disabled())
+        }
+
+        fn access_traced(
+            &mut self,
+            now: u64,
+            addr: u32,
+            write: bool,
+            tracer: &mut Tracer,
+        ) -> (u64, MemLevel) {
+            let (d, t) = (&mut self.d, &self.t);
+            self.m
+                .access(Cycle(now), addr, write, EXEC, MMU, d, t, tracer)
         }
     }
 
@@ -323,7 +336,29 @@ mod tests {
 
     #[test]
     fn zero_banks_straight_to_dram() {
-        let (_, level) = sys_with(&[]).access(0, 0x1234, false);
+        let mut r = sys_with(&[]);
+        let (stall, level) = r.access(0, 0x1234, false);
         assert_eq!(level, MemLevel::Dram);
+        // Every cycle of network time the miss is charged is a message
+        // the tracer saw: the request to the MMU and the line coming back.
+        let mut tracer = Tracer::new(vta_sim::TraceConfig { capacity: 64 });
+        let traced = sys_with(&[]).access_traced(0, 0x1234, false, &mut tracer);
+        assert_eq!(traced, (stall, level), "tracing is an observer");
+        let legs: Vec<_> = tracer
+            .events()
+            .filter_map(|e| match *e {
+                vta_sim::TraceEvent::NetMsg {
+                    src, dst, words, ..
+                } => Some((src, dst, words)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            legs,
+            [
+                (EXEC.into(), MMU.into(), 1),
+                (MMU.into(), EXEC.into(), r.t.line_words)
+            ]
+        );
     }
 }

@@ -405,6 +405,7 @@ mod tests {
             is_call: false,
             ranges: vec![(addr, 4)],
             member_insns: vec![2],
+            footprint: vta_ir::Footprint::default(),
         }
     }
 

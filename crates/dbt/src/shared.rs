@@ -13,11 +13,13 @@
 //!
 //! **Soundness.** Reuse must not change any simulated outcome:
 //!
-//! - An entry records the exact guest bytes it was translated from; a
-//!   consult re-reads the live bytes and rejects on any mismatch. A
+//! - An entry records the exact guest bytes it was translated from —
+//!   those of `TBlock::footprint`, which the translator reports: the
+//!   members' bytes and the successor code its flag-liveness scan read.
+//!   A consult re-reads the live bytes and rejects on any mismatch. A
 //!   system whose guest has since written over that code (SMC) simply
 //!   retranslates, so sharing is transparent even for self-modifying
-//!   guests.
+//!   guests. A translation that read an unmapped byte is not published.
 //! - The cache is fixed to one [`OptLevel`]; attaching it to a system
 //!   with a different opt level is refused at the API boundary.
 //! - Simulated translation cost travels with the block
@@ -33,8 +35,8 @@ use vta_x86::{GuestMem, PAGE_SIZE};
 
 struct Entry {
     /// The guest code bytes the translation was derived from: those of
-    /// each `block.ranges` element, concatenated in order (a superblock
-    /// is only reusable while *every* member's bytes match).
+    /// each `block.footprint` span, concatenated in order (a block is
+    /// only reusable while *every* byte its translation read matches).
     bytes: Vec<u8>,
     block: Arc<TBlock>,
 }
@@ -113,7 +115,7 @@ impl SharedTranslations {
         // Probe under the lock, validate outside it.
         let e = Arc::clone(self.inner.lock().ok()?.get(&(addr, shape.clone()))?);
         let mut want = e.bytes.as_slice();
-        for &(a, len) in &e.block.ranges {
+        for &(a, len) in e.block.footprint.spans() {
             for live in page_slices(mem, a, len) {
                 let live = live?;
                 let (head, rest) = want.split_at(live.len());
@@ -129,7 +131,7 @@ impl SharedTranslations {
     /// Publishes a freshly translated block (first writer wins).
     pub(crate) fn publish(&self, mem: &GuestMem, block: &Arc<TBlock>, shape: &RegionShape) {
         let mut bytes = Vec::new();
-        for &(addr, len) in &block.ranges {
+        for &(addr, len) in block.footprint.spans() {
             for live in page_slices(mem, addr, len) {
                 let Some(live) = live else {
                     return;

@@ -155,11 +155,6 @@ impl System {
     /// Boots `image` under the given virtual architecture.
     pub fn new(cfg: VirtualArchConfig, image: &GuestImage) -> System {
         let timing = Timing::default();
-        Self::with_timing(cfg, timing, image)
-    }
-
-    /// Boots with explicit timing parameters (sensitivity studies).
-    pub fn with_timing(cfg: VirtualArchConfig, timing: Timing, image: &GuestImage) -> System {
         let mut sys = SysState::new(image.brk_base);
         sys.set_input(image.input.clone());
         let mut state = CoreState::new();
@@ -1102,6 +1097,82 @@ mod tests {
         assert_eq!(report.exit_code, Some(want), "interior patch ignored");
         assert_eq!(report.guest_insns, ref_insns, "retired count");
         assert!(report.stats.get("smc.invalidations") >= 1);
+    }
+
+    /// `outer` ends in `add eax,1; jmp B`, and `B`, on the next page,
+    /// opens with `cmp eax,eax`: the flag scan reads that and drops every
+    /// flag of the `add`, so `outer`'s translation stands on `B`'s bytes.
+    /// In the pass where `esi == patch_when` the guest turns the `cmp`
+    /// into `setc bl`, which reads the `add`'s carry: each later pass
+    /// must add 1 to the exit code.
+    fn scanned_successor_case(patch_when: i32) -> GuestImage {
+        const B: u32 = BASE + 0x1000;
+        image(|a| {
+            let (b, c, skip) = (a.label(), a.label(), a.label());
+            a.mov_ri(Reg::ESI, 4);
+            a.mov_ri(Reg::EDI, 0);
+            let outer = a.here();
+            a.mov_ri(Reg::EBX, 0);
+            a.mov_ri(Reg::EAX, u32::MAX);
+            a.add_ri(Reg::EAX, 1);
+            a.jmp(b);
+            a.bind(c);
+            a.cmp_ri(Reg::ESI, patch_when);
+            a.jcc(Cond::Ne, skip);
+            for (i, byte) in [0x0F, 0x92, 0xC3].into_iter().enumerate() {
+                a.mov_mi8(vta_x86::MemRef::abs(B + i as u32), byte);
+            }
+            a.bind(skip);
+            a.dec_r(Reg::ESI);
+            a.jcc(Cond::Ne, outer);
+            a.mov_rr(Reg::EAX, Reg::EDI);
+            a.exit_with_eax();
+            while a.cur_addr() < B {
+                a.nop();
+            }
+            a.bind(b);
+            a.cmp_rr(Reg::EAX, Reg::EAX);
+            a.nop();
+            a.add_rr(Reg::EDI, Reg::EBX);
+            a.jmp(c);
+        })
+    }
+
+    #[test]
+    fn store_into_a_scanned_successor_revokes_the_predecessor() {
+        let img = scanned_successor_case(3);
+        let (want, ref_insns) = reference(&img);
+        assert_eq!(want, 2, "two passes run the patched successor");
+        for cfg in [
+            VirtualArchConfig::paper_default(),
+            VirtualArchConfig::with_translators(1, false),
+        ] {
+            let report = System::new(cfg, &img).run(1_000_000).expect("runs");
+            assert_eq!(report.exit_code, Some(want), "stale flag elimination");
+            assert_eq!(report.guest_insns, ref_insns, "retired count");
+        }
+    }
+
+    #[test]
+    fn shared_memo_rejects_a_block_whose_scanned_successor_changed() {
+        // Patched in the first pass: the memo already holds `outer`'s
+        // pre-patch translation when the revoked address is translated
+        // again, and the second cell boots on a memo full of both.
+        let img = scanned_successor_case(4);
+        let (want, ref_insns) = reference(&img);
+        assert_eq!(want, 3);
+        let sh = SharedTranslations::new(VirtualArchConfig::paper_default().opt);
+        for cfg in [
+            VirtualArchConfig::with_translators(6, true),
+            VirtualArchConfig::with_translators(1, false),
+        ] {
+            let mut sys = System::new(cfg, &img);
+            sys.attach_shared(Arc::clone(&sh));
+            let report = sys.run(1_000_000).expect("runs");
+            assert_eq!(report.exit_code, Some(want), "memo served a stale block");
+            assert_eq!(report.guest_insns, ref_insns, "retired count");
+        }
+        assert!(!sh.is_empty());
     }
 
     #[test]

@@ -25,10 +25,11 @@
 //! (register-pressure spills are a capacity limit, not a semantics bug).
 //!
 //! Same-block self-modifying code is also skipped, and detected
-//! *precisely* rather than guessed at: every block is translated through
-//! a [`RecordingSource`], and every store the block performs is
-//! checked against that recorded read footprint by *address*
-//! ([`ReadSet::covers`](crate::translate::ReadSet::covers)). A hit means
+//! *precisely* rather than guessed at: every store the block performs is
+//! checked by *address* against the footprint its translation reported
+//! ([`Footprint::covers`](crate::Footprint::covers) on
+//! [`TBlock::footprint`] — the answer SMC revocation and the sweep memo
+//! use). A hit means
 //! the block's own stores overwrote bytes its translation had read,
 //! which a block DBT cannot coherently execute by construction
 //! ([`Outcome::OutOfContract`]). Address membership, not value
@@ -66,10 +67,9 @@ use crate::codegen::{guest_host_reg, SYS_RESUME_REG};
 use crate::fuzz::Case;
 use crate::helper::{apply_helper, proxy_syscall, R_ESP};
 use crate::translate::{
-    translate_region, translate_region_along, OptLevel, RecordingSource, RegionLimits,
-    TranslateError,
+    translate_region, translate_region_along, OptLevel, RegionLimits, TranslateError,
 };
-use crate::TBlock;
+use crate::{Footprint, TBlock};
 use vta_raw::exec::{run_block, BlockExit, CoreState, DataPort, Fault};
 use vta_raw::isa::{HelperKind, MemOp};
 use vta_x86::{Cpu, CpuError, GuestImage, GuestMem, StopReason, SysState, PAGE_SIZE};
@@ -181,7 +181,7 @@ struct RunResult {
 struct OraclePort<'a> {
     mem: &'a mut GuestMem,
     /// Read footprint of the currently-executing region's translation.
-    reads: &'a crate::translate::ReadSet,
+    reads: &'a Footprint,
     /// Byte addresses of every store that landed inside that footprint:
     /// the region may be executing stale code. Tracked by store address,
     /// not value, so a byte that cycles back to its translated value
@@ -360,12 +360,11 @@ fn run_translated(image: &GuestImage, shapes: Shapes) -> RunResult {
         if blocks > BLOCK_BUDGET {
             break Outcome::Limit;
         }
-        let rec = RecordingSource::new(&mem);
         let translated = match recorder.as_mut().and_then(|r| r.path_at(pc)) {
             Some(path) => {
-                translate_region_along(&rec, pc, OptLevel::Full, &RegionLimits::default(), path)
+                translate_region_along(&mem, pc, OptLevel::Full, &RegionLimits::default(), path)
             }
-            None => translate_region(&rec, pc, opt, &limits),
+            None => translate_region(&mem, pc, opt, &limits),
         };
         let block = match translated {
             Ok(b) => b,
@@ -374,10 +373,9 @@ fn run_translated(image: &GuestImage, shapes: Shapes) -> RunResult {
             // treat like a resource limit so the case is skipped.
             Err(TranslateError::Codegen(_)) => break Outcome::Limit,
         };
-        let reads = rec.into_read_set();
         let mut port = OraclePort {
             mem: &mut mem,
-            reads: &reads,
+            reads: &block.footprint,
             dirty: Vec::new(),
         };
         let out = run_block(&mut state, &block.code, &mut port, BLOCK_FUEL);
@@ -435,7 +433,7 @@ fn stale_execution(block: &TBlock, exit: &BlockExit, dirty: &[u32]) -> bool {
                     && dirty.iter().all(|&d| {
                         block.ranges[j..]
                             .iter()
-                            .any(|&(a, len)| d >= a && d < a + len)
+                            .any(|&(a, len)| d.wrapping_sub(a) < len)
                     })
             }),
         _ => false,

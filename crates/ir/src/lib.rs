@@ -45,6 +45,6 @@ mod translate;
 pub use helper::{apply_helper, proxy_syscall};
 pub use mir::{FlagSet, MBlock, MInsn, Term, VReg, Val};
 pub use translate::{
-    translate_block, translate_region, translate_region_along, OptLevel, ReadSet, RecordingSource,
-    RegionLimits, RegionShape, TBlock, TranslateError,
+    translate_block, translate_region, translate_region_along, Footprint, OptLevel, RegionLimits,
+    RegionShape, TBlock, TranslateError,
 };

@@ -6,12 +6,14 @@
 //! [`MInsn::FlagDef`]s — the dead-flag-elimination pass removes the ones no
 //! reachable consumer reads.
 
-use vta_x86::decode::{decode, CodeSource, DecodeError};
+use vta_x86::decode::{decode, CodeSource, DecodeError, MAX_INSN_LEN};
 use vta_x86::{Cond, Insn, MemRef, Op, Operand, Reg, Size};
 
 use vta_raw::isa::TrapCause;
 
-use crate::mir::{BinOp, Flag, FlagKind, MBlock, MInsn, ShiftKind, StringOp, Term, VReg, Val};
+use crate::mir::{
+    note_read, BinOp, Flag, FlagKind, MBlock, MInsn, ShiftKind, StringOp, Term, VReg, Val,
+};
 
 /// Default cap on guest instructions per translated block.
 pub const MAX_BLOCK_INSNS: u32 = 32;
@@ -290,14 +292,32 @@ pub fn lower_block<S: CodeSource + ?Sized>(
     addr: u32,
     max_insns: u32,
 ) -> Result<MBlock, DecodeError> {
+    // The block's own span; the flag scan will add a handful more.
+    let mut reads = Vec::with_capacity(4);
+    let block = lower_member(src, addr, max_insns, &mut reads)?;
+    Ok(MBlock { reads, ..block })
+}
+
+/// [`lower_block`] for a block about to join a region: the span it
+/// decoded is noted in the region's `reads`, its own stay empty.
+pub(crate) fn lower_member<S: CodeSource + ?Sized>(
+    src: &S,
+    addr: u32,
+    max_insns: u32,
+    reads: &mut Vec<(u32, u32)>,
+) -> Result<MBlock, DecodeError> {
     let mut ctx = Ctx {
-        insns: Vec::new(),
+        // Six `FlagDef`s per ALU instruction: a block is a few dozen
+        // `MInsn`s before it is ten guest instructions. Sized once.
+        insns: Vec::with_capacity(64),
         next_temp: VReg::FIRST_TEMP,
     };
     let mut pc = addr;
     let mut count = 0u32;
     let term;
     let mut is_call = false;
+    // What a decode that fails mid-block may have fetched.
+    let mut failed_fetch = 0;
 
     loop {
         let insn = match decode(src, pc) {
@@ -313,6 +333,7 @@ pub fn lower_block<S: CodeSource + ?Sized>(
                     return Err(e);
                 }
                 term = Term::Trap(TrapCause::Undecodable { addr: pc });
+                failed_fetch = MAX_INSN_LEN;
                 break;
             }
         };
@@ -329,6 +350,8 @@ pub fn lower_block<S: CodeSource + ?Sized>(
         }
     }
 
+    // The instructions are back to back, so they are one span.
+    note_read(reads, addr, pc.wrapping_sub(addr) + failed_fetch);
     Ok(MBlock {
         guest_addr: addr,
         guest_len: pc.wrapping_sub(addr),
@@ -337,6 +360,7 @@ pub fn lower_block<S: CodeSource + ?Sized>(
         term,
         is_call,
         next_temp: ctx.next_temp,
+        reads: Vec::new(),
     })
 }
 

@@ -414,7 +414,7 @@ impl MInsn {
     /// Calls `f` on every value this instruction reads, in operand
     /// order, without allocating (the translator passes walk every
     /// operand of every instruction, so this is on the translation hot
-    /// path — [`MInsn::uses`] is the allocating convenience form).
+    /// path).
     pub fn for_each_use(&self, mut f: impl FnMut(Val)) {
         match *self {
             MInsn::Mov { src, .. } => f(src),
@@ -473,13 +473,6 @@ impl MInsn {
                 }
             }
         }
-    }
-
-    /// Values this instruction reads.
-    pub fn uses(&self) -> Vec<Val> {
-        let mut v = Vec::new();
-        self.for_each_use(|u| v.push(u));
-        v
     }
 }
 
@@ -549,6 +542,21 @@ pub struct MBlock {
     pub is_call: bool,
     /// Next free temporary number (passes may allocate more).
     pub next_temp: u32,
+    /// Guest `(start, len)` spans decoded on this block's behalf so far,
+    /// in decode order: its own instructions, a decode that failed, and
+    /// whatever the flag-liveness scan read past its end. The translator
+    /// folds them into [`TBlock::footprint`](crate::TBlock::footprint).
+    pub reads: Vec<(u32, u32)>,
+}
+
+/// Notes in `reads` (an [`MBlock::reads`] list) that the `len` guest
+/// bytes at `addr` were decoded, extending the last span when the decode
+/// carried straight on from it.
+pub fn note_read(reads: &mut Vec<(u32, u32)>, addr: u32, len: u32) {
+    match reads.last_mut() {
+        Some((start, n)) if start.wrapping_add(*n) == addr => *n += len,
+        _ => reads.push((addr, len)),
+    }
 }
 
 impl MBlock {
@@ -614,7 +622,9 @@ mod tests {
             b: Val::Const(5),
         };
         assert_eq!(i.def(), Some(VReg(9)));
-        assert_eq!(i.uses(), vec![Val::Reg(VReg(0)), Val::Const(5)]);
+        let mut uses = Vec::new();
+        i.for_each_use(|u| uses.push(u));
+        assert_eq!(uses, vec![Val::Reg(VReg(0)), Val::Const(5)]);
 
         let s = MInsn::Store {
             src: Val::Reg(VReg(1)),

@@ -97,6 +97,7 @@ mod tests {
             term,
             is_call: false,
             next_temp: 64,
+            reads: Vec::new(),
         }
     }
 

@@ -14,10 +14,10 @@
 
 use std::collections::HashMap;
 
-use vta_x86::decode::{decode, CodeSource};
+use vta_x86::decode::{decode, CodeSource, MAX_INSN_LEN};
 use vta_x86::{Op, Rep};
 
-use crate::mir::{Flag, FlagSet, MBlock, MInsn, ShiftKind, StringOp, Term, Val};
+use crate::mir::{note_read, Flag, FlagSet, MBlock, MInsn, ShiftKind, StringOp, Term, Val};
 
 /// Maximum guest instructions scanned per successor path.
 pub const SCAN_DEPTH: u32 = 48;
@@ -64,13 +64,16 @@ fn guest_kills(op: Op) -> FlagSet {
 /// Scans forward from `addr`, following direct control flow up to
 /// [`SCAN_DEPTH`] instructions and [`SCAN_FANOUT`] branch levels;
 /// unresolved paths (indirect jumps, returns, decode failures) report all
-/// flags live.
+/// flags live. The answer depends on every byte the scan decoded, so the
+/// spans are noted in `reads` (see [`MBlock::reads`]); a failed decode
+/// counts for the most it can have fetched.
 pub fn live_in_at<S: CodeSource + ?Sized>(
     src: &S,
     addr: u32,
     memo: &mut HashMap<u32, FlagSet>,
+    reads: &mut Vec<(u32, u32)>,
 ) -> FlagSet {
-    scan(src, addr, SCAN_DEPTH, SCAN_FANOUT, memo)
+    scan(src, addr, SCAN_DEPTH, SCAN_FANOUT, memo, reads)
 }
 
 fn scan<S: CodeSource + ?Sized>(
@@ -79,6 +82,7 @@ fn scan<S: CodeSource + ?Sized>(
     depth: u32,
     fanout: u32,
     memo: &mut HashMap<u32, FlagSet>,
+    reads: &mut Vec<(u32, u32)>,
 ) -> FlagSet {
     if let Some(&cached) = memo.get(&addr) {
         return cached;
@@ -86,7 +90,7 @@ fn scan<S: CodeSource + ?Sized>(
     // Guard against scan cycles: assume all live while recursing into
     // ourselves (sound: over-approximation).
     memo.insert(addr, FlagSet::ALL);
-    let result = scan_uncached(src, addr, depth, fanout, memo);
+    let result = scan_uncached(src, addr, depth, fanout, memo, reads);
     memo.insert(addr, result);
     result
 }
@@ -97,14 +101,17 @@ fn scan_uncached<S: CodeSource + ?Sized>(
     depth: u32,
     fanout: u32,
     memo: &mut HashMap<u32, FlagSet>,
+    reads: &mut Vec<(u32, u32)>,
 ) -> FlagSet {
     let mut live = FlagSet::EMPTY;
     let mut undetermined = FlagSet::ALL;
 
     for _ in 0..depth {
         let Ok(insn) = decode(src, addr) else {
+            note_read(reads, addr, MAX_INSN_LEN);
             return live.union(undetermined);
         };
+        note_read(reads, addr, u32::from(insn.len));
         live = live.union(guest_reads(insn.op, insn.cond).intersect(undetermined));
         undetermined = undetermined.minus(guest_kills(insn.op));
         if undetermined.is_empty() {
@@ -127,8 +134,8 @@ fn scan_uncached<S: CodeSource + ?Sized>(
                     return live.union(undetermined);
                 }
                 let taken = insn.target().expect("jcc target");
-                let a = scan(src, taken, depth / 2, fanout - 1, memo);
-                let b = scan(src, insn.next_addr(), depth / 2, fanout - 1, memo);
+                let a = scan(src, taken, depth / 2, fanout - 1, memo, reads);
+                let b = scan(src, insn.next_addr(), depth / 2, fanout - 1, memo, reads);
                 return live.union(a.union(b).intersect(undetermined));
             }
             Op::JmpInd | Op::CallInd | Op::Ret | Op::Int | Op::Hlt => {
@@ -150,18 +157,21 @@ fn scan_uncached<S: CodeSource + ?Sized>(
 /// using the interblock liveness scan for the block's live-out set.
 pub fn eliminate_dead_flags<S: CodeSource + ?Sized>(block: &mut MBlock, src: &S) {
     let mut memo = HashMap::new();
+    let mut reads = std::mem::take(&mut block.reads);
+    let mut live_at = |addr| live_in_at(src, addr, &mut memo, &mut reads);
     // Live-out of the block.
     let live = match block.term {
-        Term::Goto(t) => live_in_at(src, t, &mut memo),
+        Term::Goto(t) => live_at(t),
         Term::CondGoto { cond, taken, fall } => FlagSet::for_cond(cond)
-            .union(live_in_at(src, taken, &mut memo))
-            .union(live_in_at(src, fall, &mut memo)),
-        Term::Sys(next) => live_in_at(src, next, &mut memo),
+            .union(live_at(taken))
+            .union(live_at(fall)),
+        Term::Sys(next) => live_at(next),
         Term::Indirect(_) => FlagSet::ALL,
         // Trap and Halt both stop the machine: no flag is observable after.
         Term::Trap(_) | Term::Halt => FlagSet::EMPTY,
     };
-    eliminate_with_liveout(block, live, &mut |addr| live_in_at(src, addr, &mut memo));
+    eliminate_with_liveout(block, live, &mut live_at);
+    block.reads = reads;
 }
 
 /// Intrablock-only variant: assumes every flag is live at the block exit
@@ -492,8 +502,13 @@ mod tests {
         asm.hlt();
         let p = asm.finish();
         let src = SliceSource::new(p.base, &p.code);
-        let mut memo = HashMap::new();
-        assert_eq!(live_in_at(&src, 0x2000, &mut memo), FlagSet::EMPTY);
+        let (mut memo, mut reads) = (HashMap::new(), Vec::new());
+        assert_eq!(
+            live_in_at(&src, 0x2000, &mut memo, &mut reads),
+            FlagSet::EMPTY
+        );
+        // The jump, then the `and` it lands on; the nops were never read.
+        assert_eq!(reads, [(0x2000, 5), (0x200F, 2)]);
     }
 
     #[test]
@@ -504,9 +519,9 @@ mod tests {
         asm.jmp(top); // tight infinite loop, no flag ops
         let p = asm.finish();
         let src = SliceSource::new(p.base, &p.code);
-        let mut memo = HashMap::new();
+        let (mut memo, mut reads) = (HashMap::new(), Vec::new());
         // Must not hang; memoization breaks the cycle conservatively.
-        let live = live_in_at(&src, 0x3000, &mut memo);
+        let live = live_in_at(&src, 0x3000, &mut memo, &mut reads);
         assert_eq!(live, FlagSet::ALL);
     }
 }

@@ -175,6 +175,7 @@ mod tests {
             term: Term::Halt,
             is_call: false,
             next_temp: 64,
+            reads: Vec::new(),
         }
     }
 

@@ -5,22 +5,23 @@
 //! containers. That purity is what makes a translation reusable: a block
 //! produced earlier, or by another sweep cell, is bit-identical to one
 //! produced now, *provided every byte the translation read still holds
-//! the same value*. [`RecordingSource`] captures that read footprint and
-//! [`ReadSet::verify`] re-checks it, so reuse is sound even when the
-//! optimizer scans guest bytes far beyond the translated block (the
-//! dead-flags pass follows successors).
+//! the same value*. The translator is the one place that knows which
+//! bytes those are — the optimizer scans guest code far beyond the
+//! translated block (the dead-flags pass follows successors) — so it says
+//! so: every decode it makes is noted on the [`MBlock`] and folded into
+//! [`TBlock::footprint`], which SMC revocation, the sweep memo and the
+//! fuzz oracle all read. Nothing wraps the [`CodeSource`]; nothing runs
+//! per fetched byte.
 
-use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use vta_raw::isa::RInsn;
-use vta_x86::decode::{CodeSource, DecodeError};
+use vta_x86::decode::{CodeSource, DecodeError, MAX_INSN_LEN};
 use vta_x86::Cond;
 
 use crate::codegen::{codegen, CodegenError};
-use crate::lower::{lower_block, MAX_BLOCK_INSNS};
-use crate::mir::{MBlock, MInsn, Term, VReg, Val};
+use crate::lower::{lower_block, lower_member, MAX_BLOCK_INSNS};
+use crate::mir::{note_read, MBlock, MInsn, Term, VReg, Val};
 use crate::opt;
 
 /// Translation effort (Figure 8 compares the two).
@@ -155,6 +156,68 @@ pub struct TBlock {
     /// region leaves through a side exit or SMC guard (the members past
     /// the exit never ran).
     pub member_insns: Vec<u32>,
+    /// Every guest byte this translation depended on: the members'
+    /// instructions, the successor code the flag-liveness scan decoded,
+    /// and the most any failed decode can have fetched. While these
+    /// bytes are unchanged a fresh translation is bit-identical; a store
+    /// into any of them makes this one stale.
+    pub footprint: Footprint,
+}
+
+/// A set of guest bytes as sorted `(start, len)` spans that neither
+/// overlap, touch, are empty nor run past 2^32.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Footprint {
+    spans: Vec<(u32, u32)>,
+}
+
+impl Footprint {
+    /// The set of bytes in `spans`, given in any order; a span reaching
+    /// past 2^32 wraps to address 0, as instruction fetch does.
+    pub fn new(mut spans: Vec<(u32, u32)>) -> Footprint {
+        for i in 0..spans.len() {
+            let (start, len) = spans[i];
+            let over = (start as u64 + len as u64).saturating_sub(1 << 32) as u32;
+            if over > 0 {
+                spans[i].1 = len - over;
+                spans.push((0, over));
+            }
+        }
+        spans.retain(|&(_, len)| len > 0);
+        spans.sort_unstable();
+        // Merge in place: `dedup_by` drops `next` when told it is covered
+        // by `prev`, which is grown to cover it first.
+        spans.dedup_by(|next, prev| {
+            let touches = prev.0 as u64 + prev.1 as u64 >= next.0 as u64;
+            if touches {
+                prev.1 = prev.1.max(next.0 - prev.0 + next.1);
+            }
+            touches
+        });
+        Footprint { spans }
+    }
+
+    /// The spans, ascending.
+    pub fn spans(&self) -> &[(u32, u32)] {
+        &self.spans
+    }
+
+    /// Whether `addr` is one of the bytes.
+    pub fn covers(&self, addr: u32) -> bool {
+        let after = self.spans.partition_point(|&(start, _)| start <= addr);
+        after > 0 && addr - self.spans[after - 1].0 < self.spans[after - 1].1
+    }
+
+    /// The 4 KiB guest pages holding any of the bytes, ascending, each
+    /// once.
+    pub fn pages(&self) -> impl Iterator<Item = u32> + '_ {
+        let mut unseen = 0;
+        self.spans.iter().flat_map(move |&(start, len)| {
+            let first = (start >> 12).max(unseen);
+            unseen = ((start + (len - 1)) >> 12) + 1;
+            first..unseen
+        })
+    }
 }
 
 impl TBlock {
@@ -258,8 +321,7 @@ pub fn translate_region<S: CodeSource + ?Sized>(
     opt: OptLevel,
     limits: &RegionLimits,
 ) -> Result<TBlock, TranslateError> {
-    let formed = form_region(src, addr, limits, None)?;
-    finish_region(src, opt, formed)
+    translate_formed(src, addr, opt, limits, None)
 }
 
 /// Translates a superblock region starting at `addr` along an explicitly
@@ -290,31 +352,40 @@ pub fn translate_region_along<S: CodeSource + ?Sized>(
     limits: &RegionLimits,
     path: &[u32],
 ) -> Result<TBlock, TranslateError> {
-    let formed = form_region(src, addr, limits, Some(path))?;
-    finish_region(src, opt, formed)
+    translate_formed(src, addr, opt, limits, Some(path))
 }
 
-/// Optimizes, register-allocates and code-generates a formed region.
-fn finish_region<S: CodeSource + ?Sized>(
+/// Forms the region at `addr`, then optimizes, register-allocates and
+/// code-generates it.
+fn translate_formed<S: CodeSource + ?Sized>(
     src: &S,
+    addr: u32,
     opt: OptLevel,
-    formed: FormedRegion,
+    limits: &RegionLimits,
+    path: Option<&[u32]>,
 ) -> Result<TBlock, TranslateError> {
-    let (mut region, ranges, member_insns) = formed;
-    match opt {
-        OptLevel::Full => opt::optimize(&mut region, src),
-        OptLevel::None => opt::baseline_only(&mut region, src),
-    }
-    let code = match codegen(&region) {
-        Ok(code) => code,
-        // A merged region can exceed the host temp pool even when each
-        // member fits alone. Deterministic fallback — identical whether
-        // the translation runs in the system or in the fuzz oracle —
-        // keeps memoized reuse bit-exact.
-        Err(CodegenError::RegisterPressure { .. }) if ranges.len() > 1 => {
-            return translate_region(src, region.guest_addr, opt, &RegionLimits::single());
+    let (mut region, mut ranges, mut member_insns) = form_region(src, addr, limits, path)?;
+    let code = loop {
+        match opt {
+            OptLevel::Full => opt::optimize(&mut region, src),
+            OptLevel::None => opt::baseline_only(&mut region, src),
         }
-        Err(e) => return Err(e.into()),
+        match codegen(&region) {
+            Ok(code) => break code,
+            // A merged region can exceed the host temp pool even when each
+            // member fits alone. Deterministic fallback — identical whether
+            // the translation runs in the system or in the fuzz oracle —
+            // keeps memoized reuse bit-exact. The single block stands on
+            // the abandoned region's bytes too: other bytes there and the
+            // region might have fitted.
+            Err(CodegenError::RegisterPressure { .. }) if ranges.len() > 1 => {
+                let abandoned = region.reads;
+                (region, ranges, member_insns) =
+                    form_region(src, addr, &RegionLimits::single(), None)?;
+                region.reads.extend(abandoned);
+            }
+            Err(e) => return Err(e.into()),
+        }
     };
     Ok(TBlock {
         guest_addr: region.guest_addr,
@@ -326,6 +397,7 @@ fn finish_region<S: CodeSource + ?Sized>(
         code,
         ranges,
         member_insns,
+        footprint: Footprint::new(region.reads),
     })
 }
 
@@ -434,8 +506,10 @@ fn form_region<S: CodeSource + ?Sized>(
             break;
         }
         // A decode failure on the chosen path is not an error — the
-        // region just stops before it.
-        let Ok(member) = lower_block(src, next, MAX_BLOCK_INSNS) else {
+        // region just stops before it. Whether the member joins or not,
+        // the decision was read off its bytes.
+        let Ok(member) = lower_member(src, next, MAX_BLOCK_INSNS, &mut region.reads) else {
+            note_read(&mut region.reads, next, MAX_INSN_LEN);
             break;
         };
         if region.guest_insns + member.guest_insns > limits.max_insns {
@@ -540,107 +614,6 @@ fn shift_temps(insn: &mut MInsn, offset: u32) {
     }
 }
 
-/// The exact byte footprint one translation read through [`CodeSource`],
-/// including *negative* results (addresses whose fetch returned `None`).
-///
-/// Because the translator is deterministic, a translation is reusable in
-/// any context where every recorded fetch would return the same result:
-/// a fresh translation there would read the same bytes in the same order
-/// and produce the same block. This is strictly stronger than validating
-/// only the block's own `[guest_addr, guest_addr + guest_len)` bytes —
-/// the optimizer's cross-block flag-liveness scan reads successor code
-/// too, and those bytes are part of the footprint.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReadSet {
-    /// Sorted `(addr, fetch result)` pairs, deduplicated.
-    reads: Vec<(u32, Option<u8>)>,
-}
-
-impl ReadSet {
-    /// Number of distinct addresses in the footprint.
-    pub fn len(&self) -> usize {
-        self.reads.len()
-    }
-
-    /// Whether the footprint is empty (nothing was fetched).
-    pub fn is_empty(&self) -> bool {
-        self.reads.is_empty()
-    }
-
-    /// True when every recorded fetch would return the identical result
-    /// against `live`, i.e. the recorded translation is exactly what a
-    /// fresh translation against `live` would produce.
-    pub fn verify<S: CodeSource + ?Sized>(&self, live: &S) -> bool {
-        self.reads
-            .iter()
-            .all(|&(addr, byte)| live.fetch(addr) == byte)
-    }
-
-    /// Whether `addr` is one of the recorded fetch addresses.
-    ///
-    /// Address membership is stronger than [`verify`](Self::verify) for
-    /// write detection: a store into the footprint invalidates the
-    /// translation even if the byte is later restored (or cycles back)
-    /// to the recorded value before anyone revalidates.
-    pub fn covers(&self, addr: u32) -> bool {
-        self.reads.binary_search_by_key(&addr, |&(a, _)| a).is_ok()
-    }
-}
-
-/// A [`CodeSource`] adapter that records every fetch (address and result)
-/// so the translation it feeds can be revalidated later with
-/// [`ReadSet::verify`].
-///
-/// # Examples
-///
-/// ```
-/// use vta_ir::{translate_block, OptLevel, RecordingSource};
-/// use vta_x86::decode::SliceSource;
-/// use vta_x86::{Asm, Reg};
-///
-/// let mut asm = Asm::new(0x1000);
-/// asm.add_ri(Reg::EAX, 1);
-/// asm.hlt();
-/// let p = asm.finish();
-/// let src = SliceSource::new(p.base, &p.code);
-/// let rec = RecordingSource::new(&src);
-/// let block = translate_block(&rec, p.base, OptLevel::Full)?;
-/// let reads = rec.into_read_set();
-/// assert!(reads.len() >= block.guest_len as usize);
-/// assert!(reads.verify(&src), "unchanged bytes must verify");
-/// # Ok::<(), vta_ir::TranslateError>(())
-/// ```
-#[derive(Debug)]
-pub struct RecordingSource<'a, S: ?Sized> {
-    src: &'a S,
-    reads: RefCell<BTreeMap<u32, Option<u8>>>,
-}
-
-impl<'a, S: CodeSource + ?Sized> RecordingSource<'a, S> {
-    /// Wraps `src`, recording all fetches made through the wrapper.
-    pub fn new(src: &'a S) -> Self {
-        RecordingSource {
-            src,
-            reads: RefCell::new(BTreeMap::new()),
-        }
-    }
-
-    /// Consumes the wrapper and returns the recorded footprint.
-    pub fn into_read_set(self) -> ReadSet {
-        ReadSet {
-            reads: self.reads.into_inner().into_iter().collect(),
-        }
-    }
-}
-
-impl<S: CodeSource + ?Sized> CodeSource for RecordingSource<'_, S> {
-    fn fetch(&self, addr: u32) -> Option<u8> {
-        let byte = self.src.fetch(addr);
-        self.reads.borrow_mut().insert(addr, byte);
-        byte
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -652,67 +625,78 @@ mod tests {
     fn translation_artifacts_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<TBlock>();
-        assert_send_sync::<ReadSet>();
         assert_send_sync::<TranslateError>();
     }
 
     #[test]
-    fn recording_source_captures_negative_fetches() {
-        let bytes = [0xB8, 0x01, 0x00, 0x00]; // truncated `mov eax, imm32`
-        let src = SliceSource::new(0x1000, &bytes);
-        let rec = RecordingSource::new(&src);
-        let err = translate_block(&rec, 0x1000, OptLevel::Full);
-        assert!(err.is_err(), "truncated instruction must not translate");
-        let reads = rec.into_read_set();
-        assert!(reads.verify(&src));
-        // The failed fetch past the end is part of the footprint: a source
-        // that *does* have that byte must not verify.
-        let longer = [0xB8, 0x01, 0x00, 0x00, 0x00, 0xF4];
-        assert!(!reads.verify(&SliceSource::new(0x1000, &longer)));
+    fn footprint_is_sorted_merged_and_split_at_4_gib() {
+        // Out of order, overlapping, touching, empty, and one span that
+        // runs 4 bytes past 2^32 (it continues at address 0).
+        let f = Footprint::new(vec![
+            (0x2000, 8),
+            (0x1FFE, 2),
+            (0x2004, 0x10),
+            (0x5000, 0),
+            (0xFFFF_FFFA, 10),
+            (0x3000, 1),
+        ]);
+        assert_eq!(
+            f.spans(),
+            [(0, 4), (0x1FFE, 0x16), (0x3000, 1), (0xFFFF_FFFA, 6)]
+        );
+        for (addr, inside) in [
+            (0, true),
+            (3, true),
+            (4, false),
+            (0x1FFD, false),
+            (0x1FFE, true),
+            (0x2013, true),
+            (0x2014, false),
+            (0x3000, true),
+            (0x5000, false),
+            (0xFFFF_FFF9, false),
+            (0xFFFF_FFFF, true),
+        ] {
+            assert_eq!(f.covers(addr), inside, "{addr:#x}");
+        }
+        // Pages ascend and come once each, however many spans share one.
+        assert_eq!(f.pages().collect::<Vec<_>>(), [0, 1, 2, 3, 0xF_FFFF]);
+        assert_eq!(Footprint::default().pages().count(), 0);
+        assert!(!Footprint::default().covers(0));
     }
 
     #[test]
-    fn read_set_detects_byte_change() {
-        let mut asm = Asm::new(0x1000);
-        asm.mov_ri(EAX, 7);
-        asm.hlt();
-        let p = asm.finish();
-        let src = SliceSource::new(p.base, &p.code);
-        let rec = RecordingSource::new(&src);
-        let a = translate_block(&rec, p.base, OptLevel::Full).expect("translates");
-        let reads = rec.into_read_set();
-        assert!(reads.verify(&src));
-
-        let mut patched = p.code.clone();
-        patched[1] = 99; // the immediate byte of `mov eax, 7`
-        let psrc = SliceSource::new(p.base, &patched);
-        assert!(!reads.verify(&psrc), "patched byte must invalidate");
-        let b = translate_block(&psrc, p.base, OptLevel::Full).expect("translates");
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn read_set_covers_successor_scan() {
-        // The dead-flags pass scans the fall-through successor; its bytes
-        // must be in the footprint even though they are past `guest_len`.
+    fn footprint_covers_successor_scan_and_failed_decodes() {
+        // The dead-flags pass scans the jump target; its bytes are in the
+        // footprint though they are past `guest_len`, the bytes jumped
+        // over are not.
         let mut asm = Asm::new(0x1000);
         asm.add_ri(EAX, 1); // defines flags
         let l = asm.label();
         asm.jmp(l);
+        asm.raw(&[0x90; 0x20]);
         asm.bind(l);
-        asm.jcc(vta_x86::Cond::Ne, l); // successor reads flags
+        asm.and_rr(EAX, EAX); // kills every flag: the scan stops here
         asm.hlt();
         let p = asm.finish();
         let src = SliceSource::new(p.base, &p.code);
-        let rec = RecordingSource::new(&src);
-        let block = translate_block(&rec, p.base, OptLevel::Full).expect("translates");
-        let reads = rec.into_read_set();
-        assert!(
-            reads.len() > block.guest_len as usize,
-            "footprint {} must extend past the block's {} bytes",
-            reads.len(),
-            block.guest_len
+        let block = translate_block(&src, p.base, OptLevel::Full).expect("translates");
+        let target = p.base + block.guest_len + 0x20;
+        assert_eq!(
+            block.footprint.spans(),
+            [(p.base, block.guest_len), (target, 2)]
         );
+        // Without the scan the block stands on its own bytes alone.
+        let none = translate_block(&src, p.base, OptLevel::None).expect("translates");
+        assert_eq!(none.footprint.spans(), [(p.base, none.guest_len)]);
+
+        // A block cut short by bytes that do not decode depends on
+        // whatever the failed decode may have fetched.
+        let bytes = [0x40, 0xB8, 0x01, 0x00]; // inc eax; truncated mov eax, imm32
+        let src = SliceSource::new(0x1000, &bytes);
+        let cut = translate_block(&src, 0x1000, OptLevel::Full).expect("prefix translates");
+        assert_eq!(cut.guest_len, 1);
+        assert_eq!(cut.footprint.spans(), [(0x1000, 1 + MAX_INSN_LEN)]);
     }
 
     fn translate(opt: OptLevel, f: impl FnOnce(&mut Asm)) -> TBlock {

@@ -70,11 +70,6 @@ impl Dram {
         done
     }
 
-    /// Raw access latency (no queueing).
-    pub fn latency(&self) -> u64 {
-        self.latency
-    }
-
     /// Total accesses issued.
     pub fn accesses(&self) -> u64 {
         self.accesses

@@ -335,11 +335,6 @@ impl Metrics {
         }
     }
 
-    /// True once [`Metrics::finish`] sealed the series.
-    pub fn is_finished(&self) -> bool {
-        self.buf.as_deref().is_some_and(|b| b.finished)
-    }
-
     /// Records a point-in-time annotation at its exact cycle (bounded by
     /// the window capacity; overflow is counted in
     /// [`Metrics::events_dropped`]).
@@ -552,7 +547,6 @@ mod tests {
         });
         m.event(Cycle(5), "morph.to_translator", 40);
         m.finish(Cycle(12), &snap(12, 6), &[]);
-        assert!(m.is_finished());
         let n = m.len();
         m.sample(Cycle(30), &snap(30, 15), &[]);
         m.event(Cycle(31), "late", 1);

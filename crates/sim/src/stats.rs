@@ -331,12 +331,6 @@ impl Stats {
         self.histograms.get(name)
     }
 
-    /// Ratio of two counters; `None` if the denominator is zero.
-    pub fn ratio(&self, num: &str, den: &str) -> Option<f64> {
-        let d = self.get(den);
-        (d != 0).then(|| self.get(num) as f64 / d as f64)
-    }
-
     /// Iterates over all touched counters in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
         Ctr::ALL
@@ -566,15 +560,6 @@ mod tests {
     #[test]
     fn unknown_counter_is_zero() {
         assert_eq!(Stats::new().get("nope"), 0);
-    }
-
-    #[test]
-    fn ratio_handles_zero_denominator() {
-        let mut s = Stats::new();
-        s.add_ctr(Ctr::L15Hit, 10);
-        assert_eq!(s.ratio("l15.hit", "l15.miss"), None);
-        s.add_ctr(Ctr::L15Miss, 4);
-        assert_eq!(s.ratio("l15.hit", "l15.miss"), Some(2.5));
     }
 
     #[test]

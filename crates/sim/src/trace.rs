@@ -102,23 +102,6 @@ pub enum TraceEvent {
         /// What the track was doing.
         name: &'static str,
     },
-    /// Opens a span whose end is not yet known; matched by the next
-    /// [`TraceEvent::SpanEnd`] on the same track.
-    SpanBegin {
-        /// Start cycle.
-        ts: u64,
-        /// Track the work runs on.
-        track: TrackId,
-        /// What the track is doing.
-        name: &'static str,
-    },
-    /// Closes the most recent open [`TraceEvent::SpanBegin`] on `track`.
-    SpanEnd {
-        /// End cycle.
-        ts: u64,
-        /// Track whose open span ends.
-        track: TrackId,
-    },
     /// A point-in-time marker with one numeric argument.
     Instant {
         /// Cycle the event happened at.
@@ -161,8 +144,6 @@ impl TraceEvent {
     pub fn ts(&self) -> u64 {
         match *self {
             TraceEvent::Span { ts, .. }
-            | TraceEvent::SpanBegin { ts, .. }
-            | TraceEvent::SpanEnd { ts, .. }
             | TraceEvent::Instant { ts, .. }
             | TraceEvent::Counter { ts, .. }
             | TraceEvent::NetMsg { ts, .. } => ts,
@@ -176,8 +157,6 @@ struct TrackMeta {
     /// Total cycles covered by spans on this track (exact even when the
     /// ring has dropped events).
     busy: u64,
-    /// Start cycle of the currently open `SpanBegin`, if any.
-    open_since: Option<u64>,
     /// Distribution of `Counter` samples on this track, if any were taken.
     hist: Option<Histogram>,
 }
@@ -285,34 +264,6 @@ impl Tracer {
                 track,
                 name,
             });
-        }
-    }
-
-    /// Opens a span on `track`; close it with [`Tracer::span_end`].
-    #[inline]
-    pub fn span_begin(&mut self, ts: Cycle, track: TrackId, name: &'static str) {
-        if let Some(b) = self.buf.as_deref_mut() {
-            if let Some(m) = b.tracks.get_mut(track.0 as usize) {
-                m.open_since = Some(ts.0);
-            }
-            b.push(TraceEvent::SpanBegin {
-                ts: ts.0,
-                track,
-                name,
-            });
-        }
-    }
-
-    /// Closes the open span on `track` (no-op if none is open).
-    #[inline]
-    pub fn span_end(&mut self, ts: Cycle, track: TrackId) {
-        if let Some(b) = self.buf.as_deref_mut() {
-            if let Some(m) = b.tracks.get_mut(track.0 as usize) {
-                if let Some(since) = m.open_since.take() {
-                    m.busy += ts.0.saturating_sub(since);
-                }
-            }
-            b.push(TraceEvent::SpanEnd { ts: ts.0, track });
         }
     }
 
@@ -468,18 +419,6 @@ mod tests {
         }
         assert_eq!(t.len(), 2);
         assert_eq!(t.busy_cycles(tr), 30, "aggregate is exact despite drops");
-    }
-
-    #[test]
-    fn begin_end_accumulates_busy() {
-        let mut t = Tracer::new(TraceConfig::default());
-        let tr = t.track("svc");
-        t.span_begin(Cycle(5), tr, "phase");
-        t.span_end(Cycle(12), tr);
-        assert_eq!(t.busy_cycles(tr), 7);
-        // Unmatched end is harmless.
-        t.span_end(Cycle(20), tr);
-        assert_eq!(t.busy_cycles(tr), 7);
     }
 
     #[test]

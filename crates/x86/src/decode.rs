@@ -116,7 +116,7 @@ struct Cursor<'a, S: CodeSource + ?Sized> {
 
 impl<S: CodeSource + ?Sized> Cursor<'_, S> {
     fn u8(&mut self) -> Result<u8, DecodeError> {
-        if self.pos - self.start >= MAX_INSN_LEN {
+        if self.pos.wrapping_sub(self.start) >= MAX_INSN_LEN {
             return Err(DecodeError::TooLong { addr: self.start });
         }
         let b = self
@@ -154,7 +154,7 @@ impl<S: CodeSource + ?Sized> Cursor<'_, S> {
     }
 
     fn len(&self) -> u8 {
-        (self.pos - self.start) as u8
+        self.pos.wrapping_sub(self.start) as u8
     }
 }
 

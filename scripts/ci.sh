@@ -16,7 +16,9 @@
 #     one package tree, all of it built here: no manifest declares cargo
 #     features and neither lockfile names a registry source; guest memory
 #     (crates/x86/src/mem.rs, under every layer) stays a flat page table,
-#     no HashMap on any guest access
+#     no HashMap on any guest access; the translator says what a
+#     translation read (TBlock::footprint), so no RecordingSource / ReadSet
+#     under crates/*/src (the fetch-watching model lives in crates/ir/tests/)
 #   clippy
 #   build release
 #   test (debug-for-tests)
@@ -85,6 +87,8 @@ run_stage "fmt" \
 # workspace for needing a registry, no feature-gated code, no external
 # dependency in either lockfile. Guest memory sits under every layer, so
 # a guest access stays indexed loads: no hash map in its page table.
+# Which guest bytes a translation depended on is the translator's one
+# answer, not a CodeSource wrapper's: none comes back under crates/*/src.
 no_env_stage() {
     ! grep -rn 'env::var' crates/*/src --include=*.rs | grep -v '^crates/bench/src/bin/' &&
         ! grep -rn 'Instant::now' crates/*/src --include=*.rs |
@@ -93,7 +97,8 @@ no_env_stage() {
         ! grep -n '^exclude' Cargo.toml &&
         ! grep -n '^\[features\]' Cargo.toml crates/*/Cargo.toml benchmark/Cargo.toml &&
         ! grep -n 'source = ' Cargo.lock benchmark/Cargo.lock &&
-        ! grep -n 'HashMap' crates/x86/src/mem.rs
+        ! grep -n 'HashMap' crates/x86/src/mem.rs &&
+        ! grep -rn 'RecordingSource\|ReadSet' crates/*/src
 }
 run_stage "no-env, no-clock (library crates)" \
     no_env_stage

@@ -130,3 +130,25 @@ fn insn_budget_is_honored_exactly_enough() {
     // One block beyond the budget at most (budget is checked per block).
     assert!(report.guest_insns < 5_000 + 64);
 }
+
+#[test]
+fn code_whose_last_byte_is_the_last_address_runs_on_every_layer() {
+    // `mov eax, 7; exit` ending exactly at 2^32: the decoder's cursor
+    // wraps to 0 on the last instruction, which must not be arithmetic
+    // a debug build panics on — not in the interpreter, not in the
+    // translator, not in the fuzz oracle's functional loop.
+    let assemble = |base| {
+        let mut a = Asm::new(base);
+        a.mov_ri(Reg::EAX, 7);
+        a.exit_with_eax();
+        a.finish()
+    };
+    let len = assemble(0).code.len() as u32;
+    let img = GuestImage::from_code(assemble(0u32.wrapping_sub(len)));
+    assert_eq!(img.code_base.wrapping_add(len), 0);
+    let mut cpu = Cpu::new(&img);
+    assert_eq!(cpu.run(100), Ok(vta::x86::StopReason::Exit(7)));
+    let mut sys = System::new(VirtualArchConfig::paper_default(), &img);
+    assert_eq!(sys.run(100).expect("runs").exit_code, Some(7));
+    assert_eq!(vta::ir::fuzz::run_image(&img), vta::ir::fuzz::Verdict::Pass);
+}
