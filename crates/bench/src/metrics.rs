@@ -64,7 +64,7 @@ fn push_rate(out: &mut String, r: Option<f64>) {
 }
 
 /// Renders the series as CSV: `start,end`, one column per interned
-/// counter delta (signed: morphing can retire counts mid-window), one per
+/// counter delta, one per
 /// registered gauge, then the derived `cpi`, `l1code_miss_rate`, and
 /// `dcache_miss_rate`. Undefined rates (no events in the window) are
 /// empty cells. The output is byte-stable for a fixed (image, config,
@@ -81,7 +81,7 @@ pub fn series_csv(m: &Metrics) -> String {
     for w in m.windows() {
         let _ = write!(out, "{},{}", w.start, w.end);
         for &c in Ctr::ALL.iter() {
-            let _ = write!(out, ",{}", w.delta_i64(c));
+            let _ = write!(out, ",{}", w.delta(c));
         }
         // Gauges registered after a window closed are absent from it;
         // pad those cells so every row has the full column count.
@@ -125,7 +125,7 @@ pub fn series_json(m: &Metrics) -> String {
         );
         let mut firstc = true;
         for &c in Ctr::ALL.iter() {
-            let d = w.delta_i64(c);
+            let d = w.delta(c);
             if d == 0 {
                 continue; // sparse: most counters are quiet most windows
             }
@@ -177,8 +177,8 @@ pub fn series_json(m: &Metrics) -> String {
 /// CPI over a slice of windows (sum of cycle deltas over sum of retired
 /// instructions), if any instructions retired.
 fn slice_cpi(ws: &[&Window]) -> Option<f64> {
-    let cycles: i64 = ws.iter().map(|w| w.delta_i64(Ctr::Cycles)).sum();
-    let insns: i64 = ws.iter().map(|w| w.delta_i64(Ctr::GuestInsns)).sum();
+    let cycles: u64 = ws.iter().map(|w| w.delta(Ctr::Cycles)).sum();
+    let insns: u64 = ws.iter().map(|w| w.delta(Ctr::GuestInsns)).sum();
     (insns > 0).then(|| cycles as f64 / insns as f64)
 }
 
@@ -217,14 +217,11 @@ pub fn phase_summary(m: &Metrics, report: &RunReport) -> String {
     );
 
     // Warm-up boundary: smallest prefix with >= 95% of all commits.
-    let total_commits: i64 = ws
-        .iter()
-        .map(|w| w.delta_i64(Ctr::TranslateCommitted))
-        .sum();
+    let total_commits: u64 = ws.iter().map(|w| w.delta(Ctr::TranslateCommitted)).sum();
     let mut cut = ws.len();
-    let mut acc = 0i64;
+    let mut acc = 0;
     for (i, w) in ws.iter().enumerate() {
-        acc += w.delta_i64(Ctr::TranslateCommitted);
+        acc += w.delta(Ctr::TranslateCommitted);
         if acc * 100 >= total_commits * 95 {
             cut = i + 1;
             break;

@@ -13,8 +13,8 @@
 //! - **L1.5**: one or two dedicated tiles holding recently used translated
 //!   blocks close to the execution tile; no chaining through it.
 //! - **L2**: the manager tile's map of every translation, stored in
-//!   off-chip DRAM (105 MB in the paper) — plus in-flight bookkeeping for
-//!   the speculative translation pipeline.
+//!   off-chip DRAM (105 MB in the paper); flushed whole when full, like
+//!   L1. Which translations are in flight is the slave pool's to say.
 //!
 //! [`CodeHierarchy`] is the execution tile's side of the figure: L1 and
 //! the L1.5 bank tiles, the one fetch path that walks them down to the
@@ -452,15 +452,18 @@ impl L15Bank {
     }
 }
 
-/// The manager tile's L2 code cache (in DRAM) plus translation
-/// bookkeeping.
+/// The manager tile's L2 code cache (in DRAM).
+///
+/// Blocks are packed until the next one does not fit; then the whole
+/// cache is flushed, like L1 — but the incoming block is always kept,
+/// even one larger than the whole cache (the manager must be able to
+/// serve every translation it commits). The paper's 105 MB never fills.
 #[derive(Debug, Clone, Default)]
 pub struct L2Code {
     capacity: u64,
     used: u64,
     blocks: HashMap<u32, Arc<TBlock>>,
-    /// Guest addresses currently being translated by a slave.
-    in_flight: HashMap<u32, usize>,
+    flushes: u64,
 }
 
 impl L2Code {
@@ -477,41 +480,22 @@ impl L2Code {
         self.blocks.get(&guest_addr)
     }
 
-    /// Whether `guest_addr` is translated or being translated.
-    pub fn known(&self, guest_addr: u32) -> bool {
-        self.blocks.contains_key(&guest_addr) || self.in_flight.contains_key(&guest_addr)
-    }
-
-    /// Commits a finished translation. At capacity the cache drops the
-    /// new block (105 MB never fills in practice).
+    /// Commits a finished translation, replacing any block at its
+    /// address and flushing the whole cache first if it does not fit.
     ///
     /// This is the single point where translations become visible to the
     /// simulation, reached in canonical commit order (see
     /// [`crate::slave`]).
     pub fn commit(&mut self, block: Arc<TBlock>) {
-        self.in_flight.remove(&block.guest_addr);
+        self.invalidate(block.guest_addr);
         let bytes = block.host_bytes() as u64;
         if self.used + bytes > self.capacity {
-            return;
+            self.blocks.clear();
+            self.used = 0;
+            self.flushes += 1;
         }
         self.used += bytes;
         self.blocks.insert(block.guest_addr, block);
-    }
-
-    /// Marks `guest_addr` as being translated by `slave`.
-    pub fn mark_in_flight(&mut self, guest_addr: u32, slave: usize) {
-        self.in_flight.insert(guest_addr, slave);
-    }
-
-    /// The slave translating `guest_addr`, if any.
-    pub fn in_flight_on(&self, guest_addr: u32) -> Option<usize> {
-        self.in_flight.get(&guest_addr).copied()
-    }
-
-    /// Clears an in-flight mark without committing (the translation was
-    /// dropped: cancelled by SMC, or its shape went stale).
-    pub fn clear_in_flight(&mut self, guest_addr: u32) {
-        self.in_flight.remove(&guest_addr);
     }
 
     /// Drops a translation (self-modifying-code invalidation).
@@ -524,6 +508,11 @@ impl L2Code {
     /// Bytes committed.
     pub fn used_bytes(&self) -> u64 {
         self.used
+    }
+
+    /// Number of whole-cache flushes so far.
+    pub fn flushes(&self) -> u64 {
+        self.flushes
     }
 }
 
@@ -961,16 +950,20 @@ mod tests {
     }
 
     #[test]
-    fn l2_commit_and_in_flight() {
-        let mut l2 = L2Code::new(1 << 20);
-        assert!(!l2.known(0x1000));
-        l2.mark_in_flight(0x1000, 3);
-        assert!(l2.known(0x1000));
-        assert_eq!(l2.in_flight_on(0x1000), Some(3));
+    fn l2_flushes_when_full_and_keeps_the_incoming_block() {
+        let mut l2 = L2Code::new(100); // room for 25 words
         l2.commit(block(0x1000, 10));
-        assert!(l2.get(0x1000).is_some());
-        assert_eq!(l2.in_flight_on(0x1000), None);
-        assert_eq!(l2.used_bytes(), 40);
+        l2.commit(block(0x1000, 10)); // recommit replaces, never double-counts
+        l2.commit(block(0x2000, 10));
+        assert_eq!((l2.used_bytes(), l2.flushes()), (80, 0));
+        l2.commit(block(0x3000, 10));
+        assert!(l2.get(0x1000).is_none() && l2.get(0x2000).is_none());
+        assert!(l2.get(0x3000).is_some());
+        assert_eq!((l2.used_bytes(), l2.flushes()), (40, 1));
+        // A block larger than the whole cache is still held, alone.
+        l2.commit(block(0x4000, 100));
+        assert!(l2.get(0x4000).is_some() && l2.get(0x3000).is_none());
+        assert_eq!((l2.used_bytes(), l2.flushes()), (400, 2));
     }
 
     #[test]

@@ -32,6 +32,10 @@ impl Default for MorphConfig {
     }
 }
 
+/// Side of the square tile grid — the Raw prototype's 4×4, on which
+/// [`Placement::layout`] puts every role.
+pub const GRID: u8 = 4;
+
 /// Where each role lives on the grid.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placement {
@@ -129,11 +133,7 @@ impl Placement {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VirtualArchConfig {
-    /// Grid width (Raw prototype: 4).
-    pub width: u8,
-    /// Grid height (Raw prototype: 4).
-    pub height: u8,
-    /// Role placement.
+    /// Role placement on the [`GRID`]×[`GRID`] tiles.
     pub placement: Placement,
     /// Translation optimization level (Figure 8's knob).
     pub opt: OptLevel,
@@ -182,8 +182,6 @@ impl VirtualArchConfig {
     /// 6 speculative translators, full optimization.
     pub fn paper_default() -> Self {
         VirtualArchConfig {
-            width: 4,
-            height: 4,
             placement: Placement::layout(2, 4, 6),
             opt: OptLevel::Full,
             superblock: true,

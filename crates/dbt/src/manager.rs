@@ -28,7 +28,7 @@ use vta_sim::{Ctr, Cycle, Profiler, Stats, Tracer, TrackId};
 use vta_x86::GuestMem;
 
 use crate::codecache::L2Code;
-use crate::config::VirtualArchConfig;
+use crate::config::{VirtualArchConfig, GRID};
 use crate::regions::Regions;
 use crate::shared::SharedTranslations;
 use crate::slave::{InFlight, SlavePool};
@@ -37,12 +37,11 @@ use crate::system::SystemError;
 use crate::timing::Timing;
 
 /// Trace track ids: one per grid tile (indexed by
-/// `TileId::index(width)`) plus the execution tile's, the DRAM channel,
+/// `TileId::index(GRID)`) plus the execution tile's, the DRAM channel,
 /// the queue-depth counter and the morph decisions. All default while
 /// tracing is disabled.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Tracks {
-    pub width: u8,
     pub tiles: Vec<TrackId>,
     pub exec: TrackId,
     pub dram: TrackId,
@@ -53,7 +52,7 @@ pub(crate) struct Tracks {
 impl Tracks {
     /// Trace track of `tile` (default id when tracing is disabled).
     pub(crate) fn tile(&self, tile: TileId) -> TrackId {
-        let id = self.tiles.get(tile.index(self.width));
+        let id = self.tiles.get(tile.index(GRID));
         id.copied().unwrap_or_default()
     }
 }
@@ -239,10 +238,21 @@ impl Manager {
         });
     }
 
-    /// Morphing: retires one slave; the tile freed and when (see
+    /// Morphing: retires one slave at `now`; the tile freed and when.
+    /// A busy slave's tile is free once its block is done, and the job
+    /// it abandons is dropped like any stale one (see
     /// [`SlavePool::shrink`]).
-    pub(crate) fn retire_slave(&mut self, now: Cycle) -> Option<(TileId, Cycle)> {
-        self.pool.shrink(now)
+    pub(crate) fn retire_slave(
+        &mut self,
+        now: Cycle,
+        out: &mut Outside<'_>,
+    ) -> Option<(TileId, Cycle)> {
+        let (tile, abandoned) = self.pool.shrink()?;
+        let free_at = abandoned.as_ref().map_or(now, |job| job.done_at);
+        if let Some(job) = abandoned {
+            self.close_job(job, out);
+        }
+        Some((tile, free_at))
     }
 
     // ---- the service ring --------------------------------------------------
@@ -316,7 +326,7 @@ impl Manager {
         swapped: &mut Vec<u32>,
         out: &mut Outside<'_>,
     ) -> Result<Cycle, SystemError> {
-        if !self.l2.known(pc) {
+        if !self.settled(pc, out.regions) {
             self.queues.push(pc, 0);
         }
         let mut t = now;
@@ -327,6 +337,12 @@ impl Manager {
             }
             match self.pool.earliest_done() {
                 Some(done) if !self.failed.contains(&pc) => {
+                    // A flushing L2 may drop the block before it is
+                    // served, and never lets speculation run dry for the
+                    // pool to idle: while `pc` is unsettled, ask again.
+                    if self.l2.flushes() > 0 && !self.settled(pc, out.regions) {
+                        self.queues.push(pc, 0);
+                    }
                     t = t.max(done);
                     swapped.extend(self.drain(t, out));
                 }
@@ -416,50 +432,61 @@ impl Manager {
         swapped
     }
 
-    /// Takes `slave`'s finished work: commits the block (or notes the
-    /// failure) and hands the slave its next job.
+    /// Takes `slave`'s finished work (see [`Manager::close_job`]) and hands
+    /// the slave its next job.
     fn finish(&mut self, slave: usize, inflight: InFlight, out: &mut Outside<'_>) -> Option<u32> {
-        let (addr, done) = (inflight.addr, inflight.done_at);
-        let mut swapped = None;
-        if addr == RELOADING {
-            // A morphed-in tile finished loading its role.
-        } else if inflight.cancelled || inflight.shape != out.regions.shape_for(addr) {
-            // The translation went stale in flight: an SMC store may
-            // have overwritten its source bytes, a promotion or a fresh
-            // recording changed the wanted shape, or a demotion revoked
-            // it. Drop the block; re-queue the region build if one is
-            // still owed, otherwise demand re-queues on next miss.
-            self.l2.clear_in_flight(addr);
-            if out.regions.build_owed(addr) {
-                self.queues.push(addr, 1);
-            }
-        } else if let Some(block) = inflight.block {
-            // Committing occupies the manager tile: speculative traffic
-            // competes with demand lookups for the shared resource.
-            let words = block.code.len() as u32;
-            self.reserve(done, Duty::Commit, 40 + u64::from(words) / 2, out);
-            // Writing the block into the DRAM-resident L2 code cache
-            // shares the channel with demand fetches.
-            out.dram_access(done, words, "l2code.write");
-            out.stats
-                .record("translate.block_host_bytes", block.host_bytes() as u64);
-            out.stats
-                .record("translate.block_guest_insns", block.guest_insns as u64);
-            swapped = self.install(block, &inflight.shape, out);
-        } else {
-            self.failed.insert(addr);
-            out.regions.build_settled(addr);
-        }
+        let done = inflight.done_at;
+        let swapped = self.close_job(inflight, out);
         self.next_job(slave, done, out);
         swapped
     }
 
+    /// A job leaves its slave, finished or abandoned by a retiring tile:
+    /// commits the block, notes the failure, or drops it as stale. A
+    /// morphed-in tile finishing its role reload is not a translation.
+    fn close_job(&mut self, job: InFlight, out: &mut Outside<'_>) -> Option<u32> {
+        let addr = job.addr;
+        if addr == RELOADING {
+            return None;
+        }
+        out.stats.bump_ctr(Ctr::TranslateBlocks);
+        if job.cancelled || job.shape != out.regions.shape_for(addr) {
+            // The translation went stale in flight: an SMC store may
+            // have overwritten its source bytes, its slave retired, a
+            // promotion or a fresh recording changed the wanted shape,
+            // or a demotion revoked it. Drop the block; re-queue the
+            // region build if one is still owed, otherwise demand or
+            // speculation asks again.
+            if out.regions.build_owed(addr) {
+                self.queues.push(addr, 1);
+            }
+            return None;
+        }
+        let Some(block) = job.block else {
+            self.failed.insert(addr);
+            out.regions.build_settled(addr);
+            return None;
+        };
+        // Committing occupies the manager tile: speculative traffic
+        // competes with demand lookups for the shared resource.
+        let words = block.code.len() as u32;
+        self.reserve(job.done_at, Duty::Commit, 40 + u64::from(words) / 2, out);
+        // Writing the block into the DRAM-resident L2 code cache shares
+        // the channel with demand fetches.
+        out.dram_access(job.done_at, words, "l2code.write");
+        out.stats
+            .record("translate.block_host_bytes", block.host_bytes() as u64);
+        out.stats
+            .record("translate.block_guest_insns", block.guest_insns as u64);
+        self.install(block, &job.shape, out)
+    }
+
     /// Makes a finished translation visible: registers its footprint's
     /// pages for SMC detection and commits it to L2. A region settling an
-    /// owed build replaces a live single: its L2 copy is dropped here and its
-    /// address returned for the caller to drop from L1 / L1.5, so the
-    /// next fetch (or a chained L1 handle, via its generation check)
-    /// picks up the superblock.
+    /// owed build replaces a live single: the commit overwrites its L2
+    /// copy, and its address is returned for the caller to drop from
+    /// L1 / L1.5, so the next fetch (or a chained L1 handle, via its
+    /// generation check) picks up the superblock.
     pub(crate) fn install(
         &mut self,
         block: Arc<TBlock>,
@@ -471,7 +498,6 @@ impl Manager {
             if matches!(shape, RegionShape::Recorded(_)) {
                 out.stats.bump_ctr(Ctr::SuperblockRecorded);
             }
-            self.l2.invalidate(addr);
             addr
         });
         // Revocation is translation-granular: every page of the
@@ -506,20 +532,21 @@ impl Manager {
         any
     }
 
+    /// Whether `addr` needs no translation job: speculation failed on
+    /// it, a slave is translating it, or it is committed and owes no
+    /// region build (while one is owed, the resident single keeps
+    /// running and the build is still work).
+    fn settled(&self, addr: u32, regions: &Regions) -> bool {
+        self.failed.contains(&addr)
+            || self.pool.translating(addr).is_some()
+            || (self.l2.get(addr).is_some() && !regions.build_owed(addr))
+    }
+
     /// The job loop: pops queue entries until one is not settled work
     /// and starts `slave` on it at `at`. False if the queue ran dry.
     fn next_job(&mut self, slave: usize, at: Cycle, out: &mut Outside<'_>) -> bool {
         while let Some((addr, depth)) = self.queues.pop() {
-            // A known address is settled — except when a region build
-            // is owed and nobody is building it: the resident single
-            // keeps running, but the region is still owed. (A build
-            // cancelled mid-flight by an SMC invalidation is re-queued
-            // exactly once; dropping that entry because the single is
-            // resident would leave the build owed forever.)
-            let settled = self.failed.contains(&addr)
-                || (self.l2.known(addr)
-                    && !(out.regions.build_owed(addr) && self.l2.in_flight_on(addr).is_none()));
-            if !settled {
+            if !self.settled(addr, out.regions) {
                 self.start(slave, addr, depth, at, out);
                 return true;
             }
@@ -541,54 +568,52 @@ impl Manager {
         out.tracer
             .span(at, cycles, out.tracks.tile(tile), "translate");
         let wire = net::message(out.tracer, at + cycles, tile, self.tile, words.max(1));
-        let s = self.pool.slave_mut(slave);
-        s.busy_cycles += cycles;
-        s.current = Some(InFlight {
+        out.stats.add_ctr(Ctr::TranslateBusyCycles, cycles);
+        self.pool.slave_mut(slave).current = Some(InFlight {
             addr,
             done_at: at + cycles + wire,
             shape,
             cancelled: false,
             block: block.clone(),
         });
-        self.l2.mark_in_flight(addr, slave);
         // Successors are visible as soon as the slave has decoded the
         // block — the translator "runs ahead translating the program"
         // (§2.1) rather than waiting for its own commit.
         if let (true, Some(b)) = (self.speculation, block) {
-            self.enqueue_successors(&b, depth);
+            self.enqueue_successors(&b, depth, out.regions);
         }
     }
 
     /// Pushes a finished block's likely successors (§2.1's speculative
     /// parallel translation, with static backward-taken prediction and
     /// the return predictor).
-    fn enqueue_successors(&mut self, block: &TBlock, depth: u8) {
+    fn enqueue_successors(&mut self, block: &TBlock, depth: u8, regions: &Regions) {
         let d1 = depth.saturating_add(1);
         let d2 = depth.saturating_add(2);
         match block.term {
-            Term::Goto(t) => self.push_spec(t, d1),
+            Term::Goto(t) => self.push_spec(t, d1, regions),
             Term::CondGoto { taken, fall, .. } => {
                 if taken <= block.guest_addr {
                     // Backward branch: predict taken (loop).
-                    self.push_spec(taken, d1);
-                    self.push_spec(fall, d2);
+                    self.push_spec(taken, d1, regions);
+                    self.push_spec(fall, d2, regions);
                 } else {
-                    self.push_spec(fall, d1);
-                    self.push_spec(taken, d2);
+                    self.push_spec(fall, d1, regions);
+                    self.push_spec(taken, d2, regions);
                 }
             }
-            Term::Sys(next) => self.push_spec(next, d1),
+            Term::Sys(next) => self.push_spec(next, d1, regions),
             Term::Indirect(_) | Term::Trap(_) | Term::Halt => {}
         }
         if block.is_call {
             // Return predictor: the address after the call (the end of the
             // region's *last* member), low priority.
-            self.push_spec(block.end_addr(), RETURN_DEPTH);
+            self.push_spec(block.end_addr(), RETURN_DEPTH, regions);
         }
     }
 
-    fn push_spec(&mut self, addr: u32, depth: u8) {
-        if !self.l2.known(addr) && !self.failed.contains(&addr) {
+    fn push_spec(&mut self, addr: u32, depth: u8, regions: &Regions) {
+        if !self.settled(addr, regions) {
             self.queues.push(addr, depth);
         }
     }
@@ -663,12 +688,11 @@ pub(crate) mod tests {
             let timing = Timing::default();
             let mut tracer = Tracer::new(TraceConfig { capacity: 1 << 16 });
             let mut tracks = Tracks {
-                width: cfg.width,
-                tiles: vec![tracer.track("other"); cfg.width as usize * cfg.height as usize],
+                tiles: vec![tracer.track("other"); GRID as usize * GRID as usize],
                 dram: tracer.track("dram"),
                 ..Tracks::default()
             };
-            tracks.tiles[cfg.placement.manager.index(cfg.width)] = tracer.track("manager");
+            tracks.tiles[cfg.placement.manager.index(GRID)] = tracer.track("manager");
             World {
                 mem: image.build_mem(),
                 dram: Dram::new(timing.dram_latency, timing.dram_word),
@@ -834,5 +858,79 @@ pub(crate) mod tests {
             }
             assert!(m.pages.keys().all(|p| watched.clone().any(|q| q == *p)));
         }
+    }
+
+    #[test]
+    fn a_busy_slave_retiring_leaves_nothing_marked_and_no_build_owed() {
+        // Every slave busy: the one finishing last holds an owed region
+        // build, the one before it a speculative single. Both retire, and
+        // their jobs are dropped as stale: the single's address is
+        // speculation's to ask for again, the build is re-queued.
+        let mut cfg = VirtualArchConfig::paper_default();
+        cfg.record_paths = false; // a static promotion owes its build at once
+        let mut a = Asm::new(BASE);
+        a.mov_ri(Reg::ECX, 10);
+        let top = a.cur_addr();
+        let head = a.here();
+        a.add_rr(Reg::EAX, Reg::ECX);
+        let mid = a.label();
+        a.jmp(mid);
+        a.bind(mid);
+        a.dec_r(Reg::ECX);
+        a.jcc(Cond::Ne, head);
+        let mut chain = Vec::new();
+        for i in 0..6 {
+            chain.push(a.cur_addr());
+            a.add_ri(Reg::EAX, i);
+            let next = a.label();
+            a.jmp(next);
+            a.bind(next);
+        }
+        a.exit_with_eax();
+        let mut w = World::new(&cfg, &GuestImage::from_code(a.finish()));
+        let mut m = Manager::new(&cfg);
+        let mut out = w.outside();
+        let single = m.translate(top, &RegionShape::Single, &mut out);
+        m.install(single.expect("translates"), &RegionShape::Single, &mut out);
+        let owed = out.regions.promote(top, out.stats).expect("static build");
+        m.queue_region_build(owed);
+        for &addr in &chain[..5] {
+            m.queues.push(addr, 2);
+        }
+        m.assign_idle(Cycle(0), &mut out);
+        assert_eq!(m.pool.idle_slave(), None, "every slave busy");
+        let spec = chain[0];
+        for (addr, done) in [(top, 1_000_000), (spec, 900_000)] {
+            let i = m.pool.translating(addr).expect("in flight");
+            m.pool.slave_mut(i).current.as_mut().expect("busy").done_at = Cycle(done);
+        }
+        for free_at in [1_000_000, 900_000] {
+            let retired = m.retire_slave(Cycle(10), &mut out).expect("retires");
+            assert_eq!(
+                retired.1,
+                Cycle(free_at),
+                "tile free once its block is done"
+            );
+        }
+        assert_eq!(
+            out.stats.get("translate.blocks"),
+            2,
+            "retired work stays counted"
+        );
+
+        let pushes = m.queues.pushes();
+        m.push_spec(spec, 2, out.regions);
+        assert_eq!(
+            m.queues.pushes(),
+            pushes + 1,
+            "speculation refused {spec:#x}"
+        );
+        m.drain(Cycle(10_000_000), &mut out);
+        assert!(
+            !out.regions.build_owed(top),
+            "the abandoned build stays owed"
+        );
+        let resident = m.l2.get(top).expect("resident");
+        assert!(resident.ranges.len() > 1, "the region committed");
     }
 }

@@ -30,8 +30,9 @@ pub struct InFlight {
     /// fresh recording) that lands while the translation is in flight
     /// makes the shape stale; the commit path drops such blocks.
     pub shape: RegionShape,
-    /// Set by SMC invalidation: the block was translated from bytes
-    /// the guest has since overwritten, so the commit path drops it.
+    /// Set by SMC invalidation (the block was translated from bytes the
+    /// guest has since overwritten) or by [`SlavePool::shrink`] (the
+    /// slave retired mid-job): the commit path drops the block.
     pub cancelled: bool,
     /// The result (precomputed functionally; timing charged via `done_at`).
     pub block: Option<Arc<TBlock>>,
@@ -42,12 +43,8 @@ pub struct InFlight {
 pub struct Slave {
     /// Grid position (network distance to the manager matters).
     pub tile: TileId,
-    /// Work in progress, if any.
+    /// Work in progress, if any: the only record of a running job.
     pub current: Option<InFlight>,
-    /// Total blocks translated.
-    pub completed: u64,
-    /// Cycles spent translating.
-    pub busy_cycles: u64,
 }
 
 impl Slave {
@@ -56,8 +53,6 @@ impl Slave {
         Slave {
             tile,
             current: None,
-            completed: 0,
-            busy_cycles: 0,
         }
     }
 
@@ -125,7 +120,6 @@ impl SlavePool {
             .min_by_key(|&(i, c)| (c, i))?;
         let i = ready.0;
         let inflight = self.slaves[i].current.take().expect("was busy");
-        self.slaves[i].completed += 1;
         Some((i, inflight))
     }
 
@@ -134,37 +128,26 @@ impl SlavePool {
         self.slaves.push(Slave::new(tile));
     }
 
-    /// Retires one slave, preferring an idle one; a busy slave finishes
-    /// its current block first (its tile is reclaimed at `done_at`).
-    /// Returns the tile freed and the cycle it becomes free.
-    pub fn shrink(&mut self, now: Cycle) -> Option<(TileId, Cycle)> {
+    /// Retires one slave, preferring an idle one (from the back). With
+    /// every slave busy, the one finishing last goes: its tile is
+    /// reclaimed once that block is done, and the job comes back
+    /// cancelled for the manager to drop like any stale job. Returns the
+    /// tile freed and the abandoned job, if any.
+    pub fn shrink(&mut self) -> Option<(TileId, Option<InFlight>)> {
         if self.slaves.len() <= 1 {
             return None;
         }
-        // Prefer retiring an idle slave, from the back.
-        if let Some(i) = self.slaves.iter().rposition(Slave::is_idle) {
-            let s = self.slaves.remove(i);
-            return Some((s.tile, now));
-        }
-        let (i, free_at) = self
+        let done_at = |s: &Slave| s.current.as_ref().map(|c| c.done_at);
+        let i = self
             .slaves
             .iter()
-            .enumerate()
-            .map(|(i, s)| (i, s.current.as_ref().expect("all busy").done_at))
-            .max_by_key(|&(_, c)| c)?;
-        // The in-flight work is abandoned (it will be re-requested if
-        // actually needed).
-        Some((self.slaves.remove(i).tile, free_at))
-    }
-
-    /// Sum of per-slave busy cycles.
-    pub fn total_busy(&self) -> u64 {
-        self.slaves.iter().map(|s| s.busy_cycles).sum()
-    }
-
-    /// Total completed translations.
-    pub fn total_completed(&self) -> u64 {
-        self.slaves.iter().map(|s| s.completed).sum()
+            .rposition(Slave::is_idle)
+            .or_else(|| (0..self.slaves.len()).max_by_key(|&i| done_at(&self.slaves[i])))?;
+        let Slave { tile, mut current } = self.slaves.remove(i);
+        if let Some(job) = &mut current {
+            job.cancelled = true;
+        }
+        Some((tile, current))
     }
 
     /// Marks every in-flight translation cancelled (SMC invalidation:
@@ -227,7 +210,7 @@ mod tests {
         assert_eq!((i, f.addr), (1, 0xB));
         let (i, f) = pool.pop_done(Cycle(300)).expect("ready");
         assert_eq!((i, f.addr), (0, 0xA));
-        assert_eq!(pool.total_completed(), 2);
+        assert!(pool.pop_done(Cycle(300)).is_none());
     }
 
     #[test]
@@ -248,26 +231,31 @@ mod tests {
     fn shrink_prefers_idle() {
         let mut pool = SlavePool::new(&[t(0), t(1), t(2)]);
         pool.slave_mut(1).current = Some(flight(0xA, 500));
-        let (tile, at) = pool.shrink(Cycle(10)).expect("shrinks");
+        let (tile, abandoned) = pool.shrink().expect("shrinks");
         assert_eq!(tile, t(2), "idle slave retired first");
-        assert_eq!(at, Cycle(10));
+        assert!(abandoned.is_none());
         assert_eq!(pool.len(), 2);
     }
 
     #[test]
-    fn shrink_busy_waits_for_completion() {
+    fn shrink_busy_hands_back_the_job_cancelled() {
         let mut pool = SlavePool::new(&[t(0), t(1)]);
         pool.slave_mut(0).current = Some(flight(0xA, 300));
         pool.slave_mut(1).current = Some(flight(0xB, 700));
-        let (tile, at) = pool.shrink(Cycle(10)).expect("shrinks");
+        let (tile, abandoned) = pool.shrink().expect("shrinks");
         assert_eq!(tile, t(1), "latest-finishing busy slave retired");
-        assert_eq!(at, Cycle(700));
+        let job = abandoned.expect("busy slave's job");
+        assert_eq!(
+            (job.addr, job.done_at, job.cancelled),
+            (0xB, Cycle(700), true)
+        );
+        assert_eq!(pool.translating(0xB), None, "no slave holds it any more");
     }
 
     #[test]
     fn shrink_keeps_at_least_one() {
         let mut pool = SlavePool::new(&[t(0)]);
-        assert!(pool.shrink(Cycle(0)).is_none());
+        assert!(pool.shrink().is_none());
     }
 
     #[test]

@@ -23,7 +23,7 @@ use vta_sim::{
 use vta_x86::{GuestImage, GuestMem, SysState};
 
 use crate::codecache::{BlockHandle, CodeHierarchy};
-use crate::config::VirtualArchConfig;
+use crate::config::{VirtualArchConfig, GRID};
 use crate::manager::{Duty, Manager, Outside, Tracks};
 use crate::memsys::MemSys;
 use crate::morph::{MorphAction, MorphManager};
@@ -197,11 +197,9 @@ impl System {
     pub fn enable_tracing(&mut self, tcfg: TraceConfig) {
         self.tracer = Tracer::new(tcfg);
         let p = &self.cfg.placement;
-        let width = self.cfg.width;
-        let n = width as usize * self.cfg.height as usize;
-        let mut roles: Vec<Option<&'static str>> = vec![None; n];
+        let mut roles: Vec<Option<&'static str>> = vec![None; GRID as usize * GRID as usize];
         let mut set = |t: TileId, role: &'static str| {
-            roles[t.index(width)].get_or_insert(role);
+            roles[t.index(GRID)].get_or_insert(role);
         };
         set(p.exec, "exec");
         set(p.mmu, "mmu");
@@ -211,14 +209,13 @@ impl System {
         self.memsys.banks.iter().for_each(|b| set(b.tile, "l2bank"));
         let slaves = self.manager.slaves();
         (0..slaves.len()).for_each(|i| set(slaves.slave(i).tile, "slave"));
-        let tiles = TileId::all(width, self.cfg.height)
+        let tiles = TileId::all(GRID, GRID)
             .map(|t| {
-                let role = roles[t.index(width)].unwrap_or("idle");
+                let role = roles[t.index(GRID)].unwrap_or("idle");
                 self.tracer.track(&format!("tile({},{}) {role}", t.x, t.y))
             })
             .collect();
         self.tracks = Tracks {
-            width,
             tiles,
             dram: self.tracer.track("dram"),
             qdepth: self.tracer.track("specq.depth"),
@@ -295,7 +292,6 @@ impl System {
     /// windows read them live, so the windowed sums telescope to them.
     fn owned_counters(&self) -> impl Iterator<Item = (Ctr, u64)> {
         let mem = self.memsys.stats();
-        let slaves = self.manager.slaves();
         [
             (Ctr::Cycles, self.now.as_u64()),
             (Ctr::GuestInsns, self.guest_insns),
@@ -304,8 +300,6 @@ impl System {
             (Ctr::MemDram, mem[2]),
             (Ctr::MemTlbMiss, mem[3]),
             (Ctr::L1CodeFlushes, self.code.l1().flushes()),
-            (Ctr::TranslateBlocks, slaves.total_completed()),
-            (Ctr::TranslateBusyCycles, slaves.total_busy()),
             (Ctr::SpecPushes, self.manager.queues().pushes()),
         ]
         .into_iter()
@@ -628,7 +622,9 @@ impl System {
             }
             Some(MorphAction::TranslatorToCache) => {
                 self.profiler.enter("run.morph");
-                if let Some((tile, free_at)) = self.manager.retire_slave(self.now) {
+                let now = self.now;
+                let (_, manager, mut out) = self.tiles();
+                if let Some((tile, free_at)) = manager.retire_slave(now, &mut out) {
                     self.tracer
                         .instant(self.now, trk_morph, "role: slave->l2bank", qlen as u64);
                     self.metrics.event(self.now, "morph.to_cache", lag);

@@ -53,11 +53,12 @@ impl OptLevel {
 
 /// Caps on superblock (multi-block region) formation.
 ///
-/// A region starts as one basic block and is extended along the
-/// statically-predicted hot path (fall-through, or the paper's
-/// backward-taken/forward-not-taken rule) until it hits an indirect
-/// terminator, a syscall, a trap, an already-included address, or one of
-/// these caps.
+/// A region starts as one basic block and is extended — along the
+/// statically predicted hot path (fall-through, or the paper's
+/// backward-taken/forward-not-taken rule; [`translate_region`]) or along
+/// a recorded successor path ([`translate_region_along`]) — until it hits
+/// a terminator its path cannot cross, an already-included address, or
+/// one of these caps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RegionLimits {
     /// Maximum member basic blocks per region.
@@ -148,8 +149,8 @@ pub struct TBlock {
     pub is_call: bool,
     /// Guest `(addr, len)` of each member basic block, in formation
     /// order. A plain basic block has exactly one entry, equal to
-    /// `(guest_addr, guest_len)`. Revocation and code-page registration
-    /// must cover every member, not just the entry.
+    /// `(guest_addr, guest_len)`. What the translation depends on — and
+    /// so what revokes it — is [`TBlock::footprint`], not these.
     pub ranges: Vec<(u32, u32)>,
     /// Guest instructions per member, parallel to `ranges`. Lets the
     /// executor attribute the exact retired-instruction count when a

@@ -18,12 +18,10 @@
 //!    bit-identical to a run with metrics off.
 //! 2. **Disabled metrics cost (almost) nothing.** A disabled recorder is
 //!    one branch per call.
-//! 3. **The series is self-checking.** Window deltas telescope: the sum of
-//!    all retained deltas plus [`Metrics::dropped_totals`] equals the final
-//!    counter snapshot exactly ([`Metrics::reconcile`]). Deltas use
-//!    wrapping arithmetic because a few sources are not monotone (morphing
-//!    retires translation slaves *with* their accumulated counts), so the
-//!    invariant is exact even across reconfigurations.
+//! 3. **The series is self-checking.** Every counter only grows, so every
+//!    delta is non-negative, and deltas telescope: the sum of all retained
+//!    deltas plus [`Metrics::dropped_totals`] equals the final counter
+//!    snapshot exactly ([`Metrics::reconcile`]).
 //!
 //! Sampling is **cycle-triggered on a fixed grid**: boundaries are at
 //! `interval`, `2*interval`, … of simulated time, independent of when the
@@ -92,8 +90,6 @@ pub struct Window {
     /// close off-grid, at the cycle the run ended).
     pub end: u64,
     /// Per-counter deltas over the window, indexed by `Ctr as usize`.
-    /// Wrapping differences: a shrinking source (see module docs) shows up
-    /// as a two's-complement negative; read it via [`Window::delta_i64`].
     pub ctrs: [u64; Ctr::COUNT],
     /// Gauge samples at window close, indexed by [`GaugeId`]. Gauges
     /// registered after this window closed are absent.
@@ -105,13 +101,6 @@ impl Window {
     #[inline]
     pub fn delta(&self, c: Ctr) -> u64 {
         self.ctrs[c as usize]
-    }
-
-    /// The delta of `c` as a signed value (non-monotone sources can shrink
-    /// within a window; see the module docs).
-    #[inline]
-    pub fn delta_i64(&self, c: Ctr) -> i64 {
-        self.ctrs[c as usize] as i64
     }
 
     /// The gauge sample for `g`, if `g` was registered when this window
@@ -155,10 +144,10 @@ struct MBuf {
     windows: VecDeque<Window>,
     /// Windows evicted from the ring.
     dropped: u64,
-    /// Counter deltas of evicted windows, accumulated (wrapping) so the
+    /// Counter deltas of evicted windows, accumulated so the
     /// telescoping invariant survives drops.
     dropped_ctrs: [u64; Ctr::COUNT],
-    /// Counter snapshot at the last window close (wrapping baseline).
+    /// Counter snapshot at the last window close (the delta baseline).
     last: [u64; Ctr::COUNT],
     /// Grid cycle the currently open window started at.
     open_start: u64,
@@ -199,7 +188,7 @@ impl MBuf {
         );
         let mut deltas = [0u64; Ctr::COUNT];
         for (d, (cur, last)) in deltas.iter_mut().zip(ctrs.iter().zip(self.last.iter())) {
-            *d = cur.wrapping_sub(*last);
+            *d = cur - last;
         }
         let w = Window {
             start: self.open_start,
@@ -210,7 +199,7 @@ impl MBuf {
         if self.windows.len() >= self.capacity {
             if let Some(old) = self.windows.pop_front() {
                 for (acc, d) in self.dropped_ctrs.iter_mut().zip(old.ctrs.iter()) {
-                    *acc = acc.wrapping_add(*d);
+                    *acc += d;
                 }
                 self.dropped += 1;
             }
@@ -401,13 +390,13 @@ impl Metrics {
     }
 
     /// The series' own view of counter `c`'s run total: dropped deltas
-    /// plus every retained window's delta (wrapping).
+    /// plus every retained window's delta.
     pub fn total(&self, c: Ctr) -> u64 {
         self.buf.as_deref().map_or(0, |b| {
             let i = c as usize;
             b.windows
                 .iter()
-                .fold(b.dropped_ctrs[i], |acc, w| acc.wrapping_add(w.ctrs[i]))
+                .fold(b.dropped_ctrs[i], |acc, w| acc + w.ctrs[i])
         })
     }
 
@@ -495,29 +484,6 @@ mod tests {
         assert_eq!(m.dropped(), 5);
         assert_eq!(m.dropped_totals()[Ctr::Cycles as usize], 50);
         assert!(m.reconcile(&snap(80, 40)).is_ok(), "exact despite drops");
-    }
-
-    #[test]
-    fn wrapping_deltas_survive_shrinking_sources() {
-        // translate.blocks can shrink when morphing retires a slave with
-        // its counts; the telescoped sum must still hit the final total.
-        let mut m = Metrics::new(MetricsConfig {
-            interval: 10,
-            max_windows: 16,
-        });
-        let mut s = snap(10, 0);
-        s[Ctr::TranslateBlocks as usize] = 9;
-        m.sample(Cycle(10), &s, &[]);
-        let mut s2 = snap(20, 0);
-        s2[Ctr::TranslateBlocks as usize] = 4; // slave retired mid-run
-        m.sample(Cycle(20), &s2, &[]);
-        let mut fin = snap(25, 0);
-        fin[Ctr::TranslateBlocks as usize] = 6;
-        m.finish(Cycle(25), &fin, &[]);
-        let w: Vec<_> = m.windows().collect();
-        assert_eq!(w[1].delta_i64(Ctr::TranslateBlocks), -5);
-        assert_eq!(w[2].delta_i64(Ctr::TranslateBlocks), 2);
-        assert!(m.reconcile(&fin).is_ok());
     }
 
     #[test]

@@ -43,6 +43,16 @@ differential! {
     unoptimized_translation_matches:
         VirtualArchConfig { opt: OptLevel::None, ..VirtualArchConfig::paper_default() },
         &["gzip", "gap", "perlbmk"];
+    // Every level flushes: L1 and L1.5 skip blocks larger than
+    // themselves, the L2 keeps the block it commits regardless.
+    tiny_code_caches_match:
+        VirtualArchConfig {
+            l1_code_bytes: 512,
+            l15_bank_bytes: 1024,
+            l2_code_bytes: 4096,
+            ..VirtualArchConfig::paper_default()
+        },
+        &["gzip", "mcf", "parser"];
 }
 
 #[test]
