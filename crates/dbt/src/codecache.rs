@@ -20,7 +20,7 @@
 //! the L1.5 bank tiles, the one fetch path that walks them down to the
 //! manager, and the one loop that drops an address from all of them.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use vta_ir::TBlock;
@@ -395,12 +395,13 @@ impl L1Code {
 /// low-priority blocks stick. Under a cyclic sweep larger than the bank
 /// (the gcc/vortex pattern) LRU retains nothing, while a sticky subset
 /// gives the capacity-proportional hit rate a hashed hardware cache
-/// would.
+/// would. Blocks are kept in retention order, so the victim is the last.
 #[derive(Debug, Clone)]
 pub struct L15Bank {
     capacity: u32,
     used: u32,
-    blocks: HashMap<u32, Arc<TBlock>>,
+    /// Resident blocks keyed by [`L15Bank::retention`] of their address.
+    blocks: BTreeMap<u32, Arc<TBlock>>,
 }
 
 impl L15Bank {
@@ -409,44 +410,43 @@ impl L15Bank {
         L15Bank {
             capacity,
             used: 0,
-            blocks: HashMap::new(),
+            blocks: BTreeMap::new(),
         }
     }
 
     /// Looks up a block.
-    pub fn get(&mut self, guest_addr: u32) -> Option<Arc<TBlock>> {
-        self.blocks.get(&guest_addr).cloned()
+    pub fn get(&self, guest_addr: u32) -> Option<Arc<TBlock>> {
+        self.blocks.get(&Self::retention(guest_addr)).cloned()
     }
 
-    /// Fixed per-address retention priority (lower sticks harder).
-    fn retention(addr: u32) -> u64 {
-        (addr ^ 0x9E37_79B9).wrapping_mul(0x85EB_CA6B) as u64
+    /// Fixed per-address retention priority (lower sticks harder). A
+    /// bijection on `u32` — xor is invertible and the multiplier is odd —
+    /// so priorities never tie and a key names exactly one address.
+    fn retention(addr: u32) -> u32 {
+        (addr ^ 0x9E37_79B9).wrapping_mul(0x85EB_CA6B)
     }
 
-    /// Inserts a block; evicts the highest-retention-priority blocks
-    /// (possibly the incoming block itself) until the bank fits.
+    /// Inserts a block, replacing any at its address; evicts the
+    /// highest-retention-priority blocks (possibly the incoming block
+    /// itself) until the bank fits.
     pub fn insert(&mut self, block: Arc<TBlock>) {
         let bytes = block.host_bytes();
         if bytes > self.capacity {
             return;
         }
+        if let Some(old) = self.blocks.insert(Self::retention(block.guest_addr), block) {
+            self.used -= old.host_bytes();
+        }
         self.used += bytes;
-        self.blocks.insert(block.guest_addr, block);
         while self.used > self.capacity {
-            let victim = self
-                .blocks
-                .keys()
-                .max_by_key(|&&a| Self::retention(a))
-                .copied()
-                .expect("cache non-empty when over capacity");
-            let b = self.blocks.remove(&victim).expect("victim present");
+            let (_, b) = self.blocks.pop_last().expect("over capacity, so non-empty");
             self.used -= b.host_bytes();
         }
     }
 
     /// Drops one translation.
     pub fn invalidate(&mut self, guest_addr: u32) {
-        if let Some(b) = self.blocks.remove(&guest_addr) {
+        if let Some(b) = self.blocks.remove(&Self::retention(guest_addr)) {
             self.used -= b.host_bytes();
         }
     }
@@ -917,28 +917,74 @@ mod tests {
         }
     }
 
-    /// Retention is a function of the insert sequence alone: two banks
-    /// fed identically end with the same resident set.
+    /// Re-inserting a resident address replaces its bytes rather than
+    /// adding to them, so the bank never evicts blocks that fit.
+    #[test]
+    fn l15_reinsert_replaces_the_resident_bytes() {
+        let mut bank = L15Bank::new(80);
+        bank.insert(block(0x1000, 10)); // 40 bytes
+        bank.insert(block(0x1000, 10));
+        bank.insert(block(0x2000, 10));
+        assert_eq!(bank.used, 80);
+        assert!(bank.get(0x1000).is_some() && bank.get(0x2000).is_some());
+    }
+
+    /// Retention is a function of the operation sequence alone, and the
+    /// ordered map evicts exactly what a whole-bank scan for the highest
+    /// retention priority would: a `Vec` of `(addr, bytes)` evicting by
+    /// that scan is the reference, held to the bank after every insert
+    /// (fresh and resident addresses), invalidate and get.
     #[test]
     fn l15_random_inserts_retain_deterministically() {
         let mut rng = vta_sim::Rng::seeded(0x15BA);
+        let used = |model: &[(u32, u32)]| model.iter().map(|&(_, b)| b).sum::<u32>();
         for _ in 0..256 {
-            let inserts: Vec<(u32, usize)> = (0..rng.range(1, 79))
-                .map(|_| (rng.next_u32(), rng.range(1, 79) as usize))
-                .collect();
-            let residents = || {
-                let mut bank = L15Bank::new(2048);
-                for &(addr, insns) in &inserts {
-                    bank.insert(block(addr, insns));
+            let top = 16 << rng.range(0, 12); // 16 B..64 KiB
+            let capacity = rng.range(16, top) as u32;
+            let pool: Vec<u32> = (0..rng.range(1, 64)).map(|_| rng.next_u32()).collect();
+            let mut bank = L15Bank::new(capacity);
+            let mut model: Vec<(u32, u32)> = Vec::new();
+            for _ in 0..rng.range(1, 400) {
+                let addr = if rng.chance(1, 4) {
+                    rng.next_u32()
+                } else {
+                    pool[rng.below(pool.len() as u64) as usize]
+                };
+                match rng.below(4) {
+                    0 => {
+                        bank.invalidate(addr);
+                        model.retain(|&(a, _)| a != addr);
+                    }
+                    1 => {
+                        let resident = model.iter().any(|&(a, _)| a == addr);
+                        assert_eq!(bank.get(addr).is_some(), resident, "get {addr:#x}");
+                    }
+                    _ => {
+                        // Mostly blocks of up to an eighth of the bank;
+                        // one in eight up to just over the whole bank.
+                        let most = u64::from(capacity) / if rng.chance(1, 8) { 4 } else { 32 };
+                        let insns = rng.range(1, most + 1) as usize;
+                        bank.insert(block(addr, insns));
+                        let bytes = insns as u32 * RInsn::SIZE_BYTES;
+                        if bytes <= capacity {
+                            model.retain(|&(a, _)| a != addr);
+                            model.push((addr, bytes));
+                            while used(&model) > capacity {
+                                let victim = (0..model.len())
+                                    .max_by_key(|&i| L15Bank::retention(model[i].0))
+                                    .expect("non-empty when over capacity");
+                                model.swap_remove(victim);
+                            }
+                        }
+                    }
                 }
-                inserts
-                    .iter()
-                    .map(|&(addr, _)| bank.get(addr).is_some())
-                    .collect::<Vec<bool>>()
-            };
-            let first = residents();
-            assert!(first.contains(&true), "something is retained");
-            assert_eq!(first, residents());
+                let mut resident: Vec<u32> = bank.blocks.values().map(|b| b.guest_addr).collect();
+                let mut expected: Vec<u32> = model.iter().map(|&(a, _)| a).collect();
+                resident.sort_unstable();
+                expected.sort_unstable();
+                assert_eq!(resident, expected, "capacity {capacity}");
+                assert_eq!(bank.used, used(&model), "capacity {capacity}");
+            }
         }
     }
 
@@ -1006,7 +1052,7 @@ mod tests {
         assert!(!live(&code, second_h), "generation check fails");
         assert_eq!(code.chain(Some(first_h), second), None, "stale edge");
         assert!(!code.l1.contains(second));
-        assert!(code.banks.iter_mut().all(|b| b.bank.get(second).is_none()));
+        assert!(code.banks.iter().all(|b| b.bank.get(second).is_none()));
         assert!(live(&code, first_h), "other blocks untouched");
 
         // The manager still holds it: the refetch is served from L2

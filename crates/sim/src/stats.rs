@@ -318,12 +318,17 @@ impl Stats {
         Ctr::from_name(name).map_or(0, |c| self.get_ctr(c))
     }
 
-    /// Records `value` into the histogram `name`.
+    /// Records `value` into the histogram `name`; only the first record
+    /// under a name allocates it.
     pub fn record(&mut self, name: &str, value: u64) {
-        self.histograms
-            .entry(name.to_owned())
-            .or_default()
-            .record(value);
+        match self.histograms.get_mut(name) {
+            Some(h) => h.record(value),
+            None => self
+                .histograms
+                .entry(name.to_owned())
+                .or_default()
+                .record(value),
+        }
     }
 
     /// Returns the histogram `name`, if any values were recorded.
