@@ -31,6 +31,8 @@ use vta_pentium::PentiumModel;
 use vta_workloads::{Scale, Workload};
 use vta_x86::GuestImage;
 
+use crate::perf::Reference;
+
 pub use table::Table;
 
 /// `print!` for the CLI: a reader that closes the pipe early
@@ -106,25 +108,16 @@ impl Measurement {
     }
 }
 
-/// Runs one benchmark image under `cfg` and under the PIII model.
+/// Runs one benchmark image under `cfg` and, unless given its cycle
+/// count, under the PIII model. A sweep supplies both cross-cell
+/// accelerators: a [`SharedTranslations`] memo (cells of one benchmark
+/// retranslate the same blocks) and the PIII cycles (identical for every
+/// configuration of one benchmark). Neither changes any simulated number.
 ///
 /// # Panics
 ///
 /// Panics if either machine faults — the differential tests guarantee
 /// they do not.
-pub fn measure(
-    bench: &str,
-    image: &GuestImage,
-    config_label: &str,
-    cfg: VirtualArchConfig,
-) -> Measurement {
-    measure_cell(bench, image, config_label, cfg, None, None)
-}
-
-/// Like [`measure`], with the cross-cell accelerators a sweep can supply:
-/// a [`SharedTranslations`] memo (cells of one benchmark retranslate the
-/// same blocks) and a precomputed PIII cycle count (identical for every
-/// configuration of one benchmark). Neither changes any simulated number.
 pub fn measure_cell(
     bench: &str,
     image: &GuestImage,
@@ -233,6 +226,8 @@ pub fn sweep(scale: Scale, configs: &[(String, VirtualArchConfig)]) -> Vec<Measu
 }
 
 /// Like [`sweep`], bounded to at most `threads` concurrent simulations.
+/// One [`Reference`] pass per benchmark gives its cells their PIII cycles,
+/// and a cell that differs from it panics, naming the cell.
 ///
 /// The result vector is identical (order and content) for every
 /// `threads` value: cells are placed by job index and each cell is an
@@ -251,25 +246,26 @@ pub fn sweep_threads(
     }
 
     // Per-benchmark accelerators shared by that benchmark's cells: the
-    // translation memo (per opt level) and the PIII baseline cycles.
+    // translation memo (per opt level) and the reference pass.
     let memos: Vec<HashMap<(OptLevel, bool), Arc<SharedTranslations>>> =
         suite.iter().map(|_| shared_per_opt(configs)).collect();
-    let piii: Vec<u64> = bounded_map(threads, suite.len(), |b| {
-        piii_cycles_for(suite[b].name, &suite[b].image)
-    });
+    let references: Vec<Reference> =
+        bounded_map(threads, suite.len(), |b| Reference::of(&suite[b].image));
 
     bounded_map(threads, jobs.len(), |j| {
         let (b, c) = jobs[j];
         let w = &suite[b];
         let (label, cfg) = &configs[c];
-        measure_cell(
+        let m = measure_cell(
             w.name,
             &w.image,
             label,
             cfg.clone(),
             memos[b].get(&(cfg.opt, cfg.superblock)),
-            Some(piii[b]),
-        )
+            Some(references[b].piii_cycles),
+        );
+        references[b].require(&format!("{}/{label}", w.name), &m.report);
+        m
     })
 }
 
@@ -280,12 +276,8 @@ mod tests {
     #[test]
     fn measure_produces_sane_slowdown() {
         let w = vta_workloads::by_name("gzip", Scale::Test).unwrap();
-        let m = measure(
-            w.name,
-            &w.image,
-            "default",
-            VirtualArchConfig::paper_default(),
-        );
+        let cfg = VirtualArchConfig::paper_default();
+        let m = measure_cell(w.name, &w.image, "default", cfg, None, None);
         assert!(m.slowdown() > 1.0, "the emulator cannot beat the PIII");
         assert!(m.slowdown() < 500.0, "slowdown out of plausible range");
     }

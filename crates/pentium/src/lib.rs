@@ -1,9 +1,10 @@
 //! # vta-pentium — the Pentium III baseline cost model
 //!
 //! The paper evaluates clock-for-clock against a Pentium III (§4.1):
-//! `slowdown = CyclesOnTranslator / CyclesOnPentiumIII`. This crate runs a
-//! guest image on the reference interpreter and charges cycles with the
-//! PIII parameters the paper's own analysis uses (§4.5, Figure 11):
+//! `slowdown = CyclesOnTranslator / CyclesOnPentiumIII`. [`PentiumModel`]
+//! observes the reference interpreter's one loop ([`Cpu::run_observed`])
+//! and charges the events it counts with the PIII parameters the paper's
+//! own analysis uses (§4.5, Figure 11):
 //!
 //! - out-of-order 3-wide superscalar, with realized ILP on SpecInt of
 //!   ≈ 1.3 (the Pentium Pro measurement the paper cites);
@@ -42,8 +43,7 @@
 pub mod analysis;
 
 use vta_raw::{Cache, CacheConfig};
-use vta_x86::decode::decode;
-use vta_x86::{Cpu, CpuError, GuestImage, Op, Operand, StopReason};
+use vta_x86::{Cpu, CpuError, GuestImage, Insn, Observer, Op, Operand, Reg, StopReason};
 
 /// Realized instruction-level parallelism on SpecInt (×1000).
 /// The paper cites 1.3 for SpecInt 95 on a Pentium Pro (§4.5).
@@ -91,13 +91,27 @@ impl PentiumReport {
     }
 }
 
-/// The baseline machine.
+/// The baseline machine: an [`Observer`] of the reference interpreter
+/// that counts each instruction's data accesses and branch outcome as
+/// [`Cpu::run_observed`] steps through the guest.
 #[derive(Debug, Clone)]
 pub struct PentiumModel {
     l1: Cache,
     l2: Cache,
     /// 2-bit saturating counters indexed by branch address.
     predictor: Vec<u8>,
+    /// The current run's events, zeroed by every run (the caches and
+    /// predictor stay warm).
+    tally: Tally,
+}
+
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    mem_accesses: u64,
+    l1_misses: u64,
+    l2_misses: u64,
+    branches: u64,
+    mispredicts: u64,
 }
 
 impl PentiumModel {
@@ -115,6 +129,7 @@ impl PentiumModel {
                 ways: 8,
             }),
             predictor: vec![1; 4096],
+            tally: Tally::default(),
         }
     }
 
@@ -124,112 +139,100 @@ impl PentiumModel {
     ///
     /// Propagates guest faults from the reference interpreter.
     pub fn run(&mut self, image: &GuestImage, max_insns: u64) -> Result<PentiumReport, CpuError> {
-        let mut cpu = Cpu::new(image);
-        // Cycle accumulator in 1/1000ths for the fractional issue rate.
-        let mut cycles_x1000: u64 = 0;
-        let mut mem_accesses = 0u64;
-        let mut l1_misses = 0u64;
-        let mut l2_misses = 0u64;
-        let mut branches = 0u64;
-        let mut mispredicts = 0u64;
+        self.run_cpu(&mut Cpu::new(image), max_insns)
+    }
 
-        let (stop, exit_code) = loop {
-            if cpu.insn_count >= max_insns {
-                break (StopReason::InsnLimit, None);
-            }
-            let insn = decode(&cpu.mem, cpu.eip)?;
-
-            // Issue cost: the OoO core sustains ~1.3 IPC on SpecInt.
-            cycles_x1000 += 1_000_000 / ILP_X1000;
-
-            // Data memory references (explicit operands + stack traffic).
-            // `lea` computes an address without touching memory.
-            let mut addrs: Vec<(u32, bool)> = Vec::new();
-            if insn.op != Op::Lea {
-                if let Some(Operand::Mem(m)) = insn.dst {
-                    addrs.push((cpu.effective_addr(m), true));
-                }
-                if let Some(Operand::Mem(m)) = insn.src {
-                    addrs.push((cpu.effective_addr(m), false));
-                }
-            }
-            match insn.op {
-                Op::Push | Op::Call | Op::CallInd => {
-                    let esp = cpu.regs[4].wrapping_sub(4);
-                    addrs.push((esp, true));
-                }
-                Op::Pop | Op::Ret => addrs.push((cpu.regs[4], false)),
-                Op::Movs => {
-                    addrs.push((cpu.regs[6], false));
-                    addrs.push((cpu.regs[7], true));
-                }
-                Op::Stos => addrs.push((cpu.regs[7], true)),
-                Op::Lods => addrs.push((cpu.regs[6], false)),
-                Op::Scas => addrs.push((cpu.regs[7], false)),
-                _ => {}
-            }
-            for (addr, write) in addrs {
-                mem_accesses += 1;
-                if !self.l1.access(addr as u64, write).is_hit() {
-                    l1_misses += 1;
-                    if self.l2.access(addr as u64, write).is_hit() {
-                        cycles_x1000 += L2_LATENCY * 1000;
-                    } else {
-                        l2_misses += 1;
-                        cycles_x1000 += MEM_LATENCY * 1000;
-                    }
-                }
-            }
-
-            // Branch prediction on conditional branches.
-            let predicted_taken = if insn.op == Op::Jcc {
-                branches += 1;
-                let slot = (insn.addr as usize >> 1) % self.predictor.len();
-                Some((slot, self.predictor[slot] >= 2))
-            } else {
-                None
-            };
-
-            let next = insn.next_addr();
-            cpu.eip = next;
-            cpu.insn_count += 1;
-            match cpu.execute(&insn)? {
-                None => {}
-                Some(stop) => {
-                    let code = match stop {
-                        StopReason::Exit(c) => Some(c),
-                        _ => None,
-                    };
-                    break (stop, code);
-                }
-            }
-
-            if let Some((slot, taken_pred)) = predicted_taken {
-                let taken = cpu.eip != next;
-                if taken != taken_pred {
-                    mispredicts += 1;
-                    cycles_x1000 += MISPREDICT * 1000;
-                }
-                let c = &mut self.predictor[slot];
-                if taken {
-                    *c = (*c + 1).min(3);
-                } else {
-                    *c = c.saturating_sub(1);
-                }
-            }
-        };
-
+    /// Like [`PentiumModel::run`] on a booted `cpu`, which the caller
+    /// keeps: one pass gives the modelled cycles and the reference
+    /// interpreter's final state.
+    ///
+    /// # Errors
+    ///
+    /// Propagates guest faults from the reference interpreter.
+    pub fn run_cpu(&mut self, cpu: &mut Cpu, max_insns: u64) -> Result<PentiumReport, CpuError> {
+        self.tally = Tally::default();
+        let start = cpu.insn_count;
+        let stop = cpu.run_observed(max_insns, self)?;
+        let (t, insns) = (self.tally, cpu.insn_count - start);
+        // Issue at the realized ILP (in 1/1000ths of a cycle), plus each
+        // L1 miss's L2 or memory latency and each mispredict's penalty.
+        let stalls = L2_LATENCY * (t.l1_misses - t.l2_misses)
+            + MEM_LATENCY * t.l2_misses
+            + MISPREDICT * t.mispredicts;
         Ok(PentiumReport {
-            cycles: cycles_x1000 / 1000,
-            insns: cpu.insn_count,
-            mem_accesses,
-            l1_misses,
-            l2_misses,
-            branches,
-            mispredicts,
+            cycles: (insns * (1_000_000 / ILP_X1000) + stalls * 1000) / 1000,
+            insns,
+            mem_accesses: t.mem_accesses,
+            l1_misses: t.l1_misses,
+            l2_misses: t.l2_misses,
+            branches: t.branches,
+            mispredicts: t.mispredicts,
             stop,
-            exit_code,
+            exit_code: match stop {
+                StopReason::Exit(c) => Some(c),
+                _ => None,
+            },
         })
+    }
+
+    /// One data access through L1 and L2 (hits are hidden by the OoO
+    /// core).
+    fn access(&mut self, addr: u32, write: bool) {
+        let t = &mut self.tally;
+        t.mem_accesses += 1;
+        if !self.l1.access(addr as u64, write).is_hit() {
+            t.l1_misses += 1;
+            if !self.l2.access(addr as u64, write).is_hit() {
+                t.l2_misses += 1;
+            }
+        }
+    }
+}
+
+impl Observer for PentiumModel {
+    fn before(&mut self, cpu: &Cpu, insn: &Insn) {
+        // Data accesses: destination, source, then stack or string
+        // traffic. `lea` computes an address without touching memory.
+        if insn.op != Op::Lea {
+            if let Some(Operand::Mem(m)) = insn.dst {
+                self.access(cpu.effective_addr(m), true);
+            }
+            if let Some(Operand::Mem(m)) = insn.src {
+                self.access(cpu.effective_addr(m), false);
+            }
+        }
+        let reg = |r: Reg| cpu.regs[r.num() as usize];
+        match insn.op {
+            Op::Push | Op::Call | Op::CallInd => self.access(reg(Reg::ESP).wrapping_sub(4), true),
+            Op::Pop | Op::Ret => self.access(reg(Reg::ESP), false),
+            Op::Movs => {
+                self.access(reg(Reg::ESI), false);
+                self.access(reg(Reg::EDI), true);
+            }
+            Op::Stos => self.access(reg(Reg::EDI), true),
+            Op::Lods => self.access(reg(Reg::ESI), false),
+            Op::Scas => self.access(reg(Reg::EDI), false),
+            _ => {}
+        }
+    }
+
+    fn after(&mut self, cpu: &Cpu, insn: &Insn) {
+        // Branch prediction on conditional branches.
+        if insn.op != Op::Jcc {
+            return;
+        }
+        self.tally.branches += 1;
+        let taken = cpu.eip != insn.next_addr();
+        let slot = (insn.addr as usize >> 1) % self.predictor.len();
+        let c = &mut self.predictor[slot];
+        if taken != (*c >= 2) {
+            self.tally.mispredicts += 1;
+        }
+        if taken {
+            *c = (*c + 1).min(3);
+        } else {
+            *c = c.saturating_sub(1);
+        }
     }
 }
 
@@ -242,7 +245,7 @@ impl Default for PentiumModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vta_x86::{Asm, Cond, MemRef, Reg};
+    use vta_x86::{Asm, Cond, MemRef, Reg, Size};
 
     const BASE: u32 = 0x0800_0000;
     const DATA: u32 = 0x0900_0000;
@@ -321,6 +324,62 @@ mod tests {
             r.mispredicts,
             r.branches
         );
+    }
+
+    #[test]
+    fn each_insn_probes_its_pinned_data_accesses() {
+        let accesses = |insn: fn(&mut Asm)| {
+            run(|a| {
+                a.cld();
+                a.mov_ri(Reg::ESI, DATA);
+                a.mov_ri(Reg::EDI, DATA + 0x100);
+                a.mov_ri(Reg::ECX, 8);
+                insn(a);
+                a.exit_with_eax();
+            })
+            .mem_accesses
+        };
+        assert_eq!(accesses(|_| {}), 0, "the harness touches no data");
+        assert_eq!(accesses(|a| a.push_r(Reg::EAX)), 1);
+        assert_eq!(accesses(|a| a.pop_r(Reg::EAX)), 1);
+        assert_eq!(accesses(|a| a.raw(&[0xA5])), 2, "movsd reads and writes");
+        assert_eq!(accesses(|a| a.raw(&[0xAB])), 1, "stosd");
+        assert_eq!(
+            accesses(|a| a.lea(Reg::EAX, MemRef::base_disp(Reg::ESI, 4))),
+            0
+        );
+        assert_eq!(
+            accesses(|a| a.mov_mr(MemRef::base_disp(Reg::EDI, 0), Reg::EAX)),
+            1
+        );
+        assert_eq!(
+            accesses(|a| a.rep_stos(Size::Dword)),
+            1,
+            "a rep string op is one probe, not one per element"
+        );
+    }
+
+    #[test]
+    fn a_reused_model_counts_from_zero_with_warm_caches() {
+        let mut asm = Asm::new(BASE);
+        asm.mov_ri(Reg::EBX, DATA);
+        asm.mov_ri(Reg::ECX, 256);
+        let top = asm.here();
+        asm.mov_rm(Reg::EAX, MemRef::base_disp(Reg::EBX, 0));
+        asm.add_ri(Reg::EBX, 32);
+        asm.dec_r(Reg::ECX);
+        asm.jcc(Cond::Ne, top);
+        asm.exit_with_eax();
+        let img = GuestImage::from_code(asm.finish()).with_bss(DATA, 0x2000);
+        let mut model = PentiumModel::new();
+        let cold = model.run(&img, 1_000_000).unwrap();
+        let warm = model.run(&img, 1_000_000).unwrap();
+        assert_eq!(
+            (warm.insns, warm.mem_accesses, warm.branches),
+            (cold.insns, cold.mem_accesses, cold.branches)
+        );
+        assert_eq!((cold.l1_misses, warm.l1_misses), (256, 0));
+        assert!(warm.cycles < cold.cycles);
     }
 
     #[test]

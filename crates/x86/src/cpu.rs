@@ -72,6 +72,18 @@ impl From<DecodeError> for CpuError {
     }
 }
 
+/// Watches [`Cpu::run_observed`] step through a guest (the Pentium III
+/// model in `vta-pentium` is one); `()` watches nothing.
+pub trait Observer {
+    /// Runs once `insn` is decoded and counted (`EIP` already points past
+    /// it), before it executes — also for an instruction that then faults.
+    fn before(&mut self, _cpu: &Cpu, _insn: &Insn) {}
+    /// Runs once `insn` has executed without stopping or faulting.
+    fn after(&mut self, _cpu: &Cpu, _insn: &Insn) {}
+}
+
+impl Observer for () {}
+
 /// The architectural state of one virtual x86, plus its memory and OS.
 ///
 /// # Examples
@@ -208,43 +220,39 @@ impl Cpu {
         Ok(v)
     }
 
-    /// Decodes and executes one instruction.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CpuError`] on decode faults, unmapped data accesses,
-    /// divide errors and unsupported interrupts.
-    pub fn step(&mut self) -> Result<Option<StopReason>, CpuError> {
-        let insn = decode(&self.mem, self.eip)?;
-        self.insn_count += 1;
-        let next = insn.next_addr();
-        self.eip = next;
-        self.execute(&insn)
-    }
-
-    /// Runs until the guest stops, faults, or `max_insns` retire.
+    /// Runs until the guest stops, faults, or `max_insns` more retire.
     ///
     /// # Errors
     ///
     /// Propagates the first [`CpuError`].
     pub fn run(&mut self, max_insns: u64) -> Result<StopReason, CpuError> {
-        let budget_end = self.insn_count + max_insns;
+        self.run_observed(max_insns, &mut ())
+    }
+
+    /// [`Cpu::run`], calling `observer` around every instruction: the
+    /// interpreter's one decode → execute loop. Errors as [`Cpu::run`].
+    pub fn run_observed(
+        &mut self,
+        max_insns: u64,
+        observer: &mut impl Observer,
+    ) -> Result<StopReason, CpuError> {
+        let budget_end = self.insn_count.saturating_add(max_insns);
         while self.insn_count < budget_end {
-            if let Some(stop) = self.step()? {
+            let insn = decode(&self.mem, self.eip)?;
+            self.insn_count += 1;
+            self.eip = insn.next_addr();
+            observer.before(self, &insn);
+            if let Some(stop) = self.execute(&insn)? {
                 return Ok(stop);
             }
+            observer.after(self, &insn);
         }
         Ok(StopReason::InsnLimit)
     }
 
     /// Executes an already-decoded instruction (`EIP` must already point
     /// past it).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CpuError`] on data faults, divide errors and
-    /// unsupported interrupts.
-    pub fn execute(&mut self, insn: &Insn) -> Result<Option<StopReason>, CpuError> {
+    fn execute(&mut self, insn: &Insn) -> Result<Option<StopReason>, CpuError> {
         let at = insn.addr;
         let size = insn.size;
         match insn.op {
@@ -863,6 +871,79 @@ mod tests {
         asm.jmp(top);
         let mut cpu = Cpu::new(&GuestImage::from_code(asm.finish()));
         assert_eq!(cpu.run(10).unwrap(), StopReason::InsnLimit);
+    }
+
+    #[test]
+    fn a_resumed_run_takes_any_budget() {
+        let mut asm = Asm::new(BASE);
+        asm.mov_ri(EAX, 3);
+        asm.exit_with_eax();
+        let mut cpu = Cpu::new(&GuestImage::from_code(asm.finish()));
+        assert_eq!(cpu.run(1).unwrap(), StopReason::InsnLimit);
+        assert_eq!(cpu.run(u64::MAX).unwrap(), StopReason::Exit(3));
+    }
+
+    /// Each hook's instruction addresses, in call order.
+    #[derive(Default)]
+    struct Seen {
+        before: Vec<u32>,
+        after: Vec<u32>,
+    }
+
+    impl Observer for Seen {
+        fn before(&mut self, cpu: &Cpu, insn: &Insn) {
+            assert_eq!(cpu.eip, insn.next_addr(), "EIP points past a counted insn");
+            self.before.push(insn.addr);
+        }
+
+        fn after(&mut self, _cpu: &Cpu, insn: &Insn) {
+            self.after.push(insn.addr);
+        }
+    }
+
+    #[test]
+    fn observer_sees_every_counted_insn_and_after_only_completed_ones() {
+        // A loop around a call/ret, then a load through EBX and an exit:
+        // with EBX at data the guest exits, with EBX unmapped the load
+        // faults.
+        let mut asm = Asm::new(BASE);
+        let func = asm.label();
+        asm.mov_ri(ECX, 5);
+        let top = asm.here();
+        asm.call(func);
+        asm.dec_r(ECX);
+        asm.jcc(Cond::Ne, top);
+        let load = asm.cur_addr();
+        asm.mov_rm(EDX, MemRef::base_disp(EBX, 0));
+        asm.exit_with_eax();
+        asm.bind(func);
+        asm.add_rr(EAX, ECX);
+        asm.ret();
+        let image = GuestImage::from_code(asm.finish()).with_bss(DATA, 4);
+        let unmapped = 0x4000_0000;
+        let fault = CpuError::Unmapped {
+            addr: unmapped,
+            at: load,
+        };
+        for (ebx, want) in [(DATA, Ok(StopReason::Exit(15))), (unmapped, Err(fault))] {
+            let boot = || {
+                let mut cpu = Cpu::new(&image);
+                cpu.regs[EBX.num() as usize] = ebx;
+                cpu
+            };
+            let (mut plain, mut unobserved, mut watched) = (boot(), boot(), boot());
+            let mut seen = Seen::default();
+            assert_eq!(plain.run(1000), want);
+            assert_eq!(unobserved.run_observed(1000, &mut ()), want);
+            assert_eq!(watched.run_observed(1000, &mut seen), want);
+            let state = |c: &Cpu| (c.regs, c.eip, c.flags, c.insn_count, c.sys.output.clone());
+            assert_eq!(state(&unobserved), state(&plain));
+            assert_eq!(state(&watched), state(&plain));
+            assert_eq!(seen.before.len() as u64, plain.insn_count);
+            // The last counted instruction stopped the guest or faulted;
+            // every one before it completed.
+            assert_eq!(seen.after, seen.before[..seen.before.len() - 1]);
+        }
     }
 
     #[test]

@@ -478,17 +478,6 @@ impl Insn {
             _ => None,
         }
     }
-
-    /// Whether any operand touches memory (not counting implicit stack).
-    pub fn touches_mem(&self) -> bool {
-        self.dst.is_some_and(Operand::is_mem)
-            || self.src.is_some_and(Operand::is_mem)
-            || matches!(
-                self.op,
-                Op::Push | Op::Pop | Op::Call | Op::CallInd | Op::Ret
-            )
-            || matches!(self.op, Op::Movs | Op::Stos | Op::Lods | Op::Scas)
-    }
 }
 
 impl fmt::Display for Insn {
@@ -566,6 +555,5 @@ mod tests {
         i.dst = Some(Operand::Target(0x200));
         assert_eq!(i.target(), Some(0x200));
         assert_eq!(i.next_addr(), 0x102);
-        assert!(!i.touches_mem());
     }
 }

@@ -24,7 +24,9 @@
 #     (crates/dbt/src/slave.rs) — Stats counts what the slaves did;
 #     an L1.5 bank keeps its blocks in retention order, so no whole-bank
 #     victim scan (max_by_key) in crates/dbt/src/codecache.rs outside its
-#     tests, where that scan is the reference model
+#     tests, where that scan is the reference model; the reference
+#     interpreter has one loop (Cpu::run_observed), which the Pentium III
+#     model observes, so no decode( or .execute( under crates/pentium/src
 #   clippy
 #   build release
 #   test (debug-for-tests)
@@ -112,6 +114,7 @@ no_env_stage() {
         ! grep -rn 'RecordingSource\|ReadSet' crates/*/src &&
         ! grep -n 'in_flight' crates/dbt/src/codecache.rs &&
         ! sed '/^#\[cfg(test)\]/q' crates/dbt/src/codecache.rs | grep -n 'max_by_key' &&
+        ! grep -rn 'decode(\|\.execute(' crates/pentium/src &&
         ! grep -nE '^\s*(pub(\(crate\))? )?(busy_cycles|completed):' crates/dbt/src/slave.rs
 }
 run_stage "no-env, no-clock (library crates)" \
