@@ -228,14 +228,14 @@ impl Manager {
     /// role until `ready`.
     pub(crate) fn add_slave(&mut self, tile: TileId, ready: Cycle) {
         self.pool.grow(tile);
-        let n = self.pool.len();
-        self.pool.slave_mut(n - 1).current = Some(InFlight {
+        let job = InFlight {
             addr: RELOADING,
             done_at: ready,
             shape: RegionShape::Single,
             cancelled: false,
             block: None,
-        });
+        };
+        self.pool.assign(self.pool.len() - 1, job);
     }
 
     /// Morphing: retires one slave at `now`; the tile freed and when.
@@ -407,6 +407,16 @@ impl Manager {
 
     // ---- slave pipeline ----------------------------------------------------
 
+    /// Whether [`Manager::drain`] at `now` has anything to do: a slave
+    /// completion at or before `now`, or queued work and an idle slave
+    /// to start on it. When this is false, `drain(now)` is an exact
+    /// no-op, so the execution tile skips it after a block exit.
+    #[inline]
+    pub(crate) fn due(&self, now: Cycle) -> bool {
+        self.pool.next_done() <= now
+            || (!self.queues.is_empty() && self.pool.idle_slave().is_some())
+    }
+
     /// Commits every slave completion due by `now`, in the canonical
     /// `(done_at, slave)` order, and keeps the slaves fed. Returns the
     /// addresses whose resident single a region commit replaced, for
@@ -569,13 +579,14 @@ impl Manager {
             .span(at, cycles, out.tracks.tile(tile), "translate");
         let wire = net::message(out.tracer, at + cycles, tile, self.tile, words.max(1));
         out.stats.add_ctr(Ctr::TranslateBusyCycles, cycles);
-        self.pool.slave_mut(slave).current = Some(InFlight {
+        let job = InFlight {
             addr,
             done_at: at + cycles + wire,
             shape,
             cancelled: false,
             block: block.clone(),
-        });
+        };
+        self.pool.assign(slave, job);
         // Successors are visible as soon as the slave has decoded the
         // block — the translator "runs ahead translating the program"
         // (§2.1) rather than waiting for its own commit.
@@ -858,6 +869,98 @@ pub(crate) mod tests {
             }
             assert!(m.pages.keys().all(|p| watched.clone().any(|q| q == *p)));
         }
+    }
+
+    /// What a drain can change: each slave's job, the queues, which
+    /// addresses L2 holds, the service ring and every counter.
+    fn drain_visible(
+        m: &Manager,
+        stats: &Stats,
+        addrs: &[u32],
+    ) -> impl PartialEq + std::fmt::Debug {
+        let jobs: Vec<_> = (0..m.pool.len())
+            .map(|i| {
+                let job = m.pool.slave(i).current.as_ref();
+                job.map(|j| (j.addr, j.done_at, j.cancelled, j.shape.clone()))
+            })
+            .collect();
+        let queued = (m.queues.len(), m.queues.pushes(), m.queues.depth_lens());
+        let l2: Vec<bool> = addrs.iter().map(|&a| m.l2.get(a).is_some()).collect();
+        (
+            jobs,
+            queued,
+            l2,
+            m.l2.used_bytes(),
+            m.next_free,
+            stats.clone(),
+        )
+    }
+
+    #[test]
+    fn drain_acts_only_when_the_gate_says_due() {
+        // Seeded streams of pushes (code and data addresses, every
+        // depth), direct starts, clock advances, slaves joining and
+        // retiring, SMC cancellations and drains. A drain the gate calls
+        // not due must be an exact no-op, and every drain leaves nothing
+        // due behind it.
+        let cfg = VirtualArchConfig::paper_default();
+        let mut a = Asm::new(BASE);
+        let mut addrs = Vec::new();
+        for i in 0..24 {
+            addrs.push(a.cur_addr());
+            a.add_ri(Reg::EAX, i);
+            a.test_ri(Reg::EAX, 1);
+            let next = a.label();
+            a.jcc(Cond::Ne, next);
+            a.bind(next);
+        }
+        a.exit_with_eax();
+        addrs.push(0x0900_0000); // data: its translation fails
+        let image = GuestImage::from_code(a.finish()).with_bss(0x0900_0000, 64);
+        let mut rng = vta_sim::Rng::seeded(0xD2A1_6A7E);
+        let (mut skips, mut drains) = (0, 0);
+        for stream in 0..64 {
+            let mut w = World::new(&cfg, &image);
+            let mut m = Manager::new(&cfg);
+            let mut now = Cycle::ZERO;
+            for step in 0..rng.range(20, 120) {
+                let addr = addrs[rng.below(addrs.len() as u64) as usize];
+                match rng.below(16) {
+                    0..=4 => m.queues.push(addr, rng.below(8) as u8),
+                    5..=6 => {
+                        if let Some(slave) = m.pool.idle_slave() {
+                            if !m.settled(addr, &w.regions) {
+                                m.start(slave, addr, 1, now, &mut w.outside());
+                            }
+                        }
+                    }
+                    7..=9 => now += rng.range(0, 4_000),
+                    10 => m.add_slave(TileId::new(0, 3), now + rng.range(0, 500)),
+                    11 => {
+                        m.retire_slave(now, &mut w.outside());
+                    }
+                    12 => m.pool.cancel_in_flight(),
+                    _ => {
+                        let due = m.due(now);
+                        let before = drain_visible(&m, &w.stats, &addrs);
+                        let swapped = m.drain(now, &mut w.outside());
+                        if due {
+                            drains += 1;
+                        } else {
+                            skips += 1;
+                            let after = drain_visible(&m, &w.stats, &addrs);
+                            assert!(swapped.is_empty(), "stream {stream} step {step}");
+                            assert_eq!(after, before, "stream {stream} step {step}: not due");
+                        }
+                        assert!(!m.due(now), "stream {stream} step {step}: due after drain");
+                    }
+                }
+            }
+        }
+        assert!(
+            skips > 200 && drains > 200,
+            "skips {skips}, drains {drains}"
+        );
     }
 
     #[test]

@@ -23,6 +23,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use vta_ir::mir::Term;
 use vta_ir::{RegionLimits, RegionShape, TBlock};
 use vta_raw::exec::BlockExit;
 use vta_sim::{Ctr, Stats};
@@ -75,6 +76,38 @@ struct Record {
 struct Recording {
     root: u32,
     path: Vec<u32>,
+}
+
+/// What the exit bookkeeping reads of the block that just ran, copied
+/// out of it so that the block can stay borrowed from the L1 arena for
+/// the run and nothing of it is held while the caches change.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct BlockFacts {
+    /// Entry address: the region root of a superblock.
+    pub root: u32,
+    /// Member blocks; more than one makes the block a region.
+    pub members: u32,
+    /// Guest instructions a full run retires.
+    pub guest_insns: u32,
+    /// How the last member ends.
+    pub term: Term,
+}
+
+impl BlockFacts {
+    /// The facts of `block`.
+    pub(crate) fn of(block: &TBlock) -> BlockFacts {
+        BlockFacts {
+            root: block.guest_addr,
+            members: block.ranges.len() as u32,
+            guest_insns: block.guest_insns,
+            term: block.term,
+        }
+    }
+
+    /// Whether the block is a multi-member superblock region.
+    pub(crate) fn is_region(&self) -> bool {
+        self.members > 1
+    }
 }
 
 /// What one block exit asks of the rest of the machine.
@@ -167,7 +200,7 @@ impl Regions {
     /// a capped region's continuation.
     pub(crate) fn block_exited(
         &mut self,
-        block: &TBlock,
+        block: BlockFacts,
         exit: BlockExit,
         guards_passed: u32,
         retired: u64,
@@ -175,8 +208,8 @@ impl Regions {
         stats: &mut Stats,
     ) -> ExitVerdict {
         let mut verdict = ExitVerdict::default();
-        let root = block.guest_addr;
-        let region = block.ranges.len() > 1;
+        let root = block.root;
+        let region = block.is_region();
         // Health accounting: count every entry into a region built from
         // a recording; its first-junction exits are noted below.
         let recorded_root = region && self.note_entry(root);
@@ -195,7 +228,7 @@ impl Regions {
                 // A direct exit that is not one of the terminator's
                 // static targets left the superblock early: through a
                 // side exit, or through an SMC boundary guard.
-                BlockExit::Goto(t) => !block.term.known_succs().contains(&t),
+                BlockExit::Goto(t) => !block.term.leads_to(t),
                 // A mid-region indirect guard that missed its recorded
                 // target, exactly like a side exit (a full run ending at
                 // an indirect terminator has retired every member).
@@ -219,13 +252,14 @@ impl Regions {
         // target hot too, but only under path recording: the static
         // through-path predictor cannot see across an indirect, while a
         // recording crosses it under an inline target guard.
+        // A forward exit that is no capped region's continuation never
+        // probes the root map.
         let hot = match exit {
-            BlockExit::Goto(t) if self.promotable(t) => {
-                let capped = block.ranges.len() as u32 >= self.limits.max_blocks
+            BlockExit::Goto(t) => {
+                let capped = block.members >= self.limits.max_blocks
                     || block.guest_insns + 4 > self.limits.max_insns;
-                let continuation =
-                    region && full_run && capped && block.term.known_succs().contains(&t);
-                (t < root || continuation).then_some(t)
+                let continuation = region && full_run && capped && block.term.leads_to(t);
+                ((t < root || continuation) && self.promotable(t)).then_some(t)
             }
             BlockExit::Indirect(t) if self.record_paths && t < root && self.promotable(t) => {
                 Some(t)
@@ -293,9 +327,9 @@ impl Regions {
     /// a region exit, not a single-block junction, so the path has a
     /// gap there. Returns the root whose build the finished recording
     /// owes.
-    fn record_step(&mut self, block: &TBlock, exit: BlockExit) -> Option<u32> {
+    fn record_step(&mut self, block: BlockFacts, exit: BlockExit) -> Option<u32> {
         let rec = self.recorder.as_mut().expect("recording active");
-        let done = block.ranges.len() > 1
+        let done = block.is_region()
             || match exit.successor() {
                 Some(t) if t != rec.root => {
                     rec.path.push(t);
@@ -388,7 +422,6 @@ impl Regions {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vta_ir::mir::Term;
     use vta_raw::isa::RInsn;
 
     const ROOT: u32 = 0x1000;
@@ -424,7 +457,14 @@ mod tests {
         let mut stats = Stats::new();
         let retired = if full { block.guest_insns as u64 } else { 2 };
         let guards = if full { 1 } else { 0 };
-        let v = rg.block_exited(block, exit, guards, retired, false, &mut stats);
+        let v = rg.block_exited(
+            BlockFacts::of(block),
+            exit,
+            guards,
+            retired,
+            false,
+            &mut stats,
+        );
         (v, stats)
     }
 

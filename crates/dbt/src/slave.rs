@@ -66,6 +66,10 @@ impl Slave {
 #[derive(Debug, Clone, Default)]
 pub struct SlavePool {
     slaves: Vec<Slave>,
+    /// No busy slave finishes before this cycle: exact once
+    /// [`SlavePool::pop_done`] has found nothing due, and lowered by
+    /// [`SlavePool::assign`].
+    next_done: Cycle,
 }
 
 impl SlavePool {
@@ -73,6 +77,7 @@ impl SlavePool {
     pub fn new(tiles: &[TileId]) -> SlavePool {
         SlavePool {
             slaves: tiles.iter().copied().map(Slave::new).collect(),
+            next_done: Cycle::ZERO,
         }
     }
 
@@ -91,9 +96,25 @@ impl SlavePool {
         self.slaves.iter().position(Slave::is_idle)
     }
 
-    /// Mutable access to a slave.
-    pub fn slave_mut(&mut self, i: usize) -> &mut Slave {
+    /// Mutable access to a slave, for tests that move a job: the pool
+    /// forgets its completion floor.
+    #[cfg(test)]
+    pub(crate) fn slave_mut(&mut self, i: usize) -> &mut Slave {
+        self.next_done = Cycle::ZERO;
         &mut self.slaves[i]
+    }
+
+    /// Starts slave `i` on `job`.
+    pub fn assign(&mut self, i: usize, job: InFlight) {
+        self.next_done = self.next_done.min(job.done_at);
+        self.slaves[i].current = Some(job);
+    }
+
+    /// A cycle no busy slave finishes before (see [`SlavePool::pop_done`]):
+    /// while it is after `now`, nothing is due.
+    #[inline]
+    pub fn next_done(&self) -> Cycle {
+        self.next_done
     }
 
     /// Shared access to a slave.
@@ -109,18 +130,25 @@ impl SlavePool {
 
     /// Completions ready at or before `now`, in the canonical commit
     /// order: min `(done_at, slave index)`. This ordering is a
-    /// determinism invariant — see the module docs.
+    /// determinism invariant — see the module docs. When nothing is
+    /// ready, [`SlavePool::next_done`] becomes the earliest completion.
     pub fn pop_done(&mut self, now: Cycle) -> Option<(usize, InFlight)> {
-        let ready = self
+        let first = self
             .slaves
             .iter()
             .enumerate()
             .filter_map(|(i, s)| s.current.as_ref().map(|c| (i, c.done_at)))
-            .filter(|&(_, c)| c <= now)
-            .min_by_key(|&(i, c)| (c, i))?;
-        let i = ready.0;
-        let inflight = self.slaves[i].current.take().expect("was busy");
-        Some((i, inflight))
+            .min_by_key(|&(i, c)| (c, i));
+        match first {
+            Some((i, c)) if c <= now => {
+                let inflight = self.slaves[i].current.take().expect("was busy");
+                Some((i, inflight))
+            }
+            _ => {
+                self.next_done = first.map_or(Cycle(u64::MAX), |(_, c)| c);
+                None
+            }
+        }
     }
 
     /// Grows the pool by one slave on `tile`.
@@ -192,25 +220,29 @@ mod tests {
     fn idle_selection_is_lowest_index_first() {
         let mut pool = SlavePool::new(&[t(0), t(1), t(2)]);
         assert_eq!(pool.idle_slave(), Some(0));
-        pool.slave_mut(0).current = Some(flight(0x10, 100));
-        pool.slave_mut(1).current = Some(flight(0x14, 100));
+        pool.assign(0, flight(0x10, 100));
+        pool.assign(1, flight(0x14, 100));
         assert_eq!(pool.idle_slave(), Some(2));
-        pool.slave_mut(2).current = Some(flight(0x18, 100));
+        pool.assign(2, flight(0x18, 100));
         assert_eq!(pool.idle_slave(), None);
     }
 
     #[test]
     fn completions_in_time_order() {
         let mut pool = SlavePool::new(&[t(0), t(1)]);
-        pool.slave_mut(0).current = Some(flight(0xA, 200));
-        pool.slave_mut(1).current = Some(flight(0xB, 100));
+        pool.assign(0, flight(0xA, 200));
+        pool.assign(1, flight(0xB, 100));
         assert_eq!(pool.earliest_done(), Some(Cycle(100)));
         assert!(pool.pop_done(Cycle(99)).is_none());
+        assert_eq!(pool.next_done(), Cycle(100), "exact once nothing is due");
+        pool.assign(1, flight(0xC, 50));
+        assert_eq!(pool.next_done(), Cycle(50), "an earlier job lowers it");
         let (i, f) = pool.pop_done(Cycle(300)).expect("ready");
-        assert_eq!((i, f.addr), (1, 0xB));
+        assert_eq!((i, f.addr), (1, 0xC));
         let (i, f) = pool.pop_done(Cycle(300)).expect("ready");
         assert_eq!((i, f.addr), (0, 0xA));
         assert!(pool.pop_done(Cycle(300)).is_none());
+        assert_eq!(pool.next_done(), Cycle(u64::MAX), "nothing busy");
     }
 
     #[test]
@@ -218,9 +250,9 @@ mod tests {
         // Two slaves finishing on the same cycle: the lower tile index
         // commits first, every time — the canonical order's tie-break.
         let mut pool = SlavePool::new(&[t(0), t(1), t(2)]);
-        pool.slave_mut(2).current = Some(flight(0xC, 100));
-        pool.slave_mut(0).current = Some(flight(0xA, 100));
-        pool.slave_mut(1).current = Some(flight(0xB, 100));
+        pool.assign(2, flight(0xC, 100));
+        pool.assign(0, flight(0xA, 100));
+        pool.assign(1, flight(0xB, 100));
         let order: Vec<_> = std::iter::from_fn(|| pool.pop_done(Cycle(100)))
             .map(|(i, f)| (i, f.addr))
             .collect();
@@ -230,7 +262,7 @@ mod tests {
     #[test]
     fn shrink_prefers_idle() {
         let mut pool = SlavePool::new(&[t(0), t(1), t(2)]);
-        pool.slave_mut(1).current = Some(flight(0xA, 500));
+        pool.assign(1, flight(0xA, 500));
         let (tile, abandoned) = pool.shrink().expect("shrinks");
         assert_eq!(tile, t(2), "idle slave retired first");
         assert!(abandoned.is_none());
@@ -240,8 +272,8 @@ mod tests {
     #[test]
     fn shrink_busy_hands_back_the_job_cancelled() {
         let mut pool = SlavePool::new(&[t(0), t(1)]);
-        pool.slave_mut(0).current = Some(flight(0xA, 300));
-        pool.slave_mut(1).current = Some(flight(0xB, 700));
+        pool.assign(0, flight(0xA, 300));
+        pool.assign(1, flight(0xB, 700));
         let (tile, abandoned) = pool.shrink().expect("shrinks");
         assert_eq!(tile, t(1), "latest-finishing busy slave retired");
         let job = abandoned.expect("busy slave's job");
@@ -261,7 +293,7 @@ mod tests {
     #[test]
     fn translating_lookup() {
         let mut pool = SlavePool::new(&[t(0), t(1)]);
-        pool.slave_mut(1).current = Some(flight(0x42, 100));
+        pool.assign(1, flight(0x42, 100));
         assert_eq!(pool.translating(0x42), Some(1));
         assert_eq!(pool.translating(0x43), None);
     }

@@ -27,7 +27,7 @@ use crate::config::{VirtualArchConfig, GRID};
 use crate::manager::{Duty, Manager, Outside, Tracks};
 use crate::memsys::MemSys;
 use crate::morph::{MorphAction, MorphManager};
-use crate::regions::Regions;
+use crate::regions::{BlockFacts, Regions};
 use crate::shared::SharedTranslations;
 use crate::timing::Timing;
 
@@ -379,19 +379,24 @@ impl System {
 
             let pc = self.pc;
             // Fast path: the previous block chained here and handed us
-            // the arena handle — no address-table probe. A stale handle
-            // (flush/SMC since) fails its generation check and falls
-            // back to the full fetch path.
+            // the arena handle — no address-table probe — and the block
+            // runs borrowed from its L1 slot. A stale handle (flush/SMC
+            // since) fails its generation check and falls back to the
+            // full fetch path, whose block is owned for the iteration.
+            let fetched;
             let chained = self
                 .cur_handle
                 .take()
-                .and_then(|h| Some((Arc::clone(self.code.l1().handle_block(h)?), Some(h))));
-            let (block, handle) = match chained {
-                Some(hit) => {
+                .and_then(|h| Some((&**self.code.l1().handle_block(h)?, h)));
+            let (block, handle): (&TBlock, _) = match chained {
+                Some((block, h)) => {
                     self.stats.bump_ctr(Ctr::L1CodeHit);
-                    hit
+                    (block, Some(h))
                 }
-                None => self.fetch_block(pc)?,
+                None => {
+                    fetched = self.fetch_block(pc)?;
+                    (&fetched.0, fetched.1)
+                }
             };
 
             // Execute the block on the execution tile.
@@ -408,7 +413,10 @@ impl System {
                 smc: &mut smc,
                 tracer: &mut self.tracer,
             };
-            let outcome = run_block(&mut self.state, &block.code, &mut port, 50_000_000);
+            // No fuel cap: every internal loop codegen emits is a `rep`
+            // loop, bounded by ECX and by mapped memory exactly as the
+            // reference interpreter runs it.
+            let outcome = run_block(&mut self.state, &block.code, &mut port, u64::MAX);
             self.tracer
                 .span(self.now, outcome.cycles, self.tracks.exec, "block");
             self.now += outcome.cycles;
@@ -421,12 +429,15 @@ impl System {
             } else {
                 block.member_insns[..=g].iter().map(|&n| n as u64).sum()
             };
+            // What the exit bookkeeping needs of the block, copied before
+            // SMC invalidation and chaining change the caches it lives in.
+            let facts = BlockFacts::of(block);
             self.guest_insns += retired;
             self.stats.add_ctr(Ctr::HostInsns, outcome.insns);
             self.stats
                 .add_ctr(Ctr::ExecStallCycles, outcome.stall_cycles);
             self.stats.bump_ctr(Ctr::ExecBlocks);
-            if block.ranges.len() > 1 {
+            if facts.is_region() {
                 self.stats.bump_ctr(Ctr::SuperblockEntries);
             }
 
@@ -439,7 +450,7 @@ impl System {
             // Region bookkeeping: entry/exit health, path recording,
             // promotion of the exit's target.
             let verdict = self.regions.block_exited(
-                &block,
+                facts,
                 outcome.exit,
                 outcome.guards_passed,
                 retired,
@@ -494,7 +505,11 @@ impl System {
                 }
             }
 
-            self.catch_up(self.now);
+            // The manager's catch-up, only when a slave completion or an
+            // idle slave's next job is due: otherwise it is a no-op.
+            if self.manager.due(self.now) {
+                self.catch_up(self.now);
+            }
             self.tracer.counter(
                 self.now,
                 self.tracks.qdepth,
@@ -861,6 +876,26 @@ mod tests {
         assert_eq!(ref_stop, vta_x86::StopReason::Exit(9));
         assert_eq!(report.exit_code, Some(9));
         assert_eq!(report.output, cpu.sys.output);
+    }
+
+    #[test]
+    fn a_rep_stos_longer_than_any_fuel_cap_runs_as_the_reference_does() {
+        // One translated block storing 13 Mi dwords: ~4 host instructions
+        // an iteration, past the 50 M a block once ran before
+        // `FuelExhausted`. The reference has no such cap.
+        const COUNT: u32 = 13 << 20;
+        let mut a = Asm::new(BASE);
+        a.mov_ri(Reg::EDI, 0x0900_0000);
+        a.mov_ri(Reg::ECX, COUNT);
+        a.rep_stos(vta_x86::Size::Dword);
+        a.exit(3);
+        let img = GuestImage::from_code(a.finish()).with_bss(0x0900_0000, COUNT * 4);
+        let (want, ref_insns) = reference(&img);
+        assert_eq!(want, 3);
+        let mut sys = System::new(VirtualArchConfig::paper_default(), &img);
+        let report = sys.run(1_000_000).expect("runs to exit");
+        assert_eq!(report.exit_code, Some(3));
+        assert_eq!(report.guest_insns, ref_insns, "retired count");
     }
 
     #[test]

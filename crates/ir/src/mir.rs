@@ -513,14 +513,20 @@ pub enum Term {
 }
 
 impl Term {
-    /// Statically known successor addresses.
-    pub fn known_succs(&self) -> Vec<u32> {
-        match *self {
-            Term::Goto(t) => vec![t],
-            Term::CondGoto { taken, fall, .. } => vec![taken, fall],
-            Term::Sys(next) => vec![next],
-            Term::Indirect(_) | Term::Trap(_) | Term::Halt => vec![],
+    /// Statically known successor addresses: the target, or the taken
+    /// and fall-through targets, or the syscall's resume address.
+    pub fn successors(self) -> [Option<u32>; 2] {
+        match self {
+            Term::Goto(t) | Term::Sys(t) => [Some(t), None],
+            Term::CondGoto { taken, fall, .. } => [Some(taken), Some(fall)],
+            Term::Indirect(_) | Term::Trap(_) | Term::Halt => [None, None],
         }
+    }
+
+    /// Whether `t` is one of [`Term::successors`].
+    #[inline]
+    pub fn leads_to(self, t: u32) -> bool {
+        self.successors().contains(&Some(t))
     }
 }
 
@@ -637,17 +643,54 @@ mod tests {
 
     #[test]
     fn term_successors() {
-        assert_eq!(Term::Goto(5).known_succs(), vec![5]);
-        assert_eq!(
-            Term::CondGoto {
-                cond: vta_x86::Cond::E,
-                taken: 1,
-                fall: 2
+        // Every variant with the successors it must name; `leads_to`
+        // holds for exactly those, including targets at both ends of the
+        // address space and a taken arm equal to the fall-through.
+        let cond = vta_x86::Cond::E;
+        let cases = [
+            (Term::Goto(5), [Some(5), None]),
+            (Term::Goto(0), [Some(0), None]),
+            (Term::Goto(u32::MAX), [Some(u32::MAX), None]),
+            (
+                Term::CondGoto {
+                    cond,
+                    taken: 1,
+                    fall: 2,
+                },
+                [Some(1), Some(2)],
+            ),
+            (
+                Term::CondGoto {
+                    cond,
+                    taken: 0x40,
+                    fall: 0x40,
+                },
+                [Some(0x40), Some(0x40)],
+            ),
+            (Term::Sys(0x1234), [Some(0x1234), None]),
+            (Term::Indirect(VReg(9)), [None, None]),
+            (
+                Term::Trap(TrapCause::BadInterrupt { vector: 3 }),
+                [None, None],
+            ),
+            (Term::Trap(TrapCause::Undecodable { addr: 7 }), [None, None]),
+            (Term::Halt, [None, None]),
+        ];
+        for (term, succs) in cases {
+            assert_eq!(term.successors(), succs, "{term:?}");
+            let targets: Vec<u32> = succs.into_iter().flatten().collect();
+            for &t in &targets {
+                assert!(term.leads_to(t), "{term:?} must lead to {t:#x}");
             }
-            .known_succs(),
-            vec![1, 2]
-        );
-        assert!(Term::Indirect(VReg(9)).known_succs().is_empty());
+            // Misses: neighbours of every target, and fixed probes.
+            let probes = targets
+                .iter()
+                .flat_map(|&t| [t.wrapping_sub(1), t.wrapping_add(1)])
+                .chain([0, 3, 7, 9, 0x1000, u32::MAX]);
+            for t in probes.filter(|t| !targets.contains(t)) {
+                assert!(!term.leads_to(t), "{term:?} must not lead to {t:#x}");
+            }
+        }
     }
 
     #[test]

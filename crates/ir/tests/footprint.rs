@@ -100,7 +100,7 @@ fn walk(case: &Case) -> (u32, u32) {
                 translate_region(rec, addr, opt, &limits).ok()
             }));
             if let Some(block) = block {
-                succs = block.term.known_succs();
+                succs = block.term.successors().into_iter().flatten().collect();
                 succs.push(block.end_addr());
             }
         }

@@ -77,6 +77,9 @@ pub struct Cache {
     tick: u64,
     line_shift: u32,
     set_mask: u64,
+    /// `line_shift` plus the set-index bits: an address's tag is
+    /// `addr >> tag_shift`.
+    tag_shift: u32,
     hits: u64,
     misses: u64,
 }
@@ -97,6 +100,7 @@ impl Cache {
             tick: 0,
             line_shift: cfg.line_bytes.trailing_zeros(),
             set_mask: (sets - 1) as u64,
+            tag_shift: cfg.line_bytes.trailing_zeros() + sets.trailing_zeros(),
             hits: 0,
             misses: 0,
         }
@@ -111,9 +115,8 @@ impl Cache {
     #[inline]
     pub fn access(&mut self, addr: u64, write: bool) -> Access {
         self.tick += 1;
-        let line_addr = addr >> self.line_shift;
-        let set = (line_addr & self.set_mask) as usize;
-        let tag = line_addr >> self.set_mask.count_ones();
+        let set = ((addr >> self.line_shift) & self.set_mask) as usize;
+        let tag = addr >> self.tag_shift;
         let ways = self.cfg.ways as usize;
         let slice = &mut self.lines[set * ways..(set + 1) * ways];
 
@@ -136,10 +139,8 @@ impl Cache {
                 .expect("nonzero associativity"),
         };
         let evicted = slice[victim];
-        let writeback = (evicted.valid && evicted.dirty).then(|| {
-            let line_addr = (evicted.tag << self.set_mask.count_ones()) | set as u64;
-            line_addr << self.line_shift
-        });
+        let writeback = (evicted.valid && evicted.dirty)
+            .then(|| (evicted.tag << self.tag_shift) | ((set as u64) << self.line_shift));
         slice[victim] = Line {
             valid: true,
             dirty: write,
@@ -151,9 +152,8 @@ impl Cache {
 
     /// Whether `addr`'s line is resident (no state change).
     pub fn probe(&self, addr: u64) -> bool {
-        let line_addr = addr >> self.line_shift;
-        let set = (line_addr & self.set_mask) as usize;
-        let tag = line_addr >> self.set_mask.count_ones();
+        let set = ((addr >> self.line_shift) & self.set_mask) as usize;
+        let tag = addr >> self.tag_shift;
         let ways = self.cfg.ways as usize;
         self.lines[set * ways..(set + 1) * ways]
             .iter()
