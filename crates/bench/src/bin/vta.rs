@@ -56,8 +56,8 @@
 use vta_bench::figures as f;
 use vta_bench::metrics::{metrics_benchmark, phase_summary, series_csv, series_json};
 use vta_bench::perf::{
-    cycle_fingerprint, figure_sweep_digests, parse_figure_digests, parse_fingerprints, render_json,
-    superblock_cells, Fingerprint,
+    cycle_fingerprint, figure_sweep_digests, gate_digests, parse_figure_digests,
+    parse_fingerprints, parse_gate_digests, render_json, superblock_cells, Fingerprint,
 };
 use vta_bench::profile::{manager_report, ManagerActivity};
 use vta_bench::trace::{chrome_trace_json, trace_benchmark, utilization_report};
@@ -308,15 +308,19 @@ fn fingerprints(threads: usize, bless: bool) -> i32 {
     for (name, digest) in &figures {
         outln!("{name} sweep: digest {digest:016x}");
     }
+    let gate = gate_digests(threads);
+    for (name, digest) in &gate {
+        outln!("{name}: digest {digest:016x}");
+    }
     if bless {
-        write_file("BENCH_dispatch.json", &render_json(&fp, &figures));
+        write_file("BENCH_dispatch.json", &render_json(&fp, &figures, &gate));
     }
     0
 }
 
 /// What `BENCH_dispatch.json` freezes: the fingerprints and the figure
 /// sweep digests.
-type Frozen = (Vec<Fingerprint>, Vec<(String, u64)>);
+type Frozen = (Vec<Fingerprint>, Vec<(String, u64)>, Vec<(String, u64)>);
 
 /// Reads the checked-in `BENCH_dispatch.json`.
 fn frozen() -> Result<Frozen, String> {
@@ -326,6 +330,7 @@ fn frozen() -> Result<Frozen, String> {
     Ok((
         parse_fingerprints(&json).map_err(parse_err)?,
         parse_figure_digests(&json).map_err(parse_err)?,
+        parse_gate_digests(&json).map_err(parse_err)?,
     ))
 }
 
@@ -367,7 +372,7 @@ fn fingerprints_drifted(mode: &str, actual: &[Fingerprint], expected: &[Fingerpr
 /// Everything printed to stdout here is independent of `threads`: ci.sh
 /// diffs this output across sweep widths.
 fn check(threads: usize) -> i32 {
-    let (expected, expected_figures) = match frozen() {
+    let (expected, expected_figures, expected_gate) = match frozen() {
         Ok(frozen) => frozen,
         Err(e) => {
             eprintln!("check: {e}");
@@ -382,6 +387,17 @@ fn check(threads: usize) -> i32 {
             }
             want => {
                 eprintln!("check: {name} sweep: drifted: expected {want:x?}, got {digest:016x}");
+                bad = true;
+            }
+        }
+    }
+    for (name, digest) in gate_digests(threads) {
+        match expected_gate.iter().find(|(n, _)| *n == name) {
+            Some(&(_, want)) if want == digest => {
+                outln!("check: {name}: digest {digest:016x} ok");
+            }
+            want => {
+                eprintln!("check: {name}: drifted: expected {want:x?}, got {digest:016x}");
                 bad = true;
             }
         }
@@ -401,7 +417,7 @@ fn check(threads: usize) -> i32 {
 fn superblock(check_only: bool) -> i32 {
     if !check_only {
         let expected = match frozen() {
-            Ok((fp, _)) => fp,
+            Ok((fp, ..)) => fp,
             Err(e) => {
                 eprintln!("superblock: {e}");
                 return 2;

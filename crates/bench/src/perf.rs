@@ -195,9 +195,55 @@ pub fn figure_sweep_digests(threads: usize) -> Vec<(String, u64)> {
     .collect()
 }
 
-/// Renders the frozen fingerprints and figure digests as
+/// The two configurations every guest runs single-block under: region
+/// formation off at `OptLevel::Full`, and `OptLevel::None` (whose region
+/// limits are single whether or not superblocks are on).
+pub fn single_block_configs() -> Vec<(String, VirtualArchConfig)> {
+    let mut off = VirtualArchConfig::paper_default();
+    off.superblock = false;
+    let mut none = VirtualArchConfig::paper_default();
+    none.opt = vta_ir::OptLevel::None;
+    vec![
+        ("superblock-off".to_string(), off),
+        ("opt-none".to_string(), none),
+    ]
+}
+
+/// The `gate_digests` rows: `single_block`, the [`sweep_digest`] of every
+/// guest under [`single_block_configs`] (each cell held to its
+/// [`Reference`]), and `metrics_vpr`, an FNV-1a digest of vpr's windowed
+/// series CSV at interval 50,000 under `paper_default`.
+pub fn gate_digests(threads: usize) -> Vec<(String, u64)> {
+    let ms = crate::sweep_threads(Scale::Test, &single_block_configs(), threads);
+    let (report, m) = crate::metrics::metrics_benchmark(
+        "vpr",
+        Scale::Test,
+        VirtualArchConfig::paper_default(),
+        vta_sim::MetricsConfig {
+            interval: 50_000,
+            ..vta_sim::MetricsConfig::default()
+        },
+    );
+    m.reconcile_stats(&report.stats)
+        .unwrap_or_else(|e| panic!("vpr metrics series: {e}"));
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in crate::metrics::series_csv(&m).as_bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    vec![
+        ("single_block".to_string(), sweep_digest(&ms)),
+        ("metrics_vpr".to_string(), h),
+    ]
+}
+
+/// Renders the frozen fingerprints, figure digests and gate digests as
 /// `BENCH_dispatch.json`.
-pub fn render_json(fingerprint: &[Fingerprint], figures: &[(String, u64)]) -> String {
+pub fn render_json(
+    fingerprint: &[Fingerprint],
+    figures: &[(String, u64)],
+    gate: &[(String, u64)],
+) -> String {
     let per_fp = |value: fn(&Fingerprint) -> u64| {
         let rows = fingerprint.iter().map(|fp| (fp.name.clone(), value(fp)));
         rows.collect::<Vec<_>>()
@@ -206,6 +252,7 @@ pub fn render_json(fingerprint: &[Fingerprint], figures: &[(String, u64)]) -> St
         ("paper_default_cycles", per_fp(|fp| fp.cycles)),
         ("paper_default_stats_fp", per_fp(|fp| fp.stats_fp)),
         ("figure_sweep_digests", figures.to_vec()),
+        ("gate_digests", gate.to_vec()),
     ];
     let mut out = String::from("{\n  \"scale\": \"test\"");
     for (key, rows) in sections {
@@ -376,6 +423,16 @@ pub fn parse_figure_digests(json: &str) -> Result<Vec<(String, u64)>, String> {
     parse_section(json, "figure_sweep_digests")
 }
 
+/// Reads the frozen `"gate_digests"` section of a `BENCH_dispatch.json`
+/// document as `(row, digest)` pairs.
+///
+/// # Errors
+///
+/// Returns a message if the section is missing or malformed.
+pub fn parse_gate_digests(json: &str) -> Result<Vec<(String, u64)>, String> {
+    parse_section(json, "gate_digests")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,7 +449,7 @@ mod tests {
     fn parses_fingerprints_back_out() {
         let fps = [fp("gzip", 123), fp("mcf", 456)];
         let figs = [("fig4".to_string(), u64::MAX)];
-        let s = render_json(&fps, &figs);
+        let s = render_json(&fps, &figs, &figs);
         assert_eq!(parse_fingerprints(&s).unwrap(), fps);
         assert_eq!(parse_figure_digests(&s).unwrap(), figs);
         assert!(parse_figure_digests("{}").is_err());
@@ -406,7 +463,7 @@ mod tests {
 
     #[test]
     fn json_shape_is_sane() {
-        let s = render_json(&[fp("gzip", 123)], &[]);
+        let s = render_json(&[fp("gzip", 123)], &[], &[]);
         crate::json_lint::check(&s).expect("valid JSON");
         assert!(s.contains("\"gzip\": 123"));
         assert!(s.contains("\"paper_default_stats_fp\""));
