@@ -5,35 +5,29 @@
 //! subcommand or flag, or a missing or unparsable value, prints the usage
 //! on stderr and exits 2. All output goes through `out!`/`outln!`, so a
 //! reader that closes the pipe early (`vta diag | head -1`) ends the
-//! process quietly with status 0.
+//! process quietly with status 0. A file that cannot be written prints
+//! `vta: write PATH: ...` on stderr and exits 1; a file is written whole
+//! or not at all.
 //!
-//! `check` recomputes the `paper_default` fingerprints (cycles and stats
-//! digest), then runs the four figure sweeps (fig4, fig5, fig8, fig9: 16
-//! configs × 11 guests) on `--threads` host threads and folds each into
-//! one digest over every cell's simulated numbers, and compares all of it
-//! with the checked-in `BENCH_dispatch.json` — nothing is rewritten, and
-//! any drift exits nonzero. Every cell must also reproduce the reference
-//! interpreter's exit code, retired count and output. `--threads N` is
-//! the sweep's fan-out: how many `(benchmark, config)` cells run at once;
-//! one simulated machine always runs on one host thread. The stdout is
-//! identical for every `--threads` value, so ci.sh diffs it across sweep
-//! widths to enforce determinism. `fingerprints` prints the same numbers
-//! without comparing; `bless` rewrites `BENCH_dispatch.json` from them —
-//! only for an intended timing-model change.
-//!
-//! `superblock` runs the region-formation A/B matrix (gzip/mcf/crafty/
-//! interp × both opt levels × off/static/recorded), each cell held to the
-//! reference interpreter, after checking the paper-default fingerprints
-//! against `BENCH_dispatch.json`; `superblock --check` runs the matrix
-//! alone as a fast CI gate.
+//! `check` is the one simulated-result gate. It recomputes every frozen
+//! value of `BENCH_dispatch.json` (`vta_bench::perf::entries`: the
+//! `paper_default` cycles and stats digests, one digest per figure sweep,
+//! the single-block sweep digest and the vpr metrics-series digest) and
+//! compares them row by row with the checked-in file — nothing is
+//! rewritten, and a drifted, missing or extra row exits nonzero, naming
+//! its section and row. Every simulated cell must also reproduce the
+//! reference interpreter's exit code, retired count and output.
+//! `--threads N` is the sweeps' fan-out: how many `(benchmark, config)`
+//! cells run at once; one simulated machine always runs on one host
+//! thread. The stdout is identical for every `--threads` value, so ci.sh
+//! diffs it across sweep widths to enforce determinism. `bless` prints
+//! the same rows and rewrites `BENCH_dispatch.json` from them — only for
+//! an intended timing-model change.
 //!
 //! `metrics` runs one benchmark at `Scale::Test` with the windowed
 //! metrics layer on and prints the phase report; `--write` exports the
 //! series (`metrics_B.{csv,json}`, and `metrics_B_trace.json` whose
-//! counter tracks open directly in Perfetto). `metrics --check` instead
-//! re-derives the committed `BENCH_metrics_vpr.csv` golden (vpr, fixed
-//! interval) and diffs byte-for-byte — regenerate with `metrics --bless`
-//! when a simulated-behavior change is intentional.
+//! counter tracks open directly in Perfetto).
 //!
 //! `trace OUT.json` runs one benchmark under `paper_default` with
 //! cycle-accurate tracing, writes a Chrome-trace-event JSON file (open it
@@ -55,31 +49,28 @@
 
 use vta_bench::figures as f;
 use vta_bench::metrics::{metrics_benchmark, phase_summary, series_csv, series_json};
-use vta_bench::perf::{
-    cycle_fingerprint, figure_sweep_digests, gate_digests, parse_figure_digests,
-    parse_fingerprints, parse_gate_digests, render_json, superblock_cells, Fingerprint,
-};
+use vta_bench::perf::{compare, entries, parse_json, render_json};
 use vta_bench::profile::{manager_report, ManagerActivity};
 use vta_bench::trace::{chrome_trace_json, trace_benchmark, utilization_report};
 use vta_bench::{out, outln, RUN_BUDGET};
-use vta_dbt::{RunReport, System, VirtualArchConfig};
+use vta_dbt::{System, VirtualArchConfig};
 use vta_ir::fuzz::{corpus, gen::CaseStream, minimize, run_case, Verdict};
 use vta_pentium::PentiumModel;
 use vta_sim::{Metrics, MetricsConfig, Tracer};
 use vta_workloads::Scale;
 
 const USAGE: &str = "\
-usage: vta fingerprints [--threads N]     print the paper_default fingerprints and figure digests
-       vta bless [--threads N]            ... and rewrite BENCH_dispatch.json from them
-       vta check [--threads N]            ... and compare them with BENCH_dispatch.json
+usage: vta check [--threads N]            compare every simulated result with BENCH_dispatch.json
+       vta bless [--threads N]            ... print them and rewrite BENCH_dispatch.json
        vta metrics [--bench B] [--interval N] [--write]
-       vta metrics --check | --bless      compare / rewrite BENCH_metrics_vpr.csv
-       vta superblock [--check]           region-formation A/B matrix
        vta figures [--fig 4|5|6|7|8|9|10|11|cpi|headline|all] [--scale test|small|large] [--csv]
        vta trace OUT.json [--bench B] [--scale test|small|large]
        vta diag                           cycle composition next to the PIII baseline
        vta fuzz [--cases N] [--seed S] [--verbose]
        vta fuzz --corpus DIR [--verbose]";
+
+/// The file `check` compares with and `bless` writes.
+const FROZEN: &str = "BENCH_dispatch.json";
 
 const FIGS: [&str; 11] = [
     "4", "5", "6", "7", "8", "9", "10", "11", "cpi", "headline", "all",
@@ -88,23 +79,16 @@ const FIGS: [&str; 11] = [
 /// A fully parsed command line.
 #[derive(Debug, PartialEq)]
 enum Cmd {
-    Fingerprints {
-        threads: usize,
-        bless: bool,
-    },
     Check {
+        threads: usize,
+    },
+    Bless {
         threads: usize,
     },
     Metrics {
         bench: String,
         interval: u64,
         write: bool,
-    },
-    MetricsGolden {
-        bless: bool,
-    },
-    Superblock {
-        check_only: bool,
     },
     Figures {
         fig: String,
@@ -202,30 +186,18 @@ fn parse(args: Vec<String>) -> Result<Cmd, String> {
     let sub = args.next().ok_or("missing subcommand")?;
     let mut a = Args(args.collect());
     let cmd = match sub.as_str() {
-        "fingerprints" | "bless" => Cmd::Fingerprints {
-            threads: a.threads()?,
-            bless: sub == "bless",
-        },
         "check" => Cmd::Check {
             threads: a.threads()?,
         },
-        "metrics" => {
-            if a.switch("--check") {
-                Cmd::MetricsGolden { bless: false }
-            } else if a.switch("--bless") {
-                Cmd::MetricsGolden { bless: true }
-            } else {
-                Cmd::Metrics {
-                    bench: a.bench()?,
-                    interval: a
-                        .value("--interval", |v| v.parse().ok().filter(|&n| n >= 1))?
-                        .unwrap_or(MetricsConfig::default().interval),
-                    write: a.switch("--write"),
-                }
-            }
-        }
-        "superblock" => Cmd::Superblock {
-            check_only: a.switch("--check"),
+        "bless" => Cmd::Bless {
+            threads: a.threads()?,
+        },
+        "metrics" => Cmd::Metrics {
+            bench: a.bench()?,
+            interval: a
+                .value("--interval", |v| v.parse().ok().filter(|&n| n >= 1))?
+                .unwrap_or(MetricsConfig::default().interval),
+            write: a.switch("--write"),
         },
         "figures" => Cmd::Figures {
             fig: a
@@ -269,15 +241,13 @@ fn main() {
         std::process::exit(2);
     });
     let code = match cmd {
-        Cmd::Fingerprints { threads, bless } => fingerprints(threads, bless),
         Cmd::Check { threads } => check(threads),
+        Cmd::Bless { threads } => bless(threads),
         Cmd::Metrics {
             bench,
             interval,
             write,
         } => metrics(&bench, interval, write),
-        Cmd::MetricsGolden { bless } => metrics_golden(bless),
-        Cmd::Superblock { check_only } => superblock(check_only),
         Cmd::Figures { fig, scale, csv } => figures(&fig, scale, csv),
         Cmd::Trace { path, bench, scale } => trace(&path, &bench, scale),
         Cmd::Diag => diag(),
@@ -291,190 +261,91 @@ fn main() {
     std::process::exit(code);
 }
 
-fn write_file(path: &str, content: &str) {
-    std::fs::write(path, content).unwrap_or_else(|e| panic!("write {path}: {e}"));
+/// Writes `content` to `path` whole or not at all: into a temporary file
+/// beside it, renamed over `path` once complete.
+///
+/// # Errors
+///
+/// `write PATH: ...` if either step fails; the temporary file is removed.
+fn write_file(path: &str, content: &str) -> Result<(), String> {
+    let tmp = format!("{path}.tmp");
+    if let Err(e) = std::fs::write(&tmp, content).and_then(|()| std::fs::rename(&tmp, path)) {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(format!("write {path}: {e}"));
+    }
     outln!("wrote {path}");
+    Ok(())
 }
 
-/// `fingerprints` / `bless`: print the `paper_default` fingerprints and
-/// the figure sweep digests; `bless` also freezes them.
-fn fingerprints(threads: usize, bless: bool) -> i32 {
-    let fp = cycle_fingerprint();
-    for f in &fp {
-        outln!("paper_default cycles {}: {}", f.name, f.cycles);
-        outln!("paper_default stats_fp {}: {:016x}", f.name, f.stats_fp);
-    }
-    let figures = figure_sweep_digests(threads);
-    for (name, digest) in &figures {
-        outln!("{name} sweep: digest {digest:016x}");
-    }
-    let gate = gate_digests(threads);
-    for (name, digest) in &gate {
-        outln!("{name}: digest {digest:016x}");
-    }
-    if bless {
-        write_file("BENCH_dispatch.json", &render_json(&fp, &figures, &gate));
-    }
-    0
+/// Reports a failed write; the exit status for it.
+fn write_failed(e: &str) -> i32 {
+    eprintln!("vta: {e}");
+    1
 }
 
-/// What `BENCH_dispatch.json` freezes: the fingerprints and the figure
-/// sweep digests.
-type Frozen = (Vec<Fingerprint>, Vec<(String, u64)>, Vec<(String, u64)>);
-
-/// Reads the checked-in `BENCH_dispatch.json`.
-fn frozen() -> Result<Frozen, String> {
-    let json = std::fs::read_to_string("BENCH_dispatch.json")
-        .map_err(|e| format!("cannot read BENCH_dispatch.json: {e}"))?;
-    let parse_err = |e| format!("cannot parse BENCH_dispatch.json: {e}");
-    Ok((
-        parse_fingerprints(&json).map_err(parse_err)?,
-        parse_figure_digests(&json).map_err(parse_err)?,
-        parse_gate_digests(&json).map_err(parse_err)?,
-    ))
-}
-
-/// Prints one `ok` line per fingerprint whose cycles and stats digest
-/// both match `expected`; returns whether any drifted or is missing.
-fn fingerprints_drifted(mode: &str, actual: &[Fingerprint], expected: &[Fingerprint]) -> bool {
-    let mut bad = false;
-    for fp in actual {
-        match expected.iter().find(|want| want.name == fp.name) {
-            Some(want) if want == fp => {
-                outln!(
-                    "{mode}: {}: {} stats_fp {:016x} ok",
-                    fp.name,
-                    fp.cycles,
-                    fp.stats_fp
-                );
-            }
-            Some(want) => {
-                eprintln!(
-                    "{mode}: {}: drifted: expected cycles {} stats_fp {:016x}, got cycles {} \
-                     stats_fp {:016x}",
-                    fp.name, want.cycles, want.stats_fp, fp.cycles, fp.stats_fp
-                );
-                bad = true;
-            }
-            None => {
-                eprintln!("{mode}: {}: missing from BENCH_dispatch.json", fp.name);
-                bad = true;
-            }
-        }
-    }
-    bad
-}
-
-/// `check`: recompute the fingerprints and the four figure sweep digests
-/// (the sweeps run on `threads` host threads) and diff both against the
-/// checked-in JSON.
+/// `check`: recompute every frozen value (the sweeps on `threads` host
+/// threads) and compare it with the checked-in `BENCH_dispatch.json`.
 ///
 /// Everything printed to stdout here is independent of `threads`: ci.sh
 /// diffs this output across sweep widths.
 fn check(threads: usize) -> i32 {
-    let (expected, expected_figures, expected_gate) = match frozen() {
+    let frozen = std::fs::read_to_string(FROZEN)
+        .map_err(|e| format!("cannot read {FROZEN}: {e}"))
+        .and_then(|json| parse_json(&json).map_err(|e| format!("cannot parse {FROZEN}: {e}")));
+    let frozen = match frozen {
         Ok(frozen) => frozen,
         Err(e) => {
             eprintln!("check: {e}");
             return 2;
         }
     };
-    let mut bad = fingerprints_drifted("check", &cycle_fingerprint(), &expected);
-    for (name, digest) in figure_sweep_digests(threads) {
-        match expected_figures.iter().find(|(n, _)| *n == name) {
-            Some(&(_, want)) if want == digest => {
-                outln!("check: {name} sweep: digest {digest:016x} ok");
-            }
-            want => {
-                eprintln!("check: {name} sweep: drifted: expected {want:x?}, got {digest:016x}");
-                bad = true;
+    let mut drifted = false;
+    for line in compare(&frozen, &entries(threads)) {
+        match line {
+            Ok(ok) => outln!("check: {ok}"),
+            Err(bad) => {
+                eprintln!("check: {bad}");
+                drifted = true;
             }
         }
     }
-    for (name, digest) in gate_digests(threads) {
-        match expected_gate.iter().find(|(n, _)| *n == name) {
-            Some(&(_, want)) if want == digest => {
-                outln!("check: {name}: digest {digest:016x} ok");
-            }
-            want => {
-                eprintln!("check: {name}: drifted: expected {want:x?}, got {digest:016x}");
-                bad = true;
-            }
-        }
-    }
-    if bad {
+    if drifted {
         eprintln!(
             "check: simulated behavior drifted; if intentional, refresh with `vta bless` and \
              explain the change"
         );
     }
-    i32::from(bad)
+    i32::from(drifted)
 }
 
-/// `superblock`: check the fingerprints against the frozen ones, then
-/// run the region-formation A/B matrix, whose every cell must match the
-/// reference interpreter. With `check_only` the matrix runs alone.
-fn superblock(check_only: bool) -> i32 {
-    if !check_only {
-        let expected = match frozen() {
-            Ok((fp, ..)) => fp,
-            Err(e) => {
-                eprintln!("superblock: {e}");
-                return 2;
-            }
-        };
-        if fingerprints_drifted("superblock", &cycle_fingerprint(), &expected) {
-            return 1;
-        }
+/// `bless`: recompute every frozen value, print it, and rewrite
+/// `BENCH_dispatch.json` from them.
+fn bless(threads: usize) -> i32 {
+    let entries = entries(threads);
+    for e in &entries {
+        outln!("bless: {}: {}", e.name(), e.value);
     }
-    let cells = superblock_cells();
-    for c in &cells {
-        outln!(
-            "superblock: {:>7} opt={:<4} mode={:<8} cycles {:>12} block-exits/kinsn {:>8.3} \
-             inline_hit {:>8} recorded {:>4}",
-            c.bench,
-            c.opt,
-            c.mode,
-            c.cycles,
-            c.block_exits_per_kinsn,
-            c.inline_hit,
-            c.recorded
-        );
+    match write_file(FROZEN, &render_json(&entries)) {
+        Ok(()) => 0,
+        Err(e) => write_failed(&e),
     }
-    outln!(
-        "superblock: all {} cells match the reference interpreter (exit code, guest_insns, output)",
-        cells.len()
-    );
-    0
 }
 
-/// The committed metrics golden: benchmark, interval, and file name.
-const METRICS_GOLDEN: (&str, u64, &str) = ("vpr", 50_000, "BENCH_metrics_vpr.csv");
-
-/// Runs `bench` at `Scale::Test` under `paper_default`, sampling every
-/// `interval` cycles; the series must telescope to the end-of-run stats.
-fn sampled(bench: &str, interval: u64) -> Result<(RunReport, Metrics), String> {
+/// `metrics`: run one benchmark at `Scale::Test` under `paper_default`
+/// with windowed sampling every `interval` cycles, check that the series
+/// telescopes to the end-of-run stats, and inspect it (exported with
+/// `write`).
+fn metrics(bench: &str, interval: u64, write: bool) -> i32 {
     let mcfg = MetricsConfig {
         interval,
         ..MetricsConfig::default()
     };
     let (report, m) =
         metrics_benchmark(bench, Scale::Test, VirtualArchConfig::paper_default(), mcfg);
-    m.reconcile_stats(&report.stats)
-        .map_err(|e| format!("series does not reconcile with Stats: {e}"))?;
-    Ok((report, m))
-}
-
-/// `metrics`: run one benchmark with windowed sampling on and inspect
-/// the series (exported with `write`).
-fn metrics(bench: &str, interval: u64, write: bool) -> i32 {
-    let (report, m) = match sampled(bench, interval) {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("metrics: {e}");
-            return 1;
-        }
-    };
+    if let Err(e) = m.reconcile_stats(&report.stats) {
+        eprintln!("metrics: series does not reconcile with Stats: {e}");
+        return 1;
+    }
     outln!(
         "metrics: {bench} @ Scale::Test, interval {interval}: {} windows reconcile with \
          end-of-run stats exactly",
@@ -482,65 +353,21 @@ fn metrics(bench: &str, interval: u64, write: bool) -> i32 {
     );
     out!("{}", phase_summary(&m, &report));
     if write {
-        write_file(&format!("metrics_{bench}.csv"), &series_csv(&m));
-        write_file(&format!("metrics_{bench}.json"), &series_json(&m));
-        write_file(
-            &format!("metrics_{bench}_trace.json"),
-            &chrome_trace_json(&Tracer::disabled(), &m),
-        );
+        let files = [
+            (format!("metrics_{bench}.csv"), series_csv(&m)),
+            (format!("metrics_{bench}.json"), series_json(&m)),
+            (
+                format!("metrics_{bench}_trace.json"),
+                chrome_trace_json(&Tracer::disabled(), &m),
+            ),
+        ];
+        for (path, content) in files {
+            if let Err(e) = write_file(&path, &content) {
+                return write_failed(&e);
+            }
+        }
     }
     0
-}
-
-/// `metrics --check` / `--bless`: re-derive the golden series CSV (at
-/// the fixed interval) and diff or rewrite it.
-fn metrics_golden(bless: bool) -> i32 {
-    let (bench, interval, path) = METRICS_GOLDEN;
-    let m = match sampled(bench, interval) {
-        Ok((_, m)) => m,
-        Err(e) => {
-            eprintln!("metrics --check: {e}");
-            return 1;
-        }
-    };
-    let csv = series_csv(&m);
-    if bless {
-        write_file(path, &csv);
-        return 0;
-    }
-    let golden = match std::fs::read_to_string(path) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("metrics --check: cannot read {path}: {e}");
-            return 2;
-        }
-    };
-    if golden == csv {
-        outln!(
-            "metrics --check: {bench} series matches {path} ({} windows)",
-            m.len()
-        );
-        return 0;
-    }
-    let mismatch = golden
-        .lines()
-        .zip(csv.lines())
-        .position(|(a, b)| a != b)
-        .map_or_else(
-            || {
-                format!(
-                    "line counts differ ({} vs {})",
-                    golden.lines().count(),
-                    csv.lines().count()
-                )
-            },
-            |i| format!("first difference at line {}", i + 1),
-        );
-    eprintln!(
-        "metrics --check: {bench} series drifted from {path}: {mismatch}; if the simulated \
-         behavior change is intentional, refresh with `vta metrics --bless`"
-    );
-    1
 }
 
 /// `figures`: regenerate the paper's figures/tables.
@@ -597,8 +424,9 @@ fn figures(fig: &str, scale: Scale, csv: bool) -> i32 {
 fn trace(path: &str, bench: &str, scale: Scale) -> i32 {
     let (report, tracer) =
         trace_benchmark(bench, scale, VirtualArchConfig::paper_default(), 1 << 18);
-    std::fs::write(path, chrome_trace_json(&tracer, &Metrics::disabled()))
-        .unwrap_or_else(|e| panic!("write {path}: {e}"));
+    if let Err(e) = write_file(path, &chrome_trace_json(&tracer, &Metrics::disabled())) {
+        return write_failed(&e);
+    }
     outln!(
         "{bench}: {} cycles, {} trace events ({} dropped) -> {path}",
         report.cycles,
@@ -771,6 +599,7 @@ mod tests {
             parse_line("check --threads 4"),
             Ok(Cmd::Check { threads: 4 })
         );
+        assert_eq!(parse_line("bless"), Ok(Cmd::Bless { threads: 1 }));
         assert_eq!(
             parse_line("fuzz --seed 0xB10C --cases 5"),
             Ok(Cmd::Fuzz {
@@ -787,9 +616,29 @@ mod tests {
                 scale: Scale::Test
             })
         );
-        assert_eq!(
-            parse_line("metrics --check"),
-            Ok(Cmd::MetricsGolden { bless: false })
-        );
+    }
+
+    /// `check` and `bless` are the only gate: the retired ones are
+    /// unknown, not aliases.
+    #[test]
+    fn retired_gates_are_rejected() {
+        for line in [
+            "fingerprints",
+            "superblock --check",
+            "metrics --check",
+            "metrics --bless",
+        ] {
+            assert!(parse_line(line).is_err(), "{line}");
+        }
+    }
+
+    #[test]
+    fn a_write_into_a_missing_directory_is_an_error() {
+        let dir = std::env::temp_dir().join(format!("vta-missing-{}", std::process::id()));
+        let path = dir.join("x.json");
+        let path = path.to_str().expect("utf-8 path");
+        let err = write_file(path, "{}").expect_err("no such directory");
+        assert!(err.starts_with(&format!("write {path}: ")), "{err}");
+        assert!(!dir.exists(), "nothing created");
     }
 }

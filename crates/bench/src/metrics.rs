@@ -8,7 +8,7 @@
 //!
 //! - [`series_csv`] — one row per window, one column per counter delta,
 //!   gauge, and derived rate. Byte-stable for a given (image, config,
-//!   interval), so CI diffs it against a committed golden.
+//!   interval), so `vta check` freezes a digest of vpr's series.
 //! - [`series_json`] — the same series as a JSON document, for tooling.
 //! - [`phase_summary`] — a plain-text phase report: warm-up vs
 //!   steady-state CPI, peak queue depth, morph activity and lag.
@@ -68,7 +68,8 @@ fn push_rate(out: &mut String, r: Option<f64>) {
 /// registered gauge, then the derived `cpi`, `l1code_miss_rate`, and
 /// `dcache_miss_rate`. Undefined rates (no events in the window) are
 /// empty cells. The output is byte-stable for a fixed (image, config,
-/// interval), which is what the CI golden diff relies on.
+/// interval), which is what the frozen `gate_digests.metrics_vpr` digest
+/// relies on.
 pub fn series_csv(m: &Metrics) -> String {
     let mut out = String::from("start,end");
     for &c in Ctr::ALL.iter() {

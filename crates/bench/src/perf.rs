@@ -1,26 +1,31 @@
-//! The simulated-result gate: frozen signatures of what the tree
-//! simulates, and the digests `vta check` compares them with.
+//! The simulated-result gate: every frozen number of what the tree
+//! simulates, and the one compare `vta check` runs over them.
 //!
-//! [`cycle_fingerprint`] is each fingerprint benchmark's cycles and stats
-//! digest under `paper_default`; [`figure_sweep_digests`] folds every
-//! cell of the four figure sweeps (Figures 4, 5, 8 and 9: the bank
-//! poles, both opt levels, every morph threshold) into one number per
-//! figure. Both are frozen in `BENCH_dispatch.json`. A frozen number only
-//! says a cell did not *move*; that it is *right* is the [`Reference`]'s
-//! job — every cell these functions and the superblock A/B matrix
-//! ([`superblock_cells`]) run must reproduce the reference interpreter's
-//! exit code, retired-instruction count and output, or they panic naming
-//! the cell. Host speed is not measured here — `benchmark/run.sh` owns
-//! that.
+//! A frozen value is an [`Entry`], `(section, row) → u64`. [`entries`] is
+//! the one producer: the `paper_default` cycles and stats digest of the
+//! fingerprint guests, one [`sweep_digest`] per figure sweep (Figures 4,
+//! 5, 8 and 9: the bank poles, both opt levels, every morph threshold),
+//! and the `gate_digests` rows (every guest run single-block, and the vpr
+//! metrics series). [`render_json`] writes them as `BENCH_dispatch.json`,
+//! [`parse_json`] reads every section back, and [`compare`] names each
+//! row that drifted, is missing from the file or is extra in it.
 //!
-//! The JSON is written with a tiny hand-rolled emitter: the workspace has
-//! a zero-external-dependency policy (see the root `Cargo.toml`), so no
+//! A frozen number only says a cell did not *move*; that it is *right* is
+//! the [`Reference`]'s job — every simulation the producer runs must
+//! reproduce the reference interpreter's exit code, retired-instruction
+//! count and output, or it panics naming the cell. Host speed is not
+//! measured here — `benchmark/run.sh` owns that.
+//!
+//! The JSON is written and read by hand: the workspace has a
+//! zero-external-dependency policy (see the root `Cargo.toml`), so no
 //! serde.
 
 use std::fmt::Write as _;
 
 use vta_dbt::{RunReport, System, VirtualArchConfig};
+use vta_ir::OptLevel;
 use vta_pentium::PentiumModel;
+use vta_sim::{Fnv1a, MetricsConfig};
 use vta_workloads::Scale;
 use vta_x86::{Cpu, GuestImage};
 
@@ -102,26 +107,46 @@ impl Reference {
     }
 }
 
-/// One benchmark's frozen determinism signature under `paper_default`.
+/// One frozen simulated value: row `row` of section `section` in
+/// `BENCH_dispatch.json`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Fingerprint {
-    /// Benchmark name (`gzip`, ...).
-    pub name: String,
-    /// Total simulated cycles.
-    pub cycles: u64,
-    /// [`Stats::fingerprint`](vta_sim::Stats::fingerprint) of the run's
-    /// full counter/histogram state.
-    pub stats_fp: u64,
+pub struct Entry {
+    /// Section name (`paper_default_cycles`, `gate_digests`, ...).
+    pub section: String,
+    /// Row name within the section (`gzip`, `fig4`, `single_block`, ...).
+    pub row: String,
+    /// The value.
+    pub value: u64,
 }
 
-/// Simulated signatures that must stay bit-identical across host-side
-/// optimizations: each benchmark's cycles and stats digest under
+impl Entry {
+    fn new(section: &str, row: &str, value: u64) -> Entry {
+        Entry {
+            section: section.to_string(),
+            row: row.to_string(),
+            value,
+        }
+    }
+
+    /// `section.row`, how every gate message names the row.
+    pub fn name(&self) -> String {
+        format!("{}.{}", self.section, self.row)
+    }
+
+    fn same_row(&self, other: &Entry) -> bool {
+        self.section == other.section && self.row == other.row
+    }
+}
+
+/// The `paper_default_cycles` and `paper_default_stats_fp` sections: each
+/// fingerprint guest's simulated cycles and
+/// [`Stats::fingerprint`](vta_sim::Stats::fingerprint) under
 /// `paper_default` at `Scale::Test`.
-pub fn cycle_fingerprint() -> Vec<Fingerprint> {
+pub fn paper_default_entries() -> Vec<Entry> {
     // interp rides along beyond the paper's trio: its computed-goto
     // dispatch drives the indirect-target inline cache, so fingerprint
     // drift there catches cache-state nondeterminism the others can't.
-    ["gzip", "mcf", "crafty", "interp"]
+    let runs: Vec<(&str, RunReport)> = ["gzip", "mcf", "crafty", "interp"]
         .into_iter()
         .map(|name| {
             let w = vta_workloads::by_name(name, Scale::Test).expect("benchmark exists");
@@ -129,13 +154,16 @@ pub fn cycle_fingerprint() -> Vec<Fingerprint> {
                 .run(crate::RUN_BUDGET)
                 .expect("benchmark runs");
             Reference::of(&w.image).require(&format!("{name} paper_default"), &report);
-            Fingerprint {
-                name: name.to_string(),
-                cycles: report.cycles,
-                stats_fp: report.stats.fingerprint(),
-            }
+            (name, report)
         })
-        .collect()
+        .collect();
+    let cycles = runs
+        .iter()
+        .map(|(name, r)| Entry::new("paper_default_cycles", name, r.cycles));
+    let stats_fp = runs
+        .iter()
+        .map(|(name, r)| Entry::new("paper_default_stats_fp", name, r.stats.fingerprint()));
+    cycles.chain(stats_fp).collect()
 }
 
 /// One digest over every simulated number of a sweep: each cell's
@@ -143,335 +171,315 @@ pub fn cycle_fingerprint() -> Vec<Fingerprint> {
 /// slowdown's denominator), retired instructions and stats fingerprint,
 /// in cell order. Equal for every `threads` value handed
 /// to [`crate::sweep_threads`] — cells are independent deterministic
-/// simulations placed by job index. FNV-1a, like
-/// [`Stats::fingerprint`](vta_sim::Stats::fingerprint), so the value is
-/// stable across builds and can be frozen in a file.
+/// simulations placed by job index.
 pub fn sweep_digest(ms: &[Measurement]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
+    let mut h = Fnv1a::default();
     for m in ms {
         let r = &m.report;
-        eat(m.bench.as_bytes());
-        eat(&[0]);
-        eat(m.config.as_bytes());
-        eat(&[0]);
-        eat(&r.cycles.to_le_bytes());
-        eat(&m.piii_cycles.to_le_bytes());
-        eat(&r.guest_insns.to_le_bytes());
-        eat(&r.stats.fingerprint().to_le_bytes());
+        h.eat(m.bench.as_bytes());
+        h.eat(&[0]);
+        h.eat(m.config.as_bytes());
+        h.eat(&[0]);
+        h.eat(&r.cycles.to_le_bytes());
+        h.eat(&m.piii_cycles.to_le_bytes());
+        h.eat(&r.guest_insns.to_le_bytes());
+        h.eat(&r.stats.fingerprint().to_le_bytes());
     }
-    h
-}
-
-/// Runs the four figure configuration sets — `fig4` (0/1/2 L1.5 banks),
-/// `fig5` (translator counts), `fig8` (morphing at both opt levels) and
-/// `fig9` (static splits and morph thresholds 15/0/5) — over every
-/// benchmark at `Scale::Test` on `threads` host threads and folds each
-/// to its [`sweep_digest`]. Together with [`cycle_fingerprint`] this is
-/// the exact oracle for the simulated machine: the only frozen values
-/// that cover the bank poles, `OptLevel::None` and morphing runs. Every
-/// one of the 176 cells is held to its guest's [`Reference`] by the sweep
-/// before it is digested.
-pub fn figure_sweep_digests(threads: usize) -> Vec<(String, u64)> {
-    use crate::figures::{fig4_configs, fig5_configs, fig8_configs, fig9_configs};
-    [
-        ("fig4", fig4_configs()),
-        ("fig5", fig5_configs()),
-        ("fig8", fig8_configs()),
-        ("fig9", fig9_configs()),
-    ]
-    .into_iter()
-    .map(|(name, configs)| {
-        let ms = crate::sweep_threads(Scale::Test, &configs, threads);
-        (name.to_string(), sweep_digest(&ms))
-    })
-    .collect()
+    h.finish()
 }
 
 /// The two configurations every guest runs single-block under: region
 /// formation off at `OptLevel::Full`, and `OptLevel::None` (whose region
 /// limits are single whether or not superblocks are on).
-pub fn single_block_configs() -> Vec<(String, VirtualArchConfig)> {
+fn single_block_configs() -> Vec<(String, VirtualArchConfig)> {
     let mut off = VirtualArchConfig::paper_default();
     off.superblock = false;
     let mut none = VirtualArchConfig::paper_default();
-    none.opt = vta_ir::OptLevel::None;
+    none.opt = OptLevel::None;
     vec![
         ("superblock-off".to_string(), off),
         ("opt-none".to_string(), none),
     ]
 }
 
-/// The `gate_digests` rows: `single_block`, the [`sweep_digest`] of every
-/// guest under [`single_block_configs`] (each cell held to its
-/// [`Reference`]), and `metrics_vpr`, an FNV-1a digest of vpr's windowed
-/// series CSV at interval 50,000 under `paper_default`.
-pub fn gate_digests(threads: usize) -> Vec<(String, u64)> {
-    let ms = crate::sweep_threads(Scale::Test, &single_block_configs(), threads);
+/// FNV-1a over vpr's windowed metrics series, as CSV, sampled every
+/// 50,000 cycles under `paper_default` at `Scale::Test`.
+///
+/// # Panics
+///
+/// Panics if the series does not telescope to the run's end-of-run stats.
+fn metrics_vpr_digest() -> u64 {
+    let mcfg = MetricsConfig {
+        interval: 50_000,
+        ..MetricsConfig::default()
+    };
     let (report, m) = crate::metrics::metrics_benchmark(
         "vpr",
         Scale::Test,
         VirtualArchConfig::paper_default(),
-        vta_sim::MetricsConfig {
-            interval: 50_000,
-            ..vta_sim::MetricsConfig::default()
-        },
+        mcfg,
     );
     m.reconcile_stats(&report.stats)
         .unwrap_or_else(|e| panic!("vpr metrics series: {e}"));
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in crate::metrics::series_csv(&m).as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    vec![
-        ("single_block".to_string(), sweep_digest(&ms)),
-        ("metrics_vpr".to_string(), h),
-    ]
+    let mut h = Fnv1a::default();
+    h.eat(crate::metrics::series_csv(&m).as_bytes());
+    h.finish()
 }
 
-/// Renders the frozen fingerprints, figure digests and gate digests as
-/// `BENCH_dispatch.json`.
-pub fn render_json(
-    fingerprint: &[Fingerprint],
-    figures: &[(String, u64)],
-    gate: &[(String, u64)],
-) -> String {
-    let per_fp = |value: fn(&Fingerprint) -> u64| {
-        let rows = fingerprint.iter().map(|fp| (fp.name.clone(), value(fp)));
-        rows.collect::<Vec<_>>()
-    };
-    let sections = [
-        ("paper_default_cycles", per_fp(|fp| fp.cycles)),
-        ("paper_default_stats_fp", per_fp(|fp| fp.stats_fp)),
-        ("figure_sweep_digests", figures.to_vec()),
-        ("gate_digests", gate.to_vec()),
+/// Every frozen value, in `BENCH_dispatch.json` order:
+/// [`paper_default_entries`], the `figure_sweep_digests` (one
+/// [`sweep_digest`] per figure sweep, 16 configurations × 11 guests) and
+/// the `gate_digests` (`single_block`: the [`sweep_digest`] of every guest
+/// with superblocks off and at `OptLevel::None`; `metrics_vpr`). The
+/// sweeps run on `threads` host threads, and the result is the same for
+/// every `threads`. Every cell is held to its guest's [`Reference`]
+/// before it is digested.
+pub fn entries(threads: usize) -> Vec<Entry> {
+    use crate::figures::{fig4_configs, fig5_configs, fig8_configs, fig9_configs};
+    let sweeps = [
+        ("figure_sweep_digests", "fig4", fig4_configs()),
+        ("figure_sweep_digests", "fig5", fig5_configs()),
+        ("figure_sweep_digests", "fig8", fig8_configs()),
+        ("figure_sweep_digests", "fig9", fig9_configs()),
+        ("gate_digests", "single_block", single_block_configs()),
     ];
+    let mut out = paper_default_entries();
+    for (section, row, configs) in sweeps {
+        let ms = crate::sweep_threads(Scale::Test, &configs, threads);
+        out.push(Entry::new(section, row, sweep_digest(&ms)));
+    }
+    out.push(Entry::new(
+        "gate_digests",
+        "metrics_vpr",
+        metrics_vpr_digest(),
+    ));
+    out
+}
+
+/// Compares what the tree simulates with what `BENCH_dispatch.json`
+/// froze, row by row: an `Ok` line for each simulated row that matches
+/// its frozen value, and an `Err` line naming each row that drifted, is
+/// simulated but missing from the file, or is in the file but no longer
+/// simulated.
+pub fn compare(frozen: &[Entry], simulated: &[Entry]) -> Vec<Result<String, String>> {
+    let mut lines: Vec<Result<String, String>> = simulated
+        .iter()
+        .map(|s| {
+            let name = s.name();
+            match frozen.iter().find(|f| f.same_row(s)) {
+                Some(f) if f.value == s.value => Ok(format!("{name}: {} ok", s.value)),
+                Some(f) => Err(format!(
+                    "{name}: drifted: frozen {}, simulated {}",
+                    f.value, s.value
+                )),
+                None => Err(format!(
+                    "{name}: missing from BENCH_dispatch.json (simulated {})",
+                    s.value
+                )),
+            }
+        })
+        .collect();
+    let extra = frozen
+        .iter()
+        .filter(|f| !simulated.iter().any(|s| s.same_row(f)));
+    lines.extend(extra.map(|f| {
+        Err(format!(
+            "{}: extra row in BENCH_dispatch.json (frozen {}), not simulated",
+            f.name(),
+            f.value
+        ))
+    }));
+    lines
+}
+
+/// Renders `entries` as `BENCH_dispatch.json`: one object per section,
+/// in order of first appearance, each row on its own line.
+pub fn render_json(entries: &[Entry]) -> String {
     let mut out = String::from("{\n  \"scale\": \"test\"");
-    for (key, rows) in sections {
-        let rows: Vec<String> = rows
-            .iter()
-            .map(|(name, value)| format!("    \"{name}\": {value}"))
-            .collect();
-        let _ = write!(out, ",\n  \"{key}\": {{\n{}\n  }}", rows.join(",\n"));
+    let mut section: Option<&str> = None;
+    for e in entries {
+        if section == Some(e.section.as_str()) {
+            out.push_str(",\n");
+        } else {
+            if section.is_some() {
+                out.push_str("\n  }");
+            }
+            let _ = write!(out, ",\n  \"{}\": {{\n", e.section);
+            section = Some(&e.section);
+        }
+        let _ = write!(out, "    \"{}\": {}", e.row, e.value);
+    }
+    if section.is_some() {
+        out.push_str("\n  }");
     }
     out.push_str("\n}\n");
     out
 }
 
-/// One cell of the superblock A/B matrix: a benchmark run at one
-/// `(opt level, region-formation mode)` point with the dispatch-exit
-/// counters that motivate superblocks. The three modes are `off` (no
-/// region formation), `static` (regions along the static through-path
-/// predictor), and `recorded` (regions along runtime-recorded paths —
-/// the paper-default configuration).
-#[derive(Debug, Clone)]
-pub struct SuperblockCell {
-    /// Benchmark short name (`gzip`, ...).
-    pub bench: &'static str,
-    /// Optimization level label (`"none"` / `"full"`).
-    pub opt: &'static str,
-    /// Region-formation mode label (`"off"` / `"static"` / `"recorded"`).
-    pub mode: &'static str,
-    /// Simulated cycles.
-    pub cycles: u64,
-    /// Block exits (chained hops + chain misses + indirect dispatches)
-    /// per thousand guest instructions — every departure from translated
-    /// code, including the "cheap" chained ones. This is the rate
-    /// superblocks exist to reduce: a region runs straight through
-    /// branches that single blocks exit on, chained or not.
-    pub block_exits_per_kinsn: f64,
-    /// Indirect branches resolved by the inline cache
-    /// (`dispatch.inline_hit`).
-    pub inline_hit: u64,
-    /// Recording passes completed (`superblock.recorded`; zero unless
-    /// the mode is `recorded`).
-    pub recorded: u64,
+/// Whether `s` is a section or row name [`render_json`] can write
+/// without escaping.
+fn is_name(s: &str) -> bool {
+    !s.is_empty()
+        && s.bytes()
+            .all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-')
 }
 
-/// Benchmarks the superblock A/B matrix measures: the paper trio plus
-/// the computed-goto interpreter (the chain-hostile inline-cache bed).
-pub const SUPERBLOCK_BENCHES: [&str; 4] = ["gzip", "mcf", "crafty", "interp"];
-
-/// The three region-formation modes of the superblock matrix:
-/// `(label, superblock, record_paths)`.
-pub const SUPERBLOCK_MODES: [(&str, bool, bool); 3] = [
-    ("off", false, false),
-    ("static", true, false),
-    ("recorded", true, true),
-];
-
-/// Runs the superblock matrix at `Scale::Test`:
-/// `SUPERBLOCK_BENCHES` × `{OptLevel::None, Full}` ×
-/// `{off, static, recorded}`. Region formation changes *where translated
-/// code exits*, never *what the guest executes*: every cell is held to
-/// its guest's [`Reference`].
-pub fn superblock_cells() -> Vec<SuperblockCell> {
-    use vta_ir::OptLevel;
-    let mut out = Vec::new();
-    for bench in SUPERBLOCK_BENCHES {
-        let w = vta_workloads::by_name(bench, Scale::Test).expect("benchmark exists");
-        let reference = Reference::of(&w.image);
-        for (opt, opt_label) in [(OptLevel::None, "none"), (OptLevel::Full, "full")] {
-            for (mode, superblock, record_paths) in SUPERBLOCK_MODES {
-                let mut cfg = VirtualArchConfig::paper_default();
-                cfg.opt = opt;
-                cfg.superblock = superblock;
-                cfg.record_paths = record_paths;
-                let report = System::new(cfg, &w.image)
-                    .run(crate::RUN_BUDGET)
-                    .expect("benchmark runs");
-                reference.require(&format!("{bench} opt={opt_label} mode={mode}"), &report);
-                let g = |k: &str| report.stats.get(k);
-                let exits = g("chain.taken") + g("dispatch.direct_miss") + g("dispatch.indirect");
-                out.push(SuperblockCell {
-                    bench,
-                    opt: opt_label,
-                    mode,
-                    cycles: report.cycles,
-                    block_exits_per_kinsn: exits as f64 * 1000.0 / report.guest_insns.max(1) as f64,
-                    inline_hit: g("dispatch.inline_hit"),
-                    recorded: g("superblock.recorded"),
-                });
+/// Reads every section of a `BENCH_dispatch.json` document back into
+/// entries. Strict: the document must have exactly the layout
+/// [`render_json`] writes — one section or row per line, `u64` values in
+/// canonical decimal, no row twice.
+///
+/// # Errors
+///
+/// Names the first line that breaks the layout.
+pub fn parse_json(json: &str) -> Result<Vec<Entry>, String> {
+    let lines: Vec<&str> = json.lines().collect();
+    let line = |i: usize| lines.get(i).copied();
+    let bad = |i: usize, want: &str| match line(i) {
+        Some(l) => format!("line {}: expected {want}, found {l:?}", i + 1),
+        None => format!("line {}: expected {want}, found the end of the file", i + 1),
+    };
+    if line(0) != Some("{") {
+        return Err(bad(0, "'{'"));
+    }
+    if line(1) != Some("  \"scale\": \"test\",") {
+        return Err(bad(1, "the scale, \"test\""));
+    }
+    let mut entries: Vec<Entry> = Vec::new();
+    let mut i = 2;
+    loop {
+        let section = line(i)
+            .and_then(|l| l.strip_prefix("  \"")?.strip_suffix("\": {"))
+            .filter(|s| is_name(s))
+            .ok_or_else(|| bad(i, "a section"))?;
+        i += 1;
+        loop {
+            let text = line(i).unwrap_or_default();
+            let (row, more) = match text.strip_suffix(',') {
+                Some(row) => (row, true),
+                None => (text, false),
+            };
+            let entry = row
+                .strip_prefix("    \"")
+                .and_then(|r| r.split_once("\": "))
+                .filter(|(name, _)| is_name(name))
+                .and_then(|(name, v)| {
+                    let value: u64 = v.parse().ok().filter(|n: &u64| n.to_string() == v)?;
+                    Some(Entry::new(section, name, value))
+                })
+                .ok_or_else(|| bad(i, "a row, \"name\": value"))?;
+            if entries.iter().any(|e| e.same_row(&entry)) {
+                return Err(format!("line {}: {} appears twice", i + 1, entry.name()));
+            }
+            entries.push(entry);
+            i += 1;
+            if !more {
+                break;
             }
         }
-    }
-    out
-}
-
-/// Extracts the `(benchmark, value)` pairs of one flat `"key": { ... }`
-/// section of a `BENCH_dispatch.json` document.
-fn parse_section(json: &str, key: &str) -> Result<Vec<(String, u64)>, String> {
-    let quoted = format!("\"{key}\"");
-    let start = json
-        .find(&quoted)
-        .ok_or_else(|| format!("{quoted} not found"))?;
-    let rest = &json[start + quoted.len()..];
-    let open = rest.find('{').ok_or("no '{' after key")?;
-    let close = rest[open..].find('}').ok_or("no closing '}'")? + open;
-    let body = &rest[open + 1..close];
-    let mut out = Vec::new();
-    for entry in body.split(',') {
-        let entry = entry.trim();
-        if entry.is_empty() {
-            continue;
+        match line(i) {
+            Some("  },") => i += 1,
+            Some("  }") => {
+                i += 1;
+                break;
+            }
+            _ => return Err(bad(i, "the end of the section")),
         }
-        let (name, value) = entry
-            .split_once(':')
-            .ok_or_else(|| format!("bad entry {entry:?}"))?;
-        let name = name.trim().trim_matches('"');
-        let value: u64 = value
-            .trim()
-            .parse()
-            .map_err(|e| format!("bad number in {entry:?}: {e}"))?;
-        out.push((name.to_string(), value));
     }
-    if out.is_empty() {
-        return Err(format!("empty {key} section"));
+    if line(i) != Some("}") {
+        return Err(bad(i, "'}'"));
     }
-    Ok(out)
-}
-
-/// Reads the frozen fingerprints back out of a `BENCH_dispatch.json`
-/// document: the `"paper_default_cycles"` and `"paper_default_stats_fp"`
-/// sections, which must name the same benchmarks in the same order.
-///
-/// String-search based (no serde); tolerant of surrounding content but
-/// strict about the sections' own shape.
-///
-/// # Errors
-///
-/// Returns a message if either section is missing or malformed, or if
-/// the two disagree on the benchmarks they cover.
-pub fn parse_fingerprints(json: &str) -> Result<Vec<Fingerprint>, String> {
-    let cycles = parse_section(json, "paper_default_cycles")?;
-    let stats_fp = parse_section(json, "paper_default_stats_fp")?;
-    if !cycles
-        .iter()
-        .map(|(n, _)| n)
-        .eq(stats_fp.iter().map(|(n, _)| n))
-    {
-        return Err(
-            "paper_default_cycles and paper_default_stats_fp name different benchmarks".into(),
-        );
+    if line(i + 1).is_some() {
+        return Err(bad(i + 1, "the end of the file"));
     }
-    Ok(cycles
-        .into_iter()
-        .zip(stats_fp)
-        .map(|((name, cycles), (_, stats_fp))| Fingerprint {
-            name,
-            cycles,
-            stats_fp,
-        })
-        .collect())
-}
-
-/// Reads the frozen `"figure_sweep_digests"` section of a
-/// `BENCH_dispatch.json` document as `(figure, digest)` pairs.
-///
-/// # Errors
-///
-/// Returns a message if the section is missing or malformed.
-pub fn parse_figure_digests(json: &str) -> Result<Vec<(String, u64)>, String> {
-    parse_section(json, "figure_sweep_digests")
-}
-
-/// Reads the frozen `"gate_digests"` section of a `BENCH_dispatch.json`
-/// document as `(row, digest)` pairs.
-///
-/// # Errors
-///
-/// Returns a message if the section is missing or malformed.
-pub fn parse_gate_digests(json: &str) -> Result<Vec<(String, u64)>, String> {
-    parse_section(json, "gate_digests")
+    Ok(entries)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn fp(name: &str, cycles: u64) -> Fingerprint {
-        Fingerprint {
-            name: name.to_string(),
-            cycles,
-            stats_fp: cycles.wrapping_mul(31),
+    fn sample() -> Vec<Entry> {
+        vec![
+            Entry::new("paper_default_cycles", "gzip", 123),
+            Entry::new("paper_default_cycles", "mcf", 456),
+            Entry::new("paper_default_stats_fp", "gzip", u64::MAX),
+            Entry::new("figure_sweep_digests", "fig4", 0),
+            Entry::new("gate_digests", "single_block", 7),
+            Entry::new("gate_digests", "metrics_vpr", 8),
+        ]
+    }
+
+    #[test]
+    fn every_section_round_trips() {
+        let json = render_json(&sample());
+        crate::json_lint::check(&json).expect("valid JSON");
+        assert_eq!(parse_json(&json), Ok(sample()));
+    }
+
+    #[test]
+    fn the_checked_in_file_is_what_the_renderer_writes() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_dispatch.json");
+        let json = std::fs::read_to_string(path).expect("BENCH_dispatch.json exists");
+        let frozen = parse_json(&json).expect("parses");
+        assert_eq!(render_json(&frozen), json);
+    }
+
+    #[test]
+    fn malformed_documents_are_rejected_naming_the_line() {
+        let good = render_json(&sample());
+        for (from, to, line) in [
+            ("\"gzip\": 123", "\"gzip\": +123", 4),
+            ("\"gzip\": 123", "\"gzip\": 0123", 4),
+            ("\"gzip\": 123", "\"gzip\": 12.3", 4),
+            ("\"gzip\": 123", "\"gzip\": 18446744073709551616", 4),
+            ("\"gzip\": 123", "\"gz ip\": 123", 4),
+            ("\"gzip\": 123,", "\"gzip\": 123", 5),
+            ("\"mcf\": 456\n", "\"mcf\": 456,\n", 6),
+            ("\"mcf\": 456", "\"gzip\": 456", 5),
+            ("\"scale\": \"test\"", "\"scale\": \"large\"", 2),
+            ("{\n", "", 1),
+        ] {
+            let bad = good.replacen(from, to, 1);
+            assert_ne!(bad, good, "{from:?} is in the document");
+            let err = parse_json(&bad).expect_err(to);
+            assert!(err.starts_with(&format!("line {line}:")), "{to:?}: {err}");
         }
+        let cut = &good[..good.rfind('}').expect("closing brace")];
+        assert!(parse_json(cut).unwrap_err().contains("end of the file"));
+        assert!(
+            parse_json(&format!("{good}{good}")).is_err(),
+            "trailing data"
+        );
+        assert!(parse_json("").is_err());
     }
 
     #[test]
-    fn parses_fingerprints_back_out() {
-        let fps = [fp("gzip", 123), fp("mcf", 456)];
-        let figs = [("fig4".to_string(), u64::MAX)];
-        let s = render_json(&fps, &figs, &figs);
-        assert_eq!(parse_fingerprints(&s).unwrap(), fps);
-        assert_eq!(parse_figure_digests(&s).unwrap(), figs);
-        assert!(parse_figure_digests("{}").is_err());
-        assert!(parse_fingerprints("{}").is_err());
-        // A file without its stats_fp section is not a complete golden.
-        let cycles_only = &s[..s.find("\"paper_default_stats_fp\"").unwrap()];
-        assert!(parse_fingerprints(cycles_only).is_err());
-        let renamed = s.replacen("\"mcf\": 456", "\"vpr\": 456", 1);
-        assert!(parse_fingerprints(&renamed).is_err(), "sections disagree");
-    }
+    fn compare_names_every_drifted_missing_and_extra_row() {
+        let frozen = sample();
+        assert!(compare(&frozen, &frozen).iter().all(Result::is_ok));
 
-    #[test]
-    fn json_shape_is_sane() {
-        let s = render_json(&[fp("gzip", 123)], &[], &[]);
-        crate::json_lint::check(&s).expect("valid JSON");
-        assert!(s.contains("\"gzip\": 123"));
-        assert!(s.contains("\"paper_default_stats_fp\""));
-        assert!(s.starts_with('{') && s.trim_end().ends_with('}'));
+        let mut simulated = sample();
+        simulated[4].value += 1; // gate_digests.single_block drifts
+        simulated.remove(1); // paper_default_cycles.mcf is no longer simulated
+        simulated.push(Entry::new("gate_digests", "translation", 9)); // new, not frozen
+        let errs: Vec<String> = compare(&frozen, &simulated)
+            .into_iter()
+            .filter_map(Result::err)
+            .collect();
+        assert_eq!(
+            errs,
+            [
+                "gate_digests.single_block: drifted: frozen 7, simulated 8",
+                "gate_digests.translation: missing from BENCH_dispatch.json (simulated 9)",
+                "paper_default_cycles.mcf: extra row in BENCH_dispatch.json (frozen 456), \
+                 not simulated",
+            ]
+        );
     }
 
     /// A frozen digest cannot tell a wrong cell from a right one, and
-    /// neither can comparing region modes with each other when all are
+    /// neither can comparing configurations with each other when all are
     /// wrong the same way; the reference can, field by field.
     #[test]
     fn reference_catches_each_wrong_field() {
@@ -494,13 +502,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "gzip opt=full mode=static: retired")]
+    #[should_panic(expected = "gzip/superblock-off: retired")]
     fn a_wrong_gate_cell_panics_naming_the_cell() {
         let w = vta_workloads::by_name("gzip", Scale::Test).unwrap();
         let mut report = System::new(VirtualArchConfig::paper_default(), &w.image)
             .run(crate::RUN_BUDGET)
             .unwrap();
         report.guest_insns -= 1;
-        Reference::of(&w.image).require("gzip opt=full mode=static", &report);
+        Reference::of(&w.image).require("gzip/superblock-off", &report);
     }
 }

@@ -139,26 +139,18 @@ pub struct VirtualArchConfig {
     pub opt: OptLevel,
     /// Whether hot code may be *promoted* to superblock regions: a
     /// taken loop backedge (or a capped region continuing into a known
-    /// successor) marks its target, a slave retranslates it as a
-    /// multi-block region along the predicted path in the background,
-    /// and the commit swaps it in for the resident single-block
-    /// translation. Ordinary (demand/speculative)
-    /// translation always stays single-block; the triggers are purely
-    /// architectural, so the knob never perturbs determinism. Only
-    /// effective at [`OptLevel::Full`]; see [`Self::region_limits`].
+    /// successor) marks its target, one pass of normal single-block
+    /// execution *records* the successor actually taken at every block
+    /// exit, a slave retranslates the target as a multi-block region
+    /// along that recorded path in the background (crossing
+    /// conditionals the way they actually went, and indirects under an
+    /// inline target guard), and the commit swaps it in for the
+    /// resident single-block translation. Ordinary (demand/speculative)
+    /// translation always stays single-block; the triggers and the
+    /// recording are purely architectural, so the knob never perturbs
+    /// determinism. Only effective at [`OptLevel::Full`]; see
+    /// [`Self::region_limits`].
     pub superblock: bool,
-    /// Whether promoted addresses go through a runtime *recording* pass
-    /// before their region is formed: the promotion trigger arms a
-    /// recorder, one pass of normal single-block execution logs the
-    /// actually-taken successor at every block exit, and the region is
-    /// built along that recorded path (crossing conditionals the way
-    /// they actually went, and indirects under an inline target guard).
-    /// `false` falls back to the static through-path predictor —
-    /// bit-for-bit the pre-recording behavior. Like the promotion
-    /// triggers themselves, recording observes only architectural
-    /// events, so the knob never perturbs determinism. Ignored unless
-    /// `superblock` is on.
-    pub record_paths: bool,
     /// Whether slaves translate ahead speculatively (`false` =
     /// the paper's "1 conservative translator" baseline).
     pub speculation: bool,
@@ -185,7 +177,6 @@ impl VirtualArchConfig {
             placement: Placement::layout(2, 4, 6),
             opt: OptLevel::Full,
             superblock: true,
-            record_paths: true,
             speculation: true,
             max_spec_depth: 5,
             l1_code_bytes: 24 * 1024,

@@ -366,8 +366,8 @@ impl Manager {
     }
 
     /// Translates `pc` at the configured opt level under `shape` — a
-    /// single basic block, the statically predicted region, or a region
-    /// along a recorded path — consulting and feeding the shared memo
+    /// single basic block or a region along a recorded path —
+    /// consulting and feeding the shared memo
     /// when one is attached. The memo validates the live guest bytes
     /// and is keyed by the full shape (a recorded shape carries its
     /// path), so a hit is byte-for-byte what a fresh translation would
@@ -388,7 +388,6 @@ impl Manager {
                 RegionShape::Recorded(path) => {
                     translate_region_along(mem, pc, self.opt, &self.limits, path)?
                 }
-                RegionShape::Static => translate_region(mem, pc, self.opt, &self.limits)?,
                 RegionShape::Single => {
                     translate_region(mem, pc, self.opt, &RegionLimits::single())?
                 }
@@ -707,7 +706,7 @@ pub(crate) mod tests {
             World {
                 mem: image.build_mem(),
                 dram: Dram::new(timing.dram_latency, timing.dram_word),
-                regions: Regions::new(cfg.region_limits(), cfg.record_paths),
+                regions: Regions::new(cfg.region_limits()),
                 timing,
                 stats: Stats::new(),
                 tracer,
@@ -969,8 +968,7 @@ pub(crate) mod tests {
         // build, the one before it a speculative single. Both retire, and
         // their jobs are dropped as stale: the single's address is
         // speculation's to ask for again, the build is re-queued.
-        let mut cfg = VirtualArchConfig::paper_default();
-        cfg.record_paths = false; // a static promotion owes its build at once
+        let cfg = VirtualArchConfig::paper_default();
         let mut a = Asm::new(BASE);
         a.mov_ri(Reg::ECX, 10);
         let top = a.cur_addr();
@@ -979,6 +977,7 @@ pub(crate) mod tests {
         let mid = a.label();
         a.jmp(mid);
         a.bind(mid);
+        let body = a.cur_addr();
         a.dec_r(Reg::ECX);
         a.jcc(Cond::Ne, head);
         let mut chain = Vec::new();
@@ -993,10 +992,12 @@ pub(crate) mod tests {
         let mut w = World::new(&cfg, &GuestImage::from_code(a.finish()));
         let mut m = Manager::new(&cfg);
         let mut out = w.outside();
-        let single = m.translate(top, &RegionShape::Single, &mut out);
-        m.install(single.expect("translates"), &RegionShape::Single, &mut out);
-        let owed = out.regions.promote(top, out.stats).expect("static build");
-        m.queue_region_build(owed);
+        let mut single = |pc| m.translate(pc, &RegionShape::Single, &mut out);
+        let top_block = single(top).expect("translates");
+        let body_block = single(body).expect("translates");
+        m.install(Arc::clone(&top_block), &RegionShape::Single, &mut out);
+        let owed = out.regions.record_loop(&top_block, &body_block, out.stats);
+        m.queue_region_build(owed.expect("a recorded path owes its build"));
         for &addr in &chain[..5] {
             m.queues.push(addr, 2);
         }

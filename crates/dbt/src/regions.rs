@@ -5,15 +5,14 @@
 //! ```text
 //!            promote                 enters single-block
 //!   (none) ──────────► Armed ───────────────────────────► Recording
-//!      │                 ▲                                  │     │
-//!      │ promote,        │ first demotion                   │     │ empty path
-//!      │ recording off   │ (re-record once)    path logged  │     ▼
-//!      ▼                 │                                  ▼   Pinned
-//!     Owed ◄─────────────┼────────────────────────────────Owed    ▲
-//!      │ build committed │                                        │
-//!      ▼ (or failed)     │                                        │
-//!     Live ──────────────┴── first-junction exits ≥ 3/4 ──────────┘
-//!                                                  second demotion
+//!                        ▲                                  │     │
+//!                        │ first demotion       path logged │     │ empty path
+//!                        │ (re-record once)                 ▼     ▼
+//!                        │                                 Owed  Pinned
+//!                        │          build committed          │    ▲
+//!                        │              (or failed)          ▼    │
+//!                        └───────────────────────────────── Live ─┘
+//!                           first-junction exits ≥ 3/4      second demotion
 //! ```
 //!
 //! Every trigger is architectural — which branches the guest executed,
@@ -124,7 +123,6 @@ pub(crate) struct ExitVerdict {
 #[derive(Debug, Clone)]
 pub(crate) struct Regions {
     limits: RegionLimits,
-    record_paths: bool,
     /// One record per promoted root; a promotion is never forgotten
     /// (SMC revocation leaves it in place, so post-invalidation demand
     /// retranslation is region-shaped again).
@@ -138,12 +136,10 @@ pub(crate) struct Regions {
 }
 
 impl Regions {
-    /// No roots yet. `limits.max_blocks <= 1` turns regions off;
-    /// `record_paths` selects recorded over statically predicted ones.
-    pub(crate) fn new(limits: RegionLimits, record_paths: bool) -> Regions {
+    /// No roots yet. `limits.max_blocks <= 1` turns regions off.
+    pub(crate) fn new(limits: RegionLimits) -> Regions {
         Regions {
             limits,
-            record_paths,
             roots: HashMap::new(),
             armed: 0,
             recorder: None,
@@ -151,20 +147,14 @@ impl Regions {
     }
 
     /// The translation shape for `pc`: a recorded-path region once a
-    /// recording has completed for a promoted address, the statically
-    /// predicted region when path recording is off, and a single basic
-    /// block otherwise — including while a recording is still in
-    /// progress, and for roots demoted back to single.
+    /// recording has completed for a promoted address, and a single
+    /// basic block otherwise — including while a recording is still in
+    /// progress, and for roots demoted back to single (a demotion drops
+    /// the path, and nothing is promoted while regions are off).
     pub(crate) fn shape_for(&self, pc: u32) -> RegionShape {
-        match self.roots.get(&pc) {
-            Some(r) if self.limits.max_blocks > 1 && r.phase != Phase::Pinned => {
-                match (&r.path, self.record_paths) {
-                    (Some(path), true) => RegionShape::Recorded(Arc::clone(path)),
-                    (None, true) => RegionShape::Single,
-                    (_, false) => RegionShape::Static,
-                }
-            }
-            _ => RegionShape::Single,
+        match self.roots.get(&pc).and_then(|r| r.path.as_ref()) {
+            Some(path) => RegionShape::Recorded(Arc::clone(path)),
+            None => RegionShape::Single,
         }
     }
 
@@ -249,9 +239,8 @@ impl Regions {
         // forward continuation, so long loop bodies partition into
         // back-to-back traces. An indirect backedge — a `ret` bouncing
         // back to a stable call site is the common shape — marks its
-        // target hot too, but only under path recording: the static
-        // through-path predictor cannot see across an indirect, while a
-        // recording crosses it under an inline target guard.
+        // target hot too: the recording crosses the indirect under an
+        // inline target guard.
         // A forward exit that is no capped region's continuation never
         // probes the root map.
         let hot = match exit {
@@ -261,15 +250,11 @@ impl Regions {
                 let continuation = region && full_run && capped && block.term.leads_to(t);
                 ((t < root || continuation) && self.promotable(t)).then_some(t)
             }
-            BlockExit::Indirect(t) if self.record_paths && t < root && self.promotable(t) => {
-                Some(t)
-            }
+            BlockExit::Indirect(t) if t < root && self.promotable(t) => Some(t),
             _ => None,
         };
         if let Some(t) = hot {
-            // Under recording a promotion only arms; a static promotion
-            // owes its build at once. Never both in one exit.
-            verdict.build = verdict.build.or(self.promote(t, stats));
+            self.promote(t, stats);
         }
         verdict
     }
@@ -280,27 +265,20 @@ impl Regions {
 
     /// Promotes `pc` to region shape: future translations root a
     /// superblock there. The resident single-block translation stays
-    /// live — the execution tile never stalls on a promotion. Under
-    /// path recording the promotion first arms a recording pass and the
-    /// build is owed when the recording completes; otherwise the
-    /// statically predicted region is owed right away (returned).
-    pub(crate) fn promote(&mut self, pc: u32, stats: &mut Stats) -> Option<u32> {
+    /// live — the execution tile never stalls on a promotion. The
+    /// promotion arms a recording pass; the build is owed when the
+    /// recording completes.
+    fn promote(&mut self, pc: u32, stats: &mut Stats) {
         stats.bump_ctr(Ctr::SuperblockPromotions);
-        let phase = if self.record_paths {
-            self.armed += 1;
-            Phase::Armed
-        } else {
-            Phase::Owed
-        };
+        self.armed += 1;
         self.roots.insert(
             pc,
             Record {
-                phase,
+                phase: Phase::Armed,
                 path: None,
                 re_recorded: false,
             },
         );
-        (phase == Phase::Owed).then_some(pc)
     }
 
     /// Starts the recording pass at `addr` if it is an armed root.
@@ -420,6 +398,30 @@ impl Regions {
 }
 
 #[cfg(test)]
+impl Regions {
+    /// What running the loop `head → body → head` does to an unpromoted
+    /// `head`, the way `tests::record_once` drives it: the backedge out
+    /// of `body` promotes `head`, one pass through both blocks records
+    /// the path, and the region build that owes is returned — for tests
+    /// of what an owed build drives elsewhere.
+    pub(crate) fn record_loop(
+        &mut self,
+        head: &TBlock,
+        body: &TBlock,
+        stats: &mut Stats,
+    ) -> Option<u32> {
+        let mut step = |rg: &mut Regions, from: &TBlock, to: &TBlock| {
+            let facts = BlockFacts::of(from);
+            let exit = BlockExit::Goto(to.guest_addr);
+            rg.block_exited(facts, exit, 0, facts.guest_insns.into(), false, stats)
+        };
+        step(self, body, head);
+        step(self, head, body);
+        step(self, body, head).build
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use vta_raw::isa::RInsn;
@@ -492,7 +494,7 @@ mod tests {
 
     #[test]
     fn a_root_walks_every_phase_by_calls_alone() {
-        let mut rg = Regions::new(RegionLimits::default(), true);
+        let mut rg = Regions::new(RegionLimits::default());
         let body = single(BODY, Term::Goto(ROOT));
 
         // (none) → Armed: the backedge BODY → ROOT promotes ROOT.
@@ -541,13 +543,5 @@ mod tests {
         assert_eq!(rg.shape_for(ROOT), RegionShape::Single);
         assert_eq!(record_once(&mut rg), ExitVerdict::default(), "pinned");
         assert_eq!(rg.armed, 0);
-
-        // Recording off: a promotion owes its statically predicted build
-        // at once, and a failed build owes nothing further.
-        let mut rg = Regions::new(RegionLimits::default(), false);
-        let (v, _) = exit(&mut rg, &body, BlockExit::Goto(ROOT), true);
-        assert_eq!((v.build, rg.build_owed(ROOT)), (Some(ROOT), true));
-        assert!(rg.build_settled(ROOT));
-        assert_eq!(rg.shape_for(ROOT), RegionShape::Static);
     }
 }

@@ -171,7 +171,7 @@ impl System {
             guest_insns: 0,
             code: CodeHierarchy::new(&cfg),
             manager: Manager::new(&cfg),
-            regions: Regions::new(cfg.region_limits(), cfg.record_paths),
+            regions: Regions::new(cfg.region_limits()),
             memsys: MemSys::new(&cfg.placement.l2_banks, cfg.l2_bank_bytes),
             dram: Dram::new(timing.dram_latency, timing.dram_word),
             morph: cfg
@@ -760,6 +760,7 @@ impl DataPort for ExecPort<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vta_ir::mir::Term;
     use vta_ir::RegionShape;
     use vta_x86::{Asm, Cond, Reg};
 
@@ -1427,19 +1428,21 @@ mod tests {
             a.jcc(Cond::Ne, top);
             a.exit_with_eax();
         });
-        let mut cfg = VirtualArchConfig::paper_default();
-        cfg.record_paths = false; // drive the static promotion path
-        let mut sys = System::new(cfg, &img);
+        let mut sys = System::new(VirtualArchConfig::paper_default(), &img);
         let top = BASE + 10;
         // Seed the resident single-block translation, as demand would.
         let (_, manager, mut out) = sys.tiles();
-        let single = manager
-            .translate(top, &RegionShape::Single, &mut out)
-            .expect("translates");
-        manager.install(single, &RegionShape::Single, &mut out);
-        // Promote: the region build is queued and a slave picks it up.
-        let owed = out.regions.promote(top, out.stats).expect("static build");
-        manager.queue_region_build(owed);
+        let mut single = |pc| manager.translate(pc, &RegionShape::Single, &mut out);
+        let top_block = single(top).expect("translates");
+        let Term::Goto(body) = top_block.term else {
+            panic!("the loop head ends in its jmp");
+        };
+        let body_block = single(body).expect("translates");
+        manager.install(Arc::clone(&top_block), &RegionShape::Single, &mut out);
+        // Promote and record: the region build is queued and a slave
+        // picks it up.
+        let owed = out.regions.record_loop(&top_block, &body_block, out.stats);
+        manager.queue_region_build(owed.expect("a recorded path owes its build"));
         assert!(out.regions.build_owed(top));
         let started = manager.assign_idle(Cycle(0), &mut out);
         assert!(started, "region build starts");
@@ -1479,7 +1482,7 @@ mod tests {
         // The tentpole invariant: recorded-path regions change where
         // *time* goes, never what the guest retires. Conditionals, an
         // alternating (never fully predictable) branch, and a call/ret
-        // pair; compare recording on, static regions, and no regions.
+        // pair; compare recorded regions, no regions, and the reference.
         let img = image(|a| {
             let func = a.label();
             a.mov_ri(Reg::ECX, 600);
@@ -1501,28 +1504,27 @@ mod tests {
             a.add_ri(Reg::EBX, 1);
             a.ret();
         });
-        let run = |record: bool, superblock: bool| {
+        let run = |superblock: bool| {
             let mut cfg = VirtualArchConfig::paper_default();
             cfg.superblock = superblock;
-            cfg.record_paths = record;
             let mut sys = System::new(cfg, &img);
             sys.run(10_000_000).expect("runs")
         };
-        let recorded = run(true, true);
-        let statik = run(false, true);
-        let off = run(false, false);
-        assert_eq!(recorded.exit_code, statik.exit_code);
-        assert_eq!(recorded.exit_code, off.exit_code);
-        assert_eq!(recorded.guest_insns, statik.guest_insns);
-        assert_eq!(recorded.guest_insns, off.guest_insns);
+        let recorded = run(true);
+        let off = run(false);
+        let (exit_code, guest_insns) = reference(&img);
+        for r in [&recorded, &off] {
+            assert_eq!(r.exit_code, Some(exit_code));
+            assert_eq!(r.guest_insns, guest_insns);
+        }
         assert!(recorded.stats.get("superblock.recorded") > 0);
     }
 
     #[test]
     fn recorded_paths_follow_branches_static_prediction_misses() {
         // A hot loop whose body takes a *forward* conditional every
-        // iteration: the static through-path predictor grows along the
-        // fall-through arm, so its region side-exits at the first
+        // iteration: a static through-path predictor grows along the
+        // fall-through arm, so its region would side-exit at the first
         // junction on every entry; the recording follows the taken arm
         // and runs the region to the backedge.
         let img = image(|a| {
@@ -1539,26 +1541,17 @@ mod tests {
             a.jcc(Cond::Ne, top);
             a.exit_with_eax();
         });
-        let run = |record: bool| {
-            let mut cfg = VirtualArchConfig::paper_default();
-            cfg.record_paths = record;
-            let mut sys = System::new(cfg, &img);
-            sys.run(10_000_000).expect("runs")
-        };
-        let rec = run(true);
-        let stat = run(false);
+        let mut sys = System::new(VirtualArchConfig::paper_default(), &img);
+        let rec = sys.run(10_000_000).expect("runs");
         assert_eq!(rec.exit_code, Some(2_000));
-        assert_eq!(rec.exit_code, stat.exit_code);
-        assert_eq!(rec.guest_insns, stat.guest_insns);
+        assert_eq!(rec.guest_insns, reference(&img).1);
         assert!(rec.stats.get("superblock.recorded") >= 1);
-        let (rx, sx) = (
-            rec.stats.get("superblock.side_exits"),
-            stat.stats.get("superblock.side_exits"),
-        );
+        let side = rec.stats.get("superblock.side_exits");
+        let entries = rec.stats.get("superblock.entries");
         assert!(
-            rx * 10 < sx,
-            "recording must eliminate the always-mispredicted side exit: \
-             recorded={rx} static={sx}"
+            entries > 1_000 && side * 10 < entries,
+            "recording must eliminate the fall-through side exit: \
+             side={side} entries={entries}"
         );
     }
 
@@ -1601,7 +1594,8 @@ mod tests {
         // Phase changes invalidate a recorded path twice: the first
         // demotion discards the region and re-records along the new
         // phase's path; the second pins the root single-block. Guest
-        // retirement stays identical to a recording-off run throughout.
+        // retirement stays identical to the reference and to a run
+        // without regions throughout.
         let img = phase_flip_program();
         let mut sys = System::new(VirtualArchConfig::paper_default(), &img);
         let report = sys.run(10_000_000).expect("runs");
@@ -1623,7 +1617,7 @@ mod tests {
             report.stats
         );
         let mut cfg = VirtualArchConfig::paper_default();
-        cfg.record_paths = false;
+        cfg.superblock = false;
         let off = System::new(cfg, &img).run(10_000_000).expect("runs");
         assert_eq!(off.exit_code, report.exit_code);
         assert_eq!(off.guest_insns, report.guest_insns);

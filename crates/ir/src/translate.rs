@@ -114,9 +114,6 @@ impl RegionLimits {
 pub enum RegionShape {
     /// A plain single basic block.
     Single,
-    /// A region extended along the statically-predicted path
-    /// ([`translate_region`]).
-    Static,
     /// A region formed along an explicitly recorded successor path
     /// ([`translate_region_along`]); the payload is the recorded
     /// successor list, one entry per junction.

@@ -15,6 +15,7 @@
 #![warn(missing_docs)]
 
 mod cycle;
+mod fnv;
 pub mod metrics;
 pub mod prof;
 mod rng;
@@ -22,6 +23,7 @@ mod stats;
 pub mod trace;
 
 pub use cycle::Cycle;
+pub use fnv::Fnv1a;
 pub use metrics::{GaugeId, MetricEvent, Metrics, MetricsConfig, Window};
 pub use prof::{PhaseTotal, ProfConfig, ProfileReport, Profiler, ThreadProfile};
 pub use rng::Rng;

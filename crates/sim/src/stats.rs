@@ -1,6 +1,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use crate::Fnv1a;
+
 /// The interned counters every simulated component bumps.
 ///
 /// The execution loop increments several counters per simulated basic
@@ -351,26 +353,18 @@ impl Stats {
     /// fingerprint equal iff their observable stats are equal. The
     /// determinism CI stage compares this digest across sweep widths.
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
+        let mut h = Fnv1a::default();
         for (name, value) in self.iter() {
-            eat(name.as_bytes());
-            eat(&value.to_le_bytes());
+            h.eat(name.as_bytes());
+            h.eat(&value.to_le_bytes());
         }
         for (name, hist) in &self.histograms {
-            eat(name.as_bytes());
-            eat(&hist.count().to_le_bytes());
-            eat(&hist.sum().to_le_bytes());
-            eat(&hist.max().to_le_bytes());
+            h.eat(name.as_bytes());
+            h.eat(&hist.count().to_le_bytes());
+            h.eat(&hist.sum().to_le_bytes());
+            h.eat(&hist.max().to_le_bytes());
         }
-        h
+        h.finish()
     }
 
     /// The first counter or histogram whose value differs from

@@ -5,7 +5,7 @@
 #
 # There is one build of the workspace (no cargo features) and one CLI
 # binary (target/release/vta, which the build stage produces and every
-# later stage invokes), so the gate is a list of 10 stages with
+# later stage invokes), so the gate is a list of 8 stages with
 # per-stage timing (human summary at the end, machine-readable in
 # ci-timings.json):
 #
@@ -30,23 +30,22 @@
 #     a chained block runs borrowed from its L1 slot, so no Arc::clone in
 #     crates/dbt/src/system.rs outside its tests, and a block exit tests
 #     its successors without allocating, so no known_succs under
-#     crates/*/src
+#     crates/*/src; promoted regions are always built along a recorded
+#     path, so no record_paths knob and no RegionShape::Static under
+#     crates/*/src; and BENCH_dispatch.json is the one golden file, so
+#     no BENCH_metrics_vpr.csv at the repo root
 #   clippy
 #   build release
 #   test (debug-for-tests)
-#   determinism: vta check with the four figure sweeps (fig4, fig5,
-#     fig8, fig9: 16 configs x 11 guests, morphing and the L1.5 bank
-#     poles included) on 1 and on 4 host threads; every fingerprint
-#     (cycles and stats digest) AND every frozen figure digest must
-#     match BENCH_dispatch.json, every cell must match the reference
-#     interpreter, and the full stdout must be identical at both widths
-#   metrics: vta metrics --check — the windowed series for the vpr
-#     benchmark must match the committed BENCH_metrics_vpr.csv golden
-#     byte-for-byte (regenerate with vta metrics --bless when a
-#     simulated behavior change is intentional)
-#   superblock: vta superblock --check — every benchmark × opt ×
-#     off/static/recorded cell must reproduce the reference
-#     interpreter's exit code, retired count and output
+#   determinism: vta check on 1 and on 4 host threads; every row of
+#     BENCH_dispatch.json must match what the tree simulates — the
+#     paper_default cycles and stats digests, the four figure sweep
+#     digests (fig4, fig5, fig8, fig9: 16 configs x 11 guests, morphing
+#     and the L1.5 bank poles included), gate_digests.single_block
+#     (every guest with superblocks off and at OptLevel::None) and
+#     gate_digests.metrics_vpr (vpr's windowed metrics series) — every
+#     cell must match the reference interpreter, and the full stdout
+#     must be identical at both widths
 #   fuzz: differential fuzzing — the committed corpus replays clean and
 #     fixed-seed generated batches find no divergence
 #   benchmark: the repo benchmark (benchmark/, BENCHMARK.json) still
@@ -107,7 +106,10 @@ run_stage "fmt" \
 # block, never the result of a scan over every resident one (the tests
 # keep that scan as the model the bank is held to). A chained block exit
 # costs no refcount and no allocation: the run loop borrows the block it
-# runs, and the successor test is Term::leads_to, not a Vec.
+# runs, and the successor test is Term::leads_to, not a Vec. A promoted
+# region is built along the path a recording pass logged, never a static
+# prediction, and every frozen simulated result is a row of
+# BENCH_dispatch.json, so no second golden file comes back.
 no_env_stage() {
     ! grep -rn 'env::var' crates/*/src --include=*.rs | grep -v '^crates/bench/src/bin/' &&
         ! grep -rn 'Instant::now' crates/*/src --include=*.rs |
@@ -123,6 +125,8 @@ no_env_stage() {
         ! grep -rn 'decode(\|\.execute(' crates/pentium/src &&
         ! sed '/^#\[cfg(test)\]/q' crates/dbt/src/system.rs | grep -n 'Arc::clone' &&
         ! grep -rn 'known_succs' crates/*/src &&
+        ! grep -rn 'record_paths\|RegionShape::Static' crates/*/src &&
+        ! ls BENCH_metrics_vpr.csv 2>/dev/null &&
         ! grep -nE '^\s*(pub(\(crate\))? )?(busy_cycles|completed):' crates/dbt/src/slave.rs
 }
 run_stage "no-env, no-clock (library crates)" \
@@ -138,11 +142,11 @@ VTA=target/release/vta
 run_stage "test" \
     cargo test -q --workspace
 
-# Determinism stage: simulated cycles and stats must match the frozen
-# fingerprints in BENCH_dispatch.json bit-for-bit, each figure sweep
-# (fig4/5/8/9) must fold to its frozen digest there, and the check
-# output itself must not depend on how many host threads the sweeps fan
-# out over.
+# Determinism stage: every frozen row of BENCH_dispatch.json — simulated
+# cycles and stats digests, the figure sweep digests (fig4/5/8/9) and the
+# gate digests (single_block, metrics_vpr) — must match bit-for-bit, and
+# the check output itself must not depend on how many host threads the
+# sweeps fan out over.
 determinism_stage() {
     # No `trap ... RETURN` here: a RETURN trap set inside a function
     # stays installed for every later function return in the script
@@ -154,8 +158,10 @@ determinism_stage() {
     for t in 1 4; do
         echo "ci:    vta check --threads $t"
         if ! "$VTA" check --threads "$t" > "$out_dir/check-$t.txt"; then
-            echo "ci: FAIL: a fingerprint or a frozen figure digest (fig4/5/8/9) drifted" >&2
-            echo "ci:       from BENCH_dispatch.json at --threads $t; stdout kept in $out_dir" >&2
+            echo "ci: FAIL: a row of BENCH_dispatch.json (paper_default cycles/stats_fp," >&2
+            echo "ci:       figure_sweep_digests fig4/5/8/9, gate_digests single_block/metrics_vpr)" >&2
+            echo "ci:       drifted, is missing or is extra at --threads $t (vta check names it" >&2
+            echo "ci:       on stderr); stdout kept in $out_dir" >&2
             return 1
         fi
     done
@@ -164,23 +170,11 @@ determinism_stage() {
         echo "ci:       outputs kept in $out_dir" >&2
         return 1
     fi
-    echo "ci:    fingerprints and frozen figure digests match; stdout identical at threads {1,4}"
+    echo "ci:    every BENCH_dispatch.json row matches; stdout identical at threads {1,4}"
     rm -rf "$out_dir"
 }
 run_stage "determinism (sweep threads 1 vs 4)" \
     determinism_stage
-
-# Metrics stage: the windowed time series is a pure function of
-# (image, config, interval) — diff it against the committed golden.
-run_stage "metrics (vta metrics --check)" \
-    "$VTA" metrics --check
-
-# Superblock stage: region formation (static or recorded) must never
-# change WHAT executes, only how it is grouped — every benchmark ×
-# opt-level × off/static/recorded cell at Scale::Test must reproduce the
-# reference interpreter's exit code, retired count and output.
-run_stage "superblock (vta superblock --check)" \
-    "$VTA" superblock --check
 
 # Fuzz stage: differential fuzzing of the x86 front end. Two parts,
 # both deterministic and offline: (1) every committed minimized
