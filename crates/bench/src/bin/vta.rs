@@ -12,8 +12,9 @@
 //! `check` is the one simulated-result gate. It recomputes every frozen
 //! value of `BENCH_dispatch.json` (`vta_bench::perf::entries`: the
 //! `paper_default` cycles and stats digests, one digest per figure sweep,
-//! the single-block sweep digest and the vpr metrics-series digest) and
-//! compares them row by row with the checked-in file — nothing is
+//! the single-block sweep digest, the vpr metrics-series digest and a
+//! digest of every block the translator makes per guest and opt level)
+//! and compares them row by row with the checked-in file — nothing is
 //! rewritten, and a drifted, missing or extra row exits nonzero, naming
 //! its section and row. Every simulated cell must also reproduce the
 //! reference interpreter's exit code, retired count and output.

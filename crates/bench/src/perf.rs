@@ -5,8 +5,10 @@
 //! the one producer: the `paper_default` cycles and stats digest of the
 //! fingerprint guests, one [`sweep_digest`] per figure sweep (Figures 4,
 //! 5, 8 and 9: the bank poles, both opt levels, every morph threshold),
-//! and the `gate_digests` rows (every guest run single-block, and the vpr
-//! metrics series). [`render_json`] writes them as `BENCH_dispatch.json`,
+//! the `gate_digests` rows (every guest run single-block, and the vpr
+//! metrics series) and the `translation_digests` rows (every field of
+//! every block the translator makes at each leader a guest reaches).
+//! [`render_json`] writes them as `BENCH_dispatch.json`,
 //! [`parse_json`] reads every section back, and [`compare`] names each
 //! row that drifted, is missing from the file or is extra in it.
 //!
@@ -20,14 +22,15 @@
 //! zero-external-dependency policy (see the root `Cargo.toml`), so no
 //! serde.
 
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use vta_dbt::{RunReport, System, VirtualArchConfig};
-use vta_ir::OptLevel;
+use vta_ir::{translate_block, translate_region, OptLevel, RegionLimits, TBlock, TranslateError};
 use vta_pentium::PentiumModel;
 use vta_sim::{Fnv1a, MetricsConfig};
 use vta_workloads::Scale;
-use vta_x86::{Cpu, GuestImage};
+use vta_x86::{Cpu, GuestImage, Insn, Observer, Op, StopReason};
 
 use crate::Measurement;
 
@@ -226,14 +229,108 @@ fn metrics_vpr_digest() -> u64 {
     h.finish()
 }
 
+/// Collects the block leaders a guest reaches: the pc after every
+/// block-ending instruction the reference interpreter executes.
+#[derive(Default)]
+struct Leaders(BTreeSet<u32>);
+
+impl Observer for Leaders {
+    fn after(&mut self, cpu: &Cpu, insn: &Insn) {
+        use Op::*;
+        if matches!(
+            insn.op,
+            Jmp | JmpInd | Jcc | Call | CallInd | Ret | Int | Hlt
+        ) {
+            self.0.insert(cpu.eip);
+        }
+    }
+}
+
+/// Folds one translation into `h`: every field of the block, or the
+/// error. Integers go in little-endian, the host code and terminator as
+/// their `Debug` text.
+fn eat_translation(h: &mut Fnv1a, at: u32, t: &Result<TBlock, TranslateError>) {
+    h.eat(&at.to_le_bytes());
+    let b = match t {
+        Ok(b) => b,
+        Err(e) => {
+            h.eat(format!("err {e:?}").as_bytes());
+            return;
+        }
+    };
+    h.eat(format!("ok {:?} {:?}", b.term, b.code).as_bytes());
+    for n in [
+        b.guest_addr,
+        b.guest_len,
+        b.guest_insns,
+        u32::from(b.is_call),
+    ] {
+        h.eat(&n.to_le_bytes());
+    }
+    h.eat(&b.translate_cycles.to_le_bytes());
+    for list in [&b.ranges[..], b.footprint.spans()] {
+        h.eat(&(list.len() as u32).to_le_bytes());
+        for &(addr, len) in list {
+            h.eat(&addr.to_le_bytes());
+            h.eat(&len.to_le_bytes());
+        }
+    }
+    h.eat(&(b.member_insns.len() as u32).to_le_bytes());
+    for n in &b.member_insns {
+        h.eat(&n.to_le_bytes());
+    }
+}
+
+/// The `translation_digests` section: per guest at `Scale::Test`, FNV-1a
+/// over the translation of every block leader its reference run reaches
+/// (the entry and every [`Leaders`] pc, ascending), against the image's
+/// initial memory. `<guest>-full` translates each leader single-block and as a
+/// static region under [`RegionLimits::default`], both at `Full`;
+/// `<guest>-none` single-block at `None`. Guests run on `threads` host
+/// threads; the rows are the same for every `threads`.
+pub fn translation_entries(threads: usize) -> Vec<Entry> {
+    let suite = vta_workloads::all(Scale::Test);
+    let digests = crate::bounded_map(threads, suite.len(), |g| {
+        let image = &suite[g].image;
+        let mut leaders = Leaders::default();
+        let stop = Cpu::new(image).run_observed(crate::RUN_BUDGET, &mut leaders);
+        assert!(
+            matches!(stop, Ok(StopReason::Exit(_))),
+            "{}: reference run stopped with {stop:?}",
+            suite[g].name
+        );
+        leaders.0.insert(image.entry);
+        let mem = image.build_mem();
+        let (mut full, mut none) = (Fnv1a::default(), Fnv1a::default());
+        for pc in leaders.0 {
+            eat_translation(&mut full, pc, &translate_block(&mem, pc, OptLevel::Full));
+            let limits = RegionLimits::default();
+            let region = translate_region(&mem, pc, OptLevel::Full, &limits);
+            eat_translation(&mut full, pc, &region);
+            eat_translation(&mut none, pc, &translate_block(&mem, pc, OptLevel::None));
+        }
+        [full.finish(), none.finish()]
+    });
+    vta_workloads::NAMES
+        .iter()
+        .zip(digests)
+        .flat_map(|(name, [full, none])| {
+            [
+                Entry::new("translation_digests", &format!("{name}-full"), full),
+                Entry::new("translation_digests", &format!("{name}-none"), none),
+            ]
+        })
+        .collect()
+}
+
 /// Every frozen value, in `BENCH_dispatch.json` order:
 /// [`paper_default_entries`], the `figure_sweep_digests` (one
-/// [`sweep_digest`] per figure sweep, 16 configurations × 11 guests) and
-/// the `gate_digests` (`single_block`: the [`sweep_digest`] of every guest
-/// with superblocks off and at `OptLevel::None`; `metrics_vpr`). The
-/// sweeps run on `threads` host threads, and the result is the same for
-/// every `threads`. Every cell is held to its guest's [`Reference`]
-/// before it is digested.
+/// [`sweep_digest`] per figure sweep, 16 configurations × 11 guests), the
+/// `gate_digests` (`single_block`: the [`sweep_digest`] of every guest
+/// with superblocks off and at `OptLevel::None`; `metrics_vpr`) and the
+/// [`translation_entries`]. The sweeps run on `threads` host threads,
+/// and the result is the same for every `threads`. Every cell is held to
+/// its guest's [`Reference`] before it is digested.
 pub fn entries(threads: usize) -> Vec<Entry> {
     use crate::figures::{fig4_configs, fig5_configs, fig8_configs, fig9_configs};
     let sweeps = [
@@ -253,6 +350,7 @@ pub fn entries(threads: usize) -> Vec<Entry> {
         "metrics_vpr",
         metrics_vpr_digest(),
     ));
+    out.extend(translation_entries(threads));
     out
 }
 
