@@ -19,10 +19,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use vta_ir::mir::Term;
-use vta_ir::{
-    translate_region, translate_region_along, OptLevel, RegionLimits, RegionShape, TBlock,
-    TranslateError,
-};
+use vta_ir::{OptLevel, RegionLimits, RegionShape, TBlock, TranslateError, Translator};
 use vta_raw::{net, Dram, TileId};
 use vta_sim::{Ctr, Cycle, Profiler, Stats, Tracer, TrackId};
 use vta_x86::GuestMem;
@@ -161,6 +158,9 @@ pub(crate) struct Manager {
     code_pages: Vec<u64>,
     /// Optional cross-system translation memo (sweeps).
     shared: Option<Arc<SharedTranslations>>,
+    /// The one translation context every translation this manager runs
+    /// goes through (its slaves' and its own inline ones).
+    translator: Translator,
 }
 
 impl Manager {
@@ -179,6 +179,7 @@ impl Manager {
             pages: HashMap::new(),
             code_pages: Vec::new(),
             shared: None,
+            translator: Translator::default(),
         }
     }
 
@@ -373,7 +374,7 @@ impl Manager {
     /// path), so a hit is byte-for-byte what a fresh translation would
     /// produce.
     pub(crate) fn translate(
-        &self,
+        &mut self,
         pc: u32,
         shape: &RegionShape,
         out: &mut Outside<'_>,
@@ -382,15 +383,14 @@ impl Manager {
         // consult plus the inline build on a miss). Reading the host
         // clock never changes simulated state.
         out.prof.enter("run.translate");
-        let (mem, memo) = (out.mem, self.shared.as_ref());
+        let (mem, memo, opt) = (out.mem, self.shared.as_ref(), self.opt);
+        let (limits, translator) = (&self.limits, &mut self.translator);
         let build = || {
             let b = Arc::new(match shape {
                 RegionShape::Recorded(path) => {
-                    translate_region_along(mem, pc, self.opt, &self.limits, path)?
+                    translator.translate_region_along(mem, pc, opt, limits, path)?
                 }
-                RegionShape::Single => {
-                    translate_region(mem, pc, self.opt, &RegionLimits::single())?
-                }
+                RegionShape::Single => translator.translate_block(mem, pc, opt)?,
             });
             if let Some(memo) = memo {
                 memo.publish(mem, &b, shape);

@@ -73,6 +73,23 @@ impl std::fmt::Display for CodegenError {
 
 impl std::error::Error for CodegenError {}
 
+/// Code generation's share of a translator's context: the host code
+/// buffer and the register allocator's tables, kept across blocks and
+/// reset at the start of each.
+#[derive(Debug, Default)]
+pub(crate) struct Context {
+    em: Emitter,
+    alloc: Alloc,
+}
+
+impl Context {
+    /// The host code of the last block [`codegen`] generated.
+    pub(crate) fn code(&self) -> &[RInsn] {
+        &self.em.code
+    }
+}
+
+#[derive(Debug, Default)]
 struct Emitter {
     code: Vec<RInsn>,
 }
@@ -176,7 +193,10 @@ impl Scratch {
 /// Chain terminator / unset marker for the expiry lists.
 const NONE: u32 = u32::MAX;
 
+#[derive(Debug, Default)]
 struct Alloc {
+    /// `last_use[v]` = index of the last instruction reading temp `v`.
+    last_use: Vec<u32>,
     /// `map[v]` = host register of temp `v` (indexed by VReg number).
     map: Vec<Option<RReg>>,
     free: Vec<RReg>,
@@ -190,9 +210,12 @@ struct Alloc {
 }
 
 impl Alloc {
-    fn new(block: &MBlock) -> Alloc {
+    /// Forgets the last block and plans `block`'s temporaries.
+    fn reset(&mut self, block: &MBlock) {
         let regs = block.next_temp.max(VReg::FIRST_TEMP) as usize;
-        let mut last_use = vec![NONE; regs];
+        let last_use = &mut self.last_use;
+        last_use.clear();
+        last_use.resize(regs, NONE);
         for (i, insn) in block.insns.iter().enumerate() {
             insn.for_each_use(|v| {
                 if let Val::Reg(r) = v {
@@ -214,21 +237,22 @@ impl Alloc {
             }
         }
         // Bucket the temps by their expiry index.
-        let mut expiry_head = vec![NONE; block.insns.len() + 1];
-        let mut expiry_next = vec![NONE; regs];
+        let (head, next) = (&mut self.expiry_head, &mut self.expiry_next);
+        head.clear();
+        head.resize(block.insns.len() + 1, NONE);
+        next.clear();
+        next.resize(regs, NONE);
         for (v, &at) in last_use.iter().enumerate() {
             if at != NONE {
-                expiry_next[v] = expiry_head[at as usize];
-                expiry_head[at as usize] = v as u32;
+                next[v] = head[at as usize];
+                head[at as usize] = v as u32;
             }
         }
-        Alloc {
-            map: vec![None; regs],
-            free: TEMP_POOL.iter().rev().copied().collect(),
-            expiry_head,
-            expiry_next,
-            guest_addr: block.guest_addr,
-        }
+        self.map.clear();
+        self.map.resize(regs, None);
+        self.free.clear();
+        self.free.extend(TEMP_POOL.iter().rev());
+        self.guest_addr = block.guest_addr;
     }
 
     /// Host register of `v` (guest state is fixed; temps must be live).
@@ -271,17 +295,22 @@ impl Alloc {
         }
     }
 
-    /// Temporarily grabs `n` registers from the free pool.
-    fn grab(&mut self, n: usize) -> Result<Vec<RReg>, CodegenError> {
-        if self.free.len() < n {
+    /// Temporarily grabs a register from the free pool for each slot of
+    /// `regs`, in order.
+    fn grab(&mut self, regs: &mut [RReg]) -> Result<(), CodegenError> {
+        if self.free.len() < regs.len() {
             return Err(CodegenError::RegisterPressure {
                 guest_addr: self.guest_addr,
             });
         }
-        Ok((0..n).map(|_| self.free.pop().expect("checked")).collect())
+        for r in regs {
+            *r = self.free.pop().expect("checked");
+        }
+        Ok(())
     }
 
-    fn release(&mut self, regs: Vec<RReg>) {
+    /// Returns grabbed registers to the free pool, in order.
+    fn release(&mut self, regs: impl IntoIterator<Item = RReg>) {
         self.free.extend(regs);
     }
 
@@ -293,25 +322,23 @@ impl Alloc {
     }
 }
 
-/// Generates host code for a mid-level block.
+/// Generates host code for a mid-level block into `cx`
+/// ([`Context::code`]).
 ///
 /// # Errors
 ///
 /// Returns [`CodegenError::RegisterPressure`] if the block needs more
 /// simultaneously-live temporaries than the tile register file provides.
-pub fn codegen(block: &MBlock) -> Result<Vec<RInsn>, CodegenError> {
-    // Typical expansion is a handful of host instructions per MIR insn.
-    let mut em = Emitter {
-        code: Vec::with_capacity(block.insns.len() * 4 + 8),
-    };
-    let mut alloc = Alloc::new(block);
-
+pub(crate) fn codegen(block: &MBlock, cx: &mut Context) -> Result<(), CodegenError> {
+    let Context { em, alloc } = cx;
+    em.code.clear();
+    alloc.reset(block);
     for (i, insn) in block.insns.iter().enumerate() {
-        emit_insn(&mut em, &mut alloc, insn)?;
+        emit_insn(em, alloc, insn)?;
         alloc.expire(i);
     }
-    emit_term(&mut em, &mut alloc, block.term);
-    Ok(em.code)
+    emit_term(em, alloc, block.term);
+    Ok(())
 }
 
 fn bin_alu(op: BinOp) -> AluOp {
@@ -1273,8 +1300,10 @@ fn emit_string(
         StringOp::Movs | StringOp::Lods => 1,
         StringOp::Stos => 0,
     };
-    let mut tmps = alloc.grab(1 + extra)?;
-    let step = tmps.pop().expect("grabbed");
+    let mut grabbed = [RReg(0); 4];
+    let tmps = &mut grabbed[..1 + extra];
+    alloc.grab(tmps)?;
+    let step = tmps[extra];
 
     // step = DF ? -w : w.
     em.load_const(step, w as u32);
@@ -1303,9 +1332,7 @@ fn emit_string(
     // Scas keeps EAX masked once.
     let (bval, am, tz) = match op {
         StringOp::Scas => {
-            let tz = tmps.pop().expect("grabbed");
-            let am = tmps.pop().expect("grabbed");
-            let bval = tmps.pop().expect("grabbed");
+            let [bval, am, tz] = [tmps[0], tmps[1], tmps[2]];
             if size == Size::Dword {
                 em.mov(am, eax);
             } else {
@@ -1327,17 +1354,15 @@ fn emit_string(
             });
             (Some(bval), Some(am), Some(tz))
         }
-        StringOp::Movs | StringOp::Lods => {
-            let t = tmps.pop().expect("grabbed");
-            (Some(t), None, None)
-        }
+        StringOp::Movs | StringOp::Lods => (Some(tmps[0]), None, None),
         StringOp::Stos => (None, None, None),
     };
 
     let loop_top = em.here();
-    let mut exit_branches: Vec<usize> = Vec::new();
+    // The loop's exits: ECX exhausted, and the scas compare.
+    let mut exit_branches = [None; 2];
     if rep != Rep::None {
-        exit_branches.push(em.here());
+        exit_branches[0] = Some(em.here());
         em.emit(RInsn::Branch {
             cond: BrCond::Eq,
             rs: ecx,
@@ -1463,7 +1488,7 @@ fn emit_string(
                 Rep::Repne => BrCond::Eq, // repne: exit when a == b
                 Rep::None => unreachable!(),
             };
-            exit_branches.push(em.here());
+            exit_branches[1] = Some(em.here());
             em.emit(RInsn::Branch {
                 cond,
                 rs: s,
@@ -1477,7 +1502,7 @@ fn emit_string(
     }
 
     let end = em.here();
-    for at in exit_branches {
+    for at in exit_branches.into_iter().flatten() {
         em.patch(at, end);
     }
 
@@ -1523,18 +1548,10 @@ fn emit_string(
         }
         let after = em.here();
         em.patch(skip, after);
-        tmps.push(z);
     }
 
     // Return the grabbed registers.
-    if let Some(b) = bval {
-        tmps.push(b);
-    }
-    if let Some(a) = am {
-        tmps.push(a);
-    }
-    tmps.push(step);
-    alloc.release(tmps);
+    alloc.release([tz, bval, am, Some(step)].into_iter().flatten());
     Ok(())
 }
 
@@ -1581,8 +1598,10 @@ mod tests {
         let p = asm.finish();
         let src = SliceSource::new(p.base, &p.code);
         let mut b = lower_block(&src, p.base, 32).unwrap();
-        crate::opt::optimize(&mut b, &src);
-        codegen(&b).expect("codegen")
+        crate::opt::optimize(&mut b, &src, &mut Default::default());
+        let mut cx = Context::default();
+        codegen(&b, &mut cx).expect("codegen");
+        cx.code().to_vec()
     }
 
     #[test]

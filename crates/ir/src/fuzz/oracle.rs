@@ -1,9 +1,9 @@
 //! The three-way differential oracle.
 //!
 //! Every case is executed on the reference interpreter ([`vta_x86::Cpu`])
-//! and on the translated path ([`translate_region`] + [`run_block`]) at
-//! both [`OptLevel::None`] and [`OptLevel::Full`], then the architectural
-//! outcomes are compared channel by channel:
+//! and on the translated path ([`Translator::translate_region`] +
+//! [`run_block`]) at both [`OptLevel::None`] and [`OptLevel::Full`], then
+//! the architectural outcomes are compared channel by channel:
 //!
 //! * **stop reason** — exit code, halt, or the fault kind (always);
 //! * **registers** — all eight GPRs (skipped on faults: the reference
@@ -43,13 +43,13 @@
 //! functional [`DataPort`] and the translated side's one syscall layer
 //! ([`proxy_syscall`]); the three translated runs differ only in the
 //! shape the block at `pc` is translated under. Two use
-//! [`translate_region`] under [`RegionLimits::for_opt`], so
+//! [`Translator::translate_region`] under [`RegionLimits::for_opt`], so
 //! `OptLevel::Full` exercises the same superblock regions the DBT
 //! executes. The third replays the DBT's runtime path recording
 //! protocol — single-block execution arms and records loop roots, then
-//! [`translate_region_along`] builds regions along the recorded paths —
-//! so recorded-shape regions (including the ones whose guards side-exit
-//! mid-region) are differentially checked too. [`run_image`] judges any
+//! [`Translator::translate_region_along`] builds regions along the
+//! recorded paths — so recorded-shape regions (including the ones whose
+//! guards side-exit mid-region) are differentially checked too. [`run_image`] judges any
 //! [`GuestImage`]; [`run_case`] is `run_image` of a fuzz [`Case`].
 //!
 //! Stores into a *later, not yet executed* member of the current
@@ -66,9 +66,7 @@ use std::collections::{HashMap, HashSet};
 use crate::codegen::{guest_host_reg, SYS_RESUME_REG};
 use crate::fuzz::Case;
 use crate::helper::{apply_helper, proxy_syscall, R_ESP};
-use crate::translate::{
-    translate_region, translate_region_along, OptLevel, RegionLimits, TranslateError,
-};
+use crate::translate::{OptLevel, RegionLimits, TranslateError, Translator};
 use crate::{Footprint, TBlock};
 use vta_raw::exec::{run_block, BlockExit, CoreState, DataPort, Fault};
 use vta_raw::isa::{HelperKind, MemOp};
@@ -259,14 +257,14 @@ fn run_reference(image: &GuestImage) -> RunResult {
 /// Which translation shapes a translated run executes.
 #[derive(Clone, Copy)]
 enum Shapes {
-    /// Every block through [`translate_region`] at this level under
-    /// [`RegionLimits::for_opt`]: single blocks at `None`, statically
-    /// predicted superblocks at `Full`.
+    /// Every block through [`Translator::translate_region`] at this level
+    /// under [`RegionLimits::for_opt`]: single blocks at `None`,
+    /// statically predicted superblocks at `Full`.
     Static(OptLevel),
     /// The DBT's runtime path recording: single blocks at
     /// [`OptLevel::None`] (the recording pass observes architectural
     /// successors only) until a [`PathRecorder`] has closed a path for a
-    /// loop root, then a [`translate_region_along`] region at
+    /// loop root, then a [`Translator::translate_region_along`] region at
     /// [`OptLevel::Full`] there. Wherever the recorded path stops
     /// holding, the region's guards must side-exit to precisely the
     /// address single-block execution would have reached.
@@ -339,7 +337,9 @@ impl PathRecorder {
 ///
 /// Blocks are re-translated on every entry (no translation cache): the
 /// oracle must stay coherent with self-modifying code, and divergence
-/// hunting values correctness over speed.
+/// hunting values correctness over speed. Every translation of the run
+/// goes through one [`Translator`], so the cases also exercise a context
+/// reused across opt levels and shapes.
 fn run_translated(image: &GuestImage, shapes: Shapes) -> RunResult {
     let mut mem = image.build_mem();
     let mut sys = SysState::new(image.brk_base);
@@ -350,6 +350,7 @@ fn run_translated(image: &GuestImage, shapes: Shapes) -> RunResult {
         Shapes::Recorded => (OptLevel::None, Some(PathRecorder::default())),
     };
     let limits = RegionLimits::for_opt(opt);
+    let mut translator = Translator::default();
     let mut state = CoreState::new();
     state.set(R_ESP, image.initial_esp());
     let mut pc = image.entry;
@@ -361,10 +362,14 @@ fn run_translated(image: &GuestImage, shapes: Shapes) -> RunResult {
             break Outcome::Limit;
         }
         let translated = match recorder.as_mut().and_then(|r| r.path_at(pc)) {
-            Some(path) => {
-                translate_region_along(&mem, pc, OptLevel::Full, &RegionLimits::default(), path)
-            }
-            None => translate_region(&mem, pc, opt, &limits),
+            Some(path) => translator.translate_region_along(
+                &mem,
+                pc,
+                OptLevel::Full,
+                &RegionLimits::default(),
+                path,
+            ),
+            None => translator.translate_region(&mem, pc, opt, &limits),
         };
         let block = match translated {
             Ok(b) => b,

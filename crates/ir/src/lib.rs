@@ -11,7 +11,8 @@
 //!
 //! The entry point is [`translate_block`], which produces a [`TBlock`] of
 //! host code plus the translation-occupancy estimate the DBT charges to a
-//! slave tile.
+//! slave tile. A caller that translates many blocks keeps one
+//! [`Translator`], whose buffers live across blocks.
 //!
 //! # Examples
 //!
@@ -46,5 +47,5 @@ pub use helper::{apply_helper, proxy_syscall};
 pub use mir::{FlagSet, MBlock, MInsn, Term, VReg, Val};
 pub use translate::{
     translate_block, translate_region, translate_region_along, Footprint, OptLevel, RegionLimits,
-    RegionShape, TBlock, TranslateError,
+    RegionShape, TBlock, TranslateError, Translator,
 };

@@ -18,12 +18,12 @@ use crate::mir::{
 /// Default cap on guest instructions per translated block.
 pub const MAX_BLOCK_INSNS: u32 = 32;
 
-struct Ctx {
-    insns: Vec<MInsn>,
+struct Ctx<'a> {
+    insns: &'a mut Vec<MInsn>,
     next_temp: u32,
 }
 
-impl Ctx {
+impl Ctx<'_> {
     fn temp(&mut self) -> VReg {
         let r = VReg(self.next_temp);
         self.next_temp += 1;
@@ -282,35 +282,52 @@ impl Ctx {
     }
 }
 
-/// Lowers one guest basic block starting at `addr`.
-///
-/// # Errors
-///
-/// Propagates [`DecodeError`] from the instruction decoder.
-pub fn lower_block<S: CodeSource + ?Sized>(
+/// Lowers one guest basic block starting at `addr` into a fresh
+/// [`MBlock`].
+#[cfg(test)]
+pub(crate) fn lower_block<S: CodeSource + ?Sized>(
     src: &S,
     addr: u32,
     max_insns: u32,
 ) -> Result<MBlock, DecodeError> {
-    // The block's own span; the flag scan will add a handful more.
-    let mut reads = Vec::with_capacity(4);
-    let block = lower_member(src, addr, max_insns, &mut reads)?;
-    Ok(MBlock { reads, ..block })
+    let mut block = MBlock::default();
+    let m = lower_member(src, addr, max_insns, &mut block)?;
+    Ok(MBlock {
+        guest_addr: addr,
+        guest_len: m.guest_len,
+        guest_insns: m.guest_insns,
+        term: m.term,
+        is_call: m.is_call,
+        ..block
+    })
 }
 
-/// [`lower_block`] for a block about to join a region: the span it
-/// decoded is noted in the region's `reads`, its own stay empty.
+/// What lowering one basic block found besides its body.
+pub(crate) struct Member {
+    /// Bytes of guest code covered.
+    pub guest_len: u32,
+    /// Guest instructions covered.
+    pub guest_insns: u32,
+    /// How it ends.
+    pub term: Term,
+    /// Whether it ends in a guest `call`.
+    pub is_call: bool,
+}
+
+/// Lowers the guest basic block at `addr` onto the end of `block`: its
+/// body is appended to `block.insns`, its temporaries continue from
+/// `block.next_temp`, and the span it decoded is noted in `block.reads`.
+/// The rest of `block` is the caller's to update. On an error `block` is
+/// unchanged: only a decode at the first instruction fails the block.
 pub(crate) fn lower_member<S: CodeSource + ?Sized>(
     src: &S,
     addr: u32,
     max_insns: u32,
-    reads: &mut Vec<(u32, u32)>,
-) -> Result<MBlock, DecodeError> {
+    block: &mut MBlock,
+) -> Result<Member, DecodeError> {
     let mut ctx = Ctx {
-        // Six `FlagDef`s per ALU instruction: a block is a few dozen
-        // `MInsn`s before it is ten guest instructions. Sized once.
-        insns: Vec::with_capacity(64),
-        next_temp: VReg::FIRST_TEMP,
+        insns: &mut block.insns,
+        next_temp: block.next_temp,
     };
     let mut pc = addr;
     let mut count = 0u32;
@@ -350,22 +367,19 @@ pub(crate) fn lower_member<S: CodeSource + ?Sized>(
         }
     }
 
+    block.next_temp = ctx.next_temp;
     // The instructions are back to back, so they are one span.
-    note_read(reads, addr, pc.wrapping_sub(addr) + failed_fetch);
-    Ok(MBlock {
-        guest_addr: addr,
+    note_read(&mut block.reads, addr, pc.wrapping_sub(addr) + failed_fetch);
+    Ok(Member {
         guest_len: pc.wrapping_sub(addr),
         guest_insns: count,
-        insns: ctx.insns,
         term,
         is_call,
-        next_temp: ctx.next_temp,
-        reads: Vec::new(),
     })
 }
 
 /// Lowers one instruction; returns the terminator if it ends the block.
-fn lower_insn(ctx: &mut Ctx, insn: &Insn) -> Option<Term> {
+fn lower_insn(ctx: &mut Ctx<'_>, insn: &Insn) -> Option<Term> {
     let size = insn.size;
     match insn.op {
         Op::Nop => {}
@@ -670,7 +684,7 @@ fn lower_insn(ctx: &mut Ctx, insn: &Insn) -> Option<Term> {
 }
 
 /// Widening multiply of two size-masked values; returns `(lo, hi)` masked.
-fn widening_mul(ctx: &mut Ctx, signed: bool, size: Size, a: Val, b: Val) -> (Val, Val) {
+fn widening_mul(ctx: &mut Ctx<'_>, signed: bool, size: Size, a: Val, b: Val) -> (Val, Val) {
     match size {
         Size::Dword => {
             let lo = ctx.bin(BinOp::Mul, a, b);
@@ -694,7 +708,7 @@ fn widening_mul(ctx: &mut Ctx, signed: bool, size: Size, a: Val, b: Val) -> (Val
     }
 }
 
-fn to_reg(ctx: &mut Ctx, v: Val) -> VReg {
+fn to_reg(ctx: &mut Ctx<'_>, v: Val) -> VReg {
     match v {
         Val::Reg(r) => r,
         Val::Const(c) => {

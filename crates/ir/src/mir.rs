@@ -565,6 +565,23 @@ pub fn note_read(reads: &mut Vec<(u32, u32)>, addr: u32, len: u32) {
     }
 }
 
+impl Default for MBlock {
+    /// An empty body at address 0 that halts, with no temporaries and no
+    /// reads: a buffer to lower into. Allocates nothing.
+    fn default() -> Self {
+        MBlock {
+            guest_addr: 0,
+            guest_len: 0,
+            guest_insns: 0,
+            insns: Vec::new(),
+            term: Term::Halt,
+            is_call: false,
+            next_temp: VReg::FIRST_TEMP,
+            reads: Vec::new(),
+        }
+    }
+}
+
 impl MBlock {
     /// Allocates a fresh temporary.
     pub fn temp(&mut self) -> VReg {

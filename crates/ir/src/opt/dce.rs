@@ -5,15 +5,16 @@ use crate::mir::{MBlock, MInsn, Term, VReg, Val};
 /// A dense liveness set over virtual-register numbers (one bit each).
 /// The pass flips a few bits per instruction on every translated block,
 /// so the set is a flat bit array rather than a hash set.
+#[derive(Debug, Default)]
 struct LiveSet {
     words: Vec<u64>,
 }
 
 impl LiveSet {
-    fn new(regs: usize) -> LiveSet {
-        LiveSet {
-            words: vec![0; regs.div_ceil(64)],
-        }
+    /// Empties the set and sizes it for `regs` registers.
+    fn reset(&mut self, regs: usize) {
+        self.words.clear();
+        self.words.resize(regs.div_ceil(64), 0);
     }
 
     #[inline]
@@ -32,13 +33,23 @@ impl LiveSet {
     }
 }
 
+/// The pass's buffers, kept across blocks by a translator's context and
+/// reset at first use in each block.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    live: LiveSet,
+    /// Per body instruction: whether it survives.
+    keep: Vec<bool>,
+}
+
 /// Removes pure instructions whose destination temporary is never read.
 ///
 /// Guest state (`VReg(0..=8)`) is always live-out. Loads are *not*
 /// removed even when dead: a load can fault, and x86 still faults when the
 /// result is unused.
-pub fn eliminate(block: &mut MBlock) {
-    let mut live = LiveSet::new(block.next_temp.max(VReg::FIRST_TEMP) as usize);
+pub(crate) fn eliminate(block: &mut MBlock, scratch: &mut Scratch) {
+    let Scratch { live, keep } = scratch;
+    live.reset(block.next_temp.max(VReg::FIRST_TEMP) as usize);
     for r in 0..=8 {
         live.insert(VReg(r));
     }
@@ -46,7 +57,8 @@ pub fn eliminate(block: &mut MBlock) {
         live.insert(r);
     }
 
-    let mut keep = vec![true; block.insns.len()];
+    keep.clear();
+    keep.resize(block.insns.len(), true);
     for (i, insn) in block.insns.iter().enumerate().rev() {
         let removable = matches!(
             insn,
@@ -118,7 +130,7 @@ mod tests {
             ],
             Term::Halt,
         );
-        eliminate(&mut b);
+        eliminate(&mut b, &mut Scratch::default());
         assert_eq!(b.insns.len(), 1);
     }
 
@@ -139,7 +151,7 @@ mod tests {
             ],
             Term::Halt,
         );
-        eliminate(&mut b);
+        eliminate(&mut b, &mut Scratch::default());
         assert_eq!(b.insns.len(), 2);
     }
 
@@ -154,7 +166,7 @@ mod tests {
             }],
             Term::Halt,
         );
-        eliminate(&mut b);
+        eliminate(&mut b, &mut Scratch::default());
         assert_eq!(b.insns.len(), 1, "dead loads still fault");
     }
 
@@ -169,7 +181,7 @@ mod tests {
             }],
             Term::Indirect(VReg(12)),
         );
-        eliminate(&mut b);
+        eliminate(&mut b, &mut Scratch::default());
         assert_eq!(b.insns.len(), 1);
     }
 
@@ -188,7 +200,7 @@ mod tests {
             ],
             Term::Halt,
         );
-        eliminate(&mut b);
+        eliminate(&mut b, &mut Scratch::default());
         assert_eq!(b.insns.len(), 1);
         assert_eq!(
             b.insns[0],

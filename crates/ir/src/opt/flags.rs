@@ -12,8 +12,6 @@
 //! anyway) and observes which flags are read before being overwritten. At
 //! indirect successors all flags are conservatively live.
 
-use std::collections::HashMap;
-
 use vta_x86::decode::{decode, CodeSource, MAX_INSN_LEN};
 use vta_x86::{Op, Rep};
 
@@ -23,6 +21,22 @@ use crate::mir::{note_read, Flag, FlagSet, MBlock, MInsn, ShiftKind, StringOp, T
 pub const SCAN_DEPTH: u32 = 48;
 /// Maximum branch-following recursion while scanning.
 pub const SCAN_FANOUT: u32 = 4;
+
+/// The pass's buffers, kept across blocks by a translator's context and
+/// cleared at first use in each block.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// The scan memo: live-in flags per guest address scanned for this
+    /// block. A scan visits a handful of addresses, so a linear search
+    /// beats hashing.
+    memo: Vec<(u32, FlagSet)>,
+    /// Per body instruction: whether it survives.
+    keep: Vec<bool>,
+    /// Per body instruction: whether a `ShiftFx` must stay flag-exact.
+    shift_flags: Vec<bool>,
+    /// The rewritten body, before it is copied back.
+    out: Vec<MInsn>,
+}
 
 /// Flags a decoded guest instruction reads.
 fn guest_reads(op: Op, cond: Option<vta_x86::Cond>) -> FlagSet {
@@ -67,10 +81,10 @@ fn guest_kills(op: Op) -> FlagSet {
 /// flags live. The answer depends on every byte the scan decoded, so the
 /// spans are noted in `reads` (see [`MBlock::reads`]); a failed decode
 /// counts for the most it can have fetched.
-pub fn live_in_at<S: CodeSource + ?Sized>(
+fn live_in_at<S: CodeSource + ?Sized>(
     src: &S,
     addr: u32,
-    memo: &mut HashMap<u32, FlagSet>,
+    memo: &mut Vec<(u32, FlagSet)>,
     reads: &mut Vec<(u32, u32)>,
 ) -> FlagSet {
     scan(src, addr, SCAN_DEPTH, SCAN_FANOUT, memo, reads)
@@ -81,17 +95,18 @@ fn scan<S: CodeSource + ?Sized>(
     addr: u32,
     depth: u32,
     fanout: u32,
-    memo: &mut HashMap<u32, FlagSet>,
+    memo: &mut Vec<(u32, FlagSet)>,
     reads: &mut Vec<(u32, u32)>,
 ) -> FlagSet {
-    if let Some(&cached) = memo.get(&addr) {
+    if let Some(&(_, cached)) = memo.iter().find(|&&(at, _)| at == addr) {
         return cached;
     }
     // Guard against scan cycles: assume all live while recursing into
     // ourselves (sound: over-approximation).
-    memo.insert(addr, FlagSet::ALL);
+    let slot = memo.len();
+    memo.push((addr, FlagSet::ALL));
     let result = scan_uncached(src, addr, depth, fanout, memo, reads);
-    memo.insert(addr, result);
+    memo[slot].1 = result;
     result
 }
 
@@ -100,7 +115,7 @@ fn scan_uncached<S: CodeSource + ?Sized>(
     mut addr: u32,
     depth: u32,
     fanout: u32,
-    memo: &mut HashMap<u32, FlagSet>,
+    memo: &mut Vec<(u32, FlagSet)>,
     reads: &mut Vec<(u32, u32)>,
 ) -> FlagSet {
     let mut live = FlagSet::EMPTY;
@@ -155,10 +170,20 @@ fn scan_uncached<S: CodeSource + ?Sized>(
 /// Removes dead `FlagDef`s from `block` and rewrites flag-dead
 /// [`MInsn::ShiftFx`] instructions into plain value-only shift code,
 /// using the interblock liveness scan for the block's live-out set.
-pub fn eliminate_dead_flags<S: CodeSource + ?Sized>(block: &mut MBlock, src: &S) {
-    let mut memo = HashMap::new();
+pub(crate) fn eliminate_dead_flags<S: CodeSource + ?Sized>(
+    block: &mut MBlock,
+    src: &S,
+    scratch: &mut Scratch,
+) {
+    let Scratch {
+        memo,
+        keep,
+        shift_flags,
+        out,
+    } = scratch;
+    memo.clear();
     let mut reads = std::mem::take(&mut block.reads);
-    let mut live_at = |addr| live_in_at(src, addr, &mut memo, &mut reads);
+    let mut live_at = |addr| live_in_at(src, addr, memo, &mut reads);
     // Live-out of the block.
     let live = match block.term {
         Term::Goto(t) => live_at(t),
@@ -170,33 +195,47 @@ pub fn eliminate_dead_flags<S: CodeSource + ?Sized>(block: &mut MBlock, src: &S)
         // Trap and Halt both stop the machine: no flag is observable after.
         Term::Trap(_) | Term::Halt => FlagSet::EMPTY,
     };
-    eliminate_with_liveout(block, live, &mut live_at);
+    eliminate_with_liveout(block, live, &mut live_at, keep, shift_flags, out);
     block.reads = reads;
 }
 
 /// Intrablock-only variant: assumes every flag is live at the block exit
 /// (plus the terminator's own reads). This is what `OptLevel::None`
 /// uses — looking ahead into successors is itself an optimization.
-pub fn eliminate_dead_flags_conservative(block: &mut MBlock) {
+pub(crate) fn eliminate_dead_flags_conservative(block: &mut MBlock, scratch: &mut Scratch) {
     let live = match block.term {
         Term::Trap(_) | Term::Halt => FlagSet::EMPTY,
         Term::CondGoto { cond, .. } => FlagSet::for_cond(cond).union(FlagSet::ALL),
         _ => FlagSet::ALL,
     };
-    eliminate_with_liveout(block, live, &mut |_| FlagSet::ALL);
+    let Scratch {
+        keep,
+        shift_flags,
+        out,
+        ..
+    } = scratch;
+    eliminate_with_liveout(block, live, &mut |_| FlagSet::ALL, keep, shift_flags, out);
 }
 
 /// `exit_live(addr)` answers which flags are live on entry to the guest
 /// address a mid-body region exit (side exit or boundary guard) leaves
 /// for — the same interblock query the terminator live-out uses.
+/// `keep`, `shift_flags` and `out` are scratch, where the rewritten body
+/// is built before it is copied back: each buffer keeps one role, so
+/// each grows only to the largest block it has held.
 fn eliminate_with_liveout(
     block: &mut MBlock,
     mut live: FlagSet,
     exit_live: &mut dyn FnMut(u32) -> FlagSet,
+    keep: &mut Vec<bool>,
+    shift_flags: &mut Vec<bool>,
+    out: &mut Vec<MInsn>,
 ) {
     // Backward pass over the body.
-    let mut keep = vec![true; block.insns.len()];
-    let mut shift_flags = vec![false; block.insns.len()];
+    keep.clear();
+    keep.resize(block.insns.len(), true);
+    shift_flags.clear();
+    shift_flags.resize(block.insns.len(), false);
     for (i, insn) in block.insns.iter().enumerate().rev() {
         match insn {
             MInsn::FlagDef { flag, .. } => {
@@ -242,7 +281,7 @@ fn eliminate_with_liveout(
     }
 
     // Rewrite flag-dead ShiftFx into pure value computation.
-    let mut out = Vec::with_capacity(block.insns.len());
+    out.clear();
     for (i, insn) in block.insns.iter().enumerate() {
         if !keep[i] {
             continue;
@@ -255,14 +294,13 @@ fn eliminate_with_liveout(
                 a,
                 count,
             } if !shift_flags[i] => {
-                lower_value_shift(block.next_temp, &mut out, op, size, dst, a, count)
-                    .map(|n| block.next_temp = n)
-                    .unwrap_or(());
+                block.next_temp = lower_value_shift(block.next_temp, out, op, size, dst, a, count);
             }
             other => out.push(other),
         }
     }
-    block.insns = out;
+    block.insns.clear();
+    block.insns.extend_from_slice(out);
 }
 
 /// Emits value-only shift code; returns the updated temp counter.
@@ -274,7 +312,7 @@ fn lower_value_shift(
     dst: crate::mir::VReg,
     a: Val,
     count: Val,
-) -> Option<u32> {
+) -> u32 {
     use crate::mir::{BinOp, VReg};
     let mut temp = || {
         let r = VReg(next_temp);
@@ -362,7 +400,7 @@ fn lower_value_shift(
             out.push(MInsn::Mov { dst, src: v });
         }
     }
-    Some(next_temp)
+    next_temp
 }
 
 #[cfg(test)]
@@ -378,7 +416,7 @@ mod tests {
         let p = asm.finish();
         let src = SliceSource::new(p.base, &p.code);
         let mut b = lower_block(&src, p.base, 32).unwrap();
-        eliminate_dead_flags(&mut b, &src);
+        eliminate_dead_flags(&mut b, &src, &mut Scratch::default());
         b
     }
 
@@ -502,7 +540,7 @@ mod tests {
         asm.hlt();
         let p = asm.finish();
         let src = SliceSource::new(p.base, &p.code);
-        let (mut memo, mut reads) = (HashMap::new(), Vec::new());
+        let (mut memo, mut reads) = (Vec::new(), Vec::new());
         assert_eq!(
             live_in_at(&src, 0x2000, &mut memo, &mut reads),
             FlagSet::EMPTY
@@ -519,7 +557,7 @@ mod tests {
         asm.jmp(top); // tight infinite loop, no flag ops
         let p = asm.finish();
         let src = SliceSource::new(p.base, &p.code);
-        let (mut memo, mut reads) = (HashMap::new(), Vec::new());
+        let (mut memo, mut reads) = (Vec::new(), Vec::new());
         // Must not hang; memoization breaks the cycle conservatively.
         let live = live_in_at(&src, 0x3000, &mut memo, &mut reads);
         assert_eq!(live, FlagSet::ALL);

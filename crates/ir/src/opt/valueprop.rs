@@ -16,8 +16,10 @@ enum Fact {
     CopyOf(VReg, u32),
 }
 
-/// Per-register fact table, indexed by virtual-register number.
-struct Facts {
+/// Per-register fact table, indexed by virtual-register number. A
+/// translator's context keeps one across blocks; each block resets it.
+#[derive(Debug, Default)]
+pub(crate) struct Facts {
     fact: Vec<Option<Fact>>,
     /// Redefinition counter per register; stale `CopyOf` facts are
     /// detected by version mismatch.
@@ -25,11 +27,12 @@ struct Facts {
 }
 
 impl Facts {
-    fn new(regs: usize) -> Facts {
-        Facts {
-            fact: vec![None; regs],
-            ver: vec![0; regs],
-        }
+    /// Forgets everything and sizes the table for `regs` registers.
+    fn reset(&mut self, regs: usize) {
+        self.fact.clear();
+        self.fact.resize(regs, None);
+        self.ver.clear();
+        self.ver.resize(regs, 0);
     }
 
     /// Resolves a value through the fact table.
@@ -62,8 +65,8 @@ impl Facts {
 /// Folds constant expressions and forwards copies/constants through the
 /// block. Sound per-block: helper-style instructions that mutate guest
 /// registers invalidate what they touch.
-pub fn propagate(block: &mut crate::mir::MBlock) {
-    let mut known = Facts::new(block.next_temp.max(VReg::FIRST_TEMP) as usize);
+pub(crate) fn propagate(block: &mut crate::mir::MBlock, known: &mut Facts) {
+    known.reset(block.next_temp.max(VReg::FIRST_TEMP) as usize);
 
     for insn in &mut block.insns {
         match insn {
@@ -197,7 +200,7 @@ mod tests {
                 src: Val::Reg(VReg(10)),
             },
         ]);
-        propagate(&mut b);
+        propagate(&mut b, &mut Facts::default());
         assert_eq!(
             b.insns[2],
             MInsn::Mov {
@@ -221,7 +224,7 @@ mod tests {
                 b: Val::Reg(VReg(9)),
             },
         ]);
-        propagate(&mut b);
+        propagate(&mut b, &mut Facts::default());
         assert_eq!(
             b.insns[1],
             MInsn::Bin {
@@ -252,7 +255,7 @@ mod tests {
                 b: Val::Const(0),
             },
         ]);
-        propagate(&mut b);
+        propagate(&mut b, &mut Facts::default());
         // %t0 must NOT have been replaced by the clobbered %ecx.
         assert_eq!(
             b.insns[2],
@@ -282,7 +285,7 @@ mod tests {
                 src: Val::Reg(VReg(0)),
             },
         ]);
-        propagate(&mut b);
+        propagate(&mut b, &mut Facts::default());
         // EAX is no longer the constant 5 after the divide.
         assert_eq!(
             b.insns[2],

@@ -20,8 +20,8 @@ use vta_x86::decode::{CodeSource, DecodeError, MAX_INSN_LEN};
 use vta_x86::Cond;
 
 use crate::codegen::{codegen, CodegenError};
-use crate::lower::{lower_block, lower_member, MAX_BLOCK_INSNS};
-use crate::mir::{note_read, MBlock, MInsn, Term, VReg, Val};
+use crate::lower::{lower_member, MAX_BLOCK_INSNS};
+use crate::mir::{note_read, MBlock, MInsn, Term, VReg};
 use crate::opt;
 
 /// Translation effort (Figure 8 compares the two).
@@ -173,25 +173,7 @@ impl Footprint {
     /// The set of bytes in `spans`, given in any order; a span reaching
     /// past 2^32 wraps to address 0, as instruction fetch does.
     pub fn new(mut spans: Vec<(u32, u32)>) -> Footprint {
-        for i in 0..spans.len() {
-            let (start, len) = spans[i];
-            let over = (start as u64 + len as u64).saturating_sub(1 << 32) as u32;
-            if over > 0 {
-                spans[i].1 = len - over;
-                spans.push((0, over));
-            }
-        }
-        spans.retain(|&(_, len)| len > 0);
-        spans.sort_unstable();
-        // Merge in place: `dedup_by` drops `next` when told it is covered
-        // by `prev`, which is grown to cover it first.
-        spans.dedup_by(|next, prev| {
-            let touches = prev.0 as u64 + prev.1 as u64 >= next.0 as u64;
-            if touches {
-                prev.1 = prev.1.max(next.0 - prev.0 + next.1);
-            }
-            touches
-        });
+        normalize(&mut spans);
         Footprint { spans }
     }
 
@@ -216,6 +198,31 @@ impl Footprint {
             first..unseen
         })
     }
+}
+
+/// Sorts and merges `spans` in place into a [`Footprint`]'s canonical
+/// form: no span empty, overlapping, touching or past 2^32 (a span
+/// reaching past it continues at address 0).
+fn normalize(spans: &mut Vec<(u32, u32)>) {
+    for i in 0..spans.len() {
+        let (start, len) = spans[i];
+        let over = (start as u64 + len as u64).saturating_sub(1 << 32) as u32;
+        if over > 0 {
+            spans[i].1 = len - over;
+            spans.push((0, over));
+        }
+    }
+    spans.retain(|&(_, len)| len > 0);
+    spans.sort_unstable();
+    // Merge in place: `dedup_by` drops `next` when told it is covered
+    // by `prev`, which is grown to cover it first.
+    spans.dedup_by(|next, prev| {
+        let touches = prev.0 as u64 + prev.1 as u64 >= next.0 as u64;
+        if touches {
+            prev.1 = prev.1.max(next.0 - prev.0 + next.1);
+        }
+        touches
+    });
 }
 
 impl TBlock {
@@ -268,6 +275,9 @@ impl From<CodegenError> for TranslateError {
 
 /// Translates the guest basic block at `addr` into host code.
 ///
+/// A fresh [`Translator`] for one block; a caller translating many blocks
+/// keeps one and calls [`Translator::translate_block`].
+///
 /// # Errors
 ///
 /// Returns [`TranslateError`] on undecodable guest code or pathological
@@ -293,56 +303,30 @@ pub fn translate_block<S: CodeSource + ?Sized>(
     addr: u32,
     opt: OptLevel,
 ) -> Result<TBlock, TranslateError> {
-    translate_region(src, addr, opt, &RegionLimits::single())
+    Translator::default().translate_block(src, addr, opt)
 }
 
-/// Translates a superblock region starting at `addr`: the basic block
-/// there, extended along the statically-predicted path subject to
-/// `limits`, optimized and register-allocated as one merged unit.
-///
-/// Internal predicted-not-taken branches become [`MInsn::SideExit`]s and
-/// each member junction carries an [`MInsn::Boundary`] guard (the exit
-/// taken when self-modifying code is detected mid-region). Like
-/// [`translate_block`], the result is a pure function of the bytes
-/// fetched through `src`.
+/// Translates the region at `addr` on a fresh [`Translator`]; see
+/// [`Translator::translate_region`].
 ///
 /// # Errors
 ///
-/// Returns [`TranslateError`] on undecodable guest code at the entry
-/// block or pathological register pressure. Decode failures while
-/// *extending* are not errors — the region simply stops growing; a
-/// merged region that exceeds the host register file deterministically
-/// falls back to the single-block translation.
+/// As [`Translator::translate_region`].
 pub fn translate_region<S: CodeSource + ?Sized>(
     src: &S,
     addr: u32,
     opt: OptLevel,
     limits: &RegionLimits,
 ) -> Result<TBlock, TranslateError> {
-    translate_formed(src, addr, opt, limits, None)
+    Translator::default().translate_region(src, addr, opt, limits)
 }
 
-/// Translates a superblock region starting at `addr` along an explicitly
-/// *recorded* successor path instead of the static prediction: `path`
-/// holds the successor the recording pass observed at each block exit,
-/// in execution order — one entry per junction. The entry at an
-/// unconditional goto is redundant but still validated, so a recording
-/// taken against different resident code cannot splice a wrong member.
-///
-/// Formation stops at the first junction where the recorded successor no
-/// longer matches the decoded terminator (a gap in the recording), at a
-/// revisited member (the loop-closing backedge), when the path runs out,
-/// or at the usual `limits` caps. Indirect junctions become
-/// [`MInsn::IndirectGuard`]s: the region continues into the recorded
-/// target and falls back to dispatch when the computed target differs.
-/// Like [`translate_region`], the result is a pure function of `path`
-/// and the bytes fetched through `src`.
+/// Translates the region at `addr` along `path` on a fresh
+/// [`Translator`]; see [`Translator::translate_region_along`].
 ///
 /// # Errors
 ///
-/// Returns [`TranslateError`] on undecodable guest code at the entry
-/// block or pathological register pressure (with the same deterministic
-/// single-block fallback as [`translate_region`]).
+/// As [`Translator::translate_region_along`].
 pub fn translate_region_along<S: CodeSource + ?Sized>(
     src: &S,
     addr: u32,
@@ -350,63 +334,279 @@ pub fn translate_region_along<S: CodeSource + ?Sized>(
     limits: &RegionLimits,
     path: &[u32],
 ) -> Result<TBlock, TranslateError> {
-    translate_formed(src, addr, opt, limits, Some(path))
+    Translator::default().translate_region_along(src, addr, opt, limits, path)
 }
 
-/// Forms the region at `addr`, then optimizes, register-allocates and
-/// code-generates it.
-fn translate_formed<S: CodeSource + ?Sized>(
-    src: &S,
-    addr: u32,
-    opt: OptLevel,
-    limits: &RegionLimits,
-    path: Option<&[u32]>,
-) -> Result<TBlock, TranslateError> {
-    let (mut region, mut ranges, mut member_insns) = form_region(src, addr, limits, path)?;
-    let code = loop {
-        match opt {
-            OptLevel::Full => opt::optimize(&mut region, src),
-            OptLevel::None => opt::baseline_only(&mut region, src),
-        }
-        match codegen(&region) {
-            Ok(code) => break code,
-            // A merged region can exceed the host temp pool even when each
-            // member fits alone. Deterministic fallback — identical whether
-            // the translation runs in the system or in the fuzz oracle —
-            // keeps memoized reuse bit-exact. The single block stands on
-            // the abandoned region's bytes too: other bytes there and the
-            // region might have fitted.
-            Err(CodegenError::RegisterPressure { .. }) if ranges.len() > 1 => {
-                let abandoned = region.reads;
-                (region, ranges, member_insns) =
-                    form_region(src, addr, &RegionLimits::single(), None)?;
-                region.reads.extend(abandoned);
+/// One reusable translation context: every buffer the pipeline works in,
+/// from the region's MIR through the passes to the host code.
+///
+/// Each buffer is cleared at its first use in a translation and keeps its
+/// capacity for the next, so once the buffers have grown to the blocks a
+/// caller translates, the only heap memory a translation allocates is the
+/// [`TBlock`] it returns (its `code`, `ranges`, `member_insns` and
+/// footprint). Nothing else carries from one translation to the next: a
+/// translation is the same function of the bytes it read whether the
+/// context is fresh or has translated a million blocks before, and a
+/// fresh one allocates nothing.
+///
+/// # Examples
+///
+/// ```
+/// use vta_ir::{translate_block, OptLevel, Translator};
+/// use vta_x86::decode::SliceSource;
+/// use vta_x86::{Asm, Reg};
+///
+/// let mut asm = Asm::new(0x1000);
+/// asm.add_ri(Reg::EAX, 1);
+/// asm.hlt();
+/// let p = asm.finish();
+/// let src = SliceSource::new(p.base, &p.code);
+/// let mut t = Translator::default();
+/// for opt in [OptLevel::Full, OptLevel::None, OptLevel::Full] {
+///     assert_eq!(t.translate_block(&src, p.base, opt)?, translate_block(&src, p.base, opt)?);
+/// }
+/// # Ok::<(), vta_ir::TranslateError>(())
+/// ```
+#[derive(Debug, Default)]
+pub struct Translator {
+    /// The region being formed and optimized: its MIR body, next
+    /// temporary and the guest spans decoded on its behalf.
+    mir: MBlock,
+    /// Member `(addr, len)` list, parallel to `member_insns`.
+    ranges: Vec<(u32, u32)>,
+    /// Guest instructions per member.
+    member_insns: Vec<u32>,
+    /// Distinct guest pages the members span.
+    pages: Vec<u32>,
+    passes: opt::Passes,
+    codegen: crate::codegen::Context,
+}
+
+impl Translator {
+    /// Translates the guest basic block at `addr` into host code.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TranslateError`] on undecodable guest code or
+    /// pathological register pressure.
+    pub fn translate_block<S: CodeSource + ?Sized>(
+        &mut self,
+        src: &S,
+        addr: u32,
+        opt: OptLevel,
+    ) -> Result<TBlock, TranslateError> {
+        self.translate(src, addr, opt, &RegionLimits::single(), None)
+    }
+
+    /// Translates a superblock region starting at `addr`: the basic
+    /// block there, extended along the statically-predicted path subject
+    /// to `limits`, optimized and register-allocated as one merged unit.
+    ///
+    /// Internal predicted-not-taken branches become [`MInsn::SideExit`]s
+    /// and each member junction carries an [`MInsn::Boundary`] guard (the
+    /// exit taken when self-modifying code is detected mid-region). Like
+    /// [`Translator::translate_block`], the result is a pure function of
+    /// the bytes fetched through `src`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TranslateError`] on undecodable guest code at the entry
+    /// block or pathological register pressure. Decode failures while
+    /// *extending* are not errors — the region simply stops growing; a
+    /// merged region that exceeds the host register file
+    /// deterministically falls back to the single-block translation.
+    pub fn translate_region<S: CodeSource + ?Sized>(
+        &mut self,
+        src: &S,
+        addr: u32,
+        opt: OptLevel,
+        limits: &RegionLimits,
+    ) -> Result<TBlock, TranslateError> {
+        self.translate(src, addr, opt, limits, None)
+    }
+
+    /// Translates a superblock region starting at `addr` along an
+    /// explicitly *recorded* successor path instead of the static
+    /// prediction: `path` holds the successor the recording pass observed
+    /// at each block exit, in execution order — one entry per junction.
+    /// The entry at an unconditional goto is redundant but still
+    /// validated, so a recording taken against different resident code
+    /// cannot splice a wrong member.
+    ///
+    /// Formation stops at the first junction where the recorded successor
+    /// no longer matches the decoded terminator (a gap in the recording),
+    /// at a revisited member (the loop-closing backedge), when the path
+    /// runs out, or at the usual `limits` caps. Indirect junctions become
+    /// [`MInsn::IndirectGuard`]s: the region continues into the recorded
+    /// target and falls back to dispatch when the computed target
+    /// differs. Like [`Translator::translate_region`], the result is a
+    /// pure function of `path` and the bytes fetched through `src`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TranslateError`] on undecodable guest code at the entry
+    /// block or pathological register pressure (with the same
+    /// deterministic single-block fallback as
+    /// [`Translator::translate_region`]).
+    pub fn translate_region_along<S: CodeSource + ?Sized>(
+        &mut self,
+        src: &S,
+        addr: u32,
+        opt: OptLevel,
+        limits: &RegionLimits,
+        path: &[u32],
+    ) -> Result<TBlock, TranslateError> {
+        self.translate(src, addr, opt, limits, Some(path))
+    }
+
+    /// Forms the region at `addr`, then optimizes, register-allocates and
+    /// code-generates it.
+    fn translate<S: CodeSource + ?Sized>(
+        &mut self,
+        src: &S,
+        addr: u32,
+        opt: OptLevel,
+        limits: &RegionLimits,
+        path: Option<&[u32]>,
+    ) -> Result<TBlock, TranslateError> {
+        self.mir.reads.clear();
+        self.form_region(src, addr, limits, path)?;
+        loop {
+            match opt {
+                OptLevel::Full => opt::optimize(&mut self.mir, src, &mut self.passes),
+                OptLevel::None => opt::baseline_only(&mut self.mir, &mut self.passes),
             }
-            Err(e) => return Err(e.into()),
+            match codegen(&self.mir, &mut self.codegen) {
+                Ok(()) => break,
+                // A merged region can exceed the host temp pool even when
+                // each member fits alone. Deterministic fallback —
+                // identical whether the translation runs in the system or
+                // in the fuzz oracle — keeps memoized reuse bit-exact. The
+                // single block stands on the abandoned region's bytes too
+                // (its reads stay): other bytes there and the region might
+                // have fitted.
+                Err(CodegenError::RegisterPressure { .. }) if self.ranges.len() > 1 => {
+                    self.form_region(src, addr, &RegionLimits::single(), None)?;
+                }
+                Err(e) => return Err(e.into()),
+            }
         }
-    };
-    Ok(TBlock {
-        guest_addr: region.guest_addr,
-        guest_len: region.guest_len,
-        guest_insns: region.guest_insns,
-        translate_cycles: region.guest_insns as u64 * opt.cycles_per_guest_insn(),
-        term: region.term,
-        is_call: region.is_call,
-        code,
-        ranges,
-        member_insns,
-        footprint: Footprint::new(region.reads),
-    })
+        let region = &mut self.mir;
+        normalize(&mut region.reads);
+        Ok(TBlock {
+            guest_addr: region.guest_addr,
+            guest_len: region.guest_len,
+            guest_insns: region.guest_insns,
+            translate_cycles: region.guest_insns as u64 * opt.cycles_per_guest_insn(),
+            term: region.term,
+            is_call: region.is_call,
+            code: self.codegen.code().to_vec(),
+            ranges: self.ranges.to_vec(),
+            member_insns: self.member_insns.to_vec(),
+            footprint: Footprint {
+                spans: region.reads.to_vec(),
+            },
+        })
+    }
+
+    /// Lowers the entry block at `addr` into the MIR buffer and extends
+    /// it member by member: along the recorded successor `path` (one
+    /// entry per junction) when there is one, along the static
+    /// prediction otherwise. See [`Translator::translate_region`] and
+    /// [`Translator::translate_region_along`] for the stop rules. Every
+    /// span decoded is added to the reads.
+    fn form_region<S: CodeSource + ?Sized>(
+        &mut self,
+        src: &S,
+        addr: u32,
+        limits: &RegionLimits,
+        path: Option<&[u32]>,
+    ) -> Result<(), DecodeError> {
+        let region = &mut self.mir;
+        region.insns.clear();
+        region.next_temp = VReg::FIRST_TEMP;
+        let entry = lower_member(src, addr, MAX_BLOCK_INSNS, region)?;
+        region.guest_addr = addr;
+        region.guest_len = entry.guest_len;
+        region.guest_insns = entry.guest_insns;
+        region.term = entry.term;
+        region.is_call = entry.is_call;
+        self.ranges.clear();
+        self.ranges.push((addr, entry.guest_len));
+        self.member_insns.clear();
+        self.member_insns.push(entry.guest_insns);
+        self.pages.clear();
+        if limits.max_blocks > 1 {
+            self.pages.extend(pages_of(addr, entry.guest_len));
+        }
+        let mut path = path.map(|p| p.iter().copied());
+        while (self.ranges.len() as u32) < limits.max_blocks
+            && region.guest_insns < limits.max_insns
+        {
+            let chosen = match &mut path {
+                Some(path) => path.next().and_then(|next| recorded(&region.term, next)),
+                None => predicted(&region.term, &self.ranges),
+            };
+            let Some((next, junction)) = chosen else {
+                break;
+            };
+            // Never re-enter a member: loops close through dispatch (which
+            // chains back to the region entry), not by unrolling — a
+            // recording ends at the loop-closing backedge for the same
+            // reason.
+            if self.ranges.iter().any(|&(a, _)| a == next) {
+                break;
+            }
+            // The junction, then the member lowered right after it, its
+            // temporaries numbered on from the region's. A member that
+            // does not join is rolled back; its reads stay, because
+            // whether it joins was read off its bytes.
+            let (mark, temps) = (region.insns.len(), region.next_temp);
+            match junction {
+                Junction::Plain => {}
+                Junction::Side(cond, target) => region.insns.push(MInsn::SideExit { cond, target }),
+                Junction::Guard(reg) => region.insns.push(MInsn::IndirectGuard {
+                    reg,
+                    expected: next,
+                }),
+            }
+            region.insns.push(MInsn::Boundary { resume: next });
+            let member = match lower_member(src, next, MAX_BLOCK_INSNS, region) {
+                // A decode failure on the chosen path is not an error —
+                // the region just stops before it.
+                Err(_) => {
+                    note_read(&mut region.reads, next, MAX_INSN_LEN);
+                    None
+                }
+                Ok(m) if region.guest_insns + m.guest_insns > limits.max_insns => None,
+                Ok(m) => {
+                    for p in pages_of(next, m.guest_len) {
+                        if !self.pages.contains(&p) {
+                            self.pages.push(p);
+                        }
+                    }
+                    (self.pages.len() as u32 <= limits.max_pages).then_some(m)
+                }
+            };
+            let Some(member) = member else {
+                region.insns.truncate(mark);
+                region.next_temp = temps;
+                break;
+            };
+            self.ranges.push((next, member.guest_len));
+            self.member_insns.push(member.guest_insns);
+            region.guest_insns += member.guest_insns;
+            region.term = member.term;
+            region.is_call = member.is_call;
+        }
+        Ok(())
+    }
 }
 
 /// Distinct 4 KiB guest pages the byte range `[addr, addr + len)` spans.
 fn pages_of(addr: u32, len: u32) -> impl Iterator<Item = u32> {
     (addr >> 12)..=(addr.saturating_add(len.max(1) - 1) >> 12)
 }
-
-/// What [`form_region`] assembles: the merged region, the member
-/// `(addr, len)` list, and the per-member guest instruction counts.
-type FormedRegion = (MBlock, Vec<(u32, u32)>, Vec<u32>);
 
 /// What the junction into the next member carries besides its
 /// [`MInsn::Boundary`] guard.
@@ -470,145 +670,6 @@ fn recorded(term: &Term, next: u32) -> Option<(u32, Junction)> {
         Term::Indirect(r) => Some((next, Junction::Guard(r))),
         // Syscall, trap and halt still end the region.
         _ => None,
-    }
-}
-
-/// Lowers the entry block at `addr` and extends it member by member into
-/// a merged [`MBlock`]: along the recorded successor `path` (one entry
-/// per junction) when there is one, along the static prediction
-/// otherwise. See [`translate_region`] and [`translate_region_along`]
-/// for the stop rules.
-fn form_region<S: CodeSource + ?Sized>(
-    src: &S,
-    addr: u32,
-    limits: &RegionLimits,
-    path: Option<&[u32]>,
-) -> Result<FormedRegion, TranslateError> {
-    let mut region = lower_block(src, addr, MAX_BLOCK_INSNS)?;
-    let mut ranges = vec![(region.guest_addr, region.guest_len)];
-    let mut member_insns = vec![region.guest_insns];
-    let mut pages: Vec<u32> = pages_of(region.guest_addr, region.guest_len).collect();
-    let mut path = path.map(|p| p.iter().copied());
-    while (ranges.len() as u32) < limits.max_blocks && region.guest_insns < limits.max_insns {
-        let chosen = match &mut path {
-            Some(path) => path.next().and_then(|next| recorded(&region.term, next)),
-            None => predicted(&region.term, &ranges),
-        };
-        let Some((next, junction)) = chosen else {
-            break;
-        };
-        // Never re-enter a member: loops close through dispatch (which
-        // chains back to the region entry), not by unrolling — a
-        // recording ends at the loop-closing backedge for the same reason.
-        if ranges.iter().any(|&(a, _)| a == next) {
-            break;
-        }
-        // A decode failure on the chosen path is not an error — the
-        // region just stops before it. Whether the member joins or not,
-        // the decision was read off its bytes.
-        let Ok(member) = lower_member(src, next, MAX_BLOCK_INSNS, &mut region.reads) else {
-            note_read(&mut region.reads, next, MAX_INSN_LEN);
-            break;
-        };
-        if region.guest_insns + member.guest_insns > limits.max_insns {
-            break;
-        }
-        let mut new_pages = pages.clone();
-        for p in pages_of(member.guest_addr, member.guest_len) {
-            if !new_pages.contains(&p) {
-                new_pages.push(p);
-            }
-        }
-        if new_pages.len() as u32 > limits.max_pages {
-            break;
-        }
-        pages = new_pages;
-        match junction {
-            Junction::Plain => {}
-            Junction::Side(cond, target) => region.insns.push(MInsn::SideExit { cond, target }),
-            Junction::Guard(reg) => region.insns.push(MInsn::IndirectGuard {
-                reg,
-                expected: next,
-            }),
-        }
-        region.insns.push(MInsn::Boundary { resume: next });
-        ranges.push((member.guest_addr, member.guest_len));
-        member_insns.push(member.guest_insns);
-        append_member(&mut region, member);
-    }
-    Ok((region, ranges, member_insns))
-}
-
-/// Appends `member`'s body to `region`, renumbering the member's
-/// temporaries above the region's current high-water mark.
-fn append_member(region: &mut MBlock, mut member: MBlock) {
-    let offset = region.next_temp - VReg::FIRST_TEMP;
-    for insn in &mut member.insns {
-        shift_temps(insn, offset);
-    }
-    if let Term::Indirect(r) = &mut member.term {
-        if r.0 >= VReg::FIRST_TEMP {
-            r.0 += offset;
-        }
-    }
-    region.insns.append(&mut member.insns);
-    region.guest_insns += member.guest_insns;
-    region.term = member.term;
-    region.is_call = member.is_call;
-    region.next_temp = member.next_temp + offset;
-}
-
-/// Adds `offset` to every temporary register in `insn` (guest state is
-/// shared across members and stays fixed).
-fn shift_temps(insn: &mut MInsn, offset: u32) {
-    fn sh(r: &mut VReg, offset: u32) {
-        if r.0 >= VReg::FIRST_TEMP {
-            r.0 += offset;
-        }
-    }
-    fn shv(v: &mut Val, offset: u32) {
-        if let Val::Reg(r) = v {
-            sh(r, offset);
-        }
-    }
-    match insn {
-        MInsn::Mov { dst, src } => {
-            sh(dst, offset);
-            shv(src, offset);
-        }
-        MInsn::Bin { dst, a, b, .. } => {
-            sh(dst, offset);
-            shv(a, offset);
-            shv(b, offset);
-        }
-        MInsn::Load { dst, base, .. } => {
-            sh(dst, offset);
-            shv(base, offset);
-        }
-        MInsn::Store { src, base, .. } => {
-            shv(src, offset);
-            shv(base, offset);
-        }
-        MInsn::FlagDef { a, b, res, cin, .. } => {
-            shv(a, offset);
-            shv(b, offset);
-            shv(res, offset);
-            if let Some(c) = cin {
-                shv(c, offset);
-            }
-        }
-        MInsn::EvalCond { dst, .. } => sh(dst, offset),
-        MInsn::IndirectGuard { reg, .. } => sh(reg, offset),
-        MInsn::ShiftFx { dst, a, count, .. } => {
-            sh(dst, offset);
-            shv(a, offset);
-            shv(count, offset);
-        }
-        MInsn::DivHelper { divisor, .. } => shv(divisor, offset),
-        MInsn::RepString { .. }
-        | MInsn::SetDf(_)
-        | MInsn::SideExit { .. }
-        | MInsn::Boundary { .. } => {}
     }
 }
 

@@ -32,8 +32,13 @@
 #     its successors without allocating, so no known_succs under
 #     crates/*/src; promoted regions are always built along a recorded
 #     path, so no record_paths knob and no RegionShape::Static under
-#     crates/*/src; and BENCH_dispatch.json is the one golden file, so
-#     no BENCH_metrics_vpr.csv at the repo root
+#     crates/*/src; BENCH_dispatch.json is the one golden file, so
+#     no BENCH_metrics_vpr.csv at the repo root; and the translator's
+#     buffers live in one explicit context (vta_ir::Translator), so no
+#     thread_local! under crates/ir/src, no HashMap scan memo in
+#     crates/ir/src/opt/flags.rs outside its tests, and no second
+#     lowering path that renumbers a region member's temporaries
+#     (fn shift_temps / fn append_member)
 #   clippy
 #   build release
 #   test (debug-for-tests)
@@ -109,7 +114,10 @@ run_stage "fmt" \
 # runs, and the successor test is Term::leads_to, not a Vec. A promoted
 # region is built along the path a recording pass logged, never a static
 # prediction, and every frozen simulated result is a row of
-# BENCH_dispatch.json, so no second golden file comes back.
+# BENCH_dispatch.json, so no second golden file comes back. A translation
+# works in buffers its caller's Translator owns, never in hidden per-thread
+# pools; the flag scan's memo is a short list, not a hash map; and region
+# members lower straight into the region's buffer.
 no_env_stage() {
     ! grep -rn 'env::var' crates/*/src --include=*.rs | grep -v '^crates/bench/src/bin/' &&
         ! grep -rn 'Instant::now' crates/*/src --include=*.rs |
@@ -126,6 +134,9 @@ no_env_stage() {
         ! sed '/^#\[cfg(test)\]/q' crates/dbt/src/system.rs | grep -n 'Arc::clone' &&
         ! grep -rn 'known_succs' crates/*/src &&
         ! grep -rn 'record_paths\|RegionShape::Static' crates/*/src &&
+        ! grep -rn 'thread_local!' crates/ir/src &&
+        ! sed '/^#\[cfg(test)\]/q' crates/ir/src/opt/flags.rs | grep -n 'HashMap' &&
+        ! grep -rn 'fn shift_temps\|fn append_member' crates/ir/src &&
         ! ls BENCH_metrics_vpr.csv 2>/dev/null &&
         ! grep -nE '^\s*(pub(\(crate\))? )?(busy_cycles|completed):' crates/dbt/src/slave.rs
 }
