@@ -30,7 +30,7 @@ use vta_ir::{translate_block, translate_region, OptLevel, RegionLimits, TBlock, 
 use vta_pentium::PentiumModel;
 use vta_sim::{Fnv1a, MetricsConfig};
 use vta_workloads::Scale;
-use vta_x86::{Cpu, GuestImage, Insn, Observer, Op, StopReason};
+use vta_x86::{Cpu, GuestImage, Insn, Observer, StopReason};
 
 use crate::Measurement;
 
@@ -236,11 +236,7 @@ struct Leaders(BTreeSet<u32>);
 
 impl Observer for Leaders {
     fn after(&mut self, cpu: &Cpu, insn: &Insn) {
-        use Op::*;
-        if matches!(
-            insn.op,
-            Jmp | JmpInd | Jcc | Call | CallInd | Ret | Int | Hlt
-        ) {
+        if insn.op.is_block_end() {
             self.0.insert(cpu.eip);
         }
     }

@@ -1588,7 +1588,8 @@ fn emit_term(em: &mut Emitter, alloc: &mut Alloc, term: Term) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lower::lower_block;
+    use crate::translate::lower_block;
+    use crate::OptLevel;
     use vta_x86::decode::SliceSource;
     use vta_x86::{Asm, Reg::*};
 
@@ -1597,8 +1598,8 @@ mod tests {
         f(&mut asm);
         let p = asm.finish();
         let src = SliceSource::new(p.base, &p.code);
-        let mut b = lower_block(&src, p.base, 32).unwrap();
-        crate::opt::optimize(&mut b, &src, &mut Default::default());
+        let mut b = lower_block(&src, p.base, OptLevel::Full).unwrap();
+        crate::opt::optimize(&mut b, &mut Default::default());
         let mut cx = Context::default();
         codegen(&b, &mut cx).expect("codegen");
         cx.code().to_vec()

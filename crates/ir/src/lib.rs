@@ -1,10 +1,11 @@
 //! # vta-ir — the x86 → RawIsa translation pipeline
 //!
 //! The translator that runs on the paper's *translation slave tiles*:
-//! decoded IA-32 basic blocks are lowered to an x86-like mid-level IR
-//! ([`mir`]), optimized ([`opt`]: interblock dead-flag elimination,
-//! constant folding/propagation, copy propagation, dead-code elimination),
-//! and then code-generated ([`codegen`]) to the host tile ISA with
+//! decoded IA-32 basic blocks are formed into regions, lowered to an
+//! x86-like mid-level IR ([`mir`]) with only the flags an interblock
+//! liveness analysis finds a reader for ([`opt::flags`]), optimized
+//! ([`opt`]: constant folding/propagation, copy propagation, dead-code
+//! elimination), and then code-generated ([`codegen`]) to the host tile ISA with
 //! linear-scan register allocation and a fixed guest-state mapping
 //! (`EAX..EDI` in host `r1..r8`, the packed EFLAGS word in `r9` — the
 //! paper's "flags packed in a register" design, §4.5).

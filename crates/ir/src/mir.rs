@@ -3,8 +3,8 @@
 //! Guest architectural state maps to fixed virtual registers:
 //! `VReg(0..=7)` are `EAX..EDI` and `VReg(8)` is the packed EFLAGS word.
 //! Temporaries are numbered from [`VReg::FIRST_TEMP`] upward. Flag effects
-//! are modelled as *per-flag* [`MInsn::FlagDef`] pseudo-instructions so the
-//! dead-flag-elimination pass can kill individual flags.
+//! are modelled as *per-flag* [`MInsn::FlagDef`] pseudo-instructions so
+//! lowering can emit only the individual flags a reader can see.
 
 use std::fmt;
 

@@ -79,9 +79,9 @@ pub(crate) fn eliminate(block: &mut MBlock, scratch: &mut Scratch) {
                 live.insert(r);
             }
         });
-        // FlagDef and EvalCond interactions with the packed flags word are
-        // handled by the dedicated flag pass; here VReg::FLAGS stays live
-        // by virtue of being guest state.
+        // Which flags are worth defining was settled before lowering
+        // (opt::flags); here VReg::FLAGS stays live by virtue of being
+        // guest state.
         if matches!(insn, MInsn::EvalCond { .. }) {
             live.insert(VReg::FLAGS);
         }

@@ -1,55 +1,45 @@
-//! Dead-flag elimination with interblock liveness.
+//! Flag liveness: which arithmetic flags a reader can see after each
+//! guest instruction of a region.
 //!
 //! Almost every x86 ALU instruction writes all six arithmetic flags, but
 //! almost no instruction reads them — eagerly materializing each flag into
-//! the packed EFLAGS register would multiply the translated code size.
-//! This pass removes [`MInsn::FlagDef`]s whose flag no reachable consumer
-//! can observe.
+//! the packed EFLAGS register would multiply the translated code size. So
+//! before anything is lowered, one backward pass over the region's decoded
+//! instructions (`live_after`) computes the flags live after each one,
+//! and lowering emits a [`MInsn::FlagDef`](crate::mir::MInsn::FlagDef)
+//! only for those, keeping a shift flag-exact only where some flag is live.
+//! One per-[`Op`] table of the flags an instruction reads and overwrites
+//! feeds both that pass and the successor scan.
 //!
-//! Liveness *across* block boundaries is computed by scanning forward in
+//! Liveness *across* the region's exits is computed by scanning forward in
 //! the **guest** code from each statically-known successor: the translator
 //! decodes ahead (it is about to translate those blocks speculatively
 //! anyway) and observes which flags are read before being overwritten. At
 //! indirect successors all flags are conservatively live.
 
 use vta_x86::decode::{decode, CodeSource, MAX_INSN_LEN};
-use vta_x86::{Op, Rep};
+use vta_x86::{Insn, Op, Rep};
 
-use crate::mir::{note_read, Flag, FlagSet, MBlock, MInsn, ShiftKind, StringOp, Term, Val};
+use crate::mir::{note_read, Flag, FlagSet, Term};
+use crate::translate::{Junction, Member};
 
 /// Maximum guest instructions scanned per successor path.
 pub const SCAN_DEPTH: u32 = 48;
 /// Maximum branch-following recursion while scanning.
 pub const SCAN_FANOUT: u32 = 4;
 
-/// The pass's buffers, kept across blocks by a translator's context and
-/// cleared at first use in each block.
-#[derive(Debug, Default)]
-pub(crate) struct Scratch {
-    /// The scan memo: live-in flags per guest address scanned for this
-    /// block. A scan visits a handful of addresses, so a linear search
-    /// beats hashing.
-    memo: Vec<(u32, FlagSet)>,
-    /// Per body instruction: whether it survives.
-    keep: Vec<bool>,
-    /// Per body instruction: whether a `ShiftFx` must stay flag-exact.
-    shift_flags: Vec<bool>,
-    /// The rewritten body, before it is copied back.
-    out: Vec<MInsn>,
-}
-
 /// Flags a decoded guest instruction reads.
-fn guest_reads(op: Op, cond: Option<vta_x86::Cond>) -> FlagSet {
-    match op {
-        Op::Jcc | Op::Setcc | Op::Cmovcc => FlagSet::for_cond(cond.expect("cc op")),
+fn guest_reads(insn: &Insn) -> FlagSet {
+    match insn.op {
+        Op::Jcc | Op::Setcc | Op::Cmovcc => FlagSet::for_cond(insn.cond.expect("cc op")),
         Op::Adc | Op::Sbb => Flag::Cf.set(),
         _ => FlagSet::EMPTY,
     }
 }
 
 /// Flags a decoded guest instruction unconditionally overwrites.
-fn guest_kills(op: Op) -> FlagSet {
-    match op {
+fn guest_kills(insn: &Insn) -> FlagSet {
+    match insn.op {
         Op::Add
         | Op::Or
         | Op::Adc
@@ -64,11 +54,11 @@ fn guest_kills(op: Op) -> FlagSet {
         | Op::Imul
         | Op::ImulR => FlagSet::ALL,
         Op::Inc | Op::Dec => FlagSet::ALL.minus(Flag::Cf.set()),
+        // `scas` compares, writing every flag, unless a `rep` prefix
+        // finds ECX == 0.
+        Op::Scas if insn.rep == Rep::None => FlagSet::ALL,
         // Shifts/rotates leave flags untouched when the masked count is
         // zero, so they cannot be counted on to kill anything.
-        Op::Rol | Op::Ror | Op::Shl | Op::Shr | Op::Sar => FlagSet::EMPTY,
-        // `scas` only compares when ECX != 0 under rep.
-        Op::Scas => FlagSet::EMPTY,
         _ => FlagSet::EMPTY,
     }
 }
@@ -79,9 +69,11 @@ fn guest_kills(op: Op) -> FlagSet {
 /// [`SCAN_DEPTH`] instructions and [`SCAN_FANOUT`] branch levels;
 /// unresolved paths (indirect jumps, returns, decode failures) report all
 /// flags live. The answer depends on every byte the scan decoded, so the
-/// spans are noted in `reads` (see [`MBlock::reads`]); a failed decode
-/// counts for the most it can have fetched.
-fn live_in_at<S: CodeSource + ?Sized>(
+/// spans are noted in `reads` (see [`MBlock::reads`](crate::mir::MBlock::reads));
+/// a failed decode counts for the most it can have fetched. `memo` holds
+/// the live-in flags per address scanned so far in this translation (a
+/// scan visits a handful of addresses, so a linear search beats hashing).
+pub(crate) fn live_in_at<S: CodeSource + ?Sized>(
     src: &S,
     addr: u32,
     memo: &mut Vec<(u32, FlagSet)>,
@@ -127,8 +119,8 @@ fn scan_uncached<S: CodeSource + ?Sized>(
             return live.union(undetermined);
         };
         note_read(reads, addr, u32::from(insn.len));
-        live = live.union(guest_reads(insn.op, insn.cond).intersect(undetermined));
-        undetermined = undetermined.minus(guest_kills(insn.op));
+        live = live.union(guest_reads(&insn).intersect(undetermined));
+        undetermined = undetermined.minus(guest_kills(&insn));
         if undetermined.is_empty() {
             return live;
         }
@@ -167,257 +159,71 @@ fn scan_uncached<S: CodeSource + ?Sized>(
     live.union(undetermined)
 }
 
-/// Removes dead `FlagDef`s from `block` and rewrites flag-dead
-/// [`MInsn::ShiftFx`] instructions into plain value-only shift code,
-/// using the interblock liveness scan for the block's live-out set.
-pub(crate) fn eliminate_dead_flags<S: CodeSource + ?Sized>(
-    block: &mut MBlock,
-    src: &S,
-    scratch: &mut Scratch,
+/// Computes the flags live after each instruction of the region formed
+/// from `members`, whose instructions are `insns`, into `live`: last
+/// instruction first, the order the backward pass meets them.
+///
+/// `exit(addr)` answers which flags are live on entry to a guest address
+/// the region leaves for. The region leaves through its terminator, and
+/// mid-body through each junction: a taken side exit reads its
+/// condition's flags plus whatever its target's code reads, a fired
+/// boundary guard resumes (via a fresh translation) at the next member,
+/// and a mismatching indirect guard leaves through the dispatcher for an
+/// unknowable address, where every flag is live. The queries go out in
+/// one fixed order — the terminator's successors, taken before fall, then
+/// the junctions from last to first, each boundary before its side exit
+/// — because the scan memo they share makes the answers depend on it.
+pub(crate) fn live_after(
+    insns: &[Insn],
+    members: &[Member],
+    mut exit: impl FnMut(u32) -> FlagSet,
+    live: &mut Vec<FlagSet>,
 ) {
-    let Scratch {
-        memo,
-        keep,
-        shift_flags,
-        out,
-    } = scratch;
-    memo.clear();
-    let mut reads = std::mem::take(&mut block.reads);
-    let mut live_at = |addr| live_in_at(src, addr, memo, &mut reads);
-    // Live-out of the block.
-    let live = match block.term {
-        Term::Goto(t) => live_at(t),
-        Term::CondGoto { cond, taken, fall } => FlagSet::for_cond(cond)
-            .union(live_at(taken))
-            .union(live_at(fall)),
-        Term::Sys(next) => live_at(next),
+    let last = members.last().expect("a region has an entry member");
+    let mut now = match last.term {
+        Term::Goto(t) | Term::Sys(t) => exit(t),
+        Term::CondGoto { cond, taken, fall } => {
+            FlagSet::for_cond(cond).union(exit(taken)).union(exit(fall))
+        }
         Term::Indirect(_) => FlagSet::ALL,
         // Trap and Halt both stop the machine: no flag is observable after.
         Term::Trap(_) | Term::Halt => FlagSet::EMPTY,
     };
-    eliminate_with_liveout(block, live, &mut live_at, keep, shift_flags, out);
-    block.reads = reads;
-}
-
-/// Intrablock-only variant: assumes every flag is live at the block exit
-/// (plus the terminator's own reads). This is what `OptLevel::None`
-/// uses — looking ahead into successors is itself an optimization.
-pub(crate) fn eliminate_dead_flags_conservative(block: &mut MBlock, scratch: &mut Scratch) {
-    let live = match block.term {
-        Term::Trap(_) | Term::Halt => FlagSet::EMPTY,
-        Term::CondGoto { cond, .. } => FlagSet::for_cond(cond).union(FlagSet::ALL),
-        _ => FlagSet::ALL,
-    };
-    let Scratch {
-        keep,
-        shift_flags,
-        out,
-        ..
-    } = scratch;
-    eliminate_with_liveout(block, live, &mut |_| FlagSet::ALL, keep, shift_flags, out);
-}
-
-/// `exit_live(addr)` answers which flags are live on entry to the guest
-/// address a mid-body region exit (side exit or boundary guard) leaves
-/// for — the same interblock query the terminator live-out uses.
-/// `keep`, `shift_flags` and `out` are scratch, where the rewritten body
-/// is built before it is copied back: each buffer keeps one role, so
-/// each grows only to the largest block it has held.
-fn eliminate_with_liveout(
-    block: &mut MBlock,
-    mut live: FlagSet,
-    exit_live: &mut dyn FnMut(u32) -> FlagSet,
-    keep: &mut Vec<bool>,
-    shift_flags: &mut Vec<bool>,
-    out: &mut Vec<MInsn>,
-) {
-    // Backward pass over the body.
-    keep.clear();
-    keep.resize(block.insns.len(), true);
-    shift_flags.clear();
-    shift_flags.resize(block.insns.len(), false);
-    for (i, insn) in block.insns.iter().enumerate().rev() {
-        match insn {
-            MInsn::FlagDef { flag, .. } => {
-                if live.contains(*flag) {
-                    live = live.minus(flag.set());
-                } else {
-                    keep[i] = false;
-                }
-            }
-            MInsn::EvalCond { cond, .. } => {
-                live = live.union(FlagSet::for_cond(*cond));
-            }
-            MInsn::ShiftFx { .. } => {
-                // Writes flags only when the count is nonzero: does not
-                // kill, but if any flag is live it must stay flag-exact.
-                shift_flags[i] = !live.is_empty();
-            }
-            MInsn::RepString { op: StringOp::Scas, rep, .. }
-                // A non-rep scas always writes all flags.
-                if *rep == Rep::None => {
-                    live = FlagSet::EMPTY;
-                }
-            // A taken side exit leaves the region: its condition's flags
-            // plus whatever `target`'s code reads are live here.
-            MInsn::SideExit { cond, target } => {
-                live = live
-                    .union(FlagSet::for_cond(*cond))
-                    .union(exit_live(*target));
-            }
-            // A fired boundary guard resumes (via a fresh translation) at
-            // the next member's address.
-            MInsn::Boundary { resume } => {
-                live = live.union(exit_live(*resume));
-            }
-            // A mismatching indirect guard leaves through the dispatcher
-            // at a computed address: the continuation is unknowable, so
-            // every flag is live here.
-            MInsn::IndirectGuard { .. } => {
-                live = FlagSet::ALL;
-            }
-            _ => {}
+    live.clear();
+    for m in members.iter().rev() {
+        for insn in insns[m.start..m.end].iter().rev() {
+            live.push(now);
+            now = guest_reads(insn).union(now.minus(guest_kills(insn)));
         }
-    }
-
-    // Rewrite flag-dead ShiftFx into pure value computation.
-    out.clear();
-    for (i, insn) in block.insns.iter().enumerate() {
-        if !keep[i] {
+        let Some(junction) = m.junction else {
             continue;
-        }
-        match *insn {
-            MInsn::ShiftFx {
-                op,
-                size,
-                dst,
-                a,
-                count,
-            } if !shift_flags[i] => {
-                block.next_temp = lower_value_shift(block.next_temp, out, op, size, dst, a, count);
+        };
+        now = now.union(exit(m.addr));
+        match junction {
+            Junction::Plain => {}
+            Junction::Side(cond, target) => {
+                now = now.union(FlagSet::for_cond(cond)).union(exit(target));
             }
-            other => out.push(other),
+            Junction::Guard => now = FlagSet::ALL,
         }
     }
-    block.insns.clear();
-    block.insns.extend_from_slice(out);
-}
-
-/// Emits value-only shift code; returns the updated temp counter.
-fn lower_value_shift(
-    mut next_temp: u32,
-    out: &mut Vec<MInsn>,
-    op: ShiftKind,
-    size: vta_x86::Size,
-    dst: crate::mir::VReg,
-    a: Val,
-    count: Val,
-) -> u32 {
-    use crate::mir::{BinOp, VReg};
-    let mut temp = || {
-        let r = VReg(next_temp);
-        next_temp += 1;
-        r
-    };
-    let bin = |out: &mut Vec<MInsn>, op, a, b, dst| {
-        out.push(MInsn::Bin { op, dst, a, b });
-        Val::Reg(dst)
-    };
-    let bits = size.bits();
-
-    // Mask the count to 5 bits (x86 semantics).
-    let c = match count {
-        Val::Const(k) => Val::Const(k & 31),
-        Val::Reg(_) => {
-            let t = temp();
-            bin(out, BinOp::And, count, Val::Const(31), t)
-        }
-    };
-
-    match op {
-        ShiftKind::Shl => {
-            // Masked operand shifted within 32 bits then re-masked covers
-            // every count 0..=31 (counts >= width zero the field).
-            let t = temp();
-            let v = bin(out, BinOp::Shl, a, c, t);
-            let v = if size == vta_x86::Size::Dword {
-                v
-            } else {
-                let t2 = temp();
-                bin(out, BinOp::And, v, Val::Const(size.mask()), t2)
-            };
-            out.push(MInsn::Mov { dst, src: v });
-        }
-        ShiftKind::Shr => {
-            // Operand is size-masked, so a 32-bit logical shift is exact.
-            let t = temp();
-            let v = bin(out, BinOp::Shr, a, c, t);
-            out.push(MInsn::Mov { dst, src: v });
-        }
-        ShiftKind::Sar => {
-            // Sign-extend to 32 bits, arithmetic shift, re-mask.
-            let sh = 32 - bits;
-            let mut v = a;
-            if sh > 0 {
-                let t = temp();
-                v = bin(out, BinOp::Shl, v, Val::Const(sh), t);
-                let t = temp();
-                v = bin(out, BinOp::Sar, v, Val::Const(sh), t);
-            }
-            let t = temp();
-            let mut v = bin(out, BinOp::Sar, v, c, t);
-            if sh > 0 {
-                let t = temp();
-                v = bin(out, BinOp::And, v, Val::Const(size.mask()), t);
-            }
-            out.push(MInsn::Mov { dst, src: v });
-        }
-        ShiftKind::Rol | ShiftKind::Ror => {
-            // Rotate within the operand width: count mod width.
-            let cm = if bits == 32 {
-                c
-            } else {
-                let t = temp();
-                bin(out, BinOp::And, c, Val::Const(bits - 1), t)
-            };
-            // other = width - count (mod 32 shifts make width-0 == a>>0|a<<0).
-            let t = temp();
-            let other = bin(out, BinOp::Sub, Val::Const(bits), cm, t);
-            let (lo_op, hi_op) = match op {
-                ShiftKind::Rol => (BinOp::Shl, BinOp::Shr),
-                _ => (BinOp::Shr, BinOp::Shl),
-            };
-            let t1 = temp();
-            let p1 = bin(out, lo_op, a, cm, t1);
-            let t2 = temp();
-            let p2 = bin(out, hi_op, a, other, t2);
-            let t3 = temp();
-            let mut v = bin(out, BinOp::Or, p1, p2, t3);
-            if bits != 32 {
-                let t4 = temp();
-                v = bin(out, BinOp::And, v, Val::Const(size.mask()), t4);
-            }
-            out.push(MInsn::Mov { dst, src: v });
-        }
-    }
-    next_temp
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lower::lower_block;
+    use crate::lower::{lower_member, term_of};
+    use crate::mir::{MBlock, MInsn};
+    use crate::translate::lower_block;
+    use crate::OptLevel;
     use vta_x86::decode::SliceSource;
-    use vta_x86::{Asm, Cond, Reg::*};
+    use vta_x86::{Asm, Cond, MemRef, Reg::*};
 
     fn lower_opt(f: impl FnOnce(&mut Asm)) -> MBlock {
         let mut asm = Asm::new(0x1000);
         f(&mut asm);
         let p = asm.finish();
-        let src = SliceSource::new(p.base, &p.code);
-        let mut b = lower_block(&src, p.base, 32).unwrap();
-        eliminate_dead_flags(&mut b, &src, &mut Scratch::default());
-        b
+        lower_block(&SliceSource::new(p.base, &p.code), p.base, OptLevel::Full).unwrap()
     }
 
     fn flagdefs(b: &MBlock) -> usize {
@@ -561,5 +367,80 @@ mod tests {
         // Must not hang; memoization breaks the cycle conservatively.
         let live = live_in_at(&src, 0x3000, &mut memo, &mut reads);
         assert_eq!(live, FlagSet::ALL);
+    }
+
+    #[test]
+    fn lowering_writes_and_reads_what_the_table_says() {
+        // Every flag-touching op, and some that touch no flag, each
+        // lowered alone with every flag live: the `FlagDef`s it emits are
+        // the flags the table says it overwrites, and the `EvalCond`s it
+        // emits read the flags the table says it reads.
+        let mut asm = Asm::new(0x1000);
+        asm.add_rr(EAX, EBX);
+        asm.or_rr(EAX, EBX);
+        asm.adc_rr(EAX, EBX);
+        asm.sbb_rr(EAX, EBX);
+        asm.and_rr(EAX, EBX);
+        asm.sub_rr(EAX, EBX);
+        asm.xor_rr(EAX, EBX);
+        asm.cmp_rr(EAX, EBX);
+        asm.test_rr(EAX, EBX);
+        asm.inc_r(ECX);
+        asm.dec_r(ECX);
+        asm.neg_r(ECX);
+        asm.mul_r(ECX);
+        asm.imul_r(ECX);
+        asm.imul_rr(EAX, ECX);
+        asm.imul_rri(EAX, ECX, 3);
+        asm.shl_ri(EAX, 3);
+        asm.shr_ri(EAX, 3);
+        asm.sar_ri(EAX, 3);
+        asm.rol_ri(EAX, 3);
+        asm.ror_ri(EAX, 3);
+        asm.shl_rcl(EAX);
+        asm.setcc(Cond::L, 0);
+        asm.cmovcc(Cond::Be, EAX, EBX);
+        asm.mov_rr(EAX, EBX);
+        asm.lea(EAX, MemRef::base_disp(EBX, 4));
+        asm.not_r(EAX);
+        asm.div_r(ECX);
+        asm.raw(&[0xAF]); // scas
+        asm.raw(&[0xF3, 0xAF]); // rep scas
+        let end = asm.label();
+        asm.jcc(Cond::G, end);
+        asm.bind(end);
+        let p = asm.finish();
+        let src = SliceSource::new(p.base, &p.code);
+        let (mut pc, mut writers) = (p.base, 0);
+        while pc < p.base + p.code.len() as u32 {
+            let insn = decode(&src, pc).expect("decodes");
+            pc = insn.next_addr();
+            let mut block = MBlock::default();
+            let term = lower_member(&[insn], &[FlagSet::ALL], term_of(&insn), &mut block);
+            let (mut defs, mut evals) = (FlagSet::EMPTY, FlagSet::EMPTY);
+            for i in &block.insns {
+                match *i {
+                    MInsn::FlagDef { flag, .. } => defs = defs.union(flag.set()),
+                    MInsn::EvalCond { cond, .. } => evals = evals.union(FlagSet::for_cond(cond)),
+                    _ => {}
+                }
+            }
+            if let Term::CondGoto { cond, .. } = term {
+                // A branch reads its condition's flags at the exit.
+                evals = evals.union(FlagSet::for_cond(cond));
+            }
+            if insn.op == Op::Scas {
+                // The string op writes the packed flags itself.
+                assert!(
+                    matches!(block.insns[..], [MInsn::RepString { .. }]),
+                    "{insn}"
+                );
+            } else {
+                assert_eq!(defs, guest_kills(&insn), "{insn} writes");
+            }
+            assert_eq!(evals, guest_reads(&insn), "{insn} reads");
+            writers += usize::from(!guest_kills(&insn).is_empty());
+        }
+        assert_eq!(writers, 17, "every form the table kills flags for");
     }
 }

@@ -2,24 +2,22 @@
 //!
 //! The paper applies "many standard compiler optimizations" on the
 //! translation slaves (§3.2), affordable because optimization runs off the
-//! program's critical path (§2.1). The passes here:
+//! program's critical path (§2.1). Its "extensive dead flag elimination",
+//! which it counts as part of the base translator (§4.5), is not a pass
+//! here: [`flags`] works out which flags a reader can see before the
+//! region is lowered, and lowering emits only those, at every level. The
+//! passes over the lowered MIR, run at `OptLevel::Full` only (Figure 8's
+//! "without optimization" runs none):
 //!
-//! - `flags::eliminate_dead_flags` — per-flag dead-code elimination with
-//!   an *interblock* liveness scan over the guest code (always run: the
-//!   paper describes its "extensive dead flag elimination" as part of the
-//!   base translator, §4.5);
 //! - `valueprop::propagate` — constant folding plus copy/constant
 //!   propagation;
 //! - `dce::eliminate` — dead temporary elimination.
 //!
-//! `OptLevel::None` (Figure 8's "without optimization") runs only the flag
-//! pass. Every pass works in buffers a [`Passes`] keeps across blocks.
+//! Every pass works in buffers a [`Passes`] keeps across blocks.
 
 pub mod dce;
 pub mod flags;
 pub mod valueprop;
-
-use vta_x86::decode::CodeSource;
 
 use crate::mir::MBlock;
 
@@ -27,22 +25,12 @@ use crate::mir::MBlock;
 /// buffers, reset by the pass at first use in each block.
 #[derive(Debug, Default)]
 pub(crate) struct Passes {
-    flags: flags::Scratch,
     facts: valueprop::Facts,
     dce: dce::Scratch,
 }
 
 /// Runs the full optimization pipeline in order.
-pub(crate) fn optimize<S: CodeSource + ?Sized>(block: &mut MBlock, src: &S, passes: &mut Passes) {
-    flags::eliminate_dead_flags(block, src, &mut passes.flags);
+pub(crate) fn optimize(block: &mut MBlock, passes: &mut Passes) {
     valueprop::propagate(block, &mut passes.facts);
     dce::eliminate(block, &mut passes.dce);
-}
-
-/// Runs only the baseline *intrablock* flag elimination (Figure 8's
-/// "no optimization"): flags overwritten inside the block still die, but
-/// the block's live-out set is conservatively all-live, so the last
-/// flag-writing operation materializes every flag.
-pub(crate) fn baseline_only(block: &mut MBlock, passes: &mut Passes) {
-    flags::eliminate_dead_flags_conservative(block, &mut passes.flags);
 }

@@ -21,7 +21,7 @@ use vta_ir::{
 };
 use vta_sim::Rng;
 use vta_workloads::Scale;
-use vta_x86::{Cpu, GuestMem, Insn, Observer, Op};
+use vta_x86::{Cpu, GuestMem, Insn, Observer};
 
 /// How a job shapes its translation.
 #[derive(Debug)]
@@ -76,11 +76,7 @@ struct Leaders(BTreeSet<u32>);
 
 impl Observer for Leaders {
     fn after(&mut self, cpu: &Cpu, insn: &Insn) {
-        use Op::*;
-        if matches!(
-            insn.op,
-            Jmp | JmpInd | Jcc | Call | CallInd | Ret | Int | Hlt
-        ) {
+        if insn.op.is_block_end() {
             self.0.insert(cpu.eip);
         }
     }

@@ -376,42 +376,6 @@ pub enum Op {
 }
 
 impl Op {
-    /// Whether this operation writes the arithmetic flags.
-    pub fn writes_flags(self) -> bool {
-        matches!(
-            self,
-            Op::Add
-                | Op::Or
-                | Op::Adc
-                | Op::Sbb
-                | Op::And
-                | Op::Sub
-                | Op::Xor
-                | Op::Cmp
-                | Op::Test
-                | Op::Inc
-                | Op::Dec
-                | Op::Neg
-                | Op::Mul
-                | Op::Imul
-                | Op::ImulR
-                | Op::Rol
-                | Op::Ror
-                | Op::Shl
-                | Op::Shr
-                | Op::Sar
-                | Op::Scas
-        )
-    }
-
-    /// Whether this operation reads the arithmetic flags.
-    pub fn reads_flags(self) -> bool {
-        matches!(
-            self,
-            Op::Adc | Op::Sbb | Op::Jcc | Op::Setcc | Op::Cmovcc | Op::Rol | Op::Ror
-        )
-    }
-
     /// Whether this operation ends a basic block.
     pub fn is_block_end(self) -> bool {
         matches!(
@@ -539,11 +503,7 @@ mod tests {
     }
 
     #[test]
-    fn op_flag_classification() {
-        assert!(Op::Add.writes_flags());
-        assert!(!Op::Mov.writes_flags());
-        assert!(Op::Adc.reads_flags());
-        assert!(Op::Jcc.reads_flags());
+    fn op_block_end_classification() {
         assert!(Op::Ret.is_block_end());
         assert!(!Op::Lea.is_block_end());
     }

@@ -38,7 +38,11 @@
 #     thread_local! under crates/ir/src, no HashMap scan memo in
 #     crates/ir/src/opt/flags.rs outside its tests, and no second
 #     lowering path that renumbers a region member's temporaries
-#     (fn shift_temps / fn append_member)
+#     (fn shift_temps / fn append_member); flag liveness has one owner,
+#     computed over the decoded region before lowering, so no MIR pass
+#     that deletes FlagDefs (eliminate_dead_flags / baseline_only) under
+#     crates/ir/src and no second flag table (fn writes_flags /
+#     fn reads_flags) under crates/x86/src
 #   clippy
 #   build release
 #   test (debug-for-tests)
@@ -117,7 +121,10 @@ run_stage "fmt" \
 # BENCH_dispatch.json, so no second golden file comes back. A translation
 # works in buffers its caller's Translator owns, never in hidden per-thread
 # pools; the flag scan's memo is a short list, not a hash map; and region
-# members lower straight into the region's buffer.
+# members lower straight into the region's buffer. Which flags a reader
+# can see is settled once, before lowering, from one per-Op table: no
+# pass deletes the FlagDefs lowering emitted, and the decoder keeps no
+# flag table of its own.
 no_env_stage() {
     ! grep -rn 'env::var' crates/*/src --include=*.rs | grep -v '^crates/bench/src/bin/' &&
         ! grep -rn 'Instant::now' crates/*/src --include=*.rs |
@@ -137,6 +144,8 @@ no_env_stage() {
         ! grep -rn 'thread_local!' crates/ir/src &&
         ! sed '/^#\[cfg(test)\]/q' crates/ir/src/opt/flags.rs | grep -n 'HashMap' &&
         ! grep -rn 'fn shift_temps\|fn append_member' crates/ir/src &&
+        ! grep -rn 'eliminate_dead_flags\|baseline_only' crates/ir/src &&
+        ! grep -rn 'fn writes_flags\|fn reads_flags' crates/x86/src &&
         ! ls BENCH_metrics_vpr.csv 2>/dev/null &&
         ! grep -nE '^\s*(pub(\(crate\))? )?(busy_cycles|completed):' crates/dbt/src/slave.rs
 }

@@ -12,9 +12,10 @@
 //!   reference interpreter, images and syscalls;
 //! - [`raw`] — the host substrate: tile grid, RawIsa, caches, network,
 //!   DRAM and the translated-block executor;
-//! - [`ir`] — the translator: x86-like mid-level IR, optimization passes
-//!   (interblock dead-flag elimination, constant/copy propagation, DCE)
-//!   and RawIsa code generation;
+//! - [`ir`] — the translator: x86-like mid-level IR lowered with only the
+//!   flags an interblock liveness analysis finds a reader for,
+//!   optimization passes (constant/copy propagation, DCE) and RawIsa code
+//!   generation;
 //! - [`dbt`] — the paper's contribution: speculative parallel
 //!   translation, the three-level code cache, the pipelined memory
 //!   system, and static/dynamic virtual-architecture reconfiguration;
