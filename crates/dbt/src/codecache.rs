@@ -699,8 +699,11 @@ mod tests {
             translate_cycles: 100,
             term: vta_ir::mir::Term::Halt,
             is_call: false,
-            ranges: vec![(addr, 4)],
-            member_insns: vec![1],
+            members: Box::new([vta_ir::Member {
+                addr,
+                len: 4,
+                insns: 1,
+            }]),
             footprint: vta_ir::Footprint::default(),
         })
     }

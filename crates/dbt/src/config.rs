@@ -11,24 +11,21 @@
 use vta_ir::{OptLevel, RegionLimits};
 use vta_raw::TileId;
 
-/// Dynamic-reconfiguration (morphing) parameters.
+/// Dynamic-reconfiguration (morphing) parameters. The monitor's sampling
+/// interval and hysteresis are fixed ([`morph::CHECK_INTERVAL`],
+/// [`morph::HYSTERESIS`]).
+///
+/// [`morph::CHECK_INTERVAL`]: crate::morph::CHECK_INTERVAL
+/// [`morph::HYSTERESIS`]: crate::morph::HYSTERESIS
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MorphConfig {
     /// Work-queue length at which cache tiles morph into translators.
     pub threshold: usize,
-    /// Cycles between monitor samples (keeps monitoring cost negligible).
-    pub check_interval: u64,
-    /// Minimum cycles between reconfigurations (hysteresis).
-    pub hysteresis: u64,
 }
 
 impl Default for MorphConfig {
     fn default() -> Self {
-        MorphConfig {
-            threshold: 15,
-            check_interval: 5_000,
-            hysteresis: 50_000,
-        }
+        MorphConfig { threshold: 15 }
     }
 }
 
@@ -152,10 +149,10 @@ pub struct VirtualArchConfig {
     /// [`Self::region_limits`].
     pub superblock: bool,
     /// Whether slaves translate ahead speculatively (`false` =
-    /// the paper's "1 conservative translator" baseline).
+    /// the paper's "1 conservative translator" baseline), at most
+    /// [`MAX_SPEC_DEPTH`](crate::specq::MAX_SPEC_DEPTH) edges from the
+    /// last known-correct block.
     pub speculation: bool,
-    /// Maximum speculation depth from the last known-correct block.
-    pub max_spec_depth: u8,
     /// Usable L1 code cache bytes in the execution tile's instruction
     /// memory (32 KiB minus the resident runtime).
     pub l1_code_bytes: u32,
@@ -178,7 +175,6 @@ impl VirtualArchConfig {
             opt: OptLevel::Full,
             superblock: true,
             speculation: true,
-            max_spec_depth: 5,
             l1_code_bytes: 24 * 1024,
             l15_bank_bytes: 64 * 1024,
             l2_code_bytes: 105 * 1024 * 1024,
@@ -217,10 +213,7 @@ impl VirtualArchConfig {
     /// 1-mem/9-trans with the given queue-length threshold (Figures 9/10).
     pub fn morphing(threshold: usize) -> Self {
         let mut c = Self::paper_default();
-        c.morph = Some(MorphConfig {
-            threshold,
-            ..MorphConfig::default()
-        });
+        c.morph = Some(MorphConfig { threshold });
         c
     }
 

@@ -173,7 +173,7 @@ impl Manager {
             speculation: cfg.speculation,
             next_free: Cycle::ZERO,
             l2: L2Code::new(cfg.l2_code_bytes),
-            queues: SpecQueues::new(cfg.max_spec_depth),
+            queues: SpecQueues::default(),
             pool: SlavePool::new(&cfg.placement.slaves),
             failed: HashSet::new(),
             pages: HashMap::new(),
@@ -848,8 +848,14 @@ pub(crate) mod tests {
                         translate_cycles: 100,
                         term: Term::Halt,
                         is_call: false,
-                        member_insns: vec![1; ranges.len()],
-                        ranges,
+                        members: ranges
+                            .iter()
+                            .map(|&(addr, len)| vta_ir::Member {
+                                addr,
+                                len,
+                                insns: 1,
+                            })
+                            .collect(),
                         footprint: vta_ir::Footprint::new(read),
                     });
                     m.install(block, &RegionShape::Single, &mut w.outside());
@@ -1035,6 +1041,6 @@ pub(crate) mod tests {
             "the abandoned build stays owed"
         );
         let resident = m.l2.get(top).expect("resident");
-        assert!(resident.ranges.len() > 1, "the region committed");
+        assert!(resident.is_region(), "the region committed");
     }
 }

@@ -13,6 +13,12 @@ use vta_sim::{Cycle, Tracer, TrackId};
 
 use crate::config::MorphConfig;
 
+/// Cycles between monitor samples (keeps monitoring cost negligible).
+pub const CHECK_INTERVAL: u64 = 5_000;
+
+/// Minimum cycles between reconfigurations (hysteresis).
+pub const HYSTERESIS: u64 = 50_000;
+
 /// Which way to reconfigure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MorphAction {
@@ -51,7 +57,7 @@ impl MorphManager {
     pub fn new(cfg: MorphConfig, min_banks: usize, max_banks: usize) -> MorphManager {
         MorphManager {
             cfg,
-            next_check: Cycle(cfg.check_interval),
+            next_check: Cycle(CHECK_INTERVAL),
             last_reconfig: Cycle::ZERO,
             reconfigs: 0,
             min_banks,
@@ -74,10 +80,10 @@ impl MorphManager {
     /// Samples the queue length; returns a reconfiguration decision.
     /// Decisions are recorded as instants on `track` in `tracer`.
     ///
-    /// Sampling only happens every `check_interval` cycles, so the
-    /// monitoring cost is negligible (§2.3); hysteresis enforces a
+    /// Sampling only happens every [`CHECK_INTERVAL`] cycles, so the
+    /// monitoring cost is negligible (§2.3); [`HYSTERESIS`] enforces a
     /// minimum gap between reconfigurations. Sample points sit on a fixed
-    /// grid (multiples of `check_interval`): the run loop only polls
+    /// grid (multiples of [`CHECK_INTERVAL`]): the run loop only polls
     /// between blocks, so calls arrive late, and advancing from `now`
     /// instead of the grid would let caller cadence drift every later
     /// sample point.
@@ -92,9 +98,8 @@ impl MorphManager {
         if now < self.next_check {
             return None;
         }
-        let interval = self.cfg.check_interval;
-        let missed = now.saturating_since(self.next_check) / interval;
-        self.next_check += interval * (missed + 1);
+        let missed = now.saturating_since(self.next_check) / CHECK_INTERVAL;
+        self.next_check += CHECK_INTERVAL * (missed + 1);
         // Track when the triggering conditions were FIRST observed, before
         // the hysteresis gate: the lag being measured is precisely the
         // time a condition persists while hysteresis (or a bank budget)
@@ -109,7 +114,7 @@ impl MorphManager {
         } else {
             self.calm_since = None;
         }
-        if now.saturating_since(self.last_reconfig) < self.cfg.hysteresis {
+        if now.saturating_since(self.last_reconfig) < HYSTERESIS {
             return None;
         }
         if queue_len > self.cfg.threshold && cur_banks > self.min_banks {
@@ -135,16 +140,15 @@ mod tests {
     use super::*;
     use vta_sim::{TraceConfig, TraceEvent};
 
+    /// Shorthands for the fixed sampling interval and hysteresis.
+    const I: u64 = CHECK_INTERVAL;
+    const H: u64 = HYSTERESIS;
+    /// The first grid sample at which hysteresis lets a run's first
+    /// reconfiguration through.
+    const T0: u64 = H + I;
+
     fn mgr(threshold: usize) -> MorphManager {
-        MorphManager::new(
-            MorphConfig {
-                threshold,
-                check_interval: 1000,
-                hysteresis: 5000,
-            },
-            1,
-            4,
-        )
+        MorphManager::new(MorphConfig { threshold }, 1, 4)
     }
 
     /// `decide` with an inert tracer, to keep the timing tests readable.
@@ -163,7 +167,17 @@ mod tests {
         let mut m = mgr(5);
         assert_eq!(decide(&mut m, 10, 100, 4), None, "before first sample");
         assert_eq!(
-            decide(&mut m, 6000, 100, 4),
+            decide(&mut m, T0, 100, 4),
+            Some(MorphAction::CacheToTranslator)
+        );
+    }
+
+    #[test]
+    fn no_reconfiguration_before_the_hysteresis_from_the_start() {
+        let mut m = mgr(5);
+        assert_eq!(decide(&mut m, H - I, 100, 4), None, "one sample short");
+        assert_eq!(
+            decide(&mut m, H, 100, 4),
             Some(MorphAction::CacheToTranslator)
         );
     }
@@ -171,11 +185,13 @@ mod tests {
     #[test]
     fn hysteresis_blocks_rapid_flapping() {
         let mut m = mgr(5);
-        assert!(decide(&mut m, 6000, 100, 4).is_some());
-        // Queue drains immediately, but hysteresis holds.
-        assert_eq!(decide(&mut m, 7000, 0, 3), None);
+        assert!(decide(&mut m, T0, 100, 4).is_some());
+        // Queue drains immediately, but hysteresis holds until exactly
+        // `H` after the last switch.
+        assert_eq!(decide(&mut m, T0 + I, 0, 3), None);
+        assert_eq!(decide(&mut m, T0 + H - I, 0, 3), None);
         assert_eq!(
-            decide(&mut m, 12_000, 0, 3),
+            decide(&mut m, T0 + H, 0, 3),
             Some(MorphAction::TranslatorToCache)
         );
     }
@@ -183,9 +199,9 @@ mod tests {
     #[test]
     fn respects_bank_budget() {
         let mut m = mgr(5);
-        assert_eq!(decide(&mut m, 6000, 100, 1), None, "min banks reached");
+        assert_eq!(decide(&mut m, T0, 100, 1), None, "min banks reached");
         let mut m = mgr(5);
-        assert_eq!(decide(&mut m, 6000, 0, 4), None, "max banks reached");
+        assert_eq!(decide(&mut m, T0, 0, 4), None, "max banks reached");
     }
 
     /// On any sample stream, consecutive decisions are at least the
@@ -199,12 +215,12 @@ mod tests {
             let (mut now, mut banks) = (0u64, 4usize);
             let mut last_reconfig = None;
             for _ in 0..rng.range(1, 199) {
-                now += rng.below(2000);
+                now += rng.below(2 * I);
                 let Some(action) = decide(&mut m, now, rng.below(40) as usize, banks) else {
                     continue;
                 };
                 if let Some(prev) = last_reconfig.replace(now) {
-                    assert!(now - prev >= 5000, "hysteresis violated");
+                    assert!(now - prev >= H, "hysteresis violated");
                 }
                 match action {
                     MorphAction::CacheToTranslator => banks -= 1,
@@ -221,7 +237,7 @@ mod tests {
     fn threshold_zero_morphs_on_any_queue() {
         let mut m = mgr(0);
         assert_eq!(
-            decide(&mut m, 6000, 1, 4),
+            decide(&mut m, T0, 1, 4),
             Some(MorphAction::CacheToTranslator)
         );
     }
@@ -229,72 +245,76 @@ mod tests {
     #[test]
     fn counts_reconfigs() {
         let mut m = mgr(0);
-        decide(&mut m, 6000, 1, 4);
-        decide(&mut m, 20_000, 0, 3);
+        decide(&mut m, T0, 1, 4);
+        decide(&mut m, T0 + 2 * H, 0, 3);
         assert_eq!(m.reconfigs, 2);
     }
 
     /// Regression test for sampling-grid drift: `next_check` used to be
-    /// set to `now + check_interval`, so a call that arrived late (the run
+    /// set to `now + CHECK_INTERVAL`, so a call that arrived late (the run
     /// loop only polls between blocks) pushed every subsequent sample
     /// point later by the lateness.
     #[test]
     fn late_sample_does_not_shift_the_grid() {
         let mut m = mgr(5);
-        // The sample due at 6000 is taken late, at 6500. Queue is calm so
-        // nothing reconfigures (and hysteresis state is untouched).
-        assert_eq!(decide(&mut m, 6500, 0, 4), None);
-        // The next sample point is still 7000 on the fixed grid. The old
-        // code had moved it to 7500 and returned None here.
+        // The sample due at T0 is taken late, at T0 + I/2. Queue is calm
+        // so nothing reconfigures (and hysteresis state is untouched).
+        assert_eq!(decide(&mut m, T0 + I / 2, 0, 4), None);
+        // The next sample point is still T0 + I on the fixed grid. The old
+        // code had moved it to T0 + 3I/2 and returned None here.
         assert_eq!(
-            decide(&mut m, 7000, 100, 4),
+            decide(&mut m, T0 + I, 100, 4),
             Some(MorphAction::CacheToTranslator),
-            "sample due at 7000 must fire despite the previous late call"
+            "sample due at T0 + I must fire despite the previous late call"
         );
     }
 
     #[test]
     fn skips_entirely_missed_sample_points() {
         let mut m = mgr(5);
-        // First poll ever arrives at 10_300: the grid points 1000..=10_000
-        // are all in the past; one sample fires, and the next is 11_000.
-        assert!(decide(&mut m, 10_300, 100, 4).is_some());
-        assert_eq!(decide(&mut m, 10_900, 100, 3), None, "before 11_000");
-        // Sample at 11_000 happens (hysteresis silently holds the action).
-        assert_eq!(decide(&mut m, 11_000, 100, 3), None);
+        // First poll ever arrives at 2H + 300: the grid points up to 2H
+        // are all in the past; one sample fires, and the next is 2H + I.
+        assert!(decide(&mut m, 2 * H + 300, 100, 4).is_some());
+        assert_eq!(
+            decide(&mut m, 2 * H + I - 100, 100, 3),
+            None,
+            "before 2H + I"
+        );
+        // Sample at 2H + I happens (hysteresis silently holds the action).
+        assert_eq!(decide(&mut m, 2 * H + I, 100, 3), None);
     }
 
     #[test]
     fn lag_measures_hysteresis_hold() {
         let mut m = mgr(5);
-        assert!(decide(&mut m, 6000, 100, 4).is_some());
+        assert!(decide(&mut m, T0, 100, 4).is_some());
         assert_eq!(m.last_lag(), 0, "first observation triggered immediately");
-        // Pressure returns at 7000 but hysteresis (5000 from cycle 6000)
-        // holds until the 11_000 grid sample.
-        assert_eq!(decide(&mut m, 7000, 100, 3), None);
-        assert_eq!(decide(&mut m, 8000, 100, 3), None);
-        assert!(decide(&mut m, 11_000, 100, 3).is_some());
-        assert_eq!(m.last_lag(), 4000, "pressure first seen at 7000");
+        // Pressure returns at T0 + I but hysteresis (H from T0) holds
+        // until the T0 + H grid sample.
+        assert_eq!(decide(&mut m, T0 + I, 100, 3), None);
+        assert_eq!(decide(&mut m, T0 + 2 * I, 100, 3), None);
+        assert!(decide(&mut m, T0 + H, 100, 3).is_some());
+        assert_eq!(m.last_lag(), H - I, "pressure first seen at T0 + I");
     }
 
     #[test]
     fn lag_resets_when_pressure_clears() {
         let mut m = mgr(5);
-        assert!(decide(&mut m, 6000, 100, 4).is_some());
-        assert_eq!(decide(&mut m, 7000, 100, 3), None, "hysteresis holds");
-        assert_eq!(decide(&mut m, 8000, 2, 3), None, "pressure cleared");
-        assert_eq!(decide(&mut m, 10_000, 100, 3), None, "re-crossed at 10_000");
-        assert!(decide(&mut m, 11_000, 100, 3).is_some());
-        assert_eq!(m.last_lag(), 1000, "measured from the re-crossing");
+        assert!(decide(&mut m, T0, 100, 4).is_some());
+        assert_eq!(decide(&mut m, T0 + I, 100, 3), None, "hysteresis holds");
+        assert_eq!(decide(&mut m, T0 + 2 * I, 2, 3), None, "pressure cleared");
+        assert_eq!(decide(&mut m, T0 + H - I, 100, 3), None, "re-crossed");
+        assert!(decide(&mut m, T0 + H, 100, 3).is_some());
+        assert_eq!(m.last_lag(), I, "measured from the re-crossing");
     }
 
     #[test]
     fn lag_for_the_switch_back_uses_calm_time() {
         let mut m = mgr(5);
-        assert!(decide(&mut m, 6000, 100, 4).is_some());
-        assert_eq!(decide(&mut m, 7000, 0, 3), None, "calm but hysteresis");
-        assert!(decide(&mut m, 11_000, 0, 3).is_some());
-        assert_eq!(m.last_lag(), 4000, "queue first seen empty at 7000");
+        assert!(decide(&mut m, T0, 100, 4).is_some());
+        assert_eq!(decide(&mut m, T0 + I, 0, 3), None, "calm but hysteresis");
+        assert!(decide(&mut m, T0 + H, 0, 3).is_some());
+        assert_eq!(m.last_lag(), H - I, "queue first seen empty at T0 + I");
     }
 
     #[test]
@@ -302,13 +322,13 @@ mod tests {
         let mut m = mgr(0);
         let mut tr = Tracer::new(TraceConfig::default());
         let track = tr.track("morph");
-        m.decide(Cycle(6000), 3, 4, &mut tr, track);
-        m.decide(Cycle(20_000), 0, 3, &mut tr, track);
+        m.decide(Cycle(T0), 3, 4, &mut tr, track);
+        m.decide(Cycle(T0 + 2 * H), 0, 3, &mut tr, track);
         let evs: Vec<_> = tr.events().collect();
         assert_eq!(evs.len(), 2);
         match *evs[0] {
             TraceEvent::Instant { ts, name, arg, .. } => {
-                assert_eq!((ts, name, arg), (6000, "morph.to_translator", 3));
+                assert_eq!((ts, name, arg), (T0, "morph.to_translator", 3));
             }
             ref other => panic!("expected Instant, got {other:?}"),
         }

@@ -97,7 +97,7 @@ impl BlockFacts {
     pub(crate) fn of(block: &TBlock) -> BlockFacts {
         BlockFacts {
             root: block.guest_addr,
-            members: block.ranges.len() as u32,
+            members: block.members.len() as u32,
             guest_insns: block.guest_insns,
             term: block.term,
         }
@@ -424,6 +424,7 @@ impl Regions {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vta_ir::Member;
     use vta_raw::isa::RInsn;
 
     const ROOT: u32 = 0x1000;
@@ -438,8 +439,11 @@ mod tests {
             translate_cycles: 100,
             term,
             is_call: false,
-            ranges: vec![(addr, 4)],
-            member_insns: vec![2],
+            members: Box::new([Member {
+                addr,
+                len: 4,
+                insns: 2,
+            }]),
             footprint: vta_ir::Footprint::default(),
         }
     }
@@ -448,8 +452,18 @@ mod tests {
     fn region() -> TBlock {
         TBlock {
             guest_insns: 4,
-            ranges: vec![(ROOT, 4), (BODY, 4)],
-            member_insns: vec![2, 2],
+            members: Box::new([
+                Member {
+                    addr: ROOT,
+                    len: 4,
+                    insns: 2,
+                },
+                Member {
+                    addr: BODY,
+                    len: 4,
+                    insns: 2,
+                },
+            ]),
             ..single(ROOT, Term::Goto(ROOT))
         }
     }
@@ -457,8 +471,8 @@ mod tests {
     /// Runs `block` to `exit` with no guard passed unless it ran fully.
     fn exit(rg: &mut Regions, block: &TBlock, exit: BlockExit, full: bool) -> (ExitVerdict, Stats) {
         let mut stats = Stats::new();
-        let retired = if full { block.guest_insns as u64 } else { 2 };
         let guards = if full { 1 } else { 0 };
+        let retired = block.retired(guards);
         let v = rg.block_exited(
             BlockFacts::of(block),
             exit,

@@ -14,16 +14,18 @@ use vta_x86::{Cond, Rep, Size};
 use crate::mir::{BinOp, Flag, FlagKind, MBlock, MInsn, ShiftKind, StringOp, Term, VReg, Val};
 
 /// Host register of guest register number `n` (0..=7).
-pub fn guest_host_reg(n: u32) -> RReg {
+pub const fn guest_host_reg(n: u32) -> RReg {
     debug_assert!(n < 8);
     RReg(n as u8 + 1)
 }
 
 /// Host register holding the packed EFLAGS word.
 pub const FLAGS_REG: RReg = RReg(9);
-/// Expansion output scratch (also the helper-ABI value/count registers).
+/// Expansion output scratch; also the helper ABI's divisor and shift
+/// value register ([`apply_helper`](crate::apply_helper)).
 pub const OUT0: RReg = RReg(24);
-/// Second expansion output scratch.
+/// Second expansion output scratch; also the helper ABI's shift count
+/// register.
 pub const OUT1: RReg = RReg(25);
 /// Scratch registers reserved for materializing constant operands.
 pub const SCRATCH: [RReg; 3] = [RReg(27), RReg(28), RReg(29)];
@@ -72,6 +74,12 @@ impl std::fmt::Display for CodegenError {
 }
 
 impl std::error::Error for CodegenError {}
+
+/// Code generation ran out of host registers for the block's temporaries;
+/// the translator, which knows the block's address, turns it into
+/// [`CodegenError::RegisterPressure`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RegisterPressure;
 
 /// Code generation's share of a translator's context: the host code
 /// buffer and the register allocator's tables, kept across blocks and
@@ -206,7 +214,6 @@ struct Alloc {
     expiry_head: Vec<u32>,
     /// `expiry_next[v]` = next temp in `v`'s expiry chain.
     expiry_next: Vec<u32>,
-    guest_addr: u32,
 }
 
 impl Alloc {
@@ -252,7 +259,6 @@ impl Alloc {
         self.map.resize(regs, None);
         self.free.clear();
         self.free.extend(TEMP_POOL.iter().rev());
-        self.guest_addr = block.guest_addr;
     }
 
     /// Host register of `v` (guest state is fixed; temps must be live).
@@ -267,7 +273,7 @@ impl Alloc {
     }
 
     /// Host register for defining `v`, allocating a temp if needed.
-    fn def(&mut self, v: VReg) -> Result<RReg, CodegenError> {
+    fn def(&mut self, v: VReg) -> Result<RReg, RegisterPressure> {
         if v.0 < 8 {
             return Ok(guest_host_reg(v.0));
         }
@@ -277,9 +283,7 @@ impl Alloc {
         if let Some(r) = self.map[v.0 as usize] {
             return Ok(r);
         }
-        let r = self.free.pop().ok_or(CodegenError::RegisterPressure {
-            guest_addr: self.guest_addr,
-        })?;
+        let r = self.free.pop().ok_or(RegisterPressure)?;
         self.map[v.0 as usize] = Some(r);
         Ok(r)
     }
@@ -297,11 +301,9 @@ impl Alloc {
 
     /// Temporarily grabs a register from the free pool for each slot of
     /// `regs`, in order.
-    fn grab(&mut self, regs: &mut [RReg]) -> Result<(), CodegenError> {
+    fn grab(&mut self, regs: &mut [RReg]) -> Result<(), RegisterPressure> {
         if self.free.len() < regs.len() {
-            return Err(CodegenError::RegisterPressure {
-                guest_addr: self.guest_addr,
-            });
+            return Err(RegisterPressure);
         }
         for r in regs {
             *r = self.free.pop().expect("checked");
@@ -327,9 +329,9 @@ impl Alloc {
 ///
 /// # Errors
 ///
-/// Returns [`CodegenError::RegisterPressure`] if the block needs more
-/// simultaneously-live temporaries than the tile register file provides.
-pub(crate) fn codegen(block: &MBlock, cx: &mut Context) -> Result<(), CodegenError> {
+/// Returns [`RegisterPressure`] if the block needs more simultaneously-live
+/// temporaries than the tile register file provides.
+pub(crate) fn codegen(block: &MBlock, cx: &mut Context) -> Result<(), RegisterPressure> {
     let Context { em, alloc } = cx;
     em.code.clear();
     alloc.reset(block);
@@ -359,7 +361,7 @@ fn bin_alu(op: BinOp) -> AluOp {
     }
 }
 
-fn emit_insn(em: &mut Emitter, alloc: &mut Alloc, insn: &MInsn) -> Result<(), CodegenError> {
+fn emit_insn(em: &mut Emitter, alloc: &mut Alloc, insn: &MInsn) -> Result<(), RegisterPressure> {
     match *insn {
         MInsn::Mov { dst, src } => {
             let d = alloc.def(dst)?;
@@ -1286,7 +1288,7 @@ fn emit_string(
     op: StringOp,
     size: Size,
     rep: Rep,
-) -> Result<(), CodegenError> {
+) -> Result<(), RegisterPressure> {
     let w = size.bytes() as i32;
     let eax = guest_host_reg(0);
     let ecx = guest_host_reg(1);

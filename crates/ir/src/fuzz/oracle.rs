@@ -430,15 +430,15 @@ fn stale_execution(block: &TBlock, exit: &BlockExit, dirty: &[u32]) -> bool {
     }
     let resumes_before_dirty = match *exit {
         BlockExit::Goto(r) => block
-            .ranges
+            .members
             .iter()
-            .position(|&(a, _)| a == r)
+            .position(|m| m.addr == r)
             .is_some_and(|j| {
                 j >= 1
                     && dirty.iter().all(|&d| {
-                        block.ranges[j..]
+                        block.members[j..]
                             .iter()
-                            .any(|&(a, len)| d.wrapping_sub(a) < len)
+                            .any(|m| d.wrapping_sub(m.addr) < m.len)
                     })
             }),
         _ => false,

@@ -3,42 +3,40 @@
 //! Translated code calls out-of-line "millicode" for wide divides and for
 //! flag-exact shifts/rotates (see [`vta_raw::HelperKind`]). This module is
 //! the one implementation both the DBT system and the translator's own
-//! tests use, and it delegates to [`vta_x86::flags`] so helper behaviour
-//! is equal to the reference interpreter *by construction*. The
-//! translated side's syscall proxy ([`proxy_syscall`]) lives here for the
-//! same reason: one implementation over the same fixed register mapping.
+//! tests use, and both routines delegate to [`vta_x86::flags`] (a divide
+//! to [`flags::div`], a shift to [`flags::shl`] and its siblings), the
+//! functions the reference interpreter executes, so helper behaviour is
+//! equal to the interpreter's *by construction*. The translated side's
+//! syscall proxy ([`proxy_syscall`]) lives here for the same reason: one
+//! implementation over the same fixed register mapping.
 //!
 //! # Register ABI
 //!
-//! Guest state lives in its fixed mapping (`r1..r8` = `EAX..EDI`, `r9` =
-//! packed EFLAGS). Helper operands use the scratch registers:
+//! The registers are codegen's, under codegen's names: guest state in its
+//! fixed mapping ([`guest_host_reg`]: `r1..r8` = `EAX..EDI`;
+//! [`FLAGS_REG`] `r9` = packed EFLAGS), helper operands in the expansion
+//! scratch registers [`OUT0`] (`r24`) and [`OUT1`] (`r25`):
 //!
 //! | helper  | inputs                            | outputs                |
 //! |---------|-----------------------------------|------------------------|
-//! | `Div`   | widened accumulator in EAX/EDX (AX for width 1), divisor in `r24` | quotient/remainder per x86 (`EAX`/`EDX`, or `AL`/`AH`) |
-//! | `Shift` | value `r24`, count `r25`, flags `r9` | result `r24`, flags `r9` |
+//! | `Div`   | dividend in `EDX:EAX` / `DX:AX` / `AX`, divisor in [`OUT0`] | quotient and remainder per x86 (`EAX`/`EDX`, `AX`/`DX` or `AL`/`AH`) |
+//! | `Shift` | value [`OUT0`], count [`OUT1`], flags [`FLAGS_REG`] | result [`OUT0`], flags [`FLAGS_REG`] |
 
 use vta_raw::exec::{CoreState, Fault};
 use vta_raw::isa::{HelperKind, RReg, ShiftOp};
 use vta_x86::flags::{self, Flags};
-use vta_x86::{GuestMem, Size, SysState, SyscallResult};
+use vta_x86::{GuestMem, Reg, Size, SysState, SyscallResult};
 
-/// Host register holding guest `EAX`.
-pub const R_EAX: RReg = RReg(1);
-/// Host register holding guest `ECX`.
-pub const R_ECX: RReg = RReg(2);
-/// Host register holding guest `EDX`.
-pub const R_EDX: RReg = RReg(3);
-/// Host register holding guest `EBX`.
-pub const R_EBX: RReg = RReg(4);
-/// Host register holding guest `ESP`.
-pub const R_ESP: RReg = RReg(5);
-/// Host register holding the packed guest EFLAGS.
-pub const R_FLAGS: RReg = RReg(9);
-/// First scratch register of the helper ABI.
-pub const R_SCRATCH0: RReg = RReg(24);
-/// Second scratch register of the helper ABI.
-pub const R_SCRATCH1: RReg = RReg(25);
+use crate::codegen::{guest_host_reg, FLAGS_REG, OUT0, OUT1};
+
+/// Host register holding guest `ESP` (where a run puts the image's
+/// initial stack pointer).
+pub const R_ESP: RReg = guest_host_reg(Reg::ESP.num() as u32);
+
+/// Host register holding guest register `r`.
+fn host(r: Reg) -> RReg {
+    guest_host_reg(r.num() as u32)
+}
 
 fn size_of_width(width: u8) -> Size {
     match width {
@@ -78,9 +76,9 @@ pub fn apply_helper(kind: HelperKind, state: &mut CoreState) -> Result<(), Fault
     match kind {
         HelperKind::Shift { op, width } => {
             let size = size_of_width(width);
-            let mut f = Flags(state.get(R_FLAGS));
-            let a = state.get(R_SCRATCH0);
-            let count = state.get(R_SCRATCH1);
+            let mut f = Flags(state.get(FLAGS_REG));
+            let a = state.get(OUT0);
+            let count = state.get(OUT1);
             let res = match op {
                 ShiftOp::Shl => flags::shl(&mut f, size, a, count),
                 ShiftOp::Shr => flags::shr(&mut f, size, a, count),
@@ -88,97 +86,20 @@ pub fn apply_helper(kind: HelperKind, state: &mut CoreState) -> Result<(), Fault
                 ShiftOp::Rol => flags::rol(&mut f, size, a, count),
                 ShiftOp::Ror => flags::ror(&mut f, size, a, count),
             };
-            state.set(R_SCRATCH0, res);
-            state.set(R_FLAGS, f.0);
+            state.set(OUT0, res);
+            state.set(FLAGS_REG, f.0);
             Ok(())
         }
         HelperKind::Div { signed, width } => {
-            let divisor = state.get(R_SCRATCH0);
-            match width {
-                4 => {
-                    if divisor == 0 {
-                        return Err(Fault::DivZero);
-                    }
-                    let num_lo = state.get(R_EAX) as u64;
-                    let num_hi = state.get(R_EDX) as u64;
-                    let num = (num_hi << 32) | num_lo;
-                    if signed {
-                        let num = num as i64;
-                        let den = divisor as i32 as i64;
-                        let q = num.wrapping_div(den);
-                        if q > i32::MAX as i64 || q < i32::MIN as i64 {
-                            return Err(Fault::DivZero);
-                        }
-                        state.set(R_EAX, q as u32);
-                        state.set(R_EDX, num.wrapping_rem(den) as u32);
-                    } else {
-                        let q = num / divisor as u64;
-                        if q > u32::MAX as u64 {
-                            return Err(Fault::DivZero);
-                        }
-                        state.set(R_EAX, q as u32);
-                        state.set(R_EDX, (num % divisor as u64) as u32);
-                    }
-                }
-                2 => {
-                    let divisor = divisor & 0xFFFF;
-                    if divisor == 0 {
-                        return Err(Fault::DivZero);
-                    }
-                    let num = ((state.get(R_EDX) & 0xFFFF) << 16) | (state.get(R_EAX) & 0xFFFF);
-                    if signed {
-                        let num = num as i32;
-                        let den = divisor as u16 as i16 as i32;
-                        let q = num.wrapping_div(den);
-                        if !(-0x8000..=0x7FFF).contains(&q) {
-                            return Err(Fault::DivZero);
-                        }
-                        set_low16(state, R_EAX, q as u32);
-                        set_low16(state, R_EDX, num.wrapping_rem(den) as u32);
-                    } else {
-                        let q = num / divisor;
-                        if q > 0xFFFF {
-                            return Err(Fault::DivZero);
-                        }
-                        set_low16(state, R_EAX, q);
-                        set_low16(state, R_EDX, num % divisor);
-                    }
-                }
-                1 => {
-                    let divisor = divisor & 0xFF;
-                    if divisor == 0 {
-                        return Err(Fault::DivZero);
-                    }
-                    let num = state.get(R_EAX) & 0xFFFF;
-                    if signed {
-                        let num = num as u16 as i16 as i32;
-                        let den = divisor as u8 as i8 as i32;
-                        let q = num.wrapping_div(den);
-                        if !(-0x80..=0x7F).contains(&q) {
-                            return Err(Fault::DivZero);
-                        }
-                        let r = num.wrapping_rem(den);
-                        let ax = ((r as u32 & 0xFF) << 8) | (q as u32 & 0xFF);
-                        set_low16(state, R_EAX, ax);
-                    } else {
-                        let q = num / divisor;
-                        if q > 0xFF {
-                            return Err(Fault::DivZero);
-                        }
-                        let ax = ((num % divisor) << 8) | q;
-                        set_low16(state, R_EAX, ax);
-                    }
-                }
-                other => panic!("invalid div width {other}"),
-            }
+            let (eax, edx) = (state.get(host(Reg::EAX)), state.get(host(Reg::EDX)));
+            let divisor = state.get(OUT0);
+            let (eax, edx) = flags::div(size_of_width(width), signed, eax, edx, divisor)
+                .ok_or(Fault::DivZero)?;
+            state.set(host(Reg::EAX), eax);
+            state.set(host(Reg::EDX), edx);
             Ok(())
         }
     }
-}
-
-fn set_low16(state: &mut CoreState, r: RReg, v: u32) {
-    let old = state.get(r);
-    state.set(r, (old & 0xFFFF_0000) | (v & 0xFFFF));
 }
 
 /// Proxies the `int 0x80` a translated block just stopped at
@@ -193,11 +114,15 @@ fn set_low16(state: &mut CoreState, r: RReg, v: u32) {
 /// oracle both call it — so the marshalling cannot drift from
 /// [`vta_x86::Cpu`]'s, which feeds the same [`SysState::dispatch`].
 pub fn proxy_syscall(state: &mut CoreState, sys: &mut SysState, mem: &mut GuestMem) -> Option<u32> {
-    let nr = state.get(R_EAX);
-    let args = [state.get(R_EBX), state.get(R_ECX), state.get(R_EDX)];
+    let nr = state.get(host(Reg::EAX));
+    let args = [
+        state.get(host(Reg::EBX)),
+        state.get(host(Reg::ECX)),
+        state.get(host(Reg::EDX)),
+    ];
     match sys.dispatch(mem, nr, args) {
         SyscallResult::Continue(ret) => {
-            state.set(R_EAX, ret);
+            state.set(host(Reg::EAX), ret);
             None
         }
         SyscallResult::Exit(code) => Some(code),
@@ -211,9 +136,9 @@ mod tests {
     #[test]
     fn div_u32_quotient_remainder() {
         let mut s = CoreState::new();
-        s.set(R_EAX, 1000);
-        s.set(R_EDX, 0);
-        s.set(R_SCRATCH0, 7);
+        s.set(host(Reg::EAX), 1000);
+        s.set(host(Reg::EDX), 0);
+        s.set(OUT0, 7);
         apply_helper(
             HelperKind::Div {
                 signed: false,
@@ -222,17 +147,17 @@ mod tests {
             &mut s,
         )
         .unwrap();
-        assert_eq!(s.get(R_EAX), 142);
-        assert_eq!(s.get(R_EDX), 6);
+        assert_eq!(s.get(host(Reg::EAX)), 142);
+        assert_eq!(s.get(host(Reg::EDX)), 6);
     }
 
     #[test]
     fn div_wide_numerator() {
         let mut s = CoreState::new();
         // EDX:EAX = 0x00000002_00000000 / 0x10000 = 0x20000.
-        s.set(R_EAX, 0);
-        s.set(R_EDX, 2);
-        s.set(R_SCRATCH0, 0x1_0000);
+        s.set(host(Reg::EAX), 0);
+        s.set(host(Reg::EDX), 2);
+        s.set(OUT0, 0x1_0000);
         apply_helper(
             HelperKind::Div {
                 signed: false,
@@ -241,16 +166,16 @@ mod tests {
             &mut s,
         )
         .unwrap();
-        assert_eq!(s.get(R_EAX), 0x2_0000);
-        assert_eq!(s.get(R_EDX), 0);
+        assert_eq!(s.get(host(Reg::EAX)), 0x2_0000);
+        assert_eq!(s.get(host(Reg::EDX)), 0);
     }
 
     #[test]
     fn idiv_signed() {
         let mut s = CoreState::new();
-        s.set(R_EAX, (-1000i32) as u32);
-        s.set(R_EDX, 0xFFFF_FFFF); // sign extension
-        s.set(R_SCRATCH0, 7);
+        s.set(host(Reg::EAX), (-1000i32) as u32);
+        s.set(host(Reg::EDX), 0xFFFF_FFFF); // sign extension
+        s.set(OUT0, 7);
         apply_helper(
             HelperKind::Div {
                 signed: true,
@@ -259,15 +184,15 @@ mod tests {
             &mut s,
         )
         .unwrap();
-        assert_eq!(s.get(R_EAX) as i32, -142);
-        assert_eq!(s.get(R_EDX) as i32, -6);
+        assert_eq!(s.get(host(Reg::EAX)) as i32, -142);
+        assert_eq!(s.get(host(Reg::EDX)) as i32, -6);
     }
 
     #[test]
     fn div_zero_and_overflow_fault() {
         let mut s = CoreState::new();
-        s.set(R_EAX, 5);
-        s.set(R_SCRATCH0, 0);
+        s.set(host(Reg::EAX), 5);
+        s.set(OUT0, 0);
         assert_eq!(
             apply_helper(
                 HelperKind::Div {
@@ -279,9 +204,9 @@ mod tests {
             Err(Fault::DivZero)
         );
         // Quotient overflow: EDX:EAX = 2^32 / 1.
-        s.set(R_EAX, 0);
-        s.set(R_EDX, 1);
-        s.set(R_SCRATCH0, 1);
+        s.set(host(Reg::EAX), 0);
+        s.set(host(Reg::EDX), 1);
+        s.set(OUT0, 1);
         assert_eq!(
             apply_helper(
                 HelperKind::Div {
@@ -297,8 +222,8 @@ mod tests {
     #[test]
     fn div8_packs_ax() {
         let mut s = CoreState::new();
-        s.set(R_EAX, 100); // AX = 100
-        s.set(R_SCRATCH0, 7);
+        s.set(host(Reg::EAX), 100); // AX = 100
+        s.set(OUT0, 7);
         apply_helper(
             HelperKind::Div {
                 signed: false,
@@ -308,7 +233,7 @@ mod tests {
         )
         .unwrap();
         // AL = 14, AH = 2.
-        assert_eq!(s.get(R_EAX) & 0xFFFF, (2 << 8) | 14);
+        assert_eq!(s.get(host(Reg::EAX)) & 0xFFFF, (2 << 8) | 14);
     }
 
     #[test]
@@ -339,16 +264,12 @@ mod tests {
                     };
 
                     let mut s = CoreState::new();
-                    s.set(R_SCRATCH0, a & size.mask());
-                    s.set(R_SCRATCH1, count);
-                    s.set(R_FLAGS, start_flags);
+                    s.set(OUT0, a & size.mask());
+                    s.set(OUT1, count);
+                    s.set(FLAGS_REG, start_flags);
                     apply_helper(HelperKind::Shift { op, width }, &mut s).unwrap();
-                    assert_eq!(
-                        s.get(R_SCRATCH0),
-                        want,
-                        "{op:?} w{width} a={a:#x} c={count}"
-                    );
-                    assert_eq!(s.get(R_FLAGS), f.0, "{op:?} flags");
+                    assert_eq!(s.get(OUT0), want, "{op:?} w{width} a={a:#x} c={count}");
+                    assert_eq!(s.get(FLAGS_REG), f.0, "{op:?} flags");
                 }
             }
         }
@@ -357,9 +278,9 @@ mod tests {
     #[test]
     fn zero_count_preserves_flags() {
         let mut s = CoreState::new();
-        s.set(R_SCRATCH0, 0xFF);
-        s.set(R_SCRATCH1, 0);
-        s.set(R_FLAGS, 0xAB1);
+        s.set(OUT0, 0xFF);
+        s.set(OUT1, 0);
+        s.set(FLAGS_REG, 0xAB1);
         apply_helper(
             HelperKind::Shift {
                 op: ShiftOp::Shl,
@@ -368,7 +289,7 @@ mod tests {
             &mut s,
         )
         .unwrap();
-        assert_eq!(s.get(R_FLAGS), 0xAB1);
-        assert_eq!(s.get(R_SCRATCH0), 0xFF);
+        assert_eq!(s.get(FLAGS_REG), 0xAB1);
+        assert_eq!(s.get(OUT0), 0xFF);
     }
 }

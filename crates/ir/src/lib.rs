@@ -47,6 +47,6 @@ mod translate;
 pub use helper::{apply_helper, proxy_syscall};
 pub use mir::{FlagSet, MBlock, MInsn, Term, VReg, Val};
 pub use translate::{
-    translate_block, translate_region, translate_region_along, Footprint, OptLevel, RegionLimits,
-    RegionShape, TBlock, TranslateError, Translator,
+    translate_block, translate_region, translate_region_along, Footprint, Member, OptLevel,
+    RegionLimits, RegionShape, TBlock, TranslateError, Translator,
 };

@@ -718,22 +718,30 @@ fn to_reg(ctx: &mut Ctx<'_>, v: Val) -> VReg {
 mod tests {
     use super::*;
     use crate::translate::lower_block;
-    use crate::OptLevel;
+    use crate::{translate_block, OptLevel};
     use vta_x86::decode::SliceSource;
     use vta_x86::{Asm, Reg::*};
 
     /// The block at the start of `f`'s code, lowered with every flag live
     /// wherever it exits.
     fn lower(f: impl FnOnce(&mut Asm)) -> MBlock {
+        lower_counted(f).0
+    }
+
+    /// As [`lower`], with the guest instructions the block covers.
+    fn lower_counted(f: impl FnOnce(&mut Asm)) -> (MBlock, u32) {
         let mut asm = Asm::new(0x1000);
         f(&mut asm);
         let p = asm.finish();
-        lower_block(&SliceSource::new(p.base, &p.code), p.base, OptLevel::None).expect("lowering")
+        let src = SliceSource::new(p.base, &p.code);
+        let b = lower_block(&src, p.base, OptLevel::None).expect("lowering");
+        let covered = translate_block(&src, p.base, OptLevel::None).expect("translation");
+        (b, covered.guest_insns)
     }
 
     #[test]
     fn simple_add_produces_flagdefs() {
-        let b = lower(|a| {
+        let (b, guest_insns) = lower_counted(|a| {
             a.add_rr(EAX, EBX);
             a.ret();
         });
@@ -744,7 +752,7 @@ mod tests {
             .count();
         assert_eq!(flagdefs, 6, "all six flags live at an indirect exit");
         assert!(matches!(b.term, Term::Indirect(_)));
-        assert_eq!(b.guest_insns, 2);
+        assert_eq!(guest_insns, 2);
     }
 
     #[test]
@@ -804,13 +812,13 @@ mod tests {
 
     #[test]
     fn block_caps_at_max_insns() {
-        let b = lower(|a| {
+        let (b, guest_insns) = lower_counted(|a| {
             for _ in 0..40 {
                 a.nop();
             }
             a.ret();
         });
-        assert_eq!(b.guest_insns, MAX_BLOCK_INSNS);
+        assert_eq!(guest_insns, MAX_BLOCK_INSNS);
         assert_eq!(b.term, Term::Goto(0x1000 + MAX_BLOCK_INSNS));
     }
 
@@ -851,7 +859,7 @@ mod tests {
 
     #[test]
     fn string_op_does_not_end_block() {
-        let b = lower(|a| {
+        let (b, guest_insns) = lower_counted(|a| {
             a.rep_movs(Size::Dword);
             a.mov_ri(EAX, 1);
             a.ret();
@@ -863,7 +871,7 @@ mod tests {
                 ..
             }
         )));
-        assert_eq!(b.guest_insns, 3);
+        assert_eq!(guest_insns, 3);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use vta_x86::decode::{decode, CodeSource, MAX_INSN_LEN};
 use vta_x86::{Insn, Op, Rep};
 
 use crate::mir::{note_read, Flag, FlagSet, Term};
-use crate::translate::{Junction, Member};
+use crate::translate::{Formed, Junction};
 
 /// Maximum guest instructions scanned per successor path.
 pub const SCAN_DEPTH: u32 = 48;
@@ -175,7 +175,7 @@ fn scan_uncached<S: CodeSource + ?Sized>(
 /// — because the scan memo they share makes the answers depend on it.
 pub(crate) fn live_after(
     insns: &[Insn],
-    members: &[Member],
+    members: &[Formed],
     mut exit: impl FnMut(u32) -> FlagSet,
     live: &mut Vec<FlagSet>,
 ) {

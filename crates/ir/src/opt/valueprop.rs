@@ -171,12 +171,8 @@ mod tests {
 
     fn block(insns: Vec<MInsn>) -> MBlock {
         MBlock {
-            guest_addr: 0,
-            guest_len: 0,
-            guest_insns: 0,
             insns,
             term: Term::Halt,
-            is_call: false,
             next_temp: 64,
             reads: Vec::new(),
         }

@@ -3,9 +3,9 @@
 //! A counting global allocator counts the heap allocations (and
 //! reallocations) each translation makes on its own thread. Once one
 //! context has translated the shared workload, translating it again must
-//! make at most four allocations per call: the returned `TBlock`'s
-//! `code`, `ranges`, `member_insns` and footprint spans. Every other
-//! buffer lives in the context.
+//! make at most three allocations per call: the returned `TBlock`'s
+//! `code`, `members` and footprint spans. Every other buffer lives in the
+//! context.
 
 mod common;
 
@@ -79,7 +79,7 @@ fn a_warm_translator_allocates_only_the_block_it_returns() {
     let (mut warm, mut fresh, mut blocks) = (0, 0, 0);
     for (i, job) in jobs.iter().enumerate() {
         let (block, n) = counted(|| job.on(&mut translator, &mems));
-        assert!(n <= 4, "job {i}: {n} allocations for {job:x?}");
+        assert!(n <= 3, "job {i}: {n} allocations for {job:x?}");
         warm += n;
         fresh += counted(|| job.fresh(&mems)).1;
         blocks += u64::from(block.is_ok());

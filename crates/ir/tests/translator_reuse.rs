@@ -30,7 +30,7 @@ fn a_reused_translator_equals_a_fresh_one() {
         match reused {
             Ok(b) => {
                 ok += 1;
-                regions += usize::from(b.ranges.len() > 1);
+                regions += usize::from(b.is_region());
             }
             Err(_) => failed += 1,
         }

@@ -389,76 +389,11 @@ impl Cpu {
             }
             Op::Div | Op::Idiv => {
                 let divisor = self.read_operand(insn.src.unwrap(), size, at)?;
-                if divisor & size.mask() == 0 {
-                    return Err(CpuError::DivideError { at });
-                }
-                match size {
-                    Size::Dword => {
-                        let num = ((self.regs[Reg::EDX.num() as usize] as u64) << 32)
-                            | self.regs[Reg::EAX.num() as usize] as u64;
-                        if insn.op == Op::Div {
-                            let q = num / divisor as u64;
-                            if q > u32::MAX as u64 {
-                                return Err(CpuError::DivideError { at });
-                            }
-                            self.regs[Reg::EAX.num() as usize] = q as u32;
-                            self.regs[Reg::EDX.num() as usize] = (num % divisor as u64) as u32;
-                        } else {
-                            let num = num as i64;
-                            let den = divisor as i32 as i64;
-                            let q = num.wrapping_div(den);
-                            if q > i32::MAX as i64 || q < i32::MIN as i64 {
-                                return Err(CpuError::DivideError { at });
-                            }
-                            self.regs[Reg::EAX.num() as usize] = q as u32;
-                            self.regs[Reg::EDX.num() as usize] = num.wrapping_rem(den) as u32;
-                        }
-                    }
-                    Size::Word => {
-                        let num = (self.read_reg(Reg::EDX, Size::Word) << 16)
-                            | self.read_reg(Reg::EAX, Size::Word);
-                        if insn.op == Op::Div {
-                            let q = num / divisor;
-                            if q > 0xFFFF {
-                                return Err(CpuError::DivideError { at });
-                            }
-                            self.write_reg(Reg::EAX, Size::Word, q);
-                            self.write_reg(Reg::EDX, Size::Word, num % divisor);
-                        } else {
-                            let num = num as i32;
-                            let den = size.sign_extend(divisor) as i32;
-                            let q = num.wrapping_div(den);
-                            if !(-0x8000..=0x7FFF).contains(&q) {
-                                return Err(CpuError::DivideError { at });
-                            }
-                            self.write_reg(Reg::EAX, Size::Word, q as u32);
-                            self.write_reg(Reg::EDX, Size::Word, num.wrapping_rem(den) as u32);
-                        }
-                    }
-                    Size::Byte => {
-                        let num = self.read_reg(Reg::EAX, Size::Word);
-                        if insn.op == Op::Div {
-                            let q = num / divisor;
-                            if q > 0xFF {
-                                return Err(CpuError::DivideError { at });
-                            }
-                            self.write_reg(Reg::EAX, Size::Word, ((num % divisor) << 8) | q);
-                        } else {
-                            let num = num as u16 as i16 as i32;
-                            let den = size.sign_extend(divisor) as i32;
-                            let q = num.wrapping_div(den);
-                            if !(-0x80..=0x7F).contains(&q) {
-                                return Err(CpuError::DivideError { at });
-                            }
-                            let r = num.wrapping_rem(den);
-                            self.write_reg(
-                                Reg::EAX,
-                                Size::Word,
-                                (((r as u32) & 0xFF) << 8) | (q as u32 & 0xFF),
-                            );
-                        }
-                    }
-                }
+                let (eax, edx) = (Reg::EAX.num() as usize, Reg::EDX.num() as usize);
+                let signed = insn.op == Op::Idiv;
+                (self.regs[eax], self.regs[edx]) =
+                    flags::div(size, signed, self.regs[eax], self.regs[edx], divisor)
+                        .ok_or(CpuError::DivideError { at })?;
             }
             Op::Cwde => {
                 let v = self.read_reg(Reg::EAX, Size::Word);

@@ -357,6 +357,49 @@ pub fn imul(f: &mut Flags, size: Size, a: u32, b: u32) -> (u32, u32) {
     (lo, hi)
 }
 
+/// `DIV` (`signed == false`) or `IDIV` of the accumulator by `divisor` at
+/// `size`, given the whole of `EAX` and `EDX`: the dividend is `AX`,
+/// `DX:AX` or `EDX:EAX`; the quotient replaces `AL` / `AX` / `EAX` and the
+/// remainder `AH` / `DX` / `EDX`, every other bit kept. Returns the new
+/// `(EAX, EDX)`, or `None` for the divide error (`#DE`): a zero divisor,
+/// or a quotient that does not fit `size`. The flags a divide leaves
+/// undefined are left unchanged.
+pub fn div(size: Size, signed: bool, eax: u32, edx: u32, divisor: u32) -> Option<(u32, u32)> {
+    let den = divisor & size.mask();
+    if den == 0 {
+        return None;
+    }
+    let num = match size {
+        Size::Byte => u64::from(eax & 0xFFFF),
+        Size::Word => u64::from(((edx & 0xFFFF) << 16) | (eax & 0xFFFF)),
+        Size::Dword => (u64::from(edx) << 32) | u64::from(eax),
+    };
+    let (q, r) = if signed {
+        // Sign-extend the double-width dividend.
+        let pad = 64 - 2 * size.bits();
+        let num = ((num << pad) as i64) >> pad;
+        let den = i64::from(size.sign_extend(den) as i32);
+        let q = num.wrapping_div(den);
+        let half = 1i64 << (size.bits() - 1);
+        if !(-half..half).contains(&q) {
+            return None;
+        }
+        (q as u32, num.wrapping_rem(den) as u32)
+    } else {
+        let q = num / u64::from(den);
+        if q > u64::from(size.mask()) {
+            return None;
+        }
+        (q as u32, (num % u64::from(den)) as u32)
+    };
+    let (q, r) = (q & size.mask(), r & size.mask());
+    Some(match size {
+        Size::Byte => ((eax & !0xFFFF) | (r << 8) | q, edx),
+        Size::Word => ((eax & !0xFFFF) | q, (edx & !0xFFFF) | r),
+        Size::Dword => (q, r),
+    })
+}
+
 /// Evaluates a branch condition against the flags.
 pub fn cond_holds(c: Cond, f: Flags) -> bool {
     match c {

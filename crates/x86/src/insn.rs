@@ -35,7 +35,7 @@ impl Reg {
 
     /// The hardware encoding number (0–7).
     #[inline]
-    pub fn num(self) -> u8 {
+    pub const fn num(self) -> u8 {
         self as u8
     }
 

@@ -42,7 +42,11 @@
 #     computed over the decoded region before lowering, so no MIR pass
 #     that deletes FlagDefs (eliminate_dead_flags / baseline_only) under
 #     crates/ir/src and no second flag table (fn writes_flags /
-#     fn reads_flags) under crates/x86/src
+#     fn reads_flags) under crates/x86/src; a translated block states
+#     which guest code it covers once, in TBlock::members, so no
+#     member_insns or pub ranges under crates/*/src; and a knob only
+#     one configuration ever set is a constant, so no max_spec_depth
+#     or check_interval under crates/dbt/src
 #   clippy
 #   build release
 #   test (debug-for-tests)
@@ -124,7 +128,9 @@ run_stage "fmt" \
 # members lower straight into the region's buffer. Which flags a reader
 # can see is settled once, before lowering, from one per-Op table: no
 # pass deletes the FlagDefs lowering emitted, and the decoder keeps no
-# flag table of its own.
+# flag table of its own. A translated block lists its members once (no
+# parallel lists to zip), and the speculation depth and the morph
+# monitor's sampling interval are constants, not config fields.
 no_env_stage() {
     ! grep -rn 'env::var' crates/*/src --include=*.rs | grep -v '^crates/bench/src/bin/' &&
         ! grep -rn 'Instant::now' crates/*/src --include=*.rs |
@@ -146,6 +152,8 @@ no_env_stage() {
         ! grep -rn 'fn shift_temps\|fn append_member' crates/ir/src &&
         ! grep -rn 'eliminate_dead_flags\|baseline_only' crates/ir/src &&
         ! grep -rn 'fn writes_flags\|fn reads_flags' crates/x86/src &&
+        ! grep -rn 'member_insns\|pub ranges' crates/*/src &&
+        ! grep -rn 'max_spec_depth\|check_interval' crates/dbt/src &&
         ! ls BENCH_metrics_vpr.csv 2>/dev/null &&
         ! grep -nE '^\s*(pub(\(crate\))? )?(busy_cycles|completed):' crates/dbt/src/slave.rs
 }
