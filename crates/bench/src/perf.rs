@@ -22,7 +22,6 @@
 //! zero-external-dependency policy (see the root `Cargo.toml`), so no
 //! serde.
 
-use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use vta_dbt::{RunReport, System, VirtualArchConfig};
@@ -30,7 +29,7 @@ use vta_ir::{translate_block, translate_region, OptLevel, RegionLimits, TBlock, 
 use vta_pentium::PentiumModel;
 use vta_sim::{Fnv1a, MetricsConfig};
 use vta_workloads::Scale;
-use vta_x86::{Cpu, GuestImage, Insn, Observer, StopReason};
+use vta_x86::{Cpu, GuestImage, Leaders, StopReason};
 
 use crate::Measurement;
 
@@ -227,19 +226,6 @@ fn metrics_vpr_digest() -> u64 {
     let mut h = Fnv1a::default();
     h.eat(crate::metrics::series_csv(&m).as_bytes());
     h.finish()
-}
-
-/// Collects the block leaders a guest reaches: the pc after every
-/// block-ending instruction the reference interpreter executes.
-#[derive(Default)]
-struct Leaders(BTreeSet<u32>);
-
-impl Observer for Leaders {
-    fn after(&mut self, cpu: &Cpu, insn: &Insn) {
-        if insn.op.is_block_end() {
-            self.0.insert(cpu.eip);
-        }
-    }
 }
 
 /// Folds one translation into `h`: every field of the block, or the

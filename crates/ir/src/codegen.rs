@@ -2,16 +2,20 @@
 //!
 //! Guest state lives in a fixed host-register mapping (`EAX..EDI` in
 //! `r1..r8`, packed EFLAGS in `r9`); temporaries get host registers by
-//! linear scan. Flag definitions expand to short bit-manipulation
-//! sequences ending in an `ins` into the packed flags word — the encoding
-//! the paper describes (§4.5) — and conditional branches expand to an
-//! extract plus a branch.
+//! linear scan. One backward walk over the body plans the scan: where
+//! each temporary is last read and, at `OptLevel::Full`, which pure
+//! instructions define a value nothing reads (dead-code removal); those
+//! are skipped in place. Flag definitions expand to short
+//! bit-manipulation sequences ending in an `ins` into the packed flags
+//! word — the encoding the paper describes (§4.5) — and conditional
+//! branches expand to an extract plus a branch.
 
 use vta_raw::isa::{AluIOp, AluOp, BrCond, BranchTarget, HelperKind, MemOp, RInsn, RReg, ShiftOp};
 use vta_x86::flags::Flags;
 use vta_x86::{Cond, Rep, Size};
 
 use crate::mir::{BinOp, Flag, FlagKind, MBlock, MInsn, ShiftKind, StringOp, Term, VReg, Val};
+use crate::OptLevel;
 
 /// Host register of guest register number `n` (0..=7).
 pub const fn guest_host_reg(n: u32) -> RReg {
@@ -203,8 +207,12 @@ const NONE: u32 = u32::MAX;
 
 #[derive(Debug, Default)]
 struct Alloc {
-    /// `last_use[v]` = index of the last instruction reading temp `v`.
+    /// `last_use[v]` = index of the last instruction reading temp `v`,
+    /// or of its definition if nothing reads it.
     last_use: Vec<u32>,
+    /// `dead[i]`: body instruction `i` is pure and nothing reads what it
+    /// defines, so codegen skips it (planned at `OptLevel::Full` only).
+    dead: Vec<bool>,
     /// `map[v]` = host register of temp `v` (indexed by VReg number).
     map: Vec<Option<RReg>>,
     free: Vec<RReg>,
@@ -217,39 +225,70 @@ struct Alloc {
 }
 
 impl Alloc {
-    /// Forgets the last block and plans `block`'s temporaries.
-    fn reset(&mut self, block: &MBlock) {
+    /// Forgets the last block and plans `block`'s temporaries in one
+    /// backward walk: where each temp is last read (or defined, if
+    /// nothing reads it) and, when `prune`, which pure instructions
+    /// (`Mov`, `Bin`, `EvalCond`) define a value nothing reads.
+    ///
+    /// Guest state (`VReg(0..=8)`) is live out of every block; a
+    /// `Term::Indirect` register lives to the end. A temp is live exactly
+    /// when a later read has been seen, because lowering defines every
+    /// temp once, before any read. Loads are never pruned: a load can
+    /// fault, and x86 still faults when the result is unused.
+    fn plan(&mut self, block: &MBlock, prune: bool) {
         let regs = block.next_temp.max(VReg::FIRST_TEMP) as usize;
-        let last_use = &mut self.last_use;
+        let n = block.insns.len();
+        let Alloc { last_use, dead, .. } = self;
         last_use.clear();
         last_use.resize(regs, NONE);
-        for (i, insn) in block.insns.iter().enumerate() {
+        dead.clear();
+        dead.resize(n, false);
+        // One bit per guest-state register: live until a def is seen.
+        let mut guest: u16 = 0x1FF;
+        if let Term::Indirect(r) = block.term {
+            if !r.is_guest_state() {
+                last_use[r.0 as usize] = n as u32;
+            }
+        }
+        for (i, insn) in block.insns.iter().enumerate().rev() {
+            if let Some(d) = insn.def() {
+                let read = if d.is_guest_state() {
+                    guest & (1 << d.0) != 0
+                } else {
+                    last_use[d.0 as usize] != NONE
+                };
+                let pure = matches!(
+                    insn,
+                    MInsn::Mov { .. } | MInsn::Bin { .. } | MInsn::EvalCond { .. }
+                );
+                if prune && pure && !read {
+                    dead[i] = true;
+                    continue;
+                }
+                if d.is_guest_state() {
+                    guest &= !(1 << d.0);
+                } else if !read {
+                    last_use[d.0 as usize] = i as u32;
+                }
+            }
+            // An `EvalCond` reads `VReg::FLAGS`, so it keeps the flags live.
             insn.for_each_use(|v| {
                 if let Val::Reg(r) = v {
-                    if !r.is_guest_state() {
+                    if r.is_guest_state() {
+                        guest |= 1 << r.0;
+                    } else if last_use[r.0 as usize] == NONE {
                         last_use[r.0 as usize] = i as u32;
                     }
                 }
             });
-            // A def with a later use extends; def alone keeps at def point.
-            if let Some(d) = insn.def() {
-                if !d.is_guest_state() && last_use[d.0 as usize] == NONE {
-                    last_use[d.0 as usize] = i as u32;
-                }
-            }
-        }
-        if let Term::Indirect(r) = block.term {
-            if !r.is_guest_state() {
-                last_use[r.0 as usize] = block.insns.len() as u32;
-            }
         }
         // Bucket the temps by their expiry index.
         let (head, next) = (&mut self.expiry_head, &mut self.expiry_next);
         head.clear();
-        head.resize(block.insns.len() + 1, NONE);
+        head.resize(n + 1, NONE);
         next.clear();
         next.resize(regs, NONE);
-        for (v, &at) in last_use.iter().enumerate() {
+        for (v, &at) in self.last_use.iter().enumerate() {
             if at != NONE {
                 next[v] = head[at as usize];
                 head[at as usize] = v as u32;
@@ -325,17 +364,25 @@ impl Alloc {
 }
 
 /// Generates host code for a mid-level block into `cx`
-/// ([`Context::code`]).
+/// ([`Context::code`]). At [`OptLevel::Full`] the instructions
+/// `Alloc::plan` finds dead are skipped in place.
 ///
 /// # Errors
 ///
 /// Returns [`RegisterPressure`] if the block needs more simultaneously-live
 /// temporaries than the tile register file provides.
-pub(crate) fn codegen(block: &MBlock, cx: &mut Context) -> Result<(), RegisterPressure> {
+pub(crate) fn codegen(
+    block: &MBlock,
+    opt: OptLevel,
+    cx: &mut Context,
+) -> Result<(), RegisterPressure> {
     let Context { em, alloc } = cx;
     em.code.clear();
-    alloc.reset(block);
+    alloc.plan(block, opt == OptLevel::Full);
     for (i, insn) in block.insns.iter().enumerate() {
+        if alloc.dead[i] {
+            continue;
+        }
         emit_insn(em, alloc, insn)?;
         alloc.expire(i);
     }
@@ -1591,20 +1638,159 @@ fn emit_term(em: &mut Emitter, alloc: &mut Alloc, term: Term) {
 mod tests {
     use super::*;
     use crate::translate::lower_block;
-    use crate::OptLevel;
     use vta_x86::decode::SliceSource;
     use vta_x86::{Asm, Reg::*};
 
+    /// The host code the translator makes of one block at `Full`.
     fn gen(f: impl FnOnce(&mut Asm)) -> Vec<RInsn> {
         let mut asm = Asm::new(0x1000);
         f(&mut asm);
         let p = asm.finish();
         let src = SliceSource::new(p.base, &p.code);
         let mut b = lower_block(&src, p.base, OptLevel::Full).unwrap();
-        crate::opt::optimize(&mut b, &mut Default::default());
+        crate::opt::valueprop::propagate(&mut b, &mut Default::default());
         let mut cx = Context::default();
-        codegen(&b, &mut cx).expect("codegen");
+        codegen(&b, OptLevel::Full, &mut cx).expect("codegen");
         cx.code().to_vec()
+    }
+
+    /// `insns` ending in `term`, planned as at `Full`.
+    fn planned(insns: Vec<MInsn>, term: Term) -> (MBlock, Alloc) {
+        let b = MBlock {
+            insns,
+            term,
+            next_temp: 64,
+            reads: Vec::new(),
+        };
+        let mut alloc = Alloc::default();
+        alloc.plan(&b, true);
+        (b, alloc)
+    }
+
+    /// The body instructions codegen emits at `Full`.
+    fn kept(insns: Vec<MInsn>, term: Term) -> Vec<MInsn> {
+        let (b, alloc) = planned(insns, term);
+        let live = b.insns.iter().zip(&alloc.dead).filter(|(_, &dead)| !dead);
+        live.map(|(insn, _)| *insn).collect()
+    }
+
+    #[test]
+    fn removes_unused_temp() {
+        let kept = kept(
+            vec![
+                MInsn::Bin {
+                    op: BinOp::Add,
+                    dst: VReg(9),
+                    a: Val::Reg(VReg(0)),
+                    b: Val::Const(1),
+                }, // dead
+                MInsn::Mov {
+                    dst: VReg(0),
+                    src: Val::Const(3),
+                },
+            ],
+            Term::Halt,
+        );
+        assert_eq!(kept.len(), 1);
+    }
+
+    #[test]
+    fn keeps_chain_feeding_guest_state() {
+        let kept = kept(
+            vec![
+                MInsn::Bin {
+                    op: BinOp::Add,
+                    dst: VReg(9),
+                    a: Val::Reg(VReg(0)),
+                    b: Val::Const(1),
+                },
+                MInsn::Mov {
+                    dst: VReg(1),
+                    src: Val::Reg(VReg(9)),
+                },
+            ],
+            Term::Halt,
+        );
+        assert_eq!(kept.len(), 2);
+    }
+
+    #[test]
+    fn keeps_dead_loads_for_faults() {
+        let kept = kept(
+            vec![MInsn::Load {
+                dst: VReg(9),
+                base: Val::Const(0x1234),
+                off: 0,
+                width: 4,
+            }],
+            Term::Halt,
+        );
+        assert_eq!(kept.len(), 1, "dead loads still fault");
+    }
+
+    #[test]
+    fn indirect_target_is_live() {
+        let kept = kept(
+            vec![MInsn::Bin {
+                op: BinOp::Add,
+                dst: VReg(12),
+                a: Val::Reg(VReg(4)),
+                b: Val::Const(4),
+            }],
+            Term::Indirect(VReg(12)),
+        );
+        assert_eq!(kept.len(), 1);
+    }
+
+    #[test]
+    fn dead_mov_of_overwritten_guest_reg() {
+        let kept = kept(
+            vec![
+                MInsn::Mov {
+                    dst: VReg(0),
+                    src: Val::Const(1),
+                }, // dead: overwritten
+                MInsn::Mov {
+                    dst: VReg(0),
+                    src: Val::Const(2),
+                },
+            ],
+            Term::Halt,
+        );
+        assert_eq!(
+            kept,
+            [MInsn::Mov {
+                dst: VReg(0),
+                src: Val::Const(2)
+            }]
+        );
+    }
+
+    #[test]
+    fn an_unread_temp_expires_at_its_definition() {
+        // The load stays (it can fault) though nothing reads t9: its
+        // register is freed right after it, at index 1.
+        let (_, alloc) = planned(
+            vec![
+                MInsn::Mov {
+                    dst: VReg(0),
+                    src: Val::Const(1),
+                },
+                MInsn::Load {
+                    dst: VReg(9),
+                    base: Val::Reg(VReg(0)),
+                    off: 0,
+                    width: 4,
+                },
+                MInsn::Mov {
+                    dst: VReg(1),
+                    src: Val::Const(2),
+                },
+            ],
+            Term::Halt,
+        );
+        assert_eq!(alloc.last_use[9], 1);
+        assert_eq!(alloc.expiry_head[1], 9);
     }
 
     #[test]

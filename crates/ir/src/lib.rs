@@ -4,11 +4,13 @@
 //! decoded IA-32 basic blocks are formed into regions, lowered to an
 //! x86-like mid-level IR ([`mir`]) with only the flags an interblock
 //! liveness analysis finds a reader for ([`opt::flags`]), optimized
-//! ([`opt`]: constant folding/propagation, copy propagation, dead-code
-//! elimination), and then code-generated ([`codegen`]) to the host tile ISA with
-//! linear-scan register allocation and a fixed guest-state mapping
-//! (`EAX..EDI` in host `r1..r8`, the packed EFLAGS word in `r9` — the
-//! paper's "flags packed in a register" design, §4.5).
+//! ([`opt`]: constant folding/propagation, copy propagation), and then
+//! code-generated ([`codegen`]) to the host tile ISA. Codegen's one
+//! backward walk plans linear-scan register allocation and, at
+//! `OptLevel::Full`, drops the pure instructions nothing reads (dead-code
+//! elimination); guest state has a fixed mapping (`EAX..EDI` in host
+//! `r1..r8`, the packed EFLAGS word in `r9` — the paper's "flags packed
+//! in a register" design, §4.5).
 //!
 //! The entry point is [`translate_block`], which produces a [`TBlock`] of
 //! host code plus the translation-occupancy estimate the DBT charges to a

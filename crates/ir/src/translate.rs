@@ -1,6 +1,7 @@
 //! The translation pipeline driver: decode and form the region, compute
-//! flag liveness, lower only the flags a reader can see, optimize (at
-//! [`OptLevel::Full`]), codegen.
+//! flag liveness, lower only the flags a reader can see, propagate values
+//! (at [`OptLevel::Full`]), codegen (which also drops dead code at
+//! `Full`).
 //!
 //! The whole pipeline is a *pure* function of the bytes it fetches through
 //! [`CodeSource`]: no globals, no randomness, no iteration over unordered
@@ -30,7 +31,7 @@ use vta_x86::{Cond, Insn, Op};
 use crate::codegen::{codegen, CodegenError, RegisterPressure};
 use crate::lower::{lower_member, term_of, MAX_BLOCK_INSNS};
 use crate::mir::{note_read, FlagSet, MBlock, MInsn, Term, VReg};
-use crate::opt::{self, flags};
+use crate::opt::{flags, valueprop};
 
 /// Translation effort (Figure 8 compares the two).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -419,7 +420,8 @@ pub struct Translator {
     /// The lowered region: its MIR body, next temporary and the guest
     /// spans decoded on its behalf.
     mir: MBlock,
-    passes: opt::Passes,
+    /// Value propagation's fact table.
+    facts: valueprop::Facts,
     codegen: crate::codegen::Context,
 }
 
@@ -515,9 +517,9 @@ impl Translator {
         loop {
             self.lower(src, opt);
             if opt == OptLevel::Full {
-                opt::optimize(&mut self.mir, &mut self.passes);
+                valueprop::propagate(&mut self.mir, &mut self.facts);
             }
-            match codegen(&self.mir, &mut self.codegen) {
+            match codegen(&self.mir, opt, &mut self.codegen) {
                 Ok(()) => break,
                 // A merged region can exceed the host temp pool even when
                 // each member fits alone. Deterministic fallback —
@@ -1339,15 +1341,27 @@ mod tests {
         );
     }
 
-    /// Records the pc after every block-ending instruction.
-    #[derive(Default)]
-    struct Leaders(std::collections::BTreeSet<u32>);
-
-    impl vta_x86::Observer for Leaders {
-        fn after(&mut self, cpu: &vta_x86::Cpu, insn: &vta_x86::Insn) {
-            if insn.op.is_block_end() {
-                self.0.insert(cpu.eip);
+    /// Every temporary of `b` is defined once, and never read before
+    /// its definition: what codegen's backward walk relies on to call a
+    /// temporary live exactly when a later read has been seen.
+    fn assert_single_definition(b: &MBlock, pc: u32) {
+        let mut defined = vec![false; b.next_temp as usize];
+        for insn in &b.insns {
+            insn.for_each_use(|v| {
+                if let Some(r) = v.reg() {
+                    assert!(
+                        r.is_guest_state() || defined[r.0 as usize],
+                        "{pc:#x}: {r} read before its definition in {insn:?}"
+                    );
+                }
+            });
+            if let Some(d) = insn.def().filter(|d| !d.is_guest_state()) {
+                assert!(!defined[d.0 as usize], "{pc:#x}: {d} defined twice");
+                defined[d.0 as usize] = true;
             }
+        }
+        if let Term::Indirect(r) = b.term {
+            assert!(r.is_guest_state() || defined[r.0 as usize], "{pc:#x}: {r}");
         }
     }
 
@@ -1357,10 +1371,12 @@ mod tests {
         // runs, each single block at Full: lowered, before any pass, a
         // block averages at most 16 MIR instructions. Lowering every flag
         // an instruction writes comes to 36 a block, 24 of them FlagDefs.
+        // Each lowered block also defines every temporary once, before
+        // any read.
         let (mut blocks, mut lowered) = (0, 0);
         for name in ["gcc", "vpr", "crafty", "vortex"] {
             let w = vta_workloads::by_name(name, vta_workloads::Scale::Test).expect("a guest");
-            let mut leaders = Leaders::default();
+            let mut leaders = vta_x86::Leaders::default();
             leaders.0.insert(w.image.entry);
             vta_x86::Cpu::new(&w.image)
                 .run_observed(u64::MAX, &mut leaders)
@@ -1370,6 +1386,7 @@ mod tests {
                 if let Ok(b) = lower_block(&mem, pc, OptLevel::Full) {
                     blocks += 1;
                     lowered += b.insns.len();
+                    assert_single_definition(&b, pc);
                 }
             }
         }

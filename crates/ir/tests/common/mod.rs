@@ -12,8 +12,6 @@
 //! the mix. The jobs come shuffled, so consecutive translations share
 //! nothing.
 
-use std::collections::BTreeSet;
-
 use vta_ir::fuzz::gen;
 use vta_ir::{
     translate_block, translate_region, translate_region_along, OptLevel, RegionLimits, TBlock,
@@ -21,7 +19,7 @@ use vta_ir::{
 };
 use vta_sim::Rng;
 use vta_workloads::Scale;
-use vta_x86::{Cpu, GuestMem, Insn, Observer};
+use vta_x86::{Cpu, GuestMem, Leaders};
 
 /// How a job shapes its translation.
 #[derive(Debug)]
@@ -66,18 +64,6 @@ impl Job {
             Shape::Single => t.translate_block(mem, self.addr, self.opt),
             Shape::Static => t.translate_region(mem, self.addr, self.opt, &limits),
             Shape::Along(path) => t.translate_region_along(mem, self.addr, self.opt, &limits, path),
-        }
-    }
-}
-
-/// Records the pc after every block-ending instruction.
-#[derive(Default)]
-struct Leaders(BTreeSet<u32>);
-
-impl Observer for Leaders {
-    fn after(&mut self, cpu: &Cpu, insn: &Insn) {
-        if insn.op.is_block_end() {
-            self.0.insert(cpu.eip);
         }
     }
 }

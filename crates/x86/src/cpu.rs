@@ -5,6 +5,8 @@
 //! results* to this interpreter: the integration suite runs every workload
 //! on both and compares final registers, exit codes and syscall output.
 
+use std::collections::BTreeSet;
+
 use crate::decode::{decode, DecodeError};
 use crate::flags::{self, Flags};
 use crate::image::GuestImage;
@@ -83,6 +85,19 @@ pub trait Observer {
 }
 
 impl Observer for () {}
+
+/// Collects the block leaders a run reaches: the pc after every
+/// block-ending instruction ([`Op::is_block_end`]) it executes.
+#[derive(Debug, Default)]
+pub struct Leaders(pub BTreeSet<u32>);
+
+impl Observer for Leaders {
+    fn after(&mut self, cpu: &Cpu, insn: &Insn) {
+        if insn.op.is_block_end() {
+            self.0.insert(cpu.eip);
+        }
+    }
+}
 
 /// The architectural state of one virtual x86, plus its memory and OS.
 ///

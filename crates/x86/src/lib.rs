@@ -45,7 +45,7 @@ mod mem;
 pub mod syscall;
 
 pub use asm::{Asm, Label, Program};
-pub use cpu::{Cpu, CpuError, Observer, StopReason};
+pub use cpu::{Cpu, CpuError, Leaders, Observer, StopReason};
 pub use image::GuestImage;
 pub use insn::{Cond, Insn, MemRef, Op, Operand, Reg, Rep, Size};
 pub use mem::{GuestMem, UnmappedAccess, PAGE_SIZE};

@@ -44,9 +44,12 @@
 #     crates/ir/src and no second flag table (fn writes_flags /
 #     fn reads_flags) under crates/x86/src; a translated block states
 #     which guest code it covers once, in TBlock::members, so no
-#     member_insns or pub ranges under crates/*/src; and a knob only
+#     member_insns or pub ranges under crates/*/src; a knob only
 #     one configuration ever set is a constant, so no max_spec_depth
-#     or check_interval under crates/dbt/src
+#     or check_interval under crates/dbt/src; and temporary liveness
+#     is one backward walk at codegen entry (codegen::Alloc::plan), so
+#     no second MIR liveness walk: no opt/dce.rs and no LiveSet under
+#     crates/ir/src
 #   clippy
 #   build release
 #   test (debug-for-tests)
@@ -130,7 +133,10 @@ run_stage "fmt" \
 # pass deletes the FlagDefs lowering emitted, and the decoder keeps no
 # flag table of its own. A translated block lists its members once (no
 # parallel lists to zip), and the speculation depth and the morph
-# monitor's sampling interval are constants, not config fields.
+# monitor's sampling interval are constants, not config fields. Which
+# temporaries are read, and where last, is one backward walk at codegen
+# entry that also drops dead pure instructions: no dead-code pass walks
+# the MIR a second time.
 no_env_stage() {
     ! grep -rn 'env::var' crates/*/src --include=*.rs | grep -v '^crates/bench/src/bin/' &&
         ! grep -rn 'Instant::now' crates/*/src --include=*.rs |
@@ -155,6 +161,8 @@ no_env_stage() {
         ! grep -rn 'member_insns\|pub ranges' crates/*/src &&
         ! grep -rn 'max_spec_depth\|check_interval' crates/dbt/src &&
         ! ls BENCH_metrics_vpr.csv 2>/dev/null &&
+        ! ls crates/ir/src/opt/dce.rs 2>/dev/null &&
+        ! grep -rn 'LiveSet' crates/ir/src &&
         ! grep -nE '^\s*(pub(\(crate\))? )?(busy_cycles|completed):' crates/dbt/src/slave.rs
 }
 run_stage "no-env, no-clock (library crates)" \

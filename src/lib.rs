@@ -14,8 +14,8 @@
 //!   DRAM and the translated-block executor;
 //! - [`ir`] — the translator: x86-like mid-level IR lowered with only the
 //!   flags an interblock liveness analysis finds a reader for,
-//!   optimization passes (constant/copy propagation, DCE) and RawIsa code
-//!   generation;
+//!   constant/copy propagation, and RawIsa code generation that drops
+//!   dead code in the same walk that plans register allocation;
 //! - [`dbt`] — the paper's contribution: speculative parallel
 //!   translation, the three-level code cache, the pipelined memory
 //!   system, and static/dynamic virtual-architecture reconfiguration;

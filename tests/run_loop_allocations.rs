@@ -1,0 +1,144 @@
+//! Counted host work in the run loop: what a warm `System` allocates.
+//!
+//! A counting global allocator counts the heap allocations (and
+//! reallocations) the run loop makes on its own thread. Each cell warms a
+//! `paper_default` `System` through the first third of its guest's
+//! instructions, then counts what the rest of the run allocates. The
+//! denominators are the run's own `Stats` counters, so a failure names
+//! the layer and prints the ratio:
+//!
+//! - (a) a chained block exit allocates nothing (gzip and parser, whose
+//!   code is translated and chained by then): the only allocations are
+//!   the five of the `RunReport` the run returns;
+//! - (b) an L1 code miss served from L1.5 or L2 (crafty at
+//!   `Scale::Small`, whose code is far larger than L1). It does not yet
+//!   allocate nothing; its count is a ratchet that may only go down.
+//!
+//! The counts depend on the toolchain's collections, not on the
+//! simulated machine, so they are ceilings here rather than rows of
+//! `BENCH_dispatch.json`.
+
+use std::alloc::{GlobalAlloc, Layout, System as Heap};
+use std::cell::Cell;
+
+use vta::dbt::{System, VirtualArchConfig};
+use vta::sim::Ctr;
+use vta::workloads::{by_name, Scale};
+use vta::x86::Cpu;
+
+/// [`Heap`], counting each allocation on the allocating thread.
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards to `Heap` with the caller's arguments,
+// so `Heap`'s guarantees are the caller's; counting touches only a
+// const-initialized thread-local `Cell`, which neither allocates nor
+// needs a destructor.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller upholds this method's contract, which is
+        // `Heap`'s.
+        unsafe { Heap.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller upholds this method's contract, which is
+        // `Heap`'s.
+        unsafe { Heap.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: the caller upholds this method's contract, which is
+        // `Heap`'s.
+        unsafe { Heap.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller upholds this method's contract, which is
+        // `Heap`'s.
+        unsafe { Heap.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// What the last two thirds of a guest's run did.
+struct Rest {
+    allocs: u64,
+    exec_blocks: u64,
+    l1_misses: u64,
+    translations: u64,
+}
+
+/// Runs `name` at `scale` on `paper_default`, warmed through a third of
+/// its instructions, and counts the rest.
+fn rest_of_run(name: &str, scale: Scale) -> Rest {
+    let w = by_name(name, scale).expect("bundled workload");
+    let mut cpu = Cpu::new(&w.image);
+    cpu.run(u64::MAX).expect("the reference run");
+    let mut sys = System::new(VirtualArchConfig::paper_default(), &w.image);
+    let warm = sys.run(cpu.insn_count / 3).expect("the warm-up");
+    let before = ALLOCS.with(Cell::get);
+    let done = sys.run(u64::MAX).expect("the rest of the run");
+    let allocs = ALLOCS.with(Cell::get) - before;
+    assert_eq!(done.guest_insns, cpu.insn_count, "{name}: retired count");
+    let delta = |c| done.stats.get_ctr(c) - warm.stats.get_ctr(c);
+    Rest {
+        allocs,
+        exec_blocks: delta(Ctr::ExecBlocks),
+        l1_misses: delta(Ctr::L1CodeMiss),
+        translations: delta(Ctr::TranslateBlocks),
+    }
+}
+
+/// Holds the rest of `name`'s run to `ceiling` allocations, naming
+/// `layer` and the per-exit and per-miss ratios when it is over.
+fn at_most(name: &str, scale: Scale, layer: &str, ceiling: u64) {
+    let r = rest_of_run(name, scale);
+    let per = |n: u64| r.allocs as f64 / n.max(1) as f64;
+    let line = format!(
+        "{name} {scale:?}: {} allocations over {} exec.blocks ({:.4} a block exit), \
+         {} l1code.miss ({:.4} a miss), {} translations",
+        r.allocs,
+        r.exec_blocks,
+        per(r.exec_blocks),
+        r.l1_misses,
+        per(r.l1_misses),
+        r.translations,
+    );
+    println!("{line}");
+    assert!(
+        r.allocs <= ceiling,
+        "layer {layer}: {line}; ceiling {ceiling}"
+    );
+}
+
+#[test]
+fn a_chained_exit_allocates_nothing() {
+    for name in ["gzip", "parser"] {
+        at_most(name, Scale::Test, "(a) chained block exit", 5);
+    }
+}
+
+#[test]
+fn a_chained_exit_allocates_nothing_beside_translations() {
+    // bzip2 still counts 3 translations and 9 L1 code misses after the
+    // warm-up; the 22 allocations beyond the report are a ratchet.
+    at_most("bzip2", Scale::Test, "(a) chained block exit", 27);
+}
+
+#[test]
+fn an_l1_code_miss_allocates_at_most_the_ratchet() {
+    at_most("crafty", Scale::Small, "(b) L1 code miss", 2_572);
+}
