@@ -20,13 +20,14 @@
 //! the L1.5 bank tiles, the one fetch path that walks them down to the
 //! manager, and the one loop that drops an address from all of them.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use vta_ir::TBlock;
 use vta_raw::{net, TileId};
 use vta_sim::{Ctr, Cycle};
 
+use crate::addrhash::AddrMap;
 use crate::config::VirtualArchConfig;
 use crate::manager::{Manager, Outside};
 use crate::system::SystemError;
@@ -89,7 +90,7 @@ pub struct L1Code {
 }
 
 #[inline]
-fn hash_addr(addr: u32) -> usize {
+pub(crate) fn hash_addr(addr: u32) -> usize {
     // Fibonacci hashing; guest code addresses are word-aligned so the
     // low bits alone would collide.
     (addr.wrapping_mul(0x9E37_79B1) >> 7) as usize
@@ -462,7 +463,7 @@ impl L15Bank {
 pub struct L2Code {
     capacity: u64,
     used: u64,
-    blocks: HashMap<u32, Arc<TBlock>>,
+    blocks: AddrMap<u32, Arc<TBlock>>,
     flushes: u64,
 }
 

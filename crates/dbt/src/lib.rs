@@ -43,6 +43,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod addrhash;
 pub mod codecache;
 pub mod config;
 mod manager;

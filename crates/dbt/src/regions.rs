@@ -19,13 +19,14 @@
 //! never host timing — so promotions, recordings, and the regions
 //! formed from them are deterministic.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use vta_ir::mir::Term;
 use vta_ir::{RegionLimits, RegionShape, TBlock};
 use vta_raw::exec::BlockExit;
 use vta_sim::{Ctr, Stats};
+
+use crate::addrhash::AddrMap;
 
 /// Where a promoted root is in its life.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,7 +127,7 @@ pub(crate) struct Regions {
     /// One record per promoted root; a promotion is never forgotten
     /// (SMC revocation leaves it in place, so post-invalidation demand
     /// retranslation is region-shaped again).
-    roots: HashMap<u32, Record>,
+    roots: AddrMap<u32, Record>,
     /// Roots in [`Phase::Armed`], so a block exit with nothing armed
     /// costs no lookup.
     armed: usize,
@@ -140,7 +141,7 @@ impl Regions {
     pub(crate) fn new(limits: RegionLimits) -> Regions {
         Regions {
             limits,
-            roots: HashMap::new(),
+            roots: AddrMap::default(),
             armed: 0,
             recorder: None,
         }

@@ -27,11 +27,12 @@
 //!   guest-visible latency as a fresh translation. Cycle counts are
 //!   bit-identical with and without sharing.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use vta_ir::{OptLevel, RegionLimits, RegionShape, TBlock};
 use vta_x86::{GuestMem, PAGE_SIZE};
+
+use crate::addrhash::AddrMap;
 
 struct Entry {
     /// The guest code bytes the translation was derived from: those of
@@ -73,7 +74,7 @@ pub struct SharedTranslations {
     /// successor list — two cells whose recordings diverged never
     /// alias, so cross-cell reuse stays byte-validated *and*
     /// shape-exact.
-    inner: Mutex<HashMap<(u32, RegionShape), Arc<Entry>>>,
+    inner: Mutex<AddrMap<(u32, RegionShape), Arc<Entry>>>,
 }
 
 impl SharedTranslations {
@@ -89,7 +90,7 @@ impl SharedTranslations {
         Arc::new(SharedTranslations {
             opt,
             limits,
-            inner: Mutex::new(HashMap::new()),
+            inner: Mutex::new(AddrMap::default()),
         })
     }
 
