@@ -49,7 +49,10 @@
 #     or check_interval under crates/dbt/src; and temporary liveness
 #     is one backward walk at codegen entry (codegen::Alloc::plan), so
 #     no second MIR liveness walk: no opt/dce.rs and no LiveSet under
-#     crates/ir/src
+#     crates/ir/src; and every vta-dbt table keyed by a guest address or
+#     page hashes with the one address hasher (crates/dbt/src/addrhash.rs),
+#     so no HashMap<u32 / HashSet<u32 / HashMap<(u32 (std's SipHash) in
+#     crates/dbt/src/*.rs outside their tests
 #   clippy
 #   build release
 #   test (debug-for-tests)
@@ -136,7 +139,24 @@ run_stage "fmt" \
 # monitor's sampling interval are constants, not config fields. Which
 # temporaries are read, and where last, is one backward walk at codegen
 # entry that also drops dead pure instructions: no dead-code pass walks
-# the MIR a second time.
+# the MIR a second time. The DBT's address tables (L2, the page registry,
+# the region roots, the queues, the sweep memo) are hashed on every
+# commit and speculative push; they share one multiply-and-fold address
+# hasher, and a std SipHash table keyed by an address does not come back.
+#
+# siphash_addr_tables: prints each such table outside the tests of
+# crates/dbt/src/*.rs (file by file: sed's `q` ends its whole input);
+# true if there is one.
+siphash_addr_tables() {
+    local f found=1
+    for f in crates/dbt/src/*.rs; do
+        if sed '/^#\[cfg(test)\]/q' "$f" | grep -n 'HashMap<u32\|HashSet<u32\|HashMap<(u32' |
+            sed "s|^|$f:|"; then
+            found=0
+        fi
+    done
+    return $found
+}
 no_env_stage() {
     ! grep -rn 'env::var' crates/*/src --include=*.rs | grep -v '^crates/bench/src/bin/' &&
         ! grep -rn 'Instant::now' crates/*/src --include=*.rs |
@@ -163,6 +183,7 @@ no_env_stage() {
         ! ls BENCH_metrics_vpr.csv 2>/dev/null &&
         ! ls crates/ir/src/opt/dce.rs 2>/dev/null &&
         ! grep -rn 'LiveSet' crates/ir/src &&
+        ! siphash_addr_tables &&
         ! grep -nE '^\s*(pub(\(crate\))? )?(busy_cycles|completed):' crates/dbt/src/slave.rs
 }
 run_stage "no-env, no-clock (library crates)" \
