@@ -5,8 +5,9 @@
 //! the one producer: the `paper_default` cycles and stats digest of the
 //! fingerprint guests, one [`sweep_digest`] per figure sweep (Figures 4,
 //! 5, 8 and 9: the bank poles, both opt levels, every morph threshold),
-//! the `gate_digests` rows (every guest run single-block, and the vpr
-//! metrics series) and the `translation_digests` rows (every field of
+//! the `gate_digests` rows (every guest run single-block, the vpr
+//! metrics series, and what the decoder makes of every opcode and ModRM
+//! byte under each prefix) and the `translation_digests` rows (every field of
 //! every block the translator makes at each leader a guest reaches).
 //! [`render_json`] writes them as `BENCH_dispatch.json`,
 //! [`parse_json`] reads every section back, and [`compare`] names each
@@ -228,6 +229,38 @@ fn metrics_vpr_digest() -> u64 {
     h.finish()
 }
 
+/// FNV-1a over the `Debug` text of `decode` on every one-byte and `0F`
+/// opcode × {no prefix, `66`, `F2`, `F3`} × 256 ModRM bytes × three
+/// SIB / displacement / immediate tails and one page end right after the
+/// ModRM byte: what every encoding decodes to, guests' or not.
+fn decode_digest() -> u64 {
+    use vta_x86::decode::{decode, SliceSource};
+    const TAILS: [&[u8]; 4] = [
+        &[0x24, 0x78, 0x56, 0x34, 0x12, 0xEF, 0xCD, 0xAB, 0x89, 0x10],
+        &[0x8D, 0x80, 0x00, 0x00, 0x01, 0x7F, 0x02, 0x00, 0x00, 0x00],
+        &[0xFF; 10],
+        &[],
+    ];
+    let (mut h, mut bytes, mut text) = (Fnv1a::default(), Vec::new(), String::new());
+    for prefix in [None, Some(0x66), Some(0xF2), Some(0xF3)] {
+        for (opcode, modrm) in (0..0x200u32).flat_map(|op| (0..=0xFFu8).map(move |m| (op, m))) {
+            for tail in TAILS {
+                bytes.clear();
+                bytes.extend(prefix);
+                bytes.extend((opcode > 0xFF).then_some(0x0F));
+                bytes.extend([opcode as u8, modrm]);
+                bytes.extend_from_slice(tail);
+                // The bytes end where the mapped page does.
+                let at = 0x2000 - bytes.len() as u32;
+                text.clear();
+                let _ = write!(text, "{:?}", decode(&SliceSource::new(at, &bytes), at));
+                h.eat(text.as_bytes());
+            }
+        }
+    }
+    h.finish()
+}
+
 /// Folds one translation into `h`: every field of the block, or the
 /// error. Integers go in little-endian, the host code and terminator as
 /// their `Debug` text.
@@ -335,6 +368,7 @@ pub fn entries(threads: usize) -> Vec<Entry> {
         "metrics_vpr",
         metrics_vpr_digest(),
     ));
+    out.push(Entry::new("gate_digests", "decode_digest", decode_digest()));
     out.extend(translation_entries(threads));
     out
 }
