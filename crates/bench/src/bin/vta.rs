@@ -40,7 +40,7 @@
 //! behind EXPERIMENTS.md).
 //!
 //! `fuzz` streams deterministic cases from `vta_ir::fuzz::gen` through
-//! the three-way oracle (reference interpreter vs translated path at both
+//! the differential oracle (reference interpreter vs translated path at both
 //! optimization levels). Any divergence is minimized on the spot and
 //! printed in the corpus file format, ready to commit under
 //! `crates/ir/tests/corpus/`; the process then exits nonzero. `--corpus

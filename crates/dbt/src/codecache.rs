@@ -27,10 +27,10 @@ use vta_ir::TBlock;
 use vta_raw::{net, TileId};
 use vta_sim::{Ctr, Cycle};
 
-use crate::addrhash::AddrMap;
 use crate::config::VirtualArchConfig;
 use crate::manager::{Manager, Outside};
 use crate::system::SystemError;
+use vta_sim::addrhash::AddrMap;
 
 /// A generational handle into the L1 arena.
 ///
@@ -90,7 +90,7 @@ pub struct L1Code {
 }
 
 #[inline]
-pub(crate) fn hash_addr(addr: u32) -> usize {
+fn hash_addr(addr: u32) -> usize {
     // Fibonacci hashing; guest code addresses are word-aligned so the
     // low bits alone would collide.
     (addr.wrapping_mul(0x9E37_79B1) >> 7) as usize

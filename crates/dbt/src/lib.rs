@@ -43,7 +43,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod addrhash;
 pub mod codecache;
 pub mod config;
 mod manager;

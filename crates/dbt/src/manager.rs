@@ -23,7 +23,6 @@ use vta_raw::{net, Dram, TileId};
 use vta_sim::{Ctr, Cycle, Profiler, Stats, Tracer, TrackId};
 use vta_x86::GuestMem;
 
-use crate::addrhash::{AddrMap, AddrSet};
 use crate::codecache::L2Code;
 use crate::config::{VirtualArchConfig, GRID};
 use crate::regions::Regions;
@@ -32,6 +31,7 @@ use crate::slave::{InFlight, SlavePool};
 use crate::specq::{SpecQueues, RETURN_DEPTH};
 use crate::system::SystemError;
 use crate::timing::Timing;
+use vta_sim::addrhash::{AddrMap, AddrSet};
 
 /// Trace track ids: one per grid tile (indexed by
 /// `TileId::index(GRID)`) plus the execution tile's, the DRAM channel,

@@ -1,50 +1,30 @@
-//! Superblock regions: which guest addresses root one, and how each is
-//! doing. A promoted root has exactly one [`Record`], and its [`Phase`]
-//! is the whole story of where the root stands:
+//! Superblock regions on the execution tile: the path-recording protocol
+//! ([`vta_ir::record`]) plus what a machine with a code cache needs of
+//! it. A recorded root's build is owed until it commits; a live region
+//! tracks how its entries leave it, and is demoted (architecturally, so
+//! deterministically) when its path stops holding:
 //!
 //! ```text
-//!            promote                 enters single-block
-//!   (none) ──────────► Armed ───────────────────────────► Recording
-//!                        ▲                                  │     │
-//!                        │ first demotion       path logged │     │ empty path
-//!                        │ (re-record once)                 ▼     ▼
-//!                        │                                 Owed  Pinned
-//!                        │          build committed          │    ▲
-//!                        │              (or failed)          ▼    │
-//!                        └───────────────────────────────── Live ─┘
-//!                           first-junction exits ≥ 3/4      second demotion
+//!   recorded ──► owed ──────────────────► live ─► first demotion: re-armed
+//!            build committed (or failed)        second demotion: pinned
 //! ```
-//!
-//! Every trigger is architectural — which branches the guest executed,
-//! never host timing — so promotions, recordings, and the regions
-//! formed from them are deterministic.
 
 use std::sync::Arc;
 
-use vta_ir::mir::Term;
-use vta_ir::{RegionLimits, RegionShape, TBlock};
+use vta_ir::record::{BlockFacts, Recorder};
+use vta_ir::{RegionLimits, RegionShape};
 use vta_raw::exec::BlockExit;
 use vta_sim::{Ctr, Stats};
 
-use crate::addrhash::AddrMap;
-
-/// Where a promoted root is in its life.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// Waiting for the recorder: recording starts the next time
-    /// execution enters the root as a single block.
-    Armed,
-    /// The active recording pass is logging this root's path.
-    Recording,
-    /// A region build is owed — queued or in flight, not committed yet.
-    /// The resident single-block translation keeps executing while the
-    /// region forms in the background; the commit swaps it in.
-    Owed,
-    /// The owed build has settled. For a region built from a recording,
-    /// the counters track how its entries have been leaving it.
-    Live(Health),
-    /// Demoted back to single-block translation for good.
-    Pinned,
+/// What the DBT keeps beside a root's place in the protocol.
+#[derive(Debug, Clone, Copy, Default)]
+struct Build {
+    /// A recorded root's health once its build settled; `None` while the
+    /// build is owed (queued or in flight: the resident single keeps
+    /// running, and the commit swaps the region in).
+    live: Option<Health>,
+    /// Whether the root has spent its one re-recording.
+    re_recorded: bool,
 }
 
 /// How a recorded region's entries have been leaving it.
@@ -52,62 +32,9 @@ enum Phase {
 struct Health {
     /// Times the region was entered.
     entries: u64,
-    /// Times it exited at the *first* junction (no member boundary
-    /// crossed) — the signature of a recorded path that no longer holds
-    /// at all.
+    /// Times it exited at the *first* junction, crossing no member
+    /// boundary: its recorded path no longer holds at all.
     first_exits: u64,
-}
-
-/// Everything known about one promoted root.
-#[derive(Debug, Clone)]
-struct Record {
-    phase: Phase,
-    /// The completed recording: the successor observed at each block
-    /// exit, in execution order. The list *is* the root's region shape —
-    /// it keys the shared memo and drives `translate_region_along`.
-    /// Present from the end of a recording until a demotion.
-    path: Option<Arc<[u32]>>,
-    /// Whether the root has spent its one re-recording.
-    re_recorded: bool,
-}
-
-/// The recording pass in progress.
-#[derive(Debug, Clone)]
-struct Recording {
-    root: u32,
-    path: Vec<u32>,
-}
-
-/// What the exit bookkeeping reads of the block that just ran, copied
-/// out of it so that the block can stay borrowed from the L1 arena for
-/// the run and nothing of it is held while the caches change.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct BlockFacts {
-    /// Entry address: the region root of a superblock.
-    pub root: u32,
-    /// Member blocks; more than one makes the block a region.
-    pub members: u32,
-    /// Guest instructions a full run retires.
-    pub guest_insns: u32,
-    /// How the last member ends.
-    pub term: Term,
-}
-
-impl BlockFacts {
-    /// The facts of `block`.
-    pub(crate) fn of(block: &TBlock) -> BlockFacts {
-        BlockFacts {
-            root: block.guest_addr,
-            members: block.members.len() as u32,
-            guest_insns: block.guest_insns,
-            term: block.term,
-        }
-    }
-
-    /// Whether the block is a multi-member superblock region.
-    pub(crate) fn is_region(&self) -> bool {
-        self.members > 1
-    }
 }
 
 /// What one block exit asks of the rest of the machine.
@@ -120,40 +47,27 @@ pub(crate) struct ExitVerdict {
     pub demoted: Option<u32>,
 }
 
-/// Region roots and the single active recorder.
+/// Region roots, their recordings, builds and health.
 #[derive(Debug, Clone)]
 pub(crate) struct Regions {
-    limits: RegionLimits,
-    /// One record per promoted root; a promotion is never forgotten
-    /// (SMC revocation leaves it in place, so post-invalidation demand
-    /// retranslation is region-shaped again).
-    roots: AddrMap<u32, Record>,
-    /// Roots in [`Phase::Armed`], so a block exit with nothing armed
-    /// costs no lookup.
-    armed: usize,
-    /// At most one recording at a time: a recording is a run of
-    /// *consecutive* block exits; interleaving two would split both.
-    recorder: Option<Recording>,
+    /// The protocol. SMC revocation leaves a promotion in place, so
+    /// demand retranslation after it is region-shaped again.
+    paths: Recorder<Build>,
 }
 
 impl Regions {
     /// No roots yet. `limits.max_blocks <= 1` turns regions off.
     pub(crate) fn new(limits: RegionLimits) -> Regions {
         Regions {
-            limits,
-            roots: AddrMap::default(),
-            armed: 0,
-            recorder: None,
+            paths: Recorder::new(limits),
         }
     }
 
-    /// The translation shape for `pc`: a recorded-path region once a
-    /// recording has completed for a promoted address, and a single
-    /// basic block otherwise — including while a recording is still in
-    /// progress, and for roots demoted back to single (a demotion drops
-    /// the path, and nothing is promoted while regions are off).
+    /// The translation shape for `pc`: a region along its recorded path
+    /// if it has one, else a single block (mid-recording, demoted, or
+    /// with regions off).
     pub(crate) fn shape_for(&self, pc: u32) -> RegionShape {
-        match self.roots.get(&pc).and_then(|r| r.path.as_ref()) {
+        match self.paths.path(pc) {
             Some(path) => RegionShape::Recorded(Arc::clone(path)),
             None => RegionShape::Single,
         }
@@ -164,7 +78,7 @@ impl Regions {
     /// this holds, and the resident single does not make the queued
     /// entry settled work.
     pub(crate) fn build_owed(&self, addr: u32) -> bool {
-        matches!(self.roots.get(&addr), Some(r) if r.phase == Phase::Owed)
+        matches!(self.paths.root(addr), Some(r) if r.path().is_some() && r.data.live.is_none())
     }
 
     /// The owed build of `addr` ended: a region translation of it
@@ -173,9 +87,9 @@ impl Regions {
     /// manager's failed set keeps it from being retried speculatively).
     /// True if a build was owed.
     pub(crate) fn build_settled(&mut self, addr: u32) -> bool {
-        match self.roots.get_mut(&addr) {
-            Some(r) if r.phase == Phase::Owed => {
-                r.phase = Phase::Live(Health::default());
+        match self.paths.root_mut(addr) {
+            Some(r) if r.path().is_some() && r.data.live.is_none() => {
+                r.data.live = Some(Health::default());
                 true
             }
             _ => false,
@@ -186,9 +100,9 @@ impl Regions {
     /// through `exit` after `guards_passed` member boundaries, having
     /// retired `retired` guest instructions; `smc_fired` if it stored
     /// into translated code. Counts region entries and early exits,
-    /// advances the recorder, demotes a region whose path stopped
-    /// holding, and promotes the exit's target when it is a loop head or
-    /// a capped region's continuation.
+    /// drives the recording protocol (which records paths and promotes
+    /// loop heads and capped regions' continuations), and demotes a
+    /// region whose path stopped holding.
     pub(crate) fn block_exited(
         &mut self,
         block: BlockFacts,
@@ -198,22 +112,22 @@ impl Regions {
         smc_fired: bool,
         stats: &mut Stats,
     ) -> ExitVerdict {
-        let mut verdict = ExitVerdict::default();
         let root = block.root;
         let region = block.is_region();
         // Health accounting: count every entry into a region built from
         // a recording; its first-junction exits are noted below.
         let recorded_root = region && self.note_entry(root);
 
-        // Runtime path recording: while a promoted root awaits its
-        // region, one recording pass logs the actually-taken successor
-        // at every block exit, starting the next time execution enters
-        // the root as a single block.
-        if self.recorder.is_some() || (self.armed > 0 && !region && self.start_recording(root)) {
-            verdict.build = self.record_step(block, exit);
-        }
-
         let full_run = retired == block.guest_insns as u64;
+        let step = self.paths.exited(block, exit, full_run);
+        if step.promoted.is_some() {
+            stats.bump_ctr(Ctr::SuperblockPromotions);
+        }
+        let mut verdict = ExitVerdict {
+            build: step.recorded,
+            demoted: None,
+        };
+
         let left_early = region
             && match exit {
                 // A direct exit that is not one of the terminator's
@@ -234,105 +148,7 @@ impl Regions {
                 verdict.demoted = self.note_first_junction_exit(root, stats);
             }
         }
-
-        // Promotion. A backward direct exit marks its target as a loop
-        // head; a full run off the end of a capped region marks its
-        // forward continuation, so long loop bodies partition into
-        // back-to-back traces. An indirect backedge — a `ret` bouncing
-        // back to a stable call site is the common shape — marks its
-        // target hot too: the recording crosses the indirect under an
-        // inline target guard.
-        // A forward exit that is no capped region's continuation never
-        // probes the root map.
-        let hot = match exit {
-            BlockExit::Goto(t) => {
-                let capped = block.members >= self.limits.max_blocks
-                    || block.guest_insns + 4 > self.limits.max_insns;
-                let continuation = region && full_run && capped && block.term.leads_to(t);
-                ((t < root || continuation) && self.promotable(t)).then_some(t)
-            }
-            BlockExit::Indirect(t) if t < root && self.promotable(t) => Some(t),
-            _ => None,
-        };
-        if let Some(t) = hot {
-            self.promote(t, stats);
-        }
         verdict
-    }
-
-    fn promotable(&self, t: u32) -> bool {
-        self.limits.max_blocks > 1 && !self.roots.contains_key(&t)
-    }
-
-    /// Promotes `pc` to region shape: future translations root a
-    /// superblock there. The resident single-block translation stays
-    /// live — the execution tile never stalls on a promotion. The
-    /// promotion arms a recording pass; the build is owed when the
-    /// recording completes.
-    fn promote(&mut self, pc: u32, stats: &mut Stats) {
-        stats.bump_ctr(Ctr::SuperblockPromotions);
-        self.armed += 1;
-        self.roots.insert(
-            pc,
-            Record {
-                phase: Phase::Armed,
-                path: None,
-                re_recorded: false,
-            },
-        );
-    }
-
-    /// Starts the recording pass at `addr` if it is an armed root.
-    fn start_recording(&mut self, addr: u32) -> bool {
-        match self.roots.get_mut(&addr) {
-            Some(r) if r.phase == Phase::Armed => {
-                r.phase = Phase::Recording;
-                self.armed -= 1;
-                self.recorder = Some(Recording {
-                    root: addr,
-                    path: Vec::new(),
-                });
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// One step of the active recording pass: logs the successor the
-    /// block that just executed actually took. The recording finishes
-    /// at the loop-closing backedge (the successor is the root), at an
-    /// unknowable continuation (syscall / halt / fault), at the region
-    /// formation cap, or when a resident superblock runs — its exit is
-    /// a region exit, not a single-block junction, so the path has a
-    /// gap there. Returns the root whose build the finished recording
-    /// owes.
-    fn record_step(&mut self, block: BlockFacts, exit: BlockExit) -> Option<u32> {
-        let rec = self.recorder.as_mut().expect("recording active");
-        let done = block.is_region()
-            || match exit.successor() {
-                Some(t) if t != rec.root => {
-                    rec.path.push(t);
-                    rec.path.len() as u32 >= self.limits.max_blocks
-                }
-                _ => true,
-            };
-        if !done {
-            return None;
-        }
-        // A non-empty path becomes the root's region shape and the
-        // build is owed; an empty one (the root halts, syscalls, or
-        // immediately loops onto itself) pins the root single-block —
-        // there is nothing to form along.
-        let rec = self.recorder.take().expect("recording active");
-        let r = self.roots.get_mut(&rec.root).expect("recording root");
-        debug_assert_eq!(r.phase, Phase::Recording);
-        if rec.path.is_empty() {
-            r.phase = Phase::Pinned;
-            return None;
-        }
-        r.path = Some(Arc::from(rec.path));
-        r.phase = Phase::Owed;
-        Some(rec.root)
     }
 
     /// Counts an entry into the region at `root`, if it was built from a
@@ -342,15 +158,15 @@ impl Regions {
     /// phase well must still demote promptly when the program moves on
     /// and its path stops holding.
     fn note_entry(&mut self, root: u32) -> bool {
-        let Some(r) = self.roots.get_mut(&root) else {
+        let Some(r) = self.paths.root_mut(root) else {
             return false;
         };
-        if r.path.is_none() {
+        if r.path().is_none() {
             return false;
         }
         // Only a settled build leaves a recorded region resident.
-        debug_assert!(matches!(r.phase, Phase::Live(_)), "{:?}", r.phase);
-        if let Phase::Live(h) = &mut r.phase {
+        debug_assert!(r.data.live.is_some(), "an owed build ran");
+        if let Some(h) = &mut r.data.live {
             h.entries += 1;
             if h.entries >= 128 {
                 h.entries /= 2;
@@ -360,43 +176,39 @@ impl Regions {
         true
     }
 
-    /// Notes a recorded region leaving through its *first* junction —
-    /// before any member boundary was crossed. A path whose very first
-    /// step stops holding makes the region pure overhead (a region
-    /// built toward the historically-hottest target instead of the
-    /// recorded one measured ~99% here on call-heavy code), so a root
-    /// whose first-junction-exit rate crosses 3/4 over at least 64
-    /// entries is demoted (returned). Occasional side exits *deeper* in
-    /// the region — a data-dependent branch taking its cold arm now and
-    /// then — never demote: the entry fee was already amortized by the
-    /// members that did retire.
-    ///
-    /// The first demotion discards the recording and re-arms the
-    /// recorder for one more pass — the program may simply have moved
-    /// to a new phase; a second demotion pins the root single-block for
-    /// good.
+    /// Notes a recorded region leaving through its *first* junction,
+    /// before any member boundary was crossed: a path whose first step
+    /// stops holding makes the region pure overhead (~99% of entries on
+    /// call-heavy code, for a region built toward the historically
+    /// hottest target). A root whose first-junction-exit rate crosses 3/4
+    /// over at least 64 entries is demoted (returned); deeper side exits
+    /// never demote, as the members that retired amortized the entry.
+    /// The first demotion re-arms the root for one more recording (the
+    /// program may have changed phase); the second pins it for good.
     fn note_first_junction_exit(&mut self, root: u32, stats: &mut Stats) -> Option<u32> {
-        let r = self.roots.get_mut(&root)?;
-        let Phase::Live(h) = &mut r.phase else {
-            return None;
-        };
+        let r = self.paths.root_mut(root)?;
+        let h = r.data.live.as_mut()?;
         h.first_exits += 1;
         if !(h.entries >= 64 && h.first_exits * 4 > h.entries * 3) {
             return None;
         }
-        r.path = None;
-        if r.re_recorded {
-            r.phase = Phase::Pinned;
-            stats.bump_ctr(Ctr::SuperblockDemoted);
+        let pin = r.data.re_recorded;
+        r.data = Build {
+            live: None,
+            re_recorded: true,
+        };
+        self.paths.drop_path(root, pin);
+        stats.bump_ctr(if pin {
+            Ctr::SuperblockDemoted
         } else {
-            r.re_recorded = true;
-            r.phase = Phase::Armed;
-            self.armed += 1;
-            stats.bump_ctr(Ctr::SuperblockReRecorded);
-        }
+            Ctr::SuperblockReRecorded
+        });
         Some(root)
     }
 }
+
+#[cfg(test)]
+use vta_ir::TBlock;
 
 #[cfg(test)]
 impl Regions {
@@ -425,6 +237,7 @@ impl Regions {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vta_ir::mir::Term;
     use vta_ir::Member;
     use vta_raw::isa::RInsn;
 
@@ -557,6 +370,6 @@ mod tests {
         assert_eq!(stats.get("superblock.demoted"), 1);
         assert_eq!(rg.shape_for(ROOT), RegionShape::Single);
         assert_eq!(record_once(&mut rg), ExitVerdict::default(), "pinned");
-        assert_eq!(rg.armed, 0);
+        assert_eq!(rg.paths.armed(), 0);
     }
 }

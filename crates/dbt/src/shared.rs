@@ -32,7 +32,7 @@ use std::sync::{Arc, Mutex};
 use vta_ir::{OptLevel, RegionLimits, RegionShape, TBlock};
 use vta_x86::{GuestMem, PAGE_SIZE};
 
-use crate::addrhash::AddrMap;
+use vta_sim::addrhash::AddrMap;
 
 struct Entry {
     /// The guest code bytes the translation was derived from: those of

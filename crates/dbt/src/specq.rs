@@ -10,7 +10,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
-use crate::addrhash::AddrMap;
+use vta_sim::addrhash::AddrMap;
 
 /// The deepest speculation level: a push deeper than this is clamped to
 /// it.

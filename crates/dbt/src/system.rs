@@ -10,8 +10,9 @@
 
 use std::sync::Arc;
 
-use vta_ir::codegen::SYS_RESUME_REG;
+use vta_ir::codegen::{guest_host_reg, SYS_RESUME_REG};
 use vta_ir::helper::R_ESP;
+use vta_ir::record::BlockFacts;
 use vta_ir::{apply_helper, proxy_syscall, TBlock, TranslateError};
 use vta_raw::exec::{run_block, BlockExit, CoreState, DataPort, Fault};
 use vta_raw::isa::{HelperKind, MemOp};
@@ -20,14 +21,14 @@ use vta_sim::{
     Ctr, Cycle, GaugeId, Metrics, MetricsConfig, ProfConfig, ProfileReport, Profiler, Stats,
     TraceConfig, Tracer,
 };
-use vta_x86::{GuestImage, GuestMem, SysState, PAGE_SIZE};
+use vta_x86::{GuestImage, GuestMem, Reg, SysState, Syscall, PAGE_SIZE};
 
 use crate::codecache::{BlockHandle, CodeHierarchy};
 use crate::config::{VirtualArchConfig, GRID};
 use crate::manager::{Duty, Manager, Outside, Tracks};
 use crate::memsys::MemSys;
 use crate::morph::{MorphAction, MorphManager};
-use crate::regions::{BlockFacts, Regions};
+use crate::regions::Regions;
 use crate::shared::SharedTranslations;
 use crate::specq::MAX_SPEC_DEPTH;
 use crate::timing::Timing;
@@ -580,21 +581,35 @@ impl System {
         self.now += net::message(&mut self.tracer, self.now, sysc, exec, 1);
 
         let brk = self.sys.brk;
+        let read = self.read_span();
         let exit = proxy_syscall(&mut self.state, &mut self.sys, &mut self.mem);
         if exit.is_none() {
             self.pc = self.state.get(SYS_RESUME_REG);
         }
         // A grown break maps zeroed pages. A translation whose decode
         // found one of them unmapped read different bytes there, so the
-        // mapping revokes it as a store into the page would.
-        if self.sys.brk > brk {
-            for page in brk / PAGE_SIZE..=(self.sys.brk - 1) / PAGE_SIZE {
+        // mapping revokes it as a store into the page would. A `read`
+        // stores its bytes, so it revokes the pages they land on.
+        let grown = (self.sys.brk > brk).then(|| (brk, self.sys.brk - brk));
+        for (start, len) in grown.into_iter().chain(read) {
+            let last = start.saturating_add(len - 1);
+            for page in start / PAGE_SIZE..=last / PAGE_SIZE {
                 if self.manager.holds_code(page) {
                     self.invalidate_page(page);
                 }
             }
         }
         exit
+    }
+
+    /// `(buffer, length)` a pending `read` of the input stream writes, up
+    /// to the input left (a faulting one writes those before the fault).
+    fn read_span(&self) -> Option<(u32, u32)> {
+        let reg = |r: Reg| self.state.get(guest_host_reg(r.num() as u32));
+        let left = self.sys.input.len() - self.sys.input_pos;
+        let len = (reg(Reg::EDX) as usize).min(left) as u32;
+        let read = Syscall::from_nr(reg(Reg::EAX)) == Syscall::Read && reg(Reg::EBX) == 0;
+        (read && len > 0).then(|| (reg(Reg::ECX), len))
     }
 
     fn maybe_morph(&mut self) {
@@ -1820,6 +1835,40 @@ mod tests {
         assert_eq!(report.exit_code, Some(want));
         assert_eq!(report.guest_insns, ref_insns, "retired count");
         assert_eq!(report.stats.get("smc.invalidations"), 1, "brk revoked T");
+    }
+
+    #[test]
+    fn a_read_into_translated_code_revokes_the_block() {
+        // Pass 1 runs `P: mov eax, 1`; a `read` of the input stream then
+        // overwrites its imm32 with 7, and pass 2 jumps back to `P`. The
+        // read stores into a code page, so it revokes `P` as a store
+        // would, and pass 2 runs a fresh translation (the revocation
+        // invariant holds it to that in debug builds).
+        let mut a = Asm::new(BASE);
+        let done = a.label();
+        a.mov_ri(Reg::ESI, 0);
+        let imm = a.cur_addr() + 1;
+        let p = a.here();
+        a.mov_ri(Reg::EAX, 1);
+        a.cmp_ri(Reg::ESI, 0);
+        a.jcc(Cond::Ne, done);
+        a.mov_ri(Reg::ESI, 1);
+        a.mov_ri(Reg::EAX, 3);
+        a.mov_ri(Reg::EBX, 0);
+        a.mov_ri(Reg::ECX, imm);
+        a.mov_ri(Reg::EDX, 4);
+        a.int_(0x80);
+        a.jmp(p);
+        a.bind(done);
+        a.exit_with_eax();
+        let img = GuestImage::from_code(a.finish()).with_input(7u32.to_le_bytes().to_vec());
+        let (want, ref_insns) = reference(&img);
+        assert_eq!(want, 7);
+        let mut sys = System::new(VirtualArchConfig::paper_default(), &img);
+        let report = sys.run(1_000_000).expect("runs");
+        assert_eq!(report.exit_code, Some(want));
+        assert_eq!(report.guest_insns, ref_insns, "retired count");
+        assert_eq!(report.stats.get("smc.invalidations"), 1, "read revoked P");
     }
 
     #[test]

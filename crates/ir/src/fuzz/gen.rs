@@ -17,8 +17,8 @@
 //!   jumping to it (same-block SMC is out of contract for a block DBT);
 //! * [`syscalls`] — `write`/`brk`/`read`/`time`/`getpid`/`exit` traffic;
 //! * [`superblock`] — hot loops over chains of small blocks linked by
-//!   direct jumps and mostly-not-taken forward branches, the shape
-//!   region formation extends through at `OptLevel::Full` (exercises
+//!   direct jumps and mostly-not-taken forward branches, which path
+//!   recording turns into regions at `OptLevel::Full` (exercises
 //!   cross-member optimization and mid-region side exits);
 //! * [`indirect_chain`] — ret-heavy call trees plus data-dependent
 //!   computed jumps through an in-memory table (the indirect-target
@@ -28,10 +28,10 @@
 //!   because the member-boundary `SmcGuard` exits ahead of the stale
 //!   bytes;
 //! * [`recorded_path`] — hot loops with phase-stable and churning
-//!   data-dependent junctions plus a `call`/`ret` pair, the shape the
-//!   oracle's recorded-path run turns into `translate_region_along`
-//!   regions (exercises recorded-shape formation and its guard side
-//!   exits);
+//!   data-dependent junctions plus a `call`/`ret` pair, which the
+//!   oracle's `OptLevel::Full` run records and turns into
+//!   `translate_region_along` regions (exercises recorded-shape
+//!   formation and its guard side exits);
 //! * [`wide_arith`] — the one-operand `EDX:EAX` forms (`mul`, `imul`,
 //!   `idiv`) no other family emits. Driven by a tier-1 seeded loop, not
 //!   by [`CaseStream`], whose rotation stays comparable across PRs.
@@ -512,11 +512,12 @@ pub fn syscalls(rng: &mut Rng) -> Case {
 const SB_SAFE: [Reg; 4] = [Reg::EAX, Reg::EDX, Reg::EBX, Reg::ESI];
 
 /// Hot loops over chains of small blocks linked by direct jumps and
-/// mostly-not-taken forward branches — the exact shape superblock
-/// formation extends through at `OptLevel::Full`. The forward branches
-/// test against data-dependent bits so some iterations take the
-/// side exit mid-region; the backward loop branch closes the region
-/// through dispatch.
+/// mostly-not-taken forward branches. At `OptLevel::Full` the loop
+/// branch promotes the loop head, one iteration records the path the
+/// branches took, and later iterations run the region formed along it.
+/// The forward branches test data-dependent bits, so some iterations
+/// leave the recorded path through a side exit mid-region; the loop
+/// branch closes the recording and the region through dispatch.
 pub fn superblock(rng: &mut Rng) -> Case {
     let mut asm = Asm::new(CODE_BASE);
     seed_regs(&mut asm, rng);
@@ -681,8 +682,8 @@ pub fn region_smc(rng: &mut Rng) -> Case {
 }
 
 /// Hot loops whose junctions go a data-dependent way — the workload
-/// shape runtime path recording exists for, and the oracle's
-/// recorded-path run turns into `translate_region_along` regions. Some
+/// shape runtime path recording exists for, which the oracle's
+/// `OptLevel::Full` run turns into `translate_region_along` regions. Some
 /// junctions test bits of `EDI`, which the body never writes: those go
 /// the same way every iteration, so the recorded path holds and the
 /// region runs end to end. Others test bits of `EBX`, which churns

@@ -2,11 +2,12 @@
 //!
 //! This module is the reusable core of the `vta_fuzz` subsystem: layered
 //! deterministic generators ([`gen`]) produce guest test cases, a
-//! three-way oracle ([`oracle`]) runs each case through the reference
+//! differential oracle ([`oracle`]) runs each case through the reference
 //! interpreter ([`vta_x86::Cpu`]) and the translated path
-//! ([`crate::translate_region`] + [`vta_raw::exec::run_block`]) at both
-//! [`OptLevel`]s — superblock regions included at `Full` — and compares
-//! every architectural outcome, and a
+//! ([`crate::Translator`] + [`vta_raw::exec::run_block`]) at both
+//! [`OptLevel`]s — at `Full` with the regions the DBT's own path-recording
+//! protocol ([`crate::record`]) forms — and compares every architectural
+//! outcome, and a
 //! delta-debugging minimizer ([`minimize`]) shrinks any divergence to a
 //! small reproducer that can be persisted in the committed regression
 //! corpus ([`corpus`]).

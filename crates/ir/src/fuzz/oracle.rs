@@ -1,9 +1,9 @@
-//! The three-way differential oracle.
+//! The differential oracle.
 //!
 //! Every case is executed on the reference interpreter ([`vta_x86::Cpu`])
-//! and on the translated path ([`Translator::translate_region`] +
-//! [`run_block`]) at both [`OptLevel::None`] and [`OptLevel::Full`], then
-//! the architectural outcomes are compared channel by channel:
+//! and on the translated path at [`OptLevel::None`] and at
+//! [`OptLevel::Full`], then the architectural outcomes are compared
+//! channel by channel:
 //!
 //! * **stop reason** — exit code, halt, or the fault kind (always);
 //! * **registers** — all eight GPRs (skipped on faults: the reference
@@ -25,31 +25,25 @@
 //! (register-pressure spills are a capacity limit, not a semantics bug).
 //!
 //! Same-block self-modifying code is also skipped, and detected
-//! *precisely* rather than guessed at: every store the block performs is
-//! checked by *address* against the footprint its translation reported
-//! ([`Footprint::covers`](crate::Footprint::covers) on
-//! [`TBlock::footprint`] — the answer SMC revocation and the sweep memo
-//! use). A hit means
-//! the block's own stores overwrote bytes its translation had read,
-//! which a block DBT cannot coherently execute by construction
-//! ([`Outcome::OutOfContract`]). Address membership, not value
-//! revalidation, is required here: a dirtied byte can cycle back to its
-//! translated value by block end (ABA) after the reference already
-//! branched on an intermediate value. Cross-block SMC stays fully
-//! compared: the oracle retranslates every block on entry, so patches
-//! landed by *earlier* blocks are always seen.
+//! *precisely*: every store the block performs is checked by *address*
+//! against [`TBlock::footprint`] ([`Footprint::covers`](crate::Footprint::covers),
+//! the answer SMC revocation and the sweep memo use). A hit means the
+//! block's own stores overwrote bytes its translation had read, which a
+//! block DBT cannot coherently execute ([`Outcome::OutOfContract`]).
+//! Value revalidation would not do: a dirtied byte can cycle back to its
+//! translated value (ABA) after the reference branched on an
+//! intermediate one. Cross-block SMC stays fully compared: the oracle
+//! retranslates every block on entry.
 //!
 //! There is one functional DBT loop, `run_translated`, over one
 //! functional [`DataPort`] and the translated side's one syscall layer
-//! ([`proxy_syscall`]); the three translated runs differ only in the
-//! shape the block at `pc` is translated under. Two use
-//! [`Translator::translate_region`] under [`RegionLimits::for_opt`], so
-//! `OptLevel::Full` exercises the same superblock regions the DBT
-//! executes. The third replays the DBT's runtime path recording
-//! protocol — single-block execution arms and records loop roots, then
-//! [`Translator::translate_region_along`] builds regions along the
-//! recorded paths — so recorded-shape regions (including the ones whose
-//! guards side-exit mid-region) are differentially checked too. [`run_image`] judges any
+//! ([`proxy_syscall`]). It runs the shapes `System` runs: the DBT's own
+//! path-recording protocol ([`Recorder`] under [`RegionLimits::for_opt`])
+//! sees every block exit, and the block at `pc` is single until a
+//! recording closes for it, then a [`Translator::translate_region_along`]
+//! region — both at the run's level (at `None` nothing promotes). Where a
+//! recorded path stops holding, the region's guards must side-exit to
+//! exactly where single blocks go. [`run_image`] judges any
 //! [`GuestImage`]; [`run_case`] is `run_image` of a fuzz [`Case`].
 //!
 //! Stores into a *later, not yet executed* member of the current
@@ -61,11 +55,10 @@
 //! outside every member range (the successor flag-liveness scan) — is
 //! the case out of contract.
 
-use std::collections::{HashMap, HashSet};
-
 use crate::codegen::{guest_host_reg, SYS_RESUME_REG};
 use crate::fuzz::Case;
 use crate::helper::{apply_helper, proxy_syscall, R_ESP};
+use crate::record::{BlockFacts, Recorder};
 use crate::translate::{OptLevel, RegionLimits, TranslateError, Translator};
 use crate::{Footprint, TBlock};
 use vta_raw::exec::{run_block, BlockExit, CoreState, DataPort, Fault};
@@ -254,102 +247,21 @@ fn run_reference(image: &GuestImage) -> RunResult {
     }
 }
 
-/// Which translation shapes a translated run executes.
-#[derive(Clone, Copy)]
-enum Shapes {
-    /// Every block through [`Translator::translate_region`] at this level
-    /// under [`RegionLimits::for_opt`]: single blocks at `None`,
-    /// statically predicted superblocks at `Full`.
-    Static(OptLevel),
-    /// The DBT's runtime path recording: single blocks at
-    /// [`OptLevel::None`] (the recording pass observes architectural
-    /// successors only) until a [`PathRecorder`] has closed a path for a
-    /// loop root, then a [`Translator::translate_region_along`] region at
-    /// [`OptLevel::Full`] there. Wherever the recorded path stops
-    /// holding, the region's guards must side-exit to precisely the
-    /// address single-block execution would have reached.
-    Recorded,
-}
-
-/// The protocol the DBT's promotion trigger drives, without its
-/// hotness counters: backedge targets are armed, the next pass through
-/// an armed address records the successors actually taken, and the
-/// recording closes at the loop-closing backedge or the member cap.
-#[derive(Default)]
-struct PathRecorder {
-    /// Closed recordings: loop root to its successor list.
-    paths: HashMap<u32, Vec<u32>>,
-    /// Backedge targets whose next entry starts a recording.
-    armed: HashSet<u32>,
-    /// The recording in progress: its root and the successors so far.
-    open: Option<(u32, Vec<u32>)>,
-}
-
-impl PathRecorder {
-    /// Consulted before translating the block at `pc`: the closed path
-    /// to form its region along, if there is one. Entering a recorded
-    /// region tears down any recording in progress, exactly like the
-    /// DBT; entering an armed address starts one.
-    fn path_at(&mut self, pc: u32) -> Option<&[u32]> {
-        let path = self.paths.get(&pc);
-        if path.is_some() {
-            self.open = None;
-        } else if self.armed.remove(&pc) && self.open.is_none() {
-            self.open = Some((pc, Vec::new()));
-        }
-        path.map(Vec::as_slice)
-    }
-
-    /// Consulted after the translation at `from` left through a
-    /// `Goto`/`Indirect` exit to `to`. Only single-block steps are
-    /// recorded; an exit from a recorded region is not one.
-    fn note_exit(&mut self, from: u32, to: u32) {
-        if self.paths.contains_key(&from) {
-            return;
-        }
-        if let Some((root, path)) = &mut self.open {
-            let closes_loop = to == *root;
-            if !closes_loop {
-                path.push(to);
-            }
-            let cap = RegionLimits::default().max_blocks as usize;
-            if closes_loop || path.len() + 1 >= cap {
-                let (root, path) = self.open.take().expect("a recording is open");
-                if !path.is_empty() {
-                    self.paths.insert(root, path);
-                }
-            }
-        }
-        if to <= from && !self.paths.contains_key(&to) {
-            self.armed.insert(to);
-        }
-    }
-
-    /// Consulted at a syscall, where the DBT ends a recording.
-    fn at_syscall(&mut self) {
-        self.open = None;
-    }
-}
-
-/// Runs an image through translate + execute: the one functional DBT
-/// loop, whose only varying part is the shape the block at `pc` is
-/// translated under.
+/// Runs an image through translate + execute at `opt`: the one
+/// functional DBT loop, shaping regions by the recording protocol.
 ///
 /// Blocks are re-translated on every entry (no translation cache): the
 /// oracle must stay coherent with self-modifying code, and divergence
 /// hunting values correctness over speed. Every translation of the run
 /// goes through one [`Translator`], so the cases also exercise a context
-/// reused across opt levels and shapes.
-fn run_translated(image: &GuestImage, shapes: Shapes) -> RunResult {
+/// reused across single-block and region shapes.
+fn run_translated(image: &GuestImage, opt: OptLevel) -> RunResult {
     let mut mem = image.build_mem();
     let mut sys = SysState::new(image.brk_base);
     sys.set_input(image.input.clone());
 
-    let (opt, mut recorder) = match shapes {
-        Shapes::Static(opt) => (opt, None),
-        Shapes::Recorded => (OptLevel::None, Some(PathRecorder::default())),
-    };
     let limits = RegionLimits::for_opt(opt);
+    let mut paths = Recorder::<()>::new(limits);
     let mut translator = Translator::default();
     let mut state = CoreState::new();
     state.set(R_ESP, image.initial_esp());
@@ -361,15 +273,9 @@ fn run_translated(image: &GuestImage, shapes: Shapes) -> RunResult {
         if blocks > BLOCK_BUDGET {
             break Outcome::Limit;
         }
-        let translated = match recorder.as_mut().and_then(|r| r.path_at(pc)) {
-            Some(path) => translator.translate_region_along(
-                &mem,
-                pc,
-                OptLevel::Full,
-                &RegionLimits::default(),
-                path,
-            ),
-            None => translator.translate_region(&mem, pc, opt, &limits),
+        let translated = match paths.path(pc) {
+            Some(path) => translator.translate_region_along(&mem, pc, opt, &limits, path),
+            None => translator.translate_block(&mem, pc, opt),
         };
         let block = match translated {
             Ok(b) => b,
@@ -387,24 +293,16 @@ fn run_translated(image: &GuestImage, shapes: Shapes) -> RunResult {
         if stale_execution(&block, &out.exit, &port.dirty) {
             break Outcome::OutOfContract;
         }
+        let full_run = block.retired(out.guards_passed) == u64::from(block.guest_insns);
+        paths.exited(BlockFacts::of(&block), out.exit, full_run);
         match out.exit {
-            BlockExit::Goto(t) | BlockExit::Indirect(t) => {
-                if let Some(r) = &mut recorder {
-                    r.note_exit(pc, t);
-                }
-                pc = t;
-            }
+            BlockExit::Goto(t) | BlockExit::Indirect(t) => pc = t,
             BlockExit::Halt => break Outcome::Halt,
             BlockExit::Fault(f) => break fault_kind(f),
-            BlockExit::Sys => {
-                if let Some(r) = &mut recorder {
-                    r.at_syscall();
-                }
-                match proxy_syscall(&mut state, &mut sys, &mut mem) {
-                    Some(code) => break Outcome::Exit(code),
-                    None => pc = state.get(SYS_RESUME_REG),
-                }
-            }
+            BlockExit::Sys => match proxy_syscall(&mut state, &mut sys, &mut mem) {
+                Some(code) => break Outcome::Exit(code),
+                None => pc = state.get(SYS_RESUME_REG),
+            },
         }
     };
 
@@ -478,7 +376,7 @@ fn mem_diff(a: &GuestMem, b: &GuestMem) -> Option<String> {
 }
 
 /// Compares one translated run against the reference run.
-fn compare(shapes: Shapes, reference: &RunResult, dbt: &RunResult) -> Verdict {
+fn compare(opt: OptLevel, reference: &RunResult, dbt: &RunResult) -> Verdict {
     // A limit on either side makes the case incomparable.
     if reference.outcome == Outcome::Limit || dbt.outcome == Outcome::Limit {
         return Verdict::Skip("resource limit");
@@ -487,16 +385,11 @@ fn compare(shapes: Shapes, reference: &RunResult, dbt: &RunResult) -> Verdict {
     if dbt.outcome == Outcome::OutOfContract {
         return Verdict::Skip("same-block SMC");
     }
-    // The recorded-path run reports under the level of its regions.
-    let (opt, tag) = match shapes {
-        Shapes::Static(opt) => (opt, ""),
-        Shapes::Recorded => (OptLevel::Full, "recorded-path run: "),
-    };
-    let diverge = |channel, detail: String| {
+    let diverge = |channel, detail| {
         Verdict::Diverge(Divergence {
             opt,
             channel,
-            detail: format!("{tag}{detail}"),
+            detail,
         })
     };
     if reference.outcome != dbt.outcome {
@@ -535,18 +428,12 @@ fn compare(shapes: Shapes, reference: &RunResult, dbt: &RunResult) -> Verdict {
 /// Runs one guest image through the full differential oracle.
 ///
 /// Returns the first non-[`Pass`](Verdict::Pass) verdict across the two
-/// optimization levels ([`OptLevel::None`] first) and the recorded-path
-/// run (last; reported under `OptLevel::Full` with a `recorded-path`
-/// tag in the detail).
+/// optimization levels, [`OptLevel::None`] first.
 pub fn run_image(image: &GuestImage) -> Verdict {
     let reference = run_reference(image);
-    for shapes in [
-        Shapes::Static(OptLevel::None),
-        Shapes::Static(OptLevel::Full),
-        Shapes::Recorded,
-    ] {
-        let dbt = run_translated(image, shapes);
-        match compare(shapes, &reference, &dbt) {
+    for opt in [OptLevel::None, OptLevel::Full] {
+        let dbt = run_translated(image, opt);
+        match compare(opt, &reference, &dbt) {
             Verdict::Pass => {}
             other => return other,
         }

@@ -44,6 +44,7 @@ pub mod helper;
 pub mod lower;
 pub mod mir;
 pub mod opt;
+pub mod record;
 mod translate;
 
 pub use helper::{apply_helper, proxy_syscall};

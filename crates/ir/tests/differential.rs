@@ -3,8 +3,9 @@
 //! Hand-written guest programs, one per front-end feature, each judged by
 //! the fuzz oracle ([`vta_ir::fuzz::run_image`]): stop reason, registers,
 //! guest memory and syscall output must match `vta_x86::Cpu` exactly, at
-//! both optimization levels and under recorded-path regions. A `Skip`
-//! fails: every program here is small enough to be comparable.
+//! both optimization levels — at `Full` under the regions the DBT's
+//! path-recording protocol forms. A `Skip` fails: every program here is
+//! small enough to be comparable.
 
 use vta_ir::fuzz::{gen, run_case, run_image, Verdict, CODE_BASE as BASE, DATA_BASE as DATA};
 use vta_sim::Rng;

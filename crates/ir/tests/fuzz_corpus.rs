@@ -3,7 +3,7 @@
 //! Cheap, deterministic checks run on every `cargo test`:
 //!
 //! * every committed corpus reproducer replays clean through the
-//!   three-way oracle (a regression here means a fixed front-end bug
+//!   differential oracle (a regression here means a fixed front-end bug
 //!   came back);
 //! * a fixed-seed smoke batch of freshly generated cases finds no
 //!   divergence;

@@ -8,7 +8,9 @@
 //! guest leader and the fuzz generators' code, shuffled, mixing opt
 //! levels, single / static-region / recorded-path shapes and decode
 //! failures), and every result must equal the free function's, which
-//! runs on a fresh context.
+//! runs on a fresh context. Recorded paths are what the DBT and the fuzz
+//! oracle run; static regions are what the `-full` translation digests
+//! and the benchmark's region probe translate.
 
 mod common;
 

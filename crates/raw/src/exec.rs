@@ -188,14 +188,6 @@ pub struct RunOutcome {
     pub guards_passed: u32,
 }
 
-impl RunOutcome {
-    /// The observed successor address, when the exit carries one (see
-    /// [`BlockExit::successor`]).
-    pub fn successor(&self) -> Option<u32> {
-        self.exit.successor()
-    }
-}
-
 /// Executes one translated block to its exit.
 ///
 /// `fuel` bounds retired instructions so a malformed internal loop cannot

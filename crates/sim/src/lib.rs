@@ -14,6 +14,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod addrhash;
 mod cycle;
 mod fnv;
 pub mod metrics;

@@ -49,10 +49,14 @@
 #     or check_interval under crates/dbt/src; and temporary liveness
 #     is one backward walk at codegen entry (codegen::Alloc::plan), so
 #     no second MIR liveness walk: no opt/dce.rs and no LiveSet under
-#     crates/ir/src; and every vta-dbt table keyed by a guest address or
-#     page hashes with the one address hasher (crates/dbt/src/addrhash.rs),
+#     crates/ir/src; and every table keyed by a guest address or page
+#     hashes with the one address hasher (crates/sim/src/addrhash.rs),
 #     so no HashMap<u32 / HashSet<u32 / HashMap<(u32 (std's SipHash) in
-#     crates/dbt/src/*.rs outside their tests
+#     crates/dbt/src/*.rs or crates/ir/src/record.rs outside their tests;
+#     and the path-recording protocol is written once (vta_ir::record),
+#     so no second recorder (PathRecorder, fn note_exit, fn at_syscall)
+#     under crates/ir/src, and the fuzz oracle runs the shapes System
+#     runs, so no statically predicted region arm (enum Shapes) there
 #   clippy
 #   build release
 #   test (debug-for-tests)
@@ -143,13 +147,16 @@ run_stage "fmt" \
 # the region roots, the queues, the sweep memo) are hashed on every
 # commit and speculative push; they share one multiply-and-fold address
 # hasher, and a std SipHash table keyed by an address does not come back.
+# The path-recording protocol that promotes region roots is one type,
+# which the DBT and the fuzz oracle both drive: no second copy of it.
 #
 # siphash_addr_tables: prints each such table outside the tests of
-# crates/dbt/src/*.rs (file by file: sed's `q` ends its whole input);
-# true if there is one.
+# crates/dbt/src/*.rs and of crates/ir/src/record.rs, which holds the
+# region roots (file by file: sed's `q` ends its whole input); true if
+# there is one.
 siphash_addr_tables() {
     local f found=1
-    for f in crates/dbt/src/*.rs; do
+    for f in crates/dbt/src/*.rs crates/ir/src/record.rs; do
         if sed '/^#\[cfg(test)\]/q' "$f" | grep -n 'HashMap<u32\|HashSet<u32\|HashMap<(u32' |
             sed "s|^|$f:|"; then
             found=0
@@ -184,6 +191,7 @@ no_env_stage() {
         ! ls crates/ir/src/opt/dce.rs 2>/dev/null &&
         ! grep -rn 'LiveSet' crates/ir/src &&
         ! siphash_addr_tables &&
+        ! grep -rn 'PathRecorder\|fn note_exit\|fn at_syscall\|enum Shapes' crates/ir/src &&
         ! grep -nE '^\s*(pub(\(crate\))? )?(busy_cycles|completed):' crates/dbt/src/slave.rs
 }
 run_stage "no-env, no-clock (library crates)" \
@@ -236,7 +244,9 @@ run_stage "determinism (sweep threads 1 vs 4)" \
 # Fuzz stage: differential fuzzing of the x86 front end. Two parts,
 # both deterministic and offline: (1) every committed minimized
 # reproducer in the regression corpus must replay clean through the
-# oracle (reference vs None vs Full vs recorded-path), and (2) a
+# oracle (reference vs None vs Full, each run the way System runs it:
+# single blocks, and at Full the regions the DBT's path-recording
+# protocol forms), and (2) a
 # fixed-seed generated batch must complete with zero divergences.
 # Fixed seeds mean the same case stream and the same verdicts on every
 # host; the binary exits nonzero (printing a ready-to-commit corpus
