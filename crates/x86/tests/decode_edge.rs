@@ -14,7 +14,7 @@
 
 use vta_sim::Rng;
 use vta_x86::decode::{decode, DecodeError, SliceSource, MAX_INSN_LEN};
-use vta_x86::{elf, Asm, Cond, Insn, MemRef, Op, Operand, Reg, Size};
+use vta_x86::{elf, Asm, Cond, GuestMem, Insn, MemRef, Op, Operand, Reg, Size, PAGE_SIZE};
 
 const BASE: u32 = 0x0800_0000;
 
@@ -329,6 +329,93 @@ fn byte_soup_never_panics_the_decoder() {
         if let Ok(insn) = decode_one(&bytes) {
             assert!(u32::from(insn.len) <= MAX_INSN_LEN, "{bytes:02x?}");
         }
+    }
+}
+
+/// The `decode_digest` tails (`vta_bench::perf`): SIB / displacement /
+/// immediate bytes after the ModRM byte.
+const TAILS: [&[u8]; 4] = [
+    &[0x24, 0x78, 0x56, 0x34, 0x12, 0xEF, 0xCD, 0xAB, 0x89, 0x10],
+    &[0x8D, 0x80, 0x00, 0x00, 0x01, 0x7F, 0x02, 0x00, 0x00, 0x00],
+    &[0xFF; 10],
+    &[],
+];
+
+/// Decodes the 15-byte `run` laid across the page edge at `edge`, its
+/// first `cut` bytes before it, through guest memory with the next page
+/// mapped and unmapped, and holds each result to a byte slice: the whole
+/// run, then the run cut at the edge. `mapped` / `cut_off` are reused
+/// memories: the pages either side of the edge, and the page before it.
+fn holds_across_the_edge(
+    mapped: &mut GuestMem,
+    cut_off: &mut GuestMem,
+    edge: u32,
+    run: &[u8; MAX_INSN_LEN as usize],
+    cut: usize,
+) {
+    let at = edge.wrapping_sub(cut as u32);
+    // load_bytes stops at 2^32, so the run goes in as its two halves.
+    mapped.load_bytes(at, &run[..cut]);
+    mapped.load_bytes(edge, &run[cut..]);
+    cut_off.load_bytes(at, &run[..cut]);
+    let whole = decode(&SliceSource::new(at, run), at);
+    assert_eq!(decode(mapped, at), whole, "{run:02x?} cut {cut}, mapped");
+    let short = decode(&SliceSource::new(at, &run[..cut]), at);
+    let got = decode(cut_off, at);
+    assert_eq!(got, short, "{run:02x?} cut {cut}, unmapped");
+    if let Err(DecodeError::Unmapped { addr }) = got {
+        assert_eq!(addr, edge, "{run:02x?} cut {cut}: the edge is unfetchable");
+    }
+}
+
+/// The decoder reads guest memory a page at a time, so an instruction
+/// that crosses a page edge must decode as if the bytes were one run:
+/// over a seeded sample of the `decode_digest` inputs (every prefix and
+/// opcode twice, random ModRM, tail and filler), at every cut from 1 to 14
+/// bytes before the edge, with the next page mapped and not, and at the
+/// 2^32 wrap.
+#[test]
+fn an_instruction_across_a_page_edge_decodes_as_one_run() {
+    const EDGE: u32 = BASE + PAGE_SIZE;
+    const WRAP: u32 = 0;
+    let mut rng = Rng::seeded(0xED6E);
+    let (mut mapped, mut cut_off) = (GuestMem::new(), GuestMem::new());
+    let (mut wrapped, mut wrap_cut) = (GuestMem::new(), GuestMem::new());
+    let mut run = [0u8; MAX_INSN_LEN as usize];
+    for prefix in [None, Some(0x66), Some(0xF2), Some(0xF3)] {
+        for opcode in 0..0x200u32 {
+            for _ in 0..2 {
+                let mut bytes = Vec::with_capacity(run.len());
+                bytes.extend(prefix);
+                bytes.extend((opcode > 0xFF).then_some(0x0F));
+                bytes.extend([opcode as u8, rng.next_u32() as u8]);
+                bytes.extend_from_slice(TAILS[rng.below(4) as usize]);
+                let (head, filler) = run.split_at_mut(bytes.len());
+                head.copy_from_slice(&bytes);
+                filler.iter_mut().for_each(|b| *b = rng.next_u32() as u8);
+                for cut in 1..MAX_INSN_LEN as usize {
+                    holds_across_the_edge(&mut mapped, &mut cut_off, EDGE, &run, cut);
+                    holds_across_the_edge(&mut wrapped, &mut wrap_cut, WRAP, &run, cut);
+                }
+            }
+        }
+    }
+    // Every cut, over one 14-byte instruction: `mov ax, [eax*4 + disp32]`
+    // under six segment overrides.
+    let long = [
+        0x26, 0x2E, 0x36, 0x3E, 0x64, 0x65, 0x66, 0x8B, 0x04, 0x85, 0x78, 0x56, 0x34, 0x12, 0x90,
+    ];
+    for cut in 1..MAX_INSN_LEN as usize {
+        holds_across_the_edge(&mut mapped, &mut cut_off, EDGE, &long, cut);
+        holds_across_the_edge(&mut wrapped, &mut wrap_cut, WRAP, &long, cut);
+    }
+    // A 16th byte is too long before it is unmapped: 15 prefixes end at
+    // the edge of an unmapped page.
+    let prefixes = [0x66; MAX_INSN_LEN as usize];
+    for (mem, edge) in [(&mut cut_off, EDGE), (&mut wrap_cut, WRAP)] {
+        let at = edge.wrapping_sub(MAX_INSN_LEN);
+        mem.load_bytes(at, &prefixes);
+        assert_eq!(decode(mem, at), Err(DecodeError::TooLong { addr: at }));
     }
 }
 
