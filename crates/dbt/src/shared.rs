@@ -16,7 +16,8 @@
 //! - An entry records the exact guest bytes it was translated from —
 //!   those of `TBlock::footprint`, which the translator reports: the
 //!   members' bytes and the successor code its flag-liveness scan read.
-//!   A consult re-reads the live bytes and rejects on any mismatch. A
+//!   Publish copies them and a consult re-reads them, a page at a time
+//!   ([`vta_ir::Footprint::windows`]), rejecting on any mismatch. A
 //!   system whose guest has since written over that code (SMC) simply
 //!   retranslates, so sharing is transparent even for self-modifying
 //!   guests. A translation that read an unmapped byte is not published.
@@ -30,7 +31,7 @@
 use std::sync::{Arc, Mutex};
 
 use vta_ir::{OptLevel, RegionLimits, RegionShape, TBlock};
-use vta_x86::{GuestMem, PAGE_SIZE};
+use vta_x86::GuestMem;
 
 use vta_sim::addrhash::AddrMap;
 
@@ -40,23 +41,6 @@ struct Entry {
     /// only reusable while *every* byte its translation read matches).
     bytes: Vec<u8>,
     block: Arc<TBlock>,
-}
-
-/// The mapped bytes of `[addr, addr + len)` as borrowed slices, one per
-/// page touched; `None` where a page is unmapped.
-fn page_slices(mem: &GuestMem, addr: u32, len: u32) -> impl Iterator<Item = Option<&[u8]>> {
-    let (mut addr, mut left) = (addr, len);
-    std::iter::from_fn(move || {
-        if left == 0 {
-            return None;
-        }
-        let off = addr % PAGE_SIZE;
-        let n = left.min(PAGE_SIZE - off);
-        let page = mem.page(addr / PAGE_SIZE);
-        addr = addr.wrapping_add(n);
-        left -= n;
-        Some(page.map(|p| &p[off as usize..(off + n) as usize]))
-    })
 }
 
 /// A translation memo shared by every sweep cell running one binary.
@@ -116,15 +100,13 @@ impl SharedTranslations {
         // Probe under the lock, validate outside it.
         let e = Arc::clone(self.inner.lock().ok()?.get(&(addr, shape.clone()))?);
         let mut want = e.bytes.as_slice();
-        for &(a, len) in e.block.footprint.spans() {
-            for live in page_slices(mem, a, len) {
-                let live = live?;
-                let (head, rest) = want.split_at(live.len());
-                if live != head {
-                    return None;
-                }
-                want = rest;
+        for live in e.block.footprint.windows(mem) {
+            let live = live.ok()?;
+            let (head, rest) = want.split_at(live.len());
+            if live != head {
+                return None;
             }
+            want = rest;
         }
         Some(Arc::clone(&e.block))
     }
@@ -132,13 +114,11 @@ impl SharedTranslations {
     /// Publishes a freshly translated block (first writer wins).
     pub(crate) fn publish(&self, mem: &GuestMem, block: &Arc<TBlock>, shape: &RegionShape) {
         let mut bytes = Vec::new();
-        for &(addr, len) in block.footprint.spans() {
-            for live in page_slices(mem, addr, len) {
-                let Some(live) = live else {
-                    return;
-                };
-                bytes.extend_from_slice(live);
-            }
+        for live in block.footprint.windows(mem) {
+            let Ok(live) = live else {
+                return;
+            };
+            bytes.extend_from_slice(live);
         }
         let entry = Arc::new(Entry {
             bytes,

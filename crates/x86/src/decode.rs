@@ -5,9 +5,12 @@
 //! byte displacements and immediates make instruction boundaries data
 //! dependent. The decoder here produces a structured [`Insn`]; relative
 //! branch targets are resolved to absolute guest addresses.
+//!
+//! Guest code is read a [`CodeSource`] window at a time: one page lookup
+//! per instruction, and one more only where it crosses a page edge.
 
 use crate::insn::{Cond, Insn, MemRef, Op, Operand, Reg, Rep, Size};
-use crate::mem::GuestMem;
+use crate::mem::{GuestMem, PAGE_SIZE};
 
 /// Maximum legal IA-32 instruction length.
 pub const MAX_INSN_LEN: u32 = 15;
@@ -74,15 +77,19 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// Anything instruction bytes can be fetched from.
+/// Anything instruction bytes can be read from, a window at a time.
 pub trait CodeSource {
-    /// Fetches the byte at guest address `addr`, or `None` if unavailable.
-    fn fetch(&self, addr: u32) -> Option<u8>;
+    /// The bytes from guest address `addr` to the end of the run they sit
+    /// in (for guest memory, the end of `addr`'s page); empty if `addr`
+    /// is unavailable. The next window starts where this one ends.
+    fn window(&self, addr: u32) -> &[u8];
 }
 
 impl CodeSource for GuestMem {
-    fn fetch(&self, addr: u32) -> Option<u8> {
-        self.read_u8(addr).ok()
+    #[inline]
+    fn window(&self, addr: u32) -> &[u8] {
+        self.page(addr / PAGE_SIZE)
+            .map_or(&[], |p| &p[(addr % PAGE_SIZE) as usize..])
     }
 }
 
@@ -101,10 +108,9 @@ impl<'a> SliceSource<'a> {
 }
 
 impl CodeSource for SliceSource<'_> {
-    fn fetch(&self, addr: u32) -> Option<u8> {
-        self.bytes
-            .get(addr.wrapping_sub(self.base) as usize)
-            .copied()
+    fn window(&self, addr: u32) -> &[u8] {
+        let off = addr.wrapping_sub(self.base) as usize;
+        self.bytes.get(off..).unwrap_or_default()
     }
 }
 
@@ -112,6 +118,8 @@ struct Cursor<'a, S: CodeSource + ?Sized> {
     src: &'a S,
     start: u32,
     pos: u32,
+    /// The bytes from `pos` to the end of the window they were read from.
+    ahead: &'a [u8],
 }
 
 impl<S: CodeSource + ?Sized> Cursor<'_, S> {
@@ -119,10 +127,15 @@ impl<S: CodeSource + ?Sized> Cursor<'_, S> {
         if self.pos.wrapping_sub(self.start) >= MAX_INSN_LEN {
             return Err(DecodeError::TooLong { addr: self.start });
         }
-        let b = self
-            .src
-            .fetch(self.pos)
+        if self.ahead.is_empty() {
+            // The first byte, or the instruction crosses a window's edge.
+            self.ahead = self.src.window(self.pos);
+        }
+        let (&b, rest) = self
+            .ahead
+            .split_first()
             .ok_or(DecodeError::Unmapped { addr: self.pos })?;
+        self.ahead = rest;
         self.pos = self.pos.wrapping_add(1);
         Ok(b)
     }
@@ -132,12 +145,7 @@ impl<S: CodeSource + ?Sized> Cursor<'_, S> {
     }
 
     fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes([
-            self.u8()?,
-            self.u8()?,
-            self.u8()?,
-            self.u8()?,
-        ]))
+        Ok(u32::from(self.u16()?) | u32::from(self.u16()?) << 16)
     }
 
     /// Immediate of the operand size (imm16 under the 0x66 prefix).
@@ -243,6 +251,7 @@ pub fn decode<S: CodeSource + ?Sized>(src: &S, addr: u32) -> Result<Insn, Decode
         src,
         start: addr,
         pos: addr,
+        ahead: &[],
     };
 
     // Prefixes.

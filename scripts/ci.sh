@@ -56,7 +56,11 @@
 #     and the path-recording protocol is written once (vta_ir::record),
 #     so no second recorder (PathRecorder, fn note_exit, fn at_syscall)
 #     under crates/ir/src, and the fuzz oracle runs the shapes System
-#     runs, so no statically predicted region arm (enum Shapes) there
+#     runs, so no statically predicted region arm (enum Shapes) there;
+#     and guest code is read a page window at a time, so no per-byte
+#     fn fetch in crates/x86/src/decode.rs and no second page walk
+#     (page_slices) under crates/dbt/src: Footprint::windows is the one
+#     walk over a translation's live bytes
 #   clippy
 #   build release
 #   test (debug-for-tests)
@@ -149,6 +153,9 @@ run_stage "fmt" \
 # hasher, and a std SipHash table keyed by an address does not come back.
 # The path-recording protocol that promotes region roots is one type,
 # which the DBT and the fuzz oracle both drive: no second copy of it.
+# Guest code is read a page window at a time (CodeSource::window), and a
+# footprint's live bytes through its one walk: no per-byte fetch, no
+# private page iterator beside it.
 #
 # siphash_addr_tables: prints each such table outside the tests of
 # crates/dbt/src/*.rs and of crates/ir/src/record.rs, which holds the
@@ -192,6 +199,8 @@ no_env_stage() {
         ! grep -rn 'LiveSet' crates/ir/src &&
         ! siphash_addr_tables &&
         ! grep -rn 'PathRecorder\|fn note_exit\|fn at_syscall\|enum Shapes' crates/ir/src &&
+        ! grep -n 'fn fetch' crates/x86/src/decode.rs &&
+        ! grep -rn 'page_slices' crates/dbt/src &&
         ! grep -nE '^\s*(pub(\(crate\))? )?(busy_cycles|completed):' crates/dbt/src/slave.rs
 }
 run_stage "no-env, no-clock (library crates)" \
