@@ -12,7 +12,7 @@ fn labels(cfgs: &[(String, VirtualArchConfig)]) -> Vec<String> {
 }
 
 /// The Figure 4 configuration set: 0, 1 and 2 L1.5 code-cache banks.
-pub fn fig4_configs() -> Vec<(String, VirtualArchConfig)> {
+pub(crate) fn fig4_configs() -> Vec<(String, VirtualArchConfig)> {
     vec![
         ("no-L1.5".to_string(), VirtualArchConfig::with_l15_banks(0)),
         (
@@ -102,7 +102,7 @@ pub fn fig7(ms: &[Measurement]) -> Table {
 
 /// The Figure 8 configuration set: the morphing configuration without
 /// and with code optimization.
-pub fn fig8_configs() -> Vec<(String, VirtualArchConfig)> {
+pub(crate) fn fig8_configs() -> Vec<(String, VirtualArchConfig)> {
     let mut no_opt = VirtualArchConfig::morphing(15);
     no_opt.opt = OptLevel::None;
     vec![
@@ -119,7 +119,7 @@ pub fn fig8(scale: Scale) -> Table {
 }
 
 /// The Figure 9 configuration set.
-pub fn fig9_configs() -> Vec<(String, VirtualArchConfig)> {
+pub(crate) fn fig9_configs() -> Vec<(String, VirtualArchConfig)> {
     vec![
         (
             "1mem/9trans".to_string(),

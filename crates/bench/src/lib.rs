@@ -88,17 +88,17 @@ pub struct Measurement {
 
 impl Measurement {
     /// The paper's slowdown metric.
-    pub fn slowdown(&self) -> f64 {
+    pub(crate) fn slowdown(&self) -> f64 {
         self.report.cycles as f64 / self.piii_cycles as f64
     }
 
     /// L2 code-cache accesses per cycle (Figure 6's y-axis).
-    pub fn l2code_access_rate(&self) -> f64 {
+    pub(crate) fn l2code_access_rate(&self) -> f64 {
         self.report.stats.get("l2code.access") as f64 / self.report.cycles as f64
     }
 
     /// L2 code-cache misses per access (Figure 7's y-axis).
-    pub fn l2code_miss_rate(&self) -> f64 {
+    pub(crate) fn l2code_miss_rate(&self) -> f64 {
         let acc = self.report.stats.get("l2code.access");
         if acc == 0 {
             0.0
@@ -221,11 +221,11 @@ where
 
 /// Fans a set of `(config_label, config)` pairs across every benchmark,
 /// running all simulations in parallel host threads (one per cell).
-pub fn sweep(scale: Scale, configs: &[(String, VirtualArchConfig)]) -> Vec<Measurement> {
+pub(crate) fn sweep(scale: Scale, configs: &[(String, VirtualArchConfig)]) -> Vec<Measurement> {
     sweep_threads(scale, configs, usize::MAX)
 }
 
-/// Like [`sweep`], bounded to at most `threads` concurrent simulations.
+/// Like `sweep`, bounded to at most `threads` concurrent simulations.
 /// One [`Reference`] pass per benchmark gives its cells their PIII cycles,
 /// and a cell that differs from it panics, naming the cell.
 ///

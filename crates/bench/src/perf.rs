@@ -3,7 +3,7 @@
 //!
 //! A frozen value is an [`Entry`], `(section, row) → u64`. [`entries`] is
 //! the one producer: the `paper_default` cycles and stats digest of the
-//! fingerprint guests, one [`sweep_digest`] per figure sweep (Figures 4,
+//! fingerprint guests, one `sweep_digest` per figure sweep (Figures 4,
 //! 5, 8 and 9: the bank poles, both opt levels, every morph threshold),
 //! the `gate_digests` rows (every guest run single-block, the vpr
 //! metrics series, and what the decoder makes of every opcode and ModRM
@@ -78,7 +78,7 @@ impl Reference {
     ///
     /// Names the first of exit code, retired count and output that
     /// differs.
-    pub fn check(&self, report: &RunReport) -> Result<(), String> {
+    pub(crate) fn check(&self, report: &RunReport) -> Result<(), String> {
         if report.exit_code != Some(self.exit_code) {
             return Err(format!(
                 "exit code {:?}, the reference interpreter exits with {}",
@@ -97,7 +97,7 @@ impl Reference {
         Ok(())
     }
 
-    /// [`Reference::check`] for the gates and tests: a cell that is wrong
+    /// `Reference::check` for the gates and tests: a cell that is wrong
     /// must never be digested, printed or blessed.
     ///
     /// # Panics
@@ -175,7 +175,7 @@ pub fn paper_default_entries() -> Vec<Entry> {
 /// in cell order. Equal for every `threads` value handed
 /// to [`crate::sweep_threads`] — cells are independent deterministic
 /// simulations placed by job index.
-pub fn sweep_digest(ms: &[Measurement]) -> u64 {
+pub(crate) fn sweep_digest(ms: &[Measurement]) -> u64 {
     let mut h = Fnv1a::default();
     for m in ms {
         let r = &m.report;
@@ -306,7 +306,7 @@ fn eat_translation(h: &mut Fnv1a, at: u32, t: &Result<TBlock, TranslateError>) {
 /// static region under [`RegionLimits::default`], both at `Full`;
 /// `<guest>-none` single-block at `None`. Guests run on `threads` host
 /// threads; the rows are the same for every `threads`.
-pub fn translation_entries(threads: usize) -> Vec<Entry> {
+pub(crate) fn translation_entries(threads: usize) -> Vec<Entry> {
     let suite = vta_workloads::all(Scale::Test);
     let digests = crate::bounded_map(threads, suite.len(), |g| {
         let image = &suite[g].image;
@@ -343,10 +343,10 @@ pub fn translation_entries(threads: usize) -> Vec<Entry> {
 
 /// Every frozen value, in `BENCH_dispatch.json` order:
 /// [`paper_default_entries`], the `figure_sweep_digests` (one
-/// [`sweep_digest`] per figure sweep, 16 configurations × 11 guests), the
-/// `gate_digests` (`single_block`: the [`sweep_digest`] of every guest
+/// `sweep_digest` per figure sweep, 16 configurations × 11 guests), the
+/// `gate_digests` (`single_block`: the `sweep_digest` of every guest
 /// with superblocks off and at `OptLevel::None`; `metrics_vpr`) and the
-/// [`translation_entries`]. The sweeps run on `threads` host threads,
+/// `translation_entries`. The sweeps run on `threads` host threads,
 /// and the result is the same for every `threads`. Every cell is held to
 /// its guest's [`Reference`] before it is digested.
 pub fn entries(threads: usize) -> Vec<Entry> {

@@ -54,12 +54,12 @@ impl ManagerActivity {
     }
 
     /// Manager occupancy: attributed busy cycles over total cycles.
-    pub fn occupancy(&self) -> f64 {
+    pub(crate) fn occupancy(&self) -> f64 {
         self.busy_cycles() as f64 / self.total_cycles.max(1) as f64
     }
 
     /// The four duties as `(name, cycles)` rows, largest first.
-    pub fn rows(&self) -> Vec<(&'static str, u64)> {
+    pub(crate) fn rows(&self) -> Vec<(&'static str, u64)> {
         let mut rows = vec![
             ("assign", self.assign_cycles),
             ("commit", self.commit_cycles),

@@ -32,7 +32,7 @@ pub struct Table {
 
 impl Table {
     /// Assembles a table from measurements using `metric` per cell.
-    pub fn from_measurements(
+    pub(crate) fn from_measurements(
         title: &str,
         metric_name: &str,
         columns: &[String],
@@ -61,13 +61,6 @@ impl Table {
                 .collect(),
             format,
         }
-    }
-
-    /// Cell lookup by row/column label.
-    pub fn get(&self, bench: &str, column: &str) -> Option<f64> {
-        let c = self.columns.iter().position(|x| x == column)?;
-        let (_, row) = self.rows.iter().find(|(b, _)| b == bench)?;
-        Some(row[c])
     }
 
     fn fmt_cell(&self, v: f64) -> String {
@@ -144,14 +137,6 @@ mod tests {
             ],
             format: Format::Fixed1,
         }
-    }
-
-    #[test]
-    fn lookup_by_labels() {
-        let t = table();
-        assert_eq!(t.get("gzip", "b"), Some(2.25));
-        assert_eq!(t.get("nope", "b"), None);
-        assert_eq!(t.get("gzip", "nope"), None);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   off-chip DRAM (105 MB in the paper); flushed whole when full, like
 //!   L1. Which translations are in flight is the slave pool's to say.
 //!
-//! [`CodeHierarchy`] is the execution tile's side of the figure: L1 and
+//! `CodeHierarchy` is the execution tile's side of the figure: L1 and
 //! the L1.5 bank tiles, the one fetch path that walks them down to the
 //! manager, and the one loop that drops an address from all of them.
 
@@ -133,7 +133,7 @@ impl L1Code {
     /// Resolves a handle to its block; `None` if the slot has been
     /// cleared (flush / invalidation) since the handle was created.
     #[inline]
-    pub fn handle_block(&self, h: BlockHandle) -> Option<&Arc<TBlock>> {
+    pub(crate) fn handle_block(&self, h: BlockHandle) -> Option<&Arc<TBlock>> {
         let slot = &self.slots[h.slot as usize];
         if slot.gen == h.gen {
             slot.block.as_ref()
@@ -145,7 +145,7 @@ impl L1Code {
     /// The cached chain successor of `h`'s block for branch target
     /// `target`, if still valid.
     #[inline]
-    pub fn cached_succ(&self, h: BlockHandle, target: u32) -> Option<BlockHandle> {
+    pub(crate) fn cached_succ(&self, h: BlockHandle, target: u32) -> Option<BlockHandle> {
         let slot = &self.slots[h.slot as usize];
         if slot.gen != h.gen {
             return None;
@@ -164,7 +164,7 @@ impl L1Code {
 
     /// Records `succ` as the chain successor of `h`'s block for branch
     /// target `target`.
-    pub fn cache_succ(&mut self, h: BlockHandle, target: u32, succ: BlockHandle) {
+    pub(crate) fn cache_succ(&mut self, h: BlockHandle, target: u32, succ: BlockHandle) {
         let slot = &mut self.slots[h.slot as usize];
         if slot.gen != h.gen {
             return;
@@ -182,7 +182,7 @@ impl L1Code {
     /// The inline-cache prediction of `h`'s block for indirect target
     /// `target`, if cached and still valid.
     #[inline]
-    pub fn cached_indirect(&self, h: BlockHandle, target: u32) -> Option<BlockHandle> {
+    pub(crate) fn cached_indirect(&self, h: BlockHandle, target: u32) -> Option<BlockHandle> {
         let slot = &self.slots[h.slot as usize];
         if slot.gen != h.gen {
             return None;
@@ -201,7 +201,7 @@ impl L1Code {
 
     /// Records `succ` in `h`'s inline indirect-target cache under guest
     /// target `target` (round-robin eviction when full).
-    pub fn cache_indirect(&mut self, h: BlockHandle, target: u32, succ: BlockHandle) {
+    pub(crate) fn cache_indirect(&mut self, h: BlockHandle, target: u32, succ: BlockHandle) {
         let slot = &mut self.slots[h.slot as usize];
         if slot.gen != h.gen {
             return;
@@ -278,7 +278,7 @@ impl L1Code {
     /// generation check too, but only as long as handles are the lookup
     /// mechanism; the purge keeps the model honest rather than leaning
     /// on that accident.
-    pub fn purge_indirect_targets(&mut self, page: u32) {
+    pub(crate) fn purge_indirect_targets(&mut self, page: u32) {
         for slot in &mut self.slots {
             for e in &mut slot.itc {
                 if e.is_some_and(|(t, _)| t / 4096 == page) {
@@ -289,13 +289,8 @@ impl L1Code {
     }
 
     /// Number of whole-cache flushes so far.
-    pub fn flushes(&self) -> u64 {
+    pub(crate) fn flushes(&self) -> u64 {
         self.flushes
-    }
-
-    /// Bytes currently packed.
-    pub fn used_bytes(&self) -> u32 {
-        self.used
     }
 
     /// Flush-all: clear every slot (bumping its generation) and reset
@@ -446,7 +441,7 @@ impl L15Bank {
     }
 
     /// Drops one translation.
-    pub fn invalidate(&mut self, guest_addr: u32) {
+    pub(crate) fn invalidate(&mut self, guest_addr: u32) {
         if let Some(b) = self.blocks.remove(&Self::retention(guest_addr)) {
             self.used -= b.host_bytes();
         }
@@ -500,19 +495,14 @@ impl L2Code {
     }
 
     /// Drops a translation (self-modifying-code invalidation).
-    pub fn invalidate(&mut self, guest_addr: u32) {
+    pub(crate) fn invalidate(&mut self, guest_addr: u32) {
         if let Some(b) = self.blocks.remove(&guest_addr) {
             self.used -= b.host_bytes() as u64;
         }
     }
 
-    /// Bytes committed.
-    pub fn used_bytes(&self) -> u64 {
-        self.used
-    }
-
     /// Number of whole-cache flushes so far.
-    pub fn flushes(&self) -> u64 {
+    pub(crate) fn flushes(&self) -> u64 {
         self.flushes
     }
 }
@@ -720,7 +710,7 @@ mod tests {
         assert!(!l1.contains(0x1000), "flush removes everything");
         assert!(l1.contains(0x3000));
         assert_eq!(l1.flushes(), 1);
-        assert_eq!(l1.used_bytes(), 40);
+        assert_eq!(l1.used, 40);
     }
 
     /// Whatever fits is resident right after its insert, and the byte
@@ -733,7 +723,7 @@ mod tests {
             for _ in 0..rng.range(1, 99) {
                 let addr = rng.next_u32();
                 l1.insert(block(addr, rng.range(1, 199) as usize));
-                assert!(l1.used_bytes() <= 4096, "over capacity");
+                assert!(l1.used <= 4096, "over capacity");
                 assert!(l1.contains(addr), "inserted block resident");
             }
         }
@@ -744,7 +734,7 @@ mod tests {
         let mut l1 = L1Code::new(100);
         assert!(!l1.insert(block(0x1000, 100))); // 400 bytes > 100
         assert!(!l1.contains(0x1000));
-        assert_eq!(l1.used_bytes(), 0);
+        assert_eq!(l1.used, 0);
     }
 
     #[test]
@@ -753,7 +743,7 @@ mod tests {
         l1.insert(block(0x1000, 10));
         l1.invalidate(0x1000);
         assert!(!l1.contains(0x1000));
-        assert_eq!(l1.used_bytes(), 0);
+        assert_eq!(l1.used, 0);
     }
 
     #[test]
@@ -883,7 +873,7 @@ mod tests {
             for i in 0..40u32 {
                 l1.invalidate(0x1000 + i * 4);
             }
-            assert_eq!(l1.used_bytes(), 0, "round {round}");
+            assert_eq!(l1.used, 0, "round {round}");
         }
         assert!(!l1.contains(0x1000));
     }
@@ -1005,15 +995,15 @@ mod tests {
         l2.commit(block(0x1000, 10));
         l2.commit(block(0x1000, 10)); // recommit replaces, never double-counts
         l2.commit(block(0x2000, 10));
-        assert_eq!((l2.used_bytes(), l2.flushes()), (80, 0));
+        assert_eq!((l2.used, l2.flushes()), (80, 0));
         l2.commit(block(0x3000, 10));
         assert!(l2.get(0x1000).is_none() && l2.get(0x2000).is_none());
         assert!(l2.get(0x3000).is_some());
-        assert_eq!((l2.used_bytes(), l2.flushes()), (40, 1));
+        assert_eq!((l2.used, l2.flushes()), (40, 1));
         // A block larger than the whole cache is still held, alone.
         l2.commit(block(0x4000, 100));
         assert!(l2.get(0x4000).is_some() && l2.get(0x3000).is_none());
-        assert_eq!((l2.used_bytes(), l2.flushes()), (400, 2));
+        assert_eq!((l2.used, l2.flushes()), (400, 2));
     }
 
     #[test]
@@ -1022,7 +1012,7 @@ mod tests {
         l2.commit(block(0x1000, 10));
         l2.invalidate(0x1000);
         assert!(l2.get(0x1000).is_none());
-        assert_eq!(l2.used_bytes(), 0);
+        assert_eq!(l2.used, 0);
     }
 
     #[test]

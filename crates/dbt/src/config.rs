@@ -12,11 +12,8 @@ use vta_ir::{OptLevel, RegionLimits};
 use vta_raw::TileId;
 
 /// Dynamic-reconfiguration (morphing) parameters. The monitor's sampling
-/// interval and hysteresis are fixed ([`morph::CHECK_INTERVAL`],
-/// [`morph::HYSTERESIS`]).
-///
-/// [`morph::CHECK_INTERVAL`]: crate::morph::CHECK_INTERVAL
-/// [`morph::HYSTERESIS`]: crate::morph::HYSTERESIS
+/// interval and hysteresis are fixed (`morph::CHECK_INTERVAL`,
+/// `morph::HYSTERESIS`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MorphConfig {
     /// Work-queue length at which cache tiles morph into translators.
@@ -31,7 +28,7 @@ impl Default for MorphConfig {
 
 /// Side of the square tile grid — the Raw prototype's 4×4, on which
 /// [`Placement::layout`] puts every role.
-pub const GRID: u8 = 4;
+pub(crate) const GRID: u8 = 4;
 
 /// Where each role lives on the grid.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,7 +55,7 @@ impl Placement {
     /// # Panics
     ///
     /// Panics if the roles do not fit on sixteen tiles.
-    pub fn layout(l15_banks: usize, l2_banks: usize, slaves: usize) -> Placement {
+    pub(crate) fn layout(l15_banks: usize, l2_banks: usize, slaves: usize) -> Placement {
         let exec = TileId::new(1, 1);
         let mmu = TileId::new(2, 1);
         let manager = TileId::new(2, 0);
@@ -130,7 +127,7 @@ impl Placement {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VirtualArchConfig {
-    /// Role placement on the [`GRID`]×[`GRID`] tiles.
+    /// Role placement on the `GRID`×`GRID` tiles.
     pub placement: Placement,
     /// Translation optimization level (Figure 8's knob).
     pub opt: OptLevel,
@@ -150,8 +147,7 @@ pub struct VirtualArchConfig {
     pub superblock: bool,
     /// Whether slaves translate ahead speculatively (`false` =
     /// the paper's "1 conservative translator" baseline), at most
-    /// [`MAX_SPEC_DEPTH`](crate::specq::MAX_SPEC_DEPTH) edges from the
-    /// last known-correct block.
+    /// `MAX_SPEC_DEPTH` edges from the last known-correct block.
     pub speculation: bool,
     /// Usable L1 code cache bytes in the execution tile's instruction
     /// memory (32 KiB minus the resident runtime).
@@ -217,11 +213,6 @@ impl VirtualArchConfig {
         c
     }
 
-    /// Number of translation slave tiles.
-    pub fn translators(&self) -> usize {
-        self.placement.slaves.len()
-    }
-
     /// The region-formation limits all translation in this configuration
     /// uses (inline demand translation and the speculative slaves must
     /// agree, or the shape a block commits under would depend on who
@@ -281,7 +272,7 @@ mod tests {
     fn figure5_sweep_configs() {
         for n in [1usize, 2, 4, 6, 9] {
             let c = VirtualArchConfig::with_translators(n, true);
-            assert_eq!(c.translators(), n);
+            assert_eq!(c.placement.slaves.len(), n);
             if n == 9 {
                 assert_eq!(c.placement.l2_banks.len(), 1, "9T trades L2 banks");
             }

@@ -966,14 +966,7 @@ pub(crate) mod tests {
             .collect();
         let queued = (m.queues.len(), m.queues.pushes(), m.queues.depth_lens());
         let l2: Vec<bool> = addrs.iter().map(|&a| m.l2.get(a).is_some()).collect();
-        (
-            jobs,
-            queued,
-            l2,
-            m.l2.used_bytes(),
-            m.next_free,
-            stats.clone(),
-        )
+        (jobs, queued, l2, m.next_free, stats.clone())
     }
 
     #[test]

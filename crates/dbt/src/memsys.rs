@@ -92,7 +92,7 @@ impl MemSys {
     }
 
     /// Adds a bank tile (morphing: translator → cache).
-    pub fn add_bank(&mut self, tile: TileId, bank_bytes: u32) {
+    pub(crate) fn add_bank(&mut self, tile: TileId, bank_bytes: u32) {
         self.banks.push(Bank {
             tile,
             cache: bank_cache(bank_bytes),
@@ -103,7 +103,7 @@ impl MemSys {
 
     /// Removes the last-added bank; returns `(tile, dirty_lines)` for the
     /// flush-cost accounting (§2.3: shrinking the L2 means write-backs).
-    pub fn remove_bank(&mut self) -> Option<(TileId, u32)> {
+    pub(crate) fn remove_bank(&mut self) -> Option<(TileId, u32)> {
         let mut bank = self.banks.pop()?;
         let dirty = bank.cache.flush();
         Some((bank.tile, dirty))
@@ -116,7 +116,7 @@ impl MemSys {
     ///
     /// The L1 D$ hit path — the overwhelmingly common case — is inlined
     /// into the execution loop; everything past the L1 probe lives in
-    /// the out-of-line [`MemSys::miss_path`].
+    /// the out-of-line `MemSys::miss_path`.
     #[inline]
     #[allow(clippy::too_many_arguments)] // one arg per pipeline stage
     pub fn access(
@@ -222,7 +222,7 @@ impl MemSys {
     }
 
     /// `(l1_hits, l2_hits, dram_accesses, tlb_misses)`.
-    pub fn stats(&self) -> [u64; 4] {
+    pub(crate) fn stats(&self) -> [u64; 4] {
         self.counts
     }
 }

@@ -14,14 +14,14 @@ use vta_sim::{Cycle, Tracer, TrackId};
 use crate::config::MorphConfig;
 
 /// Cycles between monitor samples (keeps monitoring cost negligible).
-pub const CHECK_INTERVAL: u64 = 5_000;
+pub(crate) const CHECK_INTERVAL: u64 = 5_000;
 
 /// Minimum cycles between reconfigurations (hysteresis).
-pub const HYSTERESIS: u64 = 50_000;
+pub(crate) const HYSTERESIS: u64 = 50_000;
 
 /// Which way to reconfigure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MorphAction {
+pub(crate) enum MorphAction {
     /// Convert one L2 data bank tile into a translation slave.
     CacheToTranslator,
     /// Convert one translation slave back into an L2 data bank tile.
@@ -30,7 +30,7 @@ pub enum MorphAction {
 
 /// The reconfiguration decision engine.
 #[derive(Debug, Clone)]
-pub struct MorphManager {
+pub(crate) struct MorphManager {
     cfg: MorphConfig,
     next_check: Cycle,
     last_reconfig: Cycle,
@@ -54,7 +54,7 @@ pub struct MorphManager {
 impl MorphManager {
     /// Creates a manager morphing between `min_banks` and `max_banks`
     /// L2 data tiles.
-    pub fn new(cfg: MorphConfig, min_banks: usize, max_banks: usize) -> MorphManager {
+    pub(crate) fn new(cfg: MorphConfig, min_banks: usize, max_banks: usize) -> MorphManager {
         MorphManager {
             cfg,
             next_check: Cycle(CHECK_INTERVAL),
@@ -73,7 +73,7 @@ impl MorphManager {
     /// for a to-translator switch, queue empty for a to-cache switch) and
     /// the switch itself. Zero when the first observation triggered
     /// immediately, or before any decision was made.
-    pub fn last_lag(&self) -> u64 {
+    pub(crate) fn last_lag(&self) -> u64 {
         self.last_lag
     }
 
@@ -87,7 +87,7 @@ impl MorphManager {
     /// between blocks, so calls arrive late, and advancing from `now`
     /// instead of the grid would let caller cadence drift every later
     /// sample point.
-    pub fn decide(
+    pub(crate) fn decide(
         &mut self,
         now: Cycle,
         queue_len: usize,

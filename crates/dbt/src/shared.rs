@@ -79,13 +79,13 @@ impl SharedTranslations {
     }
 
     /// The opt level this memo holds translations for.
-    pub fn opt(&self) -> OptLevel {
+    pub(crate) fn opt(&self) -> OptLevel {
         self.opt
     }
 
     /// The region-formation limits this memo's translations were made
     /// under.
-    pub fn limits(&self) -> RegionLimits {
+    pub(crate) fn limits(&self) -> RegionLimits {
         self.limits
     }
 
@@ -132,7 +132,7 @@ impl SharedTranslations {
     }
 
     /// Number of memoized translations.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.lock().map(|m| m.len()).unwrap_or(0)
     }
 

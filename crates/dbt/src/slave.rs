@@ -6,7 +6,7 @@
 //! waits for the first slave to finish — the paper identifies exactly
 //! this as the reason vpr/gcc/crafty run slower with speculation (§4.3).
 //!
-//! **Canonical commit order.** [`SlavePool::pop_done`] releases finished
+//! **Canonical commit order.** `SlavePool::pop_done` releases finished
 //! translations strictly min-keyed by `(done_at, slave index)` — the
 //! simulated completion cycle with the tile id as tie-break. Every
 //! consumer (manager commit, stats, trace) observes completions in this
@@ -20,7 +20,7 @@ use vta_sim::Cycle;
 
 /// A translation in progress on one slave.
 #[derive(Debug, Clone)]
-pub struct InFlight {
+pub(crate) struct InFlight {
     /// Guest address being translated.
     pub addr: u32,
     /// Cycle at which the finished block reaches the manager.
@@ -40,7 +40,7 @@ pub struct InFlight {
 
 /// One translation slave tile.
 #[derive(Debug, Clone)]
-pub struct Slave {
+pub(crate) struct Slave {
     /// Grid position (network distance to the manager matters).
     pub tile: TileId,
     /// Work in progress, if any: the only record of a running job.
@@ -49,7 +49,7 @@ pub struct Slave {
 
 impl Slave {
     /// Creates an idle slave on `tile`.
-    pub fn new(tile: TileId) -> Slave {
+    pub(crate) fn new(tile: TileId) -> Slave {
         Slave {
             tile,
             current: None,
@@ -57,14 +57,14 @@ impl Slave {
     }
 
     /// Whether the slave is idle.
-    pub fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         self.current.is_none()
     }
 }
 
 /// The pool of translation slaves (grown and shrunk by morphing).
 #[derive(Debug, Clone, Default)]
-pub struct SlavePool {
+pub(crate) struct SlavePool {
     slaves: Vec<Slave>,
     /// No busy slave finishes before this cycle: exact once
     /// [`SlavePool::pop_done`] has found nothing due, and lowered by
@@ -74,7 +74,7 @@ pub struct SlavePool {
 
 impl SlavePool {
     /// Creates a pool on the given tiles.
-    pub fn new(tiles: &[TileId]) -> SlavePool {
+    pub(crate) fn new(tiles: &[TileId]) -> SlavePool {
         SlavePool {
             slaves: tiles.iter().copied().map(Slave::new).collect(),
             next_done: Cycle::ZERO,
@@ -82,17 +82,12 @@ impl SlavePool {
     }
 
     /// Number of slaves.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.slaves.len()
     }
 
-    /// Whether the pool is empty.
-    pub fn is_empty(&self) -> bool {
-        self.slaves.is_empty()
-    }
-
     /// Index of an idle slave, if any (lowest index first).
-    pub fn idle_slave(&self) -> Option<usize> {
+    pub(crate) fn idle_slave(&self) -> Option<usize> {
         self.slaves.iter().position(Slave::is_idle)
     }
 

@@ -14,10 +14,10 @@ use vta_sim::addrhash::AddrMap;
 
 /// The deepest speculation level: a push deeper than this is clamped to
 /// it.
-pub const MAX_SPEC_DEPTH: u8 = 5;
+pub(crate) const MAX_SPEC_DEPTH: u8 = 5;
 
 /// Depth used for return-predictor entries: the deepest level but one.
-pub const RETURN_DEPTH: u8 = MAX_SPEC_DEPTH - 1;
+pub(crate) const RETURN_DEPTH: u8 = MAX_SPEC_DEPTH - 1;
 
 /// One queue per depth `0..=MAX_SPEC_DEPTH`.
 const LEVELS: usize = MAX_SPEC_DEPTH as usize + 1;
@@ -32,7 +32,7 @@ const LEVELS: usize = MAX_SPEC_DEPTH as usize + 1;
 /// [`SpecQueues::pop`] skips when its generation no longer matches —
 /// observable pop order is identical to eagerly removing it.
 #[derive(Debug, Clone)]
-pub struct SpecQueues {
+pub(crate) struct SpecQueues {
     /// FIFO per depth, [`LEVELS`] of them; entries are `(addr,
     /// generation)` and may be stale. A `Vec`, not an inline array: the
     /// array's ~170 bytes inside `System` measured slower on `exec_hot`.
@@ -62,7 +62,7 @@ impl SpecQueues {
     /// accepted* addresses — duplicates and promotions do not increment it
     /// (a promotion is the same pending request changing priority, not new
     /// work; this is what feeds the `spec.pushes` run counter).
-    pub fn push(&mut self, addr: u32, depth: u8) {
+    pub(crate) fn push(&mut self, addr: u32, depth: u8) {
         let depth = depth.min(MAX_SPEC_DEPTH);
         let gen = self.next_gen + 1;
         match self.live.entry(addr) {
@@ -81,7 +81,7 @@ impl SpecQueues {
 
     /// Pops the highest-priority pending address, skipping tombstones left
     /// behind by promotions.
-    pub fn pop(&mut self) -> Option<(u32, u8)> {
+    pub(crate) fn pop(&mut self) -> Option<(u32, u8)> {
         for d in 0..self.queues.len() {
             while let Some((addr, gen)) = self.queues[d].pop_front() {
                 if let Entry::Occupied(live) = self.live.entry(addr) {
@@ -96,24 +96,24 @@ impl SpecQueues {
     }
 
     /// Total pending entries (the morph manager's reconfiguration metric).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.live.len()
     }
 
     /// Whether nothing is pending.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.live.is_empty()
     }
 
     /// Distinct addresses accepted (promotions and duplicates excluded;
     /// see [`SpecQueues::push`]).
-    pub fn pushes(&self) -> u64 {
+    pub(crate) fn pushes(&self) -> u64 {
         self.pushes
     }
 
     /// Live entries per speculation depth, index `0..=MAX_SPEC_DEPTH` (a
     /// point-in-time gauge for the metrics layer; tombstones excluded).
-    pub fn depth_lens(&self) -> [usize; LEVELS] {
+    pub(crate) fn depth_lens(&self) -> [usize; LEVELS] {
         let mut lens = [0; LEVELS];
         for &(depth, _) in self.live.values() {
             lens[depth as usize] += 1;

@@ -4,8 +4,8 @@
 //! its dispatch loop. Every other tile keeps its own state and its own
 //! clock and is reached through one seam — the code-cache hierarchy
 //! ([`crate::codecache`]) for a block to run, the manager
-//! ([`crate::manager`]) behind it, the region records
-//! ([`crate::regions`]) once per block exit, the memory system
+//! (`crate::manager`) behind it, the region records
+//! (`crate::regions`) once per block exit, the memory system
 //! ([`crate::memsys`]) for every guest load and store.
 
 use std::sync::Arc;
@@ -256,12 +256,6 @@ impl System {
             translators: self.metrics.gauge("pool.translators"),
             l2_banks: self.metrics.gauge("mem.l2_banks"),
         };
-    }
-
-    /// The metrics recorder (empty and disabled unless
-    /// [`System::enable_metrics`] was called).
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
     }
 
     /// Takes the metrics recorder out of the system (for export after a
@@ -1371,7 +1365,7 @@ mod tests {
                 ..MetricsConfig::default()
             });
             let r = sys.run(10_000_000).expect("runs");
-            sys.metrics()
+            sys.metrics
                 .reconcile_stats(&r.stats)
                 .unwrap_or_else(|e| panic!("interval {interval}: {e}"));
             cycles.push(r.cycles);

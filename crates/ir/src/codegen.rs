@@ -24,19 +24,19 @@ pub const fn guest_host_reg(n: u32) -> RReg {
 }
 
 /// Host register holding the packed EFLAGS word.
-pub const FLAGS_REG: RReg = RReg(9);
+pub(crate) const FLAGS_REG: RReg = RReg(9);
 /// Expansion output scratch; also the helper ABI's divisor and shift
 /// value register ([`apply_helper`](crate::apply_helper)).
-pub const OUT0: RReg = RReg(24);
+pub(crate) const OUT0: RReg = RReg(24);
 /// Second expansion output scratch; also the helper ABI's shift count
 /// register.
-pub const OUT1: RReg = RReg(25);
+pub(crate) const OUT1: RReg = RReg(25);
 /// Scratch registers reserved for materializing constant operands.
-pub const SCRATCH: [RReg; 3] = [RReg(27), RReg(28), RReg(29)];
+pub(crate) const SCRATCH: [RReg; 3] = [RReg(27), RReg(28), RReg(29)];
 /// Register carrying the guest resume address across a `Sys` exit.
 pub const SYS_RESUME_REG: RReg = RReg(26);
 /// Temp pool for linear-scan allocation.
-pub const TEMP_POOL: [RReg; 16] = [
+pub(crate) const TEMP_POOL: [RReg; 16] = [
     RReg(10),
     RReg(11),
     RReg(12),

@@ -6,21 +6,21 @@
 //!   the in-tree assembler (broad instruction coverage);
 //! * [`branchy`] — data-dependent loops and forward branches (cross-block
 //!   flag liveness, block chaining);
-//! * [`flag_stress`] — arithmetic/shift/rotate sequences, including
+//! * `flag_stress` — arithmetic/shift/rotate sequences, including
 //!   sub-width operations at the count boundaries, with every flag
 //!   materialised through `setcc` after each step;
-//! * [`memory`] — sized loads/stores, string operations, push/pop
+//! * `memory` — sized loads/stores, string operations, push/pop
 //!   traffic, and occasional wild pointers (fault-path agreement);
 //! * [`raw_bytes`] — decoder soup: a valid register-seeding prologue
 //!   followed by random bytes biased toward ModRM/SIB-heavy encodings;
 //! * [`smc`] — self-modifying code that patches a *later* block before
 //!   jumping to it (same-block SMC is out of contract for a block DBT);
 //! * [`syscalls`] — `write`/`brk`/`read`/`time`/`getpid`/`exit` traffic;
-//! * [`superblock`] — hot loops over chains of small blocks linked by
+//! * `superblock` — hot loops over chains of small blocks linked by
 //!   direct jumps and mostly-not-taken forward branches, which path
 //!   recording turns into regions at `OptLevel::Full` (exercises
 //!   cross-member optimization and mid-region side exits);
-//! * [`indirect_chain`] — ret-heavy call trees plus data-dependent
+//! * `indirect_chain` — ret-heavy call trees plus data-dependent
 //!   computed jumps through an in-memory table (the indirect-target
 //!   inline-cache surface);
 //! * [`region_smc`] — a loop whose recorded region stores into a *later
@@ -197,7 +197,7 @@ pub fn branchy(rng: &mut Rng) -> Case {
 
 /// Arithmetic/shift/rotate flag stress, including sub-width operations
 /// at the shift-count boundaries, with `setcc` after every step.
-pub fn flag_stress(rng: &mut Rng) -> Case {
+pub(crate) fn flag_stress(rng: &mut Rng) -> Case {
     let mut asm = Asm::new(CODE_BASE);
     seed_regs(&mut asm, rng);
 
@@ -271,7 +271,7 @@ pub fn flag_stress(rng: &mut Rng) -> Case {
 
 /// Memory traffic: sized loads/stores, string ops, stack churn, and
 /// occasional wild pointers.
-pub fn memory(rng: &mut Rng) -> Case {
+pub(crate) fn memory(rng: &mut Rng) -> Case {
     let mut asm = Asm::new(CODE_BASE);
     seed_regs(&mut asm, rng);
     asm.cld();
@@ -518,7 +518,7 @@ const SB_SAFE: [Reg; 4] = [Reg::EAX, Reg::EDX, Reg::EBX, Reg::ESI];
 /// The forward branches test data-dependent bits, so some iterations
 /// leave the recorded path through a side exit mid-region; the loop
 /// branch closes the recording and the region through dispatch.
-pub fn superblock(rng: &mut Rng) -> Case {
+pub(crate) fn superblock(rng: &mut Rng) -> Case {
     let mut asm = Asm::new(CODE_BASE);
     seed_regs(&mut asm, rng);
     asm.mov_ri(Reg::ECX, 12 + rng.below(48) as u32);
@@ -574,7 +574,7 @@ pub fn superblock(rng: &mut Rng) -> Case {
 /// in-memory table: the workload shape the indirect-target inline cache
 /// exists for. Every `ret` and the table `jmp` leave the translated
 /// block through the indirect path.
-pub fn indirect_chain(rng: &mut Rng) -> Case {
+pub(crate) fn indirect_chain(rng: &mut Rng) -> Case {
     let mut asm = Asm::new(CODE_BASE);
     seed_regs(&mut asm, rng);
     let l_main = asm.label();

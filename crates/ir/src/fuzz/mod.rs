@@ -5,10 +5,10 @@
 //! differential oracle ([`oracle`]) runs each case through the reference
 //! interpreter ([`vta_x86::Cpu`]) and the translated path
 //! ([`crate::Translator`] + [`vta_raw::exec::run_block`]) at both
-//! [`OptLevel`]s — at `Full` with the regions the DBT's own path-recording
-//! protocol ([`crate::record`]) forms — and compares every architectural
-//! outcome, and a
-//! delta-debugging minimizer ([`minimize`]) shrinks any divergence to a
+//! [`OptLevel`](crate::OptLevel)s — at `Full` with the regions the DBT's
+//! own path-recording protocol ([`crate::record`]) forms — and compares
+//! every architectural outcome, and a delta-debugging minimizer
+//! ([`minimize`]) shrinks any divergence to a
 //! small reproducer that can be persisted in the committed regression
 //! corpus ([`corpus`]).
 //!
@@ -35,7 +35,7 @@ pub const CODE_BASE: u32 = 0x0800_0000;
 /// Base address of the zero-initialised scratch data region.
 pub const DATA_BASE: u32 = 0x0900_0000;
 /// Size of the scratch data region in bytes.
-pub const DATA_LEN: u32 = 0x1000;
+pub(crate) const DATA_LEN: u32 = 0x1000;
 
 /// One self-contained fuzz case: a guest code image plus synthetic
 /// syscall input, runnable on both execution paths.

@@ -14,13 +14,13 @@
 //!
 //! The registers are codegen's, under codegen's names: guest state in its
 //! fixed mapping ([`guest_host_reg`]: `r1..r8` = `EAX..EDI`;
-//! [`FLAGS_REG`] `r9` = packed EFLAGS), helper operands in the expansion
-//! scratch registers [`OUT0`] (`r24`) and [`OUT1`] (`r25`):
+//! `FLAGS_REG` `r9` = packed EFLAGS), helper operands in the expansion
+//! scratch registers `OUT0` (`r24`) and `OUT1` (`r25`):
 //!
 //! | helper  | inputs                            | outputs                |
 //! |---------|-----------------------------------|------------------------|
-//! | `Div`   | dividend in `EDX:EAX` / `DX:AX` / `AX`, divisor in [`OUT0`] | quotient and remainder per x86 (`EAX`/`EDX`, `AX`/`DX` or `AL`/`AH`) |
-//! | `Shift` | value [`OUT0`], count [`OUT1`], flags [`FLAGS_REG`] | result [`OUT0`], flags [`FLAGS_REG`] |
+//! | `Div`   | dividend in `EDX:EAX` / `DX:AX` / `AX`, divisor in `OUT0` | quotient and remainder per x86 (`EAX`/`EDX`, `AX`/`DX` or `AL`/`AH`) |
+//! | `Shift` | value `OUT0`, count `OUT1`, flags `FLAGS_REG` | result `OUT0`, flags `FLAGS_REG` |
 
 use vta_raw::exec::{CoreState, Fault};
 use vta_raw::isa::{HelperKind, RReg, ShiftOp};

@@ -16,7 +16,7 @@ use crate::mir::{
 };
 
 /// Default cap on guest instructions per translated block.
-pub const MAX_BLOCK_INSNS: u32 = 32;
+pub(crate) const MAX_BLOCK_INSNS: u32 = 32;
 
 struct Ctx<'a> {
     insns: &'a mut Vec<MInsn>,

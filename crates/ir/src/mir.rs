@@ -2,7 +2,7 @@
 //!
 //! Guest architectural state maps to fixed virtual registers:
 //! `VReg(0..=7)` are `EAX..EDI` and `VReg(8)` is the packed EFLAGS word.
-//! Temporaries are numbered from [`VReg::FIRST_TEMP`] upward. Flag effects
+//! Temporaries are numbered from `VReg::FIRST_TEMP` upward. Flag effects
 //! are modelled as *per-flag* [`MInsn::FlagDef`] pseudo-instructions so
 //! lowering can emit only the individual flags a reader can see. An
 //! [`MBlock`] is lowered code and the guest spans decoded for it, nothing
@@ -19,17 +19,17 @@ pub struct VReg(pub u32);
 
 impl VReg {
     /// The packed EFLAGS virtual register.
-    pub const FLAGS: VReg = VReg(8);
+    pub(crate) const FLAGS: VReg = VReg(8);
     /// First temporary number (0–7 are guest GPRs, 8 is EFLAGS).
-    pub const FIRST_TEMP: u32 = 9;
+    pub(crate) const FIRST_TEMP: u32 = 9;
 
     /// The virtual register holding guest register `r`.
-    pub fn guest(r: vta_x86::Reg) -> VReg {
+    pub(crate) fn guest(r: vta_x86::Reg) -> VReg {
         VReg(r.num() as u32)
     }
 
     /// Whether this is part of the guest architectural state.
-    pub fn is_guest_state(self) -> bool {
+    pub(crate) fn is_guest_state(self) -> bool {
         self.0 <= 8
     }
 }
@@ -53,24 +53,6 @@ pub enum Val {
     Reg(VReg),
     /// 32-bit constant.
     Const(u32),
-}
-
-impl Val {
-    /// The register, if this is one.
-    pub fn reg(self) -> Option<VReg> {
-        match self {
-            Val::Reg(r) => Some(r),
-            Val::Const(_) => None,
-        }
-    }
-
-    /// The constant, if this is one.
-    pub fn constant(self) -> Option<u32> {
-        match self {
-            Val::Const(c) => Some(c),
-            Val::Reg(_) => None,
-        }
-    }
 }
 
 impl From<VReg> for Val {
@@ -102,10 +84,10 @@ pub enum Flag {
 
 impl Flag {
     /// All six flags.
-    pub const ALL: [Flag; 6] = [Flag::Cf, Flag::Pf, Flag::Af, Flag::Zf, Flag::Sf, Flag::Of];
+    pub(crate) const ALL: [Flag; 6] = [Flag::Cf, Flag::Pf, Flag::Af, Flag::Zf, Flag::Sf, Flag::Of];
 
     /// Bit position of this flag in the packed EFLAGS word.
-    pub fn bit(self) -> u8 {
+    pub(crate) fn bit(self) -> u8 {
         match self {
             Flag::Cf => 0,
             Flag::Pf => 2,
@@ -117,7 +99,7 @@ impl Flag {
     }
 
     /// Singleton [`FlagSet`].
-    pub fn set(self) -> FlagSet {
+    pub(crate) fn set(self) -> FlagSet {
         FlagSet(1 << (self as u8))
     }
 }
@@ -128,45 +110,45 @@ pub struct FlagSet(pub u8);
 
 impl FlagSet {
     /// The empty set.
-    pub const EMPTY: FlagSet = FlagSet(0);
+    pub(crate) const EMPTY: FlagSet = FlagSet(0);
     /// All six arithmetic flags.
-    pub const ALL: FlagSet = FlagSet(0b11_1111);
+    pub(crate) const ALL: FlagSet = FlagSet(0b11_1111);
 
     /// Whether `flag` is in the set.
-    pub fn contains(self, flag: Flag) -> bool {
+    pub(crate) fn contains(self, flag: Flag) -> bool {
         self.0 & (1 << flag as u8) != 0
     }
 
     /// Set union.
     #[must_use]
-    pub fn union(self, other: FlagSet) -> FlagSet {
+    pub(crate) fn union(self, other: FlagSet) -> FlagSet {
         FlagSet(self.0 | other.0)
     }
 
     /// Set difference.
     #[must_use]
-    pub fn minus(self, other: FlagSet) -> FlagSet {
+    pub(crate) fn minus(self, other: FlagSet) -> FlagSet {
         FlagSet(self.0 & !other.0)
     }
 
     /// Set intersection.
     #[must_use]
-    pub fn intersect(self, other: FlagSet) -> FlagSet {
+    pub(crate) fn intersect(self, other: FlagSet) -> FlagSet {
         FlagSet(self.0 & other.0)
     }
 
     /// Whether the set is empty.
-    pub fn is_empty(self) -> bool {
+    pub(crate) fn is_empty(self) -> bool {
         self.0 == 0
     }
 
     /// Iterates the members.
-    pub fn iter(self) -> impl Iterator<Item = Flag> {
+    pub(crate) fn iter(self) -> impl Iterator<Item = Flag> {
         Flag::ALL.into_iter().filter(move |f| self.contains(*f))
     }
 
     /// The flags a condition code reads.
-    pub fn for_cond(cond: Cond) -> FlagSet {
+    pub(crate) fn for_cond(cond: Cond) -> FlagSet {
         use Flag::*;
         match cond {
             Cond::O | Cond::No => Of.set(),
@@ -402,7 +384,7 @@ pub enum MInsn {
 
 impl MInsn {
     /// The register this instruction defines, if exactly one.
-    pub fn def(&self) -> Option<VReg> {
+    pub(crate) fn def(&self) -> Option<VReg> {
         match *self {
             MInsn::Mov { dst, .. }
             | MInsn::Bin { dst, .. }
@@ -417,7 +399,7 @@ impl MInsn {
     /// order, without allocating (the translator passes walk every
     /// operand of every instruction, so this is on the translation hot
     /// path).
-    pub fn for_each_use(&self, mut f: impl FnMut(Val)) {
+    pub(crate) fn for_each_use(&self, mut f: impl FnMut(Val)) {
         match *self {
             MInsn::Mov { src, .. } => f(src),
             MInsn::Bin { a, b, .. } => {
@@ -553,7 +535,7 @@ pub struct MBlock {
 /// Notes in `reads` (an [`MBlock::reads`] list) that the `len` guest
 /// bytes at `addr` were decoded, extending the last span when the decode
 /// carried straight on from it.
-pub fn note_read(reads: &mut Vec<(u32, u32)>, addr: u32, len: u32) {
+pub(crate) fn note_read(reads: &mut Vec<(u32, u32)>, addr: u32, len: u32) {
     match reads.last_mut() {
         Some((start, n)) if start.wrapping_add(*n) == addr => *n += len,
         _ => reads.push((addr, len)),
@@ -570,15 +552,6 @@ impl Default for MBlock {
             next_temp: VReg::FIRST_TEMP,
             reads: Vec::new(),
         }
-    }
-}
-
-impl MBlock {
-    /// Allocates a fresh temporary.
-    pub fn temp(&mut self) -> VReg {
-        let r = VReg(self.next_temp);
-        self.next_temp += 1;
-        r
     }
 }
 

@@ -24,9 +24,9 @@ use crate::mir::{note_read, Flag, FlagSet, Term};
 use crate::translate::{Formed, Junction};
 
 /// Maximum guest instructions scanned per successor path.
-pub const SCAN_DEPTH: u32 = 48;
+pub(crate) const SCAN_DEPTH: u32 = 48;
 /// Maximum branch-following recursion while scanning.
-pub const SCAN_FANOUT: u32 = 4;
+pub(crate) const SCAN_FANOUT: u32 = 4;
 
 /// Flags a decoded guest instruction reads.
 fn guest_reads(insn: &Insn) -> FlagSet {

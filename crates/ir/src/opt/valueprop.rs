@@ -146,7 +146,7 @@ pub(crate) fn propagate(block: &mut crate::mir::MBlock, known: &mut Facts) {
 }
 
 /// Evaluates a [`BinOp`] on constants (shift counts taken mod 32).
-pub fn fold(op: BinOp, a: u32, b: u32) -> u32 {
+pub(crate) fn fold(op: BinOp, a: u32, b: u32) -> u32 {
     match op {
         BinOp::Add => a.wrapping_add(b),
         BinOp::Sub => a.wrapping_sub(b),

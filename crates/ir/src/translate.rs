@@ -57,7 +57,7 @@ impl OptLevel {
     /// speculative parallel translation. Optimization roughly doubles
     /// the translation occupancy (the cost Figure 8 says is worth paying
     /// off the critical path).
-    pub fn cycles_per_guest_insn(self) -> u64 {
+    pub(crate) fn cycles_per_guest_insn(self) -> u64 {
         match self {
             OptLevel::None => 260,
             OptLevel::Full => 540,
@@ -1425,7 +1425,7 @@ mod tests {
         let mut defined = vec![false; b.next_temp as usize];
         for insn in &b.insns {
             insn.for_each_use(|v| {
-                if let Some(r) = v.reg() {
+                if let crate::mir::Val::Reg(r) = v {
                     assert!(
                         r.is_guest_state() || defined[r.0 as usize],
                         "{pc:#x}: {r} read before its definition in {insn:?}"

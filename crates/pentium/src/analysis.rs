@@ -43,7 +43,7 @@ impl Default for CpiInputs {
 
 /// Occupancies of one machine's memory hierarchy (Figure 11 rows).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MemOccupancy {
+pub(crate) struct MemOccupancy {
     /// L1 hit occupancy.
     pub l1_hit: f64,
     /// L2 hit occupancy.
@@ -53,21 +53,21 @@ pub struct MemOccupancy {
 }
 
 /// The Raw emulator's occupancies (Figure 11).
-pub const RAW_EMULATOR: MemOccupancy = MemOccupancy {
+pub(crate) const RAW_EMULATOR: MemOccupancy = MemOccupancy {
     l1_hit: 4.0,
     l2_hit: 87.0,
     l2_miss: 87.0,
 };
 
 /// The Pentium III's occupancies (Figure 11).
-pub const PENTIUM_III: MemOccupancy = MemOccupancy {
+pub(crate) const PENTIUM_III: MemOccupancy = MemOccupancy {
     l1_hit: 1.0,
     l2_hit: 1.0,
     l2_miss: 1.0,
 };
 
 /// The paper's CPI formula (§4.5), verbatim.
-pub fn cpi(inputs: CpiInputs, mem: MemOccupancy) -> f64 {
+pub(crate) fn cpi(inputs: CpiInputs, mem: MemOccupancy) -> f64 {
     inputs.memory_access_rate
         * (((1.0 - inputs.l1_miss_rate) * mem.l1_hit)
             + (inputs.l1_miss_rate

@@ -47,7 +47,7 @@ use vta_x86::{Cpu, CpuError, GuestImage, Insn, Observer, Op, Operand, Reg, StopR
 
 /// Realized instruction-level parallelism on SpecInt (×1000).
 /// The paper cites 1.3 for SpecInt 95 on a Pentium Pro (§4.5).
-pub const ILP_X1000: u64 = 1300;
+pub(crate) const ILP_X1000: u64 = 1300;
 /// L1 data hit latency (Figure 11). Hidden by the OoO core.
 pub const L1_LATENCY: u64 = 3;
 /// L2 data hit latency (Figure 11).
@@ -55,7 +55,7 @@ pub const L2_LATENCY: u64 = 7;
 /// Main-memory latency (Figure 11).
 pub const MEM_LATENCY: u64 = 79;
 /// Branch mispredict penalty (PIII 10-stage pipe).
-pub const MISPREDICT: u64 = 11;
+pub(crate) const MISPREDICT: u64 = 11;
 
 /// Outcome of a baseline run.
 #[derive(Debug, Clone)]

@@ -25,7 +25,7 @@ impl CacheConfig {
     };
 
     /// Number of sets.
-    pub fn sets(&self) -> u32 {
+    pub(crate) fn sets(&self) -> u32 {
         self.size_bytes / (self.line_bytes * self.ways)
     }
 }
@@ -80,8 +80,6 @@ pub struct Cache {
     /// `line_shift` plus the set-index bits: an address's tag is
     /// `addr >> tag_shift`.
     tag_shift: u32,
-    hits: u64,
-    misses: u64,
 }
 
 impl Cache {
@@ -101,14 +99,7 @@ impl Cache {
             line_shift: cfg.line_bytes.trailing_zeros(),
             set_mask: (sets - 1) as u64,
             tag_shift: cfg.line_bytes.trailing_zeros() + sets.trailing_zeros(),
-            hits: 0,
-            misses: 0,
         }
-    }
-
-    /// The geometry this cache was built with.
-    pub fn config(&self) -> CacheConfig {
-        self.cfg
     }
 
     /// Accesses `addr`; fills on miss; marks dirty on writes.
@@ -123,11 +114,9 @@ impl Cache {
         if let Some(line) = slice.iter_mut().find(|l| l.valid && l.tag == tag) {
             line.lru = self.tick;
             line.dirty |= write;
-            self.hits += 1;
             return Access::Hit;
         }
 
-        self.misses += 1;
         // Choose victim: first invalid way, else LRU.
         let victim = match slice.iter().position(|l| !l.valid) {
             Some(i) => i,
@@ -150,16 +139,6 @@ impl Cache {
         Access::Miss { writeback }
     }
 
-    /// Whether `addr`'s line is resident (no state change).
-    pub fn probe(&self, addr: u64) -> bool {
-        let set = ((addr >> self.line_shift) & self.set_mask) as usize;
-        let tag = addr >> self.tag_shift;
-        let ways = self.cfg.ways as usize;
-        self.lines[set * ways..(set + 1) * ways]
-            .iter()
-            .any(|l| l.valid && l.tag == tag)
-    }
-
     /// Invalidates everything, returning the number of dirty lines that
     /// would need write-back (the reconfiguration cost morphing pays).
     pub fn flush(&mut self) -> u32 {
@@ -169,16 +148,21 @@ impl Cache {
         }
         dirty
     }
-
-    /// `(hits, misses)` since creation.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Whether `addr`'s line is resident (no state change).
+    fn probe(c: &Cache, addr: u64) -> bool {
+        let set = ((addr >> c.line_shift) & c.set_mask) as usize;
+        let tag = addr >> c.tag_shift;
+        let ways = c.cfg.ways as usize;
+        c.lines[set * ways..(set + 1) * ways]
+            .iter()
+            .any(|l| l.valid && l.tag == tag)
+    }
 
     fn tiny() -> Cache {
         // 4 sets × 2 ways × 16B lines = 128B.
@@ -246,18 +230,16 @@ mod tests {
     #[test]
     fn probe_does_not_fill() {
         let mut c = tiny();
-        assert!(!c.probe(0x123));
+        assert!(!probe(&c, 0x123));
         c.access(0x123, false);
-        assert!(c.probe(0x123));
+        assert!(probe(&c, 0x123));
     }
 
     #[test]
-    fn stats_track_accesses() {
+    fn hits_and_misses_by_set() {
         let mut c = tiny();
-        c.access(0, false);
-        c.access(0, false);
-        c.access(64, false);
-        assert_eq!(c.stats(), (1, 2));
+        let hits = [0, 0, 64].map(|a| c.access(a, false).is_hit());
+        assert_eq!(hits, [false, true, false]);
     }
 
     /// A random address stream over a random small geometry: every
@@ -278,22 +260,21 @@ mod tests {
                 .map(|_| u64::from(rng.next_u32()))
                 .collect();
             let mut c = Cache::new(cfg);
-            let mut writes = 0;
+            let (mut writes, mut misses) = (0, 0);
             for &a in &addrs {
                 let write = rng.chance(1, 2);
                 writes += u32::from(write);
-                c.access(a, write);
-                assert!(c.probe(a), "just-filled line must be resident");
+                misses += usize::from(!c.access(a, write).is_hit());
+                assert!(probe(&c, a), "just-filled line must be resident");
                 assert!(c.access(a, false).is_hit());
             }
-            let (hits, misses) = c.stats();
-            assert_eq!(hits + misses, addrs.len() as u64 * 2);
             // Resident lines, counted by probing every line touched.
             let line = u64::from(line_bytes);
             let mut lines: Vec<u64> = addrs.iter().map(|&a| a / line).collect();
             lines.sort_unstable();
             lines.dedup();
-            let resident = lines.iter().filter(|&&l| c.probe(l * line)).count() as u32;
+            assert!(misses >= lines.len(), "a line's first touch misses");
+            let resident = lines.iter().filter(|&&l| probe(&c, l * line)).count() as u32;
             assert!(resident * line_bytes <= cfg.size_bytes, "over capacity");
             let dirty = c.flush();
             assert!(dirty <= writes, "cannot flush more dirty lines than writes");
@@ -305,6 +286,6 @@ mod tests {
     #[test]
     fn raw_l1d_geometry() {
         let c = Cache::new(CacheConfig::RAW_L1D);
-        assert_eq!(c.config().sets(), 512);
+        assert_eq!(c.cfg.sets(), 512);
     }
 }

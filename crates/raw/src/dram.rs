@@ -24,8 +24,6 @@ pub struct Dram {
     latency: u64,
     word_occupancy: u64,
     next_free: Cycle,
-    accesses: u64,
-    busy_cycles: u64,
 }
 
 impl Dram {
@@ -36,20 +34,16 @@ impl Dram {
             latency,
             word_occupancy,
             next_free: Cycle::ZERO,
-            accesses: 0,
-            busy_cycles: 0,
         }
     }
 
     /// Issues an access of `words` 32-bit words at `now`; returns the
     /// completion cycle.
     pub fn access(&mut self, now: Cycle, words: u32) -> Cycle {
-        self.accesses += 1;
         let start = now.max(self.next_free);
         let transfer = self.word_occupancy * words as u64;
         let done = start + self.latency + transfer;
         self.next_free = start + transfer.max(1);
-        self.busy_cycles += transfer.max(1);
         done
     }
 
@@ -68,16 +62,6 @@ impl Dram {
         let occupancy = (self.word_occupancy * words as u64).max(1);
         tracer.span(start, occupancy, track, name);
         done
-    }
-
-    /// Total accesses issued.
-    pub fn accesses(&self) -> u64 {
-        self.accesses
-    }
-
-    /// Cycles the channel spent transferring data.
-    pub fn busy_cycles(&self) -> u64 {
-        self.busy_cycles
     }
 }
 
@@ -116,9 +100,8 @@ mod tests {
         let mut rng = vta_sim::Rng::seeded(0xD2A3);
         for _ in 0..256 {
             let mut d = Dram::new(60, 1);
-            let (mut now, mut prev_done, mut busy) = (Cycle::ZERO, Cycle::ZERO, 0);
-            let requests = rng.range(1, 99);
-            for _ in 0..requests {
+            let (mut now, mut prev_done) = (Cycle::ZERO, Cycle::ZERO);
+            for _ in 0..rng.range(1, 99) {
                 now += rng.below(500);
                 let words = rng.range(1, 31);
                 let done = d.access(now, words as u32);
@@ -131,18 +114,7 @@ mod tests {
                     "transfers overlap"
                 );
                 prev_done = done;
-                busy += words;
             }
-            assert_eq!((d.accesses(), d.busy_cycles()), (requests, busy));
         }
-    }
-
-    #[test]
-    fn counters() {
-        let mut d = Dram::new(10, 2);
-        d.access(Cycle(0), 4);
-        d.access(Cycle(0), 4);
-        assert_eq!(d.accesses(), 2);
-        assert_eq!(d.busy_cycles(), 16);
     }
 }

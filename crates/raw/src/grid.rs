@@ -36,14 +36,6 @@ impl TileId {
         self.x.abs_diff(other.x) as u32 + self.y.abs_diff(other.y) as u32
     }
 
-    /// Hops from this tile to its nearest off-chip DRAM port.
-    ///
-    /// Raw's memory controllers sit on the east edge of the die, so the
-    /// cost is the distance to column `width-1` plus one hop off-chip.
-    pub fn hops_to_dram(self, width: u8) -> u32 {
-        (width - 1 - self.x) as u32 + 1
-    }
-
     /// Linear index in row-major order.
     pub fn index(self, width: u8) -> usize {
         self.y as usize * width as usize + self.x as usize
@@ -75,12 +67,6 @@ mod tests {
     fn manhattan_distance() {
         assert_eq!(TileId::new(1, 1).hops_to(TileId::new(2, 3)), 3);
         assert_eq!(TileId::new(2, 3).hops_to(TileId::new(1, 1)), 3);
-    }
-
-    #[test]
-    fn dram_port_is_east() {
-        assert_eq!(TileId::new(3, 0).hops_to_dram(4), 1);
-        assert_eq!(TileId::new(0, 0).hops_to_dram(4), 4);
     }
 
     #[test]

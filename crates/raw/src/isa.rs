@@ -16,10 +16,7 @@
 pub struct RReg(pub u8);
 
 /// Number of architected host registers per tile.
-pub const NUM_REGS: usize = 32;
-
-/// The zero register.
-pub const R0: RReg = RReg(0);
+pub(crate) const NUM_REGS: usize = 32;
 
 impl std::fmt::Display for RReg {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -63,7 +60,7 @@ pub enum AluOp {
 
 impl AluOp {
     /// Issue cycles for this operation on the 8-stage in-order tile.
-    pub fn cycles(self) -> u64 {
+    pub(crate) fn cycles(self) -> u64 {
         match self {
             AluOp::Div | AluOp::Divu | AluOp::Rem | AluOp::Remu => 32,
             AluOp::Mul | AluOp::Mulh | AluOp::Mulhu => 2,
@@ -112,7 +109,7 @@ impl MemOp {
     }
 
     /// Extends a loaded raw value per this op's signedness.
-    pub fn extend(self, raw: u32) -> u32 {
+    pub(crate) fn extend(self, raw: u32) -> u32 {
         match self {
             MemOp::B => raw as u8 as i8 as i32 as u32,
             MemOp::Bu => raw & 0xFF,
@@ -137,7 +134,7 @@ pub enum BrCond {
 
 impl BrCond {
     /// Evaluates the condition on two register values.
-    pub fn holds(self, a: u32, b: u32) -> bool {
+    pub(crate) fn holds(self, a: u32, b: u32) -> bool {
         match self {
             BrCond::Eq => a == b,
             BrCond::Ne => a != b,
@@ -199,7 +196,7 @@ pub enum HelperKind {
 
 impl HelperKind {
     /// Cycle occupancy of the helper call (call + routine + return).
-    pub fn cycles(self) -> u64 {
+    pub(crate) fn cycles(self) -> u64 {
         match self {
             HelperKind::Div { .. } => 45,
             HelperKind::Shift { .. } => 14,
@@ -381,20 +378,6 @@ impl RInsn {
             _ => 1,
         }
     }
-
-    /// Whether this instruction ends straight-line execution.
-    pub fn is_terminator(self) -> bool {
-        matches!(
-            self,
-            RInsn::Dispatch { .. }
-                | RInsn::Sys
-                | RInsn::Trap { .. }
-                | RInsn::Hlt
-                | RInsn::Jump {
-                    target: BranchTarget::Guest(_)
-                }
-        )
-    }
 }
 
 #[cfg(test)]
@@ -425,20 +408,5 @@ mod tests {
         assert!(BrCond::Eq.holds(3, 3));
         assert!(BrCond::Ne.holds(3, 4));
         assert!(BrCond::Ge.holds(0, 0));
-    }
-
-    #[test]
-    fn terminators() {
-        assert!(RInsn::Hlt.is_terminator());
-        assert!(RInsn::Dispatch { rs: RReg(1) }.is_terminator());
-        assert!(RInsn::Jump {
-            target: BranchTarget::Guest(0x100)
-        }
-        .is_terminator());
-        assert!(!RInsn::Jump {
-            target: BranchTarget::Local(3)
-        }
-        .is_terminator());
-        assert!(!RInsn::Nop.is_terminator());
     }
 }

@@ -12,11 +12,11 @@ use vta_sim::{Cycle, Tracer};
 use crate::grid::TileId;
 
 /// Cycles to inject a message header into the network.
-pub const INJECT_COST: u64 = 1;
+pub(crate) const INJECT_COST: u64 = 1;
 /// Cycles per network hop.
-pub const HOP_COST: u64 = 1;
+pub(crate) const HOP_COST: u64 = 1;
 /// Cycles to eject a message at the destination.
-pub const EJECT_COST: u64 = 1;
+pub(crate) const EJECT_COST: u64 = 1;
 
 /// One-way cost in cycles of a `words`-word message from `from` to `to`.
 ///

@@ -21,7 +21,7 @@
 //! 3. **The series is self-checking.** Every counter only grows, so every
 //!    delta is non-negative, and deltas telescope: the sum of all retained
 //!    deltas plus [`Metrics::dropped_totals`] equals the final counter
-//!    snapshot exactly ([`Metrics::reconcile`]).
+//!    snapshot exactly (`Metrics::reconcile`).
 //!
 //! Sampling is **cycle-triggered on a fixed grid**: boundaries are at
 //! `interval`, `2*interval`, … of simulated time, independent of when the
@@ -311,7 +311,7 @@ impl Metrics {
     /// Closes the final (usually partial, off-grid) window at end of run
     /// and seals the series; later `sample`/`event` calls are ignored.
     /// The windowed sums now telescope to `ctrs` exactly
-    /// ([`Metrics::reconcile`]).
+    /// (`Metrics::reconcile`).
     pub fn finish(&mut self, now: Cycle, ctrs: &[u64; Ctr::COUNT], gauges: &[u64]) {
         if let Some(b) = self.buf.as_deref_mut() {
             if b.finished {
@@ -391,7 +391,7 @@ impl Metrics {
 
     /// The series' own view of counter `c`'s run total: dropped deltas
     /// plus every retained window's delta.
-    pub fn total(&self, c: Ctr) -> u64 {
+    pub(crate) fn total(&self, c: Ctr) -> u64 {
         self.buf.as_deref().map_or(0, |b| {
             let i = c as usize;
             b.windows
@@ -403,7 +403,7 @@ impl Metrics {
     /// The self-check invariant: every counter's windowed sum (plus the
     /// dropped-window base) must equal the caller's end-of-run total.
     /// Vacuously `Ok` when disabled. Call after [`Metrics::finish`].
-    pub fn reconcile(&self, totals: &[u64; Ctr::COUNT]) -> Result<(), String> {
+    pub(crate) fn reconcile(&self, totals: &[u64; Ctr::COUNT]) -> Result<(), String> {
         if self.buf.is_none() {
             return Ok(());
         }
@@ -422,7 +422,7 @@ impl Metrics {
         Ok(())
     }
 
-    /// [`Metrics::reconcile`] against an end-of-run [`Stats`]: every
+    /// `Metrics::reconcile` against an end-of-run [`Stats`]: every
     /// interned counter's windowed sum must match the stats total.
     pub fn reconcile_stats(&self, stats: &Stats) -> Result<(), String> {
         let mut totals = [0u64; Ctr::COUNT];

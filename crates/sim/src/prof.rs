@@ -122,11 +122,6 @@ impl Profiler {
         Profiler::default()
     }
 
-    /// True when spans are actually being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// Opens a span for `phase`, nested inside the current span if one
     /// is open. Must be balanced by [`Profiler::exit`].
     #[inline]
@@ -254,7 +249,7 @@ mod tests {
     #[test]
     fn disabled_profiler_records_nothing() {
         let mut p = Profiler::disabled();
-        assert!(!p.is_enabled());
+        assert!(p.inner.is_none());
         p.enter("x");
         p.exit();
         let r = p.report();

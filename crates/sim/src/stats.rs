@@ -210,7 +210,7 @@ impl Ctr {
     }
 
     /// Resolves a string name to its interned counter, if it is one.
-    pub fn from_name(name: &str) -> Option<Ctr> {
+    pub(crate) fn from_name(name: &str) -> Option<Ctr> {
         Ctr::ALL
             .binary_search_by(|c| c.name().cmp(name))
             .ok()
@@ -409,19 +409,6 @@ impl Stats {
         }
         None
     }
-
-    /// Merges another registry into this one, summing counters.
-    pub fn merge(&mut self, other: &Stats) {
-        for (a, b) in self.fixed.iter_mut().zip(other.fixed.iter()) {
-            *a += b;
-        }
-        for (a, b) in self.zeroed.iter_mut().zip(other.zeroed.iter()) {
-            *a |= b;
-        }
-        for (k, h) in &other.histograms {
-            self.histograms.entry(k.clone()).or_default().merge(h);
-        }
-    }
 }
 
 impl fmt::Display for Stats {
@@ -471,7 +458,7 @@ impl Default for Histogram {
 
 impl Histogram {
     /// Creates an empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Histogram::default()
     }
 
@@ -532,16 +519,6 @@ impl Histogram {
         }
         self.max
     }
-
-    /// Accumulates another histogram's samples into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-    }
 }
 
 #[cfg(test)]
@@ -559,18 +536,6 @@ mod tests {
     #[test]
     fn unknown_counter_is_zero() {
         assert_eq!(Stats::new().get("nope"), 0);
-    }
-
-    #[test]
-    fn merge_sums_counters() {
-        let mut a = Stats::new();
-        a.bump_ctr(Ctr::ChainTaken);
-        let mut b = Stats::new();
-        b.add_ctr(Ctr::ChainTaken, 2);
-        b.add_ctr(Ctr::SpecPushes, 3);
-        a.merge(&b);
-        assert_eq!(a.get_ctr(Ctr::ChainTaken), 3);
-        assert_eq!(a.get("spec.pushes"), 3);
     }
 
     #[test]
@@ -617,17 +582,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge() {
-        let mut a = Histogram::default();
-        a.record(8);
-        let mut b = Histogram::default();
-        b.record(16);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.max(), 16);
-    }
-
-    #[test]
     fn stats_display_lists_counters() {
         let mut s = Stats::new();
         s.add_ctr(Ctr::HostInsns, 7);
@@ -667,72 +621,6 @@ mod tests {
         zeros.record(0);
         zeros.record(0);
         assert_eq!(zeros.percentile(0.99), 0);
-    }
-
-    /// Property-style check (seeded in-tree RNG): merging
-    /// two registries built from disjoint event streams must equal one
-    /// registry that replayed both streams, for any interleaving of
-    /// additive events. `set_ctr` is deliberately excluded — it is an
-    /// overwrite, not an event — except for the `set_ctr(_, 0)` presence
-    /// case checked separately below.
-    #[test]
-    fn merge_agrees_with_replaying_events() {
-        let hists = ["lat.dram", "depth.q"];
-        let mut rng = crate::Rng::seeded(0xDECAF);
-        for trial in 0..50 {
-            let mut left = Stats::new();
-            let mut right = Stats::new();
-            let mut replay = Stats::new();
-            for _ in 0..rng.range(1, 60) {
-                let pick_left = rng.chance(1, 2);
-                let target = if pick_left { &mut left } else { &mut right };
-                let c = Ctr::ALL[rng.below(Ctr::COUNT as u64) as usize];
-                match rng.below(3) {
-                    0 => {
-                        target.bump_ctr(c);
-                        replay.bump_ctr(c);
-                    }
-                    1 => {
-                        let v = rng.below(1000);
-                        target.add_ctr(c, v);
-                        replay.add_ctr(c, v);
-                    }
-                    _ => {
-                        let h = hists[rng.below(hists.len() as u64) as usize];
-                        // Shift keeps sums far from u64 overflow while
-                        // still exercising many bucket indices.
-                        let v = rng.next_u64() >> (16 + rng.below(48));
-                        target.record(h, v);
-                        replay.record(h, v);
-                    }
-                }
-            }
-            left.merge(&right);
-            assert_eq!(left, replay, "trial {trial}");
-        }
-    }
-
-    #[test]
-    fn merge_preserves_set_zero_presence() {
-        // A counter set to 0 on either side must still be listed after the
-        // merge, and summing into it must behave like a plain counter.
-        let mut a = Stats::new();
-        a.set_ctr(Ctr::Cycles, 0);
-        let b = Stats::new();
-        let mut merged = a.clone();
-        merged.merge(&b);
-        assert!(merged.iter().any(|(k, _)| k == "cycles"));
-        let mut c = Stats::new();
-        c.merge(&a);
-        assert!(c.iter().any(|(k, _)| k == "cycles"), "rhs zero is kept");
-        // Zero + value merges to the value, and equals a never-zeroed peer.
-        let mut d = Stats::new();
-        d.add_ctr(Ctr::Cycles, 7);
-        c.merge(&d);
-        assert_eq!(c.get("cycles"), 7);
-        let mut plain = Stats::new();
-        plain.add_ctr(Ctr::Cycles, 7);
-        assert_eq!(c, plain);
     }
 
     #[test]

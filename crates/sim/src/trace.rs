@@ -139,18 +139,6 @@ pub enum TraceEvent {
     },
 }
 
-impl TraceEvent {
-    /// The timestamp of the event, in cycles.
-    pub fn ts(&self) -> u64 {
-        match *self {
-            TraceEvent::Span { ts, .. }
-            | TraceEvent::Instant { ts, .. }
-            | TraceEvent::Counter { ts, .. }
-            | TraceEvent::NetMsg { ts, .. } => ts,
-        }
-    }
-}
-
 #[derive(Debug, Default)]
 struct TrackMeta {
     name: String,
@@ -406,7 +394,15 @@ mod tests {
         }
         assert_eq!(t.len(), 4);
         assert_eq!(t.dropped(), 2);
-        let ts: Vec<u64> = t.events().map(|e| e.ts()).collect();
+        let ts: Vec<u64> = t
+            .events()
+            .map(|e| match *e {
+                TraceEvent::Span { ts, .. }
+                | TraceEvent::Instant { ts, .. }
+                | TraceEvent::Counter { ts, .. }
+                | TraceEvent::NetMsg { ts, .. } => ts,
+            })
+            .collect();
         assert_eq!(ts, [2, 3, 4, 5], "oldest events were evicted first");
     }
 

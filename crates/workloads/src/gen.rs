@@ -9,12 +9,12 @@ use vta_sim::Rng;
 use vta_x86::{Asm, Cond, MemRef, Reg};
 
 /// Guest address of the code segment.
-pub const CODE_BASE: u32 = 0x0800_0000;
+pub(crate) const CODE_BASE: u32 = 0x0800_0000;
 /// Guest address of the data segment.
-pub const DATA_BASE: u32 = 0x0900_0000;
+pub(crate) const DATA_BASE: u32 = 0x0900_0000;
 
 /// Deterministic code generator wrapping the assembler.
-pub struct Gen {
+pub(crate) struct Gen {
     /// The assembler.
     pub a: Asm,
     /// Seeded PRNG (every benchmark uses its own fixed seed).
@@ -23,7 +23,7 @@ pub struct Gen {
 
 impl Gen {
     /// Starts a benchmark's code segment.
-    pub fn new(seed: u64) -> Gen {
+    pub(crate) fn new(seed: u64) -> Gen {
         Gen {
             a: Asm::new(CODE_BASE),
             rng: Rng::seeded(seed),
@@ -35,7 +35,7 @@ impl Gen {
     /// The mix is weighted like SpecInt integer code: mostly add/sub/
     /// logic, some shifts and multiplies, with everything feeding the
     /// checksum in EAX so nothing is dead code.
-    pub fn alu_filler(&mut self, n: usize) {
+    pub(crate) fn alu_filler(&mut self, n: usize) {
         use Reg::*;
         for _ in 0..n {
             match self.rng.below(12) {
@@ -61,7 +61,7 @@ impl Gen {
 
     /// Emits a load-modify-store touching `[EBP + random offset]` within
     /// a power-of-two window of `window` bytes.
-    pub fn mem_touch(&mut self, window: u32) {
+    pub(crate) fn mem_touch(&mut self, window: u32) {
         let off = (self.rng.below(window as u64 / 4) * 4) as i32;
         self.a.add_rm(Reg::EAX, MemRef::base_disp(Reg::EBP, off));
         let off2 = (self.rng.below(window as u64 / 4) * 4) as i32;
@@ -70,7 +70,7 @@ impl Gen {
 
     /// Emits a short forward conditional hop (adds realistic branchiness
     /// and splits the code into more basic blocks).
-    pub fn branch_hop(&mut self) {
+    pub(crate) fn branch_hop(&mut self) {
         let skip = self.a.label();
         self.a.test_ri(Reg::EAX, 1 << self.rng.below(8));
         self.a.jcc(Cond::E, skip);
@@ -82,7 +82,7 @@ impl Gen {
     /// instructions with the given memory-touch probability in percent).
     /// Falls through at the end; this is the "instruction working set"
     /// knob the code-cache figures turn.
-    pub fn code_region(&mut self, blocks: usize, mem_pct: u64, window: u32) {
+    pub(crate) fn code_region(&mut self, blocks: usize, mem_pct: u64, window: u32) {
         for _ in 0..blocks {
             let n = 3 + self.rng.below(4) as usize;
             self.alu_filler(n);
@@ -100,7 +100,7 @@ impl Gen {
     /// translates it — the "large amount of work that may not be needed"
     /// the paper accepts as the price of speculation (§2.1). Real
     /// programs are full of such code (error paths, cold features).
-    pub fn code_region_cold(
+    pub(crate) fn code_region_cold(
         &mut self,
         blocks: usize,
         mem_pct: u64,
@@ -150,7 +150,7 @@ impl Gen {
     }
 
     /// Standard epilogue: fold EBX/EDX into the checksum and exit.
-    pub fn finish_with_checksum(mut self) -> vta_x86::GuestImage {
+    pub(crate) fn finish_with_checksum(mut self) -> vta_x86::GuestImage {
         self.a.add_rr(Reg::EAX, Reg::EBX);
         self.a.xor_rr(Reg::EAX, Reg::EDX);
         self.a.exit_with_eax();
@@ -158,13 +158,13 @@ impl Gen {
     }
 
     /// Builds a deterministic pseudo-random data blob.
-    pub fn data_blob(&mut self, len: usize) -> Vec<u8> {
+    pub(crate) fn data_blob(&mut self, len: usize) -> Vec<u8> {
         (0..len).map(|_| self.rng.next_u32() as u8).collect()
     }
 }
 
 /// Standard prologue: EBP = data base, checksum registers zeroed.
-pub fn prologue(g: &mut Gen) {
+pub(crate) fn prologue(g: &mut Gen) {
     g.a.mov_ri(Reg::EBP, DATA_BASE);
     g.a.mov_ri(Reg::EAX, 0x1357_9BDF);
     g.a.mov_ri(Reg::EBX, 0x0246_8ACE);

@@ -66,7 +66,7 @@ pub enum Scale {
 
 impl Scale {
     /// A multiplier applied to each benchmark's iteration counts.
-    pub fn iters(self, base: u32) -> u32 {
+    pub(crate) fn iters(self, base: u32) -> u32 {
         match self {
             Scale::Test => (base / 16).max(1),
             Scale::Small => base,

@@ -123,10 +123,6 @@ impl Asm {
         self.bytes.extend_from_slice(&v.to_le_bytes());
     }
 
-    fn d16(&mut self, v: u16) {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Emits raw bytes (escape hatch for tests).
     pub fn raw(&mut self, bytes: &[u8]) {
         self.bytes.extend_from_slice(bytes);
@@ -474,11 +470,6 @@ impl Asm {
         self.b(0x99);
     }
 
-    /// `cwde` (sign-extend AX into EAX).
-    pub fn cwde(&mut self) {
-        self.b(0x98);
-    }
-
     fn shift_ri(&mut self, ext: u8, r: Reg, count: u8) {
         if count == 1 {
             self.b(0xD1);
@@ -553,12 +544,6 @@ impl Asm {
         self.d32(imm as u32);
     }
 
-    /// `push dword [mem]`.
-    pub fn push_m(&mut self, m: MemRef) {
-        self.b(0xFF);
-        self.modrm_mem(6, m);
-    }
-
     /// `jmp label` (rel32).
     pub fn jmp(&mut self, l: Label) {
         self.b(0xE9);
@@ -596,21 +581,9 @@ impl Asm {
         self.modrm_reg(2, r);
     }
 
-    /// `call [mem]`.
-    pub fn call_m(&mut self, m: MemRef) {
-        self.b(0xFF);
-        self.modrm_mem(2, m);
-    }
-
     /// `ret`.
     pub fn ret(&mut self) {
         self.b(0xC3);
-    }
-
-    /// `ret imm16`.
-    pub fn ret_i(&mut self, n: u16) {
-        self.b(0xC2);
-        self.d16(n);
     }
 
     /// `setcc r8` (register numbers 0–3 = AL..BL).
@@ -650,11 +623,6 @@ impl Asm {
     /// `cld` — clear the direction flag.
     pub fn cld(&mut self) {
         self.b(0xFC);
-    }
-
-    /// `std` — set the direction flag.
-    pub fn std_(&mut self) {
-        self.b(0xFD);
     }
 
     // ---- misc -----------------------------------------------------------

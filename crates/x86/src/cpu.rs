@@ -147,7 +147,7 @@ impl Cpu {
     }
 
     /// Reads a register at a given width (handles `AH..BH` high bytes).
-    pub fn read_reg(&self, r: Reg, size: Size) -> u32 {
+    pub(crate) fn read_reg(&self, r: Reg, size: Size) -> u32 {
         let n = r.num() as usize;
         match size {
             Size::Byte => {
@@ -163,7 +163,7 @@ impl Cpu {
     }
 
     /// Writes a register at a given width, preserving the other bits.
-    pub fn write_reg(&mut self, r: Reg, size: Size, v: u32) {
+    pub(crate) fn write_reg(&mut self, r: Reg, size: Size, v: u32) {
         let n = r.num() as usize;
         match size {
             Size::Byte => {

@@ -948,7 +948,7 @@ mod tests {
         assert_eq!(i.dst, Some(Operand::Imm(-2)));
         let i = one(&[0xFF, 0x75, 0x08]); // push [ebp+8]
         assert_eq!(i.op, Op::Push);
-        assert!(i.dst.unwrap().is_mem());
+        assert!(matches!(i.dst, Some(Operand::Mem(_))));
     }
 
     #[test]

@@ -34,22 +34,19 @@
 use crate::insn::{Cond, Size};
 
 /// Carry flag bit.
-pub const CF: u32 = 1 << 0;
+pub(crate) const CF: u32 = 1 << 0;
 /// Parity flag bit (even parity of the result's low byte).
-pub const PF: u32 = 1 << 2;
+pub(crate) const PF: u32 = 1 << 2;
 /// Auxiliary-carry flag bit (carry out of bit 3).
-pub const AF: u32 = 1 << 4;
+pub(crate) const AF: u32 = 1 << 4;
 /// Zero flag bit.
-pub const ZF: u32 = 1 << 6;
+pub(crate) const ZF: u32 = 1 << 6;
 /// Sign flag bit.
-pub const SF: u32 = 1 << 7;
+pub(crate) const SF: u32 = 1 << 7;
 /// Direction flag bit (string ops).
-pub const DF: u32 = 1 << 10;
+pub(crate) const DF: u32 = 1 << 10;
 /// Overflow flag bit.
-pub const OF: u32 = 1 << 11;
-
-/// Mask of the six arithmetic flags (excludes `DF`).
-pub const ARITH_MASK: u32 = CF | PF | AF | ZF | SF | OF;
+pub(crate) const OF: u32 = 1 << 11;
 
 /// The guest EFLAGS register.
 ///
@@ -103,18 +100,6 @@ impl Flags {
         sf / set_sf => SF,
         df / set_df => DF,
         of / set_of => OF,
-    }
-
-    /// Raw EFLAGS bits (only the modelled flags are meaningful).
-    #[inline]
-    pub fn bits(self) -> u32 {
-        self.0
-    }
-
-    /// Replaces the arithmetic flags, preserving `DF`.
-    #[inline]
-    pub fn set_arith(&mut self, bits: u32) {
-        self.0 = (self.0 & !ARITH_MASK) | (bits & ARITH_MASK);
     }
 }
 
@@ -192,7 +177,7 @@ pub fn logic(f: &mut Flags, size: Size, r: u32) -> u32 {
 }
 
 /// `INC`: add one, preserving `CF`.
-pub fn inc(f: &mut Flags, size: Size, a: u32) -> u32 {
+pub(crate) fn inc(f: &mut Flags, size: Size, a: u32) -> u32 {
     let cf = f.cf();
     let r = add(f, size, a, 1);
     f.set_cf(cf);
@@ -200,7 +185,7 @@ pub fn inc(f: &mut Flags, size: Size, a: u32) -> u32 {
 }
 
 /// `DEC`: subtract one, preserving `CF`.
-pub fn dec(f: &mut Flags, size: Size, a: u32) -> u32 {
+pub(crate) fn dec(f: &mut Flags, size: Size, a: u32) -> u32 {
     let cf = f.cf();
     let r = sub(f, size, a, 1);
     f.set_cf(cf);
@@ -208,7 +193,7 @@ pub fn dec(f: &mut Flags, size: Size, a: u32) -> u32 {
 }
 
 /// `NEG`: two's-complement negate.
-pub fn neg(f: &mut Flags, size: Size, a: u32) -> u32 {
+pub(crate) fn neg(f: &mut Flags, size: Size, a: u32) -> u32 {
     let r = sub(f, size, 0, a);
     f.set_cf(a & size.mask() != 0);
     r
@@ -329,7 +314,7 @@ pub fn ror(f: &mut Flags, size: Size, a: u32, count: u32) -> u32 {
 
 /// Unsigned widening multiply: returns `(lo, hi)`; `CF = OF = hi != 0`.
 /// The architecturally undefined `SF`/`ZF`/`PF` are defined from `lo`.
-pub fn mul(f: &mut Flags, size: Size, a: u32, b: u32) -> (u32, u32) {
+pub(crate) fn mul(f: &mut Flags, size: Size, a: u32, b: u32) -> (u32, u32) {
     let wide = (a & size.mask()) as u64 * (b & size.mask()) as u64;
     let lo = (wide as u32) & size.mask();
     let hi = ((wide >> size.bits()) as u32) & size.mask();
@@ -343,7 +328,7 @@ pub fn mul(f: &mut Flags, size: Size, a: u32, b: u32) -> (u32, u32) {
 
 /// Signed widening multiply: returns `(lo, hi)`; `CF = OF` set when the
 /// product does not fit the operand width.
-pub fn imul(f: &mut Flags, size: Size, a: u32, b: u32) -> (u32, u32) {
+pub(crate) fn imul(f: &mut Flags, size: Size, a: u32, b: u32) -> (u32, u32) {
     let sa = size.sign_extend(a & size.mask()) as i32 as i64;
     let sb = size.sign_extend(b & size.mask()) as i32 as i64;
     let wide = sa * sb;
@@ -815,13 +800,5 @@ mod tests {
                 assert_eq!(cond_holds(cond, f), !cond_holds(cond.negate(), f));
             }
         }
-    }
-
-    #[test]
-    fn set_arith_preserves_df() {
-        let mut f = Flags::default();
-        f.set_df(true);
-        f.set_arith(CF | ZF);
-        assert!(f.df() && f.cf() && f.zf());
     }
 }

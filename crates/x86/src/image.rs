@@ -4,11 +4,11 @@ use crate::asm::Program;
 use crate::mem::GuestMem;
 
 /// Default top-of-stack for guest programs.
-pub const DEFAULT_STACK_TOP: u32 = 0x0C00_0000;
+pub(crate) const DEFAULT_STACK_TOP: u32 = 0x0C00_0000;
 /// Default stack reservation (grows down from [`DEFAULT_STACK_TOP`]).
-pub const DEFAULT_STACK_SIZE: u32 = 0x0004_0000;
+pub(crate) const DEFAULT_STACK_SIZE: u32 = 0x0004_0000;
 /// Default initial program break (heap base).
-pub const DEFAULT_BRK_BASE: u32 = 0x0A00_0000;
+pub(crate) const DEFAULT_BRK_BASE: u32 = 0x0A00_0000;
 
 /// A loadable guest program: code plus initialized/zeroed data segments.
 ///

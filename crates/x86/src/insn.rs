@@ -261,25 +261,12 @@ pub enum Operand {
 }
 
 impl Operand {
-    /// Returns the register if this operand is one.
-    pub fn reg(self) -> Option<Reg> {
-        match self {
-            Operand::Reg(r) => Some(r),
-            _ => None,
-        }
-    }
-
     /// Returns the memory reference if this operand is one.
     pub fn mem(self) -> Option<MemRef> {
         match self {
             Operand::Mem(m) => Some(m),
             _ => None,
         }
-    }
-
-    /// Whether this operand touches memory.
-    pub fn is_mem(self) -> bool {
-        matches!(self, Operand::Mem(_))
     }
 }
 
@@ -412,7 +399,7 @@ pub struct Insn {
 
 impl Insn {
     /// A skeleton instruction with every optional field empty.
-    pub fn new(addr: u32, op: Op) -> Insn {
+    pub(crate) fn new(addr: u32, op: Op) -> Insn {
         Insn {
             addr,
             len: 0,

@@ -84,7 +84,7 @@ pub struct SysState {
 }
 
 /// `-ENOSYS` in two's complement.
-pub const ENOSYS: u32 = (-38i32) as u32;
+pub(crate) const ENOSYS: u32 = (-38i32) as u32;
 
 impl SysState {
     /// Creates OS state with the program break at `brk_base`.

@@ -5,7 +5,7 @@
 #
 # There is one build of the workspace (no cargo features) and one CLI
 # binary (target/release/vta, which the build stage produces and every
-# later stage invokes), so the gate is a list of 8 stages with
+# later stage invokes), so the gate is a list of 9 stages with
 # per-stage timing (human summary at the end, machine-readable in
 # ci-timings.json):
 #
@@ -62,6 +62,9 @@
 #     (page_slices) under crates/dbt/src: Footprint::windows is the one
 #     walk over a translation's live bytes
 #   clippy
+#   doc: the public docs build with every rustdoc warning an error, so
+#     no public doc links an item that is not public (pub means another
+#     crate, an integration test, an example or benchmark/ reads it)
 #   build release
 #   test (debug-for-tests)
 #   determinism: vta check on 1 and on 4 host threads; every row of
@@ -208,6 +211,9 @@ run_stage "no-env, no-clock (library crates)" \
 
 run_stage "clippy" \
     cargo clippy --workspace --all-targets -- -D warnings
+
+run_stage "doc" \
+    env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 run_stage "build release" \
     cargo build --release --workspace
