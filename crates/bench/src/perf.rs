@@ -308,7 +308,7 @@ fn eat_translation(h: &mut Fnv1a, at: u32, t: &Result<TBlock, TranslateError>) {
 /// threads; the rows are the same for every `threads`.
 pub(crate) fn translation_entries(threads: usize) -> Vec<Entry> {
     let suite = vta_workloads::all(Scale::Test);
-    let digests = crate::bounded_map(threads, suite.len(), |g| {
+    let digests = crate::bounded_map(threads, 0..suite.len(), |g| {
         let image = &suite[g].image;
         let mut leaders = Leaders::default();
         let stop = Cpu::new(image).run_observed(crate::RUN_BUDGET, &mut leaders);

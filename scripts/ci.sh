@@ -60,7 +60,10 @@
 #     and guest code is read a page window at a time, so no per-byte
 #     fn fetch in crates/x86/src/decode.rs and no second page walk
 #     (page_slices) under crates/dbt/src: Footprint::windows is the one
-#     walk over a translation's live bytes
+#     walk over a translation's live bytes; and a sweep's fan-out is
+#     bounded by the host's cores or the caller's width, never one
+#     thread per cell: no sweep_threads(.., usize::MAX) and no
+#     bounded_map(usize::MAX, ..) under crates/*/src
 #   clippy
 #   doc: the public docs build with every rustdoc warning an error, so
 #     no public doc links an item that is not public (pub means another
@@ -158,7 +161,9 @@ run_stage "fmt" \
 # which the DBT and the fuzz oracle both drive: no second copy of it.
 # Guest code is read a page window at a time (CodeSource::window), and a
 # footprint's live bytes through its one walk: no per-byte fetch, no
-# private page iterator beside it.
+# private page iterator beside it. A sweep runs on a bounded number of
+# host threads, so its memory follows the cells in flight, not the cells
+# in the sweep: no width of usize::MAX.
 #
 # siphash_addr_tables: prints each such table outside the tests of
 # crates/dbt/src/*.rs and of crates/ir/src/record.rs, which holds the
@@ -204,6 +209,7 @@ no_env_stage() {
         ! grep -rn 'PathRecorder\|fn note_exit\|fn at_syscall\|enum Shapes' crates/ir/src &&
         ! grep -n 'fn fetch' crates/x86/src/decode.rs &&
         ! grep -rn 'page_slices' crates/dbt/src &&
+        ! grep -rnE 'sweep_threads\(.*usize::MAX|bounded_map\(usize::MAX' crates/*/src &&
         ! grep -nE '^\s*(pub(\(crate\))? )?(busy_cycles|completed):' crates/dbt/src/slave.rs
 }
 run_stage "no-env, no-clock (library crates)" \
