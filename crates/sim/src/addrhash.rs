@@ -1,6 +1,6 @@
 //! The one hash behind every table keyed by a guest address or page: the
-//! DBT's L2 code cache, failed set, page registry, queues and sweep memo,
-//! and the recording protocol's roots (L1 keeps its own index).
+//! DBT's L1 index and L2 code cache, failed set, page registry, queues
+//! and sweep memo, and the recording protocol's roots.
 //!
 //! `std`'s default, SipHash, resists keys crafted to collide. The keys
 //! here come from the guest binary, but the worst a colliding guest can
@@ -117,13 +117,13 @@ mod tests {
 
     #[test]
     fn the_spread_bar_rejects_a_narrow_or_unfolded_hash() {
-        // The L1 code cache's index (a 32-bit Fibonacci multiply shifted
-        // to 25 bits: one tag for every key) and a bare 64-bit multiply
-        // (aligned keys leave its low bits zero) each miss the bar on
-        // some key set, so the test above tells them apart.
+        // A 32-bit Fibonacci multiply shifted to 25 bits (one tag for
+        // every key) and a bare 64-bit multiply (aligned keys leave its
+        // low bits zero) each miss the bar on some key set, so the test
+        // above tells them apart.
         let bare = |k: u32| u64::from(k).wrapping_mul(MUL);
-        let l1 = |k: u32| u64::from(k.wrapping_mul(0x9E37_79B1) >> 7);
-        for hash in [&bare as &dyn Fn(u32) -> u64, &l1] {
+        let fib25 = |k: u32| u64::from(k.wrapping_mul(0x9E37_79B1) >> 7);
+        for hash in [&bare as &dyn Fn(u32) -> u64, &fib25] {
             let all = key_sets().map(|(_, keys)| meets_the_bar(spread(&keys, hash)));
             assert!(all.contains(&false), "{all:?}");
         }

@@ -16,9 +16,21 @@
 #
 # It prints one row per workload x end-to-end metric: the change/parent
 # ratio of the medians, the pairs the change won (by the direction
-# BENCHMARK.json declares) and each side's interquartile spread as a share
-# of its median. It exits non-zero if any run fails, any operation fails,
-# or any sim_slowdown differs between the two sides.
+# BENCHMARK.json declares), each side's interquartile spread as a share
+# of its median, and a verdict from the metric's bound in BENCHMARK.json,
+# the first of these that applies:
+#
+#   unresolved  the parent's spread exceeds the bound, and not every
+#               change run beats every parent run
+#   worse       the change median is worse than the parent's by more
+#               than the bound
+#   gain        the change won at least 9 of 10 pairs and its median
+#               beats the parent's by more than the parent's spread
+#   held        otherwise
+#
+# It exits non-zero if any run fails, any operation fails, or any
+# sim_slowdown differs between the two sides; the verdicts do not change
+# the exit status.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -98,9 +110,13 @@ for ((i = 0; i < PAIRS; i++)); do
     extract change "$i" "$tmp/change-$i.txt"
 done > "$tmp/records.txt"
 
-# Which way is better, per metric, from BENCHMARK.json.
-awk '/"name": / { n = $2; gsub(/[",]/, "", n) }
-     /"better": / { b = $2; gsub(/[",]/, "", b); print n, b }' BENCHMARK.json > "$tmp/better.txt"
+# Which way is better, and the bound, per metric, from BENCHMARK.json.
+awk '/"name": / { n = $2; gsub(/[",]/, "", n); names[++k] = n }
+     /"better": / { b = $2; gsub(/[",]/, "", b); better[n] = b }
+     /"bound": / { d = $2; gsub(/[",]/, "", d); bound[n] = d }
+     END { for (i = 1; i <= k; i++) if (names[i] in better)
+             print names[i], better[names[i]], (names[i] in bound) ? bound[names[i]] : "-" }' \
+    BENCHMARK.json > "$tmp/better.txt"
 
 awk -v pairs="$PAIRS" '
     function sort(a, n,    i, j, t) {
@@ -113,7 +129,7 @@ awk -v pairs="$PAIRS" '
     # Nearest-rank quantile of the sorted a[1..n].
     function q(a, n, p,    r) { r = int(p * n + 0.999999); if (r < 1) r = 1; return a[r] }
     function median(a, n) { return n % 2 ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2 }
-    FNR == NR { better[$1] = $2; next }
+    FNR == NR { better[$1] = $2; bound[$1] = $3; next }
     $4 == "failed" { if ($5 + 0 > 0) { failed += $5; print "ab: FAIL: " $1 " pair " $2 " " $3 ": " $5 " failed operation(s)" } next }
     {
         key = $3 SUBSEP $4
@@ -121,8 +137,8 @@ awk -v pairs="$PAIRS" '
         v[$1, key, $2] = $5
     }
     END {
-        printf "%-15s %-14s %12s %12s %8s %6s %11s %11s\n", "workload", "metric",
-            "parent_med", "change_med", "ratio", "won", "parent_iqr", "change_iqr"
+        printf "%-15s %-14s %12s %12s %8s %6s %11s %11s  %s\n", "workload", "metric",
+            "parent_med", "change_med", "ratio", "won", "parent_iqr", "change_iqr", "verdict"
         for (k = 1; k <= nkeys; k++) {
             key = keys[k]; split(key, wm, SUBSEP)
             np = nc = won = 0
@@ -142,10 +158,22 @@ awk -v pairs="$PAIRS" '
             if (np == 0 || nc == 0) continue
             sort(pv, np); sort(cv, nc)
             mp = median(pv, np); mc = median(cv, nc)
-            printf "%-15s %-14s %12.5g %12.5g %8.4f %3d/%-2d %10.1f%% %10.1f%%\n", wm[1], wm[2],
-                mp, mc, mp ? mc / mp : 0, won, pairs,
-                mp ? 100 * (q(pv, np, 0.75) - q(pv, np, 0.25)) / mp : 0,
-                mc ? 100 * (q(cv, nc, 0.75) - q(cv, nc, 0.25)) / mc : 0
+            iqr = q(pv, np, 0.75) - q(pv, np, 0.25)
+            # How far the change leads the parent, signed so positive is
+            # better: median over median, and worst change run over best
+            # parent run.
+            sign = better[wm[2]] == "higher" ? 1 : -1
+            lead = sign * (mc - mp)
+            apart = sign > 0 ? cv[1] - pv[np] : pv[1] - cv[nc]
+            b = bound[wm[2]]
+            if (b == "-") verdict = "-"
+            else if (iqr > b * mp && apart <= 0) verdict = "unresolved"
+            else if (-lead > b * mp) verdict = "worse"
+            else if (won * 10 >= 9 * pairs && lead > iqr) verdict = "gain"
+            else verdict = "held"
+            printf "%-15s %-14s %12.5g %12.5g %8.4f %3d/%-2d %10.1f%% %10.1f%%  %s\n", wm[1], wm[2],
+                mp, mc, mp ? mc / mp : 0, won, pairs, mp ? 100 * iqr / mp : 0,
+                mc ? 100 * (q(cv, nc, 0.75) - q(cv, nc, 0.25)) / mc : 0, verdict
         }
         exit (failed > 0 || slowdown_moved)
     }

@@ -63,7 +63,10 @@
 #     walk over a translation's live bytes; and a sweep's fan-out is
 #     bounded by the host's cores or the caller's width, never one
 #     thread per cell: no sweep_threads(.., usize::MAX) and no
-#     bounded_map(usize::MAX, ..) under crates/*/src
+#     bounded_map(usize::MAX, ..) under crates/*/src; and the L1 code
+#     cache's index is an AddrMap too, so no second address table
+#     (TOMB, fn rehash, fn hash_addr) in crates/dbt/src/codecache.rs
+#     outside its tests
 #   clippy
 #   doc: the public docs build with every rustdoc warning an error, so
 #     no public doc links an item that is not public (pub means another
@@ -163,7 +166,9 @@ run_stage "fmt" \
 # footprint's live bytes through its one walk: no per-byte fetch, no
 # private page iterator beside it. A sweep runs on a bounded number of
 # host threads, so its memory follows the cells in flight, not the cells
-# in the sweep: no width of usize::MAX.
+# in the sweep: no width of usize::MAX. The L1 code cache indexes its
+# slots with the same AddrMap: no hand-written open-addressed table
+# (tombstones, rehash, a private hash) comes back beside it.
 #
 # siphash_addr_tables: prints each such table outside the tests of
 # crates/dbt/src/*.rs and of crates/ir/src/record.rs, which holds the
@@ -210,7 +215,8 @@ no_env_stage() {
         ! grep -n 'fn fetch' crates/x86/src/decode.rs &&
         ! grep -rn 'page_slices' crates/dbt/src &&
         ! grep -rnE 'sweep_threads\(.*usize::MAX|bounded_map\(usize::MAX' crates/*/src &&
-        ! grep -nE '^\s*(pub(\(crate\))? )?(busy_cycles|completed):' crates/dbt/src/slave.rs
+        ! grep -nE '^\s*(pub(\(crate\))? )?(busy_cycles|completed):' crates/dbt/src/slave.rs &&
+        ! sed '/^#\[cfg(test)\]/q' crates/dbt/src/codecache.rs | grep -n 'TOMB\|fn rehash\|fn hash_addr'
 }
 run_stage "no-env, no-clock (library crates)" \
     no_env_stage
