@@ -111,13 +111,18 @@ impl Emitter {
         self.code.push(i);
     }
 
-    fn here(&self) -> usize {
-        self.code.len()
+    /// The index of the next instruction, as [`BranchTarget::Local`]
+    /// holds it. The one conversion from the buffer's length: a block is
+    /// at most `MAX_BLOCK_INSNS` guest instructions, a region at most its
+    /// `RegionLimits::max_insns`, each a few dozen host instructions, so
+    /// the length is far below `u32::MAX`.
+    fn here(&self) -> u32 {
+        self.code.len() as u32
     }
 
     /// Patches a branch/jump at `at` to target instruction index `target`.
-    fn patch(&mut self, at: usize, target: usize) {
-        match &mut self.code[at] {
+    fn patch(&mut self, at: u32, target: u32) {
+        match &mut self.code[at as usize] {
             RInsn::Branch { target: t, .. } | RInsn::Jump { target: t } => {
                 *t = BranchTarget::Local(target);
             }

@@ -346,7 +346,7 @@ pub fn run_block<P: DataPort + ?Sized>(
                 if cond.holds(state.get(rs), state.get(rt)) {
                     cycles += TAKEN_BRANCH_PENALTY;
                     match target {
-                        BranchTarget::Local(idx) => pc = idx,
+                        BranchTarget::Local(idx) => pc = idx as usize,
                         BranchTarget::Guest(g) => {
                             return RunOutcome {
                                 exit: BlockExit::Goto(g),
@@ -362,7 +362,7 @@ pub fn run_block<P: DataPort + ?Sized>(
             RInsn::Jump { target } => {
                 cycles += TAKEN_BRANCH_PENALTY;
                 match target {
-                    BranchTarget::Local(idx) => pc = idx,
+                    BranchTarget::Local(idx) => pc = idx as usize,
                     BranchTarget::Guest(g) => {
                         return RunOutcome {
                             exit: BlockExit::Goto(g),
