@@ -17,13 +17,17 @@
 //! and compares them row by row with the checked-in file — nothing is
 //! rewritten, and a drifted, missing or extra row exits nonzero, naming
 //! its section and row. Every simulated cell must also reproduce the
-//! reference interpreter's exit code, retired count and output.
-//! `--threads N` is the sweeps' fan-out: how many `(benchmark, config)`
-//! cells run at once; one simulated machine always runs on one host
-//! thread. The stdout is identical for every `--threads` value, so ci.sh
-//! diffs it across sweep widths to enforce determinism. `bless` prints
+//! reference interpreter's exit code, retired count and output. The rows
+//! read one sweep, which runs each distinct configuration once per guest;
+//! `--threads N` is its fan-out: how many `(benchmark, config)` cells run
+//! at once; one simulated machine always runs on one host thread. The
+//! stdout is identical for every `--threads` value, so ci.sh diffs it
+//! across sweep widths to enforce determinism. `bless` prints
 //! the same rows and rewrites `BENCH_dispatch.json` from them — only for
 //! an intended timing-model change.
+//!
+//! `figures` prints the figures `--fig` names (one, or `all`) from one
+//! sweep, on every core, of the configurations they read.
 //!
 //! `metrics` runs one benchmark at `Scale::Test` with the windowed
 //! metrics layer on and prints the phase report; `--write` exports the
@@ -48,12 +52,12 @@
 //! the same case stream and verdicts on every host, which is what lets CI
 //! run a fixed-seed smoke sweep as a hard gate.
 
-use vta_bench::figures as f;
+use vta_bench::figures::*;
 use vta_bench::metrics::{metrics_benchmark, phase_summary, series_csv, series_json};
 use vta_bench::perf::{compare, entries, parse_json, render_json};
 use vta_bench::profile::{manager_report, ManagerActivity};
 use vta_bench::trace::{chrome_trace_json, trace_benchmark, utilization_report};
-use vta_bench::{out, outln, RUN_BUDGET};
+use vta_bench::{out, outln, sweep_lists, Measurement, RUN_BUDGET};
 use vta_dbt::{System, VirtualArchConfig};
 use vta_ir::fuzz::{corpus, gen::CaseStream, minimize, run_case, Verdict};
 use vta_pentium::PentiumModel;
@@ -73,9 +77,34 @@ usage: vta check [--threads N]            compare every simulated result with BE
 /// The file `check` compares with and `bless` writes.
 const FROZEN: &str = "BENCH_dispatch.json";
 
-const FIGS: [&str; 11] = [
-    "4", "5", "6", "7", "8", "9", "10", "11", "cpi", "headline", "all",
+/// A figure `figures` prints: its `--fig` name, the configurations whose
+/// cells it reads, and its text from those cells (CSV with `--csv`).
+type Figure = (&'static str, fn() -> Configs, Show);
+type Configs = Vec<(String, VirtualArchConfig)>;
+type Show = fn(&[Measurement], bool) -> String;
+
+/// Every figure, in `--fig all` order.
+const FIGURES: [Figure; 10] = [
+    ("headline", headline_configs, |m, csv| headline(m).text(csv)),
+    ("4", fig4_configs, |m, csv| fig4(m).text(csv)),
+    ("5", fig5_configs, |m, csv| fig5(m).text(csv)),
+    ("6", fig5_configs, |m, csv| fig6(m).text(csv)),
+    ("7", fig5_configs, |m, csv| fig7(m).text(csv)),
+    ("8", fig8_configs, |m, csv| fig8(m).text(csv)),
+    ("9", fig9_configs, |m, csv| fig9(m).text(csv)),
+    ("10", fig9_configs, |m, csv| fig10(m).text(csv)),
+    ("11", Vec::new, |_, _| fig11()),
+    ("cpi", Vec::new, |_, _| cpi_analysis()),
 ];
+
+/// The figures `--fig name` prints: the one so named, or all of them.
+fn named(name: &str) -> Option<Vec<Figure>> {
+    let figs: Vec<Figure> = FIGURES
+        .into_iter()
+        .filter(|(n, ..)| name == "all" || *n == name)
+        .collect();
+    (!figs.is_empty()).then_some(figs)
+}
 
 /// A fully parsed command line.
 #[derive(Debug, PartialEq)]
@@ -92,7 +121,7 @@ enum Cmd {
         write: bool,
     },
     Figures {
-        fig: String,
+        figs: Vec<Figure>,
         scale: Scale,
         csv: bool,
     },
@@ -201,9 +230,7 @@ fn parse(args: Vec<String>) -> Result<Cmd, String> {
             write: a.switch("--write"),
         },
         "figures" => Cmd::Figures {
-            fig: a
-                .value("--fig", |v| FIGS.contains(&v).then(|| v.to_string()))?
-                .unwrap_or_else(|| "all".to_string()),
+            figs: a.value("--fig", named)?.unwrap_or_else(|| FIGURES.into()),
             scale: a.scale()?,
             csv: a.switch("--csv"),
         },
@@ -249,7 +276,7 @@ fn main() {
             interval,
             write,
         } => metrics(&bench, interval, write),
-        Cmd::Figures { fig, scale, csv } => figures(&fig, scale, csv),
+        Cmd::Figures { figs, scale, csv } => figures(&figs, scale, csv),
         Cmd::Trace { path, bench, scale } => trace(&path, &bench, scale),
         Cmd::Diag => diag(),
         Cmd::Fuzz {
@@ -371,52 +398,13 @@ fn metrics(bench: &str, interval: u64, write: bool) -> i32 {
     0
 }
 
-/// `figures`: regenerate the paper's figures/tables.
-fn figures(fig: &str, scale: Scale, csv: bool) -> i32 {
-    let print = |t: &vta_bench::Table| {
-        if csv {
-            outln!("{}", t.to_csv());
-        } else {
-            outln!("{}", t.render());
-        }
-    };
-    match fig {
-        "4" => print(&f::fig4(scale)),
-        "5" | "6" | "7" => {
-            let ms = f::fig5_measurements(scale);
-            match fig {
-                "5" => print(&f::fig5(&ms)),
-                "6" => print(&f::fig6(&ms)),
-                _ => print(&f::fig7(&ms)),
-            }
-        }
-        "8" => print(&f::fig8(scale)),
-        "9" | "10" => {
-            let ms = f::fig9_measurements(scale);
-            if fig == "9" {
-                print(&f::fig9(&ms));
-            } else {
-                print(&f::fig10(&ms));
-            }
-        }
-        "11" => outln!("{}", f::fig11()),
-        "cpi" => outln!("{}", f::cpi_analysis()),
-        "headline" => print(&f::headline(scale)),
-        "all" => {
-            print(&f::headline(scale));
-            print(&f::fig4(scale));
-            let ms = f::fig5_measurements(scale);
-            print(&f::fig5(&ms));
-            print(&f::fig6(&ms));
-            print(&f::fig7(&ms));
-            print(&f::fig8(scale));
-            let ms = f::fig9_measurements(scale);
-            print(&f::fig9(&ms));
-            print(&f::fig10(&ms));
-            outln!("{}", f::fig11());
-            outln!("{}", f::cpi_analysis());
-        }
-        other => unreachable!("parse admits only FIGS, not {other}"),
+/// `figures`: regenerate the paper's figures/tables from one sweep of
+/// every configuration they read, each figure from its own cells.
+fn figures(figs: &[Figure], scale: Scale, csv: bool) -> i32 {
+    let lists: Vec<_> = figs.iter().map(|(_, configs, _)| configs()).collect();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    for ((.., show), ms) in figs.iter().zip(sweep_lists(scale, &lists, cores)) {
+        outln!("{}", show(&ms, csv));
     }
     0
 }
@@ -617,6 +605,23 @@ mod tests {
                 scale: Scale::Test
             })
         );
+    }
+
+    /// `--fig` parses to the figures it prints: one by name, every one for
+    /// `all` or no `--fig`, and an unknown name is an error.
+    #[test]
+    fn fig_names_parse_to_the_figures_they_print() {
+        let names = |line: &str| -> Vec<&str> {
+            match parse_line(line) {
+                Ok(Cmd::Figures { figs, .. }) => figs.iter().map(|(name, ..)| *name).collect(),
+                other => panic!("{line}: {other:?}"),
+            }
+        };
+        let every: Vec<&str> = FIGURES.iter().map(|(name, ..)| *name).collect();
+        assert_eq!(names("figures --fig 6"), ["6"]);
+        assert_eq!(names("figures --fig all --scale test"), every);
+        assert_eq!(names("figures"), every);
+        assert!(parse_line("figures --fig 12").unwrap_err().contains("12"));
     }
 
     /// `check` and `bless` are the only gate: the retired ones are

@@ -1,18 +1,21 @@
-//! One function per figure/table of the paper's evaluation section.
+//! One function per figure/table of the paper's evaluation section. A
+//! figure that simulates reads the cells of its own configurations (its
+//! `*_configs` list), benchmark-major as [`crate::sweep_lists`] returns them.
 
 use vta_dbt::VirtualArchConfig;
 use vta_ir::OptLevel;
-use vta_workloads::Scale;
 
 use crate::table::{Format, Table};
-use crate::{sweep, Measurement};
+use crate::Measurement;
 
-fn labels(cfgs: &[(String, VirtualArchConfig)]) -> Vec<String> {
-    cfgs.iter().map(|(l, _)| l.clone()).collect()
+/// A slowdown table of `ms`.
+fn slowdown_table(title: &str, ms: &[Measurement]) -> Table {
+    let metric = "slowdown vs Pentium III (lower is better)";
+    Table::from_measurements(title, metric, ms, Format::Fixed1, Measurement::slowdown)
 }
 
 /// The Figure 4 configuration set: 0, 1 and 2 L1.5 code-cache banks.
-pub(crate) fn fig4_configs() -> Vec<(String, VirtualArchConfig)> {
+pub fn fig4_configs() -> Vec<(String, VirtualArchConfig)> {
     vec![
         ("no-L1.5".to_string(), VirtualArchConfig::with_l15_banks(0)),
         (
@@ -26,22 +29,9 @@ pub(crate) fn fig4_configs() -> Vec<(String, VirtualArchConfig)> {
     ]
 }
 
-/// A slowdown table of `configs` swept over every benchmark.
-fn slowdown_table(title: &str, scale: Scale, configs: &[(String, VirtualArchConfig)]) -> Table {
-    Table::from_measurements(
-        title,
-        "slowdown vs Pentium III (lower is better)",
-        &labels(configs),
-        &sweep(scale, configs),
-        Format::Fixed1,
-        Measurement::slowdown,
-    )
-}
-
 /// Figure 4: slowdown under three L1.5 code-cache configurations.
-pub fn fig4(scale: Scale) -> Table {
-    let title = "Figure 4: Comparison of L1.5 Code Cache Sizes";
-    slowdown_table(title, scale, &fig4_configs())
+pub fn fig4(ms: &[Measurement]) -> Table {
+    slowdown_table("Figure 4: Comparison of L1.5 Code Cache Sizes", ms)
 }
 
 /// The Figure 5 configuration set (also reused by Figures 6 and 7).
@@ -59,20 +49,11 @@ pub fn fig5_configs() -> Vec<(String, VirtualArchConfig)> {
     v
 }
 
-/// Runs the Figure 5 sweep once (shared by Figures 5, 6 and 7).
-pub fn fig5_measurements(scale: Scale) -> Vec<Measurement> {
-    sweep(scale, &fig5_configs())
-}
-
 /// Figure 5: slowdown with differing numbers of translation tiles.
 pub fn fig5(ms: &[Measurement]) -> Table {
-    Table::from_measurements(
+    slowdown_table(
         "Figure 5: Comparison with Differing Numbers of Translation Tiles",
-        "slowdown vs Pentium III (lower is better)",
-        &labels(&fig5_configs()),
         ms,
-        Format::Fixed1,
-        Measurement::slowdown,
     )
 }
 
@@ -81,7 +62,6 @@ pub fn fig6(ms: &[Measurement]) -> Table {
     Table::from_measurements(
         "Figure 6: Number of L2 Code Cache Accesses per Cycle",
         "accesses / cycle (log scale)",
-        &labels(&fig5_configs()),
         ms,
         Format::Scientific,
         Measurement::l2code_access_rate,
@@ -93,7 +73,6 @@ pub fn fig7(ms: &[Measurement]) -> Table {
     Table::from_measurements(
         "Figure 7: Number of L2 Code Cache Misses per L2 Code Cache Access",
         "misses / access (log scale)",
-        &labels(&fig5_configs()),
         ms,
         Format::Scientific,
         Measurement::l2code_miss_rate,
@@ -102,7 +81,7 @@ pub fn fig7(ms: &[Measurement]) -> Table {
 
 /// The Figure 8 configuration set: the morphing configuration without
 /// and with code optimization.
-pub(crate) fn fig8_configs() -> Vec<(String, VirtualArchConfig)> {
+pub fn fig8_configs() -> Vec<(String, VirtualArchConfig)> {
     let mut no_opt = VirtualArchConfig::morphing(15);
     no_opt.opt = OptLevel::None;
     vec![
@@ -113,13 +92,15 @@ pub(crate) fn fig8_configs() -> Vec<(String, VirtualArchConfig)> {
 
 /// Figure 8: with vs without code optimization (dynamic 6→9 config in
 /// the paper; we use the same morphing configuration).
-pub fn fig8(scale: Scale) -> Table {
-    let title = "Figure 8: No Code Optimization versus Code Optimization";
-    slowdown_table(title, scale, &fig8_configs())
+pub fn fig8(ms: &[Measurement]) -> Table {
+    slowdown_table(
+        "Figure 8: No Code Optimization versus Code Optimization",
+        ms,
+    )
 }
 
 /// The Figure 9 configuration set.
-pub(crate) fn fig9_configs() -> Vec<(String, VirtualArchConfig)> {
+pub fn fig9_configs() -> Vec<(String, VirtualArchConfig)> {
     vec![
         (
             "1mem/9trans".to_string(),
@@ -135,20 +116,11 @@ pub(crate) fn fig9_configs() -> Vec<(String, VirtualArchConfig)> {
     ]
 }
 
-/// Runs the Figure 9 sweep once (shared by Figures 9 and 10).
-pub fn fig9_measurements(scale: Scale) -> Vec<Measurement> {
-    sweep(scale, &fig9_configs())
-}
-
 /// Figure 9: static vs morphing configurations (absolute slowdown).
 pub fn fig9(ms: &[Measurement]) -> Table {
-    Table::from_measurements(
+    slowdown_table(
         "Figure 9: Trading Silicon Between L2 Data Cache and Translation",
-        "slowdown vs Pentium III (lower is better)",
-        &labels(&fig9_configs()),
         ms,
-        Format::Fixed1,
-        Measurement::slowdown,
     )
 }
 
@@ -235,19 +207,21 @@ pub fn cpi_analysis() -> String {
     )
 }
 
-/// The §1 headline: slowdown range across the suite at the default
-/// configuration ("approximately a 7x-110x slowdown").
-pub fn headline(scale: Scale) -> Table {
-    let configs = vec![(
+/// The §1 headline's one configuration, the default machine.
+pub fn headline_configs() -> Vec<(String, VirtualArchConfig)> {
+    vec![(
         "6-speculative".to_string(),
         VirtualArchConfig::paper_default(),
-    )];
-    let ms = sweep(scale, &configs);
+    )]
+}
+
+/// The §1 headline: slowdown range across the suite at the default
+/// configuration ("approximately a 7x-110x slowdown").
+pub fn headline(ms: &[Measurement]) -> Table {
     Table::from_measurements(
         "Headline: slowdown vs Pentium III at the default configuration",
         "slowdown (paper reports 7x-110x across SpecInt)",
-        &labels(&configs),
-        &ms,
+        ms,
         Format::Fixed1,
         Measurement::slowdown,
     )

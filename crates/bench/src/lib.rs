@@ -1,14 +1,17 @@
 //! # vta-bench — the experiment harness
 //!
 //! Regenerates every figure and table of the paper's evaluation (§4) from
-//! the simulated system. Each `figN` function returns a [`Table`] whose
-//! rows are the eleven benchmarks and whose columns are the paper's
-//! machine configurations; `vta figures` prints them. The `vta` binary
-//! (`src/bin/vta.rs`) is the one CLI over everything in this crate.
+//! the simulated system. Each figure is a function of the cells of its own
+//! configurations, and returns a [`Table`] whose rows are the eleven
+//! benchmarks and whose columns are the paper's machine configurations;
+//! `vta figures` prints them. The `vta` binary (`src/bin/vta.rs`) is the
+//! one CLI over everything in this crate.
 //!
 //! Runs are embarrassingly parallel (each `(benchmark, config)` pair is
-//! an independent simulation), so sweeps fan out across host threads with
-//! `std::thread::scope`.
+//! an independent simulation), so a sweep fans out across host threads
+//! with `std::thread::scope`. Figures and gate rows that compare the same
+//! machine read one sweep ([`sweep_lists`]), which simulates each
+//! distinct configuration once per benchmark.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -21,12 +24,10 @@ pub mod profile;
 pub mod table;
 pub mod trace;
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use vta_dbt::{RunReport, SharedTranslations, StopCause, System, VirtualArchConfig};
-use vta_ir::OptLevel;
 use vta_pentium::PentiumModel;
 use vta_workloads::{Scale, Workload};
 use vta_x86::GuestImage;
@@ -176,22 +177,6 @@ pub fn piii_cycles_for(bench: &str, image: &GuestImage) -> u64 {
         .cycles
 }
 
-/// One [`SharedTranslations`] memo per distinct `(opt level, superblock)`
-/// pair in `configs` — translations formed under different region limits
-/// are not interchangeable, and `attach_shared` would (silently) refuse
-/// a memo whose limits disagree with the system's.
-fn shared_per_opt(
-    configs: &[(String, VirtualArchConfig)],
-) -> HashMap<(OptLevel, bool), Arc<SharedTranslations>> {
-    let mut memos = HashMap::new();
-    for (_, cfg) in configs {
-        memos
-            .entry((cfg.opt, cfg.superblock))
-            .or_insert_with(|| SharedTranslations::with_limits(cfg.opt, cfg.region_limits()));
-    }
-    memos
-}
-
 /// Runs `f` over `jobs` on at most `threads` scoped host threads,
 /// returning the results in job order.
 ///
@@ -240,13 +225,6 @@ where
     all.into_iter().map(|(_, t)| t).collect()
 }
 
-/// Fans a set of `(config_label, config)` pairs across every benchmark:
-/// [`sweep_threads`] on as many host threads as the host has cores.
-pub(crate) fn sweep(scale: Scale, configs: &[(String, VirtualArchConfig)]) -> Vec<Measurement> {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    sweep_threads(scale, configs, cores)
-}
-
 /// A unit of [`sweep_threads`]' work: one guest's reference pass, or one
 /// cell with its own handle on its guest's translation memo.
 enum Job {
@@ -254,7 +232,7 @@ enum Job {
     Cell {
         bench: usize,
         config: usize,
-        memo: Option<Arc<SharedTranslations>>,
+        memo: Arc<SharedTranslations>,
     },
 }
 
@@ -272,39 +250,55 @@ enum Done {
 /// Runs every `(benchmark, config)` cell on at most `threads` host
 /// threads and returns them benchmark-major, in `configs` order.
 ///
-/// The cells of one benchmark share a [`SharedTranslations`] memo (one
-/// per opt level and superblock setting). Each cell owns a handle on it
-/// and the sweep keeps none, so a memo lives exactly as long as its
-/// benchmark's cells: the worker that finishes the last of them frees
-/// it, while the other workers run on. Jobs are taken in benchmark
-/// order, so at most about `threads` benchmarks' memos are alive at
-/// once.
+/// A configuration `==` to an earlier one in `configs` is not simulated
+/// again: its cells are the earlier one's run under its own label,
+/// `wall_seconds` included (the last label to read a run takes its
+/// report, any other a copy).
+///
+/// The cells of one benchmark share a [`SharedTranslations`] memo per
+/// opt level and superblock setting (a system refuses a memo whose region
+/// limits differ from its own), and are queued setting by setting, the
+/// setting with the fewest configurations first. Each cell owns a handle
+/// on its memo and the sweep keeps none, so the worker that finishes a
+/// setting's last cell frees its memo before the next setting's cells
+/// start, and the small memos are gone before the largest grows. Jobs
+/// are taken in benchmark order, so at most about `threads` benchmarks'
+/// memos are alive at once.
 ///
 /// One [`Reference`] pass per benchmark, a job in the same pool placed
 /// before that benchmark's cells, gives the cells their PIII cycles;
 /// once the pool drains, a cell that differs from it panics, naming the
-/// cell.
+/// cell under each of its labels.
 ///
 /// The result vector is identical (order and content) for every
-/// `threads` value: cells are placed by job index and each cell is an
-/// independent deterministic simulation.
+/// `threads` value: cells are placed by configuration index and each cell
+/// is an independent deterministic simulation.
 pub fn sweep_threads(
     scale: Scale,
     configs: &[(String, VirtualArchConfig)],
     threads: usize,
 ) -> Vec<Measurement> {
     let suite: Vec<Workload> = vta_workloads::all(scale);
-    let mut jobs = Vec::with_capacity(suite.len() * (configs.len() + 1));
+    let same = |i: usize, j: usize| configs[i].1 == configs[j].1;
+    let setting = |i: usize| (configs[i].1.opt, configs[i].1.superblock);
+    let alike = |i: usize| (0..configs.len()).filter(move |&j| setting(j) == setting(i));
+    // Only a configuration equal to none before it runs.
+    let mut runs: Vec<_> = (0..configs.len())
+        .filter(|&i| (0..i).all(|j| !same(i, j)))
+        .collect();
+    runs.sort_by_key(|&i| (alike(i).count(), alike(i).next()));
+
+    let mut jobs = Vec::with_capacity(suite.len() * (runs.len() + 1));
     for bench in 0..suite.len() {
         jobs.push(Job::Reference(bench));
-        let memos = shared_per_opt(configs);
-        for (config, (_, cfg)) in configs.iter().enumerate() {
-            let memo = memos.get(&(cfg.opt, cfg.superblock)).cloned();
-            jobs.push(Job::Cell {
+        for group in runs.chunk_by(|&a, &b| setting(a) == setting(b)) {
+            let cfg = &configs[group[0]].1;
+            let memo = SharedTranslations::with_limits(cfg.opt, cfg.region_limits());
+            jobs.extend(group.iter().map(|&config| Job::Cell {
                 bench,
                 config,
-                memo,
-            });
+                memo: Arc::clone(&memo),
+            }));
         }
     }
 
@@ -318,7 +312,7 @@ pub fn sweep_threads(
             let w = &suite[bench];
             let (label, cfg) = &configs[config];
             let (report, wall_seconds) =
-                run_cell(w.name, &w.image, label, cfg.clone(), memo.as_ref());
+                run_cell(w.name, &w.image, label, cfg.clone(), Some(&memo));
             Done::Cell {
                 bench,
                 config,
@@ -328,33 +322,58 @@ pub fn sweep_threads(
         }
     });
 
-    let mut reference = None;
+    let mut references = Vec::with_capacity(suite.len());
     let mut out = Vec::with_capacity(suite.len() * configs.len());
     for d in done {
         match d {
-            Done::Reference(r) => reference = Some(r),
+            Done::Reference(r) => references.push(r),
+            // `done` is in job order: a benchmark's reference precedes its
+            // cells. Every label of the configuration reads the one run.
             Done::Cell {
                 bench,
                 config,
                 report,
                 wall_seconds,
             } => {
-                let r = reference
-                    .as_ref()
-                    .expect("a benchmark's reference precedes its cells");
-                let (name, label) = (suite[bench].name, &configs[config].0);
-                r.require(&format!("{name}/{label}"), &report);
-                out.push(Measurement {
-                    bench: name.to_string(),
-                    config: label.clone(),
-                    report: *report,
-                    piii_cycles: r.piii_cycles,
-                    wall_seconds,
-                });
+                let (name, r) = (suite[bench].name, &references[bench]);
+                let labels: Vec<usize> = (0..configs.len()).filter(|&i| same(i, config)).collect();
+                let reports = std::iter::repeat_n(report, labels.len());
+                for (&i, report) in labels.iter().zip(reports) {
+                    let label = &configs[i].0;
+                    r.require(&format!("{name}/{label}"), &report);
+                    let m = Measurement {
+                        bench: name.to_string(),
+                        config: label.clone(),
+                        report: *report,
+                        piii_cycles: r.piii_cycles,
+                        wall_seconds,
+                    };
+                    out.push((bench * configs.len() + i, m));
+                }
             }
         }
     }
-    out
+    out.sort_by_key(|&(at, _)| at);
+    out.into_iter().map(|(_, m)| m).collect()
+}
+
+/// [`sweep_threads`] over the concatenation of `lists`, once, split back
+/// into each list's cells: benchmark-major in that list's order, what a
+/// sweep of the list alone returns. A configuration several lists name
+/// is simulated once.
+pub fn sweep_lists(
+    scale: Scale,
+    lists: &[Vec<(String, VirtualArchConfig)>],
+    threads: usize,
+) -> Vec<Vec<Measurement>> {
+    let mut cells = sweep_threads(scale, &lists.concat(), threads).into_iter();
+    let mut parts: Vec<Vec<Measurement>> = lists.iter().map(|_| Vec::new()).collect();
+    while cells.len() > 0 {
+        for (part, list) in parts.iter_mut().zip(lists) {
+            part.extend(cells.by_ref().take(list.len()));
+        }
+    }
+    parts
 }
 
 #[cfg(test)]
@@ -371,26 +390,46 @@ mod tests {
     }
 
     #[test]
-    fn sweep_covers_all_pairs() {
+    fn sweep_lists_splits_one_sweep_into_each_lists_cells() {
+        let cfg = VirtualArchConfig::paper_default();
+        let named = |label: &str| (label.to_string(), cfg.clone());
+        let lists = [vec![named("a")], vec![], vec![named("b"), named("c")]];
+        let parts = sweep_lists(Scale::Test, &lists, 2);
+        let labels: Vec<Vec<&str>> = parts
+            .iter()
+            .map(|p| p.iter().map(|m| m.config.as_str()).collect())
+            .collect();
+        assert_eq!(labels, [vec!["a"; 11], vec![], ["b", "c"].repeat(11)]);
+        for (i, m) in parts[0].iter().enumerate() {
+            assert_eq!(m.bench, parts[2][2 * i].bench, "benchmark-major");
+            assert_eq!(m.report.cycles, parts[2][2 * i + 1].report.cycles);
+        }
+    }
+
+    /// The result is the same at every width, and a configuration equal to
+    /// an earlier one is the earlier one's run under its own label.
+    #[test]
+    fn bounded_sweep_is_thread_count_invariant() {
+        let a = VirtualArchConfig::paper_default();
         let configs = vec![
-            ("a".to_string(), VirtualArchConfig::paper_default()),
+            ("a".to_string(), a.clone()),
             (
                 "b".to_string(),
                 VirtualArchConfig::with_translators(2, true),
             ),
+            ("a-again".to_string(), a),
         ];
-        let ms = sweep(Scale::Test, &configs);
-        assert_eq!(ms.len(), 11 * 2);
-    }
-
-    #[test]
-    fn bounded_sweep_is_thread_count_invariant() {
-        let configs = vec![("a".to_string(), VirtualArchConfig::paper_default())];
-        let serial = sweep_threads(Scale::Test, &configs, 1);
-        let bounded = sweep_threads(Scale::Test, &configs, 3);
+        // The two sweeps are independent: run them side by side.
+        let (serial, bounded) = std::thread::scope(|s| {
+            let serial = s.spawn(|| sweep_threads(Scale::Test, &configs, 1));
+            let bounded = sweep_threads(Scale::Test, &configs, 3);
+            (serial.join().expect("the serial sweep completes"), bounded)
+        });
+        assert_eq!(serial.len(), 11 * 3);
         assert_eq!(serial.len(), bounded.len());
         for (s, b) in serial.iter().zip(&bounded) {
             assert_eq!(s.bench, b.bench, "canonical job order");
+            assert_eq!(s.config, b.config, "canonical job order");
             assert_eq!(s.report.cycles, b.report.cycles, "{}", s.bench);
             assert_eq!(
                 s.report.stats.first_difference(&b.report.stats),
@@ -398,6 +437,23 @@ mod tests {
                 "{}",
                 s.bench
             );
+        }
+        for ms in [&serial, &bounded] {
+            for guest in ms.chunks(3) {
+                let labels: Vec<&str> = guest.iter().map(|m| m.config.as_str()).collect();
+                assert_eq!(labels, ["a", "b", "a-again"], "requested order");
+                let (a, again) = (&guest[0], &guest[2]);
+                assert_eq!(a.bench, again.bench);
+                assert_eq!(a.report.cycles, again.report.cycles, "{}", a.bench);
+                assert_eq!(a.report.stats, again.report.stats, "{}", a.bench);
+                assert_eq!(a.piii_cycles, again.piii_cycles, "{}", a.bench);
+                assert_eq!(
+                    a.wall_seconds.to_bits(),
+                    again.wall_seconds.to_bits(),
+                    "{}: one run serves both labels",
+                    a.bench
+                );
+            }
         }
     }
 

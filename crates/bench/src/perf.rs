@@ -144,15 +144,21 @@ impl Entry {
 /// The `paper_default_cycles` and `paper_default_stats_fp` sections: each
 /// fingerprint guest's simulated cycles and
 /// [`Stats::fingerprint`](vta_sim::Stats::fingerprint) under
-/// `paper_default` at `Scale::Test`.
-pub fn paper_default_entries() -> Vec<Entry> {
-    // interp rides along beyond the paper's trio: its computed-goto
-    // dispatch drives the indirect-target inline cache, so fingerprint
-    // drift there catches cache-state nondeterminism the others can't.
+/// `paper_default` at `Scale::Test`, read from its cell among `cells`
+/// (`paper_default` cells at `Scale::Test`) or, with none there, from a
+/// run of its own held to its [`Reference`].
+pub fn paper_default_entries(cells: &[Measurement]) -> Vec<Entry> {
+    // interp rides along beyond the paper's trio, from outside the sweep
+    // suite: its computed-goto dispatch drives the indirect-target inline
+    // cache, so fingerprint drift there catches cache-state
+    // nondeterminism the others can't.
     let runs: Vec<(&str, RunReport)> = ["gzip", "mcf", "crafty", "interp"]
         .into_iter()
         .map(|name| {
             let w = vta_workloads::by_name(name, Scale::Test).expect("benchmark exists");
+            if let Some(m) = cells.iter().find(|m| m.bench == w.name) {
+                return (name, m.report.clone());
+            }
             let report = System::new(VirtualArchConfig::paper_default(), &w.image)
                 .run(crate::RUN_BUDGET)
                 .expect("benchmark runs");
@@ -346,23 +352,33 @@ pub(crate) fn translation_entries(threads: usize) -> Vec<Entry> {
 /// `sweep_digest` per figure sweep, 16 configurations × 11 guests), the
 /// `gate_digests` (`single_block`: the `sweep_digest` of every guest
 /// with superblocks off and at `OptLevel::None`; `metrics_vpr`) and the
-/// `translation_entries`. The sweeps run on `threads` host threads,
-/// and the result is the same for every `threads`. Every cell is held to
-/// its guest's [`Reference`] before it is digested.
+/// `translation_entries`. One sweep on `threads` host threads runs every
+/// configuration they read, each distinct one once per guest; the result
+/// is the same for every `threads`, and every cell is held to its
+/// guest's [`Reference`] before it is digested.
 pub fn entries(threads: usize) -> Vec<Entry> {
     use crate::figures::{fig4_configs, fig5_configs, fig8_configs, fig9_configs};
-    let sweeps = [
+    let rows = [
         ("figure_sweep_digests", "fig4", fig4_configs()),
         ("figure_sweep_digests", "fig5", fig5_configs()),
         ("figure_sweep_digests", "fig8", fig8_configs()),
         ("figure_sweep_digests", "fig9", fig9_configs()),
         ("gate_digests", "single_block", single_block_configs()),
     ];
-    let mut out = paper_default_entries();
-    for (section, row, configs) in sweeps {
-        let ms = crate::sweep_threads(Scale::Test, &configs, threads);
-        out.push(Entry::new(section, row, sweep_digest(&ms)));
-    }
+    let mut lists: Vec<_> = rows.iter().map(|(_, _, configs)| configs.clone()).collect();
+    lists.push(vec![(
+        "paper_default".to_string(),
+        VirtualArchConfig::paper_default(),
+    )]);
+    let mut parts = crate::sweep_lists(Scale::Test, &lists, threads).into_iter();
+    let digests: Vec<Entry> = rows
+        .iter()
+        .zip(parts.by_ref())
+        .map(|((section, row, _), ms)| Entry::new(section, row, sweep_digest(&ms)))
+        .collect();
+    let defaults: Vec<Measurement> = parts.flatten().collect();
+    let mut out = paper_default_entries(&defaults);
+    out.extend(digests);
     out.push(Entry::new(
         "gate_digests",
         "metrics_vpr",

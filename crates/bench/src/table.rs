@@ -1,7 +1,5 @@
 //! Result tables: one row per benchmark, one column per configuration.
 
-use std::collections::BTreeMap;
-
 use crate::Measurement;
 
 /// How cell values should be rendered.
@@ -31,33 +29,25 @@ pub struct Table {
 }
 
 impl Table {
-    /// Assembles a table from measurements using `metric` per cell.
+    /// Assembles a table from a figure's cells, benchmark-major as a sweep
+    /// returns them, using `metric` per cell: a row per benchmark, a
+    /// column per configuration.
     pub(crate) fn from_measurements(
         title: &str,
         metric_name: &str,
-        columns: &[String],
         measurements: &[Measurement],
         format: Format,
         metric: impl Fn(&Measurement) -> f64,
     ) -> Table {
-        let mut by_bench: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
-        for m in measurements {
-            let col = columns
-                .iter()
-                .position(|c| *c == m.config)
-                .expect("measurement config must be a column");
-            let row = by_bench
-                .entry(m.bench.as_str())
-                .or_insert_with(|| vec![f64::NAN; columns.len()]);
-            row[col] = metric(m);
-        }
+        let rows: Vec<&[Measurement]> = measurements.chunk_by(|a, b| a.bench == b.bench).collect();
+        let labels = |row: &[Measurement]| row.iter().map(|m| m.config.clone()).collect();
         Table {
             title: title.to_string(),
             metric: metric_name.to_string(),
-            columns: columns.to_vec(),
-            rows: by_bench
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
+            columns: rows.first().map_or_else(Vec::new, |row| labels(row)),
+            rows: rows
+                .iter()
+                .map(|row| (row[0].bench.clone(), row.iter().map(&metric).collect()))
                 .collect(),
             format,
         }
@@ -100,6 +90,15 @@ impl Table {
             out.push('\n');
         }
         out
+    }
+
+    /// [`Table::render`], or [`Table::to_csv`] with `csv`.
+    pub fn text(&self, csv: bool) -> String {
+        if csv {
+            self.to_csv()
+        } else {
+            self.render()
+        }
     }
 
     /// Renders as CSV (for plotting).

@@ -97,13 +97,14 @@ fn all_observers_on_do_not_change_a_single_cycle() {
 /// cycles and stats digest — must match what the tree actually
 /// simulates. This is the regression net for the whole observability
 /// subsystem (and any other change): simulated behavior cannot drift
-/// silently. The sweep sections are `vta check`'s (too slow for a debug
-/// test build).
+/// silently. The rows come from the function `vta check` builds them
+/// with, here with every fingerprint guest run on its own; the sweep
+/// sections are `vta check`'s (too slow for a debug test build).
 #[test]
 fn fingerprints_match_checked_in_json() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_dispatch.json");
     let json = std::fs::read_to_string(path).expect("BENCH_dispatch.json exists");
-    let simulated = perf::paper_default_entries();
+    let simulated = perf::paper_default_entries(&[]);
     let frozen: Vec<perf::Entry> = perf::parse_json(&json)
         .expect("parseable BENCH_dispatch.json")
         .into_iter()

@@ -66,7 +66,11 @@
 #     bounded_map(usize::MAX, ..) under crates/*/src; and the L1 code
 #     cache's index is an AddrMap too, so no second address table
 #     (TOMB, fn rehash, fn hash_addr) in crates/dbt/src/codecache.rs
-#     outside its tests
+#     outside its tests; and each run makes one sweep that every reader
+#     takes its cells from, so no sweep( / sweep_threads( / sweep_lists(
+#     in crates/bench/src/figures.rs outside its tests and at most one
+#     sweep_threads( / sweep_lists( in crates/bench/src/perf.rs outside
+#     its tests
 #   clippy
 #   doc: the public docs build with every rustdoc warning an error, so
 #     no public doc links an item that is not public (pub means another
@@ -168,7 +172,11 @@ run_stage "fmt" \
 # host threads, so its memory follows the cells in flight, not the cells
 # in the sweep: no width of usize::MAX. The L1 code cache indexes its
 # slots with the same AddrMap: no hand-written open-addressed table
-# (tombstones, rehash, a private hash) comes back beside it.
+# (tombstones, rehash, a private hash) comes back beside it. Several
+# figures and gate rows compare the same machine, so a run sweeps once
+# and each reader takes its own cells from that sweep: a figure is a
+# function of the cells it is handed and sweeps nothing, and the gate
+# makes one sweep.
 #
 # siphash_addr_tables: prints each such table outside the tests of
 # crates/dbt/src/*.rs and of crates/ir/src/record.rs, which holds the
@@ -182,6 +190,24 @@ siphash_addr_tables() {
             found=0
         fi
     done
+    return $found
+}
+# extra_sweeps: prints each sweep call outside the tests of
+# crates/bench/src/figures.rs, and each in crates/bench/src/perf.rs if
+# there is more than one; true if it printed any.
+extra_sweeps() {
+    local found=1 n
+    local call='(^|[^a-z_])sweep(_threads|_lists)?\('
+    if sed '/^#\[cfg(test)\]/q' crates/bench/src/figures.rs | grep -nE "$call" |
+        sed 's|^|crates/bench/src/figures.rs:|'; then
+        found=0
+    fi
+    n="$(sed '/^#\[cfg(test)\]/q' crates/bench/src/perf.rs | grep -cE "$call" || true)"
+    if [ "$n" -gt 1 ]; then
+        sed '/^#\[cfg(test)\]/q' crates/bench/src/perf.rs | grep -nE "$call" |
+            sed 's|^|crates/bench/src/perf.rs:|'
+        found=0
+    fi
     return $found
 }
 no_env_stage() {
@@ -216,7 +242,8 @@ no_env_stage() {
         ! grep -rn 'page_slices' crates/dbt/src &&
         ! grep -rnE 'sweep_threads\(.*usize::MAX|bounded_map\(usize::MAX' crates/*/src &&
         ! grep -nE '^\s*(pub(\(crate\))? )?(busy_cycles|completed):' crates/dbt/src/slave.rs &&
-        ! sed '/^#\[cfg(test)\]/q' crates/dbt/src/codecache.rs | grep -n 'TOMB\|fn rehash\|fn hash_addr'
+        ! sed '/^#\[cfg(test)\]/q' crates/dbt/src/codecache.rs | grep -n 'TOMB\|fn rehash\|fn hash_addr' &&
+        ! extra_sweeps
 }
 run_stage "no-env, no-clock (library crates)" \
     no_env_stage
@@ -238,7 +265,8 @@ run_stage "test" \
 # cycles and stats digests, the figure sweep digests (fig4/5/8/9) and the
 # gate digests (single_block, metrics_vpr) — must match bit-for-bit, and
 # the check output itself must not depend on how many host threads the
-# sweeps fan out over.
+# sweep fans out over. Each vta check makes one sweep: every distinct
+# configuration runs once per guest, and every row reads its cells.
 determinism_stage() {
     # No `trap ... RETURN` here: a RETURN trap set inside a function
     # stays installed for every later function return in the script
