@@ -291,7 +291,7 @@ fn eat_translation(h: &mut Fnv1a, at: u32, t: &Result<TBlock, TranslateError>) {
     h.eat(&b.translate_cycles.to_le_bytes());
     // The member spans, the footprint spans, then the member counts: the
     // order the frozen `translation_digests` rows were hashed in.
-    let ranges: Vec<(u32, u32)> = b.members.iter().map(|m| (m.addr, m.len)).collect();
+    let ranges: Vec<(u32, u32)> = b.members().map(|m| (m.addr, m.len)).collect();
     for list in [&ranges[..], b.footprint.spans()] {
         h.eat(&(list.len() as u32).to_le_bytes());
         for &(addr, len) in list {
@@ -299,8 +299,8 @@ fn eat_translation(h: &mut Fnv1a, at: u32, t: &Result<TBlock, TranslateError>) {
             h.eat(&len.to_le_bytes());
         }
     }
-    h.eat(&(b.members.len() as u32).to_le_bytes());
-    for m in b.members.iter() {
+    h.eat(&(b.members().len() as u32).to_le_bytes());
+    for m in b.members() {
         h.eat(&m.insns.to_le_bytes());
     }
 }

@@ -570,21 +570,18 @@ mod tests {
     use vta_raw::isa::RInsn;
 
     fn block(addr: u32, insns: usize) -> Arc<TBlock> {
-        Arc::new(TBlock {
-            guest_addr: addr,
-            guest_len: 4,
-            guest_insns: 1,
-            code: vec![RInsn::Nop; insns],
-            translate_cycles: 100,
-            term: vta_ir::mir::Term::Halt,
-            is_call: false,
-            members: Box::new([vta_ir::Member {
-                addr,
-                len: 4,
-                insns: 1,
-            }]),
-            footprint: vta_ir::Footprint::default(),
-        })
+        let entry = vta_ir::Member {
+            addr,
+            len: 4,
+            insns: 1,
+        };
+        Arc::new(TBlock::new(
+            entry,
+            &[],
+            vec![RInsn::Nop; insns],
+            vta_ir::mir::Term::Halt,
+            vta_ir::Footprint::default(),
+        ))
     }
 
     #[test]

@@ -850,24 +850,21 @@ pub(crate) mod tests {
                     for &(start, len) in read.iter().filter(|s| s.1 > 0) {
                         model.extend(start / 4096..=(start + len - 1) / 4096);
                     }
-                    let block = Arc::new(TBlock {
-                        guest_addr: ranges[0].0,
-                        guest_len: ranges[0].1,
-                        guest_insns: ranges.len() as u32,
-                        code: Vec::new(),
-                        translate_cycles: 100,
-                        term: Term::Halt,
-                        is_call: false,
-                        members: ranges
-                            .iter()
-                            .map(|&(addr, len)| vta_ir::Member {
-                                addr,
-                                len,
-                                insns: 1,
-                            })
-                            .collect(),
-                        footprint: vta_ir::Footprint::new(read),
-                    });
+                    let members: Vec<vta_ir::Member> = ranges
+                        .iter()
+                        .map(|&(addr, len)| vta_ir::Member {
+                            addr,
+                            len,
+                            insns: 1,
+                        })
+                        .collect();
+                    let block = Arc::new(TBlock::new(
+                        members[0],
+                        &members[1..],
+                        Vec::new(),
+                        Term::Halt,
+                        vta_ir::Footprint::new(read),
+                    ));
                     m.install(block, &RegionShape::Single, &mut w.outside());
                 } else {
                     let page = page(&mut rng);

@@ -244,42 +244,30 @@ mod tests {
     const ROOT: u32 = 0x1000;
     const BODY: u32 = 0x1010;
 
-    fn single(addr: u32, term: Term) -> TBlock {
-        TBlock {
-            guest_addr: addr,
-            guest_len: 4,
-            guest_insns: 2,
-            code: vec![RInsn::Nop],
-            translate_cycles: 100,
-            term,
-            is_call: false,
-            members: Box::new([Member {
-                addr,
-                len: 4,
-                insns: 2,
-            }]),
-            footprint: vta_ir::Footprint::default(),
+    /// A member of 4 bytes and 2 instructions at `addr`.
+    fn member(addr: u32) -> Member {
+        Member {
+            addr,
+            len: 4,
+            insns: 2,
         }
+    }
+
+    fn single(addr: u32, term: Term) -> TBlock {
+        let footprint = vta_ir::Footprint::default();
+        TBlock::new(member(addr), &[], vec![RInsn::Nop], term, footprint)
     }
 
     /// The region ROOT → BODY, looping back to ROOT.
     fn region() -> TBlock {
-        TBlock {
-            guest_insns: 4,
-            members: Box::new([
-                Member {
-                    addr: ROOT,
-                    len: 4,
-                    insns: 2,
-                },
-                Member {
-                    addr: BODY,
-                    len: 4,
-                    insns: 2,
-                },
-            ]),
-            ..single(ROOT, Term::Goto(ROOT))
-        }
+        let (code, footprint) = (vec![RInsn::Nop], vta_ir::Footprint::default());
+        TBlock::new(
+            member(ROOT),
+            &[member(BODY)],
+            code,
+            Term::Goto(ROOT),
+            footprint,
+        )
     }
 
     /// Runs `block` to `exit` with no guard passed unless it ran fully.

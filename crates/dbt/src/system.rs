@@ -719,11 +719,7 @@ fn assert_fresh(pc: u32, block: &TBlock, mem: &GuestMem) {
          bytes: its footprint {:x?} digests to {now:#018x}, its translation read \
          {read:#018x}",
         block.guest_addr,
-        block
-            .members
-            .iter()
-            .map(|m| (m.addr, m.len))
-            .collect::<Vec<_>>(),
+        block.members().map(|m| (m.addr, m.len)).collect::<Vec<_>>(),
         block.footprint.spans(),
     );
 }

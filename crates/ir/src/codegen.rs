@@ -123,9 +123,7 @@ impl Emitter {
     /// Patches a branch/jump at `at` to target instruction index `target`.
     fn patch(&mut self, at: u32, target: u32) {
         match &mut self.code[at as usize] {
-            RInsn::Branch { target: t, .. } | RInsn::Jump { target: t } => {
-                *t = BranchTarget::Local(target);
-            }
+            RInsn::BranchLocal { target: t, .. } | RInsn::JumpLocal { target: t } => *t = target,
             other => panic!("patch target is not a branch: {other:?}"),
         }
     }
@@ -542,12 +540,12 @@ fn emit_insn(em: &mut Emitter, alloc: &mut Alloc, insn: &MInsn) -> Result<(), Re
         // same extract+branch shape as a terminator conditional.
         MInsn::SideExit { cond, target } => {
             emit_eval_cond(em, SCRATCH[2], cond);
-            em.emit(RInsn::Branch {
-                cond: BrCond::Ne,
-                rs: SCRATCH[2],
-                rt: RReg(0),
-                target: BranchTarget::Guest(target),
-            });
+            em.emit(RInsn::branch(
+                BrCond::Ne,
+                SCRATCH[2],
+                RReg(0),
+                BranchTarget::Guest(target),
+            ));
         }
         MInsn::Boundary { resume } => {
             em.emit(RInsn::SmcGuard { resume });
@@ -559,12 +557,12 @@ fn emit_insn(em: &mut Emitter, alloc: &mut Alloc, insn: &MInsn) -> Result<(), Re
             let rr = alloc.read(reg);
             em.load_const(SCRATCH[2], expected);
             let skip = em.here();
-            em.emit(RInsn::Branch {
-                cond: BrCond::Eq,
-                rs: rr,
-                rt: SCRATCH[2],
-                target: BranchTarget::Local(0), // patched
-            });
+            em.emit(RInsn::branch(
+                BrCond::Eq,
+                rr,
+                SCRATCH[2],
+                BranchTarget::Local(0),
+            )); // patched
             em.emit(RInsn::Dispatch { rs: rr });
             let after = em.here();
             em.patch(skip, after);
@@ -1368,12 +1366,12 @@ fn emit_string(
         len: 1,
     });
     let skip_neg = em.here();
-    em.emit(RInsn::Branch {
-        cond: BrCond::Eq,
-        rs: OUT0,
-        rt: RReg(0),
-        target: BranchTarget::Local(0), // patched
-    });
+    em.emit(RInsn::branch(
+        BrCond::Eq,
+        OUT0,
+        RReg(0),
+        BranchTarget::Local(0),
+    )); // patched
     em.emit(RInsn::Alu {
         op: AluOp::Sub,
         rd: step,
@@ -1417,12 +1415,12 @@ fn emit_string(
     let mut exit_branches = [None; 2];
     if rep != Rep::None {
         exit_branches[0] = Some(em.here());
-        em.emit(RInsn::Branch {
-            cond: BrCond::Eq,
-            rs: ecx,
-            rt: RReg(0),
-            target: BranchTarget::Local(0), // patched to end
-        });
+        em.emit(RInsn::branch(
+            BrCond::Eq,
+            ecx,
+            RReg(0),
+            BranchTarget::Local(0),
+        )); // patched to end
     }
 
     // Body.
@@ -1543,16 +1541,9 @@ fn emit_string(
                 Rep::None => unreachable!(),
             };
             exit_branches[1] = Some(em.here());
-            em.emit(RInsn::Branch {
-                cond,
-                rs: s,
-                rt: RReg(0),
-                target: BranchTarget::Local(0),
-            });
+            em.emit(RInsn::branch(cond, s, RReg(0), BranchTarget::Local(0)));
         }
-        em.emit(RInsn::Jump {
-            target: BranchTarget::Local(loop_top),
-        });
+        em.emit(RInsn::jump(BranchTarget::Local(loop_top)));
     }
 
     let end = em.here();
@@ -1566,13 +1557,13 @@ fn emit_string(
         let b = bval.expect("scas bval");
         let z = tz.expect("scas tz");
         let skip = em.here();
-        em.emit(RInsn::Branch {
-            cond: BrCond::Eq,
-            rs: z,
-            rt: RReg(0),
-            target: BranchTarget::Local(0), // patched
-        });
-        // res = (a - b) masked, in scratch[2].
+        em.emit(RInsn::branch(
+            BrCond::Eq,
+            z,
+            RReg(0),
+            BranchTarget::Local(0),
+        )); // patched
+            // res = (a - b) masked, in scratch[2].
         let resr = SCRATCH[2];
         em.emit(RInsn::Alu {
             op: AluOp::Sub,
@@ -1611,20 +1602,16 @@ fn emit_string(
 
 fn emit_term(em: &mut Emitter, alloc: &mut Alloc, term: Term) {
     match term {
-        Term::Goto(t) => em.emit(RInsn::Jump {
-            target: BranchTarget::Guest(t),
-        }),
+        Term::Goto(t) => em.emit(RInsn::jump(BranchTarget::Guest(t))),
         Term::CondGoto { cond, taken, fall } => {
             emit_eval_cond(em, SCRATCH[2], cond);
-            em.emit(RInsn::Branch {
-                cond: BrCond::Ne,
-                rs: SCRATCH[2],
-                rt: RReg(0),
-                target: BranchTarget::Guest(taken),
-            });
-            em.emit(RInsn::Jump {
-                target: BranchTarget::Guest(fall),
-            });
+            em.emit(RInsn::branch(
+                BrCond::Ne,
+                SCRATCH[2],
+                RReg(0),
+                BranchTarget::Guest(taken),
+            ));
+            em.emit(RInsn::jump(BranchTarget::Guest(fall)));
         }
         Term::Indirect(r) => {
             let rr = alloc.read(r);
@@ -1634,7 +1621,7 @@ fn emit_term(em: &mut Emitter, alloc: &mut Alloc, term: Term) {
             em.load_const(SYS_RESUME_REG, next);
             em.emit(RInsn::Sys);
         }
-        Term::Trap(cause) => em.emit(RInsn::Trap { cause }),
+        Term::Trap(cause) => em.emit(RInsn::trap(cause)),
         Term::Halt => em.emit(RInsn::Hlt),
     }
 }
@@ -1814,12 +1801,7 @@ mod tests {
             a.jmp(l);
             a.bind(l);
         });
-        assert!(matches!(
-            code.last(),
-            Some(RInsn::Jump {
-                target: BranchTarget::Guest(_)
-            })
-        ));
+        assert!(matches!(code.last(), Some(RInsn::JumpGuest { .. })));
     }
 
     #[test]
@@ -1837,19 +1819,8 @@ mod tests {
         });
         let n = code.len();
         assert!(matches!(code[n - 3], RInsn::Ext { .. }), "{:?}", code);
-        assert!(matches!(
-            code[n - 2],
-            RInsn::Branch {
-                target: BranchTarget::Guest(_),
-                ..
-            }
-        ));
-        assert!(matches!(
-            code[n - 1],
-            RInsn::Jump {
-                target: BranchTarget::Guest(_)
-            }
-        ));
+        assert!(matches!(code[n - 2], RInsn::BranchGuest { .. }));
+        assert!(matches!(code[n - 1], RInsn::JumpGuest { .. }));
     }
 
     #[test]
@@ -1909,12 +1880,7 @@ mod tests {
             a.hlt();
         });
         // Needs at least one local backward jump.
-        assert!(code.iter().any(|i| matches!(
-            i,
-            RInsn::Jump {
-                target: BranchTarget::Local(_)
-            }
-        )));
+        assert!(code.iter().any(|i| matches!(i, RInsn::JumpLocal { .. })));
         assert!(code.iter().any(|i| matches!(i, RInsn::Load { .. })));
         assert!(code.iter().any(|i| matches!(i, RInsn::Store { .. })));
     }

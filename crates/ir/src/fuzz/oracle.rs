@@ -327,18 +327,12 @@ fn stale_execution(block: &TBlock, exit: &BlockExit, dirty: &[u32]) -> bool {
         return false;
     }
     let resumes_before_dirty = match *exit {
-        BlockExit::Goto(r) => block
-            .members
-            .iter()
-            .position(|m| m.addr == r)
-            .is_some_and(|j| {
-                j >= 1
-                    && dirty.iter().all(|&d| {
-                        block.members[j..]
-                            .iter()
-                            .any(|m| d.wrapping_sub(m.addr) < m.len)
-                    })
-            }),
+        BlockExit::Goto(r) => block.members().position(|m| m.addr == r).is_some_and(|j| {
+            j >= 1
+                && dirty
+                    .iter()
+                    .all(|&d| (block.members().skip(j)).any(|m| d.wrapping_sub(m.addr) < m.len))
+        }),
         _ => false,
     };
     !resumes_before_dirty

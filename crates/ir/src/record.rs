@@ -60,7 +60,7 @@ impl BlockFacts {
     pub fn of(block: &TBlock) -> BlockFacts {
         BlockFacts {
             root: block.guest_addr,
-            members: block.members.len() as u32,
+            members: block.members().len() as u32,
             guest_insns: block.guest_insns,
             term: block.term,
         }

@@ -21,7 +21,8 @@
 //! the [`TBlock`] takes its [`TBlock::members`], entry address and
 //! length, instruction count and `is_call` straight from the formed
 //! members and decoded instructions, and the MIR in between relays none
-//! of them.
+//! of them. A plain basic block allocates nothing beside its code: its
+//! one member is the header, and its one footprint span is held inline.
 
 use std::num::NonZeroU64;
 use std::sync::Arc;
@@ -158,10 +159,11 @@ pub struct TBlock {
     pub term: Term,
     /// Whether the block ends in a guest `call` (return predictor).
     pub is_call: bool,
-    /// The member basic blocks, in formation order; a plain basic block
-    /// has exactly one. What the translation depends on — and so what
-    /// revokes it — is [`TBlock::footprint`], not these.
-    pub members: Box<[Member]>,
+    /// The member basic blocks after the entry, in formation order. The
+    /// header describes the entry, so a plain basic block holds an empty
+    /// slice, which does not allocate. Read through
+    /// [`TBlock::members`], which yields the entry first.
+    rest: Box<[Member]>,
     /// Every guest byte this translation depended on: the members'
     /// instructions, the successor code the flag-liveness scan decoded,
     /// and the most any failed decode can have fetched. While these
@@ -189,18 +191,49 @@ pub struct Member {
 /// them, so the run loop can check, on every block entry, that a block
 /// runs only on the bytes it was made from (see
 /// [`Footprint::read_digest`]). Two footprints are equal when their
-/// spans are: the digest is a witness, not part of the set. The spans
-/// are a boxed slice and the digest a non-zero word, so a release
-/// build's footprint is no larger than a `Vec`.
+/// spans are: the digest is a witness, not part of the set. One span is
+/// held inline and more in a boxed slice, whose pointer's niche tags
+/// the two, and the digest is a non-zero word, so a footprint is 24
+/// bytes and one of a single span allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct Footprint {
-    spans: Box<[(u32, u32)]>,
+    spans: Spans,
     read: Option<NonZeroU64>,
 }
 
+/// A [`Footprint`]'s spans: most translations read one run of bytes.
+#[derive(Debug, Clone)]
+enum Spans {
+    One([(u32, u32); 1]),
+    Many(Box<[(u32, u32)]>),
+}
+
+impl Spans {
+    /// `spans`, copied: inline if there is one.
+    fn of(spans: &[(u32, u32)]) -> Spans {
+        match *spans {
+            [one] => Spans::One([one]),
+            _ => Spans::Many(spans.into()),
+        }
+    }
+}
+
+impl Default for Spans {
+    fn default() -> Spans {
+        Spans::Many(Box::default())
+    }
+}
+
+// What every cached translation pays on the host beside its code: one
+// footprint span inline must not grow a footprint past a `Vec`, nor the
+// `TBlock` past the 104 bytes that put an `Arc<TBlock>` in a 128-byte
+// malloc chunk.
+const _: () = assert!(std::mem::size_of::<Footprint>() == 24);
+const _: () = assert!(std::mem::size_of::<TBlock>() <= 104);
+
 impl PartialEq for Footprint {
     fn eq(&self, other: &Footprint) -> bool {
-        self.spans == other.spans
+        self.spans() == other.spans()
     }
 }
 
@@ -213,7 +246,7 @@ impl Footprint {
     pub fn new(mut spans: Vec<(u32, u32)>) -> Footprint {
         normalize(&mut spans);
         Footprint {
-            spans: spans.into(),
+            spans: Spans::of(&spans),
             read: None,
         }
     }
@@ -243,7 +276,7 @@ impl Footprint {
         &'a self,
         src: &'a S,
     ) -> impl Iterator<Item = Result<&'a [u8], u32>> + 'a {
-        self.spans.iter().flat_map(move |&(mut addr, mut left)| {
+        self.spans().iter().flat_map(move |&(mut addr, mut left)| {
             std::iter::from_fn(move || {
                 (left > 0).then(|| {
                     let window = src.window(addr);
@@ -269,20 +302,24 @@ impl Footprint {
 
     /// The spans, ascending.
     pub fn spans(&self) -> &[(u32, u32)] {
-        &self.spans
+        match &self.spans {
+            Spans::One(one) => one,
+            Spans::Many(many) => many,
+        }
     }
 
     /// Whether `addr` is one of the bytes.
     pub fn covers(&self, addr: u32) -> bool {
-        let after = self.spans.partition_point(|&(start, _)| start <= addr);
-        after > 0 && addr - self.spans[after - 1].0 < self.spans[after - 1].1
+        let spans = self.spans();
+        let after = spans.partition_point(|&(start, _)| start <= addr);
+        after > 0 && addr - spans[after - 1].0 < spans[after - 1].1
     }
 
     /// The 4 KiB guest pages holding any of the bytes, ascending, each
     /// once.
     pub fn pages(&self) -> impl Iterator<Item = u32> + '_ {
         let mut unseen = 0;
-        self.spans.iter().flat_map(move |&(start, len)| {
+        self.spans().iter().flat_map(move |&(start, len)| {
             let first = (start >> 12).max(unseen);
             unseen = ((start + (len - 1)) >> 12) + 1;
             first..unseen
@@ -316,6 +353,31 @@ fn normalize(spans: &mut Vec<(u32, u32)>) {
 }
 
 impl TBlock {
+    /// A block of `code` over the member `entry` and the members `rest`
+    /// after it, ending in `term` and depending on the bytes of
+    /// `footprint`: the header takes the entry's address and length and
+    /// the members' instruction count. It charges no translation cycles
+    /// and ends in no `call` until those fields say otherwise.
+    pub fn new(
+        entry: Member,
+        rest: &[Member],
+        code: Vec<RInsn>,
+        term: Term,
+        footprint: Footprint,
+    ) -> TBlock {
+        TBlock {
+            guest_addr: entry.addr,
+            guest_len: entry.len,
+            guest_insns: rest.iter().fold(entry.insns, |n, m| n + m.insns),
+            code,
+            translate_cycles: 0,
+            term,
+            is_call: false,
+            rest: rest.into(),
+            footprint,
+        }
+    }
+
     /// Host code size in bytes (for code-cache accounting).
     pub fn host_bytes(&self) -> u32 {
         self.code.len() as u32 * RInsn::SIZE_BYTES
@@ -323,30 +385,48 @@ impl TBlock {
 
     /// Whether the block is a multi-member superblock region.
     pub fn is_region(&self) -> bool {
-        self.members.len() > 1
+        !self.rest.is_empty()
+    }
+
+    /// The member basic blocks, in formation order: the entry (the
+    /// header's address and length) first, so a plain basic block has
+    /// exactly one. What the translation depends on — and so what
+    /// revokes it — is [`TBlock::footprint`], not these.
+    pub fn members(&self) -> impl ExactSizeIterator<Item = Member> + '_ {
+        (0..self.rest.len() + 1).map(|i| match i.checked_sub(1) {
+            None => Member {
+                addr: self.guest_addr,
+                len: self.guest_len,
+                insns: self.guest_insns - self.rest.iter().map(|m| m.insns).sum::<u32>(),
+            },
+            Some(j) => self.rest[j],
+        })
     }
 
     /// Guest instructions a run of this block retired, given the member
     /// boundaries it crossed: one that left through a side exit (or a
     /// firing SMC guard) after `guards_passed` boundaries ran members
     /// `0..=guards_passed` only, and a full run ran all of them. The run
-    /// loop asks once per block exit; a full run reads
-    /// [`TBlock::guest_insns`], not the member list.
+    /// loop asks once per block exit; a plain block, or a full run, reads
+    /// [`TBlock::guest_insns`] after one comparison.
     #[inline]
     pub fn retired(&self, guards_passed: u32) -> u64 {
-        let ran = (guards_passed as usize).saturating_add(1);
-        if ran >= self.members.len() {
+        // The members after the entry that the run reached.
+        let reached = guards_passed as usize;
+        if reached >= self.rest.len() {
             u64::from(self.guest_insns)
         } else {
-            self.members[..ran].iter().map(|m| u64::from(m.insns)).sum()
+            let missed: u32 = self.rest[reached..].iter().map(|m| m.insns).sum();
+            u64::from(self.guest_insns - missed)
         }
     }
 
     /// Guest address one past the last member block — the return address
     /// the paper's return predictor speculates for `call` regions.
     pub fn end_addr(&self) -> u32 {
-        let last = self.members.last().expect("a block has its entry member");
-        last.addr.wrapping_add(last.len)
+        let (addr, len) =
+            (self.rest.last()).map_or((self.guest_addr, self.guest_len), |m| (m.addr, m.len));
+        addr.wrapping_add(len)
     }
 }
 
@@ -453,7 +533,8 @@ pub fn translate_region_along<S: CodeSource + ?Sized>(
 /// Each buffer is cleared at its first use in a translation and keeps its
 /// capacity for the next, so once the buffers have grown to the blocks a
 /// caller translates, the only heap memory a translation allocates is the
-/// [`TBlock`] it returns (its `code`, `members` and footprint). Nothing
+/// [`TBlock`] it returns: its `code`, and for a region or a footprint of
+/// more than one span, the members after the entry and the spans. Nothing
 /// else carries from one translation to the next: a translation is the
 /// same function of the bytes it read whether the context is fresh or has
 /// translated a million blocks before, and a fresh one allocates nothing.
@@ -613,7 +694,10 @@ impl Translator {
         let guest_insns = members.last().expect("the entry is a member").end as u32;
         // Canonical in the reused buffer, so the copy is exact.
         normalize(&mut self.mir.reads);
-        let mut footprint = Footprint::new(self.mir.reads.to_vec());
+        let mut footprint = Footprint {
+            spans: Spans::of(&self.mir.reads),
+            read: None,
+        };
         if cfg!(debug_assertions) {
             footprint.read = NonZeroU64::new(footprint.digest(src));
         }
@@ -625,7 +709,7 @@ impl Translator {
             term: self.mir.term,
             is_call: matches!(insns[guest_insns as usize - 1].op, Op::Call | Op::CallInd),
             code: self.codegen.code().to_vec(),
-            members: members
+            rest: members[1..]
                 .iter()
                 .map(|m| Member {
                     addr: m.addr,
@@ -938,23 +1022,36 @@ mod tests {
             len: 4 * insns,
             insns,
         };
-        let b = TBlock {
-            guest_addr: 0x1000,
-            guest_len: 8,
-            guest_insns: 9,
-            code: Vec::new(),
-            translate_cycles: 0,
-            term: Term::Halt,
-            is_call: false,
-            members: Box::new([member(0x1000, 2), member(0x2000, 3), member(0x3000, 4)]),
-            footprint: Footprint::default(),
+        let block = |rest: &[Member]| {
+            let b = TBlock::new(
+                member(0x1000, 2),
+                rest,
+                Vec::new(),
+                Term::Halt,
+                Footprint::default(),
+            );
+            assert_eq!(members(&b)[1..], *rest, "the entry first, then the rest");
+            b
         };
+        let b = block(&[member(0x2000, 3), member(0x3000, 4)]);
         assert!(b.is_region());
+        assert_eq!((b.guest_addr, b.guest_len, b.guest_insns), (0x1000, 8, 9));
+        assert_eq!(members(&b)[0], member(0x1000, 2));
         assert_eq!(
             [0, 1, 2, 3, u32::MAX].map(|g| b.retired(g)),
             [2, 5, 9, 9, 9]
         );
         assert_eq!(b.end_addr(), 0x3010, "the last member's end");
+        let plain = block(&[]);
+        assert!(!plain.is_region());
+        assert_eq!(members(&plain), [member(0x1000, 2)]);
+        assert_eq!([0, u32::MAX].map(|g| plain.retired(g)), [2, 2]);
+        assert_eq!(plain.end_addr(), 0x1008, "the entry's end");
+    }
+
+    /// `b`'s members, entry first.
+    fn members(b: &TBlock) -> Vec<Member> {
+        b.members().collect()
     }
 
     /// `TBlock`s cross host threads through the sweep's shared memo.
@@ -1123,17 +1220,17 @@ mod tests {
             a.hlt();
         });
         // Formation order: A (goto C), C (side exit to B), D (halt).
-        assert_eq!(b.members.len(), 3, "members: {:?}", b.members);
-        assert_eq!(b.members[0].addr, 0x1000);
+        assert_eq!(members(&b).len(), 3, "members: {:?}", members(&b));
+        assert_eq!(members(&b)[0].addr, 0x1000);
         assert!(
-            b.members[2].addr > b.members[1].addr,
+            members(&b)[2].addr > members(&b)[1].addr,
             "D after C: {:?}",
-            b.members
+            members(&b)
         );
         assert_eq!(b.term, Term::Halt);
         assert_eq!(
             b.end_addr(),
-            b.members[2].addr + b.members[2].len,
+            members(&b)[2].addr + members(&b)[2].len,
             "end_addr is the last member's end"
         );
         // Each junction carries an SMC guard; the conditional junction
@@ -1154,7 +1251,7 @@ mod tests {
             a.add_ri(EAX, 1);
             a.ret();
         });
-        assert_eq!(b.members.len(), 1);
+        assert_eq!(members(&b).len(), 1);
         // A self-loop closes through dispatch, not by unrolling.
         let b = region(OptLevel::Full, &RegionLimits::default(), |a| {
             let top = a.label();
@@ -1162,7 +1259,7 @@ mod tests {
             a.add_ri(EAX, 1);
             a.jmp(top);
         });
-        assert_eq!(b.members.len(), 1);
+        assert_eq!(members(&b).len(), 1);
         assert_eq!(b.term, Term::Goto(0x1000));
     }
 
@@ -1185,7 +1282,7 @@ mod tests {
         let plain = translate_block(&src, p.base, OptLevel::Full).unwrap();
         assert_eq!(single, plain);
         assert_eq!(
-            *single.members,
+            *members(&single),
             [Member {
                 addr: p.base,
                 len: single.guest_len,
@@ -1195,7 +1292,7 @@ mod tests {
         // With formation enabled the same code merges into one region.
         let merged =
             translate_region(&src, p.base, OptLevel::Full, &RegionLimits::default()).unwrap();
-        assert_eq!(merged.members.len(), 2);
+        assert_eq!(members(&merged).len(), 2);
         assert_eq!(merged.guest_insns, 4);
     }
 
@@ -1215,7 +1312,7 @@ mod tests {
             }
             a.hlt();
         });
-        assert_eq!(b.members.len(), 3);
+        assert_eq!(members(&b).len(), 3);
         assert!(matches!(b.term, Term::Goto(_)));
     }
 
@@ -1242,7 +1339,8 @@ mod tests {
         let stat =
             translate_region(&src, p.base, OptLevel::Full, &RegionLimits::default()).unwrap();
         assert_eq!(
-            stat.members[1].addr, fall,
+            members(&stat)[1].addr,
+            fall,
             "static prediction falls through"
         );
         let rec = translate_region_along(
@@ -1253,8 +1351,12 @@ mod tests {
             &[taken],
         )
         .unwrap();
-        assert_eq!(rec.members.len(), 2, "members: {:?}", rec.members);
-        assert_eq!(rec.members[1].addr, taken, "recorded path takes the branch");
+        assert_eq!(members(&rec).len(), 2, "members: {:?}", members(&rec));
+        assert_eq!(
+            members(&rec)[1].addr,
+            taken,
+            "recorded path takes the branch"
+        );
         assert_ne!(rec, stat);
     }
 
@@ -1276,8 +1378,8 @@ mod tests {
         let rec =
             translate_region_along(&src, p.base, OptLevel::Full, &RegionLimits::default(), &[c])
                 .unwrap();
-        assert_eq!(rec.members.len(), 2, "members: {:?}", rec.members);
-        assert_eq!(rec.members[1].addr, c);
+        assert_eq!(members(&rec).len(), 2, "members: {:?}", members(&rec));
+        assert_eq!(members(&rec)[1].addr, c);
         assert_eq!(rec.term, Term::Halt, "region ends at the member's halt");
         // Exactly one mid-region dispatch (the guard's mismatch path) and
         // one SMC guard (the junction boundary).
@@ -1296,7 +1398,7 @@ mod tests {
         // The static formation cannot cross the indirect at all.
         let stat =
             translate_region(&src, p.base, OptLevel::Full, &RegionLimits::default()).unwrap();
-        assert_eq!(stat.members.len(), 1);
+        assert_eq!(members(&stat).len(), 1);
     }
 
     #[test]
@@ -1320,7 +1422,7 @@ mod tests {
             &[0xDEAD_0000],
         )
         .unwrap();
-        assert_eq!(bogus.members.len(), 1, "mismatch must stop formation");
+        assert_eq!(members(&bogus).len(), 1, "mismatch must stop formation");
         let empty =
             translate_region_along(&src, p.base, OptLevel::Full, &RegionLimits::default(), &[])
                 .unwrap();
@@ -1351,8 +1453,8 @@ mod tests {
         let src = SliceSource::new(p.base, &p.code);
         let stat =
             translate_region(&src, p.base, OptLevel::Full, &RegionLimits::default()).unwrap();
-        assert_eq!(stat.members.len(), 3);
-        let path = [stat.members[1].addr, stat.members[2].addr];
+        assert_eq!(members(&stat).len(), 3);
+        let path = [members(&stat)[1].addr, members(&stat)[2].addr];
         let rec = translate_region_along(
             &src,
             p.base,
@@ -1385,7 +1487,7 @@ mod tests {
             &[p.base, p.base],
         )
         .unwrap();
-        assert_eq!(rec.members.len(), 1, "loop closes through dispatch");
+        assert_eq!(members(&rec).len(), 1, "loop closes through dispatch");
     }
 
     #[test]
@@ -1408,7 +1510,7 @@ mod tests {
         let merged =
             translate_region(&src, p.base, OptLevel::Full, &RegionLimits::default()).unwrap();
         let first = translate_block(&src, p.base, OptLevel::Full).unwrap();
-        let second = translate_block(&src, merged.members[1].addr, OptLevel::Full).unwrap();
+        let second = translate_block(&src, members(&merged)[1].addr, OptLevel::Full).unwrap();
         assert!(
             merged.code.len() < first.code.len() + second.code.len(),
             "merged {} vs split {}+{}",

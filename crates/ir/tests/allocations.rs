@@ -3,9 +3,10 @@
 //! A counting global allocator counts the heap allocations (and
 //! reallocations) each translation makes on its own thread. Once one
 //! context has translated the shared workload, translating it again must
-//! make at most three allocations per call: the returned `TBlock`'s
-//! `code`, `members` and footprint spans. Every other buffer lives in the
-//! context.
+//! make exactly one allocation for a plain block whose footprint is one
+//! span: the returned `TBlock`'s `code`. A region or a footprint of more
+//! spans may make at most three: the code, the members after the entry
+//! and the spans. Every other buffer lives in the context.
 
 mod common;
 
@@ -76,16 +77,23 @@ fn a_warm_translator_allocates_only_the_block_it_returns() {
     for job in &jobs {
         let _ = job.on(&mut translator, &mems);
     }
-    let (mut warm, mut fresh, mut blocks) = (0, 0, 0);
+    let (mut warm, mut fresh, mut blocks, mut plain) = (0, 0, 0, 0);
     for (i, job) in jobs.iter().enumerate() {
         let (block, n) = counted(|| job.on(&mut translator, &mems));
-        assert!(n <= 3, "job {i}: {n} allocations for {job:x?}");
+        match &block {
+            Ok(b) if !b.is_region() && b.footprint.spans().len() == 1 => {
+                assert_eq!(n, 1, "job {i}: a plain block of one span, for {job:x?}");
+                plain += 1;
+            }
+            _ => assert!(n <= 3, "job {i}: {n} allocations for {job:x?}"),
+        }
         warm += n;
         fresh += counted(|| job.fresh(&mems)).1;
         blocks += u64::from(block.is_ok());
     }
     println!(
-        "{} jobs, {blocks} blocks: {:.2} allocations per call warm, {:.2} on a fresh context",
+        "{} jobs, {blocks} blocks ({plain} plain of one span): {:.2} allocations per call \
+         warm, {:.2} on a fresh context",
         jobs.len(),
         warm as f64 / jobs.len() as f64,
         fresh as f64 / jobs.len() as f64

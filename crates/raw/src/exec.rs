@@ -8,7 +8,7 @@
 
 #[cfg(test)]
 use crate::isa::BrCond;
-use crate::isa::{AluIOp, AluOp, BranchTarget, HelperKind, MemOp, RInsn, RReg, NUM_REGS};
+use crate::isa::{AluIOp, AluOp, HelperKind, MemOp, RInsn, RReg, NUM_REGS};
 
 /// Cycles of pipeline bubble on a taken branch (8-stage in-order pipe).
 pub const TAKEN_BRANCH_PENALTY: u64 = 2;
@@ -76,22 +76,14 @@ pub enum Fault {
         vector: u8,
     },
     /// Guest code at `addr` does not decode; raised by a translated
-    /// [`RInsn::Trap`] once execution actually reaches the bad bytes.
+    /// [`RInsn::TrapUndecodable`] once execution actually reaches the bad
+    /// bytes.
     Undecodable {
         /// Guest address of the undecodable instruction.
         addr: u32,
     },
     /// The block ran past its fuel limit (malformed internal loop).
     FuelExhausted,
-}
-
-impl From<crate::isa::TrapCause> for Fault {
-    fn from(cause: crate::isa::TrapCause) -> Fault {
-        match cause {
-            crate::isa::TrapCause::BadInterrupt { vector } => Fault::BadInterrupt { vector },
-            crate::isa::TrapCause::Undecodable { addr } => Fault::Undecodable { addr },
-        }
-    }
 }
 
 /// The execution tile's window onto the DBT memory system.
@@ -337,7 +329,7 @@ pub fn run_block<P: DataPort + ?Sized>(
                     }
                 }
             }
-            RInsn::Branch {
+            RInsn::BranchLocal {
                 cond,
                 rs,
                 rt,
@@ -345,34 +337,39 @@ pub fn run_block<P: DataPort + ?Sized>(
             } => {
                 if cond.holds(state.get(rs), state.get(rt)) {
                     cycles += TAKEN_BRANCH_PENALTY;
-                    match target {
-                        BranchTarget::Local(idx) => pc = idx as usize,
-                        BranchTarget::Guest(g) => {
-                            return RunOutcome {
-                                exit: BlockExit::Goto(g),
-                                cycles,
-                                insns,
-                                stall_cycles: stalls,
-                                guards_passed: guards,
-                            }
-                        }
-                    }
+                    pc = target as usize;
                 }
             }
-            RInsn::Jump { target } => {
-                cycles += TAKEN_BRANCH_PENALTY;
-                match target {
-                    BranchTarget::Local(idx) => pc = idx as usize,
-                    BranchTarget::Guest(g) => {
-                        return RunOutcome {
-                            exit: BlockExit::Goto(g),
-                            cycles,
-                            insns,
-                            stall_cycles: stalls,
-                            guards_passed: guards,
-                        }
-                    }
+            RInsn::BranchGuest {
+                cond,
+                rs,
+                rt,
+                target,
+            } => {
+                if cond.holds(state.get(rs), state.get(rt)) {
+                    cycles += TAKEN_BRANCH_PENALTY;
+                    return RunOutcome {
+                        exit: BlockExit::Goto(target),
+                        cycles,
+                        insns,
+                        stall_cycles: stalls,
+                        guards_passed: guards,
+                    };
                 }
+            }
+            RInsn::JumpLocal { target } => {
+                cycles += TAKEN_BRANCH_PENALTY;
+                pc = target as usize;
+            }
+            RInsn::JumpGuest { target } => {
+                cycles += TAKEN_BRANCH_PENALTY;
+                return RunOutcome {
+                    exit: BlockExit::Goto(target),
+                    cycles,
+                    insns,
+                    stall_cycles: stalls,
+                    guards_passed: guards,
+                };
             }
             RInsn::Helper { kind } => {
                 if let Err(f) = port.helper(kind, state) {
@@ -403,9 +400,18 @@ pub fn run_block<P: DataPort + ?Sized>(
                     guards_passed: guards,
                 }
             }
-            RInsn::Trap { cause } => {
+            RInsn::TrapBadInterrupt { vector } => {
                 return RunOutcome {
-                    exit: BlockExit::Fault(cause.into()),
+                    exit: BlockExit::Fault(Fault::BadInterrupt { vector }),
+                    cycles,
+                    insns,
+                    stall_cycles: stalls,
+                    guards_passed: guards,
+                }
+            }
+            RInsn::TrapUndecodable { addr } => {
+                return RunOutcome {
+                    exit: BlockExit::Fault(Fault::Undecodable { addr }),
                     cycles,
                     insns,
                     stall_cycles: stalls,
@@ -531,11 +537,11 @@ mod tests {
                 rs: r(1),
                 imm: -1,
             },
-            RInsn::Branch {
+            RInsn::BranchLocal {
                 cond: BrCond::Ne,
                 rs: r(1),
                 rt: r(0),
-                target: BranchTarget::Local(1),
+                target: 1,
             },
             RInsn::Hlt,
         ];
@@ -547,8 +553,8 @@ mod tests {
 
     #[test]
     fn guest_exit_and_dispatch() {
-        let code = [RInsn::Jump {
-            target: BranchTarget::Guest(0x8000_0010),
+        let code = [RInsn::JumpGuest {
+            target: 0x8000_0010,
         }];
         let mut s = CoreState::new();
         let out = run_block(&mut s, &code, &mut TestPort::new(0), 10);
@@ -683,9 +689,7 @@ mod tests {
 
     #[test]
     fn fuel_limit_stops_runaway() {
-        let code = [RInsn::Jump {
-            target: BranchTarget::Local(0),
-        }];
+        let code = [RInsn::JumpLocal { target: 0 }];
         let mut s = CoreState::new();
         let out = run_block(&mut s, &code, &mut TestPort::new(0), 50);
         assert_eq!(out.exit, BlockExit::Fault(Fault::FuelExhausted));
@@ -731,20 +735,20 @@ mod tests {
     #[test]
     fn taken_branch_penalty_charged() {
         let taken = [
-            RInsn::Branch {
+            RInsn::BranchLocal {
                 cond: BrCond::Eq,
                 rs: r(0),
                 rt: r(0),
-                target: BranchTarget::Local(1),
+                target: 1,
             },
             RInsn::Hlt,
         ];
         let not_taken = [
-            RInsn::Branch {
+            RInsn::BranchLocal {
                 cond: BrCond::Ne,
                 rs: r(0),
                 rt: r(0),
-                target: BranchTarget::Local(1),
+                target: 1,
             },
             RInsn::Hlt,
         ];

@@ -146,10 +146,11 @@ impl BrCond {
     }
 }
 
-/// Where a branch or jump goes.
+/// Where a branch or jump goes: what [`RInsn::branch`] and
+/// [`RInsn::jump`] take and what an instruction's `Debug` text names.
 ///
-/// Eight host bytes: a `u32` in either variant, which keeps an
-/// [`RInsn`] at 12.
+/// An [`RInsn`] holds the target flat, as the `u32` of its `*Local` or
+/// `*Guest` variant, so nesting this tagged enum costs no host bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BranchTarget {
     /// An instruction index inside the current translated block.
@@ -207,7 +208,8 @@ impl HelperKind {
     }
 }
 
-/// Why a [`RInsn::Trap`] stops the machine.
+/// Why a trap ([`RInsn::TrapBadInterrupt`], [`RInsn::TrapUndecodable`];
+/// built by [`RInsn::trap`]) stops the machine.
 ///
 /// Traps are *statically known* guest faults the translator discovers at
 /// translation time and materialises as a terminator, so the translated
@@ -232,9 +234,14 @@ pub enum TrapCause {
 /// One host instruction.
 ///
 /// The simulated machine charges it [`RInsn::SIZE_BYTES`] of
-/// instruction memory whatever its host layout. On the host it is 12
+/// instruction memory whatever its host layout. On the host it is 8
 /// bytes, what every cached translation (L1, L1.5, L2, the sweep's memo)
-/// pays an instruction.
+/// pays an instruction: a tag and at most 7 bytes of fields. A branch,
+/// jump or trap is therefore one flat variant per target kind or cause
+/// rather than a variant nesting a second tagged enum; build them with
+/// [`RInsn::branch`], [`RInsn::jump`] and [`RInsn::trap`]. `Debug`
+/// prints the nested form (`Branch { .., target: Local(7) }`, `Trap {
+/// cause: Undecodable { .. } }`), the text translation digests hash.
 ///
 /// # Examples
 ///
@@ -245,7 +252,7 @@ pub enum TrapCause {
 /// let i = RInsn::AluI { op: AluIOp::Addi, rd: RReg(3), rs: RReg(1), imm: 4 };
 /// assert_eq!(i.cycles(), 1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RInsn {
     /// `rd = rs <op> rt`.
     Alu {
@@ -298,21 +305,40 @@ pub enum RInsn {
         /// Byte offset.
         off: i32,
     },
-    /// Conditional branch.
-    Branch {
+    /// Conditional branch to an instruction index inside the current
+    /// translated block ([`BranchTarget::Local`]).
+    BranchLocal {
         /// Condition.
         cond: BrCond,
         /// Left operand.
         rs: RReg,
         /// Right operand.
         rt: RReg,
-        /// Target.
-        target: BranchTarget,
+        /// Instruction index.
+        target: u32,
     },
-    /// Unconditional jump.
-    Jump {
-        /// Target.
-        target: BranchTarget,
+    /// Conditional branch to a guest address, a chainable exit
+    /// ([`BranchTarget::Guest`]).
+    BranchGuest {
+        /// Condition.
+        cond: BrCond,
+        /// Left operand.
+        rs: RReg,
+        /// Right operand.
+        rt: RReg,
+        /// Guest address.
+        target: u32,
+    },
+    /// Unconditional jump to an instruction index inside the current
+    /// translated block.
+    JumpLocal {
+        /// Instruction index.
+        target: u32,
+    },
+    /// Unconditional jump to a guest address, a chainable exit.
+    JumpGuest {
+        /// Guest address.
+        target: u32,
     },
     /// `rd = rs[pos .. pos+len]` (zero-extended bit-field extract).
     Ext {
@@ -348,10 +374,16 @@ pub enum RInsn {
     },
     /// Proxy a guest system call (registers already hold the x86 state).
     Sys,
-    /// Raise a statically known guest fault (see [`TrapCause`]).
-    Trap {
-        /// Why the machine faults here.
-        cause: TrapCause,
+    /// Raise [`TrapCause::BadInterrupt`]: `int` with an unimplemented
+    /// vector.
+    TrapBadInterrupt {
+        /// The interrupt vector.
+        vector: u8,
+    },
+    /// Raise [`TrapCause::Undecodable`]: guest bytes that do not decode.
+    TrapUndecodable {
+        /// Guest address of the undecodable instruction.
+        addr: u32,
     },
     /// Stop the virtual machine.
     Hlt,
@@ -370,10 +402,12 @@ pub enum RInsn {
 }
 
 // The host layout every cached translation pays per instruction. A
-// `usize` in `BranchTarget::Local` once made these 24 and 16 bytes,
-// doubling the code of every cached block; a wider field in any variant
-// fails the build here rather than in a heap profile.
-const _: () = assert!(std::mem::size_of::<RInsn>() == 12);
+// `usize` in `BranchTarget::Local` once made it 24 bytes, and variants
+// nesting `BranchTarget` and `TrapCause` 12; a wider field or a nested
+// tagged enum in any variant fails the build here rather than in a heap
+// profile. `BranchTarget` is what `branch` and `jump` take, never what
+// an instruction holds.
+const _: () = assert!(std::mem::size_of::<RInsn>() == 8);
 const _: () = assert!(std::mem::size_of::<BranchTarget>() == 8);
 
 impl RInsn {
@@ -381,6 +415,40 @@ impl RInsn {
     /// simulated machine: what every code cache and DRAM charge. The
     /// host layout can change without moving a simulated cycle.
     pub const SIZE_BYTES: u32 = 4;
+
+    /// A conditional branch: to `target` if `cond` holds on `rs` and `rt`.
+    pub fn branch(cond: BrCond, rs: RReg, rt: RReg, target: BranchTarget) -> RInsn {
+        match target {
+            BranchTarget::Local(target) => RInsn::BranchLocal {
+                cond,
+                rs,
+                rt,
+                target,
+            },
+            BranchTarget::Guest(target) => RInsn::BranchGuest {
+                cond,
+                rs,
+                rt,
+                target,
+            },
+        }
+    }
+
+    /// An unconditional jump to `target`.
+    pub fn jump(target: BranchTarget) -> RInsn {
+        match target {
+            BranchTarget::Local(target) => RInsn::JumpLocal { target },
+            BranchTarget::Guest(target) => RInsn::JumpGuest { target },
+        }
+    }
+
+    /// A trap raising `cause`.
+    pub fn trap(cause: TrapCause) -> RInsn {
+        match cause {
+            TrapCause::BadInterrupt { vector } => RInsn::TrapBadInterrupt { vector },
+            TrapCause::Undecodable { addr } => RInsn::TrapUndecodable { addr },
+        }
+    }
 
     /// Base issue cycles (memory stalls are added by the memory system).
     pub fn cycles(self) -> u64 {
@@ -393,6 +461,90 @@ impl RInsn {
             // Loads/stores: 1 issue cycle; the software address translation
             // and cache occupancy are charged by the DataPort.
             _ => 1,
+        }
+    }
+}
+
+/// The text a derived `Debug` printed when branches, jumps and traps
+/// nested [`BranchTarget`] and [`TrapCause`]: translation digests hash
+/// it, so the flat layout prints the nested form.
+impl std::fmt::Debug for RInsn {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        use std::fmt::Debug;
+        let mut out = |name: &str, fields: &[(&str, &dyn Debug)]| {
+            let mut s = f.debug_struct(name);
+            for (field, value) in fields {
+                s.field(field, value);
+            }
+            s.finish()
+        };
+        match *self {
+            RInsn::Alu { op, rd, rs, rt } => {
+                out("Alu", &[("op", &op), ("rd", &rd), ("rs", &rs), ("rt", &rt)])
+            }
+            RInsn::AluI { op, rd, rs, imm } => out(
+                "AluI",
+                &[("op", &op), ("rd", &rd), ("rs", &rs), ("imm", &imm)],
+            ),
+            RInsn::Lui { rd, imm } => out("Lui", &[("rd", &rd), ("imm", &imm)]),
+            RInsn::Load { op, rd, base, off } => out(
+                "Load",
+                &[("op", &op), ("rd", &rd), ("base", &base), ("off", &off)],
+            ),
+            RInsn::Store { op, src, base, off } => out(
+                "Store",
+                &[("op", &op), ("src", &src), ("base", &base), ("off", &off)],
+            ),
+            RInsn::BranchLocal {
+                cond,
+                rs,
+                rt,
+                target,
+            } => out(
+                "Branch",
+                &[
+                    ("cond", &cond),
+                    ("rs", &rs),
+                    ("rt", &rt),
+                    ("target", &BranchTarget::Local(target)),
+                ],
+            ),
+            RInsn::BranchGuest {
+                cond,
+                rs,
+                rt,
+                target,
+            } => out(
+                "Branch",
+                &[
+                    ("cond", &cond),
+                    ("rs", &rs),
+                    ("rt", &rt),
+                    ("target", &BranchTarget::Guest(target)),
+                ],
+            ),
+            RInsn::JumpLocal { target } => out("Jump", &[("target", &BranchTarget::Local(target))]),
+            RInsn::JumpGuest { target } => out("Jump", &[("target", &BranchTarget::Guest(target))]),
+            RInsn::Ext { rd, rs, pos, len } => out(
+                "Ext",
+                &[("rd", &rd), ("rs", &rs), ("pos", &pos), ("len", &len)],
+            ),
+            RInsn::Ins { rd, rs, pos, len } => out(
+                "Ins",
+                &[("rd", &rd), ("rs", &rs), ("pos", &pos), ("len", &len)],
+            ),
+            RInsn::Helper { kind } => out("Helper", &[("kind", &kind)]),
+            RInsn::Dispatch { rs } => out("Dispatch", &[("rs", &rs)]),
+            RInsn::Sys => out("Sys", &[]),
+            RInsn::TrapBadInterrupt { vector } => {
+                out("Trap", &[("cause", &TrapCause::BadInterrupt { vector })])
+            }
+            RInsn::TrapUndecodable { addr } => {
+                out("Trap", &[("cause", &TrapCause::Undecodable { addr })])
+            }
+            RInsn::Hlt => out("Hlt", &[]),
+            RInsn::Nop => out("Nop", &[]),
+            RInsn::SmcGuard { resume } => out("SmcGuard", &[("resume", &resume)]),
         }
     }
 }
@@ -415,6 +567,132 @@ mod tests {
         assert_eq!(MemOp::H.extend(0x8000), 0xFFFF_8000);
         assert_eq!(MemOp::Hu.extend(0x8000), 0x8000);
         assert_eq!(MemOp::W.extend(0xDEAD_BEEF), 0xDEAD_BEEF);
+    }
+
+    /// Every variant, each flat split both ways, prints the text the
+    /// derived `Debug` of the nested layout printed, which translation
+    /// digests hash.
+    #[test]
+    fn debug_prints_the_nested_layout() {
+        let (a, b, c) = (RReg(1), RReg(2), RReg(31));
+        let golden = [
+            (
+                RInsn::Alu {
+                    op: AluOp::Mulhu,
+                    rd: a,
+                    rs: b,
+                    rt: c,
+                },
+                "Alu { op: Mulhu, rd: RReg(1), rs: RReg(2), rt: RReg(31) }",
+            ),
+            (
+                RInsn::AluI {
+                    op: AluIOp::Sra,
+                    rd: a,
+                    rs: b,
+                    imm: -4,
+                },
+                "AluI { op: Sra, rd: RReg(1), rs: RReg(2), imm: -4 }",
+            ),
+            (
+                RInsn::Lui { rd: a, imm: 0xBEEF },
+                "Lui { rd: RReg(1), imm: 48879 }",
+            ),
+            (
+                RInsn::Load {
+                    op: MemOp::Bu,
+                    rd: a,
+                    base: b,
+                    off: -8,
+                },
+                "Load { op: Bu, rd: RReg(1), base: RReg(2), off: -8 }",
+            ),
+            (
+                RInsn::Store {
+                    op: MemOp::W,
+                    src: a,
+                    base: c,
+                    off: 12,
+                },
+                "Store { op: W, src: RReg(1), base: RReg(31), off: 12 }",
+            ),
+            (
+                RInsn::branch(BrCond::GeU, a, b, BranchTarget::Local(7)),
+                "Branch { cond: GeU, rs: RReg(1), rt: RReg(2), target: Local(7) }",
+            ),
+            (
+                RInsn::branch(BrCond::Ne, c, RReg(0), BranchTarget::Guest(0x0804_8010)),
+                "Branch { cond: Ne, rs: RReg(31), rt: RReg(0), target: Guest(134512656) }",
+            ),
+            (
+                RInsn::jump(BranchTarget::Local(0)),
+                "Jump { target: Local(0) }",
+            ),
+            (
+                RInsn::jump(BranchTarget::Guest(0xFFFF_FFFF)),
+                "Jump { target: Guest(4294967295) }",
+            ),
+            (
+                RInsn::Ext {
+                    rd: a,
+                    rs: b,
+                    pos: 10,
+                    len: 1,
+                },
+                "Ext { rd: RReg(1), rs: RReg(2), pos: 10, len: 1 }",
+            ),
+            (
+                RInsn::Ins {
+                    rd: c,
+                    rs: a,
+                    pos: 0,
+                    len: 32,
+                },
+                "Ins { rd: RReg(31), rs: RReg(1), pos: 0, len: 32 }",
+            ),
+            (
+                RInsn::Helper {
+                    kind: HelperKind::Div {
+                        signed: true,
+                        width: 4,
+                    },
+                },
+                "Helper { kind: Div { signed: true, width: 4 } }",
+            ),
+            (
+                RInsn::Helper {
+                    kind: HelperKind::Shift {
+                        op: ShiftOp::Rol,
+                        width: 1,
+                    },
+                },
+                "Helper { kind: Shift { op: Rol, width: 1 } }",
+            ),
+            (RInsn::Dispatch { rs: b }, "Dispatch { rs: RReg(2) }"),
+            (RInsn::Sys, "Sys"),
+            (
+                RInsn::trap(TrapCause::BadInterrupt { vector: 3 }),
+                "Trap { cause: BadInterrupt { vector: 3 } }",
+            ),
+            (
+                RInsn::trap(TrapCause::Undecodable { addr: 0x0804_8123 }),
+                "Trap { cause: Undecodable { addr: 134512931 } }",
+            ),
+            (RInsn::Hlt, "Hlt"),
+            (RInsn::Nop, "Nop"),
+            (
+                RInsn::SmcGuard { resume: 0x1234 },
+                "SmcGuard { resume: 4660 }",
+            ),
+        ];
+        for (insn, text) in golden {
+            assert_eq!(format!("{insn:?}"), text);
+        }
+        assert_eq!(
+            format!("{:#?}", golden[5].0),
+            "Branch {\n    cond: GeU,\n    rs: RReg(\n        1,\n    ),\n    rt: RReg(\n        \
+             2,\n    ),\n    target: Local(\n        7,\n    ),\n}"
+        );
     }
 
     #[test]
