@@ -288,7 +288,7 @@ fn eat_translation(h: &mut Fnv1a, at: u32, t: &Result<TBlock, TranslateError>) {
     ] {
         h.eat(&n.to_le_bytes());
     }
-    h.eat(&b.translate_cycles.to_le_bytes());
+    h.eat(&u64::from(b.translate_cycles).to_le_bytes());
     // The member spans, the footprint spans, then the member counts: the
     // order the frozen `translation_digests` rows were hashed in.
     let ranges: Vec<(u32, u32)> = b.members().map(|m| (m.addr, m.len)).collect();

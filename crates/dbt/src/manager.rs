@@ -361,7 +361,7 @@ impl Manager {
                         .translate(pc, &shape, out)
                         .map_err(|error| SystemError::Translate { addr: pc, error })?;
                     self.failed.remove(&pc);
-                    t += block.translate_cycles;
+                    t += u64::from(block.translate_cycles);
                     swapped.extend(self.install(block, &shape, out));
                     return Ok(t);
                 }
@@ -577,7 +577,7 @@ impl Manager {
         let shape = out.regions.shape_for(addr);
         let block = self.translate(addr, &shape, out).ok();
         let (cycles, words) = match &block {
-            Some(b) => (b.translate_cycles, b.code.len() as u32),
+            Some(b) => (u64::from(b.translate_cycles), b.code.len() as u32),
             // Failed translations still burn decode time.
             None => (200, 0),
         };

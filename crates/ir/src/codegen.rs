@@ -1210,114 +1210,45 @@ fn emit_flag_dynamic(
 
 /// Emits `d = cond(r9) ? 1 : 0`.
 fn emit_eval_cond(em: &mut Emitter, d: RReg, cond: Cond) {
-    let f = FLAGS_REG;
+    // `rd = flag`, read at the flag's bit of the packed EFLAGS word.
+    fn ext(em: &mut Emitter, rd: RReg, flag: Flag) {
+        em.emit(RInsn::Ext {
+            rd,
+            rs: FLAGS_REG,
+            pos: flag.bit(),
+            len: 1,
+        });
+    }
+    // `d = d op flag`, the flag read into `OUT1`.
+    let fold = |em: &mut Emitter, op: AluOp, flag: Flag| {
+        ext(em, OUT1, flag);
+        em.emit(RInsn::Alu {
+            op,
+            rd: d,
+            rs: d,
+            rt: OUT1,
+        });
+    };
     let neg = cond.num() & 1 == 1;
     let base = Cond::from_num(cond.num() & !1);
     match base {
-        Cond::O => em.emit(RInsn::Ext {
-            rd: d,
-            rs: f,
-            pos: 11,
-            len: 1,
-        }),
-        Cond::B => em.emit(RInsn::Ext {
-            rd: d,
-            rs: f,
-            pos: 0,
-            len: 1,
-        }),
-        Cond::E => em.emit(RInsn::Ext {
-            rd: d,
-            rs: f,
-            pos: 6,
-            len: 1,
-        }),
-        Cond::S => em.emit(RInsn::Ext {
-            rd: d,
-            rs: f,
-            pos: 7,
-            len: 1,
-        }),
-        Cond::P => em.emit(RInsn::Ext {
-            rd: d,
-            rs: f,
-            pos: 2,
-            len: 1,
-        }),
+        Cond::O => ext(em, d, Flag::Of),
+        Cond::B => ext(em, d, Flag::Cf),
+        Cond::E => ext(em, d, Flag::Zf),
+        Cond::S => ext(em, d, Flag::Sf),
+        Cond::P => ext(em, d, Flag::Pf),
         Cond::Be => {
-            let s = OUT1;
-            em.emit(RInsn::Ext {
-                rd: d,
-                rs: f,
-                pos: 0,
-                len: 1,
-            });
-            em.emit(RInsn::Ext {
-                rd: s,
-                rs: f,
-                pos: 6,
-                len: 1,
-            });
-            em.emit(RInsn::Alu {
-                op: AluOp::Or,
-                rd: d,
-                rs: d,
-                rt: s,
-            });
+            ext(em, d, Flag::Cf);
+            fold(em, AluOp::Or, Flag::Zf);
         }
         Cond::L => {
-            let s = OUT1;
-            em.emit(RInsn::Ext {
-                rd: d,
-                rs: f,
-                pos: 7,
-                len: 1,
-            });
-            em.emit(RInsn::Ext {
-                rd: s,
-                rs: f,
-                pos: 11,
-                len: 1,
-            });
-            em.emit(RInsn::Alu {
-                op: AluOp::Xor,
-                rd: d,
-                rs: d,
-                rt: s,
-            });
+            ext(em, d, Flag::Sf);
+            fold(em, AluOp::Xor, Flag::Of);
         }
         Cond::Le => {
-            let s = OUT1;
-            em.emit(RInsn::Ext {
-                rd: d,
-                rs: f,
-                pos: 7,
-                len: 1,
-            });
-            em.emit(RInsn::Ext {
-                rd: s,
-                rs: f,
-                pos: 11,
-                len: 1,
-            });
-            em.emit(RInsn::Alu {
-                op: AluOp::Xor,
-                rd: d,
-                rs: d,
-                rt: s,
-            });
-            em.emit(RInsn::Ext {
-                rd: s,
-                rs: f,
-                pos: 6,
-                len: 1,
-            });
-            em.emit(RInsn::Alu {
-                op: AluOp::Or,
-                rd: d,
-                rs: d,
-                rt: s,
-            });
+            ext(em, d, Flag::Sf);
+            fold(em, AluOp::Xor, Flag::Of);
+            fold(em, AluOp::Or, Flag::Zf);
         }
         other => unreachable!("base cond {other:?}"),
     }

@@ -58,7 +58,7 @@ impl OptLevel {
     /// speculative parallel translation. Optimization roughly doubles
     /// the translation occupancy (the cost Figure 8 says is worth paying
     /// off the critical path).
-    pub(crate) fn cycles_per_guest_insn(self) -> u64 {
+    pub(crate) fn cycles_per_guest_insn(self) -> u32 {
         match self {
             OptLevel::None => 260,
             OptLevel::Full => 540,
@@ -152,9 +152,11 @@ pub struct TBlock {
     /// Guest instructions covered: the sum over [`TBlock::members`].
     pub guest_insns: u32,
     /// The host code.
-    pub code: Vec<RInsn>,
-    /// Slave-tile cycles the translation cost.
-    pub translate_cycles: u64,
+    pub code: Box<[RInsn]>,
+    /// Slave-tile cycles the translation cost: its guest instructions
+    /// times the level's per-instruction charge (96 x 540 at the default
+    /// [`RegionLimits`]).
+    pub translate_cycles: u32,
     /// The block's terminator (drives speculation on successors).
     pub term: Term,
     /// Whether the block ends in a guest `call` (return predictor).
@@ -226,10 +228,10 @@ impl Default for Spans {
 
 // What every cached translation pays on the host beside its code: one
 // footprint span inline must not grow a footprint past a `Vec`, nor the
-// `TBlock` past the 104 bytes that put an `Arc<TBlock>` in a 128-byte
+// `TBlock` past the 88 bytes that put an `Arc<TBlock>` in a 112-byte
 // malloc chunk.
 const _: () = assert!(std::mem::size_of::<Footprint>() == 24);
-const _: () = assert!(std::mem::size_of::<TBlock>() <= 104);
+const _: () = assert!(std::mem::size_of::<TBlock>() == 88);
 
 impl PartialEq for Footprint {
     fn eq(&self, other: &Footprint) -> bool {
@@ -369,7 +371,7 @@ impl TBlock {
             guest_addr: entry.addr,
             guest_len: entry.len,
             guest_insns: rest.iter().fold(entry.insns, |n, m| n + m.insns),
-            code,
+            code: code.into(),
             translate_cycles: 0,
             term,
             is_call: false,
@@ -705,10 +707,10 @@ impl Translator {
             guest_addr: entry.addr,
             guest_len: entry.len,
             guest_insns,
-            translate_cycles: guest_insns as u64 * opt.cycles_per_guest_insn(),
+            translate_cycles: guest_insns * opt.cycles_per_guest_insn(),
             term: self.mir.term,
             is_call: matches!(insns[guest_insns as usize - 1].op, Op::Call | Op::CallInd),
-            code: self.codegen.code().to_vec(),
+            code: self.codegen.code().into(),
             rest: members[1..]
                 .iter()
                 .map(|m| Member {

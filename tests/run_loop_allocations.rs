@@ -106,7 +106,7 @@ unsafe impl GlobalAlloc for Counting {
 static COUNTING: Counting = Counting;
 
 /// Layer (d)'s ceiling: heap bytes a committed translation leaves live.
-const BYTES_PER_TRANSLATION: f64 = 380.0;
+const BYTES_PER_TRANSLATION: f64 = 364.0;
 
 /// What `System::new(paper_default)` allocates on gcc at `Scale::Test`.
 const SYSTEM_NEW_ALLOCS: u64 = 169;
